@@ -24,7 +24,7 @@ func main() {
 	expFlag := flag.String("exp", "", "comma-separated experiment ids (default: all)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	save := flag.String("save", "", "write micro-bench + pipelined-throughput JSON to this file and exit")
-	matrix := flag.String("matrix", "", "write the fleet survival-matrix + shard-throughput JSON to this file and exit")
+	matrix := flag.String("matrix", "", "write the fleet survival-matrix + wall-clock-throughput JSON to this file and exit")
 	hier := flag.String("hierarchy", "", "write the hierarchical control-plane JSON (cross-pod establishment + pod writes) to this file and exit")
 	flag.Parse()
 
@@ -51,8 +51,8 @@ func main() {
 		m := bj.Matrix
 		fmt.Printf("matrix k=%d seed=%#x: %d/%d cells survived\n", m.K, m.Seed, m.Survived, m.Total)
 		for _, r := range m.Tput {
-			fmt.Printf("tput %-10s k=%d shards=%d %10.0f ops/s %9.1f ms wall %6.2fx score %.2f\n",
-				r.App, r.K, r.Shards, r.OpsPerSec, r.WallMs, r.Speedup, r.Score)
+			fmt.Printf("tput %-10s k=%d %10.0f ops/s %9.1f ms wall score %.2f\n",
+				r.App, r.K, r.OpsPerSec, r.WallMs, r.Score)
 		}
 		fmt.Printf("wrote %s\n", *matrix)
 		return
@@ -73,10 +73,6 @@ func main() {
 		}
 		for _, r := range bj.Fig19Pipe {
 			fmt.Printf("fig19p window %-3d %12.0f req/s %8.2fx\n", r.Window, r.Tput, r.Speedup)
-		}
-		for _, r := range bj.Parallel {
-			fmt.Printf("fig19par w%-2d window %-3d %12.0f probes/s %8.2fx lanes %6.1fx vs serial\n",
-				r.Workers, r.Window, r.Tput, r.SpeedupVsW1, r.SpeedupVsFig19Serial)
 		}
 		if f := bj.Fleet; f != nil {
 			fmt.Printf("fleet  %d switches w%-3d %12.0f writes/s (serial %.0f/s) failover %.1fms epoch %d\n",

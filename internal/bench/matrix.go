@@ -1,9 +1,8 @@
 // Fleet matrix artifact: the app × fault × protection survival matrix
 // from the internal/fleet scenario harness, plus wall-clock throughput
 // of the k=8 fat-tree fabric and the pod-replicated RouteScout
-// deployment across shard counts. The matrix is the paper's Table I
-// protection story run fleet-wide; the throughput rows measure what the
-// sharded engine buys on a real machine (wall time, not virtual time).
+// deployment. The matrix is the paper's Table I protection story run
+// fleet-wide; the throughput rows are wall time, not virtual time.
 package bench
 
 import (
@@ -25,8 +24,6 @@ type MatrixOpts struct {
 	// 4 ms — the k=8 fabric carries ~1.8k packets plus ~250k probe
 	// events per run).
 	TputLoad time.Duration
-	// Shards lists the shard counts to sweep (default 1, 4, 8).
-	Shards []int
 	// Seed drives every PRNG (default the fleet default).
 	Seed uint64
 }
@@ -37,27 +34,23 @@ func DefaultMatrixOpts() MatrixOpts {
 		MatrixK:  4,
 		TputK:    8,
 		TputLoad: 4 * time.Millisecond,
-		Shards:   []int{1, 4, 8},
 		Seed:     fleet.DefaultOptions().Seed,
 	}
 }
 
-// MatrixTputRow is one throughput measurement: one app at one shard
-// count, wall-clock timed.
+// MatrixTputRow is one throughput measurement: one app, wall-clock
+// timed.
 type MatrixTputRow struct {
 	App       string  `json:"app"`
 	K         int     `json:"k"`
-	Shards    int     `json:"shards"`
 	Ops       uint64  `json:"ops"`
 	Score     float64 `json:"score"`
 	WallMs    float64 `json:"wall_ms"`
 	OpsPerSec float64 `json:"ops_per_sec"`
-	// Speedup is wall-time speedup versus this app's shards=1 row.
-	Speedup float64 `json:"speedup_vs_shards1"`
 }
 
 // MatrixBlock is the fleet-matrix artifact: the full survival matrix
-// plus the shard throughput sweep.
+// plus one wall-clock throughput row per timed app.
 type MatrixBlock struct {
 	K        int             `json:"k"`
 	Seed     uint64          `json:"seed"`
@@ -67,9 +60,8 @@ type MatrixBlock struct {
 	Tput     []MatrixTputRow `json:"throughput"`
 }
 
-// tputApps are the apps the throughput sweep times: the fabric (where
-// shards parallelize the discrete-event engine) and RouteScout (the
-// heaviest standalone driver, as a fixed-cost baseline).
+// tputApps are the apps the throughput rows time: the fabric and
+// RouteScout (the heaviest standalone driver, as a fixed-cost baseline).
 var tputApps = []string{"hula", "routescout"}
 
 // RunMatrixBench collects the fleet-matrix artifact.
@@ -85,37 +77,25 @@ func RunMatrixBench(o MatrixOpts) (*MatrixBlock, error) {
 	out := &MatrixBlock{K: m.K, Seed: m.Seed, Survived: survived, Total: total, Cells: m.Cells}
 
 	for _, app := range tputApps {
-		var base float64
-		for _, shards := range o.Shards {
-			to := fleet.Options{
-				K:            o.TputK,
-				Shards:       shards,
-				Seed:         o.Seed,
-				LoadDuration: o.TputLoad,
-			}
-			start := time.Now()
-			cell, _, err := fleet.RunCell(app, fleet.FaultNone, true, to)
-			if err != nil {
-				return nil, fmt.Errorf("bench: %s shards=%d: %w", app, shards, err)
-			}
-			wall := time.Since(start)
-			row := MatrixTputRow{
-				App:       app,
-				K:         o.TputK,
-				Shards:    shards,
-				Ops:       cell.Delivered,
-				Score:     cell.Score,
-				WallMs:    float64(wall.Nanoseconds()) / 1e6,
-				OpsPerSec: float64(cell.Delivered) / wall.Seconds(),
-			}
-			if base == 0 {
-				base = row.WallMs
-			}
-			if row.WallMs > 0 {
-				row.Speedup = base / row.WallMs
-			}
-			out.Tput = append(out.Tput, row)
+		to := fleet.Options{
+			K:            o.TputK,
+			Seed:         o.Seed,
+			LoadDuration: o.TputLoad,
 		}
+		start := time.Now()
+		cell, _, err := fleet.RunCell(app, fleet.FaultNone, true, to)
+		if err != nil {
+			return nil, fmt.Errorf("bench: %s: %w", app, err)
+		}
+		wall := time.Since(start)
+		out.Tput = append(out.Tput, MatrixTputRow{
+			App:       app,
+			K:         o.TputK,
+			Ops:       cell.Delivered,
+			Score:     cell.Score,
+			WallMs:    float64(wall.Nanoseconds()) / 1e6,
+			OpsPerSec: float64(cell.Delivered) / wall.Seconds(),
+		})
 	}
 	return out, nil
 }
@@ -128,7 +108,7 @@ func FleetMatrix(o MatrixOpts) (*Report, error) {
 	}
 	rep := &Report{
 		ID:      "matrix",
-		Title:   fmt.Sprintf("fleet survival matrix (k=%d) + k=%d shard throughput", mb.K, o.TputK),
+		Title:   fmt.Sprintf("fleet survival matrix (k=%d) + k=%d wall-clock throughput", mb.K, o.TputK),
 		Columns: []string{"app", "fault", "protected", "score", "forged", "detected", "survived"},
 	}
 	for _, c := range mb.Cells {
@@ -143,8 +123,8 @@ func FleetMatrix(o MatrixOpts) (*Report, error) {
 	rep.Notes = append(rep.Notes, fmt.Sprintf("%d/%d cells survived; every protected cell applied zero forged operations", mb.Survived, mb.Total))
 	for _, r := range mb.Tput {
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
-			"tput %-10s k=%d shards=%d: %6.0f ops/s over %7.1f ms wall (%.2fx vs 1 shard, score %.2f)",
-			r.App, r.K, r.Shards, r.OpsPerSec, r.WallMs, r.Speedup, r.Score))
+			"tput %-10s k=%d: %6.0f ops/s over %7.1f ms wall (score %.2f)",
+			r.App, r.K, r.OpsPerSec, r.WallMs, r.Score))
 	}
 	return rep, nil
 }

@@ -63,8 +63,7 @@ type FleetBlock struct {
 
 // EnvBlock records the machine context the numbers were taken on, so
 // bench artifacts stay comparable across hosts: the modeled times don't
-// depend on the machine, but wall-clock micro-benchmarks and the worker
-// sweep's real parallelism do.
+// depend on the machine, but wall-clock micro-benchmarks do.
 type EnvBlock struct {
 	GoMaxProcs int    `json:"gomaxprocs"`
 	NumCPU     int    `json:"num_cpu"`
@@ -77,7 +76,6 @@ type BenchJSON struct {
 	Env       *EnvBlock      `json:"env,omitempty"`
 	Micro     []MicroResult  `json:"micro"`
 	Fig19Pipe []TputRow      `json:"fig19_pipelined"`
-	Parallel  []ParallelRow  `json:"fig19_parallel,omitempty"`
 	Fleet     *FleetBlock    `json:"fleet,omitempty"`
 	Matrix    *MatrixBlock   `json:"fleet_matrix,omitempty"`
 	Group     []GroupRow     `json:"group_failover,omitempty"`
@@ -209,12 +207,6 @@ func CollectBenchJSON(date string) (*BenchJSON, error) {
 			speedup = tput / serial
 		}
 		out.Fig19Pipe = append(out.Fig19Pipe, TputRow{Window: w, Tput: tput, Speedup: speedup})
-	}
-
-	// Parallel ingress sweep (workers × window over DP-DP probes), using
-	// the serial C-DP throughput just measured as the cross-path baseline.
-	if out.Parallel, err = Fig19ParallelRows(DefaultFig19ParallelOpts(), serial); err != nil {
-		return nil, err
 	}
 
 	// Fleet-scale sharded throughput + HA failover time.

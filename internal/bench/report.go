@@ -79,7 +79,6 @@ func All() []Runner {
 		{"fig18", func() (*Report, error) { return Fig18(DefaultRegRWOpts()) }},
 		{"fig19", func() (*Report, error) { return Fig19(DefaultRegRWOpts()) }},
 		{"fig19p", func() (*Report, error) { return Fig19Pipelined(DefaultFig19PipelinedOpts()) }},
-		{"fig19par", func() (*Report, error) { return Fig19Parallel(DefaultFig19ParallelOpts()) }},
 		{"fleet", func() (*Report, error) { return Fleet(DefaultFleetOpts()) }},
 		{"matrix", func() (*Report, error) { return FleetMatrix(DefaultMatrixOpts()) }},
 		{"group", func() (*Report, error) { return Group() }},

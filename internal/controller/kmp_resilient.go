@@ -346,12 +346,7 @@ func (c *Controller) tryPortKeyInitFenced(ha *swHandle, pa int, hb *swHandle, pb
 		}
 		if wait := pol.backoff(attempt); wait > 0 {
 			res.RTT += wait
-			c.mu.Lock()
-			clk := c.clock
-			c.mu.Unlock()
-			if clk != nil {
-				clk.Advance(wait)
-			}
+			c.advanceClock(wait)
 		}
 		x, lerr := c.transact(ha, req, false)
 		res.account(x)

@@ -126,12 +126,7 @@ func (c *Controller) PortKeyExchClose(a string, pa int, pk2 uint64, s2 uint32, w
 	for attempt := 1; attempt <= pol.MaxAttempts; attempt++ {
 		if wait := pol.backoff(attempt); wait > 0 {
 			res.RTT += wait
-			c.mu.Lock()
-			clk := c.clock
-			c.mu.Unlock()
-			if clk != nil {
-				clk.Advance(wait)
-			}
+			c.advanceClock(wait)
 		}
 		x, lerr := c.transact(h, req, false)
 		res.account(x)

@@ -217,12 +217,7 @@ func (c *Controller) runBatch(h *swHandle, entries []batchEntry, window int) Bat
 		}
 		if wait := pol.backoff(att); wait > 0 {
 			br.Lat += wait
-			c.mu.Lock()
-			clk := c.clock
-			c.mu.Unlock()
-			if clk != nil {
-				clk.Advance(wait)
-			}
+			c.advanceClock(wait)
 		}
 
 		// Sign at send time: fresh entries and replay-rejected entries

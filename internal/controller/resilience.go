@@ -197,6 +197,17 @@ func (c *Controller) UseClock(clk Clock) {
 	c.clock = clk
 }
 
+// advanceClock sleeps a backoff wait on the attached virtual clock, if
+// any.
+func (c *Controller) advanceClock(wait time.Duration) {
+	c.mu.Lock()
+	clk := c.clock
+	c.mu.Unlock()
+	if clk != nil {
+		clk.Advance(wait)
+	}
+}
+
 // SetControlTaps installs fault-injection taps on a switch's control
 // channel: out sees every PacketOut the controller emits, in sees every
 // PacketIn before the controller parses it. A nil return drops the packet.
@@ -406,12 +417,7 @@ func (c *Controller) transactOnceLocked(h *swHandle, req *core.Message, wantResp
 		}
 		if wait := pol.backoff(attempt); wait > 0 {
 			x.lat += wait
-			c.mu.Lock()
-			clk := c.clock
-			c.mu.Unlock()
-			if clk != nil {
-				clk.Advance(wait)
-			}
+			c.advanceClock(wait)
 		}
 		final := attempt == pol.MaxAttempts
 		resp, lat, sent, rcvd, err := c.exchangeBytesLocked(h, data)

@@ -94,37 +94,6 @@ func TestBatchAllocs(t *testing.T) {
 	}
 }
 
-// TestSeededRandFork pins fork determinism and stream disjointness.
-func TestSeededRandFork(t *testing.T) {
-	base := NewSeededRand(42)
-	f0 := base.Fork(0)
-	f0again := NewSeededRand(42).Fork(0)
-	for i := 0; i < 64; i++ {
-		if a, b := f0.Uint64(), f0again.Uint64(); a != b {
-			t.Fatalf("fork not deterministic at draw %d: %#x vs %#x", i, a, b)
-		}
-	}
-	// Sibling forks and the parent must not replay each other's stream.
-	seen := map[uint64]string{}
-	sources := map[string]RandomSource{
-		"parent": NewSeededRand(42),
-		"fork0":  NewSeededRand(42).Fork(0),
-		"fork1":  NewSeededRand(42).Fork(1),
-	}
-	for name, src := range sources {
-		for i := 0; i < 256; i++ {
-			v := src.Uint64()
-			if prev, dup := seen[v]; dup {
-				t.Fatalf("draw %#x appears in both %s and %s", v, prev, name)
-			}
-			seen[v] = name
-		}
-	}
-	if _, ok := (CryptoRand{}).Fork(3).(CryptoRand); !ok {
-		t.Fatal("CryptoRand.Fork should return itself")
-	}
-}
-
 func BenchmarkSignBatch(b *testing.B) {
 	for _, d := range []Digester{NewCRC32Digester(), NewHalfSipHashDigester()} {
 		// 32 messages of the control-channel digest-input size.

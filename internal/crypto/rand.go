@@ -14,31 +14,18 @@ type RandomSource interface {
 	Uint64() uint64
 }
 
-// Forkable is a RandomSource that can derive independent deterministic
-// substreams. Parallel consumers (the switch's per-port ingress workers)
-// fork one substream per shard so draws stay reproducible regardless of
-// scheduling: stream contents depend only on (seed, shard), never on
-// which goroutine drew first.
-type Forkable interface {
-	RandomSource
-	// Fork returns a source whose stream is determined by the parent's
-	// seed and the shard index, disjoint from the parent's own stream.
-	Fork(shard uint64) RandomSource
-}
-
 // SeededRand is a deterministic RandomSource (splitmix64). Experiments use
 // it so every run is reproducible; the paper's §XI discussion that Tofino's
 // PRNG "may not be cryptographically strong" is, if anything, modeled
 // faithfully by it.
 type SeededRand struct {
 	mu    sync.Mutex
-	seed  uint64
 	state uint64
 }
 
 // NewSeededRand returns a deterministic source seeded with seed.
 func NewSeededRand(seed uint64) *SeededRand {
-	return &SeededRand{seed: seed, state: seed}
+	return &SeededRand{state: seed}
 }
 
 // Uint64 returns the next splitmix64 output.
@@ -50,16 +37,6 @@ func (s *SeededRand) Uint64() uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// Fork derives a substream seeded from (seed, shard) with a splitmix64
-// finalizer, so sibling shards and the parent stream stay disjoint for
-// any practical draw count.
-func (s *SeededRand) Fork(shard uint64) RandomSource {
-	z := s.seed + (shard+1)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return NewSeededRand(z ^ (z >> 31))
 }
 
 // CryptoRand is a RandomSource backed by crypto/rand, for non-simulated
@@ -76,12 +53,3 @@ func (CryptoRand) Uint64() uint64 {
 	}
 	return binary.LittleEndian.Uint64(b[:])
 }
-
-// Fork returns the source itself: every CSPRNG read is independent, so
-// shards share it safely and no derivation is needed.
-func (c CryptoRand) Fork(uint64) RandomSource { return c }
-
-var (
-	_ Forkable = (*SeededRand)(nil)
-	_ Forkable = CryptoRand{}
-)

@@ -31,9 +31,6 @@ type SwitchSpec struct {
 	Costs *switchos.Costs
 	// RandSeed seeds the data plane's random() extern.
 	RandSeed uint64
-	// Workers is the ingress worker count behind the switch's batch path
-	// (pisa.WithWorkers); 0 or 1 builds the strictly serial switch.
-	Workers int
 	// Config overrides the derived default config when non-nil.
 	Config *core.Config
 }
@@ -87,8 +84,7 @@ func Build(spec SwitchSpec) (*Switch, error) {
 	if seed == 0 {
 		seed = 0xDA7A_0000 ^ uint64(len(spec.Name))<<32 ^ uint64(spec.Ports)
 	}
-	sw, err := pisa.NewSwitch(prog, spec.Profile,
-		pisa.WithRandom(crypto.NewSeededRand(seed)), pisa.WithWorkers(spec.Workers))
+	sw, err := pisa.NewSwitch(prog, spec.Profile, pisa.WithRandom(crypto.NewSeededRand(seed)))
 	if err != nil {
 		return nil, fmt.Errorf("deploy: %s: %w", spec.Name, err)
 	}

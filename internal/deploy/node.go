@@ -19,10 +19,7 @@ type SwitchNode struct {
 
 // HandlePacket implements netsim.Handler.
 func (sn *SwitchNode) HandlePacket(net *netsim.Network, node *netsim.Node, port int, data []byte) {
-	// Shard-local time: in sharded mode the global clock only advances at
-	// window granularity, while the owning shard's clock tracks this very
-	// event. Lockstep mode returns the global clock either way.
-	sn.Host.SW.SetNow(uint64(net.Sim.ShardNow(node.Shard())))
+	sn.Host.SW.SetNow(uint64(net.Sim.Now()))
 	res, err := sn.Host.NetworkPacket(port, data)
 	if err != nil {
 		sn.Errors = append(sn.Errors, err)

@@ -1,6 +1,6 @@
 // Package fleet is the fleet-scale scenario harness: it builds k-ary
-// fat-tree fabrics of HULA switches over the sharded netsim engine and
-// runs every protected application of the paper's Table I across them
+// fat-tree fabrics of HULA switches over the netsim engine and runs
+// every protected application of the paper's Table I across them
 // under a composed, seeded fault schedule — attacker, link flaps,
 // partitions, controller kills, switch crashes — emitting a survival
 // matrix per app × fault × protection-on/off.
@@ -39,12 +39,6 @@ import (
 type TopoConfig struct {
 	// K is the fat-tree arity (even, >= 4). k=4 → 20 switches; k=8 → 80.
 	K int
-	// Shards is the netsim shard count; <= 1 runs lockstep
-	// (bit-identical to the serial engine).
-	Shards int
-	// Fence is the sharded window length; zero defaults to LinkDelay
-	// (the minimum cross-shard link delay, making clamps no-ops).
-	Fence time.Duration
 	// LinkDelay and LinkBandwidthBps apply to every fabric link.
 	LinkDelay        time.Duration
 	LinkBandwidthBps float64
@@ -57,11 +51,10 @@ type TopoConfig struct {
 	Seed uint64
 }
 
-// DefaultTopoConfig is a k=4 secure fabric on one shard.
+// DefaultTopoConfig is a secure fabric of arity k.
 func DefaultTopoConfig(k int) TopoConfig {
 	return TopoConfig{
 		K:                k,
-		Shards:           1,
 		LinkDelay:        5 * time.Microsecond,
 		LinkBandwidthBps: 10e9,
 		Secure:           true,
@@ -144,15 +137,6 @@ func BuildFatTree(cfg TopoConfig) (*Topology, error) {
 		Hosts:    make(map[string]*HostSink),
 		TorID:    make(map[string]uint16),
 	}
-	if cfg.Shards > 1 {
-		fence := cfg.Fence
-		if fence == 0 {
-			fence = cfg.LinkDelay
-		}
-		if err := t.Net.Sim.EnableShards(cfg.Shards, fence); err != nil {
-			return nil, err
-		}
-	}
 
 	ctrl := controller.New(crypto.NewSeededRand(cfg.Seed*1000003 + 1))
 	ctrl.SetRetryPolicy(controller.ResilientRetryPolicy())
@@ -162,18 +146,11 @@ func BuildFatTree(cfg TopoConfig) (*Topology, error) {
 	}
 	t.Ctrl = ctrl
 
-	shardOf := func(pod int) int {
-		if cfg.Shards <= 1 {
-			return 0
-		}
-		return pod % cfg.Shards
-	}
-
 	failTimeout := cfg.FailTimeoutNs
 	if failTimeout == 0 {
 		failTimeout = 2_000_000
 	}
-	addSwitch := func(name string, p hula.Params, shard int) error {
+	addSwitch := func(name string, p hula.Params) error {
 		p.Secure = cfg.Secure
 		p.MaxTors = numEdges + 1
 		p.FailTimeoutNs = failTimeout
@@ -183,9 +160,6 @@ func BuildFatTree(cfg TopoConfig) (*Topology, error) {
 		}
 		t.Switches[name] = sw
 		t.Net.AddNode(name, sw.Node)
-		if err := t.Net.SetShard(name, shard); err != nil {
-			return err
-		}
 		return ctrl.Register(name, sw.Host, sw.Cfg, 50*time.Microsecond)
 	}
 
@@ -199,7 +173,7 @@ func BuildFatTree(cfg TopoConfig) (*Topology, error) {
 			p := hula.DefaultParams(nextTor, half+1) // uplinks + host port
 			t.TorID[name] = uint16(nextTor)
 			nextTor++
-			if err := addSwitch(name, p, shardOf(pod)); err != nil {
+			if err := addSwitch(name, p); err != nil {
 				return nil, err
 			}
 			t.Edges = append(t.Edges, name)
@@ -208,7 +182,7 @@ func BuildFatTree(cfg TopoConfig) (*Topology, error) {
 			name := aggName(pod, i)
 			p := hula.DefaultParams(numEdges+1+pod*half+i, k)
 			p.HostPort = 0 // aggs are never destinations
-			if err := addSwitch(name, p, shardOf(pod)); err != nil {
+			if err := addSwitch(name, p); err != nil {
 				return nil, err
 			}
 			t.Aggs = append(t.Aggs, name)
@@ -218,8 +192,7 @@ func BuildFatTree(cfg TopoConfig) (*Topology, error) {
 		name := coreName(c)
 		p := hula.DefaultParams(numEdges+k*half+1+c, k)
 		p.HostPort = 0
-		// Cores belong to no pod; spread them across shards.
-		if err := addSwitch(name, p, shardOf(c)); err != nil {
+		if err := addSwitch(name, p); err != nil {
 			return nil, err
 		}
 		t.Cores = append(t.Cores, name)
@@ -257,7 +230,7 @@ func BuildFatTree(cfg TopoConfig) (*Topology, error) {
 		}
 	}
 
-	// Hosts: sinks counting delivered traffic, on the edge's shard.
+	// Hosts: sinks counting delivered traffic.
 	for pod := 0; pod < k; pod++ {
 		for e := 0; e < half; e++ {
 			sink := &HostSink{}
@@ -267,9 +240,6 @@ func BuildFatTree(cfg TopoConfig) (*Topology, error) {
 				sink.Packets++
 				sink.Bytes += uint64(len(data))
 			}))
-			if err := t.Net.SetShard(hn, shardOf(pod)); err != nil {
-				return nil, err
-			}
 			if _, err := t.Net.Connect(edgeName(pod, e), half+1, hn, 1, cfg.LinkDelay, 0); err != nil {
 				return nil, err
 			}
@@ -489,14 +459,6 @@ func (t *Topology) PodOf(name string) int {
 		return pod
 	}
 	return -1
-}
-
-// ShardOf reports the shard an edge/agg pod maps to.
-func (t *Topology) ShardOf(pod int) int {
-	if t.Cfg.Shards <= 1 {
-		return 0
-	}
-	return pod % t.Cfg.Shards
 }
 
 // TotalAlerts sums P4Auth alerts across the fabric.

@@ -9,22 +9,21 @@ import (
 )
 
 // wiringDump renders the fabric wiring canonically: every switch with
-// its ToR ID and shard, then every link with both port numbers, in
-// construction order. The goldens freeze the fat-tree conventions
-// (naming, port plan, ToR numbering, shard layout) so a refactor that
-// rewires the fabric fails loudly.
+// its ToR ID, then every link with both port numbers, in construction
+// order. The goldens freeze the fat-tree conventions (naming, port plan,
+// ToR numbering) so a refactor that rewires the fabric fails loudly.
 func wiringDump(topo *Topology) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "k=%d shards=%d switches=%d links=%d hosts=%d\n",
-		topo.Cfg.K, topo.Cfg.Shards, len(topo.Switches), len(topo.Links), len(topo.Hosts))
+	fmt.Fprintf(&b, "k=%d switches=%d links=%d hosts=%d\n",
+		topo.Cfg.K, len(topo.Switches), len(topo.Links), len(topo.Hosts))
 	for _, e := range topo.Edges {
-		fmt.Fprintf(&b, "edge %s tor=%d shard=%d\n", e, topo.TorID[e], topo.Net.Node(e).Shard())
+		fmt.Fprintf(&b, "edge %s tor=%d\n", e, topo.TorID[e])
 	}
 	for _, a := range topo.Aggs {
-		fmt.Fprintf(&b, "agg %s shard=%d\n", a, topo.Net.Node(a).Shard())
+		fmt.Fprintf(&b, "agg %s\n", a)
 	}
 	for _, c := range topo.Cores {
-		fmt.Fprintf(&b, "core %s shard=%d\n", c, topo.Net.Node(c).Shard())
+		fmt.Fprintf(&b, "core %s\n", c)
 	}
 	for _, lk := range topo.Links {
 		fmt.Fprintf(&b, "link %s:%d-%s:%d\n", lk.A, lk.APort, lk.B, lk.BPort)
@@ -32,20 +31,19 @@ func wiringDump(topo *Topology) string {
 	return b.String()
 }
 
-// TestFatTreeWiringGolden pins the k=4 single-shard and k=8 four-shard
-// wiring against checked-in goldens. Regenerate with
-// FLEET_GOLDEN_UPDATE=1 after an intentional topology change.
+// TestFatTreeWiringGolden pins the k=4 and k=8 wiring against
+// checked-in goldens. Regenerate with FLEET_GOLDEN_UPDATE=1 after an
+// intentional topology change.
 func TestFatTreeWiringGolden(t *testing.T) {
 	cases := []struct {
-		k, shards int
-		path      string
+		k    int
+		path string
 	}{
-		{4, 1, "testdata/wiring_k4.golden"},
-		{8, 4, "testdata/wiring_k8.golden"},
+		{4, "testdata/wiring_k4.golden"},
+		{8, "testdata/wiring_k8.golden"},
 	}
 	for _, tc := range cases {
 		cfg := DefaultTopoConfig(tc.k)
-		cfg.Shards = tc.shards
 		cfg.Secure = false // wiring is protection-independent; skip key setup
 		topo, err := BuildFatTree(cfg)
 		if err != nil {

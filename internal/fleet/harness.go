@@ -1,7 +1,6 @@
 // The unified scenario harness: one entrypoint runs any of the eight
 // protected apps under any fault, protection on or off, and returns a
-// matrix cell plus a deterministic event trace (stable at shards <= 1,
-// where the engine is bit-identical to the lockstep simulator).
+// matrix cell plus a deterministic event trace.
 package fleet
 
 import (
@@ -20,8 +19,6 @@ type Options struct {
 	// K is the fat-tree arity for the fabric app and the instance count
 	// (one per pod) for standalone apps.
 	K int
-	// Shards is the netsim shard count for the fabric run.
-	Shards int
 	// Seed drives every PRNG: topology, fault schedule, load.
 	Seed uint64
 	// LoadDuration is the fabric data window; zero means 10 ms.
@@ -31,9 +28,9 @@ type Options struct {
 	FlowsPerSecond float64
 }
 
-// DefaultOptions is a k=4 single-shard run.
+// DefaultOptions is a k=4 run.
 func DefaultOptions() Options {
-	return Options{K: 4, Shards: 1, Seed: 0xFA77}
+	return Options{K: 4, Seed: 0xFA77}
 }
 
 func (o Options) loadDuration() time.Duration {
@@ -66,7 +63,7 @@ func RunCell(app, fault string, protected bool, o Options) (Cell, string, error)
 
 // RunMatrix runs the full app × fault × protection matrix.
 func RunMatrix(o Options) (*Matrix, error) {
-	m := &Matrix{K: o.K, Shards: o.Shards, Seed: o.Seed}
+	m := &Matrix{K: o.K, Seed: o.Seed}
 	for _, app := range Apps() {
 		for _, fault := range FaultsFor(app) {
 			for _, protected := range []bool{true, false} {
@@ -141,7 +138,6 @@ const (
 // the composed, seeded fault schedule.
 func runFabricCell(fault string, protected bool, o Options) (Cell, string, error) {
 	cfg := DefaultTopoConfig(o.K)
-	cfg.Shards = o.Shards
 	cfg.Secure = protected
 	cfg.Seed = o.Seed
 	topo, err := BuildFatTree(cfg)
@@ -163,8 +159,7 @@ func runFabricCell(fault string, protected bool, o Options) (Cell, string, error
 	for at := 100 * time.Microsecond; at < runEnd; at += 200 * time.Microsecond {
 		for _, e := range topo.Edges {
 			e := e
-			pod := topo.PodOf(e)
-			sim.AtShard(topo.ShardOf(pod), at, func() { topo.InjectProbe(e) })
+			sim.At(at, func() { topo.InjectProbe(e) })
 		}
 	}
 
@@ -185,18 +180,17 @@ func runFabricCell(fault string, protected bool, o Options) (Cell, string, error
 	for i, e := range topo.Edges {
 		e := e
 		src := i
-		pod := topo.PodOf(e)
 		pkts := base.Fork(uint64(i)).Generate()
 		for _, p := range pkts {
 			p := p
 			dst := tors[(src+1+int(p.Flow)%(len(tors)-1))%len(tors)]
-			sim.AtShard(topo.ShardOf(pod), loadStart+time.Duration(p.AtNs), func() {
+			sim.At(loadStart+time.Duration(p.AtNs), func() {
 				topo.SendData(e, dst, p.Flow, p.Size)
 			})
 			sent++
 		}
 	}
-	logf(0, "fabric k=%d shards=%d protected=%v fault=%s load=%d pkts", o.K, o.Shards, protected, fault, sent)
+	logf(0, "fabric k=%d protected=%v fault=%s load=%d pkts", o.K, protected, fault, sent)
 
 	// Seeded fault schedule inside the load window. Composed runs stack
 	// attack + flap + controller kill + switch crash.

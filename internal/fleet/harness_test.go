@@ -1,9 +1,6 @@
 package fleet
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestConformanceAttack is the harness's core claim, table-driven over
 // all eight protected apps at k=4: with protection on, an active
@@ -70,34 +67,6 @@ func TestFabricFaultRecovery(t *testing.T) {
 				t.Errorf("no load flowed: sent=%d delivered=%d", cell.Sent, cell.Delivered)
 			}
 		})
-	}
-}
-
-// TestShardedFabric runs the fabric on 2 and 4 shards. Parallel mode
-// deliberately trades cross-shard arrival interleaving for wall-clock
-// speed (see internal/netsim/shard.go), so this asserts the engine's
-// actual contract: the run completes, conserves packets, and delivers
-// at full health — while the bit-identical guarantees live at
-// shards <= 1 (TestMatrixDeterminism here, lockstep goldens in
-// internal/netsim/chaos).
-func TestShardedFabric(t *testing.T) {
-	for _, shards := range []int{2, 4} {
-		o := DefaultOptions()
-		o.Shards = shards
-		o.LoadDuration = 10 * time.Millisecond // explicit, same as the default
-		cell, _, err := RunCell("hula", FaultNone, true, o)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if cell.Score < 0.95 {
-			t.Errorf("shards=%d: score %.3f below 0.95", shards, cell.Score)
-		}
-		if cell.Delivered > cell.Sent {
-			t.Errorf("shards=%d: delivered %d > sent %d", shards, cell.Delivered, cell.Sent)
-		}
-		if !cell.Survived || cell.ForgedApplied != 0 {
-			t.Errorf("shards=%d: survived=%v forged=%d", shards, cell.Survived, cell.ForgedApplied)
-		}
 	}
 }
 

@@ -83,10 +83,9 @@ type Cell struct {
 
 // Matrix is a full harness run.
 type Matrix struct {
-	K      int    `json:"k"`
-	Shards int    `json:"shards"`
-	Seed   uint64 `json:"seed"`
-	Cells  []Cell `json:"cells"`
+	K     int    `json:"k"`
+	Seed  uint64 `json:"seed"`
+	Cells []Cell `json:"cells"`
 }
 
 // Survival counts surviving cells.

@@ -88,9 +88,6 @@ type Params struct {
 	DecayShiftDiv uint64
 	// Secure weaves P4Auth in; probes are then authenticated per hop.
 	Secure bool
-	// Workers is the ingress worker count behind the switch's batch path
-	// (pisa.WithWorkers); 0 or 1 builds the strictly serial switch.
-	Workers int
 }
 
 // DefaultParams returns a workable configuration.
@@ -356,8 +353,7 @@ func NewSwitch(name string, p Params, randSeed uint64) (*Switch, error) {
 	if err != nil {
 		return nil, err
 	}
-	sw, err := pisa.NewSwitch(prog, pisa.BMv2Profile(),
-		pisa.WithRandom(crypto.NewSeededRand(randSeed)), pisa.WithWorkers(p.Workers))
+	sw, err := pisa.NewSwitch(prog, pisa.BMv2Profile(), pisa.WithRandom(crypto.NewSeededRand(randSeed)))
 	if err != nil {
 		return nil, err
 	}

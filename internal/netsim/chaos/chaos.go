@@ -104,12 +104,6 @@ type Result struct {
 	Warm map[string]bool
 }
 
-// newHarnessSim builds the simulator the harnesses run on. The golden
-// suite swaps it for a shards<=1 sharded simulator to assert that the
-// sharded engine's lockstep mode reproduces the recorded chaos traces
-// bit-for-bit.
-var newHarnessSim = netsim.NewSim
-
 // latEntries mirrors the "lat" register the harness fabric declares.
 const latEntries = 8
 
@@ -179,7 +173,7 @@ func Run(o Options) (*Result, error) {
 		o:      o,
 		res:    &Result{Warm: map[string]bool{}},
 		rng:    rng{s: o.Seed ^ 0xC4A05AFE},
-		sim:    newHarnessSim(),
+		sim:    netsim.NewSim(),
 		store:  statestore.NewMem(),
 		ob:     obs.NewObserver(0),
 		sw:     map[string]*deploy.Switch{},

@@ -12,13 +12,12 @@ import (
 	"time"
 )
 
-// Golden-trace regression gate for the parallel data plane work: the
-// chaos harnesses must keep producing *the same bytes* as the serial
-// switch did before the worker pool existed, not merely be internally
-// deterministic. TestChaosDeterminism and friends catch
-// run-to-run divergence; this test catches commit-to-commit divergence
-// by pinning a SHA-256 of each representative trace in
-// testdata/trace_goldens.txt, captured from the pre-parallel tree.
+// Golden-trace regression gate for the serial engine: the chaos
+// harnesses must keep producing *the same bytes* from commit to commit,
+// not merely be internally deterministic. TestChaosDeterminism and
+// friends catch run-to-run divergence; this test catches
+// commit-to-commit divergence by pinning a SHA-256 of each
+// representative trace in testdata/trace_goldens.txt.
 //
 // Regenerate (only when a trace change is intended and reviewed) with:
 //

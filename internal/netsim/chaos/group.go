@@ -191,7 +191,7 @@ func RunGroup(o GroupOptions) (*GroupResult, error) {
 		o:      o,
 		res:    &GroupResult{Replicas: o.Replicas, Switches: o.Switches, WarmAll: true},
 		rng:    rng{s: o.Seed ^ 0x6E0C0DE5},
-		sim:    newHarnessSim(),
+		sim:    netsim.NewSim(),
 		ob:     obs.NewObserver(0),
 		sw:     map[string]*deploy.Switch{},
 		shadow: map[string][]uint64{},

@@ -190,7 +190,7 @@ func RunHA(o HAOptions) (*HAResult, error) {
 		o:      o,
 		res:    &HAResult{Switches: o.Switches, WarmAll: true},
 		rng:    rng{s: o.Seed ^ 0x4AC0FFEE},
-		sim:    newHarnessSim(),
+		sim:    netsim.NewSim(),
 		st:     statestore.NewMem(),
 		ob:     obs.NewObserver(0),
 		sw:     map[string]*deploy.Switch{},

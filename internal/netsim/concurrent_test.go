@@ -7,11 +7,11 @@ import (
 	"time"
 )
 
-// TestConcurrentSend exercises the parallel-safe scheduling surface: many
-// goroutines (standing in for the switch's ingress workers) call Send and
-// After concurrently while the main goroutine drives the event loop and
-// reads link stats. Run under -race (make check does) this pins the locking
-// discipline in Sim and Link.
+// TestConcurrentSend exercises the goroutine-safe scheduling surface: many
+// goroutines (standing in for the controller's concurrent callers) call
+// Send and After concurrently while the main goroutine drives the event
+// loop and reads link stats. Run under -race (make check does) this pins
+// the locking discipline in Sim and Link.
 func TestConcurrentSend(t *testing.T) {
 	n := NewNetwork()
 	var delivered atomic.Uint64

@@ -21,23 +21,16 @@ import (
 // Sim is a discrete-event simulator. The zero value is not usable; call
 // NewSim.
 //
-// Scheduling (At/After/Send) is safe to call from any goroutine — the
-// parallel switch's ingress workers emit packets concurrently — but event
-// EXECUTION stays single-threaded: one goroutine drives Step/Run/RunUntil
-// and event functions run on it with no simulator lock held, so handlers
-// re-enter Send freely. Serial users see the exact pre-lock behavior:
-// identical event order (time, then schedule sequence) and identical
-// traces.
+// Scheduling (At/After/Send) is safe to call from any goroutine, but
+// event EXECUTION stays single-threaded: one goroutine drives
+// Step/Run/RunUntil and event functions run on it with no simulator lock
+// held, so handlers re-enter Send freely. Events run in (time, then
+// schedule sequence) order.
 type Sim struct {
 	mu  sync.Mutex
 	now time.Duration
 	pq  eventHeap
 	seq uint64
-
-	// Sharded mode (EnableShards): per-shard event heaps drained by
-	// parallel workers in fence-bounded windows. nil/len<=1 = lockstep.
-	shards []*simShard
-	fence  time.Duration
 }
 
 // NewSim returns an empty simulator at virtual time zero.
@@ -52,14 +45,8 @@ func (s *Sim) Now() time.Duration {
 	return s.now
 }
 
-// At schedules fn at absolute virtual time t (clamped to now). In
-// sharded mode the event lands on shard 0 (the control shard); use
-// AtShard to target a specific shard.
+// At schedules fn at absolute virtual time t (clamped to now).
 func (s *Sim) At(t time.Duration, fn func()) {
-	if s.shardCount() > 1 {
-		s.AtShard(0, t, fn)
-		return
-	}
 	s.mu.Lock()
 	if t < s.now {
 		t = s.now
@@ -71,10 +58,6 @@ func (s *Sim) At(t time.Duration, fn func()) {
 
 // After schedules fn d after the current virtual time.
 func (s *Sim) After(d time.Duration, fn func()) {
-	if s.shardCount() > 1 {
-		s.AtShard(0, s.Now()+d, fn)
-		return
-	}
 	s.mu.Lock()
 	t := s.now + d
 	if t < s.now {
@@ -86,13 +69,8 @@ func (s *Sim) After(d time.Duration, fn func()) {
 }
 
 // Step executes the next event; it reports false when the queue is empty.
-// The event function runs with the simulator unlocked. Step is a
-// lockstep-only primitive; it panics on a sharded simulator, where
-// single-event interleaving across concurrent shards is not meaningful.
+// The event function runs with the simulator unlocked.
 func (s *Sim) Step() bool {
-	if s.shardCount() > 1 {
-		panic("netsim: Step requires lockstep mode (shards <= 1)")
-	}
 	s.mu.Lock()
 	if s.pq.Len() == 0 {
 		s.mu.Unlock()
@@ -106,14 +84,10 @@ func (s *Sim) Step() bool {
 }
 
 // NextEventAt reports the timestamp of the earliest pending event, or
-// false when the queue is empty. Like Step it is a lockstep-only
-// primitive (it panics on a sharded simulator): blocking RPC loops use
-// it to run the simulator forward event-by-event up to a deadline
-// without overshooting it.
+// false when the queue is empty. Blocking RPC loops use it to run the
+// simulator forward event-by-event up to a deadline without overshooting
+// it.
 func (s *Sim) NextEventAt() (time.Duration, bool) {
-	if s.shardCount() > 1 {
-		panic("netsim: NextEventAt requires lockstep mode (shards <= 1)")
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.pq.Len() == 0 {
@@ -124,10 +98,6 @@ func (s *Sim) NextEventAt() (time.Duration, bool) {
 
 // Run drains the event queue.
 func (s *Sim) Run() {
-	if s.shardCount() > 1 {
-		s.runSharded(-1)
-		return
-	}
 	for s.Step() {
 	}
 }
@@ -145,10 +115,6 @@ func (s *Sim) Advance(d time.Duration) {
 // RunUntil executes events with timestamps <= t, then advances the clock
 // to t.
 func (s *Sim) RunUntil(t time.Duration) {
-	if s.shardCount() > 1 {
-		s.runSharded(t)
-		return
-	}
 	for {
 		s.mu.Lock()
 		if s.pq.Len() == 0 || s.pq[0].at > t {
@@ -213,14 +179,7 @@ type Node struct {
 	Name    string
 	Handler Handler
 	ports   map[int]*linkEnd
-	// shard is the event shard this node's deliveries run on when the
-	// simulator is sharded (EnableShards); 0 — and irrelevant — in
-	// lockstep mode. Assigned via Network.SetShard before the run starts.
-	shard int
 }
-
-// Shard reports the node's event-shard assignment.
-func (n *Node) Shard() int { return n.shard }
 
 // Tap observes and optionally rewrites a packet crossing a link direction.
 // Returning nil drops the packet.
@@ -234,8 +193,8 @@ type Link struct {
 	// Bandwidth in bits per second; 0 = infinite (no serialization).
 	Bandwidth float64
 	// mu guards down and both ends' queueing/utilization accounting so
-	// concurrent Send calls (parallel switch workers) stay race-free. Never
-	// held across tap, handler, or simulator calls.
+	// concurrent Send calls stay race-free. Never held across tap,
+	// handler, or simulator calls.
 	mu sync.Mutex
 	// down cuts the link (both directions) administratively; checked at
 	// delivery time, so packets in flight when the link drops are lost.
@@ -294,21 +253,6 @@ func (n *Network) AddNode(name string, h Handler) *Node {
 
 // Node returns a registered node or nil.
 func (n *Network) Node(name string) *Node { return n.nodes[name] }
-
-// SetShard assigns the named node to an event shard (EnableShards).
-// Call it during topology construction, before the simulation runs;
-// shard assignments are not safe to change mid-run.
-func (n *Network) SetShard(name string, shard int) error {
-	node, ok := n.nodes[name]
-	if !ok {
-		return fmt.Errorf("netsim: unknown node %q", name)
-	}
-	if shard < 0 {
-		return fmt.Errorf("netsim: negative shard %d", shard)
-	}
-	node.shard = shard
-	return nil
-}
 
 // Nodes returns the number of registered nodes.
 func (n *Network) Nodes() int { return len(n.nodes) }
@@ -478,10 +422,7 @@ func (n *Network) Send(node *Node, port int, data []byte, extraDelay time.Durati
 	d := make([]byte, len(data))
 	copy(d, data)
 
-	// In lockstep mode this is the global clock (the exact pre-shard
-	// behavior); in sharded mode it is the sending node's shard-local
-	// clock, so per-shard timing stays self-consistent.
-	now := n.Sim.ShardNow(node.shard)
+	now := n.Sim.Now()
 	ready := now + extraDelay
 	ser := time.Duration(0)
 	if l.Bandwidth > 0 {
@@ -502,7 +443,7 @@ func (n *Network) Send(node *Node, port int, data []byte, extraDelay time.Durati
 	spike := dst.spikeExtra(depart)
 	l.mu.Unlock()
 
-	n.Sim.AtShard(dst.node.shard, depart+l.Delay+spike, func() {
+	n.Sim.At(depart+l.Delay+spike, func() {
 		l.mu.Lock()
 		down, tap := l.down || dst.dirDown, dst.tap
 		if down {

@@ -23,9 +23,10 @@ func batchPackets(n, ports int) []Packet {
 	return pkts
 }
 
-// TestProcessBatchSerialEquivalence pins the serial contract: on a switch
-// without workers, ProcessBatch is exactly a ProcessInto loop — same
-// emissions, same summed cost.
+// TestProcessBatchSerialEquivalence pins the batch contract: ProcessBatch
+// is exactly a ProcessInto loop — same emissions, same summed cost — and
+// every packet keeps its own emission bytes after the whole batch
+// completes.
 func TestProcessBatchSerialEquivalence(t *testing.T) {
 	swBatch := newTestSwitch(t, TofinoProfile())
 	swLoop := newTestSwitch(t, TofinoProfile())
@@ -58,66 +59,13 @@ func TestProcessBatchSerialEquivalence(t *testing.T) {
 	}
 }
 
-// TestProcessBatchWorkersMatchSerial checks that a worker-backed switch
-// produces the same per-packet outputs as the serial switch for a program
-// without random(), and that batch buffers are stable: every packet keeps
-// its own emission bytes after the whole batch completes.
-func TestProcessBatchWorkersMatchSerial(t *testing.T) {
-	swSerial := newTestSwitch(t, TofinoProfile())
-	for _, workers := range []int{2, 4, 8} {
-		sw, err := NewSwitch(testL3Program(), TofinoProfile(), WithWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sw.Close()
-		for _, e := range []struct {
-			table  string
-			key    []KeyMatch
-			action string
-			params []uint64
-		}{
-			{"routes", []KeyMatch{PKey(0x0A000000, 8)}, "set_nhop", []uint64{7}},
-			{"routes", []KeyMatch{PKey(0x0A0A0000, 16)}, "set_nhop", []uint64{9}},
-			{"ports", []KeyMatch{EKey(7)}, "to_port", []uint64{3}},
-			{"ports", []KeyMatch{EKey(9)}, "to_port", []uint64{5}},
-		} {
-			if err := sw.InsertEntry(e.table, Entry{Key: e.key, Action: e.action, Params: e.params}); err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		pkts := batchPackets(64, 8)
-		var br BatchResult
-		if err := sw.ProcessBatch(pkts, &br); err != nil {
-			t.Fatal(err)
-		}
-		var res Result
-		for i, pkt := range pkts {
-			if err := swSerial.ProcessInto(pkt, &res); err != nil {
-				t.Fatal(err)
-			}
-			got := br.Results[i]
-			if len(got.Emissions) != len(res.Emissions) {
-				t.Fatalf("workers=%d pkt %d: %d emissions, want %d",
-					workers, i, len(got.Emissions), len(res.Emissions))
-			}
-			for j := range res.Emissions {
-				if got.Emissions[j].Port != res.Emissions[j].Port ||
-					!bytes.Equal(got.Emissions[j].Data, res.Emissions[j].Data) {
-					t.Fatalf("workers=%d pkt %d emission %d diverges from serial", workers, i, j)
-				}
-			}
-		}
-	}
-}
-
-// TestProcessBatchDeterministicAcrossRuns: two identical worker switches
-// fed the same batches produce identical outputs — results depend only on
-// (seed, workers, inputs), never on goroutine scheduling.
+// TestProcessBatchDeterministicAcrossRuns: two identical switches fed the
+// same batches produce identical outputs — results depend only on
+// (seed, inputs).
 func TestProcessBatchDeterministicAcrossRuns(t *testing.T) {
 	build := func() *Switch {
 		sw, err := NewSwitch(testL3Program(), TofinoProfile(),
-			WithRandom(crypto.NewSeededRand(99)), WithWorkers(4))
+			WithRandom(crypto.NewSeededRand(99)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,8 +82,6 @@ func TestProcessBatchDeterministicAcrossRuns(t *testing.T) {
 		return sw
 	}
 	a, b := build(), build()
-	defer a.Close()
-	defer b.Close()
 	pkts := batchPackets(48, 6)
 	var ra, rb BatchResult
 	for round := 0; round < 3; round++ {
@@ -187,61 +133,38 @@ func TestProcessIntoAllocs(t *testing.T) {
 }
 
 // TestProcessBatchAllocs guards the steady-state batch path: after pools
-// and arenas warm, a serial batch is 0 allocs/op; a worker batch stays
-// alloc-free in steady state too (the lanes, wake channels, and index
-// lists are all persistent), with headroom for rare execState pool misses
-// when a lane goroutine migrates between Ps.
+// and arenas warm, a batch is 0 allocs/op.
 func TestProcessBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts change under -race instrumentation")
 	}
 	pkts := batchPackets(32, 4)
 
-	serial := newTestSwitch(t, TofinoProfile())
+	sw := newTestSwitch(t, TofinoProfile())
 	var br BatchResult
 	for i := 0; i < 8; i++ {
-		if err := serial.ProcessBatch(pkts, &br); err != nil {
+		if err := sw.ProcessBatch(pkts, &br); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if err := serial.ProcessBatch(pkts, &br); err != nil {
+		if err := sw.ProcessBatch(pkts, &br); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Fatalf("serial ProcessBatch allocs/op = %v, want 0", allocs)
-	}
-
-	par, err := NewSwitch(testL3Program(), TofinoProfile(), WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer par.Close()
-	var brp BatchResult
-	for i := 0; i < 8; i++ {
-		if err := par.ProcessBatch(pkts, &brp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		if err := par.ProcessBatch(pkts, &brp); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs >= 1 {
-		t.Fatalf("worker ProcessBatch allocs/op = %v, want < 1", allocs)
+		t.Fatalf("ProcessBatch allocs/op = %v, want 0", allocs)
 	}
 }
 
-// TestProcessBatchConcurrentMutation stress-drives a worker-backed batch
-// path against concurrent driver mutations (RegisterWrite, table churn,
-// counter reads). Run under -race (make check does) this pins the sharded
-// counter cells and per-bank register locks.
+// TestProcessBatchConcurrentMutation stress-drives the batch path against
+// concurrent driver mutations (RegisterWrite, table churn, counter
+// reads). Run under -race (make check does) this pins the atomic counter
+// cells, stateMu and the per-bank register locks.
 func TestProcessBatchConcurrentMutation(t *testing.T) {
-	par, err := NewSwitch(testL3Program(), TofinoProfile(), WithWorkers(8))
+	par, err := NewSwitch(testL3Program(), TofinoProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer par.Close()
 	if err := par.InsertEntry("routes", Entry{
 		Key: []KeyMatch{PKey(0x0A000000, 8)}, Action: "set_nhop", Params: []uint64{7},
 	}); err != nil {
@@ -294,25 +217,32 @@ func TestProcessBatchConcurrentMutation(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCounterSnapshotAggregates checks that counters bumped from distinct
-// lanes (shards) aggregate into one logical value, that the snapshot is in
-// sorted name order, and that unknown names read as zero.
+// TestCounterSnapshotAggregates checks that counters bumped by concurrent
+// ProcessInto callers aggregate into one logical value with no lost
+// increments, that the snapshot is in sorted name order, and that unknown
+// names read as zero.
 func TestCounterSnapshotAggregates(t *testing.T) {
-	sw, err := NewSwitch(testL3Program(), TofinoProfile(), WithWorkers(8))
+	sw, err := NewSwitch(testL3Program(), TofinoProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sw.Close()
-	// No routes installed: every parseable packet hits drop_pkt. Spread
-	// across all 8 ports so every shard gets bumps.
-	pkts := make([]Packet, 64)
-	for i := range pkts {
-		pkts[i] = Packet{Data: ethIPPacket(0x0A000001, 64), Port: i % 8}
+	// No routes installed: every parseable packet hits drop_pkt. Eight
+	// concurrent callers, one per port, eight packets each.
+	var wg sync.WaitGroup
+	for port := 0; port < 8; port++ {
+		wg.Add(1)
+		go func(port int) {
+			defer wg.Done()
+			var res Result
+			for i := 0; i < 8; i++ {
+				if err := sw.ProcessInto(Packet{Data: ethIPPacket(0x0A000001, 64), Port: port}, &res); err != nil {
+					t.Errorf("port %d: %v", port, err)
+					return
+				}
+			}
+		}(port)
 	}
-	var br BatchResult
-	if err := sw.ProcessBatch(pkts, &br); err != nil {
-		t.Fatal(err)
-	}
+	wg.Wait()
 	if got := sw.Counter("dropped"); got != 64 {
 		t.Fatalf("dropped = %d, want 64", got)
 	}
@@ -339,29 +269,5 @@ func TestCounterSnapshotAggregates(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("snapshot missing dropped counter")
-	}
-}
-
-// TestSwitchClose checks Close is idempotent and harmless on serial
-// switches.
-func TestSwitchClose(t *testing.T) {
-	serial := newTestSwitch(t, TofinoProfile())
-	serial.Close()
-	serial.Close()
-
-	par, err := NewSwitch(testL3Program(), TofinoProfile(), WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var br BatchResult
-	if err := par.ProcessBatch(batchPackets(8, 2), &br); err != nil {
-		t.Fatal(err)
-	}
-	par.Close()
-	par.Close()
-	// Per-packet processing stays available after Close.
-	var res Result
-	if err := par.ProcessInto(Packet{Data: ethIPPacket(0x0A000001, 64), Port: 1}, &res); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -44,9 +44,8 @@ type Result struct {
 // for concurrent use. State is sharded so concurrent Process calls
 // overlap: table/multicast mutations take a write lock that packet
 // processing reads, register banks have per-register locks (register
-// read-modify-writes — the replay-floor RMWMax — stay atomic), diagnostic
-// counters are lock-free sharded atomics, and each in-flight packet draws
-// randomness from its own execution state's source.
+// read-modify-writes — the replay-floor RMWMax — stay atomic), and
+// diagnostic counters are lock-free atomics.
 type Switch struct {
 	compiled *Compiled
 
@@ -61,16 +60,13 @@ type Switch struct {
 	regMu []sync.Mutex
 	regs  [][]uint64
 
-	// shards are the diagnostic-counter cells: each ingress lane bumps its
-	// own cache-line-padded shard, reads aggregate across all of them.
-	shards [counterShardCount]counterShard
+	// counters are the diagnostic-counter cells, indexed by counter ID.
+	counters [numDPCounters]atomic.Uint64
 	// mirror, when set, shadows the diagnostic counters into an obs
 	// registry, indexed by counter ID (see MirrorCounters).
 	mirror atomic.Pointer[[numDPCounters]*obs.Counter]
 
-	// rng is the base random source backing the P4 random() extern. The
-	// serial path draws from it directly (in packet order); worker lanes
-	// draw from deterministic per-lane forks (see parallel.go).
+	// rng is the random source backing the P4 random() extern.
 	rng crypto.RandomSource
 
 	crcIEEE   *crc32.Table
@@ -84,11 +80,6 @@ type Switch struct {
 	// execPool recycles per-packet execution state (PHV, header validity,
 	// hash/table scratch) so steady-state Process does not allocate.
 	execPool sync.Pool
-
-	// workers/pool: the per-port ingress worker pool behind ProcessBatch
-	// (parallel.go). workers <= 1 means the strictly serial data plane.
-	workers int
-	pool    *workerPool
 }
 
 // SetNow sets the ingress timestamp (nanoseconds) stamped into
@@ -102,17 +93,6 @@ type Option func(*Switch)
 // WithRandom sets the random source backing the P4 random() extern.
 func WithRandom(r crypto.RandomSource) Option {
 	return func(s *Switch) { s.rng = r }
-}
-
-// WithWorkers sets the ingress worker count used by ProcessBatch. n <= 1
-// (the default) keeps the switch strictly serial: every packet runs on
-// the caller's goroutine in submission order, bit-identical to the
-// pre-parallel data plane. n > 1 spawns n persistent ingress workers;
-// ProcessBatch assigns packets to lanes by ingress port (port-affinity),
-// so per-port replay floors still observe strictly ascending sequence
-// numbers. Call Close when done with a worker-backed switch.
-func WithWorkers(n int) Option {
-	return func(s *Switch) { s.workers = n }
 }
 
 // NewSwitch compiles the program for the profile and instantiates runtime
@@ -153,9 +133,6 @@ func NewSwitchFromCompiled(compiled *Compiled, opts ...Option) *Switch {
 	}
 	for _, o := range opts {
 		o(s)
-	}
-	if s.workers > 1 {
-		s.pool = newWorkerPool(s)
 	}
 	return s
 }
@@ -260,33 +237,11 @@ var dpCounterNames = [numDPCounters]string{
 	cntRegIndexWrap:   "reg_index_wrap",
 }
 
-// counterShardCount is the number of independent counter shards; ingress
-// lane L bumps shard L % counterShardCount. Power of two, sized past any
-// realistic worker count.
-const counterShardCount = 8
-
-// counterShard is one lane's counter cells, padded so shards bumped by
-// different workers never share a cache line.
-type counterShard struct {
-	cells [numDPCounters]atomic.Uint64
-	_     [128 - (numDPCounters*8)%128]byte
-}
-
-// counterByID sums one counter across all shards.
-func (s *Switch) counterByID(id int) uint64 {
-	var total uint64
-	for i := range s.shards {
-		total += s.shards[i].cells[id].Load()
-	}
-	return total
-}
-
-// Counter returns a named diagnostic counter (0 for unknown names),
-// aggregated across all ingress lanes.
+// Counter returns a named diagnostic counter (0 for unknown names).
 func (s *Switch) Counter(name string) uint64 {
 	for id, n := range dpCounterNames {
 		if n == name {
-			return s.counterByID(id)
+			return s.counters[id].Load()
 		}
 	}
 	return 0
@@ -311,29 +266,29 @@ var counterSnapshotOrder = func() [numDPCounters]int {
 	return order
 }()
 
-// CounterSnapshot returns every diagnostic counter, aggregated across
-// shards, in deterministic (lexicographic name) order. Each counter is
-// read atomically; the snapshot as a whole is not a single atomic cut
-// under concurrent traffic.
+// CounterSnapshot returns every diagnostic counter in deterministic
+// (lexicographic name) order. Each counter is read atomically; the
+// snapshot as a whole is not a single atomic cut under concurrent
+// traffic.
 func (s *Switch) CounterSnapshot() []CounterValue {
 	out := make([]CounterValue, 0, numDPCounters)
 	for _, id := range counterSnapshotOrder {
-		out = append(out, CounterValue{Name: dpCounterNames[id], Value: s.counterByID(id)})
+		out = append(out, CounterValue{Name: dpCounterNames[id], Value: s.counters[id].Load()})
 	}
 	return out
 }
 
 // MirrorCounters mirrors the switch's diagnostic counters into an obs
-// registry under the given prefix (e.g. "dp.s1."). The mirror reads
-// through the same sharded cells as Counter: counts accumulated before
-// the mirror was installed are folded in here, so the obs view equals the
-// switch's own from the moment of installation, and bump's hot path pays
-// one atomic pointer load plus an indexed increment.
+// registry under the given prefix (e.g. "dp.s1."). The mirror reads the
+// same cells as Counter: counts accumulated before the mirror was
+// installed are folded in here, so the obs view equals the switch's own
+// from the moment of installation, and bump's hot path pays one atomic
+// pointer load plus an indexed increment.
 func (s *Switch) MirrorCounters(reg *obs.Registry, prefix string) {
 	var arr [numDPCounters]*obs.Counter
 	for id, name := range dpCounterNames {
 		c := reg.Counter(prefix + name)
-		if cur := s.counterByID(id); cur > c.Load() {
+		if cur := s.counters[id].Load(); cur > c.Load() {
 			c.Add(cur - c.Load())
 		}
 		arr[id] = c
@@ -341,8 +296,8 @@ func (s *Switch) MirrorCounters(reg *obs.Registry, prefix string) {
 	s.mirror.Store(&arr)
 }
 
-func (s *Switch) bump(st *execState, id int) {
-	s.shards[st.shard%counterShardCount].cells[id].Add(1)
+func (s *Switch) bump(id int) {
+	s.counters[id].Add(1)
 	if mp := s.mirror.Load(); mp != nil {
 		mp[id].Inc()
 	}
@@ -355,13 +310,6 @@ type execState struct {
 	valid   []bool
 	payload []byte
 	passes  int
-
-	// rng is the random source the random() extern draws from for this
-	// packet: the switch's base source on the serial path (preserving the
-	// exact pre-parallel draw order), a per-lane fork under workers.
-	rng crypto.RandomSource
-	// shard selects the counter shard this packet's bumps land in.
-	shard uint32
 
 	// Reusable scratch, pooled with the state.
 	hashVals   []uint64
@@ -403,27 +351,18 @@ func (s *Switch) Process(pkt Packet) (Result, error) {
 // until the next ProcessInto on the same Result. On error the contents of
 // res are undefined.
 func (s *Switch) ProcessInto(pkt Packet, res *Result) error {
-	return s.processInto(pkt, res, s.rng, 0)
-}
-
-// processInto is ProcessInto with the packet's random source and counter
-// shard chosen by the caller: the serial path passes the switch's base
-// source and shard 0, worker lanes pass their deterministic fork and lane
-// shard.
-func (s *Switch) processInto(pkt Packet, res *Result, rng crypto.RandomSource, shard uint32) error {
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()
 
 	st := s.getExec()
 	defer s.putExec(st)
-	st.rng, st.shard = rng, shard
 
 	res.Emissions = res.Emissions[:0]
 	res.Passes = 0
 	res.Cost = 0
 
 	if err := s.parse(st, pkt.Data); err != nil {
-		s.bump(st, cntParseError)
+		s.bump(cntParseError)
 		return err
 	}
 	s.setMeta(st, MetaIngressPort, uint64(pkt.Port))
@@ -442,7 +381,7 @@ func (s *Switch) processInto(pkt Packet, res *Result, rng crypto.RandomSource, s
 			break
 		}
 		if pass+1 >= maxPasses {
-			s.bump(st, cntRecircOverflow)
+			s.bump(cntRecircOverflow)
 			s.setMeta(st, MetaDrop, 1)
 			break
 		}
@@ -452,7 +391,7 @@ func (s *Switch) processInto(pkt Packet, res *Result, rng crypto.RandomSource, s
 	res.Passes = st.passes
 	res.Cost = s.compiled.Profile.PacketCost(stages, st.passes, len(st.payload))
 	if s.getMeta(st, MetaDrop) != 0 {
-		s.bump(st, cntDropped)
+		s.bump(cntDropped)
 		return nil
 	}
 
@@ -469,7 +408,7 @@ func (s *Switch) processInto(pkt Packet, res *Result, rng crypto.RandomSource, s
 		dests = append(dests, int(s.getMeta(st, MetaEgressPort)))
 	default:
 		if len(dests) == 0 {
-			s.bump(st, cntNoEgress)
+			s.bump(cntNoEgress)
 		}
 	}
 	st.dests = dests
@@ -482,7 +421,6 @@ func (s *Switch) processInto(pkt Packet, res *Result, rng crypto.RandomSource, s
 			copy(cp.phv, st.phv)
 			copy(cp.valid, st.valid)
 			cp.payload = append(cp.payload[:0], st.payload...)
-			cp.rng, cp.shard = st.rng, st.shard
 			est = cp
 		}
 		s.setMeta(est, MetaEgressPort, uint64(port)&mask(16))
@@ -494,7 +432,7 @@ func (s *Switch) processInto(pkt Packet, res *Result, rng crypto.RandomSource, s
 				return fmt.Errorf("egress: %w", err)
 			}
 			if s.getMeta(est, MetaDrop) != 0 {
-				s.bump(st, cntEgressDropped)
+				s.bump(cntEgressDropped)
 				if est != st {
 					s.putExec(est)
 				}
@@ -709,7 +647,7 @@ func (s *Switch) runOps(st *execState, ops []Op, actFrame *opContext) error {
 				return err
 			}
 			if idx >= uint64(def.Entries) {
-				s.bump(st, cntRegIndexWrap)
+				s.bump(cntRegIndexWrap)
 				idx %= uint64(def.Entries)
 			}
 			switch op.Kind {
@@ -767,10 +705,8 @@ func (s *Switch) runOps(st *execState, ops []Op, actFrame *opContext) error {
 			if err != nil {
 				return err
 			}
-			// The exec state's source: the base source on the serial path
-			// (RandomSource implementations are concurrency-safe), a
-			// per-lane deterministic fork under workers.
-			r := st.rng.Uint64()
+			// RandomSource implementations are concurrency-safe.
+			r := s.rng.Uint64()
 			st.phv[slot] = r & mask(w)
 		case OpSetValid:
 			hi := s.compiled.headerIndex[op.Header]

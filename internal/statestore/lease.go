@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sort"
+	"sync"
 )
 
 // LeaseKey is the well-known store key of the controller lease record.
@@ -204,7 +205,10 @@ type Change struct {
 type Tailer struct {
 	st     Store
 	prefix string
-	seen   map[string]valueSig
+	// mu guards seen: a replica's TailOnce may be called from several
+	// goroutines at once.
+	mu   sync.Mutex
+	seen map[string]valueSig
 }
 
 type valueSig struct {
@@ -228,6 +232,8 @@ func NewTailer(st Store, prefix string) *Tailer {
 // surfaced to the caller — a standby that silently skipped records
 // during a store brown-out would promote over a hole in its tail.
 func (t *Tailer) Poll() ([]Change, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	keys, err := t.st.Keys(t.prefix)
 	if err != nil {
 		return nil, err
@@ -265,4 +271,8 @@ func (t *Tailer) Poll() ([]Change, error) {
 }
 
 // Seen reports how many keys the tailer currently tracks.
-func (t *Tailer) Seen() int { return len(t.seen) }
+func (t *Tailer) Seen() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.seen)
+}

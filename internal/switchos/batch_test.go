@@ -8,16 +8,6 @@ import (
 	"p4auth/internal/pisa"
 )
 
-func newWorkerHost(t *testing.T, workers int) *Host {
-	t.Helper()
-	sw, err := pisa.NewSwitch(hostProgram(), pisa.TofinoProfile(), pisa.WithWorkers(workers))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(sw.Close)
-	return NewHost("s1", sw, DefaultCosts())
-}
-
 // netBatch builds a mixed batch: kind=1 goes to CPU (PacketIn), kind=0
 // forwards to port 2 (NetOut), spread across ingress ports.
 func netBatch(n, ports int) []pisa.Packet {
@@ -29,7 +19,7 @@ func netBatch(n, ports int) []pisa.Packet {
 }
 
 // TestNetworkPacketBatchMatchesPerPacket checks the batch ingress path
-// against a per-packet NetworkPacket loop on a serial switch: identical
+// against a per-packet NetworkPacket loop: identical
 // NetOut and PacketIn contents, and a batch cost equal to the per-packet
 // sum minus the amortized agent dispatches (one PacketIOBase for the whole
 // batch instead of one per PacketIn-producing packet).
@@ -86,109 +76,31 @@ func TestNetworkPacketBatchMatchesPerPacket(t *testing.T) {
 	}
 }
 
-// TestNetworkPacketBatchWorkersMatchSerial checks the worker-backed batch
-// ingress path produces the same emissions as the serial host, and that a
-// reused IOResult stays correct across calls (the zero-copy buffers are
-// rewritten, not leaked).
-func TestNetworkPacketBatchWorkersMatchSerial(t *testing.T) {
-	serial := newHost(t)
-	worker := newWorkerHost(t, 4)
-	pkts := netBatch(32, 8)
-
-	want, err := serial.NetworkPacketBatch(pkts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var io IOResult
-	for round := 0; round < 3; round++ {
-		if err := worker.NetworkPacketBatchInto(pkts, &io); err != nil {
-			t.Fatal(err)
-		}
-		if len(io.NetOut) != len(want.NetOut) || len(io.PacketIns) != len(want.PacketIns) {
-			t.Fatalf("round %d: %d/%d outputs, want %d/%d",
-				round, len(io.NetOut), len(io.PacketIns), len(want.NetOut), len(want.PacketIns))
-		}
-		for i := range want.NetOut {
-			if io.NetOut[i].Port != want.NetOut[i].Port || !bytes.Equal(io.NetOut[i].Data, want.NetOut[i].Data) {
-				t.Fatalf("round %d: NetOut[%d] diverges from serial host", round, i)
-			}
-		}
-		for i := range want.PacketIns {
-			if !bytes.Equal(io.PacketIns[i], want.PacketIns[i]) {
-				t.Fatalf("round %d: PacketIns[%d] diverges from serial host", round, i)
-			}
-		}
-	}
-}
-
-// TestPacketOutBatchWorkersMatchSerial checks the pipelined PacketOut
-// transport (worker-backed switches) against the serial window path, with
-// and without an interposed hook.
-func TestPacketOutBatchWorkersMatchSerial(t *testing.T) {
-	serial := newHost(t)
-	worker := newWorkerHost(t, 4)
-	datas := [][]byte{{1}, {0}, {1}, {0}, {1}}
-
-	want, err := serial.PacketOutBatch(datas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := worker.PacketOutBatch(datas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.PacketIns) != len(want.PacketIns) || len(got.NetOut) != len(want.NetOut) {
-		t.Fatalf("outputs %d/%d, want %d/%d",
-			len(got.NetOut), len(got.PacketIns), len(want.NetOut), len(want.PacketIns))
-	}
-	for i := range want.PacketIns {
-		if !bytes.Equal(got.PacketIns[i], want.PacketIns[i]) {
-			t.Fatalf("PacketIns[%d] diverges from serial window path", i)
-		}
-	}
-
-	// A dropping hook must suppress the packet on both transports.
-	for _, h := range []*Host{serial, worker} {
-		if err := h.Install(BoundaryAgentSDK, &Hooks{
-			OnPacketOut: func(data []byte) []byte { return nil },
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err = serial.PacketOutBatch(datas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = worker.PacketOutBatch(datas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.PacketIns) != 0 || len(got.PacketIns) != 0 || len(want.NetOut) != 0 || len(got.NetOut) != 0 {
-		t.Fatalf("dropping hook leaked output: serial %d/%d worker %d/%d",
-			len(want.NetOut), len(want.PacketIns), len(got.NetOut), len(got.PacketIns))
-	}
-}
-
 // TestNetworkPacketBatchBufferStability pins the zero-copy contract: every
 // PacketIn of a batch keeps its own bytes after the whole batch completes
-// (distinct packets do not share a recycled arena).
+// (distinct packets do not share a recycled arena), and a reused IOResult
+// stays correct across calls (the zero-copy buffers are rewritten, not
+// leaked).
 func TestNetworkPacketBatchBufferStability(t *testing.T) {
-	h := newWorkerHost(t, 4)
-	// All to-CPU packets, each with a distinguishable payload byte pattern.
+	h := newHost(t)
+	// All to-CPU packets.
 	pkts := make([]pisa.Packet, 12)
 	for i := range pkts {
 		pkts[i] = pisa.Packet{Data: []byte{1}, Port: i % 4}
 	}
-	res, err := h.NetworkPacketBatch(pkts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.PacketIns) != len(pkts) {
-		t.Fatalf("%d PacketIns, want %d", len(res.PacketIns), len(pkts))
-	}
-	for i, p := range res.PacketIns {
-		if len(p) == 0 || p[0] != 1 {
-			t.Fatalf("PacketIns[%d] = %v corrupted after batch completion", i, p)
+	var io IOResult
+	for round := 0; round < 3; round++ {
+		if err := h.NetworkPacketBatchInto(pkts, &io); err != nil {
+			t.Fatal(err)
+		}
+		if len(io.PacketIns) != len(pkts) || len(io.NetOut) != 0 {
+			t.Fatalf("round %d: %d NetOut / %d PacketIns, want 0 / %d",
+				round, len(io.NetOut), len(io.PacketIns), len(pkts))
+		}
+		for i, p := range io.PacketIns {
+			if len(p) == 0 || p[0] != 1 {
+				t.Fatalf("round %d: PacketIns[%d] = %v corrupted after batch completion", round, i, p)
+			}
 		}
 	}
 }

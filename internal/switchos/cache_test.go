@@ -11,6 +11,8 @@ import (
 	"p4auth/internal/core"
 	"p4auth/internal/crypto"
 	"p4auth/internal/deploy"
+	"p4auth/internal/obs"
+	"p4auth/internal/switchos"
 )
 
 func buildP4AuthSwitch(t *testing.T) *deploy.Switch {
@@ -91,6 +93,44 @@ func TestDuplicateEAKReplaysCachedResponse(t *testing.T) {
 	}
 	if r.HdrType != core.HdrKeyExch || r.MsgType != core.MsgEAKSalt2 {
 		t.Fatalf("duplicate answered with hdr=%d msg=%d, want cached EAKSalt2", r.HdrType, r.MsgType)
+	}
+}
+
+// TestDuplicateInsideBatchWindowHitsCache sends a byte-identical duplicate
+// inside one PacketOutBatchInto window: like any other retransmission it
+// is answered from the idempotency cache — one key derivation, two
+// identical EAKSalt2 responses, and exactly one agent cache hit.
+func TestDuplicateInsideBatchWindowHitsCache(t *testing.T) {
+	sw := buildP4AuthSwitch(t)
+	reg := obs.NewRegistry()
+	sw.Host.Observe(reg)
+	req := signedKx(t, sw, core.MsgEAKSalt1, 1, 0, sw.Cfg.Seed, &core.KxPayload{Salt: 0xAABB})
+
+	var io switchos.IOResult
+	if err := sw.Host.PacketOutBatchInto([][]byte{req, append([]byte(nil), req...)}, &io); err != nil {
+		t.Fatal(err)
+	}
+	if len(io.PacketIns) != 2 {
+		t.Fatalf("window produced %d PacketIns, want 2", len(io.PacketIns))
+	}
+	if !bytes.Equal(io.PacketIns[0], io.PacketIns[1]) {
+		t.Error("in-window duplicate answered differently from the original (reached the pipeline)")
+	}
+	r, err := core.DecodeMessage(io.PacketIns[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.HdrType != core.HdrKeyExch || r.MsgType != core.MsgEAKSalt2 {
+		t.Fatalf("in-window duplicate answered with hdr=%d msg=%d, want cached EAKSalt2", r.HdrType, r.MsgType)
+	}
+	if v := localVer(t, sw); v != 1 {
+		t.Fatalf("pa_ver[0]=%d after window, want 1 (double install)", v)
+	}
+	if hits := reg.Counter("agent.s1.cache_hits").Load(); hits != 1 {
+		t.Fatalf("agent.s1.cache_hits = %d, want 1", hits)
+	}
+	if outs := reg.Counter("agent.s1.packet_outs").Load(); outs != 2 {
+		t.Fatalf("agent.s1.packet_outs = %d, want 2", outs)
 	}
 }
 

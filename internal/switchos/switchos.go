@@ -370,13 +370,10 @@ type IOResult struct {
 	arena [][]byte
 	nused int
 
-	// bres and the b* slices are the batch path's reusable state: the
-	// pipeline batch result (whose per-packet buffers back NetOut and
-	// PacketIns zero-copy) and the per-window pending-packet scratch (see
+	// bres is the batch ingress path's reusable pipeline result, whose
+	// per-packet buffers back NetOut and PacketIns zero-copy (see
 	// batch.go).
-	bres  pisa.BatchResult
-	bpkts []pisa.Packet
-	bmeta []batchMeta
+	bres pisa.BatchResult
 }
 
 func (io *IOResult) reset() {
@@ -384,8 +381,6 @@ func (io *IOResult) reset() {
 	io.PacketIns = io.PacketIns[:0]
 	io.Cost = 0
 	io.nused = 0
-	io.bpkts = io.bpkts[:0]
-	io.bmeta = io.bmeta[:0]
 }
 
 // grab copies b into the next recycled arena buffer and returns it.
@@ -443,26 +438,16 @@ func (h *Host) PacketOutBatch(datas [][]byte) (IOResult, error) {
 
 // PacketOutBatchInto is PacketOutBatch with a caller-owned, reusable
 // result. PacketIns from all packets of the window are concatenated in
-// send order on a serial switch (cache hits may surface first on a
-// worker-backed one); callers match responses to requests by seqNum, not
-// position.
-//
-// On a serial switch (pisa.Workers() == 1) each packet runs through
-// packetOutOne exactly as before — the virtual-time cost and PacketIn
-// bytes are bit-identical to the pre-batch transport, which the chaos
-// golden traces pin. A worker-backed switch takes the pipelined
-// ProcessBatch path (see batch.go): same total per-packet software costs,
-// but the pipeline portion is the slowest lane instead of the sum, and
-// emission buffers flow upward without the arena copy.
+// send order; callers match responses to requests by seqNum, not
+// position. Each packet runs through packetOutOne, so a byte-identical
+// duplicate inside one window is served from the idempotency cache like
+// any other retransmission.
 func (h *Host) PacketOutBatchInto(datas [][]byte, io *IOResult) error {
 	io.reset()
 	if h.down.Load() || len(datas) == 0 {
 		return nil
 	}
 	io.Cost += h.Costs.PacketIOBase
-	if h.SW.Workers() > 1 {
-		return h.packetOutBatchPipelined(datas, io)
-	}
 	for _, data := range datas {
 		if err := h.packetOutOne(data, io, 0); err != nil {
 			return err

@@ -125,12 +125,10 @@ func Generate(cfg Config) []Packet {
 	return out
 }
 
-// Stream is a fork-able seeded flow generator, mirroring
-// crypto.Forkable for traffic: Fork(i) derives an independent
-// deterministic substream whose contents depend only on (seed, i) —
-// never on fork order, sibling forks, or which shard generates first.
-// The fleet harness forks one stream per fat-tree pod so per-pod load
-// stays bit-reproducible under sharded (parallel) event execution.
+// Stream is a fork-able seeded flow generator: Fork(i) derives an
+// independent deterministic substream whose contents depend only on
+// (seed, i) — never on fork order or sibling forks. The fleet harness
+// forks one stream per fat-tree pod.
 type Stream struct {
 	cfg Config
 }
@@ -142,9 +140,8 @@ func NewStream(cfg Config) *Stream { return &Stream{cfg: cfg} }
 func (s *Stream) Config() Config { return s.cfg }
 
 // Fork derives substream i: the seed is mixed with the fork index
-// through the same splitmix64 finalizer crypto.SeededRand.Fork uses,
-// and the flow-ID space is offset so sibling forks never collide. The
-// parent stream is unaffected.
+// through a splitmix64 finalizer, and the flow-ID space is offset so
+// sibling forks never collide. The parent stream is unaffected.
 func (s *Stream) Fork(i uint64) *Stream {
 	cfg := s.cfg
 	z := cfg.Seed + (i+1)*0x9e3779b97f4a7c15

@@ -1,107 +1,139 @@
 #!/bin/sh
-# Full verification gate: build, vet, race-enabled tests, then the
-# independent chaos/stress/coverage/fuzz/bench gates concurrently.
-# Mirrors `make check` for environments without make.
+# Verification gates. This file holds the one gate table (name + command);
+# the Makefile's gate targets and `make check` call back into it.
+#
+#   scripts/check.sh          full gate: the serial prefix in order, then
+#                             every concurrent gate at once
+#   scripts/check.sh GATE...  just the named gates, in the order given
+#   scripts/check.sh -l       list the gate names
 #
 # The serial prefix (build, vet, race) establishes a compiling,
 # race-clean tree; everything after it only re-runs subsets with fixed
 # seeds or fresh interleavings, so those gates share no state and run in
-# parallel. Each gate's output is line-prefixed with its name; the
-# script fails if any gate fails, after letting all of them finish.
+# parallel. Each concurrent gate's output is line-prefixed with its name;
+# the script fails if any gate fails, after letting all of them finish.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "== go build ./..."
-go build ./...
+# Rows are "<phase> <name> <command>"; phase s = serial prefix,
+# c = concurrent. -count=1 defeats the test cache so the seeded
+# invariants run on every gate.
+table() {
+    sed -e '/^#/d' -e '/^$/d' <<'EOF'
+s build go build ./...
+s vet go vet ./...
+s race go test -race ./...
 
-echo "== go vet ./..."
-go vet ./...
+# Deterministic crash/recovery smoke with fixed seeds (controller kills
+# and switch crashes mid-rollover, mid-register-write, mid-port-key-init).
+c chaos go test -race -count=1 -run 'TestChaosShort|TestChaosDeterminism' ./internal/netsim/chaos/
 
-echo "== go test -race ./..."
-go test -race ./...
+# Seeded link flaps, two-way partitions, and one-sided port-key
+# rollovers against the self-healing DP-DP fabric; every run must
+# reconverge with paired keys and a reconciled audit trail.
+c fabric-chaos go test -race -count=1 -run 'TestFabricShort|TestFabricDeterminism' ./internal/netsim/chaos/
 
-# Gate catalogue (name + command), run concurrently below:
-#
-#   chaos         deterministic crash/recovery smoke with fixed seeds
-#                 (controller kills and switch crashes mid-rollover,
-#                 mid-register-write, mid-port-key-init)
-#   fabric-chaos  seeded link flaps, partitions, one-sided rollovers
-#                 against the self-healing DP-DP fabric
-#   ha-chaos      controller-kill-under-sharded-load and split-brain
-#                 against the lease-fenced active/standby pair: zero
-#                 forged or stale-fenced writes applied, bounded
-#                 failover, reconciled audit, bit-identical traces
-#   group-chaos   rolling kills across 3-5 ranked replicas, store
-#                 outages against the bounded-staleness fence, and
-#                 multi-way lease acquisition races: same invariants as
-#                 ha-chaos plus at most one fenced-active per instant
-#                 and fail-safe fencing when the grace runs out
-#   matrix-chaos  the app × fault × protection survival matrix at k=4
-#                 with the default seed: zero forged operations applied
-#                 in every protected cell, measurable corruption in
-#                 every unprotected attacked cell, trace bit-identical
-#                 to the checked-in golden, determinism reruns
-#   hierarchy-chaos  the two-tier control plane (per-pod shard groups +
-#                 global key broker) under forged/torn broker frames,
-#                 WAN latency spikes, an asymmetric partition, and a
-#                 global-tier kill + election: zero forged operations
-#                 applied, no cross-pod key without a fenced grant,
-#                 graceful degradation on cached keys, bounded
-#                 re-convergence, bit-identical traces per seed
-#   stress        pipelined writers vs concurrent rollovers under fault
-#                 taps, the sharded-switch suite, the sharded netsim
-#                 engine, and the HA failover stress (-count=1 for
-#                 fresh interleavings)
-#   pisa-race     the parallel data plane (worker pool, sharded
-#                 counters, batch ingress) under the race detector with
-#                 fresh interleavings
-#   cover         >= 85% coverage floor on core, crypto, obs
-#   fuzz-smoke    10s of mutation per codec fuzz target over the
-#                 checked-in seed corpora
-#   bench-smoke   the zero-allocation hot path through the real
-#                 benchmark harness
-echo "== concurrent gates (chaos, fabric-chaos, ha-chaos, group-chaos, matrix-chaos, hierarchy-chaos, stress, pisa-race, cover, fuzz-smoke, bench-smoke)"
+# Controller-kill-under-sharded-load and split-brain attempts against
+# the lease-fenced active/standby pair: zero forged or stale-fenced
+# writes applied, bounded failover, reconciled audit, bit-identical
+# traces per seed.
+c ha-chaos go test -race -count=1 -run 'TestHAShort|TestHADeterminism' ./internal/netsim/chaos/
+
+# Rolling kills across 3-5 ranked replicas (each successor dying
+# mid-promotion), store outages against the bounded-staleness fence, and
+# multi-way lease acquisition races: same invariants as ha-chaos plus at
+# most one fenced-active per instant and fail-safe fencing when the
+# grace runs out.
+c group-chaos go test -race -count=1 -run 'TestGroupShort|TestGroupDeterminism' ./internal/netsim/chaos/
+
+# The app x fault x protection survival matrix at k=4 with the default
+# seed: zero forged operations applied in every protected cell,
+# measurable corruption in every unprotected attacked cell, trace
+# bit-identical to the checked-in golden, determinism reruns.
+c matrix-chaos go test -race -count=1 -run 'TestMatrixChaos|TestMatrixDeterminism' ./internal/fleet/
+
+# The two-tier control plane (per-pod shard groups + global key broker)
+# under forged/torn broker frames, WAN latency spikes, an asymmetric
+# partition, and a global-tier kill + election: zero forged operations
+# applied, no cross-pod key without a fenced grant, graceful degradation
+# on cached keys, bounded re-convergence, bit-identical traces per seed.
+c hierarchy-chaos go test -race -count=1 -run 'TestHierarchyChaos|TestHierarchyDeterminism' ./internal/hierarchy/
+
+# Concurrency stress with fresh interleavings: pipelined writers vs
+# concurrent rollovers under fault taps, the sharded-switch suite, the
+# data plane's batch path against concurrent driver mutation, concurrent
+# netsim Send/SetDown, and the HA failover stress.
+c stress go test -race -count=1 ./internal/controller/ ./internal/pisa/ ./internal/ha/ ./internal/netsim/
+
+# >= 85% coverage floor on the trust-boundary packages.
+c cover ./scripts/cover.sh
+
+# 10s of mutation per codec fuzz target over the checked-in seed corpora
+# (FUZZTIME=30s for a longer local campaign).
+c fuzz-smoke ./scripts/fuzz_smoke.sh
+
+# The zero-allocation hot path through the real benchmark harness.
+c bench-smoke go test -bench=BenchmarkAuthenticatedWrite -benchtime=10x -run '^$' -short .
+EOF
+}
+
+if [ "${1:-}" = "-l" ]; then
+    table | cut -d' ' -f2
+    exit 0
+fi
+
+if [ $# -gt 0 ]; then
+    for gate in "$@"; do
+        cmd="$(table | sed -n "s/^[sc] $gate //p")"
+        if [ -z "$cmd" ]; then
+            echo "check.sh: unknown gate '$gate' (scripts/check.sh -l lists them)" >&2
+            exit 2
+        fi
+        echo "== $gate: $cmd"
+        eval "$cmd"
+    done
+    exit 0
+fi
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
+table >"$tmp/table"
 
-# run NAME CMD...: run a gate in the background, prefixing every output
-# line with [NAME] and recording its exit status in $tmp/NAME.status.
-run() {
-    name="$1"
-    shift
-    {
-        if "$@" 2>&1; then
-            echo 0 >"$tmp/$name.status"
-        else
-            echo 1 >"$tmp/$name.status"
-        fi
-    } | sed "s/^/[$name] /" &
-}
+# Redirected loops (not pipelines) keep the background jobs in this
+# shell, so the wait below sees them; the gates read nothing from the
+# table on stdin.
+while read -r phase name cmd; do
+    if [ "$phase" = s ]; then
+        echo "== $name: $cmd"
+        eval "$cmd" </dev/null
+    fi
+done <"$tmp/table"
 
-run chaos        go test -race -count=1 -run 'TestChaosShort|TestChaosDeterminism' ./internal/netsim/chaos/
-run fabric-chaos go test -race -count=1 -run 'TestFabricShort|TestFabricDeterminism' ./internal/netsim/chaos/
-run ha-chaos     go test -race -count=1 -run 'TestHAShort|TestHADeterminism' ./internal/netsim/chaos/
-run group-chaos  go test -race -count=1 -run 'TestGroupShort|TestGroupDeterminism' ./internal/netsim/chaos/
-run matrix-chaos go test -race -count=1 -run 'TestMatrixChaos|TestMatrixDeterminism' ./internal/fleet/
-run hierarchy-chaos go test -race -count=1 -run 'TestHierarchyChaos|TestHierarchyDeterminism' ./internal/hierarchy/
-run stress       go test -race -count=1 ./internal/controller/ ./internal/pisa/ ./internal/ha/ ./internal/netsim/
-run pisa-race    go test -race -count=1 ./internal/pisa/...
-run cover        ./scripts/cover.sh
-run fuzz-smoke   ./scripts/fuzz_smoke.sh
-run bench-smoke  go test -bench=BenchmarkAuthenticatedWrite -benchtime=10x -run '^$' -short .
+echo "== concurrent gates ($(sed -n 's/^c \([^ ]*\) .*/\1/p' "$tmp/table" | paste -sd' ' -))"
+while read -r phase name cmd; do
+    if [ "$phase" = c ]; then
+        # Prefix every output line with [NAME] and record the exit status
+        # in $tmp/NAME.status.
+        {
+            if eval "$cmd" </dev/null 2>&1; then
+                echo 0 >"$tmp/$name.status"
+            else
+                echo 1 >"$tmp/$name.status"
+            fi
+        } | sed "s/^/[$name] /" &
+    fi
+done <"$tmp/table"
 
 wait
 
 failed=0
-for name in chaos fabric-chaos ha-chaos group-chaos matrix-chaos hierarchy-chaos stress pisa-race cover fuzz-smoke bench-smoke; do
-    status="$(cat "$tmp/$name.status" 2>/dev/null || echo 1)"
-    if [ "$status" != 0 ]; then
+while read -r phase name cmd; do
+    if [ "$phase" = c ] && [ "$(cat "$tmp/$name.status" 2>/dev/null || echo 1)" != 0 ]; then
         echo "== FAILED: $name"
         failed=1
     fi
-done
+done <"$tmp/table"
 if [ "$failed" != 0 ]; then
     exit 1
 fi
