@@ -12,9 +12,9 @@ import (
 	"time"
 )
 
-// Golden-trace regression gate for the serial engine: the chaos
-// harnesses must keep producing *the same bytes* from commit to commit,
-// not merely be internally deterministic. TestChaosDeterminism and
+// Golden-trace regression gate: the chaos harnesses must keep producing
+// *the same bytes* from commit to commit, not merely be internally
+// deterministic. TestChaosDeterminism and
 // friends catch run-to-run divergence; this test catches
 // commit-to-commit divergence by pinning a SHA-256 of each
 // representative trace in testdata/trace_goldens.txt.
@@ -24,16 +24,17 @@ import (
 //	CHAOS_GOLDEN_UPDATE=1 go test -run TestTraceGoldens ./internal/netsim/chaos/
 const goldenPath = "testdata/trace_goldens.txt"
 
-// goldenRun is one pinned harness invocation. The set spans all four
-// chaos gates so every seeded code path through the switch (C-DP
-// writes, rollovers, DP-DP probes, HA failover load) is covered.
+// goldenRun is one pinned harness invocation. The set spans every
+// scenario of all four harnesses, so every seeded code path through the
+// switch (C-DP writes, rollovers, DP-DP probes, HA failover load) and
+// every invariant sweep is covered.
 type goldenRun struct {
 	name string
 	run  func() ([]string, error)
 }
 
 func goldenRuns() []goldenRun {
-	return []goldenRun{
+	runs := []goldenRun{
 		{"chaos/rollover-controller", func() ([]string, error) {
 			r, err := Run(Options{Seed: 42, Scenario: MidRollover, Victim: KillController, CrashAt: 2, WarmDevice: true})
 			if err != nil {
@@ -83,7 +84,53 @@ func goldenRuns() []goldenRun {
 			}
 			return r.Trace, nil
 		}},
+		{"fabric/partition", func() ([]string, error) {
+			r, err := RunFabric(FabricOptions{Seed: 11, Scenario: FabricPartition})
+			if err != nil {
+				return nil, err
+			}
+			return r.Trace, nil
+		}},
+		{"ha/split-brain", func() ([]string, error) {
+			r, err := RunHA(HAOptions{Seed: 5, Switches: 4, Scenario: HASplitBrain, TTL: 5 * time.Millisecond})
+			if err != nil {
+				return nil, err
+			}
+			return r.Trace, nil
+		}},
+		{"group/store-outage", func() ([]string, error) {
+			r, err := RunGroup(GroupOptions{Seed: 9, Replicas: 3, Switches: 4, Scenario: GroupStoreOutage, TTL: 5 * time.Millisecond})
+			if err != nil {
+				return nil, err
+			}
+			return r.Trace, nil
+		}},
+		{"group/acquire-race", func() ([]string, error) {
+			r, err := RunGroup(GroupOptions{Seed: 9, Replicas: 3, Switches: 4, Scenario: GroupAcquireRace, TTL: 5 * time.Millisecond})
+			if err != nil {
+				return nil, err
+			}
+			return r.Trace, nil
+		}},
 	}
+	// The TestChaosDeterminism grid (seed 42, CrashAt 2, warm); its
+	// rollover/controller cell is chaos/rollover-controller above.
+	for _, scenario := range []Scenario{MidRollover, MidRegisterWrite, MidPortKeyInit} {
+		for _, victim := range []Victim{KillController, CrashSwitch, BackToBack} {
+			if scenario == MidRollover && victim == KillController {
+				continue
+			}
+			o := Options{Seed: 42, Scenario: scenario, Victim: victim, CrashAt: 2, WarmDevice: true}
+			runs = append(runs, goldenRun{fmt.Sprintf("chaos/seed42/%s-%s", scenario, victim), func() ([]string, error) {
+				r, err := Run(o)
+				if err != nil {
+					return nil, err
+				}
+				return r.Trace, nil
+			}})
+		}
+	}
+	return runs
 }
 
 func traceHash(trace []string) string {
@@ -121,8 +168,8 @@ func loadGoldens(t *testing.T) map[string]string {
 	return out
 }
 
-// TestTraceGoldens pins the chaos traces to their pre-parallel bytes.
-// The default (workers=1) switch mode must reproduce these forever.
+// TestTraceGoldens pins the chaos traces to their checked-in bytes: a
+// clean run of a pinned scenario must reproduce them forever.
 func TestTraceGoldens(t *testing.T) {
 	runs := goldenRuns()
 	got := make(map[string]string, len(runs))
@@ -130,6 +177,11 @@ func TestTraceGoldens(t *testing.T) {
 		trace, err := gr.run()
 		if err != nil {
 			t.Fatalf("%s: %v", gr.name, err)
+		}
+		for _, line := range trace {
+			if strings.Contains(line, "VIOLATION:") {
+				t.Errorf("%s: pinned run is not clean: %s", gr.name, line)
+			}
 		}
 		got[gr.name] = traceHash(trace)
 	}
@@ -142,8 +194,8 @@ func TestTraceGoldens(t *testing.T) {
 		sort.Strings(names)
 		var b strings.Builder
 		b.WriteString("# SHA-256 of each pinned chaos trace (lines joined by \\n).\n")
-		b.WriteString("# Captured from the serial (pre-worker-pool) switch; workers=1\n")
-		b.WriteString("# must stay byte-identical. Regenerate: CHAOS_GOLDEN_UPDATE=1\n")
+		b.WriteString("# A clean run of each pinned scenario must stay byte-identical.\n")
+		b.WriteString("# Regenerate (reviewed trace changes only): CHAOS_GOLDEN_UPDATE=1\n")
 		for _, n := range names {
 			fmt.Fprintf(&b, "%s %s\n", n, got[n])
 		}
@@ -165,7 +217,7 @@ func TestTraceGoldens(t *testing.T) {
 			continue
 		}
 		if pinned != hash {
-			t.Errorf("%s: trace diverged from pre-parallel golden\n  pinned %s\n  got    %s", name, pinned, hash)
+			t.Errorf("%s: trace diverged from pinned golden\n  pinned %s\n  got    %s", name, pinned, hash)
 		}
 	}
 	for name := range want {
