@@ -5,13 +5,9 @@ import (
 	"io"
 	"time"
 
-	"p4auth/internal/controller"
-	"p4auth/internal/crypto"
-	"p4auth/internal/deploy"
 	"p4auth/internal/ha"
-	"p4auth/internal/netsim"
+	"p4auth/internal/netsim/chaos"
 	"p4auth/internal/obs"
-	"p4auth/internal/pisa"
 	"p4auth/internal/statestore"
 )
 
@@ -31,36 +27,18 @@ func runGroup(w io.Writer) error {
 		grace    = ttl / 4
 		skew     = ttl / 16
 	)
-	sim := netsim.NewSim()
+	fx, err := chaos.NewFixture(chaos.FleetNames(fleet)...)
+	if err != nil {
+		return err
+	}
+	sim, names := fx.Sim, fx.Names
 	st := statestore.NewFaultStore(statestore.NewMem(), sim, statestore.FaultConfig{Seed: 0x6E5C})
 	ob := obs.NewObserver(0)
-	var names []string
-	sws := map[string]*deploy.Switch{}
-	for i := 0; i < fleet; i++ {
-		name := fmt.Sprintf("s%02d", i)
-		s, err := deploy.Build(deploy.SwitchSpec{
-			Name:  name,
-			Ports: 4,
-			Registers: []*pisa.RegisterDef{
-				{Name: "lat", Width: 32, Entries: 8},
-			},
-		})
-		if err != nil {
-			return err
-		}
-		sws[name] = s
-		names = append(names, name)
-	}
 	reps := make([]*ha.Replica, replicas)
 	for i := range reps {
-		c := controller.New(crypto.NewSeededRand(0x0C00 + uint64(i)))
-		c.SetRetryPolicy(controller.ResilientRetryPolicy())
-		c.UseClock(sim)
-		for _, n := range names {
-			s := sws[n]
-			if err := c.Register(n, s.Host, s.Cfg, 50*time.Microsecond); err != nil {
-				return err
-			}
+		c, err := fx.NewController(0x0C00 + uint64(i))
+		if err != nil {
+			return err
 		}
 		r, err := ha.NewReplica(ha.ReplicaConfig{
 			Name:       fmt.Sprintf("ctl-%d", i),
@@ -82,28 +60,6 @@ func runGroup(w io.Writer) error {
 		return err
 	}
 
-	showLease := func(stage string) error {
-		raw, err := st.Load(statestore.LeaseKey)
-		if err != nil {
-			return err
-		}
-		l, err := statestore.DecodeLease(raw)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "[%s] %s\n", stage, l.Dump())
-		return nil
-	}
-	warmCount := func(warm map[string]bool) int {
-		n := 0
-		for _, ok := range warm {
-			if ok {
-				n++
-			}
-		}
-		return n
-	}
-
 	fmt.Fprintf(w, "== group election reference run (%d replicas, %d switches, ttl %v, grace %v, skew %v) ==\n",
 		replicas, fleet, ttl, grace, skew)
 	act, err := grp.Bootstrap()
@@ -113,7 +69,7 @@ func runGroup(w io.Writer) error {
 	if _, err := act.Controller().InitAllKeys(); err != nil {
 		return err
 	}
-	if err := showLease("bootstrap"); err != nil {
+	if err := printLease(w, st, "bootstrap"); err != nil {
 		return err
 	}
 	for _, n := range names {
@@ -160,7 +116,7 @@ func runGroup(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "[elect] %s active at t=%v, epoch %d, %d/%d switches warm, took %v\n",
 		el.Winner.Name(), sim.Now(), el.Winner.Epoch(), warmCount(el.Warm), fleet, el.Duration)
-	if err := showLease("elect"); err != nil {
+	if err := printLease(w, st, "elect"); err != nil {
 		return err
 	}
 
@@ -174,7 +130,7 @@ func runGroup(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "[elect] %s active at t=%v, epoch %d, %d/%d switches warm, took %v\n",
 		el2.Winner.Name(), sim.Now(), el2.Winner.Epoch(), warmCount(el2.Warm), fleet, el2.Duration)
-	if err := showLease("elect"); err != nil {
+	if err := printLease(w, st, "elect"); err != nil {
 		return err
 	}
 	v, _, err := el2.Winner.Controller().ReadRegister(names[0], "lat", 1)

@@ -8,12 +8,9 @@ import (
 	"time"
 
 	"p4auth/internal/controller"
-	"p4auth/internal/crypto"
-	"p4auth/internal/deploy"
 	"p4auth/internal/ha"
-	"p4auth/internal/netsim"
+	"p4auth/internal/netsim/chaos"
 	"p4auth/internal/obs"
-	"p4auth/internal/pisa"
 	"p4auth/internal/statestore"
 )
 
@@ -44,35 +41,17 @@ func runHA(paths []string, w io.Writer) error {
 		fleet = 4
 		ttl   = 5 * time.Millisecond
 	)
-	sim := netsim.NewSim()
+	fx, err := chaos.NewFixture(chaos.FleetNames(fleet)...)
+	if err != nil {
+		return err
+	}
+	sim, names := fx.Sim, fx.Names
 	st := statestore.NewMem()
 	ob := obs.NewObserver(0)
-	var names []string
-	sws := map[string]*deploy.Switch{}
-	for i := 0; i < fleet; i++ {
-		name := fmt.Sprintf("s%02d", i)
-		s, err := deploy.Build(deploy.SwitchSpec{
-			Name:  name,
-			Ports: 4,
-			Registers: []*pisa.RegisterDef{
-				{Name: "lat", Width: 32, Entries: 8},
-			},
-		})
-		if err != nil {
-			return err
-		}
-		sws[name] = s
-		names = append(names, name)
-	}
 	mk := func(replica string, seed uint64) (*ha.Replica, error) {
-		c := controller.New(crypto.NewSeededRand(seed))
-		c.SetRetryPolicy(controller.ResilientRetryPolicy())
-		c.UseClock(sim)
-		for _, n := range names {
-			s := sws[n]
-			if err := c.Register(n, s.Host, s.Cfg, 50*time.Microsecond); err != nil {
-				return nil, err
-			}
+		c, err := fx.NewController(seed)
+		if err != nil {
+			return nil, err
 		}
 		return ha.NewReplica(ha.ReplicaConfig{
 			Name: replica, Store: st, Clock: sim, TTL: ttl,
@@ -88,19 +67,6 @@ func runHA(paths []string, w io.Writer) error {
 		return err
 	}
 
-	showLease := func(stage string) error {
-		raw, err := st.Load(statestore.LeaseKey)
-		if err != nil {
-			return err
-		}
-		l, err := statestore.DecodeLease(raw)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "[%s] %s\n", stage, l.Dump())
-		return nil
-	}
-
 	fmt.Fprintf(w, "== failover reference run (%d switches, ttl %v) ==\n", fleet, ttl)
 	if _, err := a.Activate(ha.CauseBootstrap); err != nil {
 		return err
@@ -108,7 +74,7 @@ func runHA(paths []string, w io.Writer) error {
 	if _, err := a.Controller().InitAllKeys(); err != nil {
 		return err
 	}
-	if err := showLease("bootstrap"); err != nil {
+	if err := printLease(w, st, "bootstrap"); err != nil {
 		return err
 	}
 	for _, n := range names {
@@ -139,14 +105,8 @@ func runHA(paths []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	warmN := 0
-	for _, ok := range warm {
-		if ok {
-			warmN++
-		}
-	}
-	fmt.Fprintf(w, "[promote] standby active at t=%v, %d/%d switches warm\n", sim.Now(), warmN, fleet)
-	if err := showLease("promote"); err != nil {
+	fmt.Fprintf(w, "[promote] standby active at t=%v, %d/%d switches warm\n", sim.Now(), warmCount(warm), fleet)
+	if err := printLease(w, st, "promote"); err != nil {
 		return err
 	}
 	if cause := ha.FenceCause(a.Fence()); cause != "" {
@@ -172,4 +132,30 @@ func runHA(paths []string, w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// printLease prints the lease record currently in the store, tagged with
+// the stage of the reference run.
+func printLease(w io.Writer, st statestore.Store, stage string) error {
+	raw, err := st.Load(statestore.LeaseKey)
+	if err != nil {
+		return err
+	}
+	l, err := statestore.DecodeLease(raw)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "[%s] %s\n", stage, l.Dump())
+	return nil
+}
+
+// warmCount counts the switches a promotion recovered warm.
+func warmCount(warm map[string]bool) int {
+	n := 0
+	for _, ok := range warm {
+		if ok {
+			n++
+		}
+	}
+	return n
 }

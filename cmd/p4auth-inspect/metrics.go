@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"p4auth/internal/controller"
-	"p4auth/internal/crypto"
-	"p4auth/internal/deploy"
-	"p4auth/internal/pisa"
+	"p4auth/internal/netsim/chaos"
 )
 
 // runMetrics implements the `metrics` subcommand: stand up a seeded
@@ -19,27 +17,13 @@ import (
 // output doubles as a quick reference for the instrument names the
 // controller, agents, and data planes export.
 func runMetrics(w io.Writer) error {
-	names := []string{"s1", "s2"}
-	sws := map[string]*deploy.Switch{}
-	for _, n := range names {
-		s, err := deploy.Build(deploy.SwitchSpec{
-			Name:  n,
-			Ports: 4,
-			Registers: []*pisa.RegisterDef{
-				{Name: "lat", Width: 32, Entries: 8},
-			},
-		})
-		if err != nil {
-			return err
-		}
-		sws[n] = s
+	fx, err := chaos.NewFixture("s1", "s2")
+	if err != nil {
+		return err
 	}
-	c := controller.New(crypto.NewSeededRand(0x0B5E))
-	c.SetRetryPolicy(controller.ResilientRetryPolicy())
-	for _, n := range names {
-		if err := c.Register(n, sws[n].Host, sws[n].Cfg, 50*time.Microsecond); err != nil {
-			return err
-		}
+	c, err := fx.NewController(0x0B5E)
+	if err != nil {
+		return err
 	}
 	if err := c.ConnectSwitches("s1", 1, "s2", 1, 5*time.Microsecond); err != nil {
 		return err
@@ -47,7 +31,7 @@ func runMetrics(w io.Writer) error {
 	if _, err := c.InitAllKeys(); err != nil {
 		return err
 	}
-	for _, n := range names {
+	for _, n := range fx.Names {
 		for idx := uint32(0); idx < 3; idx++ {
 			if _, err := c.WriteRegister(n, "lat", idx, uint64(100+idx)); err != nil {
 				return err

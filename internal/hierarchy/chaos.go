@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"time"
 
+	"p4auth/internal/netsim/chaos"
 	"p4auth/internal/obs"
 )
 
@@ -61,10 +62,7 @@ type ChaosOptions struct {
 
 // ChaosResult is the outcome of one hierarchy chaos run.
 type ChaosResult struct {
-	// Trace is the deterministic event log.
-	Trace []string
-	// Violations lists every invariant breach; empty means clean.
-	Violations []string
+	chaos.Recorder
 	// Establishes counts committed cross-pod establishments.
 	Establishes uint64
 	// Grants and Served count the broker's issued grants and completed
@@ -83,37 +81,14 @@ type ChaosResult struct {
 	FinalEpoch uint64
 }
 
-// chaosRNG is splitmix64 — tiny, seedable, deterministic.
-type chaosRNG struct{ s uint64 }
-
-func (r *chaosRNG) next() uint64 {
-	r.s += 0x9E3779B97F4A7C15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-func (r *chaosRNG) intn(n int) int { return int(r.next() % uint64(n)) }
-
 type chaosHarness struct {
+	*chaos.Recorder
 	o   ChaosOptions
 	res *ChaosResult
-	rng chaosRNG
+	rng chaos.Stream
 	h   *Hierarchy
 	// shadow mirrors every committed lat-register write per switch.
 	shadow map[string][]uint64
-}
-
-func (c *chaosHarness) trace(format string, args ...interface{}) {
-	c.res.Trace = append(c.res.Trace,
-		fmt.Sprintf("t=%-12v ", c.h.Sim.Now())+fmt.Sprintf(format, args...))
-}
-
-func (c *chaosHarness) violate(format string, args ...interface{}) {
-	v := fmt.Sprintf(format, args...)
-	c.res.Violations = append(c.res.Violations, v)
-	c.trace("VIOLATION: %s", v)
 }
 
 // counter reads a shared observer metric.
@@ -138,12 +113,14 @@ func RunChaos(o ChaosOptions) (*ChaosResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	res := &ChaosResult{Recorder: chaos.NewRecorder(h.Sim)}
 	c := &chaosHarness{
-		o:      o,
-		res:    &ChaosResult{},
-		rng:    chaosRNG{s: o.Seed ^ 0x1E12A1C41},
-		h:      h,
-		shadow: map[string][]uint64{},
+		Recorder: &res.Recorder,
+		o:        o,
+		res:      res,
+		rng:      chaos.NewStream(o.Seed ^ 0x1E12A1C41),
+		h:        h,
+		shadow:   map[string][]uint64{},
 	}
 	for _, n := range h.SwitchNames() {
 		c.shadow[n] = make([]uint64, h.cfg.LatEntries)
@@ -170,7 +147,7 @@ func (c *chaosHarness) baseline() error {
 	if err := c.h.EstablishAllCross(); err != nil {
 		return fmt.Errorf("hierarchy chaos: baseline establish: %w", err)
 	}
-	c.trace("baseline: %d pods, %d switches, %d cross links established",
+	c.Tracef("baseline: %d pods, %d switches, %d cross links established",
 		len(c.h.Pods), len(c.h.SwitchNames()), len(c.h.CrossLinks()))
 	c.sampleActives("baseline")
 	c.loadAllPods("baseline")
@@ -184,7 +161,7 @@ func (c *chaosHarness) loadAllPods(label string) {
 	for _, p := range c.h.Pods {
 		act := p.active()
 		if act == nil {
-			c.violate("%s: pod %d has no active for load", label, p.ID)
+			c.Violatef("%s: pod %d has no active for load", label, p.ID)
 			continue
 		}
 		c.loadPod(label, p)
@@ -195,42 +172,25 @@ func (c *chaosHarness) loadAllPods(label string) {
 func (c *chaosHarness) loadPod(label string, p *Pod) {
 	n := 0
 	for _, sw := range p.active().Controller().SwitchNames() {
-		idx := uint32(c.rng.intn(c.h.cfg.LatEntries - 1))
-		v := c.rng.next() % 0xFFFF
+		idx := uint32(c.rng.Intn(c.h.cfg.LatEntries - 1))
+		v := c.rng.Next() % 0xFFFF
 		if _, err := p.active().Controller().WriteRegister(sw, "lat", idx, v); err != nil {
-			c.violate("%s: pod %d write %s lat[%d]: %v", label, p.ID, sw, idx, err)
+			c.Violatef("%s: pod %d write %s lat[%d]: %v", label, p.ID, sw, idx, err)
 			return
 		}
 		c.shadow[sw][idx] = v
 		n++
 	}
-	c.trace("%s: pod %d landed %d writes", label, p.ID, n)
+	c.Tracef("%s: pod %d landed %d writes", label, p.ID, n)
 }
 
 // sampleActives asserts at most one fenced active per tier right now.
 func (c *chaosHarness) sampleActives(label string) {
-	check := func(tier string, actives int) {
-		if actives > 1 {
-			c.violate("%s: tier %s has %d fenced actives at one instant", label, tier, actives)
-		}
-	}
-	n := 0
-	for _, r := range c.h.Global.Group.Replicas() {
-		if r.IsActive() {
-			n++
-		}
-	}
-	check("global", n)
+	c.AtMostOneActive(label+": tier global", c.h.Global.Group.Replicas())
 	for _, p := range c.h.Pods {
-		n = 0
-		for _, r := range p.Group.Replicas() {
-			if r.IsActive() {
-				n++
-			}
-		}
-		check(p.Name, n)
+		c.AtMostOneActive(label+": tier "+p.Name, p.Group.Replicas())
 	}
-	c.trace("%s: active sample clean", label)
+	c.Tracef("%s: active sample clean", label)
 }
 
 // checkConverged asserts every cross link sits on one committed key.
@@ -240,23 +200,23 @@ func (c *chaosHarness) checkConverged(label string) bool {
 		cl := &c.h.CrossLinks()[i]
 		va, vb, err := c.h.CrossLinkVersions(cl)
 		if err != nil {
-			c.violate("%s: %s telemetry: %v", label, cl.Label, err)
+			c.Violatef("%s: %s telemetry: %v", label, cl.Label, err)
 			ok = false
 			continue
 		}
 		if va != vb {
-			c.violate("%s: %s half-rolled at %d/%d", label, cl.Label, va, vb)
+			c.Violatef("%s: %s half-rolled at %d/%d", label, cl.Label, va, vb)
 			ok = false
 			continue
 		}
 		ka, kb, err := c.h.CrossLinkKeys(cl)
 		if err != nil || ka == 0 || ka != kb {
-			c.violate("%s: %s keys disagree: %#x/%#x (%v)", label, cl.Label, ka, kb, err)
+			c.Violatef("%s: %s keys disagree: %#x/%#x (%v)", label, cl.Label, ka, kb, err)
 			ok = false
 		}
 	}
 	if ok {
-		c.trace("%s: all %d cross links on one committed key", label, len(c.h.CrossLinks()))
+		c.Tracef("%s: all %d cross links on one committed key", label, len(c.h.CrossLinks()))
 	}
 	return ok
 }
@@ -299,39 +259,39 @@ func (c *chaosHarness) wanPartition() {
 	cl := firstCross(c.h, victim.ID)
 	before := victim.CrossState(cl.Label)
 	if err := victim.EstablishCross(cl); err == nil {
-		c.violate("forgery sweep: establish succeeded through forged replies")
+		c.Violatef("forgery sweep: establish succeeded through forged replies")
 	}
 	if victim.CrossState(cl.Label) != before {
-		c.violate("forgery sweep: forged frames moved committed state")
+		c.Violatef("forgery sweep: forged frames moved committed state")
 	}
 	if forged == 0 {
-		c.violate("forgery sweep: tap never fired")
+		c.Violatef("forgery sweep: tap never fired")
 	}
 	_ = link.SetTap("wan-pod0", nil)
-	c.trace("forgery sweep: %d forged frames injected, all dropped", forged)
+	c.Tracef("forgery sweep: %d forged frames injected, all dropped", forged)
 	c.sampleActives("forgery-sweep")
 
 	// Phase 2: torn-frame sweep — random bit flips; CRC must catch all.
 	flips := 0
 	_ = link.SetTap("wan-pod0", func(data []byte) []byte {
 		mut := append([]byte(nil), data...)
-		mut[c.rng.intn(len(mut))] ^= byte(1 << c.rng.intn(8))
+		mut[c.rng.Intn(len(mut))] ^= byte(1 << c.rng.Intn(8))
 		flips++
 		return mut
 	})
 	if err := victim.EstablishCross(cl); err == nil {
-		c.violate("torn sweep: establish succeeded through flipped frames")
+		c.Violatef("torn sweep: establish succeeded through flipped frames")
 	}
 	_ = link.SetTap("wan-pod0", nil)
-	c.trace("torn sweep: %d frames flipped, all rejected", flips)
+	c.Tracef("torn sweep: %d frames flipped, all rejected", flips)
 
 	// The two sweeps left the victim degraded; a clean round clears it
 	// and proves the retry path recovers without manual repair.
 	if err := victim.EstablishCross(cl); err != nil {
-		c.violate("post-sweep recovery: %v", err)
+		c.Violatef("post-sweep recovery: %v", err)
 	}
 	if victim.Degraded() {
-		c.violate("post-sweep recovery: victim still degraded")
+		c.Violatef("post-sweep recovery: victim still degraded")
 	}
 	c.checkConverged("post-sweep")
 
@@ -343,41 +303,41 @@ func (c *chaosHarness) wanPartition() {
 	_ = sp.AddLatencySpike("wan-pod1", now, now+60*time.Millisecond, 5*time.Millisecond)
 	cl2 := firstCross(c.h, spiked.ID)
 	if err := spiked.EstablishCross(cl2); err != nil {
-		c.violate("latency spike: establish failed under +5ms spike: %v", err)
+		c.Violatef("latency spike: establish failed under +5ms spike: %v", err)
 	}
 	sp.ClearLatencySpikes()
-	c.trace("latency spike: establish survived +5ms on replies")
+	c.Tracef("latency spike: establish survived +5ms on replies")
 
 	// Phase 4: asymmetric partition — frames INTO the victim pod are
 	// lost, its requests still reach the hub. The nastiest half-open
 	// failure: relays may install remotely while every reply dies.
 	c.h.Net.PartitionAsym(victim.nodeName())
-	c.trace("partition: asymmetric cut into %s", victim.nodeName())
+	c.Tracef("partition: asymmetric cut into %s", victim.nodeName())
 	if err := victim.EstablishCross(cl); err == nil {
-		c.violate("partition: establish succeeded across a dead downlink")
+		c.Violatef("partition: establish succeeded across a dead downlink")
 	}
 	if !victim.Degraded() {
-		c.violate("partition: victim not degraded after broker loss")
+		c.Violatef("partition: victim not degraded after broker loss")
 	}
 	// Intra-pod service continues on the pod's own lease.
 	c.loadPod("partition", victim)
 	// Rollovers are deferred, not lost, and not retried into the void.
 	if err := victim.RollCross(cl); err == nil {
-		c.violate("partition: rollover did not defer")
+		c.Violatef("partition: rollover did not defer")
 	}
 	c.res.Deferred = len(victim.DeferredRollovers())
 	if c.res.Deferred == 0 {
-		c.violate("partition: no deferred rollovers recorded")
+		c.Violatef("partition: no deferred rollovers recorded")
 	}
 	c.sampleActives("partition")
 
 	// Phase 5: heal and re-converge within the budget.
 	healed := c.h.Net.Heal()
 	healAt := c.h.Sim.Now()
-	c.trace("heal: %d links restored", healed)
+	c.Tracef("heal: %d links restored", healed)
 	flushed, err := victim.FlushDeferred()
 	if err != nil {
-		c.violate("heal: flush deferred: %v", err)
+		c.Violatef("heal: flush deferred: %v", err)
 	}
 	c.res.Flushed = flushed
 	// Repair any link the half-open window left interrupted.
@@ -385,21 +345,21 @@ func (c *chaosHarness) wanPartition() {
 		l := &c.h.CrossLinks()[i]
 		if va, vb, err := c.h.CrossLinkVersions(l); err == nil && va != vb {
 			if err := c.h.Pods[l.Initiator].EstablishCross(l); err != nil {
-				c.violate("heal: repair %s: %v", l.Label, err)
+				c.Violatef("heal: repair %s: %v", l.Label, err)
 			}
 		}
 	}
 	c.res.ReconvergeTime = c.h.Sim.Now() - healAt
 	if !c.converged() {
-		c.violate("heal: links still half-rolled after repair pass")
+		c.Violatef("heal: links still half-rolled after repair pass")
 	}
 	if c.res.ReconvergeTime > c.o.ReconvergeBudget {
-		c.violate("heal: re-convergence took %v, budget %v", c.res.ReconvergeTime, c.o.ReconvergeBudget)
+		c.Violatef("heal: re-convergence took %v, budget %v", c.res.ReconvergeTime, c.o.ReconvergeBudget)
 	}
 	if victim.Degraded() {
-		c.violate("heal: victim still degraded after flush")
+		c.Violatef("heal: victim still degraded after flush")
 	}
-	c.trace("heal: re-converged in %v (budget %v), %d deferred flushed",
+	c.Tracef("heal: re-converged in %v (budget %v), %d deferred flushed",
 		c.res.ReconvergeTime, c.o.ReconvergeBudget, flushed)
 	c.loadAllPods("aftermath")
 	c.sampleActives("aftermath")
@@ -414,7 +374,7 @@ func (c *chaosHarness) globalKill() {
 
 	act := c.h.Global.Group.Active()
 	act.Controller().Kill()
-	c.trace("kill: global active %s dead at epoch %d", act.Name(), oldEpoch)
+	c.Tracef("kill: global active %s dead at epoch %d", act.Name(), oldEpoch)
 
 	// Dark window: zero establishes may commit; refusals are typed.
 	estBefore := c.counter("hier.crosspod_establishes")
@@ -423,50 +383,50 @@ func (c *chaosHarness) globalKill() {
 		err := p.EstablishCross(l)
 		var ref *RefusedError
 		if err == nil {
-			c.violate("dark window: pod %d established without a fenced broker", p.ID)
-		} else if !asRefused(err, &ref) || ref.Cause != RefuseUnfenced {
-			c.violate("dark window: pod %d got %v, want unfenced refusal", p.ID, err)
+			c.Violatef("dark window: pod %d established without a fenced broker", p.ID)
+		} else if !errors.As(err, &ref) || ref.Cause != RefuseUnfenced {
+			c.Violatef("dark window: pod %d got %v, want unfenced refusal", p.ID, err)
 		}
 	}
 	if d := c.counter("hier.crosspod_establishes") - estBefore; d != 0 {
-		c.violate("dark window: %d establishes committed with the broker dead", d)
+		c.Violatef("dark window: %d establishes committed with the broker dead", d)
 	}
 	c.loadAllPods("dark-window") // local tiers unaffected
 	c.sampleActives("dark-window")
-	c.trace("dark window: all %d pods refused, zero keys issued", len(c.h.Pods))
+	c.Tracef("dark window: all %d pods refused, zero keys issued", len(c.h.Pods))
 
 	// Election: wait out the dead incumbent's lease, promote rank 1.
 	electAt := c.h.Sim.Now()
 	el, err := c.h.Global.Elect("chaos-global-kill")
 	if err != nil {
-		c.violate("election: %v", err)
+		c.Violatef("election: %v", err)
 		return
 	}
 	if el.Incumbent {
-		c.violate("election: dead incumbent returned as winner")
+		c.Violatef("election: dead incumbent returned as winner")
 	}
 	newEpoch := el.Winner.Epoch()
 	if newEpoch <= oldEpoch {
-		c.violate("election: epoch did not advance (%d -> %d)", oldEpoch, newEpoch)
+		c.Violatef("election: epoch did not advance (%d -> %d)", oldEpoch, newEpoch)
 	}
-	c.trace("election: %s serving at epoch %d", el.Winner.Name(), newEpoch)
+	c.Tracef("election: %s serving at epoch %d", el.Winner.Name(), newEpoch)
 
 	// Service resumes: roll every cross link under the new epoch.
 	for i := range c.h.CrossLinks() {
 		l := &c.h.CrossLinks()[i]
 		p := c.h.Pods[l.Initiator]
 		if err := p.EstablishCross(l); err != nil {
-			c.violate("post-election: roll %s: %v", l.Label, err)
+			c.Violatef("post-election: roll %s: %v", l.Label, err)
 			continue
 		}
 		if st := p.CrossState(l.Label); st.Epoch != newEpoch {
-			c.violate("post-election: %s committed under stale epoch %d (want %d)",
+			c.Violatef("post-election: %s committed under stale epoch %d (want %d)",
 				l.Label, st.Epoch, newEpoch)
 		}
 	}
 	c.res.ReconvergeTime = c.h.Sim.Now() - electAt
 	if c.res.ReconvergeTime > c.o.ReconvergeBudget {
-		c.violate("post-election: re-convergence took %v, budget %v",
+		c.Violatef("post-election: re-convergence took %v, budget %v",
 			c.res.ReconvergeTime, c.o.ReconvergeBudget)
 	}
 	c.res.FinalEpoch = newEpoch
@@ -492,14 +452,11 @@ func (c *chaosHarness) finalChecks() {
 
 	// No cross-pod key without a fenced, audited grant.
 	if c.res.Establishes > c.res.Served {
-		c.violate("final: %d establishes exceed %d served exchanges", c.res.Establishes, c.res.Served)
+		c.Violatef("final: %d establishes exceed %d served exchanges", c.res.Establishes, c.res.Served)
 	}
 	grants := c.h.Ob.Audit.ByType(obs.EvBrokerGrant)
 	if uint64(len(grants)) != c.res.Grants {
-		c.violate("final: audit records %d grants, broker ledger %d", len(grants), c.res.Grants)
-	}
-	if gm := c.counter("hier.grants"); gm != c.res.Grants {
-		c.violate("final: grants metric %d != ledger %d", gm, c.res.Grants)
+		c.Violatef("final: audit records %d grants, broker ledger %d", len(grants), c.res.Grants)
 	}
 	epochs := map[uint64]bool{}
 	labels := map[string]bool{}
@@ -518,28 +475,17 @@ func (c *chaosHarness) finalChecks() {
 				continue
 			}
 			if !epochs[st.Epoch] {
-				c.violate("final: %s committed under unaudited epoch %d", cl.Label, st.Epoch)
+				c.Violatef("final: %s committed under unaudited epoch %d", cl.Label, st.Epoch)
 			}
 			if !labels[cl.Label] {
-				c.violate("final: %s committed with no audited grant", cl.Label)
+				c.Violatef("final: %s committed with no audited grant", cl.Label)
 			}
 		}
 	}
 
-	// Degraded transitions: audit <-> metric exact reconciliation.
-	counts := map[string]uint64{}
-	for _, e := range c.h.Ob.Audit.ByType(obs.EvWANDegraded) {
-		counts[e.Cause]++
-	}
-	for cause, metric := range map[string]string{
-		"enter": "hier.degraded_enters",
-		"exit":  "hier.degraded_exits",
-		"defer": "hier.deferred_rollovers",
-	} {
-		if m := c.counter(metric); m != counts[cause] {
-			c.violate("final: %s metric %d != %d audited %q events", metric, m, counts[cause], cause)
-		}
-	}
+	// Audit <-> metric exact reconciliation — grants, degraded transitions
+	// and deferred rollovers included (kernel sweep, in table order).
+	c.AuditReconciled("final", c.h.Ob)
 
 	// Zero forged ops applied: every data-plane register matches the
 	// shadow of committed writes.
@@ -547,15 +493,15 @@ func (c *chaosHarness) finalChecks() {
 		for i, want := range c.shadow[n] {
 			got, err := c.h.Switch(n).Host.SW.RegisterRead("lat", i)
 			if err != nil {
-				c.violate("final: read %s lat[%d]: %v", n, i, err)
+				c.Violatef("final: read %s lat[%d]: %v", n, i, err)
 				continue
 			}
 			if got != want {
-				c.violate("final: %s lat[%d] = %#x, shadow %#x", n, i, got, want)
+				c.Violatef("final: %s lat[%d] = %#x, shadow %#x", n, i, got, want)
 			}
 		}
 	}
-	c.trace("final: establishes=%d grants=%d served=%d refusals=%d forged=%d torn=%d epoch=%d",
+	c.Tracef("final: establishes=%d grants=%d served=%d refusals=%d forged=%d torn=%d epoch=%d",
 		c.res.Establishes, c.res.Grants, c.res.Served, c.res.Refusals,
 		c.res.ForgedDropped, c.res.TornDropped, c.res.FinalEpoch)
 }
@@ -568,9 +514,4 @@ func firstCross(h *Hierarchy, pod uint8) *CrossLink {
 		}
 	}
 	return nil
-}
-
-// asRefused extracts a *RefusedError from an error chain.
-func asRefused(err error, out **RefusedError) bool {
-	return errors.As(err, out)
 }

@@ -1,8 +1,11 @@
 package hierarchy
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
+
+	"p4auth/internal/netsim/chaos"
 )
 
 // TestHierarchyChaos is the hierarchy-chaos gate: both scenarios over
@@ -10,7 +13,7 @@ import (
 func TestHierarchyChaos(t *testing.T) {
 	for _, sc := range []ChaosScenario{ScenarioWANPartition, ScenarioGlobalKill} {
 		for _, seed := range []uint64{1, 7, 42} {
-			t.Run(string(sc)+"/"+string('0'+byte(seed%10)), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%d", sc, seed), func(t *testing.T) {
 				res, err := RunChaos(ChaosOptions{Seed: seed, Scenario: sc})
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
@@ -66,6 +69,34 @@ func TestHierarchyDeterminism(t *testing.T) {
 		}
 		if !reflect.DeepEqual(a.Violations, b.Violations) || a.Establishes != b.Establishes {
 			t.Fatalf("%s: results diverge across identical runs", sc)
+		}
+	}
+}
+
+// TestHierarchyFailingTraceDeterministic: a run that fails must fail the
+// same way every time, or its trace is useless for debugging. Two
+// counters with no audit event behind them force two reconciliation
+// violations; their order is the kernel table's, on every run.
+func TestHierarchyFailingTraceDeterministic(t *testing.T) {
+	run := func() []string {
+		h, err := Build(Config{Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := &ChaosResult{Recorder: chaos.NewRecorder(h.Sim)}
+		c := &chaosHarness{Recorder: &res.Recorder, res: res, h: h, shadow: map[string][]uint64{}}
+		h.Ob.Metrics.Counter("hier.deferred_rollovers").Inc()
+		h.Ob.Metrics.Counter("hier.degraded_enters").Inc()
+		c.finalChecks()
+		return res.Trace
+	}
+	first := run()
+	if n := len(first); n != 3 {
+		t.Fatalf("want two VIOLATION lines and the summary, got %d lines: %q", n, first)
+	}
+	for i := 0; i < 8; i++ {
+		if again := run(); !reflect.DeepEqual(first, again) {
+			t.Fatalf("failing traces differ between identical runs:\n  %q\n  %q", first, again)
 		}
 	}
 }

@@ -1,20 +1,21 @@
-// Package chaos is a deterministic crash/restart fault-injection harness
-// for the P4Auth control plane. It builds a two-switch fabric over the
-// virtual-time simulator, schedules a controller kill or a switch-agent
-// crash at an exact control-channel packet count inside a chosen protocol
-// phase (key rollover, register write, port-key init), runs the recovery
-// protocol, and checks the crash-safety invariants:
+// Package chaos holds the deterministic fault-injection harnesses for
+// the P4Auth control and data planes, and the kernel they share
+// (kernel.go: trace recorder, seeded stream, fleet fixture, the named
+// invariants, the fire-at-packet-N trigger).
 //
-//   - no forged message is ever accepted (probed with garbage-key signed
-//     writes before and after every recovery);
-//   - replay floors never regress while key material survives (a cold
-//     boot wipes keys WITH the floors, so old traffic cannot replay);
+// Run, in this file, builds a two-switch fabric over the virtual-time
+// simulator, schedules a controller kill or a switch-agent crash at an
+// exact control-channel packet count inside a chosen protocol phase (key
+// rollover, register write, port-key init), runs the recovery protocol,
+// and sweeps the kernel invariants after every recovery. Specific to it:
+//
+//   - replay floors may reset only on a cold boot, which wipes the keys
+//     WITH the floors, so old traffic cannot replay;
 //   - keys reconverge: the interrupted operation retried after recovery
 //     succeeds, as do rollovers, port-key updates, and authenticated
 //     register round-trips on every switch;
 //   - journaled register writes are applied exactly once or reported
-//     failed — never duplicated, never silently lost, never left as a
-//     dangling intent.
+//     failed — never duplicated, never silently lost.
 //
 // Every run is driven by a seeded deterministic RNG and the virtual
 // clock, and emits a trace of timestamped events. Two runs with equal
@@ -33,11 +34,7 @@ import (
 
 	"p4auth/internal/controller"
 	"p4auth/internal/core"
-	"p4auth/internal/crypto"
-	"p4auth/internal/deploy"
-	"p4auth/internal/netsim"
 	"p4auth/internal/obs"
-	"p4auth/internal/pisa"
 	"p4auth/internal/statestore"
 )
 
@@ -92,11 +89,7 @@ type Options struct {
 
 // Result is the outcome of a run.
 type Result struct {
-	// Trace is the deterministic event log.
-	Trace []string
-	// Violations lists every invariant breach; empty means the run is
-	// clean.
-	Violations []string
+	Recorder
 	// CtlKills and SwCrashes count the faults injected.
 	CtlKills, SwCrashes int
 	// Warm reports whether the last controller recovery of each switch
@@ -104,64 +97,21 @@ type Result struct {
 	Warm map[string]bool
 }
 
-// latEntries mirrors the "lat" register the harness fabric declares.
-const latEntries = 8
-
-// forgeryIndex is the lat slot reserved for forged writes; the harness
-// never writes it legitimately, so any non-zero value is a violation.
-const forgeryIndex = latEntries - 1
-
-// rng is splitmix64 — small, seedable, and stable across Go versions,
-// which math/rand's shuffling is not guaranteed to be.
-type rng struct{ s uint64 }
-
-func (r *rng) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
-
 type harness struct {
+	kernel
 	o     Options
 	res   *Result
-	rng   rng
-	sim   *netsim.Sim
 	store *statestore.Mem
 	// ob is the run's shared observer: controller generations come and
 	// go, but the metrics registry and the audit trail persist across
 	// them — the post-run audit sweep needs the whole story.
-	ob    *obs.Observer
-	c     *controller.Controller
-	sw    map[string]*deploy.Switch
-	names []string
-	// shadow models the expected "lat" contents per switch; a reboot
-	// wipes user registers (device snapshots persist only P4Auth state).
-	shadow map[string][]uint64
-	// floors holds the last observed RegSeq file per switch for the
-	// no-regression check; nil after a cold boot (floors legitimately
-	// reset together with the keys that made old traffic verifiable).
-	floors map[string][]uint64
+	ob     *obs.Observer
+	c      *controller.Controller
 	ctlGen uint64
-	tapN   int
-	fired  bool
 	// armed fault for the current round
+	trig   *trigger
 	victim Victim
 	target string
-}
-
-func (h *harness) trace(format string, args ...interface{}) {
-	h.res.Trace = append(h.res.Trace,
-		fmt.Sprintf("t=%-12v ", h.sim.Now())+fmt.Sprintf(format, args...))
-}
-
-func (h *harness) violate(format string, args ...interface{}) {
-	v := fmt.Sprintf(format, args...)
-	h.res.Violations = append(h.res.Violations, v)
-	h.trace("VIOLATION: %s", v)
 }
 
 // Run executes one deterministic chaos run.
@@ -169,31 +119,17 @@ func Run(o Options) (*Result, error) {
 	if o.CrashAt < 1 {
 		return nil, fmt.Errorf("chaos: CrashAt must be >= 1")
 	}
+	fx, err := NewFixture("s1", "s2")
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Recorder: NewRecorder(fx.Sim), Warm: map[string]bool{}}
 	h := &harness{
+		kernel: kernel{&res.Recorder, fx, NewStream(o.Seed ^ 0xC4A05AFE)},
 		o:      o,
-		res:    &Result{Warm: map[string]bool{}},
-		rng:    rng{s: o.Seed ^ 0xC4A05AFE},
-		sim:    netsim.NewSim(),
+		res:    res,
 		store:  statestore.NewMem(),
 		ob:     obs.NewObserver(0),
-		sw:     map[string]*deploy.Switch{},
-		names:  []string{"s1", "s2"},
-		shadow: map[string][]uint64{},
-		floors: map[string][]uint64{},
-	}
-	for _, n := range h.names {
-		s, err := deploy.Build(deploy.SwitchSpec{
-			Name:  n,
-			Ports: 4,
-			Registers: []*pisa.RegisterDef{
-				{Name: "lat", Width: 32, Entries: latEntries},
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		h.sw[n] = s
-		h.shadow[n] = make([]uint64, latEntries)
 	}
 	if err := h.newController(); err != nil {
 		return nil, err
@@ -207,7 +143,7 @@ func Run(o Options) (*Result, error) {
 		victims = []Victim{KillController, CrashSwitch}
 	}
 	for round, v := range victims {
-		h.trace("round %d: arming %s fault, scenario=%s crashAt=%d",
+		h.Tracef("round %d: arming %s fault, scenario=%s crashAt=%d",
 			round, v, o.Scenario, o.CrashAt)
 		target := h.armFault(v)
 		h.runArmedOp(round)
@@ -232,14 +168,9 @@ func Run(o Options) (*Result, error) {
 // seed and the generation counter.
 func (h *harness) newController() error {
 	h.ctlGen++
-	c := controller.New(crypto.NewSeededRand(h.o.Seed*1000003 + h.ctlGen))
-	c.SetRetryPolicy(controller.ResilientRetryPolicy())
-	c.UseClock(h.sim)
-	for _, n := range h.names {
-		s := h.sw[n]
-		if err := c.Register(n, s.Host, s.Cfg, 50*time.Microsecond); err != nil {
-			return err
-		}
+	c, err := h.NewController(h.o.Seed*1000003 + h.ctlGen)
+	if err != nil {
+		return err
 	}
 	if err := c.ConnectSwitches("s1", 1, "s2", 1, 5*time.Microsecond); err != nil {
 		return err
@@ -259,9 +190,9 @@ func (h *harness) baseline() error {
 	if _, err := h.c.InitAllKeys(); err != nil {
 		return fmt.Errorf("chaos: baseline key init: %w", err)
 	}
-	for _, n := range h.names {
+	for _, n := range h.Names {
 		for idx := uint32(0); idx < 3; idx++ {
-			v := h.rng.next() % 0xFFFF
+			v := h.rng.Next() % 0xFFFF
 			if _, err := h.c.WriteRegister(n, "lat", idx, v); err != nil {
 				return fmt.Errorf("chaos: baseline write: %w", err)
 			}
@@ -269,91 +200,71 @@ func (h *harness) baseline() error {
 		}
 	}
 	if h.o.WarmDevice {
-		for _, n := range h.names {
+		for _, n := range h.Names {
 			if err := h.sw[n].SaveState(h.store, "dev/"+n, 1); err != nil {
 				return err
 			}
 		}
 	}
-	for _, n := range h.names {
-		h.floors[n] = h.readFloors(n)
-	}
-	h.trace("baseline established, warmDevice=%v", h.o.WarmDevice)
-	h.forgeryProbe("baseline")
+	h.floorsMonotone("baseline")
+	h.Tracef("baseline established, warmDevice=%v", h.o.WarmDevice)
+	h.forgerySweep("baseline", true)
 	return nil
 }
 
-// armFault installs counting taps on the scenario's control channels and
+// armFault arms the trigger on the scenario's control channels and
 // returns the name of the switch a CrashSwitch fault will hit.
 func (h *harness) armFault(v Victim) string {
 	target := "s1"
 	channels := []string{"s1"}
 	if h.o.Scenario == MidPortKeyInit {
 		channels = []string{"s1", "s2"}
-		target = h.names[h.rng.intn(len(h.names))]
+		target = h.Names[h.rng.Intn(len(h.Names))]
 	}
-	h.tapN, h.fired = 0, false
 	h.victim, h.target = v, target
-	tap := func(b []byte) []byte {
-		h.tapN++
-		if !h.fired && h.tapN == h.o.CrashAt {
-			h.fire(fmt.Sprintf("at packet %d", h.tapN))
-			return nil // the packet carrying the fault dies with it
-		}
-		return b
-	}
-	for _, ch := range channels {
-		// Requests and responses share the counter, so odd CrashAt values
-		// land on requests and even ones on responses.
-		if err := h.c.SetControlTaps(ch, tap, tap); err != nil {
-			panic(err) // topology bug in the harness itself
-		}
-	}
-	// If the operation completes in fewer packets than CrashAt, fire the
-	// fault immediately after it: every run must contain its crash.
+	h.trig = armTrigger(h.c, h.o.CrashAt, h.fire, channels...)
 	return target
 }
 
 // disarm clears all control taps (on a live controller).
 func (h *harness) disarm() {
-	for _, ch := range h.names {
+	for _, ch := range h.Names {
 		_ = h.c.SetControlTaps(ch, nil, nil)
 	}
 }
 
-// runArmedOp executes the scenario operation that the armed fault will
-// interrupt, then guarantees the fault has fired.
-func (h *harness) runArmedOp(round int) {
-	var err error
+// scenarioOp issues the operation the scenario interrupts.
+func (h *harness) scenarioOp() (err error) {
 	switch h.o.Scenario {
 	case MidRollover:
 		_, err = h.c.LocalKeyUpdate("s1")
 	case MidRegisterWrite:
-		v := h.rng.next() % 0xFFFF
-		_, err = h.c.WriteRegister("s1", "lat", 4, v)
-		if err == nil {
+		v := h.rng.Next() % 0xFFFF
+		if _, err = h.c.WriteRegister("s1", "lat", 4, v); err == nil {
 			h.shadow["s1"][4] = v
 		}
 	case MidPortKeyInit:
 		_, err = h.c.PortKeyInit("s1", 1, "s2", 1)
 	}
-	h.trace("armed op round %d: err=%v", round, err)
-	if !h.fired {
-		// The op was too short for CrashAt; crash now, between ops.
-		h.fire("post-op")
-	}
+	return err
+}
+
+// runArmedOp executes the scenario operation that the armed fault will
+// interrupt, then guarantees the fault has fired.
+func (h *harness) runArmedOp(round int) {
+	h.Tracef("armed op round %d: err=%v", round, h.scenarioOp())
+	h.trig.ensure()
 }
 
 // fire triggers the armed fault.
 func (h *harness) fire(where string) {
-	h.fired = true
 	if h.victim == KillController {
 		h.res.CtlKills++
-		h.trace("fault: controller killed %s", where)
+		h.Tracef("fault: controller killed %s", where)
 		h.c.Kill()
 	} else {
 		h.res.SwCrashes++
-		h.trace("fault: switch %s crashed %s", h.target, where)
+		h.Tracef("fault: switch %s crashed %s", h.target, where)
 		h.sw[h.target].Crash()
 	}
 }
@@ -366,14 +277,14 @@ func (h *harness) recover(v Victim, target string) error {
 		}
 		warm, err := h.c.RecoverAll()
 		if err != nil {
-			h.violate("RecoverAll: %v", err)
+			h.Violatef("RecoverAll: %v", err)
 		}
-		for _, n := range h.names {
+		for _, n := range h.Names {
 			h.res.Warm[n] = warm[n]
-			h.trace("recovered controller: %s warm=%v seedUses=%d",
+			h.Tracef("recovered controller: %s warm=%v seedUses=%d",
 				n, warm[n], h.c.SeedUses(n))
 			if warm[n] && h.c.SeedUses(n) != 0 {
-				h.violate("%s: warm restart used K_seed %d times", n, h.c.SeedUses(n))
+				h.Violatef("%s: warm restart used K_seed %d times", n, h.c.SeedUses(n))
 			}
 		}
 		return nil
@@ -399,18 +310,18 @@ func (h *harness) recover(v Victim, target string) error {
 		h.floors[target] = nil
 	}
 	revWarm, err := h.c.ReviveSwitch(target)
-	h.trace("rebooted %s warmDevice=%v: revive warm=%v err=%v", target, warm, revWarm, err)
+	h.Tracef("rebooted %s warmDevice=%v: revive warm=%v err=%v", target, warm, revWarm, err)
 	if err != nil {
-		h.violate("ReviveSwitch(%s): %v", target, err)
+		h.Violatef("ReviveSwitch(%s): %v", target, err)
 	}
 	if warm && !revWarm {
-		h.violate("%s: warm device snapshot but revival fell back to re-seed", target)
+		h.Violatef("%s: warm device snapshot but revival fell back to re-seed", target)
 	}
 	if !warm {
 		// Cold boot loses the port keys on this switch; re-establish the
 		// link before the invariant sweep expects port traffic to work.
 		if _, err := h.c.PortKeyInit("s1", 1, "s2", 1); err != nil {
-			h.violate("PortKeyInit after cold boot of %s: %v", target, err)
+			h.Violatef("PortKeyInit after cold boot of %s: %v", target, err)
 		}
 	}
 	return nil
@@ -419,41 +330,19 @@ func (h *harness) recover(v Victim, target string) error {
 // retryArmedOp re-issues the interrupted operation — the operator's
 // natural next step — and requires it to succeed on a recovered fabric.
 func (h *harness) retryArmedOp(round int) {
-	var err error
-	switch h.o.Scenario {
-	case MidRollover:
-		_, err = h.c.LocalKeyUpdate("s1")
-	case MidRegisterWrite:
-		v := h.rng.next() % 0xFFFF
-		if _, err = h.c.WriteRegister("s1", "lat", 4, v); err == nil {
-			h.shadow["s1"][4] = v
-		}
-	case MidPortKeyInit:
-		_, err = h.c.PortKeyInit("s1", 1, "s2", 1)
-	}
-	if err != nil {
-		h.violate("retry of interrupted %s op after recovery round %d: %v",
+	if err := h.scenarioOp(); err != nil {
+		h.Violatef("retry of interrupted %s op after recovery round %d: %v",
 			h.o.Scenario, round, err)
 	} else {
-		h.trace("retried %s op round %d: ok", h.o.Scenario, round)
+		h.Tracef("retried %s op round %d: ok", h.o.Scenario, round)
 	}
 }
 
 // checkInvariants is the post-recovery sweep.
 func (h *harness) checkInvariants(label, rebooted string) {
 	// 1. The journal holds no dangling intents, on any switch.
-	for _, n := range h.names {
-		entries, err := h.c.JournalEntries(n)
-		if err != nil {
-			h.violate("%s: %s: JournalEntries: %v", label, n, err)
-			continue
-		}
-		for _, e := range entries {
-			if e.State == core.WriteIntent {
-				h.violate("%s: dangling journal intent: %s", label, e.Dump())
-			}
-		}
-		h.trace("%s: %s journal entries=%d", label, n, len(entries))
+	for i, n := range h.noDanglingIntents(label, h.c) {
+		h.Tracef("%s: %s journal entries=%d", label, h.Names[i], n)
 	}
 	// 2. Register-write exactly-once: the interrupted write's slot holds
 	// a value the harness actually asked for (its shadow, or — when the
@@ -462,27 +351,16 @@ func (h *harness) checkInvariants(label, rebooted string) {
 	if h.o.Scenario == MidRegisterWrite && rebooted == "" {
 		got, _, err := h.c.ReadRegister("s1", "lat", 4)
 		if err != nil {
-			h.violate("%s: read of journaled slot: %v", label, err)
+			h.Violatef("%s: read of journaled slot: %v", label, err)
 		} else {
-			h.trace("%s: journaled slot lat[4]=%d", label, got)
+			h.Tracef("%s: journaled slot lat[4]=%d", label, got)
 			h.shadow["s1"][4] = got // settled by recovery; adopt it
 		}
 	}
 	// 3. Replay floors never regress while keys survive.
-	for _, n := range h.names {
-		cur := h.readFloors(n)
-		if old := h.floors[n]; old != nil {
-			for i := range old {
-				if i < len(cur) && cur[i] < old[i] {
-					h.violate("%s: %s seq floor %d regressed %d -> %d",
-						label, n, i, old[i], cur[i])
-				}
-			}
-		}
-		h.floors[n] = cur
-	}
+	h.floorsMonotone(label)
 	// 4. Forgery still bounces off every switch.
-	h.forgeryProbe(label)
+	h.forgerySweep(label, true)
 	// 5. The audit log explains everything the metrics counted.
 	h.checkAudit(label)
 }
@@ -491,70 +369,44 @@ func (h *harness) checkInvariants(label, rebooted string) {
 // authenticated round-trips on every switch, port slots in agreement.
 func (h *harness) finalExercise() {
 	h.disarm()
-	for _, n := range h.names {
+	for _, n := range h.Names {
 		if _, err := h.c.LocalKeyUpdate(n); err != nil {
-			h.violate("final rollover on %s: %v", n, err)
+			h.Violatef("final rollover on %s: %v", n, err)
 		}
 	}
 	if _, err := h.c.PortKeyUpdate("s1", 1); err != nil {
-		h.violate("final port-key update: %v", err)
+		h.Violatef("final port-key update: %v", err)
 	}
-	for _, n := range h.names {
+	for _, n := range h.Names {
 		for idx := uint32(0); idx < 3; idx++ {
-			v := h.rng.next() % 0xFFFF
+			v := h.rng.Next() % 0xFFFF
 			if _, err := h.c.WriteRegister(n, "lat", idx, v); err != nil {
-				h.violate("final write %s lat[%d]: %v", n, idx, err)
+				h.Violatef("final write %s lat[%d]: %v", n, idx, err)
 				continue
 			}
 			h.shadow[n][idx] = v
 			got, _, err := h.c.ReadRegister(n, "lat", idx)
 			if err != nil {
-				h.violate("final read %s lat[%d]: %v", n, idx, err)
+				h.Violatef("final read %s lat[%d]: %v", n, idx, err)
 			} else if got != v {
-				h.violate("final round-trip %s lat[%d]: wrote %d read %d", n, idx, v, got)
+				h.Violatef("final round-trip %s lat[%d]: wrote %d read %d", n, idx, v, got)
 			}
 		}
 	}
 	h.checkPortSync()
-	h.forgeryProbe("final")
-	for _, n := range h.names {
-		h.trace("final: %s floors=%v shadow=%v", n, h.readFloors(n), h.shadow[n])
+	h.forgerySweep("final", true)
+	for _, n := range h.Names {
+		h.Tracef("final: %s floors=%v shadow=%v", n, h.readFloors(n), h.shadow[n])
 	}
 }
 
-// checkAudit is the observability completeness sweep: every floor bump
-// and every dropped write the metrics counted must be explained by an
-// audit event naming a non-empty cause. Counters and the audit ring are
-// shared across controller generations, so the comparison covers the
-// whole run so far.
+// checkAudit reconciles the metrics against the audit trail (kernel
+// sweep) and traces the counts this harness moves.
 func (h *harness) checkAudit(label string) {
-	m, a := h.ob.Metrics, h.ob.Audit
-	if a.Evicted() > 0 {
-		// The ring wrapped; counts can no longer be reconciled. A chaos
-		// run should never come close to the default capacity.
-		h.violate("%s: audit ring evicted %d events", label, a.Evicted())
-		return
-	}
-	bumps := m.Counter("ctl.floor_bumps").Load()
-	drops := m.Counter("ctl.write_dropped").Load()
-	if n := uint64(len(a.ByType(obs.EvFloorBump))); n != bumps {
-		h.violate("%s: %d floor bumps counted but %d audit events explain them", label, bumps, n)
-	}
-	if n := uint64(len(a.ByType(obs.EvWriteDropped))); n != drops {
-		h.violate("%s: %d dropped writes counted but %d audit events explain them", label, drops, n)
-	}
-	for _, e := range a.Events() {
-		switch e.Type {
-		case obs.EvFloorBump, obs.EvWriteDropped, obs.EvDigestMismatch,
-			obs.EvReplayRejected, obs.EvRolloverRollback, obs.EvWALSettle:
-			if e.Cause == "" {
-				h.violate("%s: audit event #%d (%s on %s) names no cause",
-					label, e.ID, e.Type, e.Actor)
-			}
-		}
-	}
-	h.trace("%s: audit reconciled: floor_bumps=%d write_dropped=%d events=%d",
-		label, bumps, drops, a.Len())
+	h.AuditReconciled(label, h.ob)
+	m := h.ob.Metrics
+	h.Tracef("%s: audit reconciled: floor_bumps=%d write_dropped=%d events=%d", label,
+		m.Counter("ctl.floor_bumps").Load(), m.Counter("ctl.write_dropped").Load(), h.ob.Audit.Len())
 }
 
 // checkPortSync requires both ends of the s1<->s2 link to agree on the
@@ -564,11 +416,11 @@ func (h *harness) checkPortSync() {
 	verA, errA := a.RegisterRead(core.RegVer, 1)
 	verB, errB := b.RegisterRead(core.RegVer, 1)
 	if errA != nil || errB != nil {
-		h.violate("port ver read: %v / %v", errA, errB)
+		h.Violatef("port ver read: %v / %v", errA, errB)
 		return
 	}
 	if verA != verB {
-		h.violate("port install counters diverged: s1=%d s2=%d", verA, verB)
+		h.Violatef("port install counters diverged: s1=%d s2=%d", verA, verB)
 		return
 	}
 	reg := core.RegKeysV0
@@ -578,84 +430,7 @@ func (h *harness) checkPortSync() {
 	keyA, _ := a.RegisterRead(reg, 1)
 	keyB, _ := b.RegisterRead(reg, 1)
 	if keyA != keyB || keyA == 0 {
-		h.violate("port keys diverged at version %d: %#x vs %#x", verA, keyA, keyB)
+		h.Violatef("port keys diverged at version %d: %#x vs %#x", verA, keyA, keyB)
 	}
-	h.trace("port slot in sync: ver=%d", verA)
-}
-
-// forgeryProbe injects a register write signed under a garbage key into
-// every live switch and asserts nothing changed: neither the target
-// register nor the key-version table moved, and the replay floor did not
-// advance (the data plane checks the digest before the floor, so a
-// forgery must not even touch it).
-func (h *harness) forgeryProbe(label string) {
-	for _, n := range h.names {
-		s := h.sw[n]
-		if s.Host.Down() {
-			continue
-		}
-		ri, err := s.Host.Info.RegisterByName("lat")
-		if err != nil {
-			h.violate("%s: forgery probe setup: %v", label, err)
-			return
-		}
-		dig, err := s.Cfg.Digester()
-		if err != nil {
-			h.violate("%s: forgery probe digester: %v", label, err)
-			return
-		}
-		before, _ := s.Host.SW.RegisterRead("lat", forgeryIndex)
-		verBefore, _ := s.Host.SW.RegisterRead(core.RegVer, core.KeyIndexLocal)
-		floorBefore, _ := s.Host.SW.RegisterRead(core.RegSeq, 0)
-		m := &core.Message{
-			Header: core.Header{
-				HdrType: core.HdrRegister, MsgType: core.MsgWriteReq,
-				SeqNum: uint32(floorBefore) + 1000, KeyVersion: uint8(verBefore),
-			},
-			Reg: &core.RegPayload{RegID: ri.ID, Index: forgeryIndex, Value: 0xDEAD},
-		}
-		if err := m.Sign(dig, 0xBAD0_0BAD^h.rng.next()); err != nil {
-			h.violate("%s: forgery sign: %v", label, err)
-			return
-		}
-		b, err := m.Encode()
-		if err != nil {
-			h.violate("%s: forgery encode: %v", label, err)
-			return
-		}
-		if _, err := s.Host.PacketOut(b); err != nil {
-			h.trace("%s: forgery toward %s rejected at injection: %v", label, n, err)
-		}
-		after, _ := s.Host.SW.RegisterRead("lat", forgeryIndex)
-		verAfter, _ := s.Host.SW.RegisterRead(core.RegVer, core.KeyIndexLocal)
-		floorAfter, _ := s.Host.SW.RegisterRead(core.RegSeq, 0)
-		if after != before {
-			h.violate("%s: FORGERY ACCEPTED on %s: lat[%d] %d -> %d",
-				label, n, forgeryIndex, before, after)
-		}
-		if verAfter != verBefore {
-			h.violate("%s: forgery moved key version on %s: %d -> %d",
-				label, n, verBefore, verAfter)
-		}
-		if floorAfter != floorBefore {
-			h.violate("%s: forgery advanced replay floor on %s: %d -> %d",
-				label, n, floorBefore, floorAfter)
-		}
-		h.trace("%s: forgery bounced off %s", label, n)
-	}
-}
-
-// readFloors returns the full RegSeq file of a switch (replay floors for
-// every slot and stream).
-func (h *harness) readFloors(n string) []uint64 {
-	var out []uint64
-	sw := h.sw[n].Host.SW
-	for i := 0; i < 64; i++ {
-		v, err := sw.RegisterRead(core.RegSeq, i)
-		if err != nil {
-			break
-		}
-		out = append(out, v)
-	}
-	return out
+	h.Tracef("port slot in sync: ver=%d", verA)
 }

@@ -5,20 +5,11 @@ import (
 	"testing"
 )
 
-// runClean executes one chaos run and fails the test on any invariant
-// violation, printing the trace for replay.
-func runClean(t *testing.T, o Options) *Result {
+// runFaulted is runClean plus the requirement that the run injected its
+// fault.
+func runFaulted(t *testing.T, o Options) *Result {
 	t.Helper()
-	res, err := Run(o)
-	if err != nil {
-		t.Fatalf("harness error: %v", err)
-	}
-	if len(res.Violations) > 0 {
-		for _, line := range res.Trace {
-			t.Log(line)
-		}
-		t.Fatalf("%d invariant violations, first: %s", len(res.Violations), res.Violations[0])
-	}
+	res := runClean(t, Run, o)
 	if res.CtlKills+res.SwCrashes == 0 {
 		t.Fatal("run injected no fault")
 	}
@@ -40,7 +31,7 @@ func sweep(t *testing.T, scenario Scenario, crashAts []int) {
 					}
 					t.Run(fmt.Sprintf("%s/warm=%v/at=%d/seed=%d", victim, warm, at, seed),
 						func(t *testing.T) {
-							res := runClean(t, o)
+							res := runFaulted(t, o)
 							ctlKills += res.CtlKills
 							swCrashes += res.SwCrashes
 						})
@@ -80,7 +71,7 @@ func TestChaosBackToBack(t *testing.T) {
 				}
 				t.Run(fmt.Sprintf("%s/warm=%v/seed=%d", scenario, warm, seed),
 					func(t *testing.T) {
-						res := runClean(t, o)
+						res := runFaulted(t, o)
 						if res.CtlKills != 1 || res.SwCrashes != 1 {
 							t.Fatalf("want 1 kill + 1 crash, got %d + %d",
 								res.CtlKills, res.SwCrashes)
@@ -106,23 +97,7 @@ func TestChaosDeterminism(t *testing.T) {
 				CrashAt: 2, WarmDevice: true,
 			}
 			t.Run(fmt.Sprintf("%s/%s", scenario, victim), func(t *testing.T) {
-				a, err := Run(o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := Run(o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(a.Trace) != len(b.Trace) {
-					t.Fatalf("trace lengths differ: %d vs %d", len(a.Trace), len(b.Trace))
-				}
-				for i := range a.Trace {
-					if a.Trace[i] != b.Trace[i] {
-						t.Fatalf("traces diverge at line %d:\n  run1: %s\n  run2: %s",
-							i, a.Trace[i], b.Trace[i])
-					}
-				}
+				assertSameTrace(t, Run, o)
 			})
 		}
 	}
@@ -138,7 +113,7 @@ func TestChaosShort(t *testing.T) {
 				CrashAt: 2, WarmDevice: true,
 			}
 			t.Run(fmt.Sprintf("%s/%s", scenario, victim), func(t *testing.T) {
-				runClean(t, o)
+				runFaulted(t, o)
 			})
 		}
 	}

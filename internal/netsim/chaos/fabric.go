@@ -17,9 +17,9 @@ package chaos
 //     surviving paths (fail-open for reachability);
 //   - after the fault clears, the fabric reconverges to all-links-Healthy
 //     with correctly paired port keys on every adjacency;
-//   - every link state transition is audited: the fabric.transitions
-//     counter reconciles exactly against the link_state audit trail, with
-//     zero ring evictions and a machine-matchable cause on each event.
+//   - every link state transition is audited (the kernel's
+//     AuditReconciled row for fabric.transitions) and is a real
+//     transition.
 //
 // Runs are deterministic in virtual time: the same seed yields a
 // bit-identical trace.
@@ -59,11 +59,9 @@ type FabricOptions struct {
 
 // FabricResult is the outcome of one fabric-chaos run.
 type FabricResult struct {
-	// Trace is the deterministic event log: fault injections plus every
-	// audited link state transition, in order.
-	Trace []string
-	// Violations lists every invariant breach; empty means clean.
-	Violations []string
+	// Recorder's Trace holds the fault injections plus every audited link
+	// state transition, in order.
+	Recorder
 	// Transitions is the final fabric.transitions counter value.
 	Transitions uint64
 	// Quarantines counts transitions into the Quarantined state.
@@ -88,20 +86,9 @@ const (
 type fabricHarness struct {
 	o   FabricOptions
 	res *FabricResult
-	rng rng
+	rng Stream
 	n   *hula.Network
 	sup *fabric.Supervisor
-}
-
-func (h *fabricHarness) trace(format string, args ...interface{}) {
-	h.res.Trace = append(h.res.Trace,
-		fmt.Sprintf("t=%-12v ", h.n.Net.Sim.Now())+fmt.Sprintf(format, args...))
-}
-
-func (h *fabricHarness) violate(format string, args ...interface{}) {
-	v := fmt.Sprintf(format, args...)
-	h.res.Violations = append(h.res.Violations, v)
-	h.trace("VIOLATION: %s", v)
 }
 
 // fabricSupCfg is the supervision config for chaos runs: millisecond
@@ -137,8 +124,8 @@ func RunFabric(o FabricOptions) (*FabricResult, error) {
 	}
 	h := &fabricHarness{
 		o:   o,
-		res: &FabricResult{},
-		rng: rng{s: o.Seed ^ 0xFAB41C},
+		res: &FabricResult{Recorder: NewRecorder(n.Net.Sim)},
+		rng: NewStream(o.Seed ^ 0xFAB41C),
 		n:   n,
 		sup: sup,
 	}
@@ -161,11 +148,11 @@ func RunFabric(o FabricOptions) (*FabricResult, error) {
 	// utilization with a digest the key can't have produced.
 	forgeLink := n.Net.LinkBetween("s1", "s3")
 	n.Net.Sim.At(fabricFaultAt, func() {
-		h.trace("inject forger on s1<-s3 (util=%#x)", forgedUtil)
+		h.res.Tracef("inject forger on s1<-s3 (util=%#x)", forgedUtil)
 		_ = forgeLink.SetTap("s1", hula.ForgeUtilTap(true, forgedUtil))
 	})
 	n.Net.Sim.At(fabricHealAt, func() {
-		h.trace("clear forger on s1<-s3")
+		h.res.Tracef("clear forger on s1<-s3")
 		_ = forgeLink.SetTap("s1", nil)
 	})
 
@@ -181,18 +168,18 @@ func RunFabric(o FabricOptions) (*FabricResult, error) {
 // scheduleScenario arms the scenario-specific fault on the s1-s2 link,
 // jittered by the seed inside the first millisecond of the window.
 func (h *fabricHarness) scheduleScenario() {
-	jitter := time.Duration(h.rng.intn(1000)) * time.Microsecond
+	jitter := time.Duration(h.rng.Intn(1000)) * time.Microsecond
 	at := fabricFaultAt + jitter
 	link := h.n.Net.LinkBetween("s1", "s2")
 	switch h.o.Scenario {
 	case FabricFlap:
 		// Short phases toward s1 (probe direction), long phases toward
 		// s2 (data + reverse probes); both seeded from the run seed.
-		upA, downA := 4+h.rng.intn(8), 16+h.rng.intn(16)
-		upB, downB := 40+h.rng.intn(40), 160+h.rng.intn(80)
-		seedA, seedB := h.rng.next(), h.rng.next()
+		upA, downA := 4+h.rng.Intn(8), 16+h.rng.Intn(16)
+		upB, downB := 40+h.rng.Intn(40), 160+h.rng.Intn(80)
+		seedA, seedB := h.rng.Next(), h.rng.Next()
 		h.n.Net.Sim.At(at, func() {
-			h.trace("inject flap on s1-s2 (toward s1 %d/%d, toward s2 %d/%d)",
+			h.res.Tracef("inject flap on s1-s2 (toward s1 %d/%d, toward s2 %d/%d)",
 				upA, downA, upB, downB)
 			_ = link.SetTap("s1", netsim.ChainTaps(
 				netsim.LinkFlapTap(upA, downA, seedA),
@@ -201,18 +188,18 @@ func (h *fabricHarness) scheduleScenario() {
 			_ = link.SetTap("s2", netsim.LinkFlapTap(upB, downB, seedB))
 		})
 		h.n.Net.Sim.At(fabricHealAt, func() {
-			h.trace("clear flap on s1-s2")
+			h.res.Tracef("clear flap on s1-s2")
 			_ = link.SetTap("s1", nil)
 			_ = link.SetTap("s2", nil)
 		})
 	case FabricPartition:
 		h.n.Net.Sim.At(at, func() {
 			cut := h.n.Net.Partition("s2")
-			h.trace("partition {s2} (%d links cut)", len(cut))
+			h.res.Tracef("partition {s2} (%d links cut)", len(cut))
 		})
 		h.n.Net.Sim.At(fabricHealAt, func() {
 			healed := h.n.Net.Heal()
-			h.trace("heal partition (%d links restored)", healed)
+			h.res.Tracef("heal partition (%d links restored)", healed)
 		})
 	case FabricSkew:
 		// A port-key update loses its DP-DP leg toward s1's end: one side
@@ -220,20 +207,20 @@ func (h *fabricHarness) scheduleScenario() {
 		// physically-realizable one-sided rollover.
 		h.n.Net.Sim.At(at, func() {
 			if err := h.n.Ctrl.SetLinkTap("s1", 1, func([]byte) []byte { return nil }); err != nil {
-				h.violate("arm link tap: %v", err)
+				h.res.Violatef("arm link tap: %v", err)
 				return
 			}
 			_, _ = h.n.Ctrl.PortKeyUpdate("s2", 1) // interrupted on purpose
 			if err := h.n.Ctrl.SetLinkTap("s1", 1, nil); err != nil {
-				h.violate("clear link tap: %v", err)
+				h.res.Violatef("clear link tap: %v", err)
 				return
 			}
 			skew, err := h.n.Ctrl.PortKeySkew("s2", 1)
 			if err != nil || skew == nil {
-				h.violate("sabotage produced no skew (skew=%v err=%v)", skew, err)
+				h.res.Violatef("sabotage produced no skew (skew=%v err=%v)", skew, err)
 				return
 			}
-			h.trace("inject one-sided rollover on s1:1<->s2:1 (pa_ver %d vs %d)",
+			h.res.Tracef("inject one-sided rollover on s1:1<->s2:1 (pa_ver %d vs %d)",
 				skew.VerA, skew.VerB)
 		})
 	}
@@ -250,16 +237,16 @@ func (h *fabricHarness) scheduleSamples() {
 		h.n.Net.Sim.At(at, func() {
 			util, err := s1.RegisterRead(hula.RegBestUtil, 5)
 			if err != nil {
-				h.violate("best-util read: %v", err)
+				h.res.Violatef("best-util read: %v", err)
 				return
 			}
 			if util == forgedUtil {
-				h.violate("forged utilization %#x applied to best-path state at t=%v",
+				h.res.Violatef("forged utilization %#x applied to best-path state at t=%v",
 					forgedUtil, h.n.Net.Sim.Now())
 			}
 			hop, err := s1.RegisterRead(hula.RegBestHop, 5)
 			if err != nil {
-				h.violate("best-hop read: %v", err)
+				h.res.Violatef("best-hop read: %v", err)
 				return
 			}
 			for _, st := range h.sup.Snapshot() {
@@ -279,7 +266,7 @@ func (h *fabricHarness) scheduleSamples() {
 				// millisecond hasn't happened yet; one landed earlier has
 				// had at least one probe round to re-steer.
 				if int(hop) == port && h.n.Net.Sim.Now()-st.Since >= time.Millisecond {
-					h.violate("best hop %d points at quarantined port s1:%d at t=%v",
+					h.res.Violatef("best hop %d points at quarantined port s1:%d at t=%v",
 						hop, port, h.n.Net.Sim.Now())
 				}
 			}
@@ -293,18 +280,18 @@ func (h *fabricHarness) finalChecks() {
 	if !h.sup.AllHealthy() {
 		for _, st := range h.sup.Snapshot() {
 			if st.State != fabric.Healthy {
-				h.violate("link %v ended %v (cause %s)", st.Link, st.State, st.Cause)
+				h.res.Violatef("link %v ended %v (cause %s)", st.Link, st.State, st.Cause)
 			}
 		}
 	}
 	for _, l := range h.n.Ctrl.Links() {
 		skew, err := h.n.Ctrl.PortKeySkew(l[0].Switch, l[0].Port)
 		if err != nil {
-			h.violate("skew check %s:%d: %v", l[0].Switch, l[0].Port, err)
+			h.res.Violatef("skew check %s:%d: %v", l[0].Switch, l[0].Port, err)
 			continue
 		}
 		if skew != nil {
-			h.violate("port keys not paired after recovery: %v", skew)
+			h.res.Violatef("port keys not paired after recovery: %v", skew)
 		}
 	}
 
@@ -312,40 +299,31 @@ func (h *fabricHarness) finalChecks() {
 	events := o.Audit.ByType(obs.EvLinkState)
 	for _, e := range events {
 		from, to := fabric.TransitionPair(e.Value)
-		h.trace("link %s %v->%v cause=%s epoch=%d", e.Actor, from, to, e.Cause, e.Seq)
-		if e.Cause == "" {
-			h.violate("link_state event for %s has no cause", e.Actor)
-		}
+		h.res.Tracef("link %s %v->%v cause=%s epoch=%d", e.Actor, from, to, e.Cause, e.Seq)
 		if from == to {
-			h.violate("link_state event for %s is not a transition (%v->%v)", e.Actor, from, to)
+			h.res.Violatef("link_state event for %s is not a transition (%v->%v)", e.Actor, from, to)
 		}
 		if to == fabric.Quarantined {
 			h.res.Quarantines++
 		}
 	}
+	h.res.AuditReconciled("final", o)
 	h.res.Transitions = o.Metrics.Counter("fabric.transitions").Load()
-	if got := uint64(len(events)); got != h.res.Transitions {
-		h.violate("audit has %d link_state events, transitions counter says %d",
-			got, h.res.Transitions)
-	}
-	if ev := o.Audit.Evicted(); ev != 0 {
-		h.violate("audit ring evicted %d events", ev)
-	}
 	if h.res.Quarantines == 0 {
-		h.violate("scenario %s never quarantined a link", h.o.Scenario)
+		h.res.Violatef("scenario %s never quarantined a link", h.o.Scenario)
 	}
 	h.res.Repairs = o.Metrics.Counter("fabric.repairs_ok").Load()
 	if h.res.Repairs == 0 {
-		h.violate("no successful port-key repair in the whole run")
+		h.res.Violatef("no successful port-key repair in the whole run")
 	}
 	if h.n.TotalAlerts() == 0 {
-		h.violate("forged probes raised no alerts")
+		h.res.Violatef("forged probes raised no alerts")
 	}
 	h.res.Delivered = h.n.DstDelivered
 	if h.res.Delivered == 0 {
-		h.violate("no data delivered across the degraded fabric")
+		h.res.Violatef("no data delivered across the degraded fabric")
 	}
-	h.trace("done: transitions=%d quarantines=%d repairs=%d delivered=%d violations=%d",
+	h.res.Tracef("done: transitions=%d quarantines=%d repairs=%d delivered=%d violations=%d",
 		h.res.Transitions, h.res.Quarantines, h.res.Repairs,
 		h.res.Delivered, len(h.res.Violations))
 }

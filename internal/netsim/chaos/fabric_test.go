@@ -5,24 +5,7 @@ import (
 	"testing"
 )
 
-// runFabricClean executes one fabric-chaos run and fails the test on any
-// invariant violation, printing the trace for replay.
-func runFabricClean(t *testing.T, o FabricOptions) *FabricResult {
-	t.Helper()
-	res, err := RunFabric(o)
-	if err != nil {
-		t.Fatalf("harness error: %v", err)
-	}
-	if len(res.Violations) > 0 {
-		for _, line := range res.Trace {
-			t.Log(line)
-		}
-		t.Fatalf("%d invariant violations, first: %s", len(res.Violations), res.Violations[0])
-	}
-	return res
-}
-
-// TestFabricShort is the fixed-seed fabric-chaos gate wired into
+// TestFabricShort is the fixed-seed fabric subset of the chaos gate in
 // scripts/check.sh: every scenario — flap storm, two-way partition,
 // one-sided rollover — across three seeds must reconverge to
 // all-links-Healthy with paired port keys and a fully reconciled audit
@@ -33,7 +16,7 @@ func TestFabricShort(t *testing.T) {
 			scenario, seed := scenario, seed
 			t.Run(fmt.Sprintf("%s/seed=%#x", scenario, seed), func(t *testing.T) {
 				t.Parallel()
-				res := runFabricClean(t, FabricOptions{Seed: seed, Scenario: scenario})
+				res := runClean(t, RunFabric, FabricOptions{Seed: seed, Scenario: scenario})
 				if res.Quarantines == 0 || res.Repairs == 0 {
 					t.Fatalf("scenario did not bite: quarantines=%d repairs=%d",
 						res.Quarantines, res.Repairs)
@@ -52,23 +35,7 @@ func TestFabricDeterminism(t *testing.T) {
 		t.Run(string(scenario), func(t *testing.T) {
 			t.Parallel()
 			o := FabricOptions{Seed: 42, Scenario: scenario}
-			a, err := RunFabric(o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := RunFabric(o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(a.Trace) != len(b.Trace) {
-				t.Fatalf("trace lengths differ: %d vs %d", len(a.Trace), len(b.Trace))
-			}
-			for i := range a.Trace {
-				if a.Trace[i] != b.Trace[i] {
-					t.Fatalf("traces diverge at line %d:\n  run1: %s\n  run2: %s",
-						i, a.Trace[i], b.Trace[i])
-				}
-			}
+			assertSameTrace(t, RunFabric, o)
 		})
 	}
 }

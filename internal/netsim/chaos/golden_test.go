@@ -35,83 +35,17 @@ type goldenRun struct {
 
 func goldenRuns() []goldenRun {
 	runs := []goldenRun{
-		{"chaos/rollover-controller", func() ([]string, error) {
-			r, err := Run(Options{Seed: 42, Scenario: MidRollover, Victim: KillController, CrashAt: 2, WarmDevice: true})
-			if err != nil {
-				return nil, err
-			}
-			return r.Trace, nil
-		}},
-		{"chaos/regwrite-switch-cold", func() ([]string, error) {
-			r, err := Run(Options{Seed: 42, Scenario: MidRegisterWrite, Victim: CrashSwitch, CrashAt: 2, WarmDevice: false})
-			if err != nil {
-				return nil, err
-			}
-			return r.Trace, nil
-		}},
-		{"chaos/portinit-back-to-back", func() ([]string, error) {
-			r, err := Run(Options{Seed: 7, Scenario: MidPortKeyInit, Victim: BackToBack, CrashAt: 3, WarmDevice: true})
-			if err != nil {
-				return nil, err
-			}
-			return r.Trace, nil
-		}},
-		{"fabric/flap", func() ([]string, error) {
-			r, err := RunFabric(FabricOptions{Seed: 11, Scenario: FabricFlap})
-			if err != nil {
-				return nil, err
-			}
-			return r.Trace, nil
-		}},
-		{"fabric/skew", func() ([]string, error) {
-			r, err := RunFabric(FabricOptions{Seed: 11, Scenario: FabricSkew})
-			if err != nil {
-				return nil, err
-			}
-			return r.Trace, nil
-		}},
-		{"ha/kill-active", func() ([]string, error) {
-			r, err := RunHA(HAOptions{Seed: 5, Switches: 4, Scenario: HAKill, TTL: 5 * time.Millisecond})
-			if err != nil {
-				return nil, err
-			}
-			return r.Trace, nil
-		}},
-		{"group/rolling-kill", func() ([]string, error) {
-			r, err := RunGroup(GroupOptions{Seed: 9, Replicas: 3, Switches: 4, Scenario: GroupRollingKill, TTL: 5 * time.Millisecond})
-			if err != nil {
-				return nil, err
-			}
-			return r.Trace, nil
-		}},
-		{"fabric/partition", func() ([]string, error) {
-			r, err := RunFabric(FabricOptions{Seed: 11, Scenario: FabricPartition})
-			if err != nil {
-				return nil, err
-			}
-			return r.Trace, nil
-		}},
-		{"ha/split-brain", func() ([]string, error) {
-			r, err := RunHA(HAOptions{Seed: 5, Switches: 4, Scenario: HASplitBrain, TTL: 5 * time.Millisecond})
-			if err != nil {
-				return nil, err
-			}
-			return r.Trace, nil
-		}},
-		{"group/store-outage", func() ([]string, error) {
-			r, err := RunGroup(GroupOptions{Seed: 9, Replicas: 3, Switches: 4, Scenario: GroupStoreOutage, TTL: 5 * time.Millisecond})
-			if err != nil {
-				return nil, err
-			}
-			return r.Trace, nil
-		}},
-		{"group/acquire-race", func() ([]string, error) {
-			r, err := RunGroup(GroupOptions{Seed: 9, Replicas: 3, Switches: 4, Scenario: GroupAcquireRace, TTL: 5 * time.Millisecond})
-			if err != nil {
-				return nil, err
-			}
-			return r.Trace, nil
-		}},
+		{"chaos/rollover-controller", pinned(Run, Options{Seed: 42, Scenario: MidRollover, Victim: KillController, CrashAt: 2, WarmDevice: true})},
+		{"chaos/regwrite-switch-cold", pinned(Run, Options{Seed: 42, Scenario: MidRegisterWrite, Victim: CrashSwitch, CrashAt: 2, WarmDevice: false})},
+		{"chaos/portinit-back-to-back", pinned(Run, Options{Seed: 7, Scenario: MidPortKeyInit, Victim: BackToBack, CrashAt: 3, WarmDevice: true})},
+		{"fabric/flap", pinned(RunFabric, FabricOptions{Seed: 11, Scenario: FabricFlap})},
+		{"fabric/skew", pinned(RunFabric, FabricOptions{Seed: 11, Scenario: FabricSkew})},
+		{"ha/kill-active", pinned(RunHA, HAOptions{Seed: 5, Switches: 4, Scenario: HAKill, TTL: 5 * time.Millisecond})},
+		{"group/rolling-kill", pinned(RunGroup, GroupOptions{Seed: 9, Replicas: 3, Switches: 4, Scenario: GroupRollingKill, TTL: 5 * time.Millisecond})},
+		{"fabric/partition", pinned(RunFabric, FabricOptions{Seed: 11, Scenario: FabricPartition})},
+		{"ha/split-brain", pinned(RunHA, HAOptions{Seed: 5, Switches: 4, Scenario: HASplitBrain, TTL: 5 * time.Millisecond})},
+		{"group/store-outage", pinned(RunGroup, GroupOptions{Seed: 9, Replicas: 3, Switches: 4, Scenario: GroupStoreOutage, TTL: 5 * time.Millisecond})},
+		{"group/acquire-race", pinned(RunGroup, GroupOptions{Seed: 9, Replicas: 3, Switches: 4, Scenario: GroupAcquireRace, TTL: 5 * time.Millisecond})},
 	}
 	// The TestChaosDeterminism grid (seed 42, CrashAt 2, warm); its
 	// rollover/controller cell is chaos/rollover-controller above.
@@ -121,16 +55,21 @@ func goldenRuns() []goldenRun {
 				continue
 			}
 			o := Options{Seed: 42, Scenario: scenario, Victim: victim, CrashAt: 2, WarmDevice: true}
-			runs = append(runs, goldenRun{fmt.Sprintf("chaos/seed42/%s-%s", scenario, victim), func() ([]string, error) {
-				r, err := Run(o)
-				if err != nil {
-					return nil, err
-				}
-				return r.Trace, nil
-			}})
+			runs = append(runs, goldenRun{fmt.Sprintf("chaos/seed42/%s-%s", scenario, victim), pinned(Run, o)})
 		}
 	}
 	return runs
+}
+
+// pinned adapts one harness invocation to a goldenRun.
+func pinned[O any, R result](run func(O) (R, error), o O) func() ([]string, error) {
+	return func() ([]string, error) {
+		r, err := run(o)
+		if err != nil {
+			return nil, err
+		}
+		return r.rec().Trace, nil
+	}
 }
 
 func traceHash(trace []string) string {

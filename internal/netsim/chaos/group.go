@@ -18,12 +18,9 @@ package chaos
 //     record; exactly one wins, every loser sees a held lease or a lost
 //     swap, and the group resolves to the winner as incumbent.
 //
-// Invariants on every run: at most one replica passes its fence at any
-// sampled instant; no forged write lands (before/during/after); no write
-// of a fenced or dead replica reaches device state; replay floors stay
-// monotone across every succession; audit reconciles exactly against
-// metrics (fencing refusals, failovers, elections, degraded
-// transitions); and two runs with equal options are bit-identical.
+// The kernel invariants (kernel.go) are swept at baseline, after every
+// succession and at the end; specific to this harness are the expected
+// winner, epoch, chain depth and wait-out count of each scenario.
 //
 // Single-threaded and scripted, like every harness in this package:
 // concurrency is modeled through pre-op store hooks on the virtual
@@ -35,13 +32,8 @@ import (
 	"time"
 
 	"p4auth/internal/controller"
-	"p4auth/internal/core"
-	"p4auth/internal/crypto"
-	"p4auth/internal/deploy"
 	"p4auth/internal/ha"
-	"p4auth/internal/netsim"
 	"p4auth/internal/obs"
-	"p4auth/internal/pisa"
 	"p4auth/internal/statestore"
 )
 
@@ -89,10 +81,7 @@ type GroupOptions struct {
 
 // GroupResult is the outcome of one group chaos run.
 type GroupResult struct {
-	// Trace is the deterministic event log.
-	Trace []string
-	// Violations lists every invariant breach; empty means clean.
-	Violations []string
+	Recorder
 	// Replicas and Switches are the resolved sizes.
 	Replicas, Switches int
 	// Winner is the replica serving at the end of the run.
@@ -125,31 +114,14 @@ const (
 )
 
 type groupHarness struct {
+	kernel
 	o   GroupOptions
 	res *GroupResult
-	rng rng
-	sim *netsim.Sim
 	st  *statestore.FaultStore
 	ob  *obs.Observer
 
-	names  []string
-	sw     map[string]*deploy.Switch
-	shadow map[string][]uint64
-	floors map[string][]uint64
-
 	grp  *ha.Group
 	reps []*ha.Replica
-}
-
-func (h *groupHarness) trace(format string, args ...interface{}) {
-	h.res.Trace = append(h.res.Trace,
-		fmt.Sprintf("t=%-12v ", h.sim.Now())+fmt.Sprintf(format, args...))
-}
-
-func (h *groupHarness) violate(format string, args ...interface{}) {
-	v := fmt.Sprintf(format, args...)
-	h.res.Violations = append(h.res.Violations, v)
-	h.trace("VIOLATION: %s", v)
 }
 
 // RunGroup executes one deterministic N-replica group chaos run.
@@ -187,32 +159,17 @@ func RunGroup(o GroupOptions) (*GroupResult, error) {
 		o.FailoverBudget = time.Duration(o.Replicas-1)*(o.TTL+2*time.Millisecond) +
 			time.Duration((o.Replicas-1)*o.Switches)*5*time.Millisecond
 	}
-	h := &groupHarness{
-		o:      o,
-		res:    &GroupResult{Replicas: o.Replicas, Switches: o.Switches, WarmAll: true},
-		rng:    rng{s: o.Seed ^ 0x6E0C0DE5},
-		sim:    netsim.NewSim(),
-		ob:     obs.NewObserver(0),
-		sw:     map[string]*deploy.Switch{},
-		shadow: map[string][]uint64{},
-		floors: map[string][]uint64{},
+	fx, err := NewFixture(FleetNames(o.Switches)...)
+	if err != nil {
+		return nil, err
 	}
-	h.st = statestore.NewFaultStore(statestore.NewMem(), h.sim, statestore.FaultConfig{Seed: o.Seed})
-	for i := 0; i < o.Switches; i++ {
-		name := fmt.Sprintf("s%02d", i)
-		s, err := deploy.Build(deploy.SwitchSpec{
-			Name:  name,
-			Ports: 4,
-			Registers: []*pisa.RegisterDef{
-				{Name: "lat", Width: 32, Entries: latEntries},
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		h.sw[name] = s
-		h.names = append(h.names, name)
-		h.shadow[name] = make([]uint64, latEntries)
+	res := &GroupResult{Recorder: NewRecorder(fx.Sim), Replicas: o.Replicas, Switches: o.Switches, WarmAll: true}
+	h := &groupHarness{
+		kernel: kernel{&res.Recorder, fx, NewStream(o.Seed ^ 0x6E0C0DE5)},
+		o:      o,
+		res:    res,
+		st:     statestore.NewFaultStore(statestore.NewMem(), fx.Sim, statestore.FaultConfig{Seed: o.Seed}),
+		ob:     obs.NewObserver(0),
 	}
 	for i := 0; i < o.Replicas; i++ {
 		r, err := h.newReplica(fmt.Sprintf("ctl-%d", i), uint64(i))
@@ -221,7 +178,7 @@ func RunGroup(o GroupOptions) (*GroupResult, error) {
 		}
 		h.reps = append(h.reps, r)
 	}
-	grp, err := ha.NewGroup(h.sim, h.reps...)
+	grp, err := ha.NewGroup(h.Sim, h.reps...)
 	if err != nil {
 		return nil, err
 	}
@@ -251,19 +208,14 @@ func RunGroup(o GroupOptions) (*GroupResult, error) {
 // newReplica builds one ranked replica over the shared fault store,
 // simulator clock, and observer, with the whole fleet registered.
 func (h *groupHarness) newReplica(name string, rank uint64) (*ha.Replica, error) {
-	c := controller.New(crypto.NewSeededRand(h.o.Seed*1000003 + 7001*rank + 101))
-	c.SetRetryPolicy(controller.ResilientRetryPolicy())
-	c.UseClock(h.sim)
-	for _, n := range h.names {
-		s := h.sw[n]
-		if err := c.Register(n, s.Host, s.Cfg, 50*time.Microsecond); err != nil {
-			return nil, err
-		}
+	c, err := h.NewController(h.o.Seed*1000003 + 7001*rank + 101)
+	if err != nil {
+		return nil, err
 	}
 	return ha.NewReplica(ha.ReplicaConfig{
 		Name:       name,
 		Store:      h.st,
-		Clock:      h.sim,
+		Clock:      h.Sim,
 		TTL:        h.o.TTL,
 		Controller: c,
 		Observer:   h.ob,
@@ -276,36 +228,26 @@ func (h *groupHarness) newReplica(name string, rank uint64) (*ha.Replica, error)
 // tracking shadows and the landed count. Slots latEntries-2 (outage
 // probe) and latEntries-1 (forgery) stay clear.
 func (h *groupHarness) load(label string, c *controller.Controller) {
-	for _, n := range h.names {
+	for _, n := range h.Names {
 		for k := 0; k < h.o.WritesPerSwitch; k++ {
-			idx := uint32(h.rng.intn(latEntries - 2))
-			v := h.rng.next() % 0xFFFF
+			idx := uint32(h.rng.Intn(latEntries - 2))
+			v := h.rng.Next() % 0xFFFF
 			if _, err := c.WriteRegister(n, "lat", idx, v); err != nil {
-				h.violate("%s: write %s lat[%d]: %v", label, n, idx, err)
+				h.Violatef("%s: write %s lat[%d]: %v", label, n, idx, err)
 				return
 			}
 			h.shadow[n][idx] = v
 			h.res.Landed++
 		}
 	}
-	h.trace("%s: %d writes landed across %d switches", label,
-		h.o.WritesPerSwitch*len(h.names), len(h.names))
+	h.Tracef("%s: %d writes landed across %d switches", label,
+		h.o.WritesPerSwitch*len(h.Names), len(h.Names))
 }
 
 // sampleActives asserts at most one replica passes its fence right now.
 func (h *groupHarness) sampleActives(label string) {
-	active := 0
-	holders := ""
-	for _, r := range h.reps {
-		if r.IsActive() {
-			active++
-			holders += " " + r.Name()
-		}
-	}
-	if active > 1 {
-		h.violate("%s: TWO ACTIVES at one instant:%s", label, holders)
-	}
-	h.trace("%s: %d replica(s) pass the fence%s", label, active, holders)
+	active, holders := h.AtMostOneActive(label, h.reps)
+	h.Tracef("%s: %d replica(s) pass the fence%s", label, active, holders)
 }
 
 // baseline bootstraps rank 0, lands the first wave, lets every standby
@@ -318,26 +260,24 @@ func (h *groupHarness) baseline() error {
 	if _, err := act.Controller().InitAllKeys(); err != nil {
 		return fmt.Errorf("chaos: baseline key init: %w", err)
 	}
-	h.trace("baseline: %d replicas ranked, %d switches, ttl=%v grace=%v skew=%v",
-		h.o.Replicas, len(h.names), h.o.TTL, h.o.FenceGrace, h.o.MaxSkew)
+	h.Tracef("baseline: %d replicas ranked, %d switches, ttl=%v grace=%v skew=%v",
+		h.o.Replicas, len(h.Names), h.o.TTL, h.o.FenceGrace, h.o.MaxSkew)
 
 	h.load("baseline", act.Controller())
 	tailed, err := h.grp.TailStandbys()
 	if err != nil {
 		return fmt.Errorf("chaos: standby tail: %w", err)
 	}
-	if tailed < (h.o.Replicas-1)*len(h.names) {
-		h.violate("standbys tailed %d records, want >= %d", tailed, (h.o.Replicas-1)*len(h.names))
+	if tailed < (h.o.Replicas-1)*len(h.Names) {
+		h.Violatef("standbys tailed %d records, want >= %d", tailed, (h.o.Replicas-1)*len(h.Names))
 	}
-	h.trace("baseline: standbys tailed %d records", tailed)
+	h.Tracef("baseline: standbys tailed %d records", tailed)
 
-	if _, err := h.reps[1].Controller().WriteRegister(h.names[0], "lat", 0, 1); !errors.Is(err, controller.ErrFenced) {
-		h.violate("fenced standby write = %v, want ErrFenced", err)
+	if _, err := h.reps[1].Controller().WriteRegister(h.Names[0], "lat", 0, 1); !errors.Is(err, controller.ErrFenced) {
+		h.Violatef("fenced standby write = %v, want ErrFenced", err)
 	}
-	for _, n := range h.names {
-		h.floors[n] = h.readFloors(n)
-	}
-	h.forgerySweep("baseline")
+	h.floorsMonotone("baseline")
+	h.forgerySweep("baseline", false)
 	h.sampleActives("baseline")
 	return nil
 }
@@ -347,15 +287,15 @@ func (h *groupHarness) baseline() error {
 // chain depth, epochs, and wait-outs are all deterministic functions of
 // the group size.
 func (h *groupHarness) rollingKill() *ha.Replica {
-	faultAt := h.sim.Now()
+	faultAt := h.Sim.Now()
 	h.reps[0].Controller().Kill()
-	h.trace("fault: active %s killed", h.reps[0].Name())
+	h.Tracef("fault: active %s killed", h.reps[0].Name())
 
 	// The fencing guarantee: no successor can acquire pre-expiry.
 	if _, err := h.reps[1].Activate(ha.CausePromoted); !errors.Is(err, ha.ErrLeaseHeld) {
-		h.violate("takeover before lease expiry = %v, want ErrLeaseHeld", err)
+		h.Violatef("takeover before lease expiry = %v, want ErrLeaseHeld", err)
 	} else {
-		h.trace("pre-expiry takeover refused: lease held")
+		h.Tracef("pre-expiry takeover refused: lease held")
 	}
 
 	// Each successor k dies at its first post-acquire renewal — lease CAS
@@ -371,38 +311,35 @@ func (h *groupHarness) rollingKill() *ha.Replica {
 		if cas%2 == 0 {
 			if k := cas / 2; k <= midKills && !h.reps[k].Controller().Killed() {
 				h.reps[k].Controller().Kill()
-				h.trace("fault: successor %s killed mid-promotion (lease CAS %d)", h.reps[k].Name(), cas)
+				h.Tracef("fault: successor %s killed mid-promotion (lease CAS %d)", h.reps[k].Name(), cas)
 			}
 		}
 	})
 	el, err := h.grp.Elect(ha.CauseElected)
 	h.st.SetHook(nil)
 	if err != nil {
-		h.violate("rolling-kill election: %v", err)
+		h.Violatef("rolling-kill election: %v", err)
 		return nil
 	}
-	h.res.FailoverTime = h.sim.Now() - faultAt
+	h.res.FailoverTime = h.Sim.Now() - faultAt
 	h.res.Chained = el.Chained
 
 	want := h.reps[h.o.Replicas-1]
 	if el.Winner != want {
-		h.violate("rolling-kill winner = %s, want %s (last rank)", el.Winner.Name(), want.Name())
+		h.Violatef("rolling-kill winner = %s, want %s (last rank)", el.Winner.Name(), want.Name())
 	}
 	if el.Chained != midKills {
-		h.violate("chained promotions = %d, want %d", el.Chained, midKills)
+		h.Violatef("chained promotions = %d, want %d", el.Chained, midKills)
 	}
 	// Epochs: bootstrap 1, then one per successor (aborted or not).
 	if got, wantE := el.Winner.Epoch(), uint64(h.o.Replicas); got != wantE {
-		h.violate("winner epoch = %d, want %d", got, wantE)
+		h.Violatef("winner epoch = %d, want %d", got, wantE)
 	}
 	h.checkWarm(el.Winner, el.Warm)
-	h.trace("elected %s at epoch %d: chained=%d failover=%v (budget %v)",
+	h.Tracef("elected %s at epoch %d: chained=%d failover=%v (budget %v)",
 		el.Winner.Name(), el.Winner.Epoch(), el.Chained, h.res.FailoverTime, h.o.FailoverBudget)
-	if h.res.FailoverTime > h.o.FailoverBudget {
-		h.violate("failover took %v, budget %v", h.res.FailoverTime, h.o.FailoverBudget)
-	}
 	if wo := h.ob.Metrics.Counter("ha.election_waitouts").Load(); wo < uint64(midKills+1) {
-		h.violate("wait-outs = %d, want >= %d (every dead grant waited out in full)", wo, midKills+1)
+		h.Violatef("wait-outs = %d, want >= %d (every dead grant waited out in full)", wo, midKills+1)
 	}
 	h.sampleActives("post-election")
 	return el.Winner
@@ -415,112 +352,109 @@ func (h *groupHarness) rollingKill() *ha.Replica {
 func (h *groupHarness) storeOutage() *ha.Replica {
 	act := h.grp.Active()
 	if err := act.Renew(); err != nil {
-		h.violate("pre-blip renew: %v", err)
+		h.Violatef("pre-blip renew: %v", err)
 		return nil
 	}
 
 	// Phase 1: blip < grace. Signed reads keep flowing on the degraded
 	// fence (writes would need the journal, which IS the store — reads
 	// are the operation a store blip must not take down).
-	blipFrom := h.sim.Now() + 50*time.Microsecond
+	blipFrom := h.Sim.Now() + 50*time.Microsecond
 	blipTo := blipFrom + h.o.FenceGrace/2
 	if err := h.st.ScheduleOutage(blipFrom, blipTo); err != nil {
-		h.violate("blip schedule: %v", err)
+		h.Violatef("blip schedule: %v", err)
 		return nil
 	}
-	h.sim.Advance(100 * time.Microsecond)
-	probe := h.names[h.rng.intn(len(h.names))]
+	h.Sim.Advance(100 * time.Microsecond)
+	probe := h.Names[h.rng.Intn(len(h.Names))]
 	if _, _, err := act.Controller().ReadRegister(probe, "lat", 0); err != nil {
-		h.violate("read during blip (inside grace) = %v, want served on cached grant", err)
+		h.Violatef("read during blip (inside grace) = %v, want served on cached grant", err)
 	} else {
-		h.trace("blip: read on %s served on cached evidence", probe)
+		h.Tracef("blip: read on %s served on cached evidence", probe)
 	}
 	if !act.InDegraded() {
-		h.violate("active not in degraded mode during blip")
+		h.Violatef("active not in degraded mode during blip")
 	}
-	h.sim.Advance(blipTo - h.sim.Now() + 100*time.Microsecond)
+	h.Sim.Advance(blipTo - h.Sim.Now() + 100*time.Microsecond)
 	if _, _, err := act.Controller().ReadRegister(probe, "lat", 0); err != nil {
-		h.violate("read after blip = %v", err)
+		h.Violatef("read after blip = %v", err)
 	}
 	if act.InDegraded() {
-		h.violate("active still degraded after the store recovered")
+		h.Violatef("active still degraded after the store recovered")
 	}
 	m := h.ob.Metrics
 	if a := m.Counter("ha.degraded_admits").Load(); a == 0 {
-		h.violate("blip produced no degraded admissions")
+		h.Violatef("blip produced no degraded admissions")
 	}
 	if x := m.Counter("ha.degraded_exits").Load(); x == 0 {
-		h.violate("blip recovery produced no degraded exit")
+		h.Violatef("blip recovery produced no degraded exit")
 	}
-	h.trace("blip survived: admits=%d exits=%d", m.Counter("ha.degraded_admits").Load(),
+	h.Tracef("blip survived: admits=%d exits=%d", m.Counter("ha.degraded_admits").Load(),
 		m.Counter("ha.degraded_exits").Load())
 
 	// Phase 2: outage > grace. The fence must exhaust and refuse BEFORE
 	// the lease itself expires — fail-safe, never fail-open.
 	if err := act.Renew(); err != nil {
-		h.violate("pre-outage renew: %v", err)
+		h.Violatef("pre-outage renew: %v", err)
 		return nil
 	}
-	renewedAt := h.sim.Now()
-	outFrom := h.sim.Now() + 50*time.Microsecond
+	renewedAt := h.Sim.Now()
+	outFrom := h.Sim.Now() + 50*time.Microsecond
 	outTo := outFrom + h.o.TTL + 2*time.Millisecond
 	if err := h.st.ScheduleOutage(outFrom, outTo); err != nil {
-		h.violate("outage schedule: %v", err)
+		h.Violatef("outage schedule: %v", err)
 		return nil
 	}
 	// Inside the grace the active still serves — this is the episode the
 	// exhaustion below ends.
-	h.sim.Advance(200 * time.Microsecond)
+	h.Sim.Advance(200 * time.Microsecond)
 	if _, _, err := act.Controller().ReadRegister(probe, "lat", 0); err != nil {
-		h.violate("read inside outage grace = %v, want served on cached grant", err)
+		h.Violatef("read inside outage grace = %v, want served on cached grant", err)
 	}
-	h.sim.Advance(renewedAt + h.o.FenceGrace + 200*time.Microsecond - h.sim.Now())
-	if h.sim.Now() >= renewedAt+h.o.TTL {
-		h.violate("harness bug: grace probe past lease expiry")
+	h.Sim.Advance(renewedAt + h.o.FenceGrace + 200*time.Microsecond - h.Sim.Now())
+	if h.Sim.Now() >= renewedAt+h.o.TTL {
+		h.Violatef("harness bug: grace probe past lease expiry")
 	}
 	if _, _, err := act.Controller().ReadRegister(probe, "lat", 0); !errors.Is(err, controller.ErrFenced) {
-		h.violate("read past grace = %v, want ErrFenced (fail-safe before expiry)", err)
+		h.Violatef("read past grace = %v, want ErrFenced (fail-safe before expiry)", err)
 	} else {
-		h.trace("outage past grace: active self-fenced (%s) with lease still unexpired", ha.FenceCause(err))
+		h.Tracef("outage past grace: active self-fenced (%s) with lease still unexpired", ha.FenceCause(err))
 	}
 	if x := m.Counter("ha.degraded_exhausted").Load(); x == 0 {
-		h.violate("long outage produced no grace exhaustion")
+		h.Violatef("long outage produced no grace exhaustion")
 	}
 	// A write attempt by the self-fenced active must die without a trace.
-	if _, err := act.Controller().WriteRegister(h.names[0], "lat", latEntries-2, 0x666); err == nil {
-		h.violate("write by self-fenced active succeeded during outage")
+	if _, err := act.Controller().WriteRegister(h.Names[0], "lat", latEntries-2, 0x666); err == nil {
+		h.Violatef("write by self-fenced active succeeded during outage")
 	}
 
 	// The wedged node fail-stops; the store comes back; succession.
-	faultAt := h.sim.Now()
+	faultAt := h.Sim.Now()
 	act.Controller().Kill()
-	h.trace("fault: self-fenced active %s fail-stops", act.Name())
-	h.sim.Advance(outTo - h.sim.Now() + 100*time.Microsecond)
+	h.Tracef("fault: self-fenced active %s fail-stops", act.Name())
+	h.Sim.Advance(outTo - h.Sim.Now() + 100*time.Microsecond)
 	el, err := h.grp.Elect(ha.CauseElected)
 	if err != nil {
-		h.violate("post-outage election: %v", err)
+		h.Violatef("post-outage election: %v", err)
 		return nil
 	}
-	h.res.FailoverTime = h.sim.Now() - faultAt
+	h.res.FailoverTime = h.Sim.Now() - faultAt
 	h.res.Chained = el.Chained
 	if el.Winner != h.reps[1] || el.Chained != 0 {
-		h.violate("post-outage winner = %s chained %d, want %s chained 0",
+		h.Violatef("post-outage winner = %s chained %d, want %s chained 0",
 			el.Winner.Name(), el.Chained, h.reps[1].Name())
 	}
 	if got := el.Winner.Epoch(); got != 2 {
-		h.violate("post-outage epoch = %d, want 2", got)
+		h.Violatef("post-outage epoch = %d, want 2", got)
 	}
 	h.checkWarm(el.Winner, el.Warm)
-	h.trace("elected %s at epoch %d after outage: failover=%v (budget %v)",
+	h.Tracef("elected %s at epoch %d after outage: failover=%v (budget %v)",
 		el.Winner.Name(), el.Winner.Epoch(), h.res.FailoverTime, h.o.FailoverBudget)
-	if h.res.FailoverTime > h.o.FailoverBudget {
-		h.violate("failover took %v, budget %v", h.res.FailoverTime, h.o.FailoverBudget)
-	}
 	// The 0x666 probe slot must hold anything but the fenced value.
-	if v, _, err := el.Winner.Controller().ReadRegister(h.names[0], "lat", latEntries-2); err != nil {
-		h.violate("outage probe read-back: %v", err)
+	if v, _, err := el.Winner.Controller().ReadRegister(h.Names[0], "lat", latEntries-2); err != nil {
+		h.Violatef("outage probe read-back: %v", err)
 	} else if v == 0x666 {
-		h.violate("FENCED WRITE LANDED: outage probe slot = 0x666")
+		h.Violatef("FENCED WRITE LANDED: outage probe slot = 0x666")
 	}
 	h.sampleActives("post-election")
 	return el.Winner
@@ -531,9 +465,9 @@ func (h *groupHarness) storeOutage() *ha.Replica {
 // pre-CAS hook. Exactly one acquirer may win; the group resolves to that
 // winner as the incumbent.
 func (h *groupHarness) acquireRace() *ha.Replica {
-	faultAt := h.sim.Now()
+	faultAt := h.Sim.Now()
 	h.reps[0].Controller().Kill()
-	h.trace("fault: active %s killed", h.reps[0].Name())
+	h.Tracef("fault: active %s killed", h.reps[0].Name())
 
 	var winner *ha.Replica
 	var raceWarm map[string]bool
@@ -548,78 +482,67 @@ func (h *groupHarness) acquireRace() *ha.Replica {
 		defer func() { inHook = false }()
 		for _, rv := range h.reps[2:] {
 			if _, err := rv.TailOnce(); err != nil {
-				h.violate("racer %s tail: %v", rv.Name(), err)
+				h.Violatef("racer %s tail: %v", rv.Name(), err)
 				continue
 			}
 			warm, _, err := rv.Promote(ha.CausePromoted)
 			switch {
 			case err == nil:
 				if winner != nil {
-					h.violate("TWO RACE WINNERS: %s and %s", winner.Name(), rv.Name())
+					h.Violatef("TWO RACE WINNERS: %s and %s", winner.Name(), rv.Name())
 				}
 				winner = rv
 				raceWarm = warm
-				h.trace("race: %s acquired and promoted at epoch %d", rv.Name(), rv.Epoch())
+				h.Tracef("race: %s acquired and promoted at epoch %d", rv.Name(), rv.Epoch())
 			case errors.Is(err, ha.ErrLeaseHeld), errors.Is(err, ha.ErrLeaseRaced):
 				losers++
-				h.trace("race: %s lost (%v)", rv.Name(), errors.Unwrap(err))
+				h.Tracef("race: %s lost (%v)", rv.Name(), errors.Unwrap(err))
 			default:
-				h.violate("racer %s promote = %v, want win or clean loss", rv.Name(), err)
+				h.Violatef("racer %s promote = %v, want win or clean loss", rv.Name(), err)
 			}
 		}
 	})
 	el, err := h.grp.Elect(ha.CauseElected)
 	h.st.SetHook(nil)
 	if err != nil {
-		h.violate("race election: %v", err)
+		h.Violatef("race election: %v", err)
 		return nil
 	}
-	h.res.FailoverTime = h.sim.Now() - faultAt
+	h.res.FailoverTime = h.Sim.Now() - faultAt
 
 	if !armed {
-		h.violate("race hook never fired; the scenario exercised nothing")
+		h.Violatef("race hook never fired; the scenario exercised nothing")
 	}
 	if winner != h.reps[2] {
-		h.violate("race winner = %v, want %s (first racer, deterministic)", winner, h.reps[2].Name())
+		h.Violatef("race winner = %v, want %s (first racer, deterministic)", winner, h.reps[2].Name())
 		return nil
 	}
 	if wantLosers := h.o.Replicas - 3; losers != wantLosers {
-		h.violate("race losers = %d, want %d", losers, wantLosers)
+		h.Violatef("race losers = %d, want %d", losers, wantLosers)
 	}
 	// The group resolved the raced election to the incumbent winner: the
 	// rank-1 candidate lost its swap and nobody was double-granted.
 	if !el.Incumbent || el.Winner != winner {
-		h.violate("election = winner %s incumbent %v, want incumbent %s",
+		h.Violatef("election = winner %s incumbent %v, want incumbent %s",
 			el.Winner.Name(), el.Incumbent, winner.Name())
 	}
 	if got := winner.Epoch(); got != 2 {
-		h.violate("race winner epoch = %d, want 2", got)
+		h.Violatef("race winner epoch = %d, want 2", got)
 	}
 	if err := h.reps[1].Fence(); !errors.Is(err, controller.ErrFenced) {
-		h.violate("raced-out candidate %s passes the fence", h.reps[1].Name())
+		h.Violatef("raced-out candidate %s passes the fence", h.reps[1].Name())
 	}
 	h.checkWarm(winner, raceWarm)
-	h.trace("race resolved: %s serving at epoch %d, %d loser(s), failover=%v",
+	h.Tracef("race resolved: %s serving at epoch %d, %d loser(s), failover=%v",
 		winner.Name(), winner.Epoch(), losers, h.res.FailoverTime)
-	if h.res.FailoverTime > h.o.FailoverBudget {
-		h.violate("failover took %v, budget %v", h.res.FailoverTime, h.o.FailoverBudget)
-	}
 	h.sampleActives("post-race")
 	return winner
 }
 
-// checkWarm asserts the winner recovered every switch warm with zero
-// K_seed uses.
+// checkWarm asserts the winner recovered every switch warm and inside the
+// failover budget.
 func (h *groupHarness) checkWarm(w *ha.Replica, warm map[string]bool) {
-	for _, n := range h.names {
-		if !warm[n] {
-			h.res.WarmAll = false
-			h.violate("%s: promotion recovered cold (fell back to K_seed)", n)
-		}
-		if u := w.Controller().SeedUses(n); u != 0 {
-			h.violate("%s: promotion used K_seed %d times", n, u)
-		}
-	}
+	h.res.WarmAll = h.promotedWarm(w.Controller(), warm, h.res.FailoverTime, h.o.FailoverBudget) && h.res.WarmAll
 }
 
 // aftermath probes every non-winner for fencing, lands a final wave
@@ -629,139 +552,37 @@ func (h *groupHarness) aftermath(w *ha.Replica) {
 		if r == w {
 			continue
 		}
-		n := h.names[h.rng.intn(len(h.names))]
-		idx := uint32(h.rng.intn(latEntries - 2))
+		n := h.Names[h.rng.Intn(len(h.Names))]
+		idx := uint32(h.rng.Intn(latEntries - 2))
 		before, _, rerr := w.Controller().ReadRegister(n, "lat", idx)
 		if rerr != nil {
-			h.violate("aftermath read %s lat[%d]: %v", n, idx, rerr)
+			h.Violatef("aftermath read %s lat[%d]: %v", n, idx, rerr)
 			continue
 		}
-		_, err := r.Controller().WriteRegister(n, "lat", idx, 0x777)
-		switch {
-		case errors.Is(err, controller.ErrFenced):
-			h.trace("deposed %s write %s lat[%d] refused by fence", r.Name(), n, idx)
-		case errors.Is(err, controller.ErrKilled):
-			h.trace("deposed %s write %s lat[%d] refused (dead)", r.Name(), n, idx)
-		default:
-			h.violate("deposed %s write = %v, want fenced/killed refusal", r.Name(), err)
-		}
-		got, _, rerr := w.Controller().ReadRegister(n, "lat", idx)
-		if rerr != nil {
-			h.violate("aftermath re-read %s lat[%d]: %v", n, idx, rerr)
-		} else if got != before {
-			h.violate("STALE WRITE APPLIED: %s lat[%d] %d -> %d past the fence", n, idx, before, got)
-		}
+		h.deposedWriteRefused("deposed "+r.Name()+" write", r.Controller(), w.Controller(), n, idx, before, 0x777)
 	}
 	h.load("final", w.Controller())
-	h.verifyShadows("final", w.Controller())
-	h.forgerySweep("final")
+	h.shadowMatches("final", w.Controller())
+	h.forgerySweep("final", false)
 }
 
 // finalChecks is the post-run invariant sweep: floors monotone, no
 // dangling intents, audit reconciled exactly.
 func (h *groupHarness) finalChecks(w *ha.Replica) {
-	for _, n := range h.names {
-		cur := h.readFloors(n)
-		old := h.floors[n]
-		for i := range old {
-			if i < len(cur) && cur[i] < old[i] {
-				h.violate("%s: replay floor %d regressed %d -> %d across succession", n, i, old[i], cur[i])
-			}
-		}
-	}
-	for _, n := range h.names {
-		entries, err := w.Controller().JournalEntries(n)
-		if err != nil {
-			h.violate("%s: JournalEntries: %v", n, err)
-			continue
-		}
-		for _, e := range entries {
-			if e.State == core.WriteIntent {
-				h.violate("%s: dangling journal intent after succession: %s", n, e.Dump())
-			}
-		}
-	}
-
-	m, a := h.ob.Metrics, h.ob.Audit
-	if a.Evicted() > 0 {
-		h.violate("audit ring evicted %d events", a.Evicted())
-	}
+	h.floorsMonotone("final")
+	h.noDanglingIntents("final", w.Controller())
+	h.AuditReconciled("final", h.ob)
+	m := h.ob.Metrics
 	h.res.FencedAttempts = m.Counter("ha.fenced_writes").Load() + m.Counter("ha.fenced_persists").Load()
-	if n := uint64(len(a.ByType(obs.EvFencedWrite))); n != h.res.FencedAttempts {
-		h.violate("%d fencing refusals counted, %d audited", h.res.FencedAttempts, n)
-	}
 	if h.res.FencedAttempts == 0 {
-		h.violate("run produced no fencing refusals — the scenario did not bite")
-	}
-	if fo, n := m.Counter("ha.failovers").Load(), uint64(len(a.ByType(obs.EvFailover))); fo != n {
-		h.violate("failovers = %d, audited %d", fo, n)
-	}
-	if el, n := m.Counter("ha.elections").Load(), uint64(len(a.ByType(obs.EvElection))); el != n {
-		h.violate("elections = %d, audited %d", el, n)
-	}
-	trans := m.Counter("ha.degraded_enters").Load() +
-		m.Counter("ha.degraded_exits").Load() +
-		m.Counter("ha.degraded_exhausted").Load()
-	if n := uint64(len(a.ByType(obs.EvDegraded))); n != trans {
-		h.violate("degraded transitions = %d, audited %d", trans, n)
-	}
-	if drops, n := m.Counter("ctl.write_dropped").Load(), uint64(len(a.ByType(obs.EvWriteDropped))); drops != n {
-		h.violate("%d dropped writes counted, %d audited", drops, n)
-	}
-	if bumps, n := m.Counter("ctl.floor_bumps").Load(), uint64(len(a.ByType(obs.EvFloorBump))); bumps != n {
-		h.violate("%d floor bumps counted, %d audited", bumps, n)
-	}
-	for _, e := range a.ByType(obs.EvFencedWrite) {
-		if e.Cause == "" {
-			h.violate("fenced-write audit event #%d (%s) names no cause", e.ID, e.Actor)
-		}
+		h.Violatef("run produced no fencing refusals — the scenario did not bite")
 	}
 
 	h.res.Winner = w.Name()
 	h.res.Epoch = w.Epoch()
 	h.res.WaitOuts = m.Counter("ha.election_waitouts").Load()
 	h.res.DegradedAdmits = m.Counter("ha.degraded_admits").Load()
-	h.trace("done: winner=%s epoch=%d chained=%d waitouts=%d degraded_admits=%d fenced=%d landed=%d violations=%d",
+	h.Tracef("done: winner=%s epoch=%d chained=%d waitouts=%d degraded_admits=%d fenced=%d landed=%d violations=%d",
 		h.res.Winner, h.res.Epoch, h.res.Chained, h.res.WaitOuts,
 		h.res.DegradedAdmits, h.res.FencedAttempts, h.res.Landed, len(h.res.Violations))
-}
-
-// verifyShadows reads every shadowed slot back through the winner.
-func (h *groupHarness) verifyShadows(label string, c *controller.Controller) {
-	for _, n := range h.names {
-		for idx := 0; idx < latEntries-2; idx++ {
-			want := h.shadow[n][idx]
-			if want == 0 {
-				continue
-			}
-			got, _, err := c.ReadRegister(n, "lat", uint32(idx))
-			if err != nil {
-				h.violate("%s: read %s lat[%d]: %v", label, n, idx, err)
-				return
-			}
-			if got != want {
-				h.violate("%s: %s lat[%d] = %d, want %d", label, n, idx, got, want)
-			}
-		}
-	}
-	h.trace("%s: fleet state verified against shadow", label)
-}
-
-// forgerySweep runs the shared forgery probe (forgery.go).
-func (h *groupHarness) forgerySweep(label string) {
-	sweepForgeries(label, h.names, h.sw, &h.rng, h.violate, h.trace)
-}
-
-// readFloors returns the full RegSeq file of a switch.
-func (h *groupHarness) readFloors(n string) []uint64 {
-	var out []uint64
-	sw := h.sw[n].Host.SW
-	for i := 0; i < 64; i++ {
-		v, err := sw.RegisterRead(core.RegSeq, i)
-		if err != nil {
-			break
-		}
-		out = append(out, v)
-	}
-	return out
 }

@@ -5,30 +5,8 @@ import (
 	"testing"
 )
 
-// runGroupClean executes one group chaos run and fails the test on any
-// invariant violation, printing the trace for replay.
-func runGroupClean(t *testing.T, o GroupOptions) *GroupResult {
-	t.Helper()
-	res, err := RunGroup(o)
-	if err != nil {
-		if res != nil {
-			for _, line := range res.Trace {
-				t.Log(line)
-			}
-		}
-		t.Fatalf("harness error: %v", err)
-	}
-	if len(res.Violations) > 0 {
-		for _, line := range res.Trace {
-			t.Log(line)
-		}
-		t.Fatalf("%d invariant violations, first: %s", len(res.Violations), res.Violations[0])
-	}
-	return res
-}
-
-// TestGroupShort is the fixed-seed group chaos gate wired into
-// make group-chaos and scripts/check.sh: all three N-replica failure
+// TestGroupShort is the fixed-seed group subset of the chaos gate in
+// scripts/check.sh (make chaos): all three N-replica failure
 // modes — rolling kills with chained succession, store outage against
 // the bounded-staleness fence, and multi-way acquisition races — at both
 // N=3 and N=5, two seeds each. Every run must end with exactly one warm
@@ -41,7 +19,7 @@ func TestGroupShort(t *testing.T) {
 				scenario, n, seed := scenario, n, seed
 				t.Run(fmt.Sprintf("%s/n=%d/seed=%#x", scenario, n, seed), func(t *testing.T) {
 					t.Parallel()
-					res := runGroupClean(t, GroupOptions{Seed: seed, Scenario: scenario, Replicas: n})
+					res := runClean(t, RunGroup, GroupOptions{Seed: seed, Scenario: scenario, Replicas: n})
 					if !res.WarmAll {
 						t.Fatal("final promotion was not warm everywhere")
 					}
@@ -84,23 +62,7 @@ func TestGroupDeterminism(t *testing.T) {
 		t.Run(string(scenario), func(t *testing.T) {
 			t.Parallel()
 			o := GroupOptions{Seed: 42, Scenario: scenario, Replicas: 4}
-			a, err := RunGroup(o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := RunGroup(o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(a.Trace) != len(b.Trace) {
-				t.Fatalf("trace lengths differ: %d vs %d", len(a.Trace), len(b.Trace))
-			}
-			for i := range a.Trace {
-				if a.Trace[i] != b.Trace[i] {
-					t.Fatalf("traces diverge at line %d:\n  run1: %s\n  run2: %s",
-						i, a.Trace[i], b.Trace[i])
-				}
-			}
+			assertSameTrace(t, RunGroup, o)
 		})
 	}
 }

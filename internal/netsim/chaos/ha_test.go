@@ -5,30 +5,8 @@ import (
 	"testing"
 )
 
-// runHAClean executes one HA chaos run and fails the test on any
-// invariant violation, printing the trace for replay.
-func runHAClean(t *testing.T, o HAOptions) *HAResult {
-	t.Helper()
-	res, err := RunHA(o)
-	if err != nil {
-		if res != nil {
-			for _, line := range res.Trace {
-				t.Log(line)
-			}
-		}
-		t.Fatalf("harness error: %v", err)
-	}
-	if len(res.Violations) > 0 {
-		for _, line := range res.Trace {
-			t.Log(line)
-		}
-		t.Fatalf("%d invariant violations, first: %s", len(res.Violations), res.Violations[0])
-	}
-	return res
-}
-
-// TestHAShort is the fixed-seed HA chaos gate wired into make ha-chaos
-// and scripts/check.sh: both failure modes — active killed mid-rollover,
+// TestHAShort is the fixed-seed HA subset of the chaos gate in
+// scripts/check.sh (make chaos): both failure modes — active killed mid-rollover,
 // split-brain lease lapse — against a 64-switch sharded fleet across two
 // seeds each. Every run must promote the standby warm within the
 // failover budget, with zero forged or stale-fenced writes applied and
@@ -39,7 +17,7 @@ func TestHAShort(t *testing.T) {
 			scenario, seed := scenario, seed
 			t.Run(fmt.Sprintf("%s/seed=%#x", scenario, seed), func(t *testing.T) {
 				t.Parallel()
-				res := runHAClean(t, HAOptions{Seed: seed, Scenario: scenario})
+				res := runClean(t, RunHA, HAOptions{Seed: seed, Scenario: scenario})
 				if res.Switches < 64 {
 					t.Fatalf("fleet size %d, want >= 64", res.Switches)
 				}
@@ -64,23 +42,7 @@ func TestHADeterminism(t *testing.T) {
 		t.Run(string(scenario), func(t *testing.T) {
 			t.Parallel()
 			o := HAOptions{Seed: 42, Scenario: scenario}
-			a, err := RunHA(o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := RunHA(o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(a.Trace) != len(b.Trace) {
-				t.Fatalf("trace lengths differ: %d vs %d", len(a.Trace), len(b.Trace))
-			}
-			for i := range a.Trace {
-				if a.Trace[i] != b.Trace[i] {
-					t.Fatalf("traces diverge at line %d:\n  run1: %s\n  run2: %s",
-						i, a.Trace[i], b.Trace[i])
-				}
-			}
+			assertSameTrace(t, RunHA, o)
 		})
 	}
 }

@@ -25,27 +25,16 @@ s build go build ./...
 s vet go vet ./...
 s race go test -race ./...
 
-# Deterministic crash/recovery smoke with fixed seeds (controller kills
-# and switch crashes mid-rollover, mid-register-write, mid-port-key-init).
-c chaos go test -race -count=1 -run 'TestChaosShort|TestChaosDeterminism' ./internal/netsim/chaos/
-
-# Seeded link flaps, two-way partitions, and one-sided port-key
-# rollovers against the self-healing DP-DP fabric; every run must
-# reconverge with paired keys and a reconciled audit trail.
-c fabric-chaos go test -race -count=1 -run 'TestFabricShort|TestFabricDeterminism' ./internal/netsim/chaos/
-
-# Controller-kill-under-sharded-load and split-brain attempts against
-# the lease-fenced active/standby pair: zero forged or stale-fenced
-# writes applied, bounded failover, reconciled audit, bit-identical
-# traces per seed.
-c ha-chaos go test -race -count=1 -run 'TestHAShort|TestHADeterminism' ./internal/netsim/chaos/
-
-# Rolling kills across 3-5 ranked replicas (each successor dying
-# mid-promotion), store outages against the bounded-staleness fence, and
-# multi-way lease acquisition races: same invariants as ha-chaos plus at
-# most one fenced-active per instant and fail-safe fencing when the
-# grace runs out.
-c group-chaos go test -race -count=1 -run 'TestGroupShort|TestGroupDeterminism' ./internal/netsim/chaos/
+# The four seeded harnesses over the chaos kernel, fixed seeds: crash and
+# recovery of one controller (kills and switch crashes mid-rollover,
+# mid-register-write, mid-port-key-init), the self-healing DP-DP fabric
+# (flaps, partitions, one-sided rollovers), the lease-fenced pair
+# (kill-active, split-brain) and the N-replica group (rolling kills,
+# store outages, acquisition races). Every run must pass every kernel
+# invariant and replay bit-identically; every scenario's trace is pinned
+# to testdata/trace_goldens.txt; and each invariant is shown to fail on
+# the breach it exists to catch.
+c chaos go test -race -count=1 -run 'Test(Chaos|Fabric|HA|Group)(Short|Determinism)|TestTraceGoldens|TestInvariantsBite' ./internal/netsim/chaos/
 
 # The app x fault x protection survival matrix at k=4 with the default
 # seed: zero forged operations applied in every protected cell,
@@ -57,8 +46,9 @@ c matrix-chaos go test -race -count=1 -run 'TestMatrixChaos|TestMatrixDeterminis
 # under forged/torn broker frames, WAN latency spikes, an asymmetric
 # partition, and a global-tier kill + election: zero forged operations
 # applied, no cross-pod key without a fenced grant, graceful degradation
-# on cached keys, bounded re-convergence, bit-identical traces per seed.
-c hierarchy-chaos go test -race -count=1 -run 'TestHierarchyChaos|TestHierarchyDeterminism' ./internal/hierarchy/
+# on cached keys, bounded re-convergence, bit-identical traces per seed
+# (clean or failing) and per commit (testdata/trace_goldens.txt).
+c hierarchy-chaos go test -race -count=1 -run 'TestHierarchyChaos|TestHierarchyDeterminism|TestHierarchyTraceGoldens|TestHierarchyFailingTraceDeterministic' ./internal/hierarchy/
 
 # Concurrency stress with fresh interleavings: pipelined writers vs
 # concurrent rollovers under fault taps, the sharded-switch suite, the
