@@ -39,21 +39,34 @@ func (u Usage) Percent(p Profile) UsagePercent {
 	}
 }
 
-// Compiled is a program resolved and placed against a target profile.
+// Compiled is a program linked and placed against a target profile.
 type Compiled struct {
 	Program *Program
 	Profile Profile
 	Usage   Usage
 
-	slots       map[FieldRef]int
-	slotWidth   []int
-	headerIndex map[string]int
-	headerSlots [][]int // header index -> slots in field order
-	metaSlots   []int
-	tableIndex  map[string]int
-	actionIndex map[string]int
-	regIndex    map[string]int
-	parserIndex map[string]int
+	// Name -> index, for the driver API and the linker.
+	tableIndex map[string]int
+	regIndex   map[string]int
+
+	// The linked form (see link.go).
+	slotWidth  []uint8 // PHV slot -> width in bits
+	metaBase   int32   // first intrinsic-metadata slot
+	paramBase  int32   // end of the PHV slots, start of the parameter window
+	constBase  int32   // start of the constant tail
+	consts     []uint64
+	code       []lop
+	hashIns    []hashIn
+	control    span
+	egress     span
+	actions    []span // action index -> body
+	tables     []ltable
+	headers    []lheader
+	states     []lstate
+	trans      []ltrans
+	startState int32
+	deparse    []int32 // header indexes in wire order
+	regMask    []uint64
 }
 
 // nominal hash-input contribution of including the payload in a digest.
@@ -62,41 +75,26 @@ const payloadHashBits = 128
 // exact-match entry overhead bits (pointers, version bits).
 const exactEntryOverheadBits = 16
 
-// Compile validates a program against a profile, allocates stages, and
-// accounts resources. It is the analogue of running the target's P4
-// compiler and reading its resource summary.
+// Compile validates a program against a profile, links it, allocates
+// stages, and accounts resources. It is the analogue of running the
+// target's P4 compiler and reading its resource summary.
 func Compile(prog *Program, profile Profile) (*Compiled, error) {
 	if err := prog.validate(); err != nil {
 		return nil, err
 	}
 	c := &Compiled{
-		Program:     prog,
-		Profile:     profile,
-		slots:       make(map[FieldRef]int),
-		headerIndex: make(map[string]int),
-		tableIndex:  make(map[string]int),
-		actionIndex: make(map[string]int),
-		regIndex:    make(map[string]int),
-		parserIndex: make(map[string]int),
+		Program:    prog,
+		Profile:    profile,
+		tableIndex: make(map[string]int, len(prog.Tables)),
+		regIndex:   make(map[string]int, len(prog.Registers)),
 	}
-	c.resolveSlots()
 	for i, t := range prog.Tables {
 		c.tableIndex[t.Name] = i
-	}
-	for i, a := range prog.Actions {
-		c.actionIndex[a.Name] = i
 	}
 	for i, r := range prog.Registers {
 		c.regIndex[r.Name] = i
 	}
-	for i, s := range prog.Parser {
-		c.parserIndex[s.Name] = i
-	}
-
-	if err := c.checkRefs(); err != nil {
-		return nil, err
-	}
-	if err := c.checkOps(); err != nil {
+	if err := c.link(); err != nil {
 		return nil, err
 	}
 	if err := c.account(); err != nil {
@@ -118,238 +116,6 @@ func containerBits(width int) int {
 	}
 }
 
-func (c *Compiled) resolveSlots() {
-	add := func(ref FieldRef, width int) int {
-		slot := len(c.slotWidth)
-		c.slots[ref] = slot
-		c.slotWidth = append(c.slotWidth, width)
-		return slot
-	}
-	for hi, h := range c.Program.Headers {
-		c.headerIndex[h.Name] = hi
-		slots := make([]int, len(h.Fields))
-		for fi, f := range h.Fields {
-			slots[fi] = add(F(h.Name, f.Name), f.Width)
-		}
-		c.headerSlots = append(c.headerSlots, slots)
-	}
-	for _, f := range intrinsicMetadata() {
-		c.metaSlots = append(c.metaSlots, add(F(MetaHeader, f.Name), f.Width))
-	}
-	for _, f := range c.Program.Metadata {
-		c.metaSlots = append(c.metaSlots, add(F(MetaHeader, f.Name), f.Width))
-	}
-}
-
-// lookupRef resolves a field reference in the context of an action's
-// parameter frame (act may be nil). Returns (slot, paramIndex, width):
-// slot >= 0 for PHV fields, paramIndex >= 0 for action parameters.
-func (c *Compiled) lookupRef(ref FieldRef, act *Action) (slot, paramIdx, width int, err error) {
-	hdr, fld, err := ref.split()
-	if err != nil {
-		return -1, -1, 0, err
-	}
-	if hdr == ParamHeader {
-		if act == nil {
-			return -1, -1, 0, fmt.Errorf("pisa: %s referenced outside an action", ref)
-		}
-		for i, p := range act.Params {
-			if p.Name == fld {
-				return -1, i, p.Width, nil
-			}
-		}
-		return -1, -1, 0, fmt.Errorf("pisa: action %s has no parameter %q", act.Name, fld)
-	}
-	s, ok := c.slots[ref]
-	if !ok {
-		return -1, -1, 0, fmt.Errorf("pisa: unknown field %s", ref)
-	}
-	return s, -1, c.slotWidth[s], nil
-}
-
-func (c *Compiled) checkOperand(o Operand, act *Action) error {
-	if o.IsConst {
-		return nil
-	}
-	_, _, _, err := c.lookupRef(o.Ref, act)
-	return err
-}
-
-func (c *Compiled) checkRefs() error {
-	for _, t := range c.Program.Tables {
-		for _, k := range t.Keys {
-			if _, _, _, err := c.lookupRef(k.Field, nil); err != nil {
-				return fmt.Errorf("table %s: %w", t.Name, err)
-			}
-		}
-	}
-	for _, s := range c.Program.Parser {
-		if s.Select != "" {
-			if _, _, _, err := c.lookupRef(s.Select, nil); err != nil {
-				return fmt.Errorf("parser state %s: %w", s.Name, err)
-			}
-		}
-	}
-	return nil
-}
-
-func (c *Compiled) checkOps() error {
-	if err := c.checkOpList(c.Program.Control, nil, 0); err != nil {
-		return err
-	}
-	if err := c.checkOpList(c.Program.EgressControl, nil, 0); err != nil {
-		return fmt.Errorf("egress: %w", err)
-	}
-	for _, a := range c.Program.Actions {
-		if err := c.checkOpList(a.Body, a, 0); err != nil {
-			return fmt.Errorf("action %s: %w", a.Name, err)
-		}
-	}
-	return nil
-}
-
-const maxNesting = 16
-
-func (c *Compiled) checkOpList(ops []Op, act *Action, depth int) error {
-	if depth > maxNesting {
-		return fmt.Errorf("pisa: control flow nested deeper than %d", maxNesting)
-	}
-	for i := range ops {
-		op := &ops[i]
-		if err := c.checkOp(op, act, depth); err != nil {
-			return fmt.Errorf("op %d (%s): %w", i, op.Kind, err)
-		}
-	}
-	return nil
-}
-
-func (c *Compiled) checkOp(op *Op, act *Action, depth int) error {
-	checkDst := func() error {
-		slot, _, w, err := c.lookupRef(op.Dst, act)
-		if err != nil {
-			return err
-		}
-		if slot < 0 {
-			return fmt.Errorf("pisa: cannot write to action parameter %s", op.Dst)
-		}
-		if op.Kind == OpRotl && w > c.Profile.ALUWidth {
-			return fmt.Errorf("pisa: rotate on %d-bit field exceeds %d-bit ALU", w, c.Profile.ALUWidth)
-		}
-		return nil
-	}
-	switch op.Kind {
-	case OpSet, OpRandom:
-		if err := checkDst(); err != nil {
-			return err
-		}
-		if op.Kind == OpSet {
-			return c.checkOperand(op.A, act)
-		}
-		return nil
-	case OpAdd, OpSub, OpXor, OpAnd, OpOr, OpShl, OpShr, OpRotl:
-		if err := checkDst(); err != nil {
-			return err
-		}
-		if err := c.checkOperand(op.A, act); err != nil {
-			return err
-		}
-		return c.checkOperand(op.B, act)
-	case OpHash:
-		if err := checkDst(); err != nil {
-			return err
-		}
-		if op.Alg == HashHalfSipHash && !c.Profile.AllowExterns {
-			return fmt.Errorf("pisa: extern hash %s not available on target %s", op.Alg, c.Profile.Name)
-		}
-		if op.Alg < HashCRC32 || op.Alg > HashHalfSipHash {
-			return fmt.Errorf("pisa: unknown hash algorithm %d", int(op.Alg))
-		}
-		if op.Key != nil {
-			if err := c.checkOperand(*op.Key, act); err != nil {
-				return err
-			}
-		}
-		if len(op.Inputs) == 0 && !op.IncludePayload {
-			return fmt.Errorf("pisa: hash with no inputs")
-		}
-		for _, in := range op.Inputs {
-			if err := c.checkOperand(in, act); err != nil {
-				return err
-			}
-		}
-		return nil
-	case OpRegRead:
-		if err := checkDst(); err != nil {
-			return err
-		}
-		if _, ok := c.regIndex[op.Reg]; !ok {
-			return fmt.Errorf("pisa: unknown register %q", op.Reg)
-		}
-		return c.checkOperand(op.Index, act)
-	case OpRegRMW:
-		if err := checkDst(); err != nil {
-			return err
-		}
-		if _, ok := c.regIndex[op.Reg]; !ok {
-			return fmt.Errorf("pisa: unknown register %q", op.Reg)
-		}
-		if op.RMW < RMWAdd || op.RMW > RMWXor {
-			return fmt.Errorf("pisa: unknown RMW kind %d", int(op.RMW))
-		}
-		if err := c.checkOperand(op.Index, act); err != nil {
-			return err
-		}
-		return c.checkOperand(op.A, act)
-	case OpRegWrite:
-		if _, ok := c.regIndex[op.Reg]; !ok {
-			return fmt.Errorf("pisa: unknown register %q", op.Reg)
-		}
-		if err := c.checkOperand(op.Index, act); err != nil {
-			return err
-		}
-		return c.checkOperand(op.A, act)
-	case OpSetValid, OpSetInvalid:
-		if _, ok := c.headerIndex[op.Header]; !ok {
-			return fmt.Errorf("pisa: unknown header %q", op.Header)
-		}
-		return nil
-	case OpApply:
-		if act != nil {
-			return fmt.Errorf("pisa: table apply inside an action")
-		}
-		if _, ok := c.tableIndex[op.Table]; !ok {
-			return fmt.Errorf("pisa: unknown table %q", op.Table)
-		}
-		return nil
-	case OpIf:
-		if err := c.checkCond(op.Cond, act); err != nil {
-			return err
-		}
-		if err := c.checkOpList(op.Then, act, depth+1); err != nil {
-			return err
-		}
-		return c.checkOpList(op.Else, act, depth+1)
-	default:
-		return fmt.Errorf("pisa: unknown op kind %d", int(op.Kind))
-	}
-}
-
-func (c *Compiled) checkCond(cond Cond, act *Action) error {
-	if cond.ValidHeader != "" {
-		if _, ok := c.headerIndex[cond.ValidHeader]; !ok {
-			return fmt.Errorf("pisa: condition on unknown header %q", cond.ValidHeader)
-		}
-		return nil
-	}
-	if cond.Cmp < CmpEq || cond.Cmp > CmpGe {
-		return fmt.Errorf("pisa: condition with invalid comparison %d", int(cond.Cmp))
-	}
-	if err := c.checkOperand(cond.L, act); err != nil {
-		return err
-	}
-	return c.checkOperand(cond.R, act)
-}
-
 // --- stage allocation and resource accounting ---
 
 // stagePacker greedily packs ops into stages respecting ALU, hash, and
@@ -361,11 +127,11 @@ type stagePacker struct {
 	aluUsed   int
 	hashCalls int
 	hashBits  int
-	written   map[int]bool // slots written in the current stage
+	written   map[int32]bool // slots written in the current stage
 }
 
 func newStagePacker(p Profile) *stagePacker {
-	return &stagePacker{profile: p, stages: 1, written: make(map[int]bool)}
+	return &stagePacker{profile: p, stages: 1, written: make(map[int32]bool)}
 }
 
 func (sp *stagePacker) nextStage() {
@@ -373,36 +139,23 @@ func (sp *stagePacker) nextStage() {
 	sp.aluUsed = 0
 	sp.hashCalls = 0
 	sp.hashBits = 0
-	sp.written = make(map[int]bool)
+	clear(sp.written)
 }
 
-func (sp *stagePacker) readsWritten(slots ...int) bool {
-	for _, s := range slots {
-		if s >= 0 && sp.written[s] {
+// readsWritten reports whether any source was written earlier in the
+// current stage (parameters, constants and noRef never are).
+func (sp *stagePacker) readsWritten(srcs ...vref) bool {
+	for _, s := range srcs {
+		if sp.written[s] {
 			return true
 		}
 	}
 	return false
 }
 
-func (c *Compiled) operandSlot(o Operand, act *Action) int {
-	if o.IsConst {
-		return -1
-	}
-	slot, _, _, _ := c.lookupRef(o.Ref, act)
-	return slot
-}
-
-func (c *Compiled) operandBits(o Operand, act *Action) int {
-	if o.IsConst {
-		return 64
-	}
-	_, _, w, _ := c.lookupRef(o.Ref, act)
-	return w
-}
-
-// regAccess tracks per-pass register touches for the hardware constraint.
-type regAccess map[string]int
+// regAccess counts per-pass register touches, by register index, for the
+// hardware constraint.
+type regAccess []int
 
 func (ra regAccess) merge(other regAccess) {
 	for r, n := range other {
@@ -412,39 +165,46 @@ func (ra regAccess) merge(other regAccess) {
 	}
 }
 
-// placeOps packs a list of ops and returns an error if a hardware
-// constraint is violated. regs accumulates register access counts.
-func (c *Compiled) placeOps(sp *stagePacker, ops []Op, act *Action, regs regAccess) error {
-	for i := range ops {
-		op := &ops[i]
-		switch op.Kind {
+// placeBlock packs a block into a fresh packer and returns the stages it
+// took and the registers it touched.
+func (c *Compiled) placeBlock(b span) (*stagePacker, regAccess) {
+	sp := newStagePacker(c.Profile)
+	regs := make(regAccess, len(c.regMask))
+	c.placeOps(sp, b, regs)
+	return sp, regs
+}
+
+// placeOps packs a block of linked ops. regs accumulates register access
+// counts; hash usage accumulates in c.Usage.
+func (c *Compiled) placeOps(sp *stagePacker, b span, regs regAccess) {
+	for pc := b.start; pc < b.end; pc++ {
+		op := &c.code[pc]
+		switch OpKind(op.kind) {
 		case OpSet, OpRandom, OpAdd, OpSub, OpXor, OpAnd, OpOr, OpShl, OpShr, OpRotl:
-			dst, _, dw, _ := c.lookupRef(op.Dst, act)
 			cost := 1
-			if dw > c.Profile.ALUWidth {
+			if int(op.dw) > c.Profile.ALUWidth {
 				cost = 2
 			}
-			srcs := []int{c.operandSlot(op.A, act), c.operandSlot(op.B, act)}
-			if sp.readsWritten(srcs...) || sp.aluUsed+cost > sp.profile.ALUOpsPerStage {
+			if sp.readsWritten(op.a, op.b) || sp.aluUsed+cost > sp.profile.ALUOpsPerStage {
 				sp.nextStage()
 			}
 			sp.aluUsed += cost
-			sp.written[dst] = true
+			sp.written[op.dst] = true
 		case OpHash:
 			bits := 0
-			srcSlots := make([]int, 0, len(op.Inputs)+1)
-			if op.Key != nil {
+			conflict := false
+			if op.flags&flagKeyed != 0 {
 				bits += 64
-				srcSlots = append(srcSlots, c.operandSlot(*op.Key, act))
+				conflict = sp.readsWritten(op.a)
 			}
-			for _, in := range op.Inputs {
-				bits += c.operandBits(in, act)
-				srcSlots = append(srcSlots, c.operandSlot(in, act))
+			for _, in := range c.hashIns[op.x:op.b] {
+				bits += int(in.width)
+				conflict = conflict || sp.readsWritten(in.src)
 			}
-			if op.IncludePayload {
+			if op.flags&flagPayload != 0 {
 				bits += payloadHashBits
 			}
-			if sp.readsWritten(srcSlots...) ||
+			if conflict ||
 				sp.hashCalls+1 > sp.profile.HashCallsPerStage ||
 				sp.hashBits+bits > sp.profile.HashBitsPerStage {
 				sp.nextStage()
@@ -453,21 +213,15 @@ func (c *Compiled) placeOps(sp *stagePacker, ops []Op, act *Action, regs regAcce
 			sp.hashBits += bits
 			c.Usage.HashCalls++
 			c.Usage.HashBits += bits
-			dst, _, _, _ := c.lookupRef(op.Dst, act)
-			sp.written[dst] = true
+			sp.written[op.dst] = true
 		case OpRegRead, OpRegWrite, OpRegRMW:
-			regs[op.Reg]++
-			srcs := []int{c.operandSlot(op.Index, act)}
-			if op.Kind != OpRegRead {
-				srcs = append(srcs, c.operandSlot(op.A, act))
-			}
-			if sp.readsWritten(srcs...) || sp.aluUsed+1 > sp.profile.ALUOpsPerStage {
+			regs[op.x]++
+			if sp.readsWritten(op.a, op.b) || sp.aluUsed+1 > sp.profile.ALUOpsPerStage {
 				sp.nextStage()
 			}
 			sp.aluUsed++
-			if op.Kind != OpRegWrite {
-				dst, _, _, _ := c.lookupRef(op.Dst, act)
-				sp.written[dst] = true
+			if OpKind(op.kind) != OpRegWrite {
+				sp.written[op.dst] = true
 			}
 		case OpSetValid, OpSetInvalid:
 			if sp.aluUsed+1 > sp.profile.ALUOpsPerStage {
@@ -475,77 +229,46 @@ func (c *Compiled) placeOps(sp *stagePacker, ops []Op, act *Action, regs regAcce
 			}
 			sp.aluUsed++
 		case OpApply:
-			tbl := c.Program.Table(op.Table)
+			lt := &c.tables[op.dst]
 			// A table occupies a fresh stage: its match happens at stage
 			// entry, its action ops execute within (and possibly beyond).
 			sp.nextStage()
 			// Exact tables hash their key.
-			keyBits := 0
-			exact := true
-			for _, k := range tbl.Keys {
-				_, _, w, _ := c.lookupRef(k.Field, nil)
-				keyBits += w
-				if k.Match != MatchExact {
-					exact = false
-				}
-			}
-			if exact {
+			if lt.exact {
+				keyBits := lt.keyBits()
 				sp.hashCalls++
 				sp.hashBits += keyBits
 				c.Usage.HashBits += keyBits
 			}
-			// Deepest action bound: all permitted actions must fit.
+			// Deepest action bound: all permitted actions (and the
+			// default) must fit.
 			deepest := 0
-			var deepestRegs regAccess
-			for _, an := range append([]string{}, tbl.Actions...) {
-				a := c.Program.Action(an)
-				inner := newStagePacker(c.Profile)
-				innerRegs := make(regAccess)
-				if err := c.placeOps(inner, a.Body, a, innerRegs); err != nil {
-					return fmt.Errorf("table %s action %s: %w", tbl.Name, an, err)
-				}
+			place := func(ai int32) {
+				inner, innerRegs := c.placeBlock(c.actions[ai])
 				if inner.stages-1 > deepest {
 					deepest = inner.stages - 1
 				}
-				if deepestRegs == nil {
-					deepestRegs = innerRegs
-				} else {
-					deepestRegs.merge(innerRegs)
-				}
+				regs.merge(innerRegs)
 			}
-			if tbl.Default != "" {
-				a := c.Program.Action(tbl.Default)
-				inner := newStagePacker(c.Profile)
-				innerRegs := make(regAccess)
-				if err := c.placeOps(inner, a.Body, a, innerRegs); err != nil {
-					return fmt.Errorf("table %s default action: %w", tbl.Name, err)
-				}
-				if inner.stages-1 > deepest {
-					deepest = inner.stages - 1
-				}
-				if deepestRegs == nil {
-					deepestRegs = innerRegs
-				} else {
-					deepestRegs.merge(innerRegs)
-				}
+			for _, ai := range lt.actions {
+				place(ai)
+			}
+			if lt.def >= 0 {
+				place(lt.def)
 			}
 			for j := 0; j < deepest; j++ {
 				sp.nextStage()
 			}
-			regs.merge(deepestRegs)
 		case OpIf:
 			// Both branches execute in the same stage window; the deeper
 			// branch determines progress. Register accesses merge as max.
-			thenSP := newStagePacker(c.Profile)
-			thenRegs := make(regAccess)
-			if err := c.placeOps(thenSP, op.Then, act, thenRegs); err != nil {
-				return err
+			then, els := span{pc + 1, op.x}, span{op.x, op.x}
+			if op.flags&flagElse != 0 {
+				then.end--
+				els.end = c.code[then.end].x // the jump over the else block
 			}
-			elseSP := newStagePacker(c.Profile)
-			elseRegs := make(regAccess)
-			if err := c.placeOps(elseSP, op.Else, act, elseRegs); err != nil {
-				return err
-			}
+			thenSP, thenRegs := c.placeBlock(then)
+			elseSP, elseRegs := c.placeBlock(els)
 			deeper := thenSP.stages
 			if elseSP.stages > deeper {
 				deeper = elseSP.stages
@@ -555,50 +278,43 @@ func (c *Compiled) placeOps(sp *stagePacker, ops []Op, act *Action, regs regAcce
 			}
 			thenRegs.merge(elseRegs)
 			regs.merge(thenRegs)
+			pc = els.end - 1
 		}
 	}
-	return nil
+}
+
+func (lt *ltable) keyBits() int {
+	bits := 0
+	for _, k := range lt.keys {
+		bits += int(k.width)
+	}
+	return bits
 }
 
 func (c *Compiled) account() error {
 	// PHV.
-	for _, h := range c.Program.Headers {
-		for _, f := range h.Fields {
-			c.Usage.PHVBits += containerBits(f.Width)
-		}
-	}
-	for _, f := range intrinsicMetadata() {
-		c.Usage.PHVBits += containerBits(f.Width)
-	}
-	for _, f := range c.Program.Metadata {
-		c.Usage.PHVBits += containerBits(f.Width)
+	for _, w := range c.slotWidth {
+		c.Usage.PHVBits += containerBits(int(w))
 	}
 	if c.Usage.PHVBits > c.Profile.PHVBits {
 		return fmt.Errorf("pisa: program needs %d PHV bits, target %s has %d", c.Usage.PHVBits, c.Profile.Name, c.Profile.PHVBits)
 	}
 
 	// Tables: SRAM or TCAM.
-	for _, t := range c.Program.Tables {
-		keyBits, exact := 0, true
-		for _, k := range t.Keys {
-			_, _, w, _ := c.lookupRef(k.Field, nil)
-			keyBits += w
-			if k.Match != MatchExact {
-				exact = false
-			}
-		}
+	for ti, t := range c.Program.Tables {
+		lt := &c.tables[ti]
+		keyBits := lt.keyBits()
 		actionDataBits := 0
-		for _, an := range t.Actions {
-			a := c.Program.Action(an)
+		for _, ai := range lt.actions {
 			bits := 0
-			for _, p := range a.Params {
+			for _, p := range c.Program.Actions[ai].Params {
 				bits += p.Width
 			}
 			if bits > actionDataBits {
 				actionDataBits = bits
 			}
 		}
-		if exact {
+		if lt.exact {
 			entryBits := keyBits + actionDataBits + exactEntryOverheadBits
 			blocks := (t.Size*entryBits + SRAMBlockBits - 1) / SRAMBlockBits
 			if blocks < 1 {
@@ -643,17 +359,9 @@ func (c *Compiled) account() error {
 	}
 
 	// Stages (hash usage accumulates inside placeOps).
-	sp := newStagePacker(c.Profile)
-	regs := make(regAccess)
-	if err := c.placeOps(sp, c.Program.Control, nil, regs); err != nil {
-		return err
-	}
-	egSP := newStagePacker(c.Profile)
-	egRegs := make(regAccess)
-	if len(c.Program.EgressControl) > 0 {
-		if err := c.placeOps(egSP, c.Program.EgressControl, nil, egRegs); err != nil {
-			return fmt.Errorf("egress: %w", err)
-		}
+	sp, regs := c.placeBlock(c.control)
+	egSP, egRegs := c.placeBlock(c.egress)
+	if c.egress.end > c.egress.start {
 		if egSP.stages > c.Profile.Stages {
 			return fmt.Errorf("pisa: egress pipeline needs %d stages, target %s has %d (no egress recirculation)",
 				egSP.stages, c.Profile.Name, c.Profile.Stages)
@@ -661,18 +369,19 @@ func (c *Compiled) account() error {
 		c.Usage.EgressStages = egSP.stages
 	}
 	if c.Profile.StrictRegisterAccess {
+		name := func(r int) string { return c.Program.Registers[r].Name }
 		for r, n := range regs {
 			if n > 1 {
-				return fmt.Errorf("pisa: register %q accessed %d times per pass; target %s allows one", r, n, c.Profile.Name)
+				return fmt.Errorf("pisa: register %q accessed %d times per pass; target %s allows one", name(r), n, c.Profile.Name)
 			}
 		}
 		for r, n := range egRegs {
 			if n > 1 {
-				return fmt.Errorf("pisa: register %q accessed %d times per egress pass; target %s allows one", r, n, c.Profile.Name)
+				return fmt.Errorf("pisa: register %q accessed %d times per egress pass; target %s allows one", name(r), n, c.Profile.Name)
 			}
 			// Ingress and egress MAUs do not share register memory.
-			if regs[r] > 0 {
-				return fmt.Errorf("pisa: register %q used in both ingress and egress pipelines on target %s", r, c.Profile.Name)
+			if n > 0 && regs[r] > 0 {
+				return fmt.Errorf("pisa: register %q used in both ingress and egress pipelines on target %s", name(r), c.Profile.Name)
 			}
 		}
 	}

@@ -342,3 +342,22 @@ func TestCompileDeterministic(t *testing.T) {
 		t.Errorf("compilation not deterministic: %+v vs %+v", a.Usage, b.Usage)
 	}
 }
+
+// The interpreter addresses intrinsic metadata by fixed offsets from
+// Compiled.metaBase; they must follow intrinsicMetadata()'s order.
+func TestIntrinsicSlotOrder(t *testing.T) {
+	want := [numIntrinsic]string{
+		mIngressPort: MetaIngressPort, mEgressPort: MetaEgressPort, mDrop: MetaDrop,
+		mToCPU: MetaToCPU, mRecirc: MetaRecirc, mMcastGroup: MetaMcastGroup,
+		mPass: MetaPass, mTimestamp: MetaTimestamp, mPktLen: MetaPktLen,
+	}
+	fields := intrinsicMetadata()
+	if len(fields) != numIntrinsic {
+		t.Fatalf("%d intrinsic fields, %d slot constants", len(fields), numIntrinsic)
+	}
+	for i, f := range fields {
+		if f.Name != want[i] {
+			t.Errorf("intrinsic slot %d is %q, the interpreter reads it as %q", i, f.Name, want[i])
+		}
+	}
+}

@@ -17,29 +17,48 @@ func (p Packet) Clone() Packet {
 	return Packet{Data: d, Port: p.Port}
 }
 
-// packBits writes the low `width` bits of v into buf starting at bit offset
-// off (MSB-first), returning the new offset.
+// packBits ORs the low `width` bits of v into buf starting at bit offset
+// off (MSB-first), returning the new offset. It moves whole bytes: a
+// partial first byte, full bytes, a partial last byte.
 func packBits(buf []byte, off int, v uint64, width int) int {
-	for i := width - 1; i >= 0; i-- {
-		bit := (v >> uint(i)) & 1
-		if bit != 0 {
-			buf[off/8] |= 1 << uint(7-off%8)
-		}
-		off++
+	v &= mask(width)
+	i, end := off>>3, off+width
+	room := 8 - off&7 // bits free in the first byte
+	if width <= room {
+		buf[i] |= byte(v << uint(room-width))
+		return end
 	}
-	return off
+	rem := width - room
+	buf[i] |= byte(v >> uint(rem))
+	for rem >= 8 {
+		i++
+		rem -= 8
+		buf[i] |= byte(v >> uint(rem))
+	}
+	if rem > 0 {
+		buf[i+1] |= byte(v << uint(8-rem))
+	}
+	return end
 }
 
 // unpackBits reads `width` bits from buf starting at bit offset off
-// (MSB-first).
+// (MSB-first), whole bytes at a time.
 func unpackBits(buf []byte, off, width int) (uint64, int) {
-	var v uint64
-	for i := 0; i < width; i++ {
-		v <<= 1
-		v |= uint64(buf[off/8]>>uint(7-off%8)) & 1
-		off++
+	i, end := off>>3, off+width
+	have := 8 - off&7 // bits taken from the first byte
+	v := uint64(buf[i]) & (0xff >> uint(off&7))
+	if width <= have {
+		return v >> uint(have-width), end
 	}
-	return v, off
+	rem := width - have
+	for ; rem >= 8; rem -= 8 {
+		i++
+		v = v<<8 | uint64(buf[i])
+	}
+	if rem > 0 {
+		v = v<<uint(rem) | uint64(buf[i+1])>>uint(8-rem)
+	}
+	return v, end
 }
 
 // PackHeader serializes field values (in declaration order) per the header
@@ -51,7 +70,7 @@ func PackHeader(def *HeaderDef, values []uint64) ([]byte, error) {
 	buf := make([]byte, def.Bytes())
 	off := 0
 	for i, f := range def.Fields {
-		off = packBits(buf, off, values[i]&mask(f.Width), f.Width)
+		off = packBits(buf, off, values[i], f.Width)
 	}
 	return buf, nil
 }

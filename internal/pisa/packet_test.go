@@ -107,3 +107,72 @@ func TestPacketClone(t *testing.T) {
 		t.Error("clone shares backing array")
 	}
 }
+
+// packBitsRef and unpackBitsRef are the bit-at-a-time codec the byte-wise
+// one replaced, kept as the executable definition of MSB-first packing.
+func packBitsRef(buf []byte, off int, v uint64, width int) int {
+	for i := width - 1; i >= 0; i-- {
+		if (v>>uint(i))&1 != 0 {
+			buf[off/8] |= 1 << uint(7-off%8)
+		}
+		off++
+	}
+	return off
+}
+
+func unpackBitsRef(buf []byte, off, width int) (uint64, int) {
+	var v uint64
+	for i := 0; i < width; i++ {
+		v = v<<1 | uint64(buf[off/8]>>uint(7-off%8))&1
+		off++
+	}
+	return v, off
+}
+
+// TestBitCodecMatchesReference holds the byte-wise codec equal to the
+// reference for every width and bit offset, OR-ing into buffers that
+// already carry bits and packing values wider than the field.
+func TestBitCodecMatchesReference(t *testing.T) {
+	rng := uint64(0x243f6a8885a308d3)
+	next := func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+	for width := 1; width <= 64; width++ {
+		for bit := 0; bit < 8; bit++ {
+			for _, base := range []int{0, 3} {
+				off := base*8 + bit
+				for round := 0; round < 8; round++ {
+					got, want := make([]byte, base+10), make([]byte, base+10)
+					if round%2 == 1 { // OR into a buffer that is not zero
+						for i := range got {
+							got[i] = byte(next())
+						}
+						copy(want, got)
+					}
+					v := next()
+					switch round {
+					case 0:
+						v = ^uint64(0)
+					case 2:
+						v = 0
+					}
+					gotOff := packBits(got, off, v, width)
+					wantOff := packBitsRef(want, off, v, width)
+					if gotOff != wantOff || !bytes.Equal(got, want) {
+						t.Fatalf("packBits(off=%d, v=%#x, width=%d) = %x off %d, reference %x off %d",
+							off, v, width, got, gotOff, want, wantOff)
+					}
+					gv, gOff := unpackBits(got, off, width)
+					wv, wOff := unpackBitsRef(got, off, width)
+					if gv != wv || gOff != wOff {
+						t.Fatalf("unpackBits(%x, off=%d, width=%d) = %#x off %d, reference %#x off %d",
+							got, off, width, gv, gOff, wv, wOff)
+					}
+				}
+			}
+		}
+	}
+}

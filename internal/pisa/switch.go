@@ -118,18 +118,20 @@ func NewSwitchFromCompiled(compiled *Compiled, opts ...Option) *Switch {
 		keyedCast: crypto.NewKeyedCRC32Castagnoli(),
 		halfsip:   crypto.NewHalfSipHash24(),
 	}
-	for _, t := range compiled.Program.Tables {
-		s.tables = append(s.tables, newTableState(t))
+	for ti := range compiled.tables {
+		s.tables = append(s.tables, newTableState(compiled, ti))
 	}
 	for _, r := range compiled.Program.Registers {
 		s.regs = append(s.regs, make([]uint64, r.Entries))
 	}
 	s.regMu = make([]sync.Mutex, len(s.regs))
 	s.execPool.New = func() any {
-		return &execState{
-			phv:   make([]uint64, len(compiled.slotWidth)),
-			valid: make([]bool, len(compiled.Program.Headers)),
+		st := &execState{
+			vals:  make([]uint64, int(compiled.constBase)+len(compiled.consts)),
+			valid: make([]bool, len(compiled.headers)),
 		}
+		copy(st.vals[compiled.constBase:], compiled.consts)
+		return st
 	}
 	for _, o := range opts {
 		o(s)
@@ -200,9 +202,8 @@ func (s *Switch) RegisterWrite(name string, index int, v uint64) error {
 	if index < 0 || index >= len(s.regs[ri]) {
 		return fmt.Errorf("pisa: register %s index %d out of range [0,%d)", name, index, len(s.regs[ri]))
 	}
-	def := s.compiled.Program.Registers[ri]
 	s.regMu[ri].Lock()
-	s.regs[ri][index] = v & mask(def.Width)
+	s.regs[ri][index] = v & s.compiled.regMask[ri]
 	s.regMu[ri].Unlock()
 	return nil
 }
@@ -306,30 +307,23 @@ func (s *Switch) bump(id int) {
 // --- packet processing ---
 
 type execState struct {
-	phv     []uint64
+	// vals is the value file the linked ops index: PHV slots, then the
+	// action-parameter window, then the program's constants.
+	vals    []uint64
 	valid   []bool
 	payload []byte
 	passes  int
 
 	// Reusable scratch, pooled with the state.
-	hashVals   []uint64
-	hashWidths []int
-	hashBuf    []byte
-	hashData   []byte
-	keyVals    []uint64
-	keyWidths  []int
-	keyBuf     []byte
-	dests      []int
+	hashBuf []byte
+	keyBuf  []byte
+	dests   []int
 }
 
 func (s *Switch) getExec() *execState {
 	st := s.execPool.Get().(*execState)
-	for i := range st.phv {
-		st.phv[i] = 0
-	}
-	for i := range st.valid {
-		st.valid[i] = false
-	}
+	clear(st.vals[:s.compiled.paramBase])
+	clear(st.valid)
 	st.payload = st.payload[:0]
 	st.passes = 0
 	st.dests = st.dests[:0]
@@ -337,6 +331,12 @@ func (s *Switch) getExec() *execState {
 }
 
 func (s *Switch) putExec(st *execState) { s.execPool.Put(st) }
+
+// meta returns the intrinsic-metadata slots of st, indexed by the m*
+// constants.
+func (c *Compiled) meta(st *execState) []uint64 {
+	return st.vals[c.metaBase:][:numIntrinsic]
+}
 
 // Process runs one packet through the pipeline and returns its emissions
 // and modeled cost. The returned Result owns its buffers.
@@ -354,6 +354,7 @@ func (s *Switch) ProcessInto(pkt Packet, res *Result) error {
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()
 
+	c := s.compiled
 	st := s.getExec()
 	defer s.putExec(st)
 
@@ -365,47 +366,46 @@ func (s *Switch) ProcessInto(pkt Packet, res *Result) error {
 		s.bump(cntParseError)
 		return err
 	}
-	s.setMeta(st, MetaIngressPort, uint64(pkt.Port))
-	s.setMeta(st, MetaTimestamp, s.now.Load())
-	s.setMeta(st, MetaPktLen, uint64(len(pkt.Data)))
+	meta := c.meta(st)
+	meta[mIngressPort] = uint64(pkt.Port) & intrinsicMask[mIngressPort]
+	meta[mTimestamp] = s.now.Load() & intrinsicMask[mTimestamp]
+	meta[mPktLen] = uint64(len(pkt.Data)) & intrinsicMask[mPktLen]
 
-	maxPasses := s.compiled.Profile.MaxPasses
+	maxPasses := c.Profile.MaxPasses
 	for pass := 0; ; pass++ {
 		st.passes = pass + 1
-		s.setMeta(st, MetaPass, uint64(pass))
-		s.setMeta(st, MetaRecirc, 0)
-		if err := s.runOps(st, s.compiled.Program.Control, nil); err != nil {
-			return err
-		}
-		if s.getMeta(st, MetaRecirc) == 0 {
+		meta[mPass] = uint64(pass) & intrinsicMask[mPass]
+		meta[mRecirc] = 0
+		s.run(st, c.control)
+		if meta[mRecirc] == 0 {
 			break
 		}
 		if pass+1 >= maxPasses {
 			s.bump(cntRecircOverflow)
-			s.setMeta(st, MetaDrop, 1)
+			meta[mDrop] = 1
 			break
 		}
 	}
 
-	stages := s.compiled.StagesPerPass() + s.compiled.Usage.EgressStages
+	stages := c.StagesPerPass() + c.Usage.EgressStages
 	res.Passes = st.passes
-	res.Cost = s.compiled.Profile.PacketCost(stages, st.passes, len(st.payload))
-	if s.getMeta(st, MetaDrop) != 0 {
+	res.Cost = c.Profile.PacketCost(stages, st.passes, len(st.payload))
+	if meta[mDrop] != 0 {
 		s.bump(cntDropped)
 		return nil
 	}
 
 	// Replication: copy-to-CPU plus multicast group or unicast port.
 	dests := st.dests
-	if s.getMeta(st, MetaToCPU) != 0 {
+	if meta[mToCPU] != 0 {
 		dests = append(dests, CPUPort)
 	}
 	switch {
-	case s.getMeta(st, MetaMcastGroup) != 0:
-		dests = append(dests, s.mcast[s.getMeta(st, MetaMcastGroup)]...)
-	case s.getMeta(st, MetaEgressPort) != 0:
+	case meta[mMcastGroup] != 0:
+		dests = append(dests, s.mcast[meta[mMcastGroup]]...)
+	case meta[mEgressPort] != 0:
 		// Ports are 1-based; 0 means "no unicast decision".
-		dests = append(dests, int(s.getMeta(st, MetaEgressPort)))
+		dests = append(dests, int(meta[mEgressPort]))
 	default:
 		if len(dests) == 0 {
 			s.bump(cntNoEgress)
@@ -414,43 +414,36 @@ func (s *Switch) ProcessInto(pkt Packet, res *Result) error {
 	st.dests = dests
 
 	// Egress pipeline per replica.
+	hasEgress := c.egress.end > c.egress.start
 	for _, port := range dests {
 		est := st
-		if len(dests) > 1 || len(s.compiled.Program.EgressControl) > 0 {
-			cp := s.getExec()
-			copy(cp.phv, st.phv)
-			copy(cp.valid, st.valid)
-			cp.payload = append(cp.payload[:0], st.payload...)
-			est = cp
+		if len(dests) > 1 || hasEgress {
+			est = s.getExec()
+			copy(est.vals[:c.paramBase], st.vals)
+			copy(est.valid, st.valid)
+			est.payload = append(est.payload[:0], st.payload...)
 		}
-		s.setMeta(est, MetaEgressPort, uint64(port)&mask(16))
-		if len(s.compiled.Program.EgressControl) > 0 {
-			if err := s.runOps(est, s.compiled.Program.EgressControl, nil); err != nil {
-				if est != st {
-					s.putExec(est)
-				}
-				return fmt.Errorf("egress: %w", err)
-			}
-			if s.getMeta(est, MetaDrop) != 0 {
-				s.bump(cntEgressDropped)
-				if est != st {
-					s.putExec(est)
-				}
-				continue
-			}
+		emeta := c.meta(est)
+		emeta[mEgressPort] = uint64(port) & intrinsicMask[mEgressPort]
+		if hasEgress {
+			s.run(est, c.egress)
 		}
-		idx := len(res.Emissions)
-		var buf []byte
-		if idx < len(res.bufs) {
-			buf = res.bufs[idx][:0]
-		}
-		buf = s.deparseInto(est, buf)
-		if idx < len(res.bufs) {
-			res.bufs[idx] = buf
+		if emeta[mDrop] != 0 {
+			s.bump(cntEgressDropped)
 		} else {
-			res.bufs = append(res.bufs, buf)
+			idx := len(res.Emissions)
+			var buf []byte
+			if idx < len(res.bufs) {
+				buf = res.bufs[idx][:0]
+			}
+			buf = s.deparseInto(est, buf)
+			if idx < len(res.bufs) {
+				res.bufs[idx] = buf
+			} else {
+				res.bufs = append(res.bufs, buf)
+			}
+			res.Emissions = append(res.Emissions, Emission{Port: port, Data: buf})
 		}
-		res.Emissions = append(res.Emissions, Emission{Port: port, Data: buf})
 		if est != st {
 			s.putExec(est)
 		}
@@ -458,114 +451,59 @@ func (s *Switch) ProcessInto(pkt Packet, res *Result) error {
 	return nil
 }
 
-func (s *Switch) metaSlot(name string) int {
-	return s.compiled.slots[F(MetaHeader, name)]
-}
-
-func (s *Switch) setMeta(st *execState, name string, v uint64) {
-	slot := s.metaSlot(name)
-	st.phv[slot] = v & mask(s.compiled.slotWidth[slot])
-}
-
-func (s *Switch) getMeta(st *execState, name string) uint64 {
-	return st.phv[s.metaSlot(name)]
-}
-
 func (s *Switch) parse(st *execState, data []byte) error {
-	prog := s.compiled.Program
-	if len(prog.Parser) == 0 {
-		st.payload = append(st.payload[:0], data...)
-		return nil
-	}
+	c := s.compiled
 	rest := data
-	stateName := ParserStart
-	for steps := 0; ; steps++ {
+	for si, steps := c.startState, 0; si >= 0; steps++ {
 		if steps > 64 {
 			return fmt.Errorf("pisa: parser exceeded 64 states (loop?)")
 		}
-		si, ok := s.compiled.parserIndex[stateName]
-		if !ok {
-			return fmt.Errorf("pisa: parser transitioned to unknown state %q", stateName)
-		}
-		state := prog.Parser[si]
-		if state.Extract != "" {
-			hi := s.compiled.headerIndex[state.Extract]
-			def := prog.Headers[hi]
-			if len(rest) < def.Bytes() {
-				return fmt.Errorf("pisa: header %s needs %d bytes, packet has %d", def.Name, def.Bytes(), len(rest))
+		state := &c.states[si]
+		if state.extract >= 0 {
+			h := &c.headers[state.extract]
+			if len(rest) < int(h.bytes) {
+				return fmt.Errorf("pisa: header %s needs %d bytes, packet has %d", c.Program.Headers[state.extract].Name, h.bytes, len(rest))
 			}
 			off := 0
-			for fi, slot := range s.compiled.headerSlots[hi] {
-				st.phv[slot], off = unpackBits(rest, off, def.Fields[fi].Width)
+			for slot := h.first; slot < h.first+h.n; slot++ {
+				st.vals[slot], off = unpackBits(rest, off, int(c.slotWidth[slot]))
 			}
-			st.valid[hi] = true
-			rest = rest[def.Bytes():]
+			st.valid[state.extract] = true
+			rest = rest[h.bytes:]
 		}
-		next := state.Default
-		if state.Select != "" {
-			slot := s.compiled.slots[state.Select]
-			if n, ok := state.Transitions[st.phv[slot]]; ok {
-				next = n
+		si = state.def
+		if state.sel >= 0 {
+			v := st.vals[state.sel]
+			for _, t := range c.trans[state.trans.start:state.trans.end] {
+				if t.val == v {
+					si = t.next
+					break
+				}
 			}
 		}
-		if next == "" {
-			break
-		}
-		stateName = next
 	}
 	st.payload = append(st.payload[:0], rest...)
 	return nil
 }
 
-// appendZeros extends b with n zero bytes (deparse packs bits by OR-ing,
-// so fresh bytes must be cleared).
-func appendZeros(b []byte, n int) []byte {
-	for i := 0; i < n; i++ {
-		b = append(b, 0)
-	}
-	return b
-}
-
 // deparseInto serializes the valid headers and payload, appending into out.
 func (s *Switch) deparseInto(st *execState, out []byte) []byte {
-	prog := s.compiled.Program
-	for _, name := range prog.DeparseOrder {
-		hi := s.compiled.headerIndex[name]
+	c := s.compiled
+	for _, hi := range c.deparse {
 		if !st.valid[hi] {
 			continue
 		}
-		def := prog.Headers[hi]
+		h := &c.headers[hi]
 		base := len(out)
-		out = appendZeros(out, def.Bytes())
+		// packBits ORs into the buffer, so the fresh bytes must be zero;
+		// this append form extends in place without a temporary.
+		out = append(out, make([]byte, h.bytes)...)
 		off := 0
-		for fi, slot := range s.compiled.headerSlots[hi] {
-			w := def.Fields[fi].Width
-			off = packBits(out[base:], off, st.phv[slot]&mask(w), w)
+		for slot := h.first; slot < h.first+h.n; slot++ {
+			off = packBits(out[base:], off, st.vals[slot], int(c.slotWidth[slot]))
 		}
 	}
 	return append(out, st.payload...)
-}
-
-type execFrame struct {
-	params []uint64
-}
-
-// evalOperandIn resolves operands that may reference action parameters.
-func (s *Switch) evalOperandIn(st *execState, o Operand, act *Action, frame *execFrame) (uint64, error) {
-	if o.IsConst {
-		return o.Const, nil
-	}
-	slot, pidx, _, err := s.compiled.lookupRef(o.Ref, act)
-	if err != nil {
-		return 0, err
-	}
-	if pidx >= 0 {
-		if frame == nil || pidx >= len(frame.params) {
-			return 0, fmt.Errorf("pisa: parameter %s unbound", o.Ref)
-		}
-		return frame.params[pidx], nil
-	}
-	return st.phv[slot], nil
 }
 
 func rotl(v uint64, n uint64, width int) uint64 {
@@ -575,318 +513,189 @@ func rotl(v uint64, n uint64, width int) uint64 {
 	return ((v << n) | (v >> (uint64(width) - n))) & m
 }
 
-func (s *Switch) runOps(st *execState, ops []Op, actFrame *opContext) error {
-	var act *Action
-	var frame *execFrame
-	if actFrame != nil {
-		act, frame = actFrame.act, actFrame.frame
-	}
-	for i := range ops {
-		op := &ops[i]
-		switch op.Kind {
-		case OpSet, OpAdd, OpSub, OpXor, OpAnd, OpOr, OpShl, OpShr, OpRotl:
-			a, err := s.evalOperandIn(st, op.A, act, frame)
-			if err != nil {
-				return err
-			}
-			var b uint64
-			if op.Kind != OpSet {
-				if b, err = s.evalOperandIn(st, op.B, act, frame); err != nil {
-					return err
-				}
-			}
-			slot, _, w, err := s.compiled.lookupRef(op.Dst, act)
-			if err != nil {
-				return err
-			}
-			var v uint64
-			switch op.Kind {
-			case OpSet:
-				v = a
-			case OpAdd:
-				v = a + b
-			case OpSub:
-				v = a - b
-			case OpXor:
-				v = a ^ b
-			case OpAnd:
-				v = a & b
-			case OpOr:
-				v = a | b
-			case OpShl:
-				if b >= 64 {
-					v = 0
-				} else {
-					v = a << b
-				}
-			case OpShr:
-				if b >= 64 {
-					v = 0
-				} else {
-					v = a >> b
-				}
-			case OpRotl:
-				v = rotl(a, b, w)
-			}
-			st.phv[slot] = v & mask(w)
+// run executes one block of linked code on st.
+func (s *Switch) run(st *execState, b span) {
+	c := s.compiled
+	v := st.vals
+	for pc := b.start; pc < b.end; {
+		op := &c.code[pc]
+		pc++
+		switch OpKind(op.kind) {
+		case OpSet:
+			v[op.dst] = v[op.a] & op.mask()
+		case OpAdd:
+			v[op.dst] = (v[op.a] + v[op.b]) & op.mask()
+		case OpSub:
+			v[op.dst] = (v[op.a] - v[op.b]) & op.mask()
+		case OpXor:
+			v[op.dst] = (v[op.a] ^ v[op.b]) & op.mask()
+		case OpAnd:
+			v[op.dst] = v[op.a] & v[op.b] & op.mask()
+		case OpOr:
+			v[op.dst] = (v[op.a] | v[op.b]) & op.mask()
+		case OpShl:
+			// Go shifts of 64 or more yield 0, as the ALU does.
+			v[op.dst] = (v[op.a] << v[op.b]) & op.mask()
+		case OpShr:
+			v[op.dst] = (v[op.a] >> v[op.b]) & op.mask()
+		case OpRotl:
+			v[op.dst] = rotl(v[op.a], v[op.b], int(op.dw))
 		case OpHash:
-			v, err := s.execHash(st, op, act, frame)
-			if err != nil {
-				return err
-			}
-			slot, _, w, err := s.compiled.lookupRef(op.Dst, act)
-			if err != nil {
-				return err
-			}
-			st.phv[slot] = uint64(v) & mask(w)
+			v[op.dst] = uint64(s.execHash(st, op)) & op.mask()
 		case OpRegRead, OpRegWrite, OpRegRMW:
-			ri := s.compiled.regIndex[op.Reg]
-			def := s.compiled.Program.Registers[ri]
-			idx, err := s.evalOperandIn(st, op.Index, act, frame)
-			if err != nil {
-				return err
-			}
-			if idx >= uint64(def.Entries) {
-				s.bump(cntRegIndexWrap)
-				idx %= uint64(def.Entries)
-			}
-			switch op.Kind {
-			case OpRegRead:
-				slot, _, w, err := s.compiled.lookupRef(op.Dst, act)
-				if err != nil {
-					return err
-				}
-				s.regMu[ri].Lock()
-				v := s.regs[ri][idx]
-				s.regMu[ri].Unlock()
-				st.phv[slot] = v & mask(w)
-			case OpRegWrite:
-				v, err := s.evalOperandIn(st, op.A, act, frame)
-				if err != nil {
-					return err
-				}
-				s.regMu[ri].Lock()
-				s.regs[ri][idx] = v & mask(def.Width)
-				s.regMu[ri].Unlock()
-			case OpRegRMW:
-				a, err := s.evalOperandIn(st, op.A, act, frame)
-				if err != nil {
-					return err
-				}
-				slot, _, w, err := s.compiled.lookupRef(op.Dst, act)
-				if err != nil {
-					return err
-				}
-				// Hold the bank lock across the read-modify-write: the
-				// data plane's stateful ALU is atomic per packet, and the
-				// replay-floor RMWMax depends on it.
-				s.regMu[ri].Lock()
-				old := s.regs[ri][idx]
-				var next uint64
-				switch op.RMW {
-				case RMWAdd:
-					next = old + a
-				case RMWWrite:
-					next = a
-				case RMWMax:
-					next = old
-					if a > old {
-						next = a
-					}
-				case RMWXor:
-					next = old ^ a
-				}
-				s.regs[ri][idx] = next & mask(def.Width)
-				s.regMu[ri].Unlock()
-				st.phv[slot] = old & mask(w)
-			}
+			s.execReg(st, op)
 		case OpRandom:
-			slot, _, w, err := s.compiled.lookupRef(op.Dst, act)
-			if err != nil {
-				return err
-			}
 			// RandomSource implementations are concurrency-safe.
-			r := s.rng.Uint64()
-			st.phv[slot] = r & mask(w)
+			v[op.dst] = s.rng.Uint64() & op.mask()
 		case OpSetValid:
-			hi := s.compiled.headerIndex[op.Header]
-			if !st.valid[hi] {
-				st.valid[hi] = true
-				for _, slot := range s.compiled.headerSlots[hi] {
-					st.phv[slot] = 0
-				}
+			if !st.valid[op.dst] {
+				st.valid[op.dst] = true
+				h := &c.headers[op.dst]
+				clear(v[h.first : h.first+h.n])
 			}
 		case OpSetInvalid:
-			st.valid[s.compiled.headerIndex[op.Header]] = false
+			st.valid[op.dst] = false
 		case OpApply:
-			if err := s.applyTable(st, op.Table); err != nil {
-				return err
-			}
+			s.applyTable(st, op.dst)
 		case OpIf:
-			take, err := s.evalCond(st, op.Cond, act, frame)
-			if err != nil {
-				return err
+			if !evalCond(st, op) {
+				pc = op.x
 			}
-			branch := op.Then
-			if !take {
-				branch = op.Else
-			}
-			if err := s.runOps(st, branch, actFrame); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("pisa: runtime: unknown op kind %d", int(op.Kind))
+		case opJump:
+			pc = op.x
 		}
 	}
-	return nil
 }
 
-type opContext struct {
-	act   *Action
-	frame *execFrame
-}
-
-func (s *Switch) evalCond(st *execState, cond Cond, act *Action, frame *execFrame) (bool, error) {
-	if cond.ValidHeader != "" {
-		v := st.valid[s.compiled.headerIndex[cond.ValidHeader]]
-		if cond.Negate {
-			v = !v
+func (s *Switch) execReg(st *execState, op *lop) {
+	v := st.vals
+	ri := op.x
+	bank := s.regs[ri]
+	idx := v[op.b]
+	if idx >= uint64(len(bank)) {
+		s.bump(cntRegIndexWrap)
+		idx %= uint64(len(bank))
+	}
+	switch OpKind(op.kind) {
+	case OpRegRead:
+		s.regMu[ri].Lock()
+		old := bank[idx]
+		s.regMu[ri].Unlock()
+		v[op.dst] = old & op.mask()
+	case OpRegWrite:
+		s.regMu[ri].Lock()
+		bank[idx] = v[op.a] & s.compiled.regMask[ri]
+		s.regMu[ri].Unlock()
+	case OpRegRMW:
+		a := v[op.a]
+		// Hold the bank lock across the read-modify-write: the data
+		// plane's stateful ALU is atomic per packet, and the replay-floor
+		// RMWMax depends on it.
+		s.regMu[ri].Lock()
+		old := bank[idx]
+		var next uint64
+		switch RMWKind(op.sub) {
+		case RMWAdd:
+			next = old + a
+		case RMWWrite:
+			next = a
+		case RMWMax:
+			next = old
+			if a > old {
+				next = a
+			}
+		case RMWXor:
+			next = old ^ a
 		}
-		return v, nil
+		bank[idx] = next & s.compiled.regMask[ri]
+		s.regMu[ri].Unlock()
+		v[op.dst] = old & op.mask()
 	}
-	l, err := s.evalOperandIn(st, cond.L, act, frame)
-	if err != nil {
-		return false, err
-	}
-	r, err := s.evalOperandIn(st, cond.R, act, frame)
-	if err != nil {
-		return false, err
-	}
+}
+
+func evalCond(st *execState, op *lop) bool {
 	var res bool
-	switch cond.Cmp {
-	case CmpEq:
-		res = l == r
-	case CmpNe:
-		res = l != r
-	case CmpLt:
-		res = l < r
-	case CmpLe:
-		res = l <= r
-	case CmpGt:
-		res = l > r
-	case CmpGe:
-		res = l >= r
+	if op.flags&flagValid != 0 {
+		res = st.valid[op.dst]
+	} else {
+		l, r := st.vals[op.a], st.vals[op.b]
+		switch CmpKind(op.sub) {
+		case CmpEq:
+			res = l == r
+		case CmpNe:
+			res = l != r
+		case CmpLt:
+			res = l < r
+		case CmpLe:
+			res = l <= r
+		case CmpGt:
+			res = l > r
+		case CmpGe:
+			res = l >= r
+		}
 	}
-	if cond.Negate {
-		res = !res
-	}
-	return res, nil
+	return res != (op.flags&flagNegate != 0)
 }
 
-func (s *Switch) execHash(st *execState, op *Op, act *Action, frame *execFrame) (uint32, error) {
-	// Serialize inputs MSB-first at declared widths, then payload.
-	totalBits := 0
-	vals := st.hashVals[:0]
-	widths := st.hashWidths[:0]
-	for _, in := range op.Inputs {
-		v, err := s.evalOperandIn(st, in, act, frame)
-		if err != nil {
-			return 0, err
-		}
-		w := 64
-		if !in.IsConst {
-			_, _, fw, _ := s.compiled.lookupRef(in.Ref, act)
-			w = fw
-		}
-		vals = append(vals, v)
-		widths = append(widths, w)
-		totalBits += w
+func (s *Switch) execHash(st *execState, op *lop) uint32 {
+	// Serialize inputs MSB-first at declared widths (at most 8 bytes
+	// each), then payload.
+	plan := s.compiled.hashIns[op.x:op.b]
+	if cap(st.hashBuf) < 8*len(plan) {
+		st.hashBuf = make([]byte, 8*len(plan))
 	}
-	st.hashVals, st.hashWidths = vals, widths
-	nbytes := (totalBits + 7) / 8
-	if cap(st.hashBuf) < nbytes {
-		st.hashBuf = make([]byte, nbytes)
-	}
-	buf := st.hashBuf[:nbytes]
-	for i := range buf {
-		buf[i] = 0
-	}
+	data := st.hashBuf[:8*len(plan)]
+	clear(data)
 	off := 0
-	for i := range vals {
-		off = packBits(buf, off, vals[i]&mask(widths[i]), widths[i])
+	for _, in := range plan {
+		off = packBits(data, off, st.vals[in.src], int(in.width))
 	}
-	data := buf
-	if op.IncludePayload {
-		st.hashData = append(append(st.hashData[:0], buf...), st.payload...)
-		data = st.hashData
+	data = data[:(off+7)/8]
+	if op.flags&flagPayload != 0 {
+		data = append(data, st.payload...)
+		st.hashBuf = data
 	}
-
+	keyed := op.flags&flagKeyed != 0
 	var key uint64
-	if op.Key != nil {
-		k, err := s.evalOperandIn(st, *op.Key, act, frame)
-		if err != nil {
-			return 0, err
-		}
-		key = k
+	if keyed {
+		key = st.vals[op.a]
 	}
-
-	switch op.Alg {
+	switch HashAlg(op.sub) {
 	case HashCRC32:
-		if op.Key != nil {
-			return s.keyedIEEE.Sum32(key, data), nil
+		if keyed {
+			return s.keyedIEEE.Sum32(key, data)
 		}
-		return crc32.Checksum(data, s.crcIEEE), nil
+		return crc32.Checksum(data, s.crcIEEE)
 	case HashCRC32C:
-		if op.Key != nil {
-			return s.keyedCast.Sum32(key, data), nil
+		if keyed {
+			return s.keyedCast.Sum32(key, data)
 		}
-		return crc32.Checksum(data, s.crcCast), nil
+		return crc32.Checksum(data, s.crcCast)
 	case HashIdentity:
 		var v uint32
 		for _, b := range data {
 			v = v<<8 | uint32(b)
 		}
-		return v, nil
-	case HashHalfSipHash:
-		return s.halfsip.Sum32(key, data), nil
-	default:
-		return 0, fmt.Errorf("pisa: runtime: unknown hash alg %d", int(op.Alg))
+		return v
+	default: // HashHalfSipHash
+		return s.halfsip.Sum32(key, data)
 	}
 }
 
-func (s *Switch) applyTable(st *execState, name string) error {
-	ti := s.compiled.tableIndex[name]
+func (s *Switch) applyTable(st *execState, ti int32) {
 	ts := s.tables[ti]
-	def := ts.def
-	vals := st.keyVals[:0]
-	widths := st.keyWidths[:0]
-	for _, k := range def.Keys {
-		slot, _, w, err := s.compiled.lookupRef(k.Field, nil)
-		if err != nil {
-			return err
-		}
-		vals = append(vals, st.phv[slot])
-		widths = append(widths, w)
-	}
-	st.keyVals, st.keyWidths = vals, widths
-	entry, keyBuf := ts.lookup(vals, widths, st.keyBuf)
+	entry, keyBuf := ts.lookup(st.vals, st.keyBuf)
 	st.keyBuf = keyBuf
-	actionName := def.Default
-	var params []uint64
+	action, params := ts.lt.def, ts.def.DefaultParams
 	if entry != nil {
-		actionName, params = entry.Action, entry.Params
-	} else if actionName != "" {
-		params = def.DefaultParams
+		action, params = entry.action, entry.params
 	}
-	if actionName == "" {
-		return nil // miss with no default: no-op
+	if action < 0 {
+		return // miss with no default: no-op
 	}
-	a := s.compiled.Program.Action(actionName)
-	if a == nil {
-		return fmt.Errorf("pisa: table %s: entry references unknown action %q", name, actionName)
-	}
-	if len(params) != len(a.Params) {
-		return fmt.Errorf("pisa: table %s action %s: %d params bound, want %d", name, actionName, len(params), len(a.Params))
-	}
-	return s.runOps(st, a.Body, &opContext{act: a, frame: &execFrame{params: params}})
+	// The parameter count was checked when the entry was installed (the
+	// default's when the program was compiled).
+	c := s.compiled
+	copy(st.vals[c.paramBase:c.constBase], params)
+	s.run(st, c.actions[action])
 }

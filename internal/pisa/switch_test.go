@@ -1,6 +1,7 @@
 package pisa
 
 import (
+	"hash/crc32"
 	"testing"
 
 	"p4auth/internal/crypto"
@@ -771,5 +772,102 @@ func TestSwitchRegRMWXor(t *testing.T) {
 	send(0xAAAA) // XOR-fold removes it again
 	if v, _ := sw.RegisterRead("acc", 0); v != 0x5555 {
 		t.Fatalf("acc = %#x, want 0x5555", v)
+	}
+}
+
+// A parameter list that does not fit its action used to surface as a
+// pipeline error on every matching packet; it is rejected where it is
+// bound: the entry at install, the table default at compile.
+func TestParamCountCheckedWhenBound(t *testing.T) {
+	const want = "pisa: table ports action to_port: 2 params bound, want 1"
+	sw := newTestSwitch(t, TofinoProfile())
+	err := sw.InsertEntry("ports", Entry{Key: []KeyMatch{EKey(42)}, Action: "to_port", Params: []uint64{1, 2}})
+	if err == nil || err.Error() != want {
+		t.Errorf("InsertEntry with 2 params for a 1-param action: %v, want %q", err, want)
+	}
+	if err := sw.InsertEntry("ports", Entry{Key: []KeyMatch{EKey(42)}, Action: "to_port"}); err == nil {
+		t.Error("InsertEntry with no params for a 1-param action was accepted")
+	}
+	// The rejected entries were not installed.
+	if err := sw.DeleteEntry("ports", []KeyMatch{EKey(42)}); err == nil {
+		t.Error("a rejected entry is in the table")
+	}
+
+	prog := testL3Program()
+	prog.Tables[1].Default, prog.Tables[1].DefaultParams = "to_port", []uint64{1, 2}
+	if _, err := Compile(prog, TofinoProfile()); err == nil || err.Error() != want {
+		t.Errorf("Compile with 2 default params for a 1-param action: %v, want %q", err, want)
+	}
+	prog.Tables[1].DefaultParams = []uint64{3}
+	sw, err = NewSwitch(prog, TofinoProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.InsertEntry("routes", Entry{Key: []KeyMatch{PKey(0x0A000000, 8)}, Action: "set_nhop", Params: []uint64{7}}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := sw.Process(Packet{Data: ethIPPacket(0x0A000001, 64), Port: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Emissions) != 1 || res.Emissions[0].Port != 3 {
+		t.Errorf("miss on ports did not run the default action with its parameter: %+v", res.Emissions)
+	}
+}
+
+// TestSwitchALUAndHashVariants runs the ops no hosted program happens to
+// use (rotate, shifts past the word, unkeyed CRC32C, identity over the
+// payload) against their definitions.
+func TestSwitchALUAndHashVariants(t *testing.T) {
+	md := func(f string) FieldRef { return F(MetaHeader, f) }
+	h := F("h", "a")
+	prog := &Program{
+		Name:    "variants",
+		Headers: []*HeaderDef{{Name: "h", Fields: []FieldDef{{Name: "a", Width: 32}}}},
+		Metadata: []FieldDef{
+			{Name: "rot", Width: 32}, {Name: "rot0", Width: 32}, {Name: "shl", Width: 64}, {Name: "shr", Width: 64},
+			{Name: "crc", Width: 32}, {Name: "id", Width: 32}, {Name: "narrow", Width: 12},
+		},
+		Parser:       []ParserState{{Name: ParserStart, Extract: "h"}},
+		DeparseOrder: []string{"h"},
+		Registers:    []*RegisterDef{{Name: "out", Width: 64, Entries: 8}},
+		Control: []Op{
+			Rotl(md("rot"), R(h), C(8)),
+			Rotl(md("rot0"), R(h), C(64)), // 64 mod 32 = 0: unchanged
+			Shl(md("shl"), R(h), C(64)),
+			Shr(md("shr"), R(h), C(200)),
+			Hash(md("crc"), HashCRC32C, R(h), C(7)),
+			{Kind: OpHash, Dst: md("id"), Alg: HashIdentity, IncludePayload: true},
+			Add(md("narrow"), R(h), C(1)),
+			RegWrite("out", C(0), R(md("rot"))),
+			RegWrite("out", C(1), R(md("rot0"))),
+			RegWrite("out", C(2), R(md("shl"))),
+			RegWrite("out", C(3), R(md("shr"))),
+			RegWrite("out", C(4), R(md("crc"))),
+			RegWrite("out", C(5), R(md("id"))),
+			RegWrite("out", C(6), R(md("narrow"))),
+		},
+	}
+	sw, err := NewSwitch(prog, BMv2Profile()) // one register written seven times: not a hardware program
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog.Table("nope") != nil || prog.Register("out") == nil {
+		t.Error("Program lookups by name are wrong")
+	}
+	if _, err := sw.Process(Packet{Data: []byte{0x12, 0x34, 0x5f, 0xff, 0xAA, 0xBB}, Port: 1}); err != nil {
+		t.Fatal(err)
+	}
+	crcIn := []byte{0x12, 0x34, 0x5f, 0xff, 0, 0, 0, 0, 0, 0, 0, 7} // a:32 then the 64-bit constant
+	want := []uint64{
+		0x345fff12, 0x12345fff, 0, 0,
+		uint64(crc32.Checksum(crcIn, crc32.MakeTable(crc32.Castagnoli))),
+		0xAABB,
+		0x000, // 0x12345fff + 1 = 0x12346000, cut to 12 bits
+	}
+	for i, w := range want {
+		if got, _ := sw.RegisterRead("out", i); got != w {
+			t.Errorf("out[%d] = %#x, want %#x", i, got, w)
+		}
 	}
 }

@@ -82,129 +82,137 @@ type Entry struct {
 	Params   []uint64
 }
 
+// boundEntry is an installed entry with its action resolved.
+type boundEntry struct {
+	key      []KeyMatch
+	params   []uint64
+	priority int
+	action   int32 // index into Compiled.actions
+}
+
 // tableState is the runtime content of one table.
 type tableState struct {
 	def *Table
+	lt  *ltable
+	// actions are the program's actions, indexed as lt.actions and
+	// boundEntry.action are.
+	actions []*Action
 	// exact index: concatenated key values -> entry
-	exact map[string]*Entry
+	exact map[string]*boundEntry
 	// ordered entries for ternary/lpm scan
-	scan []*Entry
+	scan []*boundEntry
 }
 
-func newTableState(def *Table) *tableState {
-	return &tableState{def: def, exact: make(map[string]*Entry)}
-}
-
-func (ts *tableState) isExactOnly() bool {
-	for _, k := range ts.def.Keys {
-		if k.Match != MatchExact {
-			return false
-		}
+func newTableState(c *Compiled, ti int) *tableState {
+	return &tableState{
+		def: c.Program.Tables[ti], lt: &c.tables[ti], actions: c.Program.Actions,
+		exact: make(map[string]*boundEntry),
 	}
-	return true
 }
 
-// appendExactKey appends the big-endian concatenation of vals to b — the
-// exact-match map key bytes.
-func appendExactKey(b []byte, vals []uint64) []byte {
-	for _, v := range vals {
-		b = append(b,
-			byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-			byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+// appendKeyPart appends one key value, big-endian, to the exact-match map
+// key bytes.
+func appendKeyPart(b []byte, v uint64) []byte {
+	return append(b,
+		byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
+		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+}
+
+func exactKeyString(key []KeyMatch) string {
+	b := make([]byte, 0, len(key)*8)
+	for _, k := range key {
+		b = appendKeyPart(b, k.Value)
 	}
-	return b
-}
-
-func exactKeyString(vals []uint64) string {
-	return string(appendExactKey(make([]byte, 0, len(vals)*8), vals))
+	return string(b)
 }
 
 func (ts *tableState) insert(e Entry) error {
 	if len(e.Key) != len(ts.def.Keys) {
 		return fmt.Errorf("pisa: table %s: entry has %d key parts, want %d", ts.def.Name, len(e.Key), len(ts.def.Keys))
 	}
-	permitted := false
-	for _, a := range ts.def.Actions {
+	ec := &boundEntry{priority: e.Priority, action: -1}
+	for i, a := range ts.def.Actions {
 		if a == e.Action {
-			permitted = true
+			ec.action = ts.lt.actions[i]
 			break
 		}
 	}
-	if !permitted {
+	if ec.action < 0 {
 		return fmt.Errorf("pisa: table %s: action %q not permitted", ts.def.Name, e.Action)
+	}
+	if err := checkParamCount(ts.def, ts.actions[ec.action], e.Params); err != nil {
+		return err
 	}
 	if ts.entryCount() >= ts.def.Size {
 		return fmt.Errorf("pisa: table %s: full (%d entries)", ts.def.Name, ts.def.Size)
 	}
-	ec := e
-	ec.Key = append([]KeyMatch(nil), e.Key...)
-	ec.Params = append([]uint64(nil), e.Params...)
-	if ts.isExactOnly() {
-		vals := make([]uint64, len(ec.Key))
-		for i, k := range ec.Key {
-			vals[i] = k.Value
-		}
-		ts.exact[exactKeyString(vals)] = &ec
+	ec.key = append([]KeyMatch(nil), e.Key...)
+	ec.params = append([]uint64(nil), e.Params...)
+	if ts.lt.exact {
+		ts.exact[exactKeyString(ec.key)] = ec
 		return nil
 	}
-	ts.scan = append(ts.scan, &ec)
+	ts.scan = append(ts.scan, ec)
 	return nil
 }
 
 func (ts *tableState) entryCount() int {
-	if ts.isExactOnly() {
+	if ts.lt.exact {
 		return len(ts.exact)
 	}
 	return len(ts.scan)
 }
 
-// lookup finds the matching entry for the key values, or nil on miss.
-// keyBuf is caller-owned scratch for the exact-match key bytes; the
-// (possibly grown) buffer is returned so the caller can keep it.
-func (ts *tableState) lookup(vals []uint64, widths []int, keyBuf []byte) (*Entry, []byte) {
-	if ts.isExactOnly() {
-		keyBuf = appendExactKey(keyBuf[:0], vals)
+// lookup finds the entry matching the key fields in the value file, or nil
+// on miss. keyBuf is caller-owned scratch for the exact-match key bytes;
+// the (possibly grown) buffer is returned so the caller can keep it.
+func (ts *tableState) lookup(vals []uint64, keyBuf []byte) (*boundEntry, []byte) {
+	if ts.lt.exact {
+		keyBuf = keyBuf[:0]
+		for _, k := range ts.lt.keys {
+			keyBuf = appendKeyPart(keyBuf, vals[k.slot])
+		}
 		// string(keyBuf) in the index expression does not allocate.
 		return ts.exact[string(keyBuf)], keyBuf
 	}
-	var best *Entry
+	var best *boundEntry
 	bestPrio, bestPrefix := -1, -1
 	for _, e := range ts.scan {
-		if !ts.entryMatches(e, vals, widths) {
+		if !ts.entryMatches(e, vals) {
 			continue
 		}
 		prefix := 0
-		for i, k := range ts.def.Keys {
-			if k.Match == MatchLPM {
-				prefix += e.Key[i].PrefixLen
+		for i, k := range ts.lt.keys {
+			if MatchKind(k.match) == MatchLPM {
+				prefix += e.key[i].PrefixLen
 			}
 		}
-		if prefix > bestPrefix || (prefix == bestPrefix && e.Priority > bestPrio) {
-			best, bestPrio, bestPrefix = e, e.Priority, prefix
+		if prefix > bestPrefix || (prefix == bestPrefix && e.priority > bestPrio) {
+			best, bestPrio, bestPrefix = e, e.priority, prefix
 		}
 	}
 	return best, keyBuf
 }
 
-func (ts *tableState) entryMatches(e *Entry, vals []uint64, widths []int) bool {
-	for i, k := range ts.def.Keys {
-		km := e.Key[i]
-		switch k.Match {
+func (ts *tableState) entryMatches(e *boundEntry, vals []uint64) bool {
+	for i, k := range ts.lt.keys {
+		km, v := e.key[i], vals[k.slot]
+		switch MatchKind(k.match) {
 		case MatchExact:
-			if vals[i] != km.Value {
+			if v != km.Value {
 				return false
 			}
 		case MatchTernary:
-			if vals[i]&km.Mask != km.Value&km.Mask {
+			if v&km.Mask != km.Value&km.Mask {
 				return false
 			}
 		case MatchLPM:
-			w := widths[i]
+			w := int(k.width)
 			if km.PrefixLen > w {
 				return false
 			}
 			m := mask(w) &^ mask(w-km.PrefixLen)
-			if vals[i]&m != km.Value&m {
+			if v&m != km.Value&m {
 				return false
 			}
 		}
@@ -213,7 +221,7 @@ func (ts *tableState) entryMatches(e *Entry, vals []uint64, widths []int) bool {
 }
 
 func (ts *tableState) clear() {
-	ts.exact = make(map[string]*Entry)
+	ts.exact = make(map[string]*boundEntry)
 	ts.scan = nil
 }
 
@@ -234,12 +242,8 @@ func (ts *tableState) remove(key []KeyMatch) error {
 	if len(key) != len(ts.def.Keys) {
 		return fmt.Errorf("pisa: table %s: delete key has %d parts, want %d", ts.def.Name, len(key), len(ts.def.Keys))
 	}
-	if ts.isExactOnly() {
-		vals := make([]uint64, len(key))
-		for i, k := range key {
-			vals[i] = k.Value
-		}
-		ks := exactKeyString(vals)
+	if ts.lt.exact {
+		ks := exactKeyString(key)
 		if _, ok := ts.exact[ks]; !ok {
 			return fmt.Errorf("pisa: table %s: no entry for key", ts.def.Name)
 		}
@@ -247,7 +251,7 @@ func (ts *tableState) remove(key []KeyMatch) error {
 		return nil
 	}
 	for i, e := range ts.scan {
-		if keysEqual(e.Key, key) {
+		if keysEqual(e.key, key) {
 			ts.scan = append(ts.scan[:i], ts.scan[i+1:]...)
 			return nil
 		}

@@ -2,17 +2,18 @@
 # Coverage floor for the trust-boundary packages: the codecs and key
 # machinery (internal/core), the primitives every key derives from
 # (internal/crypto), the observability layer the post-mortems depend on
-# (internal/obs), and the fleet scenario harness (internal/fleet) whose
-# matrix the protection claims are read off of. A drop below the floor
-# means new code shipped without tests in exactly the places where
-# silent breakage is unacceptable.
+# (internal/obs), the fleet scenario harness (internal/fleet) whose
+# matrix the protection claims are read off of, and the pipeline model
+# (internal/pisa) in which every data-plane check of the paper runs. A
+# drop below the floor means new code shipped without tests in exactly
+# the places where silent breakage is unacceptable.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 FLOOR="${COVER_FLOOR:-85}"
 fail=0
-for pkg in ./internal/core/ ./internal/crypto/ ./internal/obs/ ./internal/fleet/; do
+for pkg in ./internal/core/ ./internal/crypto/ ./internal/obs/ ./internal/fleet/ ./internal/pisa/; do
     line=$(go test -cover "$pkg" | tail -1)
     echo "$line"
     pct=$(printf '%s\n' "$line" | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')

@@ -1,5 +1,6 @@
 #!/bin/sh
-# Fuzz smoke: run each codec fuzz target briefly (FUZZTIME per target,
+# Fuzz smoke: run each fuzz target (the codecs, and the pisa packet parser
+# and pipeline under the P4Auth program) briefly (FUZZTIME per target,
 # default 10s) on top of its checked-in seed corpus. This is not the
 # long campaign — it catches regressions where a codec change breaks the
 # round-trip property on inputs one generation of mutation away from the
@@ -19,7 +20,8 @@ for entry in \
     ./internal/core/:FuzzDecodeJournalBatch \
     ./internal/core/:FuzzDecodeSnapshot \
     ./internal/core/:FuzzDecodeDeviceSnapshot \
-    ./internal/statestore/:FuzzDecodeLease; do
+    ./internal/statestore/:FuzzDecodeLease \
+    ./internal/pisa/:FuzzProcessP4Auth; do
     pkg="${entry%%:*}"
     target="${entry#*:}"
     echo "-- $pkg $target ($FUZZTIME)"
