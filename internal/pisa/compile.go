@@ -169,7 +169,7 @@ func (ra regAccess) merge(other regAccess) {
 // took and the registers it touched.
 func (c *Compiled) placeBlock(b span) (*stagePacker, regAccess) {
 	sp := newStagePacker(c.Profile)
-	regs := make(regAccess, len(c.regMask))
+	regs := make(regAccess, len(c.Program.Registers))
 	c.placeOps(sp, b, regs)
 	return sp, regs
 }

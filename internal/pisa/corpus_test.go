@@ -108,24 +108,9 @@ func corpusSubjects(t *testing.T) []*corpusSubject {
 		if secure {
 			name = "hula-secure"
 		}
-		const ports = 8
-		p := hula.DefaultParams(1, ports)
-		p.Secure = secure
-		hs, err := hula.NewSwitch("pin", p, 7)
-		must(err)
-		all := make([]int, ports)
-		for i := range all {
-			all[i] = i + 1
-		}
-		keys := make([]uint64, ports+1)
+		const ports = probePorts
+		hs, keys := newKeyedHula(t, secure)
 		seqs := make([]uint32, ports+1)
-		for port := 1; port <= ports; port++ {
-			if secure {
-				keys[port] = 0xfeed0000 + uint64(port)*0x10001
-				must(hs.Host.SW.RegisterWrite(core.RegKeysV0, port, keys[port]))
-			}
-			must(hs.SetProbeFlood(port, all))
-		}
 		s := add(name, hs.Host, hs.Cfg, ports)
 		s.extra = func(r *corpusRNG) pisa.Packet {
 			port := 1 + r.intn(ports)

@@ -19,7 +19,10 @@
 //
 // Programs are described with a small builder IR (Program, Table, Action,
 // Op), compiled against a target Profile (Tofino or BMv2) into a
-// Compiled program, and executed per packet by a Switch. Packets are real
+// Compiled program, and executed per packet by a Switch. Compile also
+// links: every name is resolved once into a flat, index-addressed form
+// (link.go), which is all that the per-packet path, stage placement and
+// resource accounting read. Packets are real
 // byte strings: the pipeline parses them into the PHV with a programmable
 // parser state machine and deparses the PHV back to bytes on emission, so
 // a man-in-the-middle in the network sees — and can rewrite — exactly the

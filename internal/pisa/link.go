@@ -134,6 +134,7 @@ func (c *Compiled) link() error {
 		states:  make(map[string]int32, len(prog.Parser)),
 		consts:  make(map[uint64]vref),
 	}
+	// Sized exactly: every switch holds its own linked form.
 	c.headers = make([]lheader, 0, len(prog.Headers))
 	c.regMask = make([]uint64, 0, len(prog.Registers))
 	c.deparse = make([]int32, 0, len(prog.DeparseOrder))
@@ -237,7 +238,7 @@ func (c *Compiled) link() error {
 	for v, ref := range l.consts {
 		c.consts[ref-c.constBase] = v
 	}
-	// Every switch holds its own linked form: give back the append slack.
+	// What could not be sized up front gives back its append slack.
 	c.slotWidth = append([]uint8(nil), c.slotWidth...)
 	c.code = append([]lop(nil), c.code...)
 	c.hashIns = append([]hashIn(nil), c.hashIns...)

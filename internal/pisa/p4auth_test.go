@@ -91,28 +91,43 @@ type probeFixture struct {
 
 const probePorts = 8
 
-func newProbeFixture(tb testing.TB) *probeFixture {
+// newKeyedHula boots a HULA switch whose 8 ports each flood to all 8 and,
+// when secure, each hold a neighbour's key (installed as key repair
+// would, through the trusted driver API).
+func newKeyedHula(tb testing.TB, secure bool) (*hula.Switch, [probePorts + 1]uint64) {
 	tb.Helper()
-	hs, err := hula.NewSwitch("pin", hula.DefaultParams(1, probePorts), 7)
+	p := hula.DefaultParams(1, probePorts)
+	p.Secure = secure
+	hs, err := hula.NewSwitch("pin", p, 7)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	f := &probeFixture{sw: hs.Host.SW}
-	if f.dig, err = hs.Cfg.Digester(); err != nil {
-		tb.Fatal(err)
-	}
+	var keys [probePorts + 1]uint64
 	all := make([]int, probePorts)
 	for i := range all {
 		all[i] = i + 1
 	}
 	for port := 1; port <= probePorts; port++ {
-		f.keys[port] = 0xfeed0000 + uint64(port)*0x10001
-		if err := f.sw.RegisterWrite(core.RegKeysV0, port, f.keys[port]); err != nil {
-			tb.Fatal(err)
+		if secure {
+			keys[port] = 0xfeed0000 + uint64(port)*0x10001
+			if err := hs.Host.SW.RegisterWrite(core.RegKeysV0, port, keys[port]); err != nil {
+				tb.Fatal(err)
+			}
 		}
 		if err := hs.SetProbeFlood(port, all); err != nil {
 			tb.Fatal(err)
 		}
+	}
+	return hs, keys
+}
+
+func newProbeFixture(tb testing.TB) *probeFixture {
+	tb.Helper()
+	hs, keys := newKeyedHula(tb, true)
+	f := &probeFixture{sw: hs.Host.SW, keys: keys}
+	var err error
+	if f.dig, err = hs.Cfg.Digester(); err != nil {
+		tb.Fatal(err)
 	}
 	f.msg = core.Message{
 		Header: core.Header{HdrType: core.HdrFeedback, MsgType: core.MsgProbe},
