@@ -33,9 +33,6 @@ import (
 // byte-identical. Regenerate, for a reviewed behaviour change only, with
 //
 //	PISA_GOLDEN_UPDATE=1 go test -run TestDifferentialCorpus ./internal/pisa/
-//
-// PISA_CORPUS_DUMP=<dir> additionally writes one per-packet log per
-// subject, for diffing two commits when a digest moves.
 const (
 	corpusGolden     = "testdata/corpus.golden"
 	corpusPackets    = 512
@@ -279,8 +276,8 @@ func (s *corpusSubject) randomPort(r *corpusRNG) int {
 }
 
 // run drives the subject with the seeded stream and returns its golden
-// lines; log receives one line per packet.
-func (s *corpusSubject) run(t *testing.T, log *bytes.Buffer) []string {
+// lines.
+func (s *corpusSubject) run(t *testing.T) []string {
 	t.Helper()
 	sw := s.host.SW
 	prog := sw.Compiled().Program
@@ -345,7 +342,6 @@ func (s *corpusSubject) run(t *testing.T, log *bytes.Buffer) []string {
 		}
 		line.WriteByte('\n')
 		h.Write(line.Bytes())
-		log.Write(line.Bytes())
 		if (i+1)%corpusCheckpoint == 0 {
 			lines = append(lines, fmt.Sprintf("%s packets=%d digest=%x", s.name, i+1, h.Sum(nil)[:12]))
 		}
@@ -370,7 +366,6 @@ func (s *corpusSubject) run(t *testing.T, log *bytes.Buffer) []string {
 		}
 		fmt.Fprintln(rh)
 	}
-	fmt.Fprintf(log, "counters %s\n", strings.Join(counters, ","))
 	lines = append(lines, fmt.Sprintf("%s final emissions=%d errors=%d acked=%d counters=%s regs=%x",
 		s.name, emitted, failed, answered, strings.Join(counters, ","), rh.Sum(nil)[:12]))
 	return lines
@@ -380,17 +375,10 @@ func TestDifferentialCorpus(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("# Differential corpus digests for the pisa interpreter (see corpus_test.go).\n")
 	b.WriteString("# Regenerate (reviewed behaviour changes only): PISA_GOLDEN_UPDATE=1\n")
-	dump := os.Getenv("PISA_CORPUS_DUMP")
 	for _, s := range corpusSubjects(t) {
-		var log bytes.Buffer
-		for _, line := range s.run(t, &log) {
+		for _, line := range s.run(t) {
 			b.WriteString(line)
 			b.WriteByte('\n')
-		}
-		if dump != "" {
-			if err := os.WriteFile(dump+"/"+s.name+".log", log.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 	got := b.String()
@@ -411,7 +399,7 @@ func TestDifferentialCorpus(t *testing.T) {
 				break
 			}
 			if gl[i] != wl[i] {
-				t.Fatalf("corpus diverges from %s at line %d:\n got  %s\n want %s\n(PISA_CORPUS_DUMP=<dir> writes per-packet logs)",
+				t.Fatalf("corpus diverges from %s at line %d:\n got  %s\n want %s",
 					corpusGolden, i+1, gl[i], wl[i])
 			}
 		}

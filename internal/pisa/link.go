@@ -71,7 +71,11 @@ type ltable struct {
 	keys    []lkey
 	exact   bool    // every key is MatchExact: entries live in the hash index
 	actions []int32 // action indexes, parallel to Table.Actions
+	nparams []int32 // parameter count of each, parallel to actions
 	def     int32   // default action index, -1 = none
+	// defParams is the link-time copy of Table.DefaultParams: the run
+	// does not read the caller's Program.
+	defParams []uint64
 }
 
 // lheader locates a header's fields: they occupy consecutive slots in
@@ -178,7 +182,10 @@ func (c *Compiled) link() error {
 	}
 
 	for _, t := range prog.Tables {
-		lt := ltable{exact: true, def: -1, keys: make([]lkey, 0, len(t.Keys)), actions: make([]int32, 0, len(t.Actions))}
+		lt := ltable{
+			exact: true, def: -1, keys: make([]lkey, 0, len(t.Keys)),
+			actions: make([]int32, 0, len(t.Actions)), nparams: make([]int32, 0, len(t.Actions)),
+		}
 		for _, k := range t.Keys {
 			slot, w, err := l.lookupRef(k.Field, nil)
 			if err != nil {
@@ -188,13 +195,16 @@ func (c *Compiled) link() error {
 			lt.exact = lt.exact && k.Match == MatchExact
 		}
 		for _, an := range t.Actions {
-			lt.actions = append(lt.actions, l.actions[an])
+			ai := l.actions[an]
+			lt.actions = append(lt.actions, ai)
+			lt.nparams = append(lt.nparams, int32(len(prog.Actions[ai].Params)))
 		}
 		if t.Default != "" {
 			lt.def = l.actions[t.Default]
-			if err := checkParamCount(t, prog.Actions[lt.def], t.DefaultParams); err != nil {
+			if err := checkParamCount(t.Name, t.Default, len(t.DefaultParams), len(prog.Actions[lt.def].Params)); err != nil {
 				return err
 			}
+			lt.defParams = append([]uint64(nil), t.DefaultParams...)
 		}
 		c.tables = append(c.tables, lt)
 	}
@@ -248,9 +258,9 @@ func (c *Compiled) link() error {
 
 // checkParamCount rejects a parameter list that does not fit the action it
 // is bound to (a table entry's, or the table's default).
-func checkParamCount(t *Table, a *Action, params []uint64) error {
-	if len(params) != len(a.Params) {
-		return fmt.Errorf("pisa: table %s action %s: %d params bound, want %d", t.Name, a.Name, len(params), len(a.Params))
+func checkParamCount(table, action string, got, want int) error {
+	if got != want {
+		return fmt.Errorf("pisa: table %s action %s: %d params bound, want %d", table, action, got, want)
 	}
 	return nil
 }

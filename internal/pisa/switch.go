@@ -686,7 +686,7 @@ func (s *Switch) applyTable(st *execState, ti int32) {
 	ts := s.tables[ti]
 	entry, keyBuf := ts.lookup(st.vals, st.keyBuf)
 	st.keyBuf = keyBuf
-	action, params := ts.lt.def, ts.def.DefaultParams
+	action, params := ts.lt.def, ts.lt.defParams
 	if entry != nil {
 		action, params = entry.action, entry.params
 	}

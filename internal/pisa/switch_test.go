@@ -806,6 +806,8 @@ func TestParamCountCheckedWhenBound(t *testing.T) {
 	if err := sw.InsertEntry("routes", Entry{Key: []KeyMatch{PKey(0x0A000000, 8)}, Action: "set_nhop", Params: []uint64{7}}); err != nil {
 		t.Fatal(err)
 	}
+	// The run reads the linked copy: the caller's Program may change.
+	prog.Tables[1].DefaultParams = nil
 	res, err := sw.Process(Packet{Data: ethIPPacket(0x0A000001, 64), Port: 1})
 	if err != nil {
 		t.Fatal(err)

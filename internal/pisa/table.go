@@ -94,9 +94,6 @@ type boundEntry struct {
 type tableState struct {
 	def *Table
 	lt  *ltable
-	// actions are the program's actions, indexed as lt.actions and
-	// boundEntry.action are.
-	actions []*Action
 	// exact index: concatenated key values -> entry
 	exact map[string]*boundEntry
 	// ordered entries for ternary/lpm scan
@@ -104,10 +101,7 @@ type tableState struct {
 }
 
 func newTableState(c *Compiled, ti int) *tableState {
-	return &tableState{
-		def: c.Program.Tables[ti], lt: &c.tables[ti], actions: c.Program.Actions,
-		exact: make(map[string]*boundEntry),
-	}
+	return &tableState{def: c.Program.Tables[ti], lt: &c.tables[ti], exact: make(map[string]*boundEntry)}
 }
 
 // appendKeyPart appends one key value, big-endian, to the exact-match map
@@ -133,15 +127,15 @@ func (ts *tableState) insert(e Entry) error {
 	ec := &boundEntry{priority: e.Priority, action: -1}
 	for i, a := range ts.def.Actions {
 		if a == e.Action {
+			if err := checkParamCount(ts.def.Name, a, len(e.Params), int(ts.lt.nparams[i])); err != nil {
+				return err
+			}
 			ec.action = ts.lt.actions[i]
 			break
 		}
 	}
 	if ec.action < 0 {
 		return fmt.Errorf("pisa: table %s: action %q not permitted", ts.def.Name, e.Action)
-	}
-	if err := checkParamCount(ts.def, ts.actions[ec.action], e.Params); err != nil {
-		return err
 	}
 	if ts.entryCount() >= ts.def.Size {
 		return fmt.Errorf("pisa: table %s: full (%d entries)", ts.def.Name, ts.def.Size)
