@@ -20,8 +20,9 @@ $(GATES):
 test:
 	$(GO) test ./...
 
-# Full evaluation benchmarks (Table I/II/III, Fig. 16-20). Slow; the test
-# targets above skip them via -short where applicable.
+# Full evaluation benchmarks (Table I/II/III, Fig. 16-21, the ablation;
+# Table I runs its 15 fleet cells). Slow; the test targets above skip them
+# via -short where applicable.
 bench:
 	$(GO) test -bench=. -benchmem ./...
 

@@ -82,28 +82,6 @@ func BenchmarkAblationDigestWidth(b *testing.B) {
 	benchReport(b, func() (*bench.Report, error) { return bench.AblationDigest() })
 }
 
-// Full-pipeline Table I extensions.
-
-func BenchmarkNetCacheExt(b *testing.B) {
-	benchReport(b, func() (*bench.Report, error) { return bench.NetCacheExt() })
-}
-
-func BenchmarkSilkRoadExt(b *testing.B) {
-	benchReport(b, func() (*bench.Report, error) { return bench.SilkRoadExt() })
-}
-
-func BenchmarkNetwardenExt(b *testing.B) {
-	benchReport(b, func() (*bench.Report, error) { return bench.NetwardenExt() })
-}
-
-func BenchmarkFlowRadarExt(b *testing.B) {
-	benchReport(b, func() (*bench.Report, error) { return bench.FlowRadarExt() })
-}
-
-func BenchmarkBlinkExt(b *testing.B) {
-	benchReport(b, func() (*bench.Report, error) { return bench.BlinkExt() })
-}
-
 // Micro-benchmarks of the primitives behind the figures.
 
 func BenchmarkAuthenticatedWrite(b *testing.B) {

@@ -5,46 +5,8 @@ import (
 	"time"
 
 	"p4auth/internal/routescout"
-	"p4auth/internal/systems"
 	"p4auth/internal/trace"
 )
-
-// TableI regenerates Table I as the measured impact of altering C-DP
-// messages on the five in-network system classes, clean vs attacked vs
-// protected.
-func TableI() (*Report, error) {
-	results, err := systems.RunAll()
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{
-		ID:      "Table I",
-		Title:   "Impact of altering C-DP update/report messages",
-		Columns: []string{"System", "Impact metric", "clean", "attacked", "with P4Auth", "alerts"},
-	}
-	byKey := map[string]map[systems.Variant]systems.Result{}
-	var order []string
-	for _, r := range results {
-		if byKey[r.System] == nil {
-			byKey[r.System] = map[systems.Variant]systems.Result{}
-			order = append(order, r.System)
-		}
-		byKey[r.System][r.Variant] = r
-	}
-	for _, sys := range order {
-		v := byKey[sys]
-		rep.Rows = append(rep.Rows, []string{
-			sys, v[systems.Clean].Metric,
-			pct(v[systems.Clean].Impact),
-			pct(v[systems.Attacked].Impact),
-			pct(v[systems.Protected].Impact),
-			fmt.Sprintf("%d", v[systems.Protected].Alerts),
-		})
-	}
-	rep.Notes = append(rep.Notes,
-		"paper's Table I is qualitative; these are the measured impacts of the same attack classes")
-	return rep, nil
-}
 
 // Fig16Opts parameterizes the RouteScout experiment.
 type Fig16Opts struct {

@@ -88,11 +88,6 @@ func All() []Runner {
 		{"fig21", func() (*Report, error) { return Fig21(DefaultFig21Opts()) }},
 		{"table3", func() (*Report, error) { return TableIII(DefaultTableIIIOpts()) }},
 		{"ablation", func() (*Report, error) { return AblationDigest() }},
-		{"netcache", func() (*Report, error) { return NetCacheExt() }},
-		{"silkroad", func() (*Report, error) { return SilkRoadExt() }},
-		{"netwarden", func() (*Report, error) { return NetwardenExt() }},
-		{"flowradar", func() (*Report, error) { return FlowRadarExt() }},
-		{"blink", func() (*Report, error) { return BlinkExt() }},
 	}
 }
 

@@ -246,9 +246,9 @@ func (c *Controller) Stats() Stats {
 
 // Outstanding reports unanswered requests for a switch (DoS indicator).
 func (c *Controller) Outstanding(name string) (int, error) {
-	h, ok := c.switches[name]
-	if !ok {
-		return 0, fmt.Errorf("controller: unknown switch %q", name)
+	h, err := c.handle(name)
+	if err != nil {
+		return 0, err
 	}
 	return h.seq.Outstanding(), nil
 }

@@ -304,6 +304,60 @@ func TestMitMOnWriteRequestDetectedByDataPlane(t *testing.T) {
 	}
 }
 
+// TestSingleShotKMPTamperRaisesAlert: a key-exchange request altered
+// inside the switch stack comes back as a verified alert. The
+// single-shot flows must report it the way the register path and the
+// resilient flows do: ErrTampered, the alert recorded, nothing left
+// outstanding.
+func TestSingleShotKMPTamperRaisesAlert(t *testing.T) {
+	for _, tc := range []struct {
+		name, victim string
+		run          func(c *Controller) error
+	}{
+		{"local update", "s1", func(c *Controller) error {
+			_, err := c.LocalKeyUpdate("s1")
+			return err
+		}},
+		{"port init leg 3-4", "s2", func(c *Controller) error {
+			_, err := c.PortKeyInit("s1", 1, "s2", 1)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, s1, s2 := twoSwitchFabric(t)
+			for _, sw := range []string{"s1", "s2"} {
+				if _, err := c.LocalKeyInit(sw); err != nil {
+					t.Fatal(err)
+				}
+			}
+			victim := map[string]*deploy.Switch{"s1": s1, "s2": s2}[tc.victim]
+			if err := victim.Host.Install(switchos.BoundarySDKDriver, &switchos.Hooks{
+				OnPacketOut: func(data []byte) []byte {
+					m, err := core.DecodeMessage(data)
+					if err != nil || m.Kx == nil {
+						return data
+					}
+					m.Kx.Salt ^= 1
+					out, _ := m.Encode()
+					return out
+				},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.run(c); !errors.Is(err, ErrTampered) {
+				t.Fatalf("tampered key exchange not flagged: %v", err)
+			}
+			alerts := c.Alerts()
+			if len(alerts) != 1 || alerts[0].Switch != tc.victim || alerts[0].Reason != core.AlertBadDigest {
+				t.Errorf("alerts = %+v, want one AlertBadDigest from %s", alerts, tc.victim)
+			}
+			if n, err := c.Outstanding(tc.victim); err != nil || n != 0 {
+				t.Errorf("Outstanding(%s) = %d, %v, want 0", tc.victim, n, err)
+			}
+		})
+	}
+}
+
 func TestNAckForUnknownRegister(t *testing.T) {
 	c, _, _ := twoSwitchFabric(t)
 	_, _, err := c.ReadRegister("s1", "nonexistent", 0)

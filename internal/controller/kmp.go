@@ -52,11 +52,17 @@ func (c *Controller) localKeyInitLegacy(sw string) (KMPResult, error) {
 	if err := c.tally(&res, req, resp); err != nil {
 		return res, err
 	}
+	// Vet before looking at the type (here and in the exchanges below): a
+	// request altered inside the switch stack comes back as a verified
+	// alert, which must surface as ErrTampered with the alert recorded and
+	// the sequence number settled, not as an unexpected response type.
+	if len(resp) == 1 {
+		if err := c.checkResponse(h, req, resp[0]); err != nil {
+			return res, err
+		}
+	}
 	if len(resp) != 1 || resp[0].MsgType != core.MsgEAKSalt2 {
 		return res, fmt.Errorf("controller: %s: unexpected EAK response", sw)
-	}
-	if err := c.checkResponse(h, req, resp[0]); err != nil {
-		return res, err
 	}
 	kauth, err := eak.Complete(resp[0].Kx.Salt)
 	if err != nil {
@@ -123,11 +129,13 @@ func (c *Controller) localADHKD(h *swHandle) (KMPResult, error) {
 	if err := c.tally(&res, req, resp); err != nil {
 		return res, err
 	}
+	if len(resp) == 1 {
+		if err := c.checkResponse(h, req, resp[0]); err != nil {
+			return res, err
+		}
+	}
 	if len(resp) != 1 || resp[0].MsgType != core.MsgADHKD2 {
 		return res, fmt.Errorf("controller: %s: unexpected ADHKD response", h.name)
-	}
-	if err := c.checkResponse(h, req, resp[0]); err != nil {
-		return res, err
 	}
 	klocal, err := adhkd.Complete(resp[0].Kx.PK, resp[0].Kx.Salt)
 	if err != nil {
@@ -186,11 +194,13 @@ func (c *Controller) portKeyInitLegacy(a string, pa int, b string, pb int) (KMPR
 	if err := c.tally(&res, req, resp); err != nil {
 		return res, err
 	}
+	if len(resp) == 1 {
+		if err := c.checkResponse(ha, req, resp[0]); err != nil {
+			return res, err
+		}
+	}
 	if len(resp) != 1 || resp[0].MsgType != core.MsgADHKD1 {
 		return res, fmt.Errorf("controller: %s: unexpected portKeyInit response", a)
-	}
-	if err := c.checkResponse(ha, req, resp[0]); err != nil {
-		return res, err
 	}
 	pk1, s1 := resp[0].Kx.PK, resp[0].Kx.Salt
 
@@ -209,11 +219,13 @@ func (c *Controller) portKeyInitLegacy(a string, pa int, b string, pb int) (KMPR
 	if err := c.tally(&res, req, resp); err != nil {
 		return res, err
 	}
+	if len(resp) == 1 {
+		if err := c.checkResponse(hb, req, resp[0]); err != nil {
+			return res, err
+		}
+	}
 	if len(resp) != 1 || resp[0].MsgType != core.MsgADHKD2 {
 		return res, fmt.Errorf("controller: %s: unexpected redirected ADHKD response", b)
-	}
-	if err := c.checkResponse(hb, req, resp[0]); err != nil {
-		return res, err
 	}
 	pk2, s2 := resp[0].Kx.PK, resp[0].Kx.Salt
 

@@ -2,12 +2,14 @@ package controller
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"p4auth/internal/core"
+	"p4auth/internal/deploy"
 	"p4auth/internal/netsim"
 	"p4auth/internal/statestore"
 )
@@ -151,6 +153,46 @@ func TestPipelinedWritersUnderConcurrentRolloverStress(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestObserversVsConcurrentRegister: the read-only accessors are promised
+// safe beside in-flight operations, and Register is one of those (a
+// fleet grows while the operator's dashboard polls it).
+func TestObserversVsConcurrentRegister(t *testing.T) {
+	c, _, _ := twoSwitchFabric(t)
+	var late []*deploy.Switch
+	for _, name := range []string{"s3", "s4", "s5", "s6"} {
+		late = append(late, buildSwitch(t, name, false))
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	polling := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; !stop.Load(); i++ {
+			if _, err := c.Outstanding("s1"); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := c.HealthOf("s1"); err != nil {
+				t.Error(err)
+				return
+			}
+			_ = c.Stats()
+			if i == 0 {
+				close(polling)
+			}
+		}
+	}()
+	<-polling
+	for i, sw := range late {
+		if err := c.Register(fmt.Sprintf("s%d", i+3), sw.Host, sw.Cfg, 0); err != nil {
+			t.Error(err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
 }
 
 // TestWriteRegisterAllocBudget gates the end-to-end hot path: a serial

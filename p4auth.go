@@ -18,9 +18,10 @@
 //     surface)
 //   - internal/controller — the controller: authenticated register I/O and
 //     the key-management protocol
-//   - internal/netsim, internal/hula, internal/routescout,
-//     internal/systems, internal/attacker, internal/trace — the evaluation
-//     substrate
+//   - internal/netsim, internal/hula, internal/routescout, internal/fleet
+//     (with the Table I apps it drives: internal/blink, silkroad,
+//     netwarden, netcache, flowradar), internal/attacker, internal/trace —
+//     the evaluation substrate
 //   - internal/bench — regenerates every table and figure of §IX
 //
 // Quick start (see examples/quickstart for the runnable version):

@@ -3,17 +3,21 @@
 # machinery (internal/core), the primitives every key derives from
 # (internal/crypto), the observability layer the post-mortems depend on
 # (internal/obs), the fleet scenario harness (internal/fleet) whose
-# matrix the protection claims are read off of, and the pipeline model
-# (internal/pisa) in which every data-plane check of the paper runs. A
-# drop below the floor means new code shipped without tests in exactly
-# the places where silent breakage is unacceptable.
+# matrix the protection claims are read off of, the pipeline model
+# (internal/pisa) in which every data-plane check of the paper runs, the
+# lease and WAL codecs every fenced write and recovery replays from
+# (internal/statestore), and the simulator whose fault taps every chaos
+# verdict is produced under (internal/netsim). A drop below the floor
+# means new code shipped without tests in exactly the places where silent
+# breakage is unacceptable.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 FLOOR="${COVER_FLOOR:-85}"
 fail=0
-for pkg in ./internal/core/ ./internal/crypto/ ./internal/obs/ ./internal/fleet/ ./internal/pisa/; do
+for pkg in ./internal/core/ ./internal/crypto/ ./internal/obs/ ./internal/fleet/ ./internal/pisa/ \
+    ./internal/statestore/ ./internal/netsim/; do
     line=$(go test -cover "$pkg" | tail -1)
     echo "$line"
     pct=$(printf '%s\n' "$line" | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')
