@@ -74,7 +74,8 @@ func TestSwitchNodeForwardsAndSurfacesPacketIns(t *testing.T) {
 		t.Fatal(err)
 	}
 	var pins [][]byte
-	node := &SwitchNode{Host: sw.Host, OnPacketIn: func(d []byte) { pins = append(pins, d) }}
+	// PacketIns are lent for the callback only: the node reuses one result.
+	node := &SwitchNode{Host: sw.Host, OnPacketIn: func(d []byte) { pins = append(pins, append([]byte(nil), d...)) }}
 	net := netsim.NewNetwork()
 	n := net.AddNode("n1", node)
 	sink := &Sink{}
@@ -101,6 +102,60 @@ func TestSwitchNodeForwardsAndSurfacesPacketIns(t *testing.T) {
 	}
 	if len(node.Errors) != 0 {
 		t.Errorf("node errors: %v", node.Errors)
+	}
+}
+
+// TestSwitchNodeReusesItsResult sends three different packets through one
+// node, which runs them into one reused result: each must surface exactly
+// its own alert, read through the copy the callback took.
+func TestSwitchNodeReusesItsResult(t *testing.T) {
+	sw, err := Build(SwitchSpec{Name: "n1", Ports: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pins [][]byte
+	node := &SwitchNode{Host: sw.Host, OnPacketIn: func(d []byte) { pins = append(pins, append([]byte(nil), d...)) }}
+	net := netsim.NewNetwork()
+	n := net.AddNode("n1", node)
+	for seq := uint32(5); seq < 8; seq++ {
+		bad := &core.Message{
+			Header: core.Header{HdrType: core.HdrRegister, MsgType: core.MsgWriteReq, SeqNum: seq, Digest: 0xBAD},
+			Reg:    &core.RegPayload{RegID: 1, Index: 0, Value: 1},
+		}
+		enc, _ := bad.Encode()
+		node.Inject(net, n, 2, enc)
+	}
+	if len(pins) != 3 {
+		t.Fatalf("PacketIns = %d, want one alert per packet", len(pins))
+	}
+	for i, pin := range pins {
+		m, err := core.DecodeMessage(pin)
+		if err != nil || m.HdrType != core.HdrAlert || m.SeqNum != uint32(5+i) {
+			t.Errorf("alert %d: %+v, %v", i, m, err)
+		}
+	}
+}
+
+// TestSwitchNodeErrorsAreBounded: a persistently malformed flow is counted
+// in full but keeps only its first errors.
+func TestSwitchNodeErrorsAreBounded(t *testing.T) {
+	sw, err := Build(SwitchSpec{Name: "n1", Ports: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := &SwitchNode{Host: sw.Host}
+	net := netsim.NewNetwork()
+	n := net.AddNode("n1", node)
+	// An empty packet cannot be parsed: the pipeline reports it.
+	const packets = 3 * maxNodeErrors
+	for i := 0; i < packets; i++ {
+		node.Inject(net, n, 1, nil)
+	}
+	if node.ErrorCount != packets || len(node.Errors) != maxNodeErrors {
+		t.Fatalf("ErrorCount = %d, len(Errors) = %d; want %d and %d", node.ErrorCount, len(node.Errors), packets, maxNodeErrors)
+	}
+	if _, want := sw.Host.NetworkPacket(1, nil); node.Errors[0].Error() != want.Error() {
+		t.Errorf("first error = %v, want %v", node.Errors[0], want)
 	}
 }
 

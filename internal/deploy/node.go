@@ -12,22 +12,41 @@ import (
 type SwitchNode struct {
 	Host *switchos.Host
 	// OnPacketIn receives control-channel messages (alerts, responses).
+	// The bytes are lent until the callback returns (copy to keep), and
+	// the callback must not hand this node another packet.
 	OnPacketIn func(data []byte)
-	// Errors collects pipeline errors (malformed packets etc.).
-	Errors []error
+	// Errors holds the first 64 pipeline errors (malformed
+	// packets etc.); ErrorCount counts every one.
+	Errors     []error
+	ErrorCount int
+
+	// io is reused for every packet: netsim.Send copies each emission
+	// before HandlePacket returns, so nothing outlives the call.
+	io switchos.IOResult
+}
+
+// maxNodeErrors bounds SwitchNode.Errors, so that one persistently
+// malformed flow cannot grow it for the whole run.
+const maxNodeErrors = 64
+
+func (sn *SwitchNode) fail(err error) {
+	sn.ErrorCount++
+	if len(sn.Errors) < maxNodeErrors {
+		sn.Errors = append(sn.Errors, err)
+	}
 }
 
 // HandlePacket implements netsim.Handler.
 func (sn *SwitchNode) HandlePacket(net *netsim.Network, node *netsim.Node, port int, data []byte) {
 	sn.Host.SW.SetNow(uint64(net.Sim.Now()))
-	res, err := sn.Host.NetworkPacket(port, data)
-	if err != nil {
-		sn.Errors = append(sn.Errors, err)
+	res := &sn.io
+	if err := sn.Host.NetworkPacketInto(port, data, res); err != nil {
+		sn.fail(err)
 		return
 	}
 	for _, em := range res.NetOut {
 		if err := net.Send(node, em.Port, em.Data, res.Cost); err != nil {
-			sn.Errors = append(sn.Errors, err)
+			sn.fail(err)
 		}
 	}
 	if sn.OnPacketIn != nil {

@@ -89,6 +89,12 @@ type Topology struct {
 	Links []Link
 	// TorID maps edge name → its HULA ToR identifier.
 	TorID map[string]uint16
+
+	// probes maps edge name → the origin probe InjectProbe sends, built
+	// once; data is SendData's packet buffer. Both are only lent to the
+	// pipeline: every emission is copied by netsim.Send.
+	probes map[string][]byte
+	data   []byte
 }
 
 // HostSink counts traffic delivered to one edge's aggregate host.
@@ -136,6 +142,7 @@ func BuildFatTree(cfg TopoConfig) (*Topology, error) {
 		Switches: make(map[string]*hula.Switch),
 		Hosts:    make(map[string]*HostSink),
 		TorID:    make(map[string]uint16),
+		probes:   make(map[string][]byte),
 	}
 
 	ctrl := controller.New(crypto.NewSeededRand(cfg.Seed*1000003 + 1))
@@ -172,6 +179,11 @@ func BuildFatTree(cfg TopoConfig) (*Topology, error) {
 			name := edgeName(pod, i)
 			p := hula.DefaultParams(nextTor, half+1) // uplinks + host port
 			t.TorID[name] = uint16(nextTor)
+			probe, err := hula.ProbePacket(uint16(nextTor), cfg.Secure)
+			if err != nil {
+				return nil, err
+			}
+			t.probes[name] = probe
 			nextTor++
 			if err := addSwitch(name, p); err != nil {
 				return nil, err
@@ -329,14 +341,11 @@ func (t *Topology) installProbeFloods() error {
 // InjectProbe originates one probe at the named edge for its own ToR ID
 // (probes advertise the path back to their originator).
 func (t *Topology) InjectProbe(edge string) error {
-	sw, ok := t.Switches[edge]
+	pkt, ok := t.probes[edge]
 	if !ok {
-		return fmt.Errorf("fleet: unknown switch %q", edge)
+		return fmt.Errorf("fleet: unknown edge switch %q", edge)
 	}
-	pkt, err := hula.ProbePacket(t.TorID[edge], t.Cfg.Secure)
-	if err != nil {
-		return err
-	}
+	sw := t.Switches[edge]
 	sw.Node.Inject(t.Net, t.Net.Node(edge), sw.Params.GeneratorPort, pkt)
 	return nil
 }
@@ -347,11 +356,8 @@ func (t *Topology) SendData(edge string, dst uint16, flow uint32, size int) erro
 	if !ok {
 		return fmt.Errorf("fleet: unknown switch %q", edge)
 	}
-	pkt, err := hula.DataPacket(dst, flow, size)
-	if err != nil {
-		return err
-	}
-	sw.Node.Inject(t.Net, t.Net.Node(edge), sw.Params.HostPort, pkt)
+	t.data = hula.AppendDataPacket(t.data[:0], dst, flow, size)
+	sw.Node.Inject(t.Net, t.Net.Node(edge), sw.Params.HostPort, t.data)
 	return nil
 }
 

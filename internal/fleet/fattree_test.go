@@ -1,11 +1,14 @@
 package fleet
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"strings"
 	"testing"
 	"time"
+
+	"p4auth/internal/hula"
 )
 
 // wiringDump renders the fabric wiring canonically: every switch with
@@ -131,6 +134,9 @@ func TestTopologyErrorPaths(t *testing.T) {
 	if err := topo.InjectProbe("nosuch"); err == nil {
 		t.Error("InjectProbe accepted an unknown switch")
 	}
+	if err := topo.InjectProbe("a0_0"); err == nil {
+		t.Error("InjectProbe accepted a switch that is no ToR")
+	}
 	if err := topo.SendData("nosuch", 1, 1, 100); err == nil {
 		t.Error("SendData accepted an unknown switch")
 	}
@@ -212,5 +218,15 @@ func TestFatTreeDeliversFleetWide(t *testing.T) {
 	}
 	if _, err := topo.UplinkShares("c0"); err == nil {
 		t.Error("UplinkShares accepted a core switch")
+	}
+	// The origin probes are built once and only lent to the pipeline.
+	for _, e := range topo.Edges {
+		want, err := hula.ProbePacket(topo.TorID[e], true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(topo.probes[e], want) {
+			t.Errorf("%s: origin probe is %x after the run, want %x", e, topo.probes[e], want)
+		}
 	}
 }

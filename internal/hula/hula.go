@@ -13,6 +13,7 @@
 package hula
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"p4auth/internal/core"
@@ -402,10 +403,6 @@ var probeDef = &pisa.HeaderDef{Name: HdrProbe, Fields: []pisa.FieldDef{
 	{Name: "dst", Width: 16}, {Name: "util", Width: 32},
 }}
 
-var dataDef = &pisa.HeaderDef{Name: HdrData, Fields: []pisa.FieldDef{
-	{Name: "dst", Width: 16}, {Name: "flow", Width: 32},
-}}
-
 // ProbePacket crafts an origin probe for dst. In secure mode it is a
 // P4Auth feedback message with a zero digest — it must enter through the
 // generator port, which bypasses verification; egress signs it.
@@ -427,10 +424,15 @@ func ProbePacket(dst uint16, secure bool) ([]byte, error) {
 // DataPacket crafts a data packet for dst with a flow identifier and
 // payload size.
 func DataPacket(dst uint16, flow uint32, payloadBytes int) ([]byte, error) {
-	body, err := pisa.PackHeader(dataDef, []uint64{uint64(dst), uint64(flow)})
-	if err != nil {
-		return nil, err
-	}
-	pkt := append([]byte{PTypeData}, body...)
-	return append(pkt, make([]byte, payloadBytes)...), nil
+	return AppendDataPacket(nil, dst, flow, payloadBytes), nil
+}
+
+// AppendDataPacket appends the data packet DataPacket crafts to buf, for
+// a sender that reuses one buffer. Data wire layout: ptype(8) || dst(16)
+// || flow(32), big-endian, then a zero payload.
+func AppendDataPacket(buf []byte, dst uint16, flow uint32, payloadBytes int) []byte {
+	buf = append(buf, PTypeData)
+	buf = binary.BigEndian.AppendUint16(buf, dst)
+	buf = binary.BigEndian.AppendUint32(buf, flow)
+	return append(buf, make([]byte, payloadBytes)...)
 }

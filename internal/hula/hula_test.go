@@ -269,3 +269,34 @@ func TestProbeUpdatesBestPathOnUtilChange(t *testing.T) {
 		t.Fatalf("best hop = %d, want 2 via staleness failover", bh)
 	}
 }
+
+// TestAppendDataPacketMatchesTheDataHeader holds the hand-laid bytes of
+// AppendDataPacket to the header the program parses, and to DataPacket.
+func TestAppendDataPacketMatchesTheDataHeader(t *testing.T) {
+	prog, _, err := BuildProgram(DefaultParams(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := prog.Header(HdrData)
+	prefix := []byte{0xEE, 0xFF}
+	pkt := AppendDataPacket(append([]byte(nil), prefix...), 0x1234, 0xDEADBEEF, 10)
+	if string(pkt[:2]) != string(prefix) || pkt[2] != PTypeData || len(pkt) != 2+1+def.Bytes()+10 {
+		t.Fatalf("packet %x", pkt)
+	}
+	vals, err := pisa.UnpackHeader(def, pkt[3:])
+	if err != nil || vals[0] != 0x1234 || vals[1] != 0xDEADBEEF {
+		t.Fatalf("data header parses as %x, %v", vals, err)
+	}
+	for _, b := range pkt[3+def.Bytes():] {
+		if b != 0 {
+			t.Fatalf("payload not zero: %x", pkt)
+		}
+	}
+	// Appending into a used buffer must clear what the payload overlays.
+	dirty := []byte{9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9}
+	again := AppendDataPacket(dirty[:0], 0x1234, 0xDEADBEEF, 10)
+	whole, err := DataPacket(0x1234, 0xDEADBEEF, 10)
+	if err != nil || string(again) != string(whole) || string(whole) != string(pkt[2:]) {
+		t.Fatalf("DataPacket %x, reused buffer %x, appended %x", whole, again, pkt[2:])
+	}
+}

@@ -8,13 +8,34 @@
 // gives an adversary exactly the capability of the paper's on-link MitM
 // (§II-A): it sees the bytes a switch put on the wire and decides what the
 // next switch receives.
+//
+// # Buffer lifetime
+//
+// Send copies its argument, so a sender may reuse its buffer as soon as
+// Send returns. The copy belongs to the simulator: a Tap and a Handler are
+// lent the delivered bytes until they return, may read and rewrite them in
+// place, and must copy whatever they keep. Once the handler has returned
+// (or the packet was dropped) the buffer goes back to the simulator's free
+// list and carries a later packet. A slice a Tap returns in place of its
+// argument stays the tap's own and is never recycled.
+// PoisonRecycledForTest turns a kept slice into a loud failure.
+//
+// # Event queue
+//
+// Pending events sit by value in one binary heap ordered by (time, then
+// schedule sequence), a total order, so the execution order does not
+// depend on how the heap is laid out (testdata/queue_order.golden). A
+// link delivery is a typed event pointing at a recycled packet, not a
+// closure: in steady state a hop (Step, delivery, handler, Send)
+// allocates nothing in this package.
 package netsim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -27,10 +48,16 @@ import (
 // held, so handlers re-enter Send freely. Events run in (time, then
 // schedule sequence) order.
 type Sim struct {
+	// mu guards every field. Send holds it around Link.mu (never the
+	// other way round); it is never held while an event runs.
 	mu  sync.Mutex
 	now time.Duration
-	pq  eventHeap
+	pq  eventQueue
 	seq uint64
+	// free holds the packets already delivered, by the size class of
+	// their buffers, for Send to copy the next payloads into.
+	free      [payloadClasses][]*packet
+	freeBytes int
 }
 
 // NewSim returns an empty simulator at virtual time zero.
@@ -48,39 +75,57 @@ func (s *Sim) Now() time.Duration {
 // At schedules fn at absolute virtual time t (clamped to now).
 func (s *Sim) At(t time.Duration, fn func()) {
 	s.mu.Lock()
-	if t < s.now {
-		t = s.now
-	}
-	s.seq++
-	heap.Push(&s.pq, &event{at: t, seq: s.seq, fn: fn})
+	s.schedule(event{at: t, fn: fn})
 	s.mu.Unlock()
 }
 
 // After schedules fn d after the current virtual time.
 func (s *Sim) After(d time.Duration, fn func()) {
 	s.mu.Lock()
-	t := s.now + d
-	if t < s.now {
-		t = s.now
+	s.schedule(event{at: s.now + d, fn: fn})
+	s.mu.Unlock()
+}
+
+// schedule queues ev, clamped to now, behind everything already scheduled
+// for the same instant. Called with s.mu held.
+func (s *Sim) schedule(ev event) {
+	if ev.at < s.now {
+		ev.at = s.now
 	}
 	s.seq++
-	heap.Push(&s.pq, &event{at: t, seq: s.seq, fn: fn})
+	ev.seq = s.seq
+	s.pq.push(ev)
+}
+
+// runNext executes the earliest event if it is due by limit. It is entered
+// and left with s.mu held and runs the event with s.mu released, so no
+// caller may defer the unlock: a panicking event leaves s.mu free.
+func (s *Sim) runNext(limit time.Duration) bool {
+	if len(s.pq) == 0 || s.pq[0].at > limit {
+		return false
+	}
+	ev := s.pq.pop()
+	s.now = ev.at
 	s.mu.Unlock()
+	if ev.pkt != nil {
+		ev.pkt.dst.deliver(ev.pkt.data)
+	} else {
+		ev.fn()
+	}
+	s.mu.Lock()
+	if ev.pkt != nil {
+		s.recycle(ev.pkt)
+	}
+	return true
 }
 
 // Step executes the next event; it reports false when the queue is empty.
 // The event function runs with the simulator unlocked.
 func (s *Sim) Step() bool {
 	s.mu.Lock()
-	if s.pq.Len() == 0 {
-		s.mu.Unlock()
-		return false
-	}
-	ev := heap.Pop(&s.pq).(*event)
-	s.now = ev.at
+	ran := s.runNext(math.MaxInt64)
 	s.mu.Unlock()
-	ev.fn()
-	return true
+	return ran
 }
 
 // NextEventAt reports the timestamp of the earliest pending event, or
@@ -90,7 +135,7 @@ func (s *Sim) Step() bool {
 func (s *Sim) NextEventAt() (time.Duration, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.pq.Len() == 0 {
+	if len(s.pq) == 0 {
 		return 0, false
 	}
 	return s.pq[0].at, true
@@ -98,8 +143,10 @@ func (s *Sim) NextEventAt() (time.Duration, bool) {
 
 // Run drains the event queue.
 func (s *Sim) Run() {
-	for s.Step() {
+	s.mu.Lock()
+	for s.runNext(math.MaxInt64) {
 	}
+	s.mu.Unlock()
 }
 
 // Advance executes events within the next d of virtual time and moves the
@@ -115,54 +162,154 @@ func (s *Sim) Advance(d time.Duration) {
 // RunUntil executes events with timestamps <= t, then advances the clock
 // to t.
 func (s *Sim) RunUntil(t time.Duration) {
-	for {
-		s.mu.Lock()
-		if s.pq.Len() == 0 || s.pq[0].at > t {
-			s.mu.Unlock()
-			break
-		}
-		ev := heap.Pop(&s.pq).(*event)
-		s.now = ev.at
-		s.mu.Unlock()
-		ev.fn()
-	}
 	s.mu.Lock()
+	for s.runNext(t) {
+	}
 	if s.now < t {
 		s.now = t
 	}
 	s.mu.Unlock()
 }
 
+// packet is a payload in flight: Send's copy of the bytes and the link end
+// they are delivered into. Packets and their buffers are recycled by size
+// class, so that a small payload never pins a large buffer and a large one
+// never has to outgrow a small one: class c holds buffers of capacity
+// minPayloadCap<<c. A payload beyond the last class is allocated and
+// collected like any other slice.
+type packet struct {
+	dst  *linkEnd
+	data []byte
+}
+
+const (
+	minPayloadCap  = 64
+	payloadClasses = 11 // 64 B to 64 KB
+	// maxFreeBytes bounds what the free lists retain; a burst of in-flight
+	// packets beyond it falls back to the allocator.
+	maxFreeBytes = 4 << 20
+)
+
+// payloadClass returns the class whose buffers hold n bytes; for a
+// capacity that newPacket chose, it is that buffer's own class.
+func payloadClass(n int) int {
+	if n <= minPayloadCap {
+		return 0
+	}
+	return bits.Len(uint(n-1)) - bits.Len(minPayloadCap-1)
+}
+
+// newPacket returns a packet for dst holding a copy of data, recycled
+// where there is one. Called with s.mu held.
+func (s *Sim) newPacket(dst *linkEnd, data []byte) *packet {
+	var p *packet
+	if c := payloadClass(len(data)); c >= payloadClasses {
+		p = &packet{data: make([]byte, len(data))}
+	} else if free := s.free[c]; len(free) > 0 {
+		n := len(free) - 1
+		p, free[n] = free[n], nil
+		s.free[c] = free[:n]
+		s.freeBytes -= cap(p.data)
+		p.data = p.data[:len(data)]
+	} else {
+		p = &packet{data: make([]byte, len(data), minPayloadCap<<c)}
+	}
+	p.dst = dst
+	copy(p.data, data)
+	return p
+}
+
+// recycle takes back a delivered packet. Called with s.mu held.
+func (s *Sim) recycle(p *packet) {
+	buf := p.data[:cap(p.data)]
+	if poisonRecycled.Load() {
+		for i := range buf {
+			buf[i] = 0xA5
+		}
+	}
+	if c := payloadClass(len(buf)); c < payloadClasses && s.freeBytes+len(buf) <= maxFreeBytes {
+		s.free[c] = append(s.free[c], p)
+		s.freeBytes += len(buf)
+	}
+}
+
+var poisonRecycled atomic.Bool
+
+// PoisonRecycledForTest makes every simulator overwrite a payload buffer
+// with 0xA5 the moment its delivery has returned, so a Handler or Tap that
+// kept the slice reads garbage at once instead of, some packets later, the
+// bytes of another packet. For TestMain in _test.go files; nothing else
+// calls it.
+func PoisonRecycledForTest(on bool) { poisonRecycled.Store(on) }
+
+// event is one queue slot: a timer (fn) or the delivery of a packet.
 type event struct {
 	at  time.Duration
 	seq uint64
 	fn  func()
+	pkt *packet
 }
 
-type eventHeap []*event
+// eventQueue is a binary min-heap of events by (at, seq).
+type eventQueue []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (ev *event) before(o *event) bool {
+	if ev.at != o.at {
+		return ev.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return ev.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+
+func (q *eventQueue) push(ev event) {
+	*q = append(*q, event{})
+	h := *q
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+}
+
+// pop removes the earliest event. The vacated slot is zeroed so the queue
+// keeps no reference to a function or payload that has run.
+func (q *eventQueue) pop() event {
+	h := *q
+	n := len(h) - 1
+	top, last := h[0], h[n]
+	h[n] = event{}
+	h = h[:n]
+	*q = h
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if child+1 < n && h[child+1].before(&h[child]) {
+			child++
+		}
+		if !h[child].before(&last) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	return top
 }
 
 // Handler consumes packets delivered to a node.
 type Handler interface {
 	// HandlePacket is invoked at delivery time; port is the receiving
-	// node's port the packet arrived on.
+	// node's port the packet arrived on. data is lent until HandlePacket
+	// returns (see "Buffer lifetime" in the package doc): copy to keep.
 	HandlePacket(net *Network, node *Node, port int, data []byte)
 }
 
@@ -182,12 +329,13 @@ type Node struct {
 }
 
 // Tap observes and optionally rewrites a packet crossing a link direction.
-// Returning nil drops the packet.
+// Returning nil drops the packet. data is lent until the tap returns and
+// may be rewritten in place; a tap that holds a packet back keeps a copy.
 type Tap func(data []byte) []byte
 
 // Link is a duplex link between two node ports.
 type Link struct {
-	sim   *Sim
+	net   *Network
 	a, b  *linkEnd
 	Delay time.Duration
 	// Bandwidth in bits per second; 0 = infinite (no serialization).
@@ -273,7 +421,7 @@ func (n *Network) Connect(nodeA string, portA int, nodeB string, portB int, dela
 	if _, used := b.ports[portB]; used {
 		return nil, fmt.Errorf("netsim: %s port %d already connected", nodeB, portB)
 	}
-	l := &Link{sim: n.Sim, Delay: delay, Bandwidth: bandwidthBps}
+	l := &Link{net: n, Delay: delay, Bandwidth: bandwidthBps}
 	l.a = &linkEnd{link: l, node: a, port: portA}
 	l.b = &linkEnd{link: l, node: b, port: portB}
 	l.a.peer, l.b.peer = l.b, l.a
@@ -413,61 +561,68 @@ func (l *Link) ClearLatencySpikes() {
 
 // Send transmits data from node's port after delay extraDelay (the sender's
 // local processing time). It returns an error if the port is unconnected.
+// data is copied before Send returns.
 func (n *Network) Send(node *Node, port int, data []byte, extraDelay time.Duration) error {
 	end, ok := node.ports[port]
 	if !ok {
 		return fmt.Errorf("netsim: %s port %d not connected", node.Name, port)
 	}
 	l := end.link
-	d := make([]byte, len(data))
-	copy(d, data)
-
-	now := n.Sim.Now()
-	ready := now + extraDelay
 	ser := time.Duration(0)
 	if l.Bandwidth > 0 {
-		ser = time.Duration(float64(len(d)*8) / l.Bandwidth * float64(time.Second))
+		ser = time.Duration(float64(len(data)*8) / l.Bandwidth * float64(time.Second))
 	}
+	// One critical section reads the clock, takes the packet's place on
+	// the link and its place in the event queue, so concurrent senders are
+	// delivered in the order they queued.
+	s := n.Sim
+	s.mu.Lock()
+	now := s.now
 	// FIFO queueing on this direction of the link.
 	l.mu.Lock()
-	start := ready
+	start := now + extraDelay
 	if end.busyUntil > start {
 		start = end.busyUntil
 	}
 	depart := start + ser
 	end.busyUntil = depart
-	end.recordBytes(now, len(d))
+	end.recordBytes(now, len(data))
 	dst := end.peer
 	// Latency spikes stretch this direction of the path for packets
 	// departing inside a spike window (WAN fault injection).
 	spike := dst.spikeExtra(depart)
 	l.mu.Unlock()
+	s.schedule(event{at: depart + l.Delay + spike, pkt: s.newPacket(dst, data)})
+	s.mu.Unlock()
+	return nil
+}
 
-	n.Sim.At(depart+l.Delay+spike, func() {
-		l.mu.Lock()
-		down, tap := l.down || dst.dirDown, dst.tap
-		if down {
-			dst.dropped++
-		}
-		l.mu.Unlock()
-		if down {
+// deliver hands a packet that has crossed the link to e's node, unless the
+// link is cut or the tap drops it. It runs as an event, with no lock held
+// across the tap and the handler.
+func (e *linkEnd) deliver(data []byte) {
+	l := e.link
+	l.mu.Lock()
+	down, tap := l.down || e.dirDown, e.tap
+	if down {
+		e.dropped++
+	}
+	l.mu.Unlock()
+	if down {
+		return
+	}
+	if tap != nil {
+		data = tap(data)
+		if data == nil {
+			l.mu.Lock()
+			e.dropped++
+			l.mu.Unlock()
 			return
 		}
-		payload := d
-		if tap != nil {
-			payload = tap(payload)
-			if payload == nil {
-				l.mu.Lock()
-				dst.dropped++
-				l.mu.Unlock()
-				return
-			}
-		}
-		if dst.node.Handler != nil {
-			dst.node.Handler.HandlePacket(n, dst.node, dst.port, payload)
-		}
-	})
-	return nil
+	}
+	if h := e.node.Handler; h != nil {
+		h.HandlePacket(l.net, e.node, e.port, data)
+	}
 }
 
 func (e *linkEnd) recordBytes(now time.Duration, n int) {
@@ -516,7 +671,7 @@ func (l *Link) Utilization(fromNode string) (float64, error) {
 	if l.Bandwidth <= 0 {
 		return 0, nil
 	}
-	now := l.sim.Now()
+	now := l.net.Sim.Now()
 	// Apply decay up to now without recording traffic.
 	l.mu.Lock()
 	rate := e.ewmaBps

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"time"
@@ -82,9 +83,11 @@ func TestSimPastEventClamps(t *testing.T) {
 	s.Run()
 }
 
+// collect keeps a copy of every delivered packet: the delivered slice
+// itself is only lent until the handler returns.
 func collect(dst *[][]byte) Handler {
 	return HandlerFunc(func(_ *Network, _ *Node, _ int, data []byte) {
-		*dst = append(*dst, data)
+		*dst = append(*dst, append([]byte(nil), data...))
 	})
 }
 
@@ -526,5 +529,101 @@ func TestSetDownCutsInFlightPackets(t *testing.T) {
 	n.Sim.Run()
 	if len(got) != 1 || taps != 1 {
 		t.Errorf("restored link: delivered=%d taps=%d, want 1/1", len(got), taps)
+	}
+}
+
+// TestRecycledPayloadIsPoisoned shows the tripwire this package's tests run
+// under (TestMain): a handler that keeps the delivered slice reads 0xA5 as
+// soon as it has returned, and the next packet travels in that buffer.
+func TestRecycledPayloadIsPoisoned(t *testing.T) {
+	n := NewNetwork()
+	var kept [][]byte
+	n.AddNode("a", nil)
+	n.AddNode("b", HandlerFunc(func(_ *Network, _ *Node, _ int, data []byte) {
+		kept = append(kept, data) // against the rule: lent, not given
+	}))
+	n.MustConnect("a", 1, "b", 1, time.Microsecond, 0)
+	for _, payload := range [][]byte{{1, 2, 3}, {4, 5}} {
+		if err := n.Send(n.Node("a"), 1, payload, 0); err != nil {
+			t.Fatal(err)
+		}
+		n.Sim.Run()
+	}
+	if len(kept) != 2 || !bytes.Equal(kept[0], []byte{0xA5, 0xA5, 0xA5}) || !bytes.Equal(kept[1], []byte{0xA5, 0xA5}) {
+		t.Fatalf("kept slices read %x, want poison", kept)
+	}
+	if &kept[0][0] != &kept[1][0] {
+		t.Error("the second packet did not reuse the first one's buffer")
+	}
+}
+
+func TestPayloadClasses(t *testing.T) {
+	for _, c := range []struct{ n, class int }{
+		{0, 0}, {1, 0}, {64, 0}, {65, 1}, {128, 1}, {129, 2}, {1500, 5}, {2048, 5}, {2049, 6},
+		{64 << 10, payloadClasses - 1}, {64<<10 + 1, payloadClasses},
+	} {
+		if got := payloadClass(c.n); got != c.class {
+			t.Errorf("payloadClass(%d) = %d, want %d", c.n, got, c.class)
+		}
+	}
+	s := NewSim()
+	for _, n := range []int{0, 1, 64, 65, 1500, 64 << 10, 64<<10 + 1} {
+		p := s.newPacket(nil, make([]byte, n))
+		if p.data == nil || len(p.data) != n {
+			t.Fatalf("newPacket(%d bytes) holds %d bytes, nil %v", n, len(p.data), p.data == nil)
+		}
+		if c := payloadClass(n); c < payloadClasses && cap(p.data) != minPayloadCap<<c {
+			t.Errorf("a %d-byte payload got capacity %d, want %d", n, cap(p.data), minPayloadCap<<c)
+		}
+		s.recycle(p)
+	}
+	// The three payloads of up to 64 bytes took turns in one buffer.
+	if s.freeBytes != 64+128+2048+64<<10 {
+		t.Errorf("free lists hold %d bytes", s.freeBytes)
+	}
+}
+
+// TestFreeListIsBounded: a burst larger than the budget is delivered whole
+// and leaves no more than the budget behind.
+func TestFreeListIsBounded(t *testing.T) {
+	n := NewNetwork()
+	delivered := 0
+	n.AddNode("a", nil)
+	n.AddNode("b", HandlerFunc(func(_ *Network, _ *Node, _ int, data []byte) { delivered++ }))
+	n.MustConnect("a", 1, "b", 1, time.Microsecond, 0)
+	big := make([]byte, 40<<10)
+	const burst = 2 * maxFreeBytes / (64 << 10)
+	for i := 0; i < burst; i++ {
+		if err := n.Send(n.Node("a"), 1, big, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.Sim.Run()
+	if delivered != burst {
+		t.Fatalf("delivered %d of %d", delivered, burst)
+	}
+	if n.Sim.freeBytes != maxFreeBytes {
+		t.Errorf("free lists hold %d bytes after the burst, want the %d budget", n.Sim.freeBytes, maxFreeBytes)
+	}
+}
+
+// TestQueueKeepsNoReferences: once an event has run, the queue's backing
+// array holds neither its function nor its payload.
+func TestQueueKeepsNoReferences(t *testing.T) {
+	n := NewNetwork()
+	n.AddNode("a", nil)
+	n.AddNode("b", nil)
+	n.MustConnect("a", 1, "b", 1, time.Microsecond, 0)
+	for i := 0; i < 9; i++ {
+		n.Sim.At(time.Duration(9-i), func() {})
+		if err := n.Send(n.Node("a"), 1, []byte{byte(i)}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.Sim.Run()
+	for i, ev := range n.Sim.pq[:cap(n.Sim.pq)] {
+		if ev.fn != nil || ev.pkt != nil {
+			t.Errorf("slot %d still references a finished event", i)
+		}
 	}
 }

@@ -275,52 +275,68 @@ func (s *corpusSubject) randomPort(r *corpusRNG) int {
 	}
 }
 
+// draw crafts the next packet of the stream and reports its kind; valid
+// collects the well-formed packets that later ones tamper with, replay or
+// truncate.
+func (s *corpusSubject) draw(t *testing.T, r *corpusRNG, valid *[]pisa.Packet) (pisa.Packet, int) {
+	t.Helper()
+	prog := s.host.SW.Compiled().Program
+	var pkt pisa.Packet
+	kind := r.intn(10)
+	if kind >= 5 && len(*valid) == 0 {
+		kind = 0
+	}
+	switch kind {
+	case 0, 1, 2:
+		pkt = s.signedCtl(t, r)
+		*valid = append(*valid, pkt)
+	case 3:
+		if s.extra != nil {
+			pkt = s.extra(r)
+			*valid = append(*valid, pkt)
+		} else {
+			pkt = pisa.Packet{Data: grammarWalk(prog, r), Port: s.randomPort(r)}
+		}
+	case 4:
+		pkt = pisa.Packet{Data: grammarWalk(prog, r), Port: s.randomPort(r)}
+	case 5, 6: // tampered: one flipped bit
+		pkt = (*valid)[r.intn(len(*valid))].Clone()
+		bit := r.intn(len(pkt.Data) * 8)
+		pkt.Data[bit/8] ^= 1 << uint(bit%8)
+	case 7: // replayed verbatim
+		pkt = (*valid)[r.intn(len(*valid))].Clone()
+	case 8: // truncated
+		pkt = (*valid)[r.intn(len(*valid))].Clone()
+		pkt.Data = pkt.Data[:r.intn(len(pkt.Data))]
+	default:
+		pkt = pisa.Packet{Data: r.bytes(r.intn(48)), Port: s.randomPort(r)}
+	}
+	return pkt, kind
+}
+
+// stream returns the subject's seeded generator.
+func (s *corpusSubject) stream() corpusRNG {
+	r := corpusRNG(corpusSeed)
+	for _, c := range s.name {
+		r = corpusRNG(uint64(r)*31 + uint64(c))
+	}
+	return r
+}
+
 // run drives the subject with the seeded stream and returns its golden
 // lines.
 func (s *corpusSubject) run(t *testing.T) []string {
 	t.Helper()
 	sw := s.host.SW
 	prog := sw.Compiled().Program
-	r := corpusRNG(corpusSeed)
-	for _, c := range s.name {
-		r = corpusRNG(uint64(r)*31 + uint64(c))
-	}
+	r := s.stream()
 	h := sha256.New()
 	var lines []string
 	var valid []pisa.Packet
 	var res pisa.Result
 	emitted, failed, answered := 0, 0, 0
 	for i := 0; i < corpusPackets; i++ {
-		var pkt pisa.Packet
-		kind := r.intn(10)
-		if kind >= 5 && len(valid) == 0 {
-			kind = 0
-		}
-		switch kind {
-		case 0, 1, 2:
-			pkt = s.signedCtl(t, &r)
-			valid = append(valid, pkt)
-		case 3:
-			if s.extra != nil {
-				pkt = s.extra(&r)
-				valid = append(valid, pkt)
-			} else {
-				pkt = pisa.Packet{Data: grammarWalk(prog, &r), Port: s.randomPort(&r)}
-			}
-		case 4:
-			pkt = pisa.Packet{Data: grammarWalk(prog, &r), Port: s.randomPort(&r)}
-		case 5, 6: // tampered: one flipped bit
-			pkt = valid[r.intn(len(valid))].Clone()
-			bit := r.intn(len(pkt.Data) * 8)
-			pkt.Data[bit/8] ^= 1 << uint(bit%8)
-		case 7: // replayed verbatim
-			pkt = valid[r.intn(len(valid))].Clone()
-		case 8: // truncated
-			pkt = valid[r.intn(len(valid))].Clone()
-			pkt.Data = pkt.Data[:r.intn(len(pkt.Data))]
-		default:
-			pkt = pisa.Packet{Data: r.bytes(r.intn(48)), Port: s.randomPort(&r)}
-		}
+		pkt, kind := s.draw(t, &r, &valid)
 		sw.SetNow(uint64(i+1) * 1000)
 		err := sw.ProcessInto(pkt, &res)
 		var line bytes.Buffer

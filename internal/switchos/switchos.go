@@ -553,11 +553,18 @@ func (h *Host) cacheKey(data []byte) (uint32, bool) {
 // the pipeline (no software stack on the way in).
 func (h *Host) NetworkPacket(port int, data []byte) (IOResult, error) {
 	var io IOResult
-	if h.down.Load() {
-		return io, nil // crashed: the wire ends in a dead port
-	}
-	err := h.runPipelineInto(data, port, &io, h.Costs.PacketIOBase)
+	err := h.NetworkPacketInto(port, data, &io)
 	return io, err
+}
+
+// NetworkPacketInto is NetworkPacket with a caller-owned, reusable result
+// (see IOResult's reuse contract).
+func (h *Host) NetworkPacketInto(port int, data []byte, io *IOResult) error {
+	io.reset()
+	if h.down.Load() {
+		return nil // crashed: the wire ends in a dead port
+	}
+	return h.runPipelineInto(data, port, io, h.Costs.PacketIOBase)
 }
 
 // runPipelineInto processes one packet and appends its emissions into io,

@@ -63,12 +63,13 @@ c cover ./scripts/cover.sh
 # (FUZZTIME=30s for a longer local campaign).
 c fuzz-smoke ./scripts/fuzz_smoke.sh
 
-# The zero-allocation hot path through the real benchmark harness, and
-# the four pipeline paths under it (signed write, signed read, 8-port
-# probe, bad-digest reject) with allocs/op printed: a reintroduced
-# per-packet name lookup or allocation shows here without the 15 s
-# benchmark.
-c bench-smoke go test -bench='BenchmarkAuthenticatedWrite|BenchmarkProcessP4Auth' -benchtime=10x -run '^$' -short . ./internal/pisa/
+# The zero-allocation hot path through the real benchmark harness, the
+# four pipeline paths under it (signed write, signed read, 8-port probe,
+# bad-digest reject) and one fabric hop between two linked secure HULA
+# switches (Sim.Step: delivery, verify, re-sign, Send), with allocs/op
+# printed: a reintroduced per-packet name lookup or per-hop allocation
+# shows here without the 15 s benchmark.
+c bench-smoke go test -bench='BenchmarkAuthenticatedWrite|BenchmarkProcessP4Auth|BenchmarkFabricHop' -benchtime=10x -run '^$' -short . ./internal/pisa/ ./internal/netsim/
 EOF
 }
 
