@@ -9,6 +9,12 @@ import (
 // idempotency cache with: they must agree with the full decoder on
 // plausible messages and reject everything else.
 func TestPeekControl(t *testing.T) {
+	// The peeks check their input against a constant; the generated
+	// program's header definitions stay the source of truth for it.
+	if got := ptypeDef.Bytes() + authDef.Bytes(); minWireBytes != got || authWireBytes != authDef.Bytes() {
+		t.Fatalf("minWireBytes = %d, authWireBytes = %d; the ptype and pa_h definitions say %d and %d",
+			minWireBytes, authWireBytes, got, authDef.Bytes())
+	}
 	m := &Message{
 		Header: Header{HdrType: HdrRegister, MsgType: MsgWriteReq, SeqNum: 0x01020304, KeyVersion: 1},
 		Reg:    &RegPayload{RegID: 2, Index: 5, Value: 77},

@@ -178,7 +178,7 @@ func (s *SeqTracker) Reset() {
 // cache to key retransmitted requests cheaply.
 func PeekControl(data []byte) (hdrType uint8, seqNum uint32, ok bool) {
 	// ptype(1B) | pa_h: hdrType(1B) msgType(1B) seqNum(4B) ...
-	if len(data) < ptypeDef.Bytes()+authDef.Bytes() || data[0] != PTypeP4Auth {
+	if len(data) < minWireBytes || data[0] != PTypeP4Auth {
 		return 0, 0, false
 	}
 	hdrType = data[1]
@@ -190,7 +190,7 @@ func PeekControl(data []byte) (hdrType uint8, seqNum uint32, ok bool) {
 // alert reason for HdrAlert packets) without a full decode; same
 // plausibility check as PeekControl.
 func PeekMsgType(data []byte) (msgType uint8, ok bool) {
-	if len(data) < ptypeDef.Bytes()+authDef.Bytes() || data[0] != PTypeP4Auth {
+	if len(data) < minWireBytes || data[0] != PTypeP4Auth {
 		return 0, false
 	}
 	return data[2], true

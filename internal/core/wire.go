@@ -201,6 +201,9 @@ const (
 	authWireBytes = 11 // hdrType(1) msgType(1) seqNum(4) keyVersion(1) digest(4)
 	regWireBytes  = 16 // regid(4) index(4) value(8)
 	kxWireBytes   = 15 // port(2) pk(8) salt(4) phase(1)
+
+	// minWireBytes is the shortest P4Auth message: ptype(1) and pa_h.
+	minWireBytes = 1 + authWireBytes
 )
 
 // AppendEncode serializes ptype + pa_h + payload into dst and returns the
@@ -235,7 +238,7 @@ func (m *Message) Encode() ([]byte, error) {
 // caller that owns them can decode without allocating. On return exactly
 // one of m.Reg/m.Kx/m.Aux is populated (matching HdrType).
 func decodeInto(m *Message, reg *RegPayload, kx *KxPayload, data []byte) error {
-	if len(data) < 1+authWireBytes {
+	if len(data) < minWireBytes {
 		return fmt.Errorf("core: message truncated: %d bytes", len(data))
 	}
 	if data[0] != PTypeP4Auth {

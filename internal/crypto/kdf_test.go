@@ -1,6 +1,8 @@
 package crypto
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 	"testing/quick"
 )
@@ -144,6 +146,54 @@ func TestKeyedCRC32KeyMatters(t *testing.T) {
 	cc := NewKeyedCRC32Castagnoli()
 	if c.Sum32(1, msg) == cc.Sum32(1, msg) {
 		t.Error("IEEE and Castagnoli polynomials produced identical output")
+	}
+}
+
+// TestKeyedCRC32MatchesEnvelope holds the eight-bytes-per-step key fold,
+// in Sum32 and in SumBatch32, equal to its definition: crc32.Update over
+// key_le || data || key_le, for both polynomials, data lengths 0..96 and
+// random keys.
+func TestKeyedCRC32MatchesEnvelope(t *testing.T) {
+	r := NewSeededRand(0xC4C32)
+	for _, tc := range []struct {
+		name string
+		prf  KeyedCRC32
+		tab  *crc32.Table
+	}{
+		{"ieee", NewKeyedCRC32(), crc32.MakeTable(crc32.IEEE)},
+		{"castagnoli", NewKeyedCRC32Castagnoli(), crc32.MakeTable(crc32.Castagnoli)},
+	} {
+		for round := 0; round < 8; round++ {
+			key := r.Uint64()
+			switch round {
+			case 0:
+				key = 0
+			case 1:
+				key = ^uint64(0)
+			}
+			datas := make([][]byte, 97)
+			want := make([]uint32, len(datas))
+			for n := range datas {
+				env := make([]byte, 8+n+8)
+				binary.LittleEndian.PutUint64(env, key)
+				for i := 8; i < 8+n; i++ {
+					env[i] = byte(r.Uint64())
+				}
+				binary.LittleEndian.PutUint64(env[8+n:], key)
+				datas[n] = env[8 : 8+n]
+				want[n] = crc32.Update(0, tc.tab, env)
+				if got := tc.prf.Sum32(key, datas[n]); got != want[n] {
+					t.Fatalf("%s key %#x len %d: Sum32 = %#x, envelope CRC %#x", tc.name, key, n, got, want[n])
+				}
+			}
+			got := make([]uint32, len(datas))
+			tc.prf.SumBatch32(key, datas, got)
+			for n := range got {
+				if got[n] != want[n] {
+					t.Fatalf("%s key %#x len %d: SumBatch32 = %#x, envelope CRC %#x", tc.name, key, n, got[n], want[n])
+				}
+			}
+		}
 	}
 }
 

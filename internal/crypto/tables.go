@@ -11,10 +11,10 @@ import (
 // of once per NewSwitchFromCompiled/Register call.
 
 var (
-	ieeeOnce  sync.Once
-	ieeeTab   *crc32.Table
-	castOnce  sync.Once
-	castTab   *crc32.Table
+	ieeeOnce sync.Once
+	ieeeTab  *crc32.Table
+	castOnce sync.Once
+	castTab  *crc32.Table
 )
 
 // IEEETable returns the process-wide CRC32 table for the IEEE polynomial.
@@ -35,7 +35,7 @@ func CastagnoliTable() *crc32.Table {
 // per-call heap allocation for multi-word structs).
 var (
 	sharedHalfSip Digester = HalfSipHashDigester{NewHalfSipHash24()}
-	sharedCRC32   Digester = CRC32Digester{KeyedCRC32{table: IEEETable()}}
+	sharedCRC32   Digester = NewCRC32Digester()
 )
 
 // SharedHalfSipHashDigester returns the process-wide HalfSipHash-2-4

@@ -31,15 +31,22 @@ func (br *BatchResult) prep(n int) {
 // ProcessBatch runs a batch of packets through the pipeline in input
 // order, one Result per packet (see BatchResult's buffer-stability
 // contract) — a caller's own ProcessInto loop, including the random()
-// draw order. A per-packet failure does not stop the rest of the batch:
-// the first error (lowest input index) is returned, the failed packet's
-// Result is undefined, and every other packet completes normally.
+// draw order, except that the read side of the table lock and one
+// execution state are taken once for the batch: a table or multicast
+// change waits for the batch, not for a packet. A per-packet failure does
+// not stop the rest of the batch: the first error (lowest input index) is
+// returned, the failed packet's Result is undefined, and every other
+// packet completes normally.
 func (s *Switch) ProcessBatch(pkts []Packet, br *BatchResult) error {
 	br.prep(len(pkts))
 	br.Cost = 0
+	s.stateMu.RLock()
+	defer s.stateMu.RUnlock()
+	st := s.execPool.Get().(*execState)
+	defer s.execPool.Put(st)
 	var firstErr error
 	for i := range pkts {
-		if err := s.ProcessInto(pkts[i], &br.Results[i]); err != nil {
+		if err := s.process(st, pkts[i], &br.Results[i]); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}

@@ -56,7 +56,7 @@ type Compiled struct {
 	constBase  int32   // start of the constant tail
 	consts     []uint64
 	code       []lop
-	hashIns    []hashIn
+	hashIns    []move
 	control    span
 	egress     span
 	actions    []span // action index -> body

@@ -422,3 +422,12 @@ func TestDifferentialCorpus(t *testing.T) {
 		t.Fatalf("corpus has %d lines, %s has %d", len(gl), corpusGolden, len(wl))
 	}
 }
+
+// TestCorpusBytePlansMatchReference holds the byte plans of the eleven
+// corpus programs, every header's and every hash op's, equal to the
+// bit-at-a-time reference codec.
+func TestCorpusBytePlansMatchReference(t *testing.T) {
+	for _, s := range corpusSubjects(t) {
+		pisa.CheckCompiledPlans(t, s.host.SW.Compiled())
+	}
+}

@@ -50,13 +50,50 @@ type lop struct {
 	x     int32 // if: else start (block end without an else); jump: target; hash: pack plan start in hashIns; register ops: register
 }
 
-// mask is the destination-width mask results are cut to.
-func (op *lop) mask() uint64 { return mask(int(op.dw)) }
+// widthMask[w] is mask(w), so cutting a result to its destination is one
+// load and no branch; a uint8 index needs no bounds check.
+var widthMask = func() (m [256]uint64) {
+	for w := range m {
+		m[w] = mask(w)
+	}
+	return m
+}()
 
-// hashIn is one step of a hash op's input pack plan.
-type hashIn struct {
+// mask is the destination-width mask results are cut to.
+func (op *lop) mask() uint64 { return widthMask[op.dw] }
+
+// move is one step of a byte plan: a field of width bits at bit offset off
+// of a header on the wire (or of a hash op's input block) and the value
+// file index src it travels to or from. A field of 1, 2, 4 or 8 whole
+// bytes on a byte boundary moves as one big-endian load or store (bytes is
+// its size); any other field has bytes 0 and goes through the bit codec
+// (loadFields and packFields in packet.go).
+type move struct {
 	src   vref
+	off   int32
 	width uint8
+	bytes uint8
+}
+
+// newMove plans a field of the given width at bit offset off.
+func newMove(src vref, off, width int) move {
+	m := move{src: src, off: int32(off), width: uint8(width)}
+	if off%8 == 0 {
+		switch width {
+		case 8, 16, 32, 64:
+			m.bytes = uint8(width / 8)
+		}
+	}
+	return m
+}
+
+// planBytes is the number of bytes a byte plan covers.
+func planBytes(plan []move) int {
+	if len(plan) == 0 {
+		return 0
+	}
+	last := plan[len(plan)-1]
+	return (int(last.off) + int(last.width) + 7) / 8
 }
 
 type span struct{ start, end int32 }
@@ -79,8 +116,11 @@ type ltable struct {
 }
 
 // lheader locates a header's fields: they occupy consecutive slots in
-// declaration order.
-type lheader struct{ first, n, bytes int32 }
+// declaration order, and plan moves them between the wire and those slots.
+type lheader struct {
+	first, n, bytes int32
+	plan            []move
+}
 
 type lstate struct {
 	extract int32 // header index, -1 = none
@@ -151,10 +191,14 @@ func (c *Compiled) link() error {
 	}
 	for hi, h := range prog.Headers {
 		l.headers[h.Name] = int32(hi)
-		c.headers = append(c.headers, lheader{first: int32(len(c.slotWidth)), n: int32(len(h.Fields)), bytes: int32(h.Bytes())})
+		lh := lheader{first: int32(len(c.slotWidth)), n: int32(len(h.Fields)), bytes: int32(h.Bytes()), plan: make([]move, 0, len(h.Fields))}
+		off := 0
 		for _, f := range h.Fields {
+			lh.plan = append(lh.plan, newMove(int32(len(c.slotWidth)), off, f.Width))
+			off += f.Width
 			addSlot(h.Name, f)
 		}
+		c.headers = append(c.headers, lh)
 	}
 	c.metaBase = int32(len(c.slotWidth))
 	for _, f := range intrinsicMetadata() {
@@ -251,7 +295,7 @@ func (c *Compiled) link() error {
 	// What could not be sized up front gives back its append slack.
 	c.slotWidth = append([]uint8(nil), c.slotWidth...)
 	c.code = append([]lop(nil), c.code...)
-	c.hashIns = append([]hashIn(nil), c.hashIns...)
+	c.hashIns = append([]move(nil), c.hashIns...)
 	c.trans = append([]ltrans(nil), c.trans...)
 	return nil
 }
@@ -410,10 +454,12 @@ func (l *linker) lowerOp(op *Op, act *Action, depth int) error {
 		}
 		// The pack plan: inputs MSB-first at their declared widths.
 		out.x = int32(len(c.hashIns))
+		off := 0
 		for _, in := range op.Inputs {
 			var ref vref
 			w := src(in, &ref)
-			c.hashIns = append(c.hashIns, hashIn{src: ref, width: uint8(w)})
+			c.hashIns = append(c.hashIns, newMove(ref, off, w))
+			off += w
 		}
 		out.b = int32(len(c.hashIns))
 	case OpRegRead:

@@ -1,6 +1,9 @@
 package pisa
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Packet is a raw packet: bytes on the wire plus the port it arrived on.
 type Packet struct {
@@ -59,6 +62,50 @@ func unpackBits(buf []byte, off, width int) (uint64, int) {
 		v = v<<uint(rem) | uint64(buf[i+1])>>uint(8-rem)
 	}
 	return v, end
+}
+
+// loadFields reads the fields of a byte plan out of buf into the value
+// file: whole big-endian bytes where the plan says so, the bit codec
+// elsewhere. buf holds at least the bytes the plan covers.
+func loadFields(plan []move, buf []byte, vals []uint64) {
+	for i := range plan {
+		m := &plan[i]
+		b := buf[m.off>>3:]
+		switch m.bytes {
+		case 1:
+			vals[m.src] = uint64(b[0])
+		case 2:
+			vals[m.src] = uint64(binary.BigEndian.Uint16(b))
+		case 4:
+			vals[m.src] = uint64(binary.BigEndian.Uint32(b))
+		case 8:
+			vals[m.src] = binary.BigEndian.Uint64(b)
+		default:
+			vals[m.src], _ = unpackBits(buf, int(m.off), int(m.width))
+		}
+	}
+}
+
+// packFields ORs the fields of a byte plan from the value file into buf,
+// each cut to its width, as packBits would field by field.
+func packFields(plan []move, buf []byte, vals []uint64) {
+	for i := range plan {
+		m := &plan[i]
+		b := buf[m.off>>3:]
+		v := vals[m.src]
+		switch m.bytes {
+		case 1:
+			b[0] |= byte(v)
+		case 2:
+			binary.BigEndian.PutUint16(b, binary.BigEndian.Uint16(b)|uint16(v))
+		case 4:
+			binary.BigEndian.PutUint32(b, binary.BigEndian.Uint32(b)|uint32(v))
+		case 8:
+			binary.BigEndian.PutUint64(b, binary.BigEndian.Uint64(b)|v)
+		default:
+			packBits(buf, int(m.off), v, int(m.width))
+		}
+	}
 }
 
 // PackHeader serializes field values (in declaration order) per the header

@@ -41,11 +41,20 @@ type Result struct {
 
 // Switch is a running data plane: a compiled program plus runtime state
 // (table entries, register values, multicast groups). All methods are safe
-// for concurrent use. State is sharded so concurrent Process calls
-// overlap: table/multicast mutations take a write lock that packet
-// processing reads, register banks have per-register locks (register
-// read-modify-writes — the replay-floor RMWMax — stay atomic), and
-// diagnostic counters are lock-free atomics.
+// for concurrent use, and concurrent Process calls overlap:
+//
+//   - tables and multicast groups sit behind stateMu. A packet (a whole
+//     batch in ProcessBatch) holds the read side from parse to deparse, the
+//     driver mutation API the write side, so a packet sees a table change
+//     entirely or not at all;
+//   - a register cell is an atomic word. Every register op of a program and
+//     RegisterRead/RegisterWrite is one load, one store or one
+//     compare-and-swap loop on its cell, so each is linearizable per cell:
+//     a read-modify-write (the replay-floor RMWMax) never loses an update
+//     and returns the value it replaced. Nothing orders two cells against
+//     each other, as nothing did when each register had a lock;
+//   - diagnostic counters are atomics, and the random() source is
+//     concurrency-safe.
 type Switch struct {
 	compiled *Compiled
 
@@ -55,10 +64,9 @@ type Switch struct {
 	tables  []*tableState
 	mcast   map[uint64][]int
 
-	// regMu[i] guards regs[i]; RMW sequences hold the lock across
-	// read-modify-write so data-plane atomics keep their semantics.
-	regMu []sync.Mutex
-	regs  [][]uint64
+	// regs[i][j] is entry j of register i, stored cut to the register's
+	// width.
+	regs [][]atomic.Uint64
 
 	// counters are the diagnostic-counter cells, indexed by counter ID.
 	counters [numDPCounters]atomic.Uint64
@@ -122,9 +130,8 @@ func NewSwitchFromCompiled(compiled *Compiled, opts ...Option) *Switch {
 		s.tables = append(s.tables, newTableState(compiled, ti))
 	}
 	for _, r := range compiled.Program.Registers {
-		s.regs = append(s.regs, make([]uint64, r.Entries))
+		s.regs = append(s.regs, make([]atomic.Uint64, r.Entries))
 	}
-	s.regMu = make([]sync.Mutex, len(s.regs))
 	s.execPool.New = func() any {
 		st := &execState{
 			vals:  make([]uint64, int(compiled.constBase)+len(compiled.consts)),
@@ -187,10 +194,7 @@ func (s *Switch) RegisterRead(name string, index int) (uint64, error) {
 	if index < 0 || index >= len(s.regs[ri]) {
 		return 0, fmt.Errorf("pisa: register %s index %d out of range [0,%d)", name, index, len(s.regs[ri]))
 	}
-	s.regMu[ri].Lock()
-	v := s.regs[ri][index]
-	s.regMu[ri].Unlock()
-	return v, nil
+	return s.regs[ri][index].Load(), nil
 }
 
 // RegisterWrite writes a register entry directly (the driver path).
@@ -202,9 +206,7 @@ func (s *Switch) RegisterWrite(name string, index int, v uint64) error {
 	if index < 0 || index >= len(s.regs[ri]) {
 		return fmt.Errorf("pisa: register %s index %d out of range [0,%d)", name, index, len(s.regs[ri]))
 	}
-	s.regMu[ri].Lock()
-	s.regs[ri][index] = v & s.compiled.regMask[ri]
-	s.regMu[ri].Unlock()
+	s.regs[ri][index].Store(v & s.compiled.regMask[ri])
 	return nil
 }
 
@@ -320,17 +322,13 @@ type execState struct {
 	dests   []int
 }
 
-func (s *Switch) getExec() *execState {
-	st := s.execPool.Get().(*execState)
-	clear(st.vals[:s.compiled.paramBase])
+// reset readies st for the next packet; parse sets the payload and the
+// pass loop the pass count before either is read.
+func (st *execState) reset(c *Compiled) {
+	clear(st.vals[:c.paramBase])
 	clear(st.valid)
-	st.payload = st.payload[:0]
-	st.passes = 0
 	st.dests = st.dests[:0]
-	return st
 }
-
-func (s *Switch) putExec(st *execState) { s.execPool.Put(st) }
 
 // meta returns the intrinsic-metadata slots of st, indexed by the m*
 // constants.
@@ -353,10 +351,16 @@ func (s *Switch) Process(pkt Packet) (Result, error) {
 func (s *Switch) ProcessInto(pkt Packet, res *Result) error {
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()
+	st := s.execPool.Get().(*execState)
+	defer s.execPool.Put(st)
+	return s.process(st, pkt, res)
+}
 
+// process runs one packet on st, which the caller took from execPool, with
+// the read side of stateMu held.
+func (s *Switch) process(st *execState, pkt Packet, res *Result) error {
 	c := s.compiled
-	st := s.getExec()
-	defer s.putExec(st)
+	st.reset(c)
 
 	res.Emissions = res.Emissions[:0]
 	res.Passes = 0
@@ -413,40 +417,41 @@ func (s *Switch) ProcessInto(pkt Packet, res *Result) error {
 	}
 	st.dests = dests
 
-	// Egress pipeline per replica.
-	hasEgress := c.egress.end > c.egress.start
+	// Egress pipeline per replica. A single destination runs it on the
+	// ingress state in place; each of several replicas starts from a copy
+	// of that state, so what one replica's egress writes no other sees.
+	est := st
+	if len(dests) > 1 {
+		est = s.execPool.Get().(*execState)
+	}
 	for _, port := range dests {
-		est := st
-		if len(dests) > 1 || hasEgress {
-			est = s.getExec()
+		if est != st {
 			copy(est.vals[:c.paramBase], st.vals)
 			copy(est.valid, st.valid)
 			est.payload = append(est.payload[:0], st.payload...)
 		}
 		emeta := c.meta(est)
 		emeta[mEgressPort] = uint64(port) & intrinsicMask[mEgressPort]
-		if hasEgress {
-			s.run(est, c.egress)
-		}
+		s.run(est, c.egress)
 		if emeta[mDrop] != 0 {
 			s.bump(cntEgressDropped)
+			continue
+		}
+		idx := len(res.Emissions)
+		var buf []byte
+		if idx < len(res.bufs) {
+			buf = res.bufs[idx][:0]
+		}
+		buf = s.deparseInto(est, buf)
+		if idx < len(res.bufs) {
+			res.bufs[idx] = buf
 		} else {
-			idx := len(res.Emissions)
-			var buf []byte
-			if idx < len(res.bufs) {
-				buf = res.bufs[idx][:0]
-			}
-			buf = s.deparseInto(est, buf)
-			if idx < len(res.bufs) {
-				res.bufs[idx] = buf
-			} else {
-				res.bufs = append(res.bufs, buf)
-			}
-			res.Emissions = append(res.Emissions, Emission{Port: port, Data: buf})
+			res.bufs = append(res.bufs, buf)
 		}
-		if est != st {
-			s.putExec(est)
-		}
+		res.Emissions = append(res.Emissions, Emission{Port: port, Data: buf})
+	}
+	if est != st {
+		s.execPool.Put(est)
 	}
 	return nil
 }
@@ -464,10 +469,7 @@ func (s *Switch) parse(st *execState, data []byte) error {
 			if len(rest) < int(h.bytes) {
 				return fmt.Errorf("pisa: header %s needs %d bytes, packet has %d", c.Program.Headers[state.extract].Name, h.bytes, len(rest))
 			}
-			off := 0
-			for slot := h.first; slot < h.first+h.n; slot++ {
-				st.vals[slot], off = unpackBits(rest, off, int(c.slotWidth[slot]))
-			}
+			loadFields(h.plan, rest, st.vals)
 			st.valid[state.extract] = true
 			rest = rest[h.bytes:]
 		}
@@ -495,13 +497,10 @@ func (s *Switch) deparseInto(st *execState, out []byte) []byte {
 		}
 		h := &c.headers[hi]
 		base := len(out)
-		// packBits ORs into the buffer, so the fresh bytes must be zero;
+		// packFields ORs into the buffer, so the fresh bytes must be zero;
 		// this append form extends in place without a temporary.
 		out = append(out, make([]byte, h.bytes)...)
-		off := 0
-		for slot := h.first; slot < h.first+h.n; slot++ {
-			off = packBits(out[base:], off, st.vals[slot], int(c.slotWidth[slot]))
-		}
+		packFields(h.plan, out[base:], st.vals)
 	}
 	return append(out, st.payload...)
 }
@@ -558,7 +557,27 @@ func (s *Switch) run(st *execState, b span) {
 		case OpApply:
 			s.applyTable(st, op.dst)
 		case OpIf:
-			if !evalCond(st, op) {
+			var ok bool
+			if op.flags&flagValid != 0 {
+				ok = st.valid[op.dst]
+			} else {
+				l, r := v[op.a], v[op.b]
+				switch CmpKind(op.sub) {
+				case CmpEq:
+					ok = l == r
+				case CmpNe:
+					ok = l != r
+				case CmpLt:
+					ok = l < r
+				case CmpLe:
+					ok = l <= r
+				case CmpGt:
+					ok = l > r
+				case CmpGe:
+					ok = l >= r
+				}
+			}
+			if ok == (op.flags&flagNegate != 0) {
 				pc = op.x
 			}
 		case opJump:
@@ -567,90 +586,57 @@ func (s *Switch) run(st *execState, b span) {
 	}
 }
 
+// execReg runs one register op on its cell: a load, a store, or for a
+// read-modify-write a compare-and-swap loop, the data plane's stateful ALU
+// being atomic per packet (the replay-floor RMWMax depends on it).
 func (s *Switch) execReg(st *execState, op *lop) {
 	v := st.vals
-	ri := op.x
-	bank := s.regs[ri]
+	bank := s.regs[op.x]
 	idx := v[op.b]
 	if idx >= uint64(len(bank)) {
 		s.bump(cntRegIndexWrap)
 		idx %= uint64(len(bank))
 	}
+	cell := &bank[idx]
 	switch OpKind(op.kind) {
 	case OpRegRead:
-		s.regMu[ri].Lock()
-		old := bank[idx]
-		s.regMu[ri].Unlock()
-		v[op.dst] = old & op.mask()
+		v[op.dst] = cell.Load() & op.mask()
 	case OpRegWrite:
-		s.regMu[ri].Lock()
-		bank[idx] = v[op.a] & s.compiled.regMask[ri]
-		s.regMu[ri].Unlock()
+		cell.Store(v[op.a] & s.compiled.regMask[op.x])
 	case OpRegRMW:
 		a := v[op.a]
-		// Hold the bank lock across the read-modify-write: the data
-		// plane's stateful ALU is atomic per packet, and the replay-floor
-		// RMWMax depends on it.
-		s.regMu[ri].Lock()
-		old := bank[idx]
-		var next uint64
-		switch RMWKind(op.sub) {
-		case RMWAdd:
-			next = old + a
-		case RMWWrite:
-			next = a
-		case RMWMax:
-			next = old
-			if a > old {
+		for {
+			old := cell.Load()
+			var next uint64
+			switch RMWKind(op.sub) {
+			case RMWAdd:
+				next = old + a
+			case RMWWrite:
 				next = a
+			case RMWMax:
+				next = max(old, a)
+			case RMWXor:
+				next = old ^ a
 			}
-		case RMWXor:
-			next = old ^ a
-		}
-		bank[idx] = next & s.compiled.regMask[ri]
-		s.regMu[ri].Unlock()
-		v[op.dst] = old & op.mask()
-	}
-}
-
-func evalCond(st *execState, op *lop) bool {
-	var res bool
-	if op.flags&flagValid != 0 {
-		res = st.valid[op.dst]
-	} else {
-		l, r := st.vals[op.a], st.vals[op.b]
-		switch CmpKind(op.sub) {
-		case CmpEq:
-			res = l == r
-		case CmpNe:
-			res = l != r
-		case CmpLt:
-			res = l < r
-		case CmpLe:
-			res = l <= r
-		case CmpGt:
-			res = l > r
-		case CmpGe:
-			res = l >= r
+			if cell.CompareAndSwap(old, next&s.compiled.regMask[op.x]) {
+				v[op.dst] = old & op.mask()
+				return
+			}
 		}
 	}
-	return res != (op.flags&flagNegate != 0)
 }
 
 func (s *Switch) execHash(st *execState, op *lop) uint32 {
 	// Serialize inputs MSB-first at declared widths (at most 8 bytes
 	// each), then payload.
 	plan := s.compiled.hashIns[op.x:op.b]
-	if cap(st.hashBuf) < 8*len(plan) {
-		st.hashBuf = make([]byte, 8*len(plan))
+	n := planBytes(plan)
+	if cap(st.hashBuf) < n {
+		st.hashBuf = make([]byte, n)
 	}
-	data := st.hashBuf[:8*len(plan)]
+	data := st.hashBuf[:n]
 	clear(data)
-	off := 0
-	for _, in := range plan {
-		off = packBits(data, off, st.vals[in.src], int(in.width))
-	}
-	data = data[:(off+7)/8]
+	packFields(plan, data, st.vals)
 	if op.flags&flagPayload != 0 {
 		data = append(data, st.payload...)
 		st.hashBuf = data

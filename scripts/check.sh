@@ -65,11 +65,13 @@ c fuzz-smoke ./scripts/fuzz_smoke.sh
 
 # The zero-allocation hot path through the real benchmark harness, the
 # four pipeline paths under it (signed write, signed read, 8-port probe,
-# bad-digest reject) and one fabric hop between two linked secure HULA
-# switches (Sim.Step: delivery, verify, re-sign, Send), with allocs/op
-# printed: a reintroduced per-packet name lookup or per-hop allocation
-# shows here without the 15 s benchmark.
-c bench-smoke go test -bench='BenchmarkAuthenticatedWrite|BenchmarkProcessP4Auth|BenchmarkFabricHop' -benchtime=10x -run '^$' -short . ./internal/pisa/ ./internal/netsim/
+# bad-digest reject), one fabric hop between two linked secure HULA
+# switches (Sim.Step: delivery, verify, re-sign, Send), the dpdp_probes
+# loop as a go test benchmark (8 keyed ports, batches of 32: the one to
+# run with -cpuprofile) and the three digesters, with allocs/op printed:
+# a reintroduced per-packet name lookup or per-hop allocation shows here
+# without the 15 s benchmark.
+c bench-smoke go test -bench='BenchmarkAuthenticatedWrite|BenchmarkProcessP4Auth|BenchmarkFabricHop|BenchmarkSwitchProbeBatch32|BenchmarkDigesters' -benchtime=10x -run '^$' -short . ./internal/pisa/ ./internal/netsim/ ./internal/hula/ ./internal/crypto/
 EOF
 }
 
