@@ -84,43 +84,59 @@ func BenchmarkAblationDigestWidth(b *testing.B) {
 
 // Micro-benchmarks of the primitives behind the figures.
 
-func BenchmarkAuthenticatedWrite(b *testing.B) {
-	variantsSetup := func() (*Controller, error) {
-		sw, err := BuildSwitch(SwitchSpec{
-			Name:  "b1",
-			Ports: 4,
-			Registers: []*RegisterDef{
-				{Name: "r", Width: 64, Entries: 64},
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		c := NewController(crypto.NewSeededRand(9))
-		if err := c.Register("b1", sw.Host, sw.Cfg, 0); err != nil {
-			return nil, err
-		}
-		if _, err := c.LocalKeyInit("b1"); err != nil {
-			return nil, err
-		}
-		return c, nil
-	}
-	c, err := variantsSetup()
+// authenticatedBench builds one switch with a keyed controller and runs
+// enough writes to warm the handle scratch and the agent's response cache,
+// so the steady state (0 allocs/op) is what gets measured.
+func authenticatedBench(b *testing.B) *Controller {
+	sw, err := BuildSwitch(SwitchSpec{
+		Name:  "b1",
+		Ports: 4,
+		Registers: []*RegisterDef{
+			{Name: "r", Width: 64, Entries: 64},
+		},
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Warm the handle scratch and the agent's response cache so the
-	// steady state (0 allocs/op) is what gets measured.
+	c := NewController(crypto.NewSeededRand(9))
+	if err := c.Register("b1", sw.Host, sw.Cfg, 0); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := c.LocalKeyInit("b1"); err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < 64; i++ {
 		if _, err := c.WriteRegister("b1", "r", uint32(i%64), uint64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
+	return c
+}
+
+func BenchmarkAuthenticatedWrite(b *testing.B) {
+	c := authenticatedBench(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.WriteRegister("b1", "r", uint32(i%64), uint64(i)); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAuthenticatedRead is the other half of a cdp_serial operation:
+// the read of what BenchmarkAuthenticatedWrite wrote.
+func BenchmarkAuthenticatedRead(b *testing.B) {
+	c := authenticatedBench(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, _, err := c.ReadRegister("b1", "r", uint32(i%64))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if v != uint64(i%64) {
+			b.Fatalf("r[%d] = %d, the warm-up wrote %d", i%64, v, i%64)
 		}
 	}
 }

@@ -15,8 +15,10 @@ package controller
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"p4auth/internal/core"
@@ -71,6 +73,15 @@ type KMPResult struct {
 	RTT time.Duration
 }
 
+// swHandle is the controller's end of one switch: the shared key state,
+// the sequence tracker, and the scratch a request is built and answered
+// in. Its share of the concurrency contract (see Controller):
+//
+//   - name, host, cfg, dig, keys, seq, info and linkLat are set by Register
+//     and never reassigned; keys and seq synchronize themselves.
+//   - taps is a published snapshot: SetControlTaps stores a new pair, an
+//     exchange loads it once, after the send has been admitted.
+//   - everything from encBuf down is scratch owned by whoever holds opMu.
 type swHandle struct {
 	name    string
 	host    *switchos.Host
@@ -80,23 +91,25 @@ type swHandle struct {
 	seq     *core.SeqTracker
 	info    *p4rt.P4Info
 	linkLat time.Duration // one-way controller<->switch latency
-	// Fault-injection taps on the control channel (SetControlTaps):
-	// outTap sees PacketOuts, inTap sees PacketIns; nil return = drop.
-	outTap netsim.Tap
-	inTap  netsim.Tap
+	// taps holds the fault-injection taps on the control channel
+	// (SetControlTaps); nil until the first call.
+	taps atomic.Pointer[controlTaps]
 
 	// opMu serializes wire operations toward this switch and guards the
-	// scratch below. Different switches proceed concurrently; on one
-	// switch, a pipelined batch and a KMP leg interleave at operation
-	// granularity, never mid-exchange. Lock order: opMu before c.mu;
-	// never two handles' opMu at once (multi-switch flows lock per leg).
+	// scratch below. It is the one lock a request holds on the controller
+	// side. Different switches proceed concurrently; on one switch, a
+	// pipelined batch and a KMP leg interleave at operation granularity,
+	// never mid-exchange. Lock order: opMu before c.mu; never two handles'
+	// opMu at once (multi-switch flows lock per leg).
 	opMu sync.Mutex
 	// Reusable buffers for the zero-allocation request path. txMsg/txReg
-	// hold the in-flight request; encBuf its wire bytes; io the switch's
-	// I/O result; rx/rxBufs the decoded PacketIns. All are valid only
-	// while opMu is held — cold paths copy responses out before
+	// hold the in-flight request; digBuf the digest input of the message
+	// being signed or verified; encBuf the request's wire bytes; io the
+	// switch's I/O result; rx/rxBufs the decoded PacketIns. All are valid
+	// only while opMu is held — cold paths copy responses out before
 	// releasing it.
 	encBuf []byte
+	digBuf []byte
 	io     switchos.IOResult
 	rx     []*core.Message
 	rxBufs []*core.MessageBuf
@@ -116,6 +129,20 @@ type swHandle struct {
 	gIdx      []int
 }
 
+// controlTaps is one switch's pair of control-channel taps: out sees
+// PacketOuts, in sees PacketIns; a nil return drops the packet.
+type controlTaps struct {
+	out, in netsim.Tap
+}
+
+// controlTaps returns the taps an exchange starting now goes through.
+func (h *swHandle) controlTaps() (out, in netsim.Tap) {
+	if taps := h.taps.Load(); taps != nil {
+		return taps.out, taps.in
+	}
+	return nil, nil
+}
+
 type portKey struct {
 	sw   string
 	port int
@@ -128,59 +155,143 @@ type peerRef struct {
 }
 
 // Controller manages a set of P4Auth switches. Operations are synchronous
-// by design (each call completes a full request/response round) and must
-// be serialized externally, but the observability accessors — Stats,
-// Alerts, Outstanding, HealthOf — are safe to call concurrently with an
-// in-flight operation (a DoS monitor polling mid-exchange).
+// by design (each call completes a full request/response round). Calls
+// toward different switches proceed concurrently, calls toward one switch
+// are serialized by its handle's opMu, and the observability accessors —
+// Stats, Alerts, Outstanding, HealthOf — are safe to call concurrently
+// with an in-flight operation (a DoS monitor polling mid-exchange).
+//
+// The concurrency contract, in one place. A register request holds one
+// controller-side lock, the handle's opMu, and reads everything else it
+// needs without one:
+//
+//   - cfg is a published snapshot of what requests only read: the retry
+//     policy, the virtual clock, the send fence, the state store and the
+//     name -> handle table. A setter (SetRetryPolicy, UseClock,
+//     SetSendFence, EnableCrashSafety, Register, Quarantine) copies the
+//     current snapshot under mu, edits the copy and stores it; a request
+//     loads the pointer where it needs a value and never sees half an
+//     edit. The maps inside a published snapshot are never written.
+//     swHandle.taps (SetControlTaps) and ob (SetObserver) are one pointer
+//     each, replaced whole by a single store.
+//   - wire is Stats as four atomic counters, added to where a message is
+//     sent or parsed. They agree at quiescence; a Stats call beside an
+//     exchange may read the message counted and its bytes not yet. The
+//     top bit of the sent counter is the Kill flag, so admitting a send
+//     and refusing one after Kill are one compare-and-swap on one word:
+//     once Kill has returned, no send is counted.
+//   - ailing is len(health), published under mu, so that the resilient
+//     engine asks for mu only while some switch has a failure on record.
+//   - mu guards what is left, none of it on the happy path of a request:
+//     the alert list, the health records and their policy, the adjacency
+//     and link taps a relayed DP-DP leg looks up, the repair fences, the
+//     journal and snapshot id counters, the seed-use counts, and the
+//     copy-edit-store of cfg.
+//
+// A fence runs without any controller lock and the Kill flag is read
+// again after it, so both still take effect on the next send.
 type Controller struct {
 	rng crypto.RandomSource
 
-	// mu guards the mutable observable state (stats, alerts, health), the
-	// resilience configuration, the topology maps (switches/adj entries
-	// are added under mu; the handles themselves hold their own locks),
-	// and the crash-safety machinery.
+	cfg    atomic.Pointer[ctlConfig]
+	wire   wireStats
+	ailing atomic.Int32
+
 	mu        sync.Mutex
-	switches  map[string]*swHandle
 	adj       map[portKey]peerRef
 	alerts    []Alert
-	stats     Stats
-	retry     RetryPolicy
 	healthPol HealthPolicy
 	health    map[string]*Health
-	clock     Clock
 	linkTaps  map[portKey]netsim.Tap
 	repairs   map[portKey]*repairFence
 
-	// Crash-safety state (EnableCrashSafety / Kill).
-	store    statestore.Store
+	// Crash-safety counters (EnableCrashSafety): the last journal id and
+	// the snapshot persist count.
 	walID    uint64
 	persistN uint64
-	dead     bool
 	seedUses map[string]int
-
-	// fence, when set, is consulted before every signed wire send
-	// (SetSendFence) — the HA layer's lease check. Read under mu, called
-	// without it.
-	fence func() error
 
 	// ob holds the pre-resolved observability instruments (observe.go).
 	// Atomic so hot paths read it without c.mu; never nil after New.
 	ob obPtr
 }
 
+// ctlConfig is one published snapshot of the configuration requests read
+// (see Controller). Immutable once stored.
+type ctlConfig struct {
+	retry RetryPolicy
+	clock Clock
+	// fence, when set, is consulted before every signed wire send
+	// (SetSendFence) — the HA layer's lease check.
+	fence func() error
+	// store is the crash-safety state store (EnableCrashSafety), nil
+	// while journaling is off.
+	store    statestore.Store
+	switches map[string]*swHandle
+}
+
+// reconfigure publishes a copy of the current configuration with edit
+// applied. edit must replace, not write, a map it changes.
+func (c *Controller) reconfigure(edit func(cfg *ctlConfig)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	next := *c.cfg.Load()
+	edit(&next)
+	c.cfg.Store(&next)
+}
+
+// wireStats is the traffic accounting behind Stats (see Controller).
+type wireStats struct {
+	sent       atomic.Uint64 // messages sent; top bit: killed
+	recvd      atomic.Uint64
+	bytesSent  atomic.Uint64
+	bytesRecvd atomic.Uint64
+}
+
+const killedBit = 1 << 63
+
+// admit counts n messages as sent, unless the controller has been killed.
+func (w *wireStats) admit(n int) bool {
+	for {
+		v := w.sent.Load()
+		if v&killedBit != 0 {
+			return false
+		}
+		if w.sent.CompareAndSwap(v, v+uint64(n)) {
+			return true
+		}
+	}
+}
+
+func (w *wireStats) kill() {
+	for {
+		v := w.sent.Load()
+		if v&killedBit != 0 || w.sent.CompareAndSwap(v, v|killedBit) {
+			return
+		}
+	}
+}
+
+func (w *wireStats) killed() bool { return w.sent.Load()&killedBit != 0 }
+
+// received counts one parsed PacketIn.
+func (w *wireStats) received(pin []byte) {
+	w.recvd.Add(1)
+	w.bytesRecvd.Add(uint64(len(pin)))
+}
+
 // New returns a controller using rng for salts and private secrets.
 func New(rng crypto.RandomSource) *Controller {
 	c := &Controller{
 		rng:       rng,
-		switches:  make(map[string]*swHandle),
 		adj:       make(map[portKey]peerRef),
-		retry:     DefaultRetryPolicy,
 		healthPol: DefaultHealthPolicy,
 		health:    make(map[string]*Health),
 		linkTaps:  make(map[portKey]netsim.Tap),
 		repairs:   make(map[portKey]*repairFence),
 		seedUses:  make(map[string]int),
 	}
+	c.cfg.Store(&ctlConfig{retry: DefaultRetryPolicy, switches: map[string]*swHandle{}})
 	c.ob.Store(newCtlObs(obs.NewObserver(0)))
 	return c
 }
@@ -202,13 +313,17 @@ func (c *Controller) Register(name string, host *switchos.Host, cfg core.Config,
 		info:    host.Info,
 		linkLat: linkLat,
 	}
-	c.mu.Lock()
-	if _, dup := c.switches[name]; dup {
-		c.mu.Unlock()
+	dup := false
+	c.reconfigure(func(cfg *ctlConfig) {
+		if _, dup = cfg.switches[name]; dup {
+			return
+		}
+		cfg.switches = maps.Clone(cfg.switches)
+		cfg.switches[name] = h
+	})
+	if dup {
 		return fmt.Errorf("controller: switch %q already registered", name)
 	}
-	c.switches[name] = h
-	c.mu.Unlock()
 	c.wireSwitchObs(h, c.obsv().o)
 	return nil
 }
@@ -219,10 +334,11 @@ func (c *Controller) Register(name string, host *switchos.Host, cfg core.Config,
 func (c *Controller) ConnectSwitches(a string, pa int, b string, pb int, lat time.Duration) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.switches[a]; !ok {
+	switches := c.cfg.Load().switches
+	if _, ok := switches[a]; !ok {
 		return fmt.Errorf("controller: unknown switch %q", a)
 	}
-	if _, ok := c.switches[b]; !ok {
+	if _, ok := switches[b]; !ok {
 		return fmt.Errorf("controller: unknown switch %q", b)
 	}
 	c.adj[portKey{a, pa}] = peerRef{sw: b, port: pb, lat: lat}
@@ -237,11 +353,16 @@ func (c *Controller) Alerts() []Alert {
 	return append([]Alert(nil), c.alerts...)
 }
 
-// Stats returns traffic accounting. Safe during in-flight exchanges.
+// Stats returns traffic accounting. Safe during in-flight exchanges; the
+// four counters are read one after another, so beside an exchange they
+// may be one message apart.
 func (c *Controller) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+	return Stats{
+		MessagesSent:  int(c.wire.sent.Load() &^ killedBit),
+		MessagesRecvd: int(c.wire.recvd.Load()),
+		BytesSent:     int(c.wire.bytesSent.Load()),
+		BytesRecvd:    int(c.wire.bytesRecvd.Load()),
+	}
 }
 
 // Outstanding reports unanswered requests for a switch (DoS indicator).
@@ -254,9 +375,7 @@ func (c *Controller) Outstanding(name string) (int, error) {
 }
 
 func (c *Controller) handle(name string) (*swHandle, error) {
-	c.mu.Lock()
-	h, ok := c.switches[name]
-	c.mu.Unlock()
+	h, ok := c.cfg.Load().switches[name]
 	if !ok {
 		return nil, fmt.Errorf("controller: unknown switch %q", name)
 	}
@@ -278,10 +397,9 @@ func (c *Controller) SwitchNames() []string { return c.switchNames() }
 // switchNames returns the registered switch names, sorted — iteration in
 // a deterministic order is part of the chaos-replay contract.
 func (c *Controller) switchNames() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	names := make([]string, 0, len(c.switches))
-	for name := range c.switches {
+	switches := c.cfg.Load().switches
+	names := make([]string, 0, len(switches))
+	for name := range switches {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -375,7 +493,7 @@ func (c *Controller) relay(from *swHandle, ems []pisa.Emission) (time.Duration, 
 		c.mu.Lock()
 		peer, ok := c.adj[portKey{h.sw.name, h.em.Port}]
 		tap := c.linkTaps[portKey{h.sw.name, h.em.Port}]
-		dst := c.switches[peer.sw]
+		dst := c.cfg.Load().switches[peer.sw] // under mu: Quarantine edits both
 		c.mu.Unlock()
 		if !ok {
 			continue // dangling port: drop, as a real link-less port would
@@ -394,10 +512,7 @@ func (c *Controller) relay(from *swHandle, ems []pisa.Emission) (time.Duration, 
 		}
 		total += res.Cost
 		for _, pin := range res.PacketIns {
-			c.mu.Lock()
-			c.stats.MessagesRecvd++
-			c.stats.BytesRecvd += len(pin)
-			c.mu.Unlock()
+			c.wire.received(pin)
 			if r, err := core.DecodeMessage(pin); err == nil && r.HdrType == core.HdrAlert {
 				c.noteAlert(dst.name, r.MsgType, r.SeqNum, CauseDPRelay)
 			}
@@ -448,15 +563,13 @@ func (h *swHandle) scratchRequest(msgType uint8, regID, index uint32, value uint
 		Header: core.Header{HdrType: core.HdrRegister, MsgType: msgType, SeqNum: seq, KeyVersion: ver},
 		Reg:    &h.txReg,
 	}
-	if err := h.txMsg.Sign(h.dig, key); err != nil {
-		return nil, err
-	}
+	h.txMsg.SignBuf(h.dig, key, &h.digBuf)
 	return &h.txMsg, nil
 }
 
 // checkResponse authenticates a response and settles its sequence number
 // (the single-attempt/final form of vetResponses).
 func (c *Controller) checkResponse(h *swHandle, req *core.Message, r *core.Message) error {
-	_, err := c.vetResponses(h, req, []*core.Message{r}, true)
+	_, err := c.vetResponses(h, req, []*core.Message{r}, true, nil)
 	return err
 }

@@ -96,7 +96,7 @@ func TestLocalKeyInitAndOperate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrlKey, ver, err := c.switches["s1"].keys.Current(core.KeyIndexLocal)
+	ctrlKey, ver, err := c.cfg.Load().switches["s1"].keys.Current(core.KeyIndexLocal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestLocalKeyUpdate(t *testing.T) {
 	if _, err := c.LocalKeyInit("s1"); err != nil {
 		t.Fatal(err)
 	}
-	before, _, _ := c.switches["s1"].keys.Current(core.KeyIndexLocal)
+	before, _, _ := c.cfg.Load().switches["s1"].keys.Current(core.KeyIndexLocal)
 	res, err := c.LocalKeyUpdate("s1")
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestLocalKeyUpdate(t *testing.T) {
 	if res.Messages != 2 {
 		t.Errorf("local key update took %d messages, want 2 (Table III)", res.Messages)
 	}
-	after, _, _ := c.switches["s1"].keys.Current(core.KeyIndexLocal)
+	after, _, _ := c.cfg.Load().switches["s1"].keys.Current(core.KeyIndexLocal)
 	if before == after {
 		t.Error("key unchanged after update")
 	}

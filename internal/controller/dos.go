@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"p4auth/internal/core"
@@ -57,16 +58,23 @@ func (c *Controller) CheckDoS(outstandingThreshold int) []DoSIndicator {
 // Quarantine removes a switch from management (the operator isolating a
 // suspicious switch, §VIII). Subsequent operations on it fail.
 func (c *Controller) Quarantine(sw string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.switches[sw]; !ok {
-		return fmt.Errorf("controller: unknown switch %q", sw)
-	}
-	delete(c.switches, sw)
-	for pk, peer := range c.adj {
-		if pk.sw == sw || peer.sw == sw {
-			delete(c.adj, pk)
+	known := false
+	c.reconfigure(func(cfg *ctlConfig) {
+		if _, known = cfg.switches[sw]; !known {
+			return
 		}
+		cfg.switches = maps.Clone(cfg.switches)
+		delete(cfg.switches, sw)
+		// The adjacency goes in the same critical section: relay reads
+		// both under mu.
+		for pk, peer := range c.adj {
+			if pk.sw == sw || peer.sw == sw {
+				delete(c.adj, pk)
+			}
+		}
+	})
+	if !known {
+		return fmt.Errorf("controller: unknown switch %q", sw)
 	}
 	return nil
 }

@@ -27,7 +27,7 @@ func resilientController(t *testing.T) (*Controller, *deploy.Switch, *deploy.Swi
 // active key match the switch data plane's exactly.
 func assertLocalKeySync(t *testing.T, c *Controller, sw *deploy.Switch, name string) {
 	t.Helper()
-	h := c.switches[name]
+	h := c.cfg.Load().switches[name]
 	key, ver, err := h.keys.Current(core.KeyIndexLocal)
 	if err != nil {
 		t.Fatalf("%s: controller key state: %v", name, err)
@@ -198,7 +198,7 @@ func TestInterruptedRolloverResyncs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, ctlVerBefore, err := c.switches["s1"].keys.Current(core.KeyIndexLocal)
+	_, ctlVerBefore, err := c.cfg.Load().switches["s1"].keys.Current(core.KeyIndexLocal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestInterruptedRolloverResyncs(t *testing.T) {
 	// The acceptance property: no one-sided activation. The switch was
 	// rolled back to the last mutually-known version.
 	assertLocalKeySync(t, c, s1, "s1")
-	_, ctlVerAfter, err := c.switches["s1"].keys.Current(core.KeyIndexLocal)
+	_, ctlVerAfter, err := c.cfg.Load().switches["s1"].keys.Current(core.KeyIndexLocal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestInterruptedRolloverResyncs(t *testing.T) {
 		t.Fatalf("rollover after channel recovery: %v", err)
 	}
 	assertLocalKeySync(t, c, s1, "s1")
-	if _, finalVer, _ := c.switches["s1"].keys.Current(core.KeyIndexLocal); finalVer != ctlVerBefore+1 {
+	if _, finalVer, _ := c.cfg.Load().switches["s1"].keys.Current(core.KeyIndexLocal); finalVer != ctlVerBefore+1 {
 		t.Fatalf("final version %d, want %d", finalVer, ctlVerBefore+1)
 	}
 }

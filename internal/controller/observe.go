@@ -146,13 +146,7 @@ func (c *Controller) SetObserver(o *obs.Observer) {
 		o = obs.NewObserver(0)
 	}
 	c.ob.Store(newCtlObs(o))
-	c.mu.Lock()
-	handles := make([]*swHandle, 0, len(c.switches))
-	for _, h := range c.switches {
-		handles = append(handles, h)
-	}
-	c.mu.Unlock()
-	for _, h := range handles {
+	for _, h := range c.cfg.Load().switches {
 		c.wireSwitchObs(h, o)
 	}
 }

@@ -66,36 +66,24 @@ func (c *Controller) EnableCrashSafety(st statestore.Store) error {
 			}
 		}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.store = st
-	c.walID = maxID
+	c.reconfigure(func(cfg *ctlConfig) {
+		cfg.store = st
+		c.walID = maxID
+	})
 	return nil
 }
 
-func (c *Controller) stateStore() statestore.Store {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.store
-}
+func (c *Controller) stateStore() statestore.Store { return c.cfg.Load().store }
 
 // Kill marks the controller process dead: every subsequent exchange fails
 // with ErrKilled and nothing further is persisted (a crashed process
 // cannot write its disk). The chaos harness flips this mid-operation and
 // then builds a fresh controller over the same store, exactly as a
 // process restart would.
-func (c *Controller) Kill() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.dead = true
-}
+func (c *Controller) Kill() { c.wire.kill() }
 
 // Killed reports whether Kill has been called.
-func (c *Controller) Killed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dead
-}
+func (c *Controller) Killed() bool { return c.wire.killed() }
 
 // countSeedUse records one K_seed KDF derivation (an EAK exchange). The
 // warm-restart acceptance bar is zero new uses: recovery from a valid
@@ -127,11 +115,10 @@ func (c *Controller) SaveSnapshot(sw string) error {
 	if st == nil {
 		return errNoStore
 	}
-	c.mu.Lock()
-	if c.dead {
-		c.mu.Unlock()
+	if c.Killed() {
 		return ErrKilled
 	}
+	c.mu.Lock()
 	c.persistN++
 	n := c.persistN
 	c.mu.Unlock()
@@ -156,12 +143,11 @@ func (c *Controller) autoPersist(sw string) error {
 // walBegin records a write intent before the wire send. Returns 0 (and
 // writes nothing) when journaling is off or the process is dead.
 func (c *Controller) walBegin(sw, register string, index uint32, value uint64) (uint64, error) {
-	c.mu.Lock()
-	st, dead := c.store, c.dead
-	if st == nil || dead {
-		c.mu.Unlock()
+	st := c.stateStore()
+	if st == nil || c.Killed() {
 		return 0, nil
 	}
+	c.mu.Lock()
 	c.walID++
 	id := c.walID
 	c.mu.Unlock()
@@ -178,10 +164,8 @@ func (c *Controller) walSettle(sw string, id uint64, applied bool, register stri
 	if id == 0 {
 		return
 	}
-	c.mu.Lock()
-	st, dead := c.store, c.dead
-	c.mu.Unlock()
-	if st == nil || dead {
+	st := c.stateStore()
+	if st == nil || c.Killed() {
 		return
 	}
 	ko := c.obsv()
@@ -202,12 +186,11 @@ func (c *Controller) walSettle(sw string, id uint64, applied bool, register stri
 // Returns 0 (and writes nothing) when journaling is off or the process
 // is dead.
 func (c *Controller) walBeginBatch(sw string, writes []RegWrite) (uint64, error) {
-	c.mu.Lock()
-	st, dead := c.store, c.dead
-	if st == nil || dead {
-		c.mu.Unlock()
+	st := c.stateStore()
+	if st == nil || c.Killed() {
 		return 0, nil
 	}
+	c.mu.Lock()
 	c.walID++
 	id := c.walID
 	c.mu.Unlock()
@@ -226,10 +209,8 @@ func (c *Controller) walSettleBatch(sw string, id uint64, entries []batchEntry) 
 	if id == 0 {
 		return
 	}
-	c.mu.Lock()
-	st, dead := c.store, c.dead
-	c.mu.Unlock()
-	if st == nil || dead {
+	st := c.stateStore()
+	if st == nil || c.Killed() {
 		return
 	}
 	allOK := true

@@ -161,7 +161,8 @@ func (c *Controller) runBatch(h *swHandle, entries []batchEntry, window int) Bat
 	h.opMu.Lock()
 	defer h.opMu.Unlock()
 
-	if c.resilient() && c.quarantined(h.name) {
+	resilient := pol.MaxAttempts > 1
+	if resilient && c.quarantined(h.name) {
 		qerr := fmt.Errorf("%w: %s", ErrQuarantined, h.name)
 		for i := range entries {
 			if !entries[i].done {
@@ -343,7 +344,7 @@ func (c *Controller) runBatch(h *swHandle, entries []batchEntry, window int) Bat
 		}
 	}
 
-	if c.resilient() {
+	if resilient {
 		if timedOut {
 			c.noteFailure(h)
 		} else {
@@ -452,9 +453,7 @@ func (c *Controller) signBatchEntry(h *swHandle, e *batchEntry) error {
 		Header: core.Header{HdrType: core.HdrRegister, MsgType: msgType, SeqNum: seq, KeyVersion: ver},
 		Reg:    &reg,
 	}
-	if err := m.Sign(h.dig, key); err != nil {
-		return err
-	}
+	m.SignBuf(h.dig, key, &h.digBuf)
 	e.wire = m.AppendEncode(e.wire[:0])
 	e.seq, e.signed, e.resign = seq, true, false
 	return nil
@@ -466,29 +465,15 @@ func (c *Controller) signBatchEntry(h *swHandle, e *batchEntry) error {
 // (the entry it answered simply retries) rather than failing the window.
 // Requires h.opMu; responses alias the handle's receive scratch.
 func (c *Controller) exchangeBatchBytesLocked(h *swHandle, wires [][]byte) (out []*core.Message, lat time.Duration, err error) {
-	c.mu.Lock()
-	if c.dead {
-		c.mu.Unlock()
-		return nil, 0, ErrKilled
-	}
-	if fence := c.fence; fence != nil {
-		c.mu.Unlock()
-		if ferr := fence(); ferr != nil {
-			// Same rule as the serial path: a fenced window never sends.
-			return nil, 0, ferr
-		}
-		c.mu.Lock()
-		if c.dead {
-			c.mu.Unlock()
-			return nil, 0, ErrKilled
-		}
-	}
-	c.stats.MessagesSent += len(wires)
+	nbytes := 0
 	for _, w := range wires {
-		c.stats.BytesSent += len(w)
+		nbytes += len(w)
 	}
-	outTap, inTap := h.outTap, h.inTap
-	c.mu.Unlock()
+	// Same rule as the serial path: a dead or fenced window never sends.
+	if err := c.admitSend(len(wires), nbytes); err != nil {
+		return nil, 0, err
+	}
+	outTap, inTap := h.controlTaps()
 
 	sendable := wires
 	if outTap != nil {
@@ -521,10 +506,7 @@ func (c *Controller) exchangeBatchBytesLocked(h *swHandle, wires [][]byte) (out 
 			continue
 		}
 		responded = true
-		c.mu.Lock()
-		c.stats.MessagesRecvd++
-		c.stats.BytesRecvd += len(pin)
-		c.mu.Unlock()
+		c.wire.received(pin)
 		if nbuf == len(h.rxBufs) {
 			h.rxBufs = append(h.rxBufs, &core.MessageBuf{})
 		}

@@ -32,12 +32,12 @@ var ErrFenced = errors.New("controller: send refused by lease fence")
 // SetSendFence installs a fence consulted before every signed wire send
 // (both the serial and the batch exchange path). A nil return admits the
 // send; any error refuses it, and ErrFenced (possibly wrapped) marks a
-// lease-fencing refusal for audit classification. The fence runs without
-// c.mu held and must not call back into this controller.
+// lease-fencing refusal for audit classification. The fence runs with no
+// controller lock but the sending handle's opMu held and must not call
+// back into this controller. A send that begins after SetSendFence has
+// returned consults f.
 func (c *Controller) SetSendFence(f func() error) {
-	c.mu.Lock()
-	c.fence = f
-	c.mu.Unlock()
+	c.reconfigure(func(cfg *ctlConfig) { cfg.fence = f })
 }
 
 // AlertError is a verified data-plane alert that failed an exchange: the
@@ -177,9 +177,7 @@ func (c *Controller) SetRetryPolicy(p RetryPolicy) {
 	if p.MaxAttempts < 1 {
 		p.MaxAttempts = 1
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.retry = p
+	c.reconfigure(func(cfg *ctlConfig) { cfg.retry = p })
 }
 
 // SetHealthPolicy replaces the circuit-breaker thresholds.
@@ -192,18 +190,13 @@ func (c *Controller) SetHealthPolicy(p HealthPolicy) {
 // UseClock attaches a virtual clock (e.g. a netsim.Sim) that retransmission
 // backoff advances.
 func (c *Controller) UseClock(clk Clock) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.clock = clk
+	c.reconfigure(func(cfg *ctlConfig) { cfg.clock = clk })
 }
 
 // advanceClock sleeps a backoff wait on the attached virtual clock, if
 // any.
 func (c *Controller) advanceClock(wait time.Duration) {
-	c.mu.Lock()
-	clk := c.clock
-	c.mu.Unlock()
-	if clk != nil {
+	if clk := c.cfg.Load().clock; clk != nil {
 		clk.Advance(wait)
 	}
 }
@@ -217,9 +210,7 @@ func (c *Controller) SetControlTaps(sw string, out, in netsim.Tap) error {
 	if err != nil {
 		return err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	h.outTap, h.inTap = out, in
+	h.taps.Store(&controlTaps{out: out, in: in})
 	return nil
 }
 
@@ -264,6 +255,7 @@ func (c *Controller) ClearHealth(sw string) error {
 		wasQuarantined = true
 	}
 	delete(c.health, sw)
+	c.ailing.Store(int32(len(c.health)))
 	c.mu.Unlock()
 	if wasQuarantined {
 		k := c.obsv()
@@ -274,20 +266,15 @@ func (c *Controller) ClearHealth(sw string) error {
 }
 
 // resilient reports whether the retransmission engine is enabled.
-func (c *Controller) resilient() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.retry.MaxAttempts > 1
-}
+func (c *Controller) resilient() bool { return c.cfg.Load().retry.MaxAttempts > 1 }
 
-func (c *Controller) retryPolicy() RetryPolicy {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.retry
-}
+func (c *Controller) retryPolicy() RetryPolicy { return c.cfg.Load().retry }
 
 // noteSuccess resets a switch's failure streak.
 func (c *Controller) noteSuccess(h *swHandle) {
+	if c.ailing.Load() == 0 {
+		return // no switch has a failure on record
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if rec, ok := c.health[h.name]; ok && rec.State != Quarantined {
@@ -304,6 +291,7 @@ func (c *Controller) noteFailure(h *swHandle) {
 	if !ok {
 		rec = &Health{}
 		c.health[h.name] = rec
+		c.ailing.Store(int32(len(c.health)))
 	}
 	rec.Failures++
 	rec.Consecutive++
@@ -333,6 +321,9 @@ func (c *Controller) noteFailure(h *swHandle) {
 
 // quarantined reports whether the circuit breaker is open for a switch.
 func (c *Controller) quarantined(name string) bool {
+	if c.ailing.Load() == 0 {
+		return false
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	rec, ok := c.health[name]
@@ -404,12 +395,15 @@ func (c *Controller) transactLocked(h *swHandle, req *core.Message, wantResp boo
 
 func (c *Controller) transactOnceLocked(h *swHandle, req *core.Message, wantResp bool) (xfer, error) {
 	var x xfer
-	if c.resilient() && c.quarantined(h.name) {
+	// One policy for the whole transaction, whatever SetRetryPolicy does
+	// meanwhile.
+	pol := c.retryPolicy()
+	resilient := pol.MaxAttempts > 1
+	if resilient && c.quarantined(h.name) {
 		return x, fmt.Errorf("%w: %s", ErrQuarantined, h.name)
 	}
 	h.encBuf = req.AppendEncode(h.encBuf[:0])
 	data := h.encBuf
-	pol := c.retryPolicy()
 	var lastErr error
 	for attempt := 1; attempt <= pol.MaxAttempts; attempt++ {
 		if attempt > 1 {
@@ -439,12 +433,12 @@ func (c *Controller) transactOnceLocked(h *swHandle, req *core.Message, wantResp
 			// verified alert coming back means the request was mangled in
 			// flight — that attempt failed, so resend the clean bytes.
 			if len(resp) > 0 {
-				if _, verr := c.vetResponses(h, req, resp, final); verr != nil {
+				if _, verr := c.vetResponses(h, req, resp, final, &h.digBuf); verr != nil {
 					lastErr = verr
 					if !final {
 						continue
 					}
-					if c.resilient() {
+					if resilient {
 						c.noteFailure(h)
 					}
 					return x, verr
@@ -458,10 +452,10 @@ func (c *Controller) transactOnceLocked(h *swHandle, req *core.Message, wantResp
 				ErrTimeout, h.name, req.SeqNum, attempt)
 			continue
 		}
-		ok, verr := c.vetResponses(h, req, resp, final)
+		ok, verr := c.vetResponses(h, req, resp, final, &h.digBuf)
 		if verr == nil {
 			x.resp = resp
-			if c.resilient() {
+			if resilient {
 				c.noteSuccess(h)
 			}
 			return x, nil
@@ -471,7 +465,7 @@ func (c *Controller) transactOnceLocked(h *swHandle, req *core.Message, wantResp
 			return x, verr
 		}
 	}
-	if c.resilient() {
+	if resilient {
 		c.noteFailure(h)
 	}
 	if lastErr == nil {
@@ -488,14 +482,21 @@ func (c *Controller) transactOnceLocked(h *swHandle, req *core.Message, wantResp
 // caller may resend the same bytes). On non-final retryable failures the
 // sequence number is left outstanding so the eventual good response can
 // settle it; final-attempt behaviour matches the legacy checkResponse
-// exactly.
-func (c *Controller) vetResponses(h *swHandle, req *core.Message, resp []*core.Message, final bool) (retryable bool, err error) {
+// exactly. digBuf is the handle's digest scratch when the caller holds
+// h.opMu and nil otherwise, in which case core's pooled buffer serves.
+func (c *Controller) vetResponses(h *swHandle, req *core.Message, resp []*core.Message, final bool, digBuf *[]byte) (retryable bool, err error) {
 	r := resp[0]
 	key, err := h.keys.At(core.KeyIndexLocal, r.KeyVersion)
 	if err != nil {
 		return true, fmt.Errorf("%w: unknown key version %d", ErrTampered, r.KeyVersion)
 	}
-	if !r.Verify(h.dig, key) {
+	var verified bool
+	if digBuf != nil {
+		verified = r.VerifyBuf(h.dig, key, digBuf)
+	} else {
+		verified = r.Verify(h.dig, key)
+	}
+	if !verified {
 		// Detection of misreported statistics (Fig. 9): the controller
 		// itself raises the alert when a response fails verification.
 		c.noteAlert(h.name, core.AlertBadDigest, r.SeqNum, CauseResponseDigest)
@@ -525,36 +526,39 @@ func (c *Controller) vetResponses(h *swHandle, req *core.Message, resp []*core.M
 	return false, nil
 }
 
+// admitSend is the head of every wire send, serial or windowed: a killed
+// controller sends nothing (in-flight operations die with the process and
+// their results are moot), a fenced replica sends nothing (the lease no
+// longer, or never did, name it, so the signed bytes must not reach the
+// wire), and what is admitted is counted. It takes no lock: the fence is
+// read from the published configuration, and the Kill flag is read again
+// with the count, after the fence has run.
+func (c *Controller) admitSend(msgs, bytes int) error {
+	if c.wire.killed() {
+		return ErrKilled
+	}
+	if fence := c.cfg.Load().fence; fence != nil {
+		if err := fence(); err != nil {
+			return err
+		}
+	}
+	if !c.wire.admit(msgs) {
+		return ErrKilled
+	}
+	c.wire.bytesSent.Add(uint64(bytes))
+	return nil
+}
+
 // exchangeBytesLocked puts encoded request bytes on the control channel
 // through the fault taps and returns parsed PacketIns. It is one attempt:
 // no retries, no verification. Requires h.opMu: the switch I/O result and
 // the decoded responses live in the handle's reusable scratch and are
 // overwritten by the next exchange on this handle.
 func (c *Controller) exchangeBytesLocked(h *swHandle, data []byte) (out []*core.Message, lat time.Duration, sentBytes, rcvdBytes int, err error) {
-	c.mu.Lock()
-	if c.dead {
-		c.mu.Unlock()
-		// A crashed controller process sends nothing; in-flight operations
-		// die with it and their results are moot.
-		return nil, 0, 0, 0, ErrKilled
+	if err := c.admitSend(1, len(data)); err != nil {
+		return nil, 0, 0, 0, err
 	}
-	if fence := c.fence; fence != nil {
-		c.mu.Unlock()
-		if ferr := fence(); ferr != nil {
-			// A fenced replica sends nothing: the lease no longer (or never
-			// did) name it, so the signed bytes must not reach the wire.
-			return nil, 0, 0, 0, ferr
-		}
-		c.mu.Lock()
-		if c.dead {
-			c.mu.Unlock()
-			return nil, 0, 0, 0, ErrKilled
-		}
-	}
-	c.stats.MessagesSent++
-	c.stats.BytesSent += len(data)
-	outTap, inTap := h.outTap, h.inTap
-	c.mu.Unlock()
+	outTap, inTap := h.controlTaps()
 	sentBytes = len(data)
 
 	wire := data
@@ -581,10 +585,7 @@ func (c *Controller) exchangeBytesLocked(h *swHandle, data []byte) (out []*core.
 			continue // dropped on the switch->controller leg
 		}
 		responded = true
-		c.mu.Lock()
-		c.stats.MessagesRecvd++
-		c.stats.BytesRecvd += len(pin)
-		c.mu.Unlock()
+		c.wire.received(pin)
 		rcvdBytes += len(pin)
 		if nbuf == len(h.rxBufs) {
 			h.rxBufs = append(h.rxBufs, &core.MessageBuf{})

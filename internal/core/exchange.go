@@ -83,38 +83,53 @@ func RespondADHKD(cfg Config, rng crypto.RandomSource, pk1 uint64, s1 uint32) (p
 // the replay defence, §VIII). It is safe for concurrent use, so DoS
 // monitors can poll Outstanding while exchanges are in flight.
 type SeqTracker struct {
-	mu          sync.Mutex
-	next        uint32
-	outstanding map[uint32]bool
+	mu   sync.Mutex
+	next uint32
+	// outstanding holds the unanswered sequence numbers in issue order,
+	// which is ascending: next never moves down short of Reset, which
+	// also empties the slice. One entry per issue, so at the top of the
+	// 32-bit space, where Next repeats itself, a number can be
+	// outstanding more than once.
+	outstanding []uint32
 }
 
 // NewSeqTracker starts sequence numbering at 1 (the data plane's replay
 // register starts at 0 and requires strictly increasing numbers).
 func NewSeqTracker() *SeqTracker {
-	return &SeqTracker{next: 1, outstanding: make(map[uint32]bool)}
+	return &SeqTracker{next: 1}
 }
 
-// Next reserves and returns the next sequence number.
+// Next reserves and returns the next sequence number. At the top of the
+// 32-bit space the counter stays put rather than wrapping: a wrapped
+// counter would be rejected by the strictly-increasing replay defence
+// forever, while a stuck one is rejected until the keys are re-seeded
+// (Reset), the operator's way out either way.
 func (s *SeqTracker) Next() uint32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := s.next
-	s.next++
-	s.outstanding[n] = true
+	if n != ^uint32(0) {
+		s.next++
+	}
+	s.outstanding = append(s.outstanding, n)
 	return n
 }
 
 // Settle marks a response's sequence number as answered; it returns an
 // error for unknown or duplicate sequence numbers (a replayed or forged
-// response).
+// response). Answers are for recent requests, so the search runs from the
+// newest issue backwards: what a request pays is bounded by the window in
+// flight, not by how many abandoned numbers sit below it.
 func (s *SeqTracker) Settle(seq uint32) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.outstanding[seq] {
-		return fmt.Errorf("core: response for unknown or already-settled seq %d", seq)
+	for i := len(s.outstanding) - 1; i >= 0 && s.outstanding[i] >= seq; i-- {
+		if s.outstanding[i] == seq {
+			s.outstanding = append(s.outstanding[:i], s.outstanding[i+1:]...)
+			return nil
+		}
 	}
-	delete(s.outstanding, seq)
-	return nil
+	return fmt.Errorf("core: response for unknown or already-settled seq %d", seq)
 }
 
 // Outstanding reports how many requests lack responses (the controller's
@@ -143,15 +158,14 @@ func (s *SeqTracker) Resume(next uint32) {
 	if next > s.next {
 		s.next = next
 	}
-	s.outstanding = make(map[uint32]bool)
+	s.outstanding = s.outstanding[:0]
 }
 
 // SkipAhead advances the counter by delta, abandoning the skipped range.
 // The recovery protocol uses it to jump past a restored replay floor it
 // cannot see directly: on an authenticated replay alert, skip and retry.
-// Saturates at the top of the 32-bit space rather than wrapping (a
-// wrapped counter would be rejected by the strictly-increasing replay
-// defence forever).
+// Saturates at the top of the 32-bit space rather than wrapping, and Next
+// stays there once it is reached.
 func (s *SeqTracker) SkipAhead(delta uint32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -169,7 +183,7 @@ func (s *SeqTracker) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.next = 1
-	s.outstanding = make(map[uint32]bool)
+	s.outstanding = s.outstanding[:0]
 }
 
 // PeekControl inspects an encoded control-channel packet without a full

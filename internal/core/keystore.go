@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // KeyStore is the two-version key table used for consistent key updates
@@ -14,9 +15,19 @@ import (
 // The controller holds one KeyStore per switch; the switch data plane's
 // equivalent state lives in the pa_keys_v0/pa_keys_v1/pa_ver registers of
 // the generated program.
+//
+// Reads and writes go different ways. The mutators (Install, Prepare,
+// Commit, Abort, Rollback, Restore, ResetToSeed) and the accessors that
+// must see staged state (Pending, Snapshot) work on slots under mu. The
+// two accessors every signed message pays for, Current and At, take no
+// lock: they read the image, an immutable copy of slots that each mutator
+// republishes before it releases mu. A reader therefore sees a slot as it
+// was after some completed mutation, never half of one, and a prepared
+// key, which neither accessor reads, stays invisible until Commit.
 type KeyStore struct {
 	mu    sync.Mutex
 	slots []keySlot
+	image atomic.Pointer[[]keySlot]
 }
 
 type keySlot struct {
@@ -38,9 +49,19 @@ func NewKeyStore(ports int, seed uint64) *KeyStore {
 	ks := &KeyStore{slots: make([]keySlot, ports+1)}
 	ks.slots[KeyIndexLocal].v[0] = seed
 	ks.slots[KeyIndexLocal].set = true
+	ks.publish()
 	return ks
 }
 
+// publish replaces the read image with a copy of slots. Every mutator
+// calls it under mu, after its last write to slots.
+func (ks *KeyStore) publish() {
+	img := append([]keySlot(nil), ks.slots...)
+	ks.image.Store(&img)
+}
+
+// check validates a slot index; the slot count is fixed at construction,
+// so it needs no lock.
 func (ks *KeyStore) check(idx int) error {
 	if idx < 0 || idx >= len(ks.slots) {
 		return fmt.Errorf("core: key slot %d out of range [0,%d)", idx, len(ks.slots))
@@ -48,16 +69,23 @@ func (ks *KeyStore) check(idx int) error {
 	return nil
 }
 
+// imageSlot returns an established slot's entry in the current read image.
+func (ks *KeyStore) imageSlot(idx int) (*keySlot, error) {
+	if err := ks.check(idx); err != nil {
+		return nil, err
+	}
+	s := &(*ks.image.Load())[idx]
+	if !s.set {
+		return nil, fmt.Errorf("core: key slot %d not established", idx)
+	}
+	return s, nil
+}
+
 // Current returns the active key and its version tag for a slot.
 func (ks *KeyStore) Current(idx int) (key uint64, version uint8, err error) {
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	if err := ks.check(idx); err != nil {
+	s, err := ks.imageSlot(idx)
+	if err != nil {
 		return 0, 0, err
-	}
-	s := ks.slots[idx]
-	if !s.set {
-		return 0, 0, fmt.Errorf("core: key slot %d not established", idx)
 	}
 	return s.v[s.current&1], s.current, nil
 }
@@ -65,14 +93,9 @@ func (ks *KeyStore) Current(idx int) (key uint64, version uint8, err error) {
 // At returns the key stored under a specific version tag (for validating
 // messages signed before a rollover).
 func (ks *KeyStore) At(idx int, version uint8) (uint64, error) {
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	if err := ks.check(idx); err != nil {
+	s, err := ks.imageSlot(idx)
+	if err != nil {
 		return 0, err
-	}
-	s := ks.slots[idx]
-	if !s.set {
-		return 0, fmt.Errorf("core: key slot %d not established", idx)
 	}
 	return s.v[version&1], nil
 }
@@ -88,7 +111,9 @@ func (ks *KeyStore) Install(idx int, key uint64) (uint8, error) {
 	}
 	s := &ks.slots[idx]
 	s.pending, s.hasPending = 0, false
-	return s.install(key), nil
+	ver := s.install(key)
+	ks.publish()
+	return ver, nil
 }
 
 func (s *keySlot) install(key uint64) uint8 {
@@ -112,6 +137,7 @@ func (ks *KeyStore) Prepare(idx int, key uint64) error {
 	}
 	s := &ks.slots[idx]
 	s.pending, s.hasPending = key, true
+	ks.publish()
 	return nil
 }
 
@@ -129,7 +155,9 @@ func (ks *KeyStore) Commit(idx int) (uint8, error) {
 	}
 	key := s.pending
 	s.pending, s.hasPending = 0, false
-	return s.install(key), nil
+	ver := s.install(key)
+	ks.publish()
+	return ver, nil
 }
 
 // Abort discards a prepared key, leaving the established versions
@@ -142,6 +170,7 @@ func (ks *KeyStore) Abort(idx int) error {
 	}
 	s := &ks.slots[idx]
 	s.pending, s.hasPending = 0, false
+	ks.publish()
 	return nil
 }
 

@@ -109,6 +109,7 @@ func (ks *KeyStore) Restore(s *Snapshot) error {
 			pending: sl.Pending, hasPending: sl.HasPending,
 		}
 	}
+	ks.publish()
 	return nil
 }
 
@@ -132,6 +133,7 @@ func (ks *KeyStore) Rollback(idx int) error {
 	s.v[s.current&1] = 0
 	s.current--
 	s.pending, s.hasPending = 0, false
+	ks.publish()
 	return nil
 }
 
@@ -146,6 +148,7 @@ func (ks *KeyStore) ResetToSeed(seed uint64) {
 	}
 	ks.slots[KeyIndexLocal].v[0] = seed
 	ks.slots[KeyIndexLocal].set = true
+	ks.publish()
 }
 
 const (

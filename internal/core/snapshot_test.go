@@ -176,6 +176,28 @@ func TestSeqTrackerResumeAndSkip(t *testing.T) {
 	if s.Peek() != ^uint32(0) {
 		t.Fatalf("SkipAhead must saturate: %d", s.Peek())
 	}
+	// Next stays at the top too: a wrapped counter would be replay-rejected
+	// forever, and would break the issue order Settle searches in.
+	const top = ^uint32(0)
+	if a, b := s.Next(), s.Next(); a != top || b != top || s.Peek() != top {
+		t.Fatalf("Next at the top: %d, %d, then peek=%d; want %d three times", a, b, s.Peek(), top)
+	}
+	// Two requests carry the top number, so it is outstanding twice and
+	// settles twice, and no more.
+	if s.Outstanding() != 2 {
+		t.Fatalf("Outstanding after two Next at the top = %d, want 2", s.Outstanding())
+	}
+	for i, wantLeft := range []int{1, 0} {
+		if err := s.Settle(top); err != nil {
+			t.Fatalf("Settle %d of a number outstanding twice: %v", i+1, err)
+		}
+		if s.Outstanding() != wantLeft {
+			t.Fatalf("Outstanding after Settle %d = %d, want %d", i+1, s.Outstanding(), wantLeft)
+		}
+	}
+	if err := s.Settle(top); err == nil {
+		t.Fatal("third Settle of a number issued twice must fail")
+	}
 	s.Reset()
 	if s.Peek() != 1 || s.Outstanding() != 0 {
 		t.Fatalf("after Reset: peek=%d outstanding=%d", s.Peek(), s.Outstanding())

@@ -357,9 +357,7 @@ var digestScratch = sync.Pool{New: func() any {
 // Sign computes and sets the digest under key.
 func (m *Message) Sign(d crypto.PRF32, key uint64) error {
 	bp := digestScratch.Get().(*[]byte)
-	in := m.AppendDigestInput((*bp)[:0])
-	m.Digest = d.Sum32(key, in)
-	*bp = in[:0]
+	m.SignBuf(d, key, bp)
 	digestScratch.Put(bp)
 	return nil
 }
@@ -367,9 +365,22 @@ func (m *Message) Sign(d crypto.PRF32, key uint64) error {
 // Verify recomputes the digest under key and compares in constant time.
 func (m *Message) Verify(d crypto.PRF32, key uint64) bool {
 	bp := digestScratch.Get().(*[]byte)
-	in := m.AppendDigestInput((*bp)[:0])
-	ok := crypto.Verify(d, key, in, m.Digest)
-	*bp = in[:0]
+	ok := m.VerifyBuf(d, key, bp)
 	digestScratch.Put(bp)
 	return ok
+}
+
+// SignBuf is Sign with the digest input built in a buffer the caller owns
+// (and keeps, grown if need be, for the next message): a caller that
+// already serializes its messages, as a controller handle does under its
+// operation lock, pays no pool round trip.
+func (m *Message) SignBuf(d crypto.PRF32, key uint64, buf *[]byte) {
+	*buf = m.AppendDigestInput((*buf)[:0])
+	m.Digest = d.Sum32(key, *buf)
+}
+
+// VerifyBuf is Verify with a caller-owned digest-input buffer, as SignBuf.
+func (m *Message) VerifyBuf(d crypto.PRF32, key uint64, buf *[]byte) bool {
+	*buf = m.AppendDigestInput((*buf)[:0])
+	return crypto.Verify(d, key, *buf, m.Digest)
 }

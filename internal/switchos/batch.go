@@ -10,7 +10,7 @@ import (
 // packets through the pipeline via pisa.ProcessBatch, and — because each
 // packet of a batch owns its Result buffers for the batch's lifetime —
 // emission bytes flow upward into NetOut/PacketIns without the per-packet
-// arena copy the single-shot path pays.
+// arena copy a PacketOut window pays (see IOResult).
 
 // NetworkPacketBatch injects a batch of packets arriving on network ports
 // directly into the pipeline (no software stack on the way in). Arrival

@@ -110,6 +110,7 @@ const DefaultResponseCacheSize = 128
 // exact request bytes and the PacketIns the agent answered with.
 type cachedExchange struct {
 	seq  uint32
+	live bool
 	req  []byte
 	pins [][]byte
 }
@@ -117,23 +118,28 @@ type cachedExchange struct {
 // responseCache is the agent-level idempotency cache: a retransmitted
 // request (byte-identical, same seqNum) is answered from here instead of
 // re-entering the pipeline, where the replay defence would alert and a
-// key-exchange message would re-derive state. Entries are evicted FIFO;
-// evicted entries donate their buffers to the replacement, so the
-// steady-state store path does not allocate.
+// key-exchange message would re-derive state.
+//
+// It is a direct-mapped ring: sequence number s lives in slot s % cap, and
+// storing into an occupied slot evicts what was there, into whose buffers
+// the new entry is copied, so the steady-state store path does not
+// allocate. For the stream a controller produces (consecutive numbers, a
+// window narrower than cap in flight) that remembers the cap newest
+// exchanges. Two numbers a multiple of cap apart cannot both be
+// remembered: a resend of the older one misses, re-enters the pipeline and
+// is answered by its replay defence, which costs the sender one round and
+// never a wrong answer, since a hit requires equal request bytes.
 type responseCache struct {
 	mu      sync.Mutex
-	cap     int
-	bySeq   map[uint32]int // seq -> index into entries
-	entries []cachedExchange
-	next    int // ring cursor
+	entries []cachedExchange // len == capacity
 }
 
 func newResponseCache(capacity int) *responseCache {
-	return &responseCache{
-		cap:     capacity,
-		bySeq:   make(map[uint32]int, capacity),
-		entries: make([]cachedExchange, 0, capacity),
-	}
+	return &responseCache{entries: make([]cachedExchange, capacity)}
+}
+
+func (rc *responseCache) slot(seq uint32) *cachedExchange {
+	return &rc.entries[seq%uint32(len(rc.entries))]
 }
 
 // lookup returns the cached PacketIns for a byte-identical duplicate of a
@@ -143,37 +149,26 @@ func newResponseCache(capacity int) *responseCache {
 func (rc *responseCache) lookup(seq uint32, req []byte) ([][]byte, bool) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	i, ok := rc.bySeq[seq]
-	if !ok || !bytes.Equal(rc.entries[i].req, req) {
+	e := rc.slot(seq)
+	if !e.live || e.seq != seq || !bytes.Equal(e.req, req) {
 		return nil, false
 	}
 	// Deep-copy: callers (taps, hooks) may hold onto the slices, and the
 	// entry's buffers are recycled on eviction.
-	out := make([][]byte, len(rc.entries[i].pins))
-	for j, p := range rc.entries[i].pins {
+	out := make([][]byte, len(e.pins))
+	for j, p := range e.pins {
 		out[j] = append([]byte(nil), p...)
 	}
 	return out, true
 }
 
+// store remembers an exchange, deep-copied into its slot's recycled
+// buffers; the latest answer for a sequence number wins.
 func (rc *responseCache) store(seq uint32, req []byte, pins [][]byte) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	var e *cachedExchange
-	if i, ok := rc.bySeq[seq]; ok {
-		e = &rc.entries[i] // latest answer for this seq wins
-	} else if len(rc.entries) < rc.cap {
-		rc.bySeq[seq] = len(rc.entries)
-		rc.entries = append(rc.entries, cachedExchange{})
-		e = &rc.entries[len(rc.entries)-1]
-	} else {
-		delete(rc.bySeq, rc.entries[rc.next].seq)
-		e = &rc.entries[rc.next]
-		rc.bySeq[seq] = rc.next
-		rc.next = (rc.next + 1) % rc.cap
-	}
-	// Deep-copy into the entry's recycled buffers.
-	e.seq = seq
+	e := rc.slot(seq)
+	e.seq, e.live = seq, true
 	e.req = append(e.req[:0], req...)
 	if cap(e.pins) < len(pins) {
 		old := e.pins
@@ -186,6 +181,15 @@ func (rc *responseCache) store(seq uint32, req []byte, pins [][]byte) {
 	}
 }
 
+// clear forgets every entry and keeps the buffers.
+func (rc *responseCache) clear() {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	for i := range rc.entries {
+		rc.entries[i].live = false
+	}
+}
+
 // Host is a complete switch: data plane plus software stack.
 type Host struct {
 	Name  string
@@ -194,7 +198,10 @@ type Host struct {
 	Costs Costs
 
 	hooks [numBoundaries]*Hooks
-	cache *responseCache
+	// cache is nil while the idempotency cache is disabled. Atomic because
+	// SetResponseCache may run beside a PacketOut; the entries are behind
+	// the cache's own lock.
+	cache atomic.Pointer[responseCache]
 	down  atomic.Bool
 	// obsv, when set, counts agent-level traffic (see Observe).
 	obsv atomic.Pointer[agentObs]
@@ -226,23 +233,24 @@ func (h *Host) Observe(reg *obs.Registry) {
 // cache starts enabled at DefaultResponseCacheSize; use SetResponseCache
 // to resize or disable it.
 func NewHost(name string, sw *pisa.Switch, costs Costs) *Host {
-	return &Host{
+	h := &Host{
 		Name:  name,
 		SW:    sw,
 		Info:  p4rt.InfoFromProgram(sw.Compiled().Program),
 		Costs: costs,
-		cache: newResponseCache(DefaultResponseCacheSize),
 	}
+	h.SetResponseCache(DefaultResponseCacheSize)
+	return h
 }
 
 // SetResponseCache resizes the agent's idempotency cache; capacity 0
 // disables it (every duplicate then hits the pipeline's replay defence).
 func (h *Host) SetResponseCache(capacity int) {
 	if capacity <= 0 {
-		h.cache = nil
+		h.cache.Store(nil)
 		return
 	}
-	h.cache = newResponseCache(capacity)
+	h.cache.Store(newResponseCache(capacity))
 }
 
 // SetDown marks the switch crashed (true) or running (false). A down
@@ -255,10 +263,11 @@ func (h *Host) SetDown(down bool) { h.down.Store(down) }
 func (h *Host) Down() bool { return h.down.Load() }
 
 // ClearCache drops the agent's idempotency cache contents, as a restart
-// of the agent process would. The capacity is preserved.
+// of the agent process would. The capacity is preserved. Safe beside a
+// PacketOut in flight, which sees the cache before or after the clear.
 func (h *Host) ClearCache() {
-	if h.cache != nil {
-		h.cache = newResponseCache(h.cache.cap)
+	if rc := h.cache.Load(); rc != nil {
+		rc.clear()
 	}
 }
 
@@ -356,6 +365,15 @@ func (h *Host) APIRegisterRead(regID uint32, index uint32) (uint64, time.Duratio
 // are recycled across calls, so NetOut/PacketIns contents are valid only
 // until the next *Into call on the same result. IOResults returned by the
 // by-value methods own their buffers.
+//
+// Where the bytes live depends on the entry point, not on the caller. The
+// single-packet entry points (PacketOutInto, NetworkPacketInto) run one
+// packet through pres and hand out the pipeline's own emission buffers,
+// which pisa keeps unchanged until the next ProcessInto on the same
+// Result, that is until the next *Into on this IOResult: the lifetime
+// above, with no copy. NetworkPacketBatchInto does the same with bres.
+// Only PacketOutBatchInto, whose window shares the one pres packet after
+// packet, copies each packet's emissions into the arena.
 type IOResult struct {
 	// NetOut are emissions on network ports.
 	NetOut []pisa.Emission
@@ -365,7 +383,7 @@ type IOResult struct {
 	Cost time.Duration
 
 	// pres is the reusable pipeline result; arena recycles the byte
-	// buffers backing NetOut/PacketIns across calls.
+	// buffers backing NetOut/PacketIns of a PacketOut window across calls.
 	pres  pisa.Result
 	arena [][]byte
 	nused int
@@ -421,7 +439,7 @@ func (h *Host) PacketOutInto(data []byte, io *IOResult) error {
 		return nil
 	}
 	io.Cost += h.Costs.PacketIOBase
-	return h.packetOutOne(data, io, h.Costs.PacketIOBase)
+	return h.packetOutOne(data, io, h.Costs.PacketIOBase, false)
 }
 
 // PacketOutBatch injects a window of PacketOuts as one agent I/O
@@ -449,7 +467,7 @@ func (h *Host) PacketOutBatchInto(datas [][]byte, io *IOResult) error {
 	}
 	io.Cost += h.Costs.PacketIOBase
 	for _, data := range datas {
-		if err := h.packetOutOne(data, io, 0); err != nil {
+		if err := h.packetOutOne(data, io, 0, true); err != nil {
 			return err
 		}
 	}
@@ -461,16 +479,21 @@ func (h *Host) PacketOutBatchInto(datas [][]byte, io *IOResult) error {
 
 // packetOutOne runs one PacketOut through cache, hooks, and pipeline,
 // accumulating into io. pinBase is the per-PacketIn agent dispatch cost
-// (zero under a batch, where the dispatch is amortized by the caller).
-func (h *Host) packetOutOne(data []byte, io *IOResult, pinBase time.Duration) error {
+// (zero under a batch, where the dispatch is amortized by the caller);
+// copyBufs is set when another packet will go through io.pres before the
+// caller reads the result (see IOResult).
+func (h *Host) packetOutOne(data []byte, io *IOResult, pinBase time.Duration, copyBufs bool) error {
 	io.Cost += time.Duration(len(data)) * h.Costs.PerByte
 	ao := h.obsv.Load()
 	if ao != nil {
 		ao.packetOuts.Inc()
 	}
-	seq, cacheable := h.cacheKey(data)
+	// One load for the whole packet: a concurrent SetResponseCache decides
+	// which cache this exchange is looked up in and remembered by.
+	rc := h.cache.Load()
+	seq, cacheable := cacheKey(rc, data)
 	if cacheable {
-		if pins, hit := h.cache.lookup(seq, data); hit {
+		if pins, hit := rc.lookup(seq, data); hit {
 			if ao != nil {
 				ao.cacheHits.Inc()
 			}
@@ -492,14 +515,14 @@ func (h *Host) packetOutOne(data []byte, io *IOResult, pinBase time.Duration) er
 	}
 	io.Cost += h.Costs.DriverBase + h.Costs.PCIe
 	pinsBefore := len(io.PacketIns)
-	if err := h.runPipelineInto(data, pisa.CPUPort, io, pinBase); err != nil {
+	if err := h.runPipelineInto(data, pisa.CPUPort, io, pinBase, copyBufs); err != nil {
 		return err
 	}
 	if cacheable && h.cacheWorthy(orig, io.PacketIns[pinsBefore:]) {
 		// Keyed by the bytes the agent received (pre-hook): that is what a
 		// retransmitting controller will resend. Only this packet's own
 		// PacketIns are remembered.
-		h.cache.store(seq, orig, io.PacketIns[pinsBefore:])
+		rc.store(seq, orig, io.PacketIns[pinsBefore:])
 	}
 	return nil
 }
@@ -538,8 +561,8 @@ func anyAlert(pins [][]byte) bool {
 // cacheKey decides whether a PacketOut participates in the idempotency
 // cache: control-channel register and key-exchange requests do, keyed by
 // their seqNum; anything else (feedback, non-P4Auth bytes) bypasses it.
-func (h *Host) cacheKey(data []byte) (uint32, bool) {
-	if h.cache == nil {
+func cacheKey(rc *responseCache, data []byte) (uint32, bool) {
+	if rc == nil {
 		return 0, false
 	}
 	hdrType, seq, ok := core.PeekControl(data)
@@ -564,31 +587,26 @@ func (h *Host) NetworkPacketInto(port int, data []byte, io *IOResult) error {
 	if h.down.Load() {
 		return nil // crashed: the wire ends in a dead port
 	}
-	return h.runPipelineInto(data, port, io, h.Costs.PacketIOBase)
+	return h.runPipelineInto(data, port, io, h.Costs.PacketIOBase, false)
 }
 
-// runPipelineInto processes one packet and appends its emissions into io,
-// copying emission bytes into io's recycled arena. pinBase is the agent
-// dispatch cost charged per PacketIn.
-func (h *Host) runPipelineInto(data []byte, port int, io *IOResult, pinBase time.Duration) error {
+// runPipelineInto processes one packet through io.pres and appends its
+// emissions into io. pinBase is the agent dispatch cost charged per
+// PacketIn; copyBufs as in packetOutOne.
+func (h *Host) runPipelineInto(data []byte, port int, io *IOResult, pinBase time.Duration, copyBufs bool) error {
 	if err := h.SW.ProcessInto(pisa.Packet{Data: data, Port: port}, &io.pres); err != nil {
 		return fmt.Errorf("switchos: %s: pipeline: %w", h.Name, err)
 	}
 	io.Cost += io.pres.Cost
-	// Copy out of the pipeline's recycled buffers: the next ProcessInto
-	// on this IOResult (e.g. the following packet of a batch) reuses
-	// them. The batch path (ProcessBatch) gives each packet stable
-	// buffers and skips this copy.
-	h.emitResult(&io.pres, io, pinBase, true)
+	h.emitResult(&io.pres, io, pinBase, copyBufs)
 	return nil
 }
 
 // emitResult walks one pipeline result's emissions, splitting them into
 // NetOut and the PacketIn path (PCIe + driver + hooks upward + agent).
 // copyBufs selects whether emission bytes are copied into io's arena
-// (required when the source Result recycles its buffers per packet) or
-// referenced in place (the zero-copy batch path, whose buffers are stable
-// for the whole batch).
+// (required when the source Result takes another packet before the caller
+// reads io) or referenced in place.
 func (h *Host) emitResult(pres *pisa.Result, io *IOResult, pinBase time.Duration, copyBufs bool) {
 	for _, e := range pres.Emissions {
 		kept := e.Data

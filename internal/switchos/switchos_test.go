@@ -1,6 +1,7 @@
 package switchos
 
 import (
+	"bytes"
 	"testing"
 
 	"p4auth/internal/pisa"
@@ -231,6 +232,101 @@ func TestNetworkPacketNoStackCostOnFastPath(t *testing.T) {
 	// stack's per-request costs.
 	if res.Cost >= DefaultCosts().AgentBase {
 		t.Errorf("fast-path cost %v should be below agent cost %v (R4)", res.Cost, DefaultCosts().AgentBase)
+	}
+}
+
+// TestIOResultLifetime pins IOResult's lifetime rule for the single-packet
+// entry points, which hand out the pipeline's own emission buffers: the
+// bytes are unchanged until the next *Into on the same result, whatever
+// else the host processes meanwhile, and a by-value result owns its bytes
+// for good.
+func TestIOResultLifetime(t *testing.T) {
+	h := newHost(t)
+	toCPU := []byte{1, 0xAA, 0xBB}
+	forwarded := []byte{0, 0xCC, 0xDD}
+
+	// snapshot returns a check that every slice of io still reads as it
+	// does now.
+	snapshot := func(io *IOResult) func(when string) {
+		var held, want [][]byte
+		for _, p := range io.PacketIns {
+			held, want = append(held, p), append(want, append([]byte(nil), p...))
+		}
+		for _, e := range io.NetOut {
+			held, want = append(held, e.Data), append(want, append([]byte(nil), e.Data...))
+		}
+		if len(held) == 0 {
+			t.Fatal("nothing emitted: the test would hold no bytes")
+		}
+		return func(when string) {
+			t.Helper()
+			for i := range held {
+				if !bytes.Equal(held[i], want[i]) {
+					t.Fatalf("%s: held bytes read %x, were %x", when, held[i], want[i])
+				}
+			}
+		}
+	}
+	// traffic runs other packets through the same host on other results.
+	traffic := func() {
+		var other IOResult
+		for i := 0; i < 8; i++ {
+			if err := h.PacketOutInto([]byte{1, byte(i), 0x11}, &other); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.NetworkPacketInto(3, []byte{0, byte(i), 0x22}, &other); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.PacketOutBatch([][]byte{{1, 0x33}, {0, 0x44}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	var io IOResult
+	if err := h.PacketOutInto(toCPU, &io); err != nil {
+		t.Fatal(err)
+	}
+	check := snapshot(&io)
+	traffic()
+	check("PacketOutInto result after traffic on other results")
+
+	if err := h.NetworkPacketInto(2, forwarded, &io); err != nil {
+		t.Fatal(err)
+	}
+	check = snapshot(&io)
+	traffic()
+	check("NetworkPacketInto result after traffic on other results")
+
+	byValue, err := h.PacketOut(toCPU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check = snapshot(&byValue)
+	traffic()
+	for i := 0; i < 4; i++ { // and reuse of the result the bytes came through
+		if err := h.PacketOutInto(forwarded, &io); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("by-value PacketOut result after later traffic")
+
+	// A window shares one pipeline result packet after packet, so its
+	// emissions are copied: every packet's bytes are there at the end.
+	window := [][]byte{{1, 0x01}, {1, 0x02}, {0, 0x03}, {1, 0x04}}
+	if err := h.PacketOutBatchInto(window, &io); err != nil {
+		t.Fatal(err)
+	}
+	if len(io.PacketIns) != 3 || len(io.NetOut) != 1 {
+		t.Fatalf("window: %d PacketIns / %d NetOut, want 3 / 1", len(io.PacketIns), len(io.NetOut))
+	}
+	for i, want := range [][]byte{{1, 0x01}, {1, 0x02}, {1, 0x04}} {
+		if !bytes.Equal(io.PacketIns[i], want) {
+			t.Fatalf("window PacketIns[%d] = %x, want %x", i, io.PacketIns[i], want)
+		}
+	}
+	if !bytes.Equal(io.NetOut[0].Data, window[2]) {
+		t.Fatalf("window NetOut = %x, want %x", io.NetOut[0].Data, window[2])
 	}
 }
 

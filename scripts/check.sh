@@ -63,7 +63,8 @@ c cover ./scripts/cover.sh
 # (FUZZTIME=30s for a longer local campaign).
 c fuzz-smoke ./scripts/fuzz_smoke.sh
 
-# The zero-allocation hot path through the real benchmark harness, the
+# The zero-allocation hot path through the real benchmark harness (an
+# authenticated write and the read that follows it in cdp_serial), the
 # four pipeline paths under it (signed write, signed read, 8-port probe,
 # bad-digest reject), one fabric hop between two linked secure HULA
 # switches (Sim.Step: delivery, verify, re-sign, Send), the dpdp_probes
@@ -71,7 +72,7 @@ c fuzz-smoke ./scripts/fuzz_smoke.sh
 # run with -cpuprofile) and the three digesters, with allocs/op printed:
 # a reintroduced per-packet name lookup or per-hop allocation shows here
 # without the 15 s benchmark.
-c bench-smoke go test -bench='BenchmarkAuthenticatedWrite|BenchmarkProcessP4Auth|BenchmarkFabricHop|BenchmarkSwitchProbeBatch32|BenchmarkDigesters' -benchtime=10x -run '^$' -short . ./internal/pisa/ ./internal/netsim/ ./internal/hula/ ./internal/crypto/
+c bench-smoke go test -bench='BenchmarkAuthenticatedWrite|BenchmarkAuthenticatedRead|BenchmarkProcessP4Auth|BenchmarkFabricHop|BenchmarkSwitchProbeBatch32|BenchmarkDigesters' -benchtime=10x -run '^$' -short . ./internal/pisa/ ./internal/netsim/ ./internal/hula/ ./internal/crypto/
 EOF
 }
 
