@@ -52,6 +52,6 @@ func TableI() (*Report, error) {
 	}
 	rep.Notes = append(rep.Notes,
 		"paper's Table I is qualitative; these are the measured impacts of the same attack classes",
-		fmt.Sprintf("each cell is fleet.RunCell at k=%d, seed %#x (one instance per pod; forged and detected are summed over pods); -exp matrix prints every fault column", o.K, o.Seed))
+		fmt.Sprintf("each cell is fleet.RunCell at k=%d, seed %#x (one instance per pod; forged and detected are summed over pods); internal/fleet/testdata/matrix_k4.golden has every fault column", o.K, o.Seed))
 	return rep, nil
 }
