@@ -9,7 +9,7 @@ GO ?= go
 # `make <gate>` runs that row and `make check` runs them all.
 GATES := $(shell ./scripts/check.sh -l)
 
-.PHONY: check $(GATES) test bench bench-save fleet-matrix bench-hierarchy
+.PHONY: check $(GATES) test bench
 
 check:
 	./scripts/check.sh
@@ -20,25 +20,10 @@ $(GATES):
 test:
 	$(GO) test ./...
 
-# Full evaluation benchmarks (Table I/II/III, Fig. 16-21, the ablation;
-# Table I runs its 15 fleet cells). Slow; the test targets above skip them
-# via -short where applicable.
+# Every go test benchmark: the authenticated write/read and the local-key
+# rollover at the root, and the per-package micro-benchmarks (pipeline,
+# fabric hop, digesters, ...). The paper's tables and figures are not
+# benchmarks: `go run ./cmd/p4auth-bench` prints them and
+# internal/bench/testdata/reports.golden pins them.
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Machine-readable benchmark artifact: micro-bench ns/op, B/op, allocs/op
-# plus the serial-vs-pipelined Fig. 19 sweep, checked in as BENCH_<date>.json.
-bench-save:
-	$(GO) run ./cmd/p4auth-bench -save BENCH_$$(date -u +%Y-%m-%d).json
-
-# Fleet survival matrix artifact: the app × fault × protection matrix at
-# k=4 plus k=8 fat-tree / RouteScout wall-clock throughput, checked in
-# as BENCH_<date>-matrix.json.
-fleet-matrix:
-	$(GO) run ./cmd/p4auth-bench -matrix BENCH_$$(date -u +%Y-%m-%d)-matrix.json
-
-# Hierarchical control-plane artifact: cross-pod key-establishment
-# latency and aggregate pod write throughput at pods=4/8 with and
-# without WAN latency injection, checked in as BENCH_<date>-hierarchy.json.
-bench-hierarchy:
-	$(GO) run ./cmd/p4auth-bench -hierarchy BENCH_$$(date -u +%Y-%m-%d)-hierarchy.json

@@ -2,87 +2,14 @@ package p4auth
 
 import (
 	"testing"
-	"time"
 
-	"p4auth/internal/bench"
 	"p4auth/internal/crypto"
 )
 
-// One benchmark per table and figure of the paper's evaluation (§IX) plus
-// the §XI ablation. Each iteration regenerates the artifact end to end;
-// run `go test -bench=. -benchmem` at the repository root, or
-// `go run ./cmd/p4auth-bench` for the formatted tables.
-
-func benchReport(b *testing.B, run func() (*bench.Report, error)) {
-	b.Helper()
-	if testing.Short() {
-		b.Skip("skipping evaluation benchmark in -short mode")
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rep, err := run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.Rows) == 0 {
-			b.Fatal("empty report")
-		}
-	}
-}
-
-func BenchmarkTableI(b *testing.B) {
-	benchReport(b, func() (*bench.Report, error) { return bench.TableI() })
-}
-
-func BenchmarkFig16RouteScout(b *testing.B) {
-	opts := bench.DefaultFig16Opts()
-	opts.Duration = 600 * time.Millisecond // virtual
-	benchReport(b, func() (*bench.Report, error) { return bench.Fig16(opts) })
-}
-
-func BenchmarkFig17Hula(b *testing.B) {
-	opts := bench.DefaultFig17Opts()
-	opts.Duration = 60 * time.Millisecond // virtual
-	benchReport(b, func() (*bench.Report, error) { return bench.Fig17(opts) })
-}
-
-func BenchmarkFig18RegisterRCT(b *testing.B) {
-	opts := bench.RegRWOpts{Requests: 50}
-	benchReport(b, func() (*bench.Report, error) { return bench.Fig18(opts) })
-}
-
-func BenchmarkFig19RegisterThroughput(b *testing.B) {
-	opts := bench.RegRWOpts{Requests: 50}
-	benchReport(b, func() (*bench.Report, error) { return bench.Fig19(opts) })
-}
-
-func BenchmarkTableIIResources(b *testing.B) {
-	benchReport(b, func() (*bench.Report, error) { return bench.TableII() })
-}
-
-func BenchmarkFig20KMPRTT(b *testing.B) {
-	opts := bench.DefaultFig20Opts()
-	opts.Samples = 10
-	benchReport(b, func() (*bench.Report, error) { return bench.Fig20(opts) })
-}
-
-func BenchmarkFig21ProbeTraversal(b *testing.B) {
-	opts := bench.DefaultFig21Opts()
-	opts.Hops = []int{2, 6, 10}
-	opts.Samples = 3
-	benchReport(b, func() (*bench.Report, error) { return bench.Fig21(opts) })
-}
-
-func BenchmarkTableIIIScalability(b *testing.B) {
-	opts := bench.TableIIIOpts{Switches: 8, Links: 12}
-	benchReport(b, func() (*bench.Report, error) { return bench.TableIII(opts) })
-}
-
-func BenchmarkAblationDigestWidth(b *testing.B) {
-	benchReport(b, func() (*bench.Report, error) { return bench.AblationDigest() })
-}
-
-// Micro-benchmarks of the primitives behind the figures.
+// Benchmarks of the authenticated C-DP path and the local-key rollover.
+// The paper's tables and figures are modeled reports, pinned by
+// internal/bench's TestReportGoldens and printed by
+// `go run ./cmd/p4auth-bench`.
 
 // authenticatedBench builds one switch with a keyed controller and runs
 // enough writes to warm the handle scratch and the agent's response cache,
@@ -139,14 +66,6 @@ func BenchmarkAuthenticatedRead(b *testing.B) {
 			b.Fatalf("r[%d] = %d, the warm-up wrote %d", i%64, v, i%64)
 		}
 	}
-}
-
-// BenchmarkFig19Pipelined regenerates the windowed-transport throughput
-// sweep (serial baseline through window 32) once per iteration.
-func BenchmarkFig19Pipelined(b *testing.B) {
-	opts := bench.DefaultFig19PipelinedOpts()
-	opts.Requests = 128
-	benchReport(b, func() (*bench.Report, error) { return bench.Fig19Pipelined(opts) })
 }
 
 func BenchmarkLocalKeyRollover(b *testing.B) {

@@ -56,7 +56,7 @@ func demoRouteScout() error {
 	fmt.Println("== RouteScout under a control-plane MitM (paper Fig. 2 / Fig. 16) ==")
 	fmt.Println("An attacker at the switch OS inflates path 1's reported latency so the")
 	fmt.Println("controller diverts traffic to the genuinely slower path 2.")
-	rep, err := bench.Fig16(bench.DefaultFig16Opts())
+	rep, err := bench.Fig16()
 	if err != nil {
 		return err
 	}
@@ -69,7 +69,7 @@ func demoHula() error {
 	fmt.Println("An attacker on the S4-S1 link forges probeUtil so S1 believes the path")
 	fmt.Println("via S4 is idle. With P4Auth each probe replica is signed with its")
 	fmt.Println("egress-port key in the egress pipeline and verified at S1's ingress.")
-	rep, err := bench.Fig17(bench.DefaultFig17Opts())
+	rep, err := bench.Fig17()
 	if err != nil {
 		return err
 	}

@@ -8,26 +8,21 @@ import (
 	"p4auth/internal/trace"
 )
 
-// Fig16Opts parameterizes the RouteScout experiment.
-type Fig16Opts struct {
-	Duration time.Duration
-	Flows    float64
-	Seed     uint64
-}
-
-// DefaultFig16Opts mirrors the paper's 60 s CAIDA replay at a virtual
-// scale that completes quickly (the split converges within a second).
-func DefaultFig16Opts() Fig16Opts {
-	return Fig16Opts{Duration: 1500 * time.Millisecond, Flows: 800, Seed: 0xCA1DA}
-}
+// Fig. 16 mirrors the paper's 60 s CAIDA replay at a virtual scale that
+// completes quickly (the split converges within a second).
+const (
+	fig16Duration = 1500 * time.Millisecond
+	fig16Flows    = 800
+	fig16Seed     = 0xCA1DA
+)
 
 // Fig16 regenerates Fig. 16: RouteScout's traffic distribution across two
 // paths without an adversary, with a control-plane adversary, and with the
 // adversary plus P4Auth.
-func Fig16(opts Fig16Opts) (*Report, error) {
-	tc := trace.DefaultConfig(uint64(opts.Duration))
-	tc.FlowsPerSecond = opts.Flows
-	tc.Seed = opts.Seed
+func Fig16() (*Report, error) {
+	tc := trace.DefaultConfig(uint64(fig16Duration))
+	tc.FlowsPerSecond = fig16Flows
+	tc.Seed = fig16Seed
 	pkts := trace.Generate(tc)
 
 	type arm struct {
@@ -60,7 +55,7 @@ func Fig16(opts Fig16Opts) (*Report, error) {
 			// The backdoor activates after RouteScout has converged (a
 			// quarter into the run), as in the paper's scenario where an
 			// established split is then manipulated.
-			s.Net.Sim.At(opts.Duration/4, func() {
+			s.Net.Sim.At(fig16Duration/4, func() {
 				_ = s.InstallLatencyInflater(20)
 			})
 		}

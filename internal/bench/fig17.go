@@ -7,26 +7,17 @@ import (
 	"p4auth/internal/hula"
 )
 
-// Fig17Opts parameterizes the HULA experiment.
-type Fig17Opts struct {
-	Duration    time.Duration
-	ProbeEvery  time.Duration
-	PacketEvery time.Duration
-}
-
-// DefaultFig17Opts completes in a few hundred virtual milliseconds — the
+// Fig. 17 completes in a few hundred virtual milliseconds — the
 // distribution stabilizes well before the paper's 60 s.
-func DefaultFig17Opts() Fig17Opts {
-	return Fig17Opts{
-		Duration:    120 * time.Millisecond,
-		ProbeEvery:  200 * time.Microsecond,
-		PacketEvery: 20 * time.Microsecond,
-	}
-}
+const (
+	fig17Duration    = 120 * time.Millisecond
+	fig17ProbeEvery  = 200 * time.Microsecond
+	fig17PacketEvery = 20 * time.Microsecond
+)
 
 // Fig17 regenerates Fig. 17: HULA's traffic distribution across the three
 // S1->S5 paths under (clean / MitM on the S4-S1 link / MitM + P4Auth).
-func Fig17(opts Fig17Opts) (*Report, error) {
+func Fig17() (*Report, error) {
 	rep := &Report{
 		ID:      "Fig 17",
 		Title:   "HULA traffic split across S1-S2 / S1-S3 / S1-S4 (MitM forges probeUtil on S4-S1)",
@@ -42,7 +33,7 @@ func Fig17(opts Fig17Opts) (*Report, error) {
 		{"with MitM adversary", false, true},
 		{"MitM + P4Auth", true, true},
 	} {
-		shares, alerts, err := runFig17Arm(a.secure, a.attacked, opts)
+		shares, alerts, err := runFig17Arm(a.secure, a.attacked)
 		if err != nil {
 			return nil, err
 		}
@@ -56,7 +47,7 @@ func Fig17(opts Fig17Opts) (*Report, error) {
 	return rep, nil
 }
 
-func runFig17Arm(secure, attacked bool, opts Fig17Opts) (map[string]float64, int, error) {
+func runFig17Arm(secure, attacked bool) (map[string]float64, int, error) {
 	n, err := hula.NewFig3Network(secure, 1e9, 5*time.Microsecond)
 	if err != nil {
 		return nil, 0, err
@@ -67,11 +58,11 @@ func runFig17Arm(secure, attacked bool, opts Fig17Opts) (map[string]float64, int
 			return nil, 0, err
 		}
 	}
-	n.ScheduleProbes("s5", 5, opts.ProbeEvery, opts.Duration)
-	n.ScheduleProbes("s1", 1, opts.ProbeEvery, opts.Duration)
+	n.ScheduleProbes("s5", 5, fig17ProbeEvery, fig17Duration)
+	n.ScheduleProbes("s1", 1, fig17ProbeEvery, fig17Duration)
 	var pkt uint64
 	var sendErr error
-	for at := 2 * time.Millisecond; at < opts.Duration; at += opts.PacketEvery {
+	for at := 2 * time.Millisecond; at < fig17Duration; at += fig17PacketEvery {
 		at := at
 		n.Net.Sim.At(at, func() {
 			flow := uint32(pkt / 8)

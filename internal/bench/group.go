@@ -14,65 +14,12 @@ import (
 // includes the worst case the group supports: each successor dying
 // mid-promotion until only the last rank remains.
 
-// GroupRow is one N-replica group failover measurement.
-type GroupRow struct {
-	Replicas       int     `json:"replicas"`
-	Switches       int     `json:"switches"`
-	Chained        int     `json:"chained_promotions"`
-	WaitOuts       uint64  `json:"lease_waitouts"`
-	FailoverMs     float64 `json:"failover_ms"`
-	Epoch          uint64  `json:"final_epoch"`
-	FencedAttempts uint64  `json:"fenced_attempts"`
-}
-
-// groupBenchSeed fixes the chaos schedule so the artifact is comparable
-// across commits.
-const groupBenchSeed = 0x6B0B
-
-// RunGroupBench measures one rolling-kill group run at the given size.
-func RunGroupBench(replicas, switches int) (*GroupRow, error) {
-	res, err := chaos.RunGroup(chaos.GroupOptions{
-		Seed:     groupBenchSeed,
-		Scenario: chaos.GroupRollingKill,
-		Replicas: replicas,
-		Switches: switches,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("bench: group run n=%d: %w", replicas, err)
-	}
-	if len(res.Violations) > 0 {
-		return nil, fmt.Errorf("bench: group run n=%d violated invariants: %s", replicas, res.Violations[0])
-	}
-	return &GroupRow{
-		Replicas:       res.Replicas,
-		Switches:       res.Switches,
-		Chained:        res.Chained,
-		WaitOuts:       res.WaitOuts,
-		FailoverMs:     float64(res.FailoverTime) / float64(time.Millisecond),
-		Epoch:          res.Epoch,
-		FencedAttempts: res.FencedAttempts,
-	}, nil
-}
-
-// groupBenchRows measures the artifact's N=3 and N=5 rows.
-func groupBenchRows() ([]GroupRow, error) {
-	var rows []GroupRow
-	for _, n := range []int{3, 5} {
-		r, err := RunGroupBench(n, 16)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, *r)
-	}
-	return rows, nil
-}
+// groupSeed fixes the chaos schedule so the rows are comparable across
+// commits.
+const groupSeed = 0x6B0B
 
 // Group regenerates the N-replica failover report.
 func Group() (*Report, error) {
-	rows, err := groupBenchRows()
-	if err != nil {
-		return nil, err
-	}
 	rep := &Report{
 		ID:    "Group",
 		Title: "N-replica group failover under rolling kills (virtual time)",
@@ -84,14 +31,26 @@ func Group() (*Report, error) {
 			"failover = first fault to final winner serving; each dead grant waited out in full (TTL is the detection bound)",
 		},
 	}
-	for _, r := range rows {
+	for _, n := range []int{3, 5} {
+		res, err := chaos.RunGroup(chaos.GroupOptions{
+			Seed:     groupSeed,
+			Scenario: chaos.GroupRollingKill,
+			Replicas: n,
+			Switches: 16,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("bench: group run n=%d: %w", n, err)
+		}
+		if len(res.Violations) > 0 {
+			return nil, fmt.Errorf("bench: group run n=%d violated invariants: %s", n, res.Violations[0])
+		}
 		rep.Rows = append(rep.Rows, []string{
-			fmt.Sprintf("%d", r.Replicas),
-			fmt.Sprintf("%d", r.Switches),
-			fmt.Sprintf("%d", r.Chained),
-			fmt.Sprintf("%d", r.WaitOuts),
-			fmt.Sprintf("%.1fms", r.FailoverMs),
-			fmt.Sprintf("%d", r.Epoch),
+			fmt.Sprintf("%d", res.Replicas),
+			fmt.Sprintf("%d", res.Switches),
+			fmt.Sprintf("%d", res.Chained),
+			fmt.Sprintf("%d", res.WaitOuts),
+			fmt.Sprintf("%.1fms", float64(res.FailoverTime)/float64(time.Millisecond)),
+			fmt.Sprintf("%d", res.Epoch),
 		})
 	}
 	return rep, nil

@@ -15,26 +15,9 @@ import (
 // are the modeled costs, so the numbers isolate protocol round trips,
 // not host speed.
 
-// HierarchyRow is one (pods, WAN condition) measurement.
-type HierarchyRow struct {
-	Pods       int  `json:"pods"`
-	CrossLinks int  `json:"cross_links"`
-	WANSpike   bool `json:"wan_spike"`
-	// SpikeUs is the extra one-way WAN latency injected (0 when off).
-	SpikeUs float64 `json:"spike_us"`
-	// EstablishMsPerLink is the mean virtual time to establish one
-	// cross-pod link: grant RPC + three-legged split exchange.
-	EstablishMsPerLink float64 `json:"establish_ms_per_link"`
-	EstablishMsTotal   float64 `json:"establish_ms_total"`
-	// WritesPerSec is the aggregate authenticated intra-pod write rate
-	// summed over every pod active (virtual time).
-	WritesPerSec float64 `json:"writes_per_sec"`
-	Grants       uint64  `json:"grants"`
-}
-
-// hierarchyBenchSeed fixes every nonce and key so the artifact is
-// comparable across commits.
-const hierarchyBenchSeed = 0x41E12A
+// hierarchySeed fixes every nonce and key so the rows are comparable
+// across commits.
+const hierarchySeed = 0x41E12A
 
 // hierarchySpike is the injected one-way WAN latency for the "with
 // injection" arms — large enough to show in the establishment numbers,
@@ -46,9 +29,9 @@ const hierarchySpike = 300 * time.Microsecond
 // throughput phase.
 const hierarchyWrites = 256
 
-// RunHierarchyBench measures one (pods, spike) arm.
-func RunHierarchyBench(pods int, spike bool) (*HierarchyRow, error) {
-	h, err := hierarchy.Build(hierarchy.Config{Seed: hierarchyBenchSeed, Pods: pods})
+// hierarchyRow measures one (pods, spike) arm as a report row.
+func hierarchyRow(pods int, spike bool) ([]string, error) {
+	h, err := hierarchy.Build(hierarchy.Config{Seed: hierarchySeed, Pods: pods})
 	if err != nil {
 		return nil, fmt.Errorf("bench: hierarchy pods=%d: %w", pods, err)
 	}
@@ -100,48 +83,23 @@ func RunHierarchyBench(pods int, spike bool) (*HierarchyRow, error) {
 			wall = podWall
 		}
 	}
-	elapsed := wall
-
-	row := &HierarchyRow{
-		Pods:             pods,
-		CrossLinks:       nLinks,
-		WANSpike:         spike,
-		EstablishMsTotal: float64(est) / float64(time.Millisecond),
-		Grants:           h.Ob.Metrics.Counter("hier.grants").Load(),
-	}
+	total := float64(est) / float64(time.Millisecond)
+	spikeCell := "off"
 	if spike {
-		row.SpikeUs = float64(hierarchySpike) / float64(time.Microsecond)
+		spikeCell = fmt.Sprintf("+%.0fus", float64(hierarchySpike)/float64(time.Microsecond))
 	}
-	if nLinks > 0 {
-		row.EstablishMsPerLink = row.EstablishMsTotal / float64(nLinks)
-	}
-	if elapsed > 0 {
-		row.WritesPerSec = float64(writes) / elapsed.Seconds()
-	}
-	return row, nil
-}
-
-// hierarchyBenchRows measures the artifact's four arms.
-func hierarchyBenchRows() ([]HierarchyRow, error) {
-	var rows []HierarchyRow
-	for _, pods := range []int{4, 8} {
-		for _, spike := range []bool{false, true} {
-			r, err := RunHierarchyBench(pods, spike)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, *r)
-		}
-	}
-	return rows, nil
+	return []string{
+		fmt.Sprintf("%d", pods),
+		fmt.Sprintf("%d", nLinks),
+		spikeCell,
+		fmt.Sprintf("%.2fms", total/float64(nLinks)),
+		fmt.Sprintf("%.1fms", total),
+		fmt.Sprintf("%.0f", float64(writes)/wall.Seconds()),
+	}, nil
 }
 
 // HierarchyBench regenerates the hierarchical control-plane report.
 func HierarchyBench() (*Report, error) {
-	rows, err := hierarchyBenchRows()
-	if err != nil {
-		return nil, err
-	}
 	rep := &Report{
 		ID:    "Hierarchy",
 		Title: "Two-tier control plane: cross-pod key establishment + aggregate pod writes (virtual time)",
@@ -154,19 +112,14 @@ func HierarchyBench() (*Report, error) {
 			"aggregate writes run on the intra-pod C-DP and are unaffected by WAN conditions",
 		},
 	}
-	for _, r := range rows {
-		spike := "off"
-		if r.WANSpike {
-			spike = fmt.Sprintf("+%.0fus", r.SpikeUs)
+	for _, pods := range []int{4, 8} {
+		for _, spike := range []bool{false, true} {
+			row, err := hierarchyRow(pods, spike)
+			if err != nil {
+				return nil, err
+			}
+			rep.Rows = append(rep.Rows, row)
 		}
-		rep.Rows = append(rep.Rows, []string{
-			fmt.Sprintf("%d", r.Pods),
-			fmt.Sprintf("%d", r.CrossLinks),
-			spike,
-			fmt.Sprintf("%.2fms", r.EstablishMsPerLink),
-			fmt.Sprintf("%.1fms", r.EstablishMsTotal),
-			fmt.Sprintf("%.0f", r.WritesPerSec),
-		})
 	}
 	return rep, nil
 }
