@@ -35,7 +35,7 @@ func wiringDump(topo *Topology) string {
 }
 
 // TestFatTreeWiringGolden pins the k=4 and k=8 wiring against
-// checked-in goldens. Regenerate with FLEET_GOLDEN_UPDATE=1 after an
+// checked-in goldens. Regenerate with GOLDEN_UPDATE=1 after an
 // intentional topology change.
 func TestFatTreeWiringGolden(t *testing.T) {
 	cases := []struct {
@@ -53,7 +53,7 @@ func TestFatTreeWiringGolden(t *testing.T) {
 			t.Fatalf("k=%d: build: %v", tc.k, err)
 		}
 		got := wiringDump(topo)
-		if os.Getenv("FLEET_GOLDEN_UPDATE") != "" {
+		if os.Getenv("GOLDEN_UPDATE") != "" {
 			if err := os.WriteFile(tc.path, []byte(got), 0o644); err != nil {
 				t.Fatalf("write golden: %v", err)
 			}
@@ -61,7 +61,7 @@ func TestFatTreeWiringGolden(t *testing.T) {
 		}
 		want, err := os.ReadFile(tc.path)
 		if err != nil {
-			t.Fatalf("read golden (run with FLEET_GOLDEN_UPDATE=1 to create): %v", err)
+			t.Fatalf("read golden (run with GOLDEN_UPDATE=1 to create): %v", err)
 		}
 		if got != string(want) {
 			t.Errorf("k=%d wiring diverged from %s:\ngot:\n%s", tc.k, tc.path, got)

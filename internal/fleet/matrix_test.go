@@ -12,7 +12,7 @@ const matrixGoldenPath = "testdata/matrix_k4.golden"
 // TestMatrixChaos is the matrix-chaos gate: the full app × fault ×
 // protection matrix at k=4 with the default seed. Invariants checked on
 // every cell, then the canonical trace is compared bit-for-bit against
-// the checked-in golden (regenerate with FLEET_GOLDEN_UPDATE=1 after an
+// the checked-in golden (regenerate with GOLDEN_UPDATE=1 after an
 // intentional semantic change).
 func TestMatrixChaos(t *testing.T) {
 	m, err := RunMatrix(DefaultOptions())
@@ -50,14 +50,14 @@ func TestMatrixChaos(t *testing.T) {
 	}
 
 	got := m.Trace()
-	if os.Getenv("FLEET_GOLDEN_UPDATE") != "" {
+	if os.Getenv("GOLDEN_UPDATE") != "" {
 		if err := os.WriteFile(matrixGoldenPath, []byte(got), 0o644); err != nil {
 			t.Fatalf("write golden: %v", err)
 		}
 	} else {
 		want, err := os.ReadFile(matrixGoldenPath)
 		if err != nil {
-			t.Fatalf("read golden (run with FLEET_GOLDEN_UPDATE=1 to create): %v", err)
+			t.Fatalf("read golden (run with GOLDEN_UPDATE=1 to create): %v", err)
 		}
 		if got != string(want) {
 			t.Errorf("matrix trace diverged from %s:\ngot:\n%s", matrixGoldenPath, got)

@@ -17,14 +17,14 @@ import (
 //
 // Regenerate (only when a trace change is intended and reviewed) with:
 //
-//	CHAOS_GOLDEN_UPDATE=1 go test -run TestHierarchyTraceGoldens ./internal/hierarchy/
+//	GOLDEN_UPDATE=1 go test -run TestHierarchyTraceGoldens ./internal/hierarchy/
 const goldenPath = "testdata/trace_goldens.txt"
 
 func TestHierarchyTraceGoldens(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("# SHA-256 of each pinned hierarchy chaos trace (lines joined by \\n).\n")
 	b.WriteString("# A clean run of each pinned scenario must stay byte-identical.\n")
-	b.WriteString("# Regenerate (reviewed trace changes only): CHAOS_GOLDEN_UPDATE=1\n")
+	b.WriteString("# Regenerate (reviewed trace changes only): GOLDEN_UPDATE=1\n")
 	for _, sc := range []ChaosScenario{ScenarioGlobalKill, ScenarioWANPartition} {
 		res, err := RunChaos(ChaosOptions{Seed: 99, Scenario: sc})
 		if err != nil {
@@ -40,7 +40,7 @@ func TestHierarchyTraceGoldens(t *testing.T) {
 		}
 		fmt.Fprintf(&b, "hierarchy/%s %s\n", sc, hex.EncodeToString(h.Sum(nil)))
 	}
-	if os.Getenv("CHAOS_GOLDEN_UPDATE") != "" {
+	if os.Getenv("GOLDEN_UPDATE") != "" {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestHierarchyTraceGoldens(t *testing.T) {
 	}
 	want, err := os.ReadFile(goldenPath)
 	if err != nil {
-		t.Fatalf("read goldens (run with CHAOS_GOLDEN_UPDATE=1 to create): %v", err)
+		t.Fatalf("read goldens (run with GOLDEN_UPDATE=1 to create): %v", err)
 	}
 	if string(want) != b.String() {
 		t.Errorf("hierarchy traces diverged from the pinned goldens\n--- pinned\n%s--- got\n%s", want, b.String())

@@ -21,7 +21,7 @@ import (
 //
 // Regenerate (only when a trace change is intended and reviewed) with:
 //
-//	CHAOS_GOLDEN_UPDATE=1 go test -run TestTraceGoldens ./internal/netsim/chaos/
+//	GOLDEN_UPDATE=1 go test -run TestTraceGoldens ./internal/netsim/chaos/
 const goldenPath = "testdata/trace_goldens.txt"
 
 // goldenRun is one pinned harness invocation. The set spans every
@@ -85,7 +85,7 @@ func loadGoldens(t *testing.T) map[string]string {
 	t.Helper()
 	f, err := os.Open(goldenPath)
 	if err != nil {
-		t.Fatalf("open goldens (run with CHAOS_GOLDEN_UPDATE=1 to create): %v", err)
+		t.Fatalf("open goldens (run with GOLDEN_UPDATE=1 to create): %v", err)
 	}
 	defer f.Close()
 	out := map[string]string{}
@@ -125,7 +125,7 @@ func TestTraceGoldens(t *testing.T) {
 		got[gr.name] = traceHash(trace)
 	}
 
-	if os.Getenv("CHAOS_GOLDEN_UPDATE") != "" {
+	if os.Getenv("GOLDEN_UPDATE") != "" {
 		names := make([]string, 0, len(got))
 		for n := range got {
 			names = append(names, n)
@@ -134,7 +134,7 @@ func TestTraceGoldens(t *testing.T) {
 		var b strings.Builder
 		b.WriteString("# SHA-256 of each pinned chaos trace (lines joined by \\n).\n")
 		b.WriteString("# A clean run of each pinned scenario must stay byte-identical.\n")
-		b.WriteString("# Regenerate (reviewed trace changes only): CHAOS_GOLDEN_UPDATE=1\n")
+		b.WriteString("# Regenerate (reviewed trace changes only): GOLDEN_UPDATE=1\n")
 		for _, n := range names {
 			fmt.Fprintf(&b, "%s %s\n", n, got[n])
 		}
@@ -152,7 +152,7 @@ func TestTraceGoldens(t *testing.T) {
 	for name, hash := range got {
 		pinned, ok := want[name]
 		if !ok {
-			t.Errorf("%s: no pinned golden (regenerate with CHAOS_GOLDEN_UPDATE=1)", name)
+			t.Errorf("%s: no pinned golden (regenerate with GOLDEN_UPDATE=1)", name)
 			continue
 		}
 		if pinned != hash {

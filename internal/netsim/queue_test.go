@@ -22,7 +22,7 @@ import (
 // so the file should never need regenerating; the repository's usual
 // switch for a golden is there for adding a schedule:
 //
-//	NETSIM_GOLDEN_UPDATE=1 go test -run TestQueueOrderGolden ./internal/netsim/
+//	GOLDEN_UPDATE=1 go test -run TestQueueOrderGolden ./internal/netsim/
 const queueGoldenPath = "testdata/queue_order.golden"
 
 var queueSeeds = []uint64{1, 7, 20250623}
@@ -159,7 +159,7 @@ func TestQueueOrderGolden(t *testing.T) {
 	for _, seed := range queueSeeds {
 		got = append(got, runQueueScript(seed)...)
 	}
-	if os.Getenv("NETSIM_GOLDEN_UPDATE") != "" {
+	if os.Getenv("GOLDEN_UPDATE") != "" {
 		if err := os.WriteFile(queueGoldenPath, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatalf("write golden: %v", err)
 		}

@@ -32,7 +32,7 @@ import (
 // executes (as opposed to what it computes) must leave that file
 // byte-identical. Regenerate, for a reviewed behaviour change only, with
 //
-//	PISA_GOLDEN_UPDATE=1 go test -run TestDifferentialCorpus ./internal/pisa/
+//	GOLDEN_UPDATE=1 go test -run TestDifferentialCorpus ./internal/pisa/
 const (
 	corpusGolden     = "testdata/corpus.golden"
 	corpusPackets    = 512
@@ -390,7 +390,7 @@ func (s *corpusSubject) run(t *testing.T) []string {
 func TestDifferentialCorpus(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("# Differential corpus digests for the pisa interpreter (see corpus_test.go).\n")
-	b.WriteString("# Regenerate (reviewed behaviour changes only): PISA_GOLDEN_UPDATE=1\n")
+	b.WriteString("# Regenerate (reviewed behaviour changes only): GOLDEN_UPDATE=1\n")
 	for _, s := range corpusSubjects(t) {
 		for _, line := range s.run(t) {
 			b.WriteString(line)
@@ -398,7 +398,7 @@ func TestDifferentialCorpus(t *testing.T) {
 		}
 	}
 	got := b.String()
-	if os.Getenv("PISA_GOLDEN_UPDATE") != "" {
+	if os.Getenv("GOLDEN_UPDATE") != "" {
 		if err := os.WriteFile(corpusGolden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -406,7 +406,7 @@ func TestDifferentialCorpus(t *testing.T) {
 	}
 	want, err := os.ReadFile(corpusGolden)
 	if err != nil {
-		t.Fatalf("read golden (run with PISA_GOLDEN_UPDATE=1 to create): %v", err)
+		t.Fatalf("read golden (run with GOLDEN_UPDATE=1 to create): %v", err)
 	}
 	if got != string(want) {
 		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
