@@ -7,7 +7,9 @@
 # seeds. New crashers land in the package's testdata/fuzz/ and become
 # permanent regression inputs. FuzzDecodeLease's in-test seeds include
 # the codec edge cases (max-epoch grants, maximum-length holders, torn
-# and truncated records) alongside its corpus.
+# and truncated records) alongside its corpus; FuzzDecodeBrokerFrame's
+# include one hierarchy broker frame of every type plus torn, truncated
+# and over-long-name frames.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -21,6 +23,7 @@ for entry in \
     ./internal/core/:FuzzDecodeSnapshot \
     ./internal/core/:FuzzDecodeDeviceSnapshot \
     ./internal/statestore/:FuzzDecodeLease \
+    ./internal/hierarchy/:FuzzDecodeBrokerFrame \
     ./internal/pisa/:FuzzProcessP4Auth; do
     pkg="${entry%%:*}"
     target="${entry#*:}"
