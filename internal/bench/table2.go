@@ -82,12 +82,9 @@ func baselineL3() *pisa.Program {
 	}
 }
 
-// withP4Auth weaves P4Auth (at the given digest width) into the baseline.
-func withP4Auth(words int) (*pisa.Program, error) {
-	return withP4AuthOpts(words, false)
-}
-
-func withP4AuthOpts(words int, encrypt bool) (*pisa.Program, error) {
+// withP4Auth weaves P4Auth (at the given digest width, with or without
+// the §XI encryption) into the baseline.
+func withP4Auth(words int, encrypt bool) (*pisa.Program, error) {
 	prog := baselineL3()
 	cfg := core.DefaultConfig(32, core.DigestCRC32)
 	cfg.DigestWords = words
@@ -102,45 +99,34 @@ func withP4AuthOpts(words int, encrypt bool) (*pisa.Program, error) {
 // baseline L3 program versus baseline+P4Auth.
 func TableII() (*Report, error) {
 	profile := pisa.TofinoProfile()
-	base, err := pisa.Compile(baselineL3(), profile)
+	pa, err := withP4Auth(1, false)
 	if err != nil {
 		return nil, err
 	}
-	paProg, err := withP4Auth(1)
+	enc, err := withP4Auth(1, true)
 	if err != nil {
 		return nil, err
 	}
-	pa, err := pisa.Compile(paProg, profile)
-	if err != nil {
-		return nil, err
-	}
-	encProg, err := withP4AuthOpts(1, true)
-	if err != nil {
-		return nil, err
-	}
-	enc, err := pisa.Compile(encProg, profile)
-	if err != nil {
-		return nil, err
-	}
-	bp := base.Usage.Percent(profile)
-	pp := pa.Usage.Percent(profile)
-	ep := enc.Usage.Percent(profile)
 	rep := &Report{
 		ID:      "Table II",
 		Title:   "Hardware resource overhead (Tofino profile)",
 		Columns: []string{"program", "TCAM", "SRAM", "Hash units", "PHV", "stages", "passes"},
-		Rows: [][]string{
-			{"Baseline", fmtPct(bp.TCAM), fmtPct(bp.SRAM), fmtPct(bp.Hash), fmtPct(bp.PHV),
-				fmt.Sprintf("%d", base.Usage.Stages), fmt.Sprintf("%d", base.Usage.Passes)},
-			{"With P4Auth", fmtPct(pp.TCAM), fmtPct(pp.SRAM), fmtPct(pp.Hash), fmtPct(pp.PHV),
-				fmt.Sprintf("%d", pa.Usage.Stages), fmt.Sprintf("%d", pa.Usage.Passes)},
-			{"+ §XI encryption", fmtPct(ep.TCAM), fmtPct(ep.SRAM), fmtPct(ep.Hash), fmtPct(ep.PHV),
-				fmt.Sprintf("%d", enc.Usage.Stages), fmt.Sprintf("%d", enc.Usage.Passes)},
-		},
 		Notes: []string{
 			"paper: TCAM 8.3->8.3%, SRAM 2.5->3.6%, Hash 1.4->51.4%, PHV 11->23.1%",
 			"PHV here is conservative: the model does not overlay short-lived metadata as the vendor compiler does",
 		},
+	}
+	for _, v := range []struct {
+		label string
+		prog  *pisa.Program
+	}{{"Baseline", baselineL3()}, {"With P4Auth", pa}, {"+ §XI encryption", enc}} {
+		c, err := pisa.Compile(v.prog, profile)
+		if err != nil {
+			return nil, err
+		}
+		u := c.Usage.Percent(profile)
+		rep.Rows = append(rep.Rows, []string{v.label, fmtPct(u.TCAM), fmtPct(u.SRAM), fmtPct(u.Hash), fmtPct(u.PHV),
+			fmt.Sprintf("%d", c.Usage.Stages), fmt.Sprintf("%d", c.Usage.Passes)})
 	}
 	return rep, nil
 }
@@ -165,7 +151,7 @@ func AblationDigest() (*Report, error) {
 	}
 	base := 0
 	for _, words := range []int{1, 2, 4, 8} {
-		prog, err := withP4Auth(words)
+		prog, err := withP4Auth(words, false)
 		if err != nil {
 			return nil, err
 		}
@@ -176,7 +162,7 @@ func AblationDigest() (*Report, error) {
 		if words == 1 {
 			base = c.Usage.HashBits
 		}
-		_, fitErr := pisa.Compile(mustProg(withP4Auth(words)), real)
+		_, fitErr := pisa.Compile(prog, real)
 		fits := "yes"
 		if fitErr != nil {
 			fits = "no"
@@ -197,11 +183,4 @@ func AblationDigest() (*Report, error) {
 	rep.Notes = append(rep.Notes,
 		"paper (§XI): a 256-bit digest increases hash units by 560% and pipeline stages by 100% vs 32-bit")
 	return rep, nil
-}
-
-func mustProg(p *pisa.Program, err error) *pisa.Program {
-	if err != nil {
-		panic(err)
-	}
-	return p
 }
