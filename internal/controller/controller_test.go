@@ -271,6 +271,40 @@ func TestMitMOnReadResponseDetected(t *testing.T) {
 	}
 }
 
+// TestTamperedResponseNotReplayedFromCache tampers the first write ack
+// inside the stack on its way up. The controller resends the same bytes,
+// the agent's reply cache answers, and what it answers with must be the
+// ack the pipeline emitted: the write landed and must report success.
+func TestTamperedResponseNotReplayedFromCache(t *testing.T) {
+	c, s1, _, _ := resilientController(t)
+	if _, err := c.LocalKeyInit("s1"); err != nil {
+		t.Fatal(err)
+	}
+	ups := 0
+	if err := s1.Host.Install(switchos.BoundaryAgentSDK, &switchos.Hooks{
+		OnPacketIn: func(data []byte) []byte {
+			if ups++; ups == 1 {
+				data[len(data)-1] ^= 0xFF
+			}
+			return data
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.WriteRegister("s1", "lat", 3, 77); err != nil {
+		t.Fatalf("write that landed reported failed: %v", err)
+	}
+	if v, err := s1.Host.SW.RegisterRead("lat", 3); err != nil || v != 77 {
+		t.Fatalf("lat[3] = %d (err %v), want 77", v, err)
+	}
+	if ups != 2 {
+		t.Fatalf("upward hook saw %d responses, want 2 (tampered, then the cached ack)", ups)
+	}
+	if hits := c.Observer().Metrics.Counter("agent.s1.cache_hits").Load(); hits != 1 {
+		t.Fatalf("agent.s1.cache_hits = %d, want 1 (the resend is answered from the cache)", hits)
+	}
+}
+
 func TestMitMOnWriteRequestDetectedByDataPlane(t *testing.T) {
 	c, s1, _ := twoSwitchFabric(t)
 	if _, err := c.LocalKeyInit("s1"); err != nil {

@@ -309,3 +309,52 @@ func TestCacheDisableAndEviction(t *testing.T) {
 		}
 	})
 }
+
+// TestCacheStoresBelowTheHooks tampers the response on its way up the
+// first time only. The byte-identical resend must be answered with what
+// the pipeline emitted, not with the tampered copy, and the answer must
+// cross the upward hooks again, as the original did.
+func TestCacheStoresBelowTheHooks(t *testing.T) {
+	sw := buildP4AuthSwitch(t)
+	req := signedKx(t, sw, core.MsgEAKSalt1, 1, 0, sw.Cfg.Seed, &core.KxPayload{Salt: 0xAABB})
+	ups := 0
+	if err := sw.Host.Install(switchos.BoundarySDKDriver, &switchos.Hooks{
+		OnPacketIn: func(data []byte) []byte {
+			if ups++; ups == 1 {
+				data[len(data)-1] ^= 0xFF // in place: the cache must not alias it
+			}
+			return data
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	res1, err := sw.Host.PacketOut(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res1.PacketIns) != 1 {
+		t.Fatalf("EAK produced %d PacketIns, want 1", len(res1.PacketIns))
+	}
+	tampered := append([]byte(nil), res1.PacketIns[0]...)
+	res2, err := sw.Host.PacketOut(append([]byte(nil), req...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res2.PacketIns) != 1 {
+		t.Fatalf("resend produced %d PacketIns, want 1", len(res2.PacketIns))
+	}
+	if ups != 2 {
+		t.Errorf("upward hook ran %d times, want 2 (the cached answer crosses it too)", ups)
+	}
+	clean := res2.PacketIns[0]
+	if bytes.Equal(clean, tampered) {
+		t.Fatal("resend answered with the response the hook tampered")
+	}
+	tampered[len(tampered)-1] ^= 0xFF
+	if !bytes.Equal(clean, tampered) {
+		t.Fatal("resend answer is not what the pipeline emitted")
+	}
+	if v := localVer(t, sw); v != 1 {
+		t.Fatalf("pa_ver[0]=%d after resend, want 1 (double install)", v)
+	}
+}

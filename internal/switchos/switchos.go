@@ -392,6 +392,10 @@ type IOResult struct {
 	// per-packet buffers back NetOut and PacketIns zero-copy (see
 	// batch.go).
 	bres pisa.BatchResult
+
+	// cpu collects one PacketOut's CPU-port emissions for the reply
+	// cache, before the upward hooks (see packetOutOne).
+	cpu [][]byte
 }
 
 func (io *IOResult) reset() {
@@ -497,9 +501,13 @@ func (h *Host) packetOutOne(data []byte, io *IOResult, pinBase time.Duration, co
 			if ao != nil {
 				ao.cacheHits.Inc()
 			}
-			io.PacketIns = append(io.PacketIns, pins...)
+			// The cache holds what the pipeline emitted; the answer crosses
+			// the upward hooks again, as the original did.
 			for _, p := range pins {
 				io.Cost += time.Duration(len(p)) * h.Costs.PerByte
+				if p = h.up(p); p != nil {
+					io.PacketIns = append(io.PacketIns, p)
+				}
 			}
 			return nil
 		}
@@ -514,16 +522,26 @@ func (h *Host) packetOutOne(data []byte, io *IOResult, pinBase time.Duration, co
 		}
 	}
 	io.Cost += h.Costs.DriverBase + h.Costs.PCIe
-	pinsBefore := len(io.PacketIns)
-	if err := h.runPipelineInto(data, pisa.CPUPort, io, pinBase, copyBufs); err != nil {
+	if err := h.process(data, pisa.CPUPort, io); err != nil {
 		return err
 	}
-	if cacheable && h.cacheWorthy(orig, io.PacketIns[pinsBefore:]) {
-		// Keyed by the bytes the agent received (pre-hook): that is what a
-		// retransmitting controller will resend. Only this packet's own
-		// PacketIns are remembered.
-		rc.store(seq, orig, io.PacketIns[pinsBefore:])
+	if cacheable {
+		// Remembered is what the pipeline emitted toward the CPU port,
+		// before the upward hooks have seen it: a response a hook altered
+		// must not be replayed to the resend. Keyed by the bytes the agent
+		// received (pre-hook): that is what a retransmitting controller
+		// will resend.
+		io.cpu = io.cpu[:0]
+		for _, e := range io.pres.Emissions {
+			if e.Port == pisa.CPUPort {
+				io.cpu = append(io.cpu, e.Data)
+			}
+		}
+		if h.cacheWorthy(orig, io.cpu) {
+			rc.store(seq, orig, io.cpu)
+		}
 	}
+	h.emitResult(&io.pres, io, pinBase, copyBufs)
 	return nil
 }
 
@@ -587,19 +605,34 @@ func (h *Host) NetworkPacketInto(port int, data []byte, io *IOResult) error {
 	if h.down.Load() {
 		return nil // crashed: the wire ends in a dead port
 	}
-	return h.runPipelineInto(data, port, io, h.Costs.PacketIOBase, false)
+	if err := h.process(data, port, io); err != nil {
+		return err
+	}
+	h.emitResult(&io.pres, io, h.Costs.PacketIOBase, false)
+	return nil
 }
 
-// runPipelineInto processes one packet through io.pres and appends its
-// emissions into io. pinBase is the agent dispatch cost charged per
-// PacketIn; copyBufs as in packetOutOne.
-func (h *Host) runPipelineInto(data []byte, port int, io *IOResult, pinBase time.Duration, copyBufs bool) error {
+// process runs one packet through the pipeline into io.pres and charges
+// its cost; emitResult then hands the emissions on.
+func (h *Host) process(data []byte, port int, io *IOResult) error {
 	if err := h.SW.ProcessInto(pisa.Packet{Data: data, Port: port}, &io.pres); err != nil {
 		return fmt.Errorf("switchos: %s: pipeline: %w", h.Name, err)
 	}
 	io.Cost += io.pres.Cost
-	h.emitResult(&io.pres, io, pinBase, copyBufs)
 	return nil
+}
+
+// up carries one PacketIn through the upward hooks, driver side first;
+// nil means a hook dropped it.
+func (h *Host) up(pin []byte) []byte {
+	for _, b := range []Boundary{BoundarySDKDriver, BoundaryAgentSDK} {
+		if hk := h.hooks[b]; hk != nil && hk.OnPacketIn != nil {
+			if pin = hk.OnPacketIn(pin); pin == nil {
+				return nil
+			}
+		}
+	}
+	return pin
 }
 
 // emitResult walks one pipeline result's emissions, splitting them into
@@ -619,16 +652,7 @@ func (h *Host) emitResult(pres *pisa.Result, io *IOResult, pinBase time.Duration
 		}
 		io.Cost += h.Costs.PCIe + h.Costs.DriverBase +
 			pinBase + time.Duration(len(e.Data))*h.Costs.PerByte
-		pin := kept
-		for _, b := range []Boundary{BoundarySDKDriver, BoundaryAgentSDK} {
-			if hk := h.hooks[b]; hk != nil && hk.OnPacketIn != nil {
-				pin = hk.OnPacketIn(pin)
-				if pin == nil {
-					break
-				}
-			}
-		}
-		if pin != nil {
+		if pin := h.up(kept); pin != nil {
 			io.PacketIns = append(io.PacketIns, pin)
 			if ao := h.obsv.Load(); ao != nil {
 				ao.packetIns.Inc()
