@@ -20,6 +20,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unicode/utf8"
 )
 
 // ErrNotFound is returned by Load for a key that was never saved (or was
@@ -33,6 +34,7 @@ var ErrNotFound = errors.New("statestore: key not found")
 // [A-Za-z0-9._-] per segment, so they map onto filenames.
 type Store interface {
 	// Save durably writes value under key, replacing any previous value.
+	// It must not keep value after it returns: callers reuse the buffer.
 	Save(key string, value []byte) error
 	// Load returns the value under key, or ErrNotFound.
 	Load(key string) ([]byte, error)
@@ -43,25 +45,36 @@ type Store interface {
 }
 
 // ValidateKey enforces the portable key syntax shared by all
-// implementations.
+// implementations. It makes one pass over the bytes and allocates only
+// for the error it returns.
 func ValidateKey(key string) error {
 	if key == "" {
 		return fmt.Errorf("statestore: empty key")
 	}
-	for _, seg := range strings.Split(key, "/") {
-		if seg == "" || seg == "." || seg == ".." {
-			return fmt.Errorf("statestore: key %q has an invalid path segment", key)
-		}
-		for _, r := range seg {
-			switch {
-			case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-				r == '.', r == '_', r == '-':
-			default:
-				return fmt.Errorf("statestore: key %q contains invalid character %q", key, r)
+	start := 0 // first byte of the current segment
+	for i := 0; i <= len(key); i++ {
+		if i == len(key) || key[i] == '/' {
+			if seg := key[start:i]; seg == "" || seg == "." || seg == ".." {
+				return fmt.Errorf("statestore: key %q has an invalid path segment", key)
 			}
+			start = i + 1
+			continue
+		}
+		if c := key[i]; !keyByte(c) {
+			r := rune(c)
+			if c >= utf8.RuneSelf {
+				r, _ = utf8.DecodeRuneInString(key[i:])
+			}
+			return fmt.Errorf("statestore: key %q contains invalid character %q", key, r)
 		}
 	}
 	return nil
+}
+
+// keyByte reports whether c may appear in a key segment.
+func keyByte(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' ||
+		c == '.' || c == '_' || c == '-'
 }
 
 // Mem is an in-memory Store. It is safe for concurrent use and copies

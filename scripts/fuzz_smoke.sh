@@ -9,7 +9,8 @@
 # the codec edge cases (max-epoch grants, maximum-length holders, torn
 # and truncated records) alongside its corpus; FuzzDecodeBrokerFrame's
 # include one hierarchy broker frame of every type plus torn, truncated
-# and over-long-name frames.
+# and over-long-name frames. FuzzValidateKey is differential: the one-pass
+# key check must give the split-based reference's verdict and error text.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -23,6 +24,7 @@ for entry in \
     ./internal/core/:FuzzDecodeSnapshot \
     ./internal/core/:FuzzDecodeDeviceSnapshot \
     ./internal/statestore/:FuzzDecodeLease \
+    ./internal/statestore/:FuzzValidateKey \
     ./internal/hierarchy/:FuzzDecodeBrokerFrame \
     ./internal/pisa/:FuzzProcessP4Auth; do
     pkg="${entry%%:*}"
