@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"p4auth/internal/crypto"
+	"p4auth/internal/statestore"
 )
 
 // Benchmarks of the authenticated C-DP path and the local-key rollover.
@@ -42,6 +43,23 @@ func authenticatedBench(b *testing.B) *Controller {
 
 func BenchmarkAuthenticatedWrite(b *testing.B) {
 	c := authenticatedBench(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.WriteRegister("b1", "r", uint32(i%64), uint64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDurableWrite is BenchmarkAuthenticatedWrite with the write
+// journaled (EnableCrashSafety over an in-memory store): one intent saved
+// before the send and deleted after the ack, as in cdp_hostile.
+func BenchmarkDurableWrite(b *testing.B) {
+	c := authenticatedBench(b)
+	if err := c.EnableCrashSafety(statestore.NewMem()); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -105,11 +105,12 @@ type swHandle struct {
 	// Reusable buffers for the zero-allocation request path. txMsg/txReg
 	// hold the in-flight request; digBuf the digest input of the message
 	// being signed or verified; encBuf the request's wire bytes; io the
-	// switch's I/O result; rx/rxBufs the decoded PacketIns. All are valid
-	// only while opMu is held — cold paths copy responses out before
-	// releasing it.
+	// switch's I/O result; rx/rxBufs the decoded PacketIns; walBuf the
+	// journal record of a durable write. All are valid only while opMu is
+	// held — cold paths copy responses out before releasing it.
 	encBuf []byte
 	digBuf []byte
+	walBuf []byte
 	io     switchos.IOResult
 	rx     []*core.Message
 	rxBufs []*core.MessageBuf
@@ -185,8 +186,9 @@ type peerRef struct {
 //   - mu guards what is left, none of it on the happy path of a request:
 //     the alert list, the health records and their policy, the adjacency
 //     and link taps a relayed DP-DP leg looks up, the repair fences, the
-//     journal and snapshot id counters, the seed-use counts, and the
-//     copy-edit-store of cfg.
+//     snapshot persist counter, the seed-use counts, and the copy-edit-store
+//     of cfg. The journal id is an atomic counter, so a journaled write
+//     takes no mu either.
 //
 // A fence runs without any controller lock and the Kill flag is read
 // again after it, so both still take effect on the next send.
@@ -205,9 +207,9 @@ type Controller struct {
 	linkTaps  map[portKey]netsim.Tap
 	repairs   map[portKey]*repairFence
 
-	// Crash-safety counters (EnableCrashSafety): the last journal id and
-	// the snapshot persist count.
-	walID    uint64
+	// Crash-safety counters (EnableCrashSafety): the last journal id, and
+	// the snapshot persist count under mu.
+	walID    atomic.Uint64
 	persistN uint64
 	seedUses map[string]int
 

@@ -8,18 +8,22 @@ import (
 	"time"
 
 	"p4auth/internal/netsim"
+	"p4auth/internal/statestore"
 )
 
 // TestRequestPathTakesNoControllerLock makes the lock census of the
 // Controller doc comment a checked fact: with c.mu held by someone else
-// for the whole call, a register write, a read, a windowed batch and a
-// write under the resilient policy all complete. (A journaled write is not
-// in the list: its journal id comes from under c.mu.)
+// for the whole call, a register write, a read, a windowed batch, a
+// write under the resilient policy and a journaled write all complete.
 func TestRequestPathTakesNoControllerLock(t *testing.T) {
 	plain, _, _ := twoSwitchFabric(t)
 	resilient, _, _ := twoSwitchFabric(t)
 	resilient.SetRetryPolicy(ResilientRetryPolicy())
-	for _, c := range []*Controller{plain, resilient} {
+	durable, _, _ := twoSwitchFabric(t)
+	if err := durable.EnableCrashSafety(statestore.NewMem()); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*Controller{plain, resilient, durable} {
 		if _, err := c.LocalKeyInit("s1"); err != nil {
 			t.Fatal(err)
 		}
@@ -50,6 +54,7 @@ func TestRequestPathTakesNoControllerLock(t *testing.T) {
 			return err
 		}},
 		{"WriteRegister under the resilient policy", resilient, write},
+		{"journaled WriteRegister", durable, write},
 	}
 	for _, op := range ops {
 		op.c.mu.Lock()

@@ -43,8 +43,25 @@ const livenessRounds = 8
 
 func ctlKey(sw string) string { return "ctl/" + sw }
 
+// walKey is "wal/<sw>/<id as 16 hex digits>", built in one allocation.
 func walKey(sw string, id uint64) string {
-	return fmt.Sprintf("wal/%s/%016x", sw, id)
+	const hex = "0123456789abcdef"
+	var b strings.Builder
+	b.Grow(len("wal/") + len(sw) + 1 + 16)
+	b.WriteString("wal/")
+	b.WriteString(sw)
+	b.WriteByte('/')
+	for shift := 60; shift >= 0; shift -= 4 {
+		b.WriteByte(hex[id>>shift&0xf])
+	}
+	return b.String()
+}
+
+// walIntent names one journal record in flight: its id (0 when nothing
+// was journaled) and its store key, built once for the record's whole life.
+type walIntent struct {
+	id  uint64
+	key string
 }
 
 // EnableCrashSafety attaches a durable store. Journal numbering continues
@@ -68,7 +85,7 @@ func (c *Controller) EnableCrashSafety(st statestore.Store) error {
 	}
 	c.reconfigure(func(cfg *ctlConfig) {
 		cfg.store = st
-		c.walID = maxID
+		c.walID.Store(maxID)
 	})
 	return nil
 }
@@ -140,28 +157,28 @@ func (c *Controller) autoPersist(sw string) error {
 	return c.SaveSnapshot(sw)
 }
 
-// walBegin records a write intent before the wire send. Returns 0 (and
-// writes nothing) when journaling is off or the process is dead.
-func (c *Controller) walBegin(sw, register string, index uint32, value uint64) (uint64, error) {
+// walBegin records a write intent before the wire send. Returns a zero
+// intent (and writes nothing) when journaling is off or the process is
+// dead. Requires h.opMu: the record is encoded into h.walBuf.
+func (c *Controller) walBegin(h *swHandle, register string, index uint32, value uint64) (walIntent, error) {
 	st := c.stateStore()
 	if st == nil || c.Killed() {
-		return 0, nil
+		return walIntent{}, nil
 	}
-	c.mu.Lock()
-	c.walID++
-	id := c.walID
-	c.mu.Unlock()
-	e := &core.JournalEntry{ID: id, Switch: sw, Register: register, Index: index, Value: value, State: core.WriteIntent}
-	return id, st.Save(walKey(sw, id), e.Encode())
+	id := c.walID.Add(1)
+	j := walIntent{id: id, key: walKey(h.name, id)}
+	e := core.JournalEntry{ID: id, Switch: h.name, Register: register, Index: index, Value: value, State: core.WriteIntent}
+	h.walBuf = e.AppendEncode(h.walBuf[:0])
+	return j, st.Save(j.key, h.walBuf)
 }
 
 // walSettle resolves an intent: applied entries are deleted, definite
 // failures are rewritten as failed for the operator. A dead process
 // settles nothing — that is the whole point of the journal: only a crash
 // leaves an intent behind, so recovery knows exactly which writes are in
-// doubt.
-func (c *Controller) walSettle(sw string, id uint64, applied bool, register string, index uint32, value uint64) {
-	if id == 0 {
+// doubt. Requires h.opMu, as walBegin.
+func (c *Controller) walSettle(h *swHandle, j walIntent, applied bool, register string, index uint32, value uint64) {
+	if j.id == 0 {
 		return
 	}
 	st := c.stateStore()
@@ -170,43 +187,42 @@ func (c *Controller) walSettle(sw string, id uint64, applied bool, register stri
 	}
 	ko := c.obsv()
 	if applied {
-		_ = st.Delete(walKey(sw, id))
+		_ = st.Delete(j.key)
 		ko.walApplied.Inc()
-		ko.audit(obs.EvWALSettle, sw, CauseWALApplied, 0, id)
+		ko.audit(obs.EvWALSettle, h.name, CauseWALApplied, 0, j.id)
 		return
 	}
-	e := &core.JournalEntry{ID: id, Switch: sw, Register: register, Index: index, Value: value, State: core.WriteFailed}
-	_ = st.Save(walKey(sw, id), e.Encode())
+	e := core.JournalEntry{ID: j.id, Switch: h.name, Register: register, Index: index, Value: value, State: core.WriteFailed}
+	h.walBuf = e.AppendEncode(h.walBuf[:0])
+	_ = st.Save(j.key, h.walBuf)
 	ko.walFailed.Inc()
-	ko.audit(obs.EvWALSettle, sw, CauseWALFailed, 0, id)
+	ko.audit(obs.EvWALSettle, h.name, CauseWALFailed, 0, j.id)
 }
 
 // walBeginBatch records one group-commit intent record covering a whole
 // pipelined window: a single durable Save before the first wire send.
-// Returns 0 (and writes nothing) when journaling is off or the process
-// is dead.
-func (c *Controller) walBeginBatch(sw string, writes []RegWrite) (uint64, error) {
+// Returns a zero intent (and writes nothing) when journaling is off or
+// the process is dead.
+func (c *Controller) walBeginBatch(sw string, writes []RegWrite) (walIntent, error) {
 	st := c.stateStore()
 	if st == nil || c.Killed() {
-		return 0, nil
+		return walIntent{}, nil
 	}
-	c.mu.Lock()
-	c.walID++
-	id := c.walID
-	c.mu.Unlock()
+	id := c.walID.Add(1)
+	j := walIntent{id: id, key: walKey(sw, id)}
 	e := &core.JournalBatch{ID: id, Switch: sw, Writes: make([]core.BatchWrite, len(writes))}
 	for i, w := range writes {
 		e.Writes[i] = core.BatchWrite{Register: w.Register, Index: w.Index, Value: w.Value, State: core.WriteIntent}
 	}
-	return id, st.Save(walKey(sw, id), e.Encode())
+	return j, st.Save(j.key, e.Encode())
 }
 
 // walSettleBatch resolves a batch record after the windowed exchange:
 // fully-applied batches are deleted; otherwise the record is rewritten
 // with each entry's final state — no WriteIntent ever survives a live
 // settle, so recovery's read-back only runs for genuine crashes.
-func (c *Controller) walSettleBatch(sw string, id uint64, entries []batchEntry) {
-	if id == 0 {
+func (c *Controller) walSettleBatch(sw string, j walIntent, entries []batchEntry) {
+	if j.id == 0 {
 		return
 	}
 	st := c.stateStore()
@@ -222,12 +238,12 @@ func (c *Controller) walSettleBatch(sw string, id uint64, entries []batchEntry) 
 	}
 	ko := c.obsv()
 	if allOK {
-		_ = st.Delete(walKey(sw, id))
+		_ = st.Delete(j.key)
 		ko.walApplied.Add(uint64(len(entries)))
-		ko.audit(obs.EvWALSettle, sw, CauseWALApplied, 0, id)
+		ko.audit(obs.EvWALSettle, sw, CauseWALApplied, 0, j.id)
 		return
 	}
-	e := &core.JournalBatch{ID: id, Switch: sw, Writes: make([]core.BatchWrite, len(entries))}
+	e := &core.JournalBatch{ID: j.id, Switch: sw, Writes: make([]core.BatchWrite, len(entries))}
 	for i := range entries {
 		state := core.WriteApplied
 		if entries[i].err != nil {
@@ -241,8 +257,8 @@ func (c *Controller) walSettleBatch(sw string, id uint64, entries []batchEntry) 
 			Value: entries[i].value, State: state,
 		}
 	}
-	_ = st.Save(walKey(sw, id), e.Encode())
-	ko.audit(obs.EvWALSettle, sw, CauseWALFailed, 0, id)
+	_ = st.Save(j.key, e.Encode())
+	ko.audit(obs.EvWALSettle, sw, CauseWALFailed, 0, j.id)
 }
 
 // JournalEntries returns the decoded journal entries persisted for a

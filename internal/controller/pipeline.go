@@ -106,7 +106,7 @@ func (c *Controller) WriteRegisterBatch(sw string, window int, writes []RegWrite
 	if err != nil {
 		return BatchResult{}, err
 	}
-	jid, jerr := c.walBeginBatch(sw, writes)
+	j, jerr := c.walBeginBatch(sw, writes)
 	if jerr != nil {
 		return BatchResult{}, fmt.Errorf("controller: journal batch intent: %w", jerr)
 	}
@@ -120,7 +120,7 @@ func (c *Controller) WriteRegisterBatch(sw string, window int, writes []RegWrite
 		}
 	}
 	br := c.runBatch(h, entries, window)
-	c.walSettleBatch(sw, jid, entries)
+	c.walSettleBatch(sw, j, entries)
 	return br, br.Err()
 }
 

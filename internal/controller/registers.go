@@ -39,12 +39,17 @@ func (c *Controller) WriteRegister(sw, register string, index uint32, value uint
 	if err != nil {
 		return 0, err
 	}
-	jid, jerr := c.walBegin(sw, register, index, value)
+	// The journal record is encoded in the handle's scratch, so intent,
+	// exchange and settle run under one hold of opMu.
+	h.opMu.Lock()
+	j, jerr := c.walBegin(h, register, index, value)
 	if jerr != nil {
+		h.opMu.Unlock()
 		return 0, fmt.Errorf("controller: journal write intent: %w", jerr)
 	}
-	x, err := c.regWrite(h, register, index, value)
-	c.walSettle(sw, jid, err == nil, register, index, value)
+	x, err := c.regWriteLocked(h, register, index, value)
+	c.walSettle(h, j, err == nil, register, index, value)
+	h.opMu.Unlock()
 	lat := x.lat + SignCost + VerifyCost
 	k := c.obsv()
 	if err == nil {
@@ -103,12 +108,17 @@ func (c *Controller) regRead(h *swHandle, register string, index uint32) (uint64
 // inside scratchRequest, which reserves the sequence number before
 // encrypting).
 func (c *Controller) regWrite(h *swHandle, register string, index uint32, value uint64) (xfer, error) {
+	h.opMu.Lock()
+	defer h.opMu.Unlock()
+	return c.regWriteLocked(h, register, index, value)
+}
+
+// regWriteLocked is regWrite for a caller already holding h.opMu.
+func (c *Controller) regWriteLocked(h *swHandle, register string, index uint32, value uint64) (xfer, error) {
 	ri, err := h.info.RegisterByName(register)
 	if err != nil {
 		return xfer{}, err
 	}
-	h.opMu.Lock()
-	defer h.opMu.Unlock()
 	req, err := h.scratchRequest(core.MsgWriteReq, ri.ID, index, value)
 	if err != nil {
 		return xfer{}, err

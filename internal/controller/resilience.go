@@ -56,6 +56,33 @@ func (e *AlertError) Error() string {
 	return fmt.Sprintf("controller: %s raised alert reason %d for seq %d", e.Switch, e.Reason, e.Seq)
 }
 
+// The retry loop makes the two errors below on every tampered or silent
+// attempt and drops them when a resend succeeds, so their text is built
+// only when someone asks for it. Each reads and unwraps exactly as the
+// fmt.Errorf it replaces.
+
+// tamperedAlert is ErrTampered wrapping a verified alert:
+// fmt.Errorf("%w: %w", ErrTampered, &AlertError{...}).
+type tamperedAlert struct{ alert AlertError }
+
+func (e *tamperedAlert) Error() string { return ErrTampered.Error() + ": " + e.alert.Error() }
+
+func (e *tamperedAlert) Unwrap() []error { return []error{ErrTampered, &e.alert} }
+
+// noResponse is an attempt that drew no PacketIn:
+// fmt.Errorf("%w: no response from %s (seq %d, attempt %d)", ErrTimeout, ...).
+type noResponse struct {
+	sw      string
+	seq     uint32
+	attempt int
+}
+
+func (e *noResponse) Error() string {
+	return fmt.Sprintf("%v: no response from %s (seq %d, attempt %d)", ErrTimeout, e.sw, e.seq, e.attempt)
+}
+
+func (e *noResponse) Unwrap() error { return ErrTimeout }
+
 // RetryPolicy bounds the controller's retransmission behaviour on the
 // control channel. The zero value and DefaultRetryPolicy (MaxAttempts 1)
 // disable retransmission entirely, preserving the paper's exact message
@@ -448,8 +475,7 @@ func (c *Controller) transactOnceLocked(h *swHandle, req *core.Message, wantResp
 			return x, nil
 		}
 		if len(resp) == 0 {
-			lastErr = fmt.Errorf("%w: no response from %s (seq %d, attempt %d)",
-				ErrTimeout, h.name, req.SeqNum, attempt)
+			lastErr = &noResponse{sw: h.name, seq: req.SeqNum, attempt: attempt}
 			continue
 		}
 		ok, verr := c.vetResponses(h, req, resp, final, &h.digBuf)
@@ -518,7 +544,7 @@ func (c *Controller) vetResponses(h *swHandle, req *core.Message, resp []*core.M
 		if final {
 			_ = h.seq.Settle(r.SeqNum)
 		}
-		return true, fmt.Errorf("%w: %w", ErrTampered, &AlertError{Switch: h.name, Reason: r.MsgType, Seq: r.SeqNum})
+		return true, &tamperedAlert{AlertError{Switch: h.name, Reason: r.MsgType, Seq: r.SeqNum}}
 	}
 	if err := h.seq.Settle(r.SeqNum); err != nil {
 		return false, fmt.Errorf("%w: %v", ErrTampered, err)

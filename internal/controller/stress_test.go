@@ -3,6 +3,7 @@ package controller
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -220,5 +221,104 @@ func TestWriteRegisterAllocBudget(t *testing.T) {
 	})
 	if got > 0 {
 		t.Errorf("WriteRegister: %.1f allocs/op, budget 0", got)
+	}
+}
+
+// journalLog is a store that checks each journal record as it is saved:
+// it must decode (a record encoded into a buffer another writer shares
+// would not) and its key must be new (ids are unique across switches).
+type journalLog struct {
+	statestore.Store
+	mu   sync.Mutex
+	keys map[string]bool
+	bad  []string
+}
+
+func (l *journalLog) Save(key string, value []byte) error {
+	l.mu.Lock()
+	if strings.HasPrefix(key, "wal/") {
+		if _, err := core.DecodeJournalEntry(value); err != nil {
+			l.bad = append(l.bad, fmt.Sprintf("%s: %v", key, err))
+		}
+		if l.keys[key] {
+			l.bad = append(l.bad, key+": saved twice")
+		}
+		l.keys[key] = true
+	}
+	l.mu.Unlock()
+	return l.Store.Save(key, value)
+}
+
+// TestConcurrentJournaledWrites runs journaled writers on two switches,
+// two per switch, at once: every intent is whole and has its own key, and
+// every one is settled.
+func TestConcurrentJournaledWrites(t *testing.T) {
+	c, _, _ := twoSwitchFabric(t)
+	st := &journalLog{Store: statestore.NewMem(), keys: map[string]bool{}}
+	if err := c.EnableCrashSafety(st); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.InitAllKeys(); err != nil {
+		t.Fatal(err)
+	}
+	const writers, writes = 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			sw := []string{"s1", "s2"}[w%2]
+			for i := 0; i < writes; i++ {
+				if _, err := c.WriteRegister(sw, "lat", uint32(i%8), uint64(w<<16|i)); err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if len(st.bad) > 0 {
+		t.Fatalf("%d bad journal saves, first: %s", len(st.bad), st.bad[0])
+	}
+	if len(st.keys) != writers*writes {
+		t.Fatalf("%d journal keys saved, want %d", len(st.keys), writers*writes)
+	}
+	for _, sw := range []string{"s1", "s2"} {
+		if left, err := c.JournalEntries(sw); err != nil || len(left) != 0 {
+			t.Fatalf("%s: %d journal entries left (err %v), want 0", sw, len(left), err)
+		}
+	}
+}
+
+// TestDurableWriteAllocs gates the journaled write the same way. Its
+// budget is the two allocations the store contract leaves: the record's
+// key, which the store keeps until the settle deletes it, and Mem.Save's
+// copy of the record bytes. Key and record are otherwise built in place.
+func TestDurableWriteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are not stable under -race")
+	}
+	const budget = 2
+	c, _, _ := twoSwitchFabric(t)
+	if err := c.EnableCrashSafety(statestore.NewMem()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.LocalKeyInit("s1"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ { // warm scratch, journal buffer, response cache
+		if _, err := c.WriteRegister("s1", "lat", uint32(i%8), uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := uint64(64)
+	got := testing.AllocsPerRun(200, func() {
+		i++
+		if _, err := c.WriteRegister("s1", "lat", uint32(i%8), i); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > budget {
+		t.Errorf("journaled WriteRegister: %.1f allocs/op, budget %d", got, budget)
 	}
 }

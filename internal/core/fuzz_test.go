@@ -91,6 +91,13 @@ func FuzzDecodeJournalEntry(f *testing.F) {
 		if !reflect.DeepEqual(e, e2) {
 			t.Fatalf("round trip changed entry:\n  %+v\n  %+v", e, e2)
 		}
+		// Appending into a used buffer leaves what was there and encodes
+		// the same record after it.
+		prefix := []byte("used")
+		if got := e.AppendEncode(prefix); string(got[:len(prefix)]) != "used" ||
+			!bytes.Equal(got[len(prefix):], e.Encode()) {
+			t.Fatalf("AppendEncode onto %q = %x, want the prefix then %x", prefix, got, e.Encode())
+		}
 	})
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"strings"
 )
 
@@ -58,8 +59,15 @@ type JournalEntry struct {
 
 // Encode serializes the entry with a trailing CRC32.
 func (e *JournalEntry) Encode() []byte {
-	b := make([]byte, 0, 48+len(e.Switch)+len(e.Register))
-	b = binary.BigEndian.AppendUint32(b, walMagic)
+	return e.AppendEncode(make([]byte, 0, 48+len(e.Switch)+len(e.Register)))
+}
+
+// AppendEncode appends the entry's encoding to dst and returns the
+// extended slice, so a caller can encode into a buffer it reuses. The CRC
+// covers the appended record only.
+func (e *JournalEntry) AppendEncode(dst []byte) []byte {
+	start := len(dst)
+	b := binary.BigEndian.AppendUint32(dst, walMagic)
 	b = append(b, walVersion)
 	b = binary.BigEndian.AppendUint64(b, e.ID)
 	b = append(b, byte(e.State))
@@ -69,7 +77,7 @@ func (e *JournalEntry) Encode() []byte {
 	b = append(b, e.Register...)
 	b = binary.BigEndian.AppendUint32(b, e.Index)
 	b = binary.BigEndian.AppendUint64(b, e.Value)
-	return appendCRC(b)
+	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
 }
 
 // DecodeJournalEntry parses and checksum-verifies an encoded entry.

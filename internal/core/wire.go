@@ -231,7 +231,7 @@ func (m *Message) AppendEncode(dst []byte) []byte {
 
 // Encode serializes ptype + pa_h + payload.
 func (m *Message) Encode() ([]byte, error) {
-	return m.AppendEncode(nil), nil
+	return m.AppendEncode(make([]byte, 0, minWireBytes+regWireBytes+len(m.Aux))), nil
 }
 
 // decodeInto parses data into m, using reg/kx as payload storage so a
@@ -280,11 +280,8 @@ func decodeInto(m *Message, reg *RegPayload, kx *KxPayload, data []byte) error {
 
 // DecodeMessage parses a P4Auth message from the wire into fresh storage.
 func DecodeMessage(data []byte) (*Message, error) {
-	m := &Message{}
-	if err := decodeInto(m, &RegPayload{}, &KxPayload{}, data); err != nil {
-		return nil, err
-	}
-	return m, nil
+	// One allocation holds the message and both payloads.
+	return new(MessageBuf).Decode(data)
 }
 
 // MessageBuf is a reusable decode target: Decode parses into storage owned

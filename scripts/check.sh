@@ -72,7 +72,7 @@ c fuzz-smoke ./scripts/fuzz_smoke.sh
 # run with -cpuprofile) and the three digesters, with allocs/op printed:
 # a reintroduced per-packet name lookup or per-hop allocation shows here
 # without the 15 s benchmark.
-c bench-smoke go test -bench='BenchmarkAuthenticatedWrite|BenchmarkAuthenticatedRead|BenchmarkProcessP4Auth|BenchmarkFabricHop|BenchmarkSwitchProbeBatch32|BenchmarkDigesters' -benchtime=10x -run '^$' -short . ./internal/pisa/ ./internal/netsim/ ./internal/hula/ ./internal/crypto/
+c bench-smoke go test -bench='BenchmarkAuthenticatedWrite|BenchmarkDurableWrite|BenchmarkAuthenticatedRead|BenchmarkProcessP4Auth|BenchmarkFabricHop|BenchmarkSwitchProbeBatch32|BenchmarkDigesters' -benchtime=10x -run '^$' -short . ./internal/pisa/ ./internal/netsim/ ./internal/hula/ ./internal/crypto/
 EOF
 }
 
