@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"time"
 
+	"p4auth/internal/crypto"
 	"p4auth/internal/netsim/chaos"
 	"p4auth/internal/obs"
 )
@@ -85,7 +86,7 @@ type chaosHarness struct {
 	*chaos.Recorder
 	o   ChaosOptions
 	res *ChaosResult
-	rng chaos.Stream
+	rng *crypto.SeededRand
 	h   *Hierarchy
 	// shadow mirrors every committed lat-register write per switch.
 	shadow map[string][]uint64
@@ -118,7 +119,7 @@ func RunChaos(o ChaosOptions) (*ChaosResult, error) {
 		Recorder: &res.Recorder,
 		o:        o,
 		res:      res,
-		rng:      chaos.NewStream(o.Seed ^ 0x1E12A1C41),
+		rng:      crypto.NewSeededRand(o.Seed ^ 0x1E12A1C41),
 		h:        h,
 		shadow:   map[string][]uint64{},
 	}
@@ -172,8 +173,8 @@ func (c *chaosHarness) loadAllPods(label string) {
 func (c *chaosHarness) loadPod(label string, p *Pod) {
 	n := 0
 	for _, sw := range p.active().Controller().SwitchNames() {
-		idx := uint32(c.rng.Intn(c.h.cfg.LatEntries - 1))
-		v := c.rng.Next() % 0xFFFF
+		idx := uint32(c.rng.Uint64() % uint64(c.h.cfg.LatEntries-1))
+		v := c.rng.Uint64() % 0xFFFF
 		if _, err := p.active().Controller().WriteRegister(sw, "lat", idx, v); err != nil {
 			c.Violatef("%s: pod %d write %s lat[%d]: %v", label, p.ID, sw, idx, err)
 			return
@@ -275,7 +276,7 @@ func (c *chaosHarness) wanPartition() {
 	flips := 0
 	_ = link.SetTap("wan-pod0", func(data []byte) []byte {
 		mut := append([]byte(nil), data...)
-		mut[c.rng.Intn(len(mut))] ^= byte(1 << c.rng.Intn(8))
+		mut[c.rng.Uint64()%uint64(len(mut))] ^= byte(1 << (c.rng.Uint64() % 8))
 		flips++
 		return mut
 	})

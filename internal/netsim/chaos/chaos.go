@@ -34,6 +34,7 @@ import (
 
 	"p4auth/internal/controller"
 	"p4auth/internal/core"
+	"p4auth/internal/crypto"
 	"p4auth/internal/obs"
 	"p4auth/internal/statestore"
 )
@@ -125,7 +126,7 @@ func Run(o Options) (*Result, error) {
 	}
 	res := &Result{Recorder: NewRecorder(fx.Sim), Warm: map[string]bool{}}
 	h := &harness{
-		kernel: kernel{&res.Recorder, fx, NewStream(o.Seed ^ 0xC4A05AFE)},
+		kernel: kernel{&res.Recorder, fx, crypto.NewSeededRand(o.Seed ^ 0xC4A05AFE)},
 		o:      o,
 		res:    res,
 		store:  statestore.NewMem(),
@@ -192,7 +193,7 @@ func (h *harness) baseline() error {
 	}
 	for _, n := range h.Names {
 		for idx := uint32(0); idx < 3; idx++ {
-			v := h.rng.Next() % 0xFFFF
+			v := h.rng.Uint64() % 0xFFFF
 			if _, err := h.c.WriteRegister(n, "lat", idx, v); err != nil {
 				return fmt.Errorf("chaos: baseline write: %w", err)
 			}
@@ -219,7 +220,7 @@ func (h *harness) armFault(v Victim) string {
 	channels := []string{"s1"}
 	if h.o.Scenario == MidPortKeyInit {
 		channels = []string{"s1", "s2"}
-		target = h.Names[h.rng.Intn(len(h.Names))]
+		target = h.Names[intn(h.rng, len(h.Names))]
 	}
 	h.victim, h.target = v, target
 	h.trig = armTrigger(h.c, h.o.CrashAt, h.fire, channels...)
@@ -239,7 +240,7 @@ func (h *harness) scenarioOp() (err error) {
 	case MidRollover:
 		_, err = h.c.LocalKeyUpdate("s1")
 	case MidRegisterWrite:
-		v := h.rng.Next() % 0xFFFF
+		v := h.rng.Uint64() % 0xFFFF
 		if _, err = h.c.WriteRegister("s1", "lat", 4, v); err == nil {
 			h.shadow["s1"][4] = v
 		}
@@ -379,7 +380,7 @@ func (h *harness) finalExercise() {
 	}
 	for _, n := range h.Names {
 		for idx := uint32(0); idx < 3; idx++ {
-			v := h.rng.Next() % 0xFFFF
+			v := h.rng.Uint64() % 0xFFFF
 			if _, err := h.c.WriteRegister(n, "lat", idx, v); err != nil {
 				h.Violatef("final write %s lat[%d]: %v", n, idx, err)
 				continue

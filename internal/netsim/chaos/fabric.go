@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"time"
 
+	"p4auth/internal/crypto"
 	"p4auth/internal/fabric"
 	"p4auth/internal/hula"
 	"p4auth/internal/netsim"
@@ -86,7 +87,7 @@ const (
 type fabricHarness struct {
 	o   FabricOptions
 	res *FabricResult
-	rng Stream
+	rng *crypto.SeededRand
 	n   *hula.Network
 	sup *fabric.Supervisor
 }
@@ -125,7 +126,7 @@ func RunFabric(o FabricOptions) (*FabricResult, error) {
 	h := &fabricHarness{
 		o:   o,
 		res: &FabricResult{Recorder: NewRecorder(n.Net.Sim)},
-		rng: NewStream(o.Seed ^ 0xFAB41C),
+		rng: crypto.NewSeededRand(o.Seed ^ 0xFAB41C),
 		n:   n,
 		sup: sup,
 	}
@@ -168,16 +169,16 @@ func RunFabric(o FabricOptions) (*FabricResult, error) {
 // scheduleScenario arms the scenario-specific fault on the s1-s2 link,
 // jittered by the seed inside the first millisecond of the window.
 func (h *fabricHarness) scheduleScenario() {
-	jitter := time.Duration(h.rng.Intn(1000)) * time.Microsecond
+	jitter := time.Duration(intn(h.rng, 1000)) * time.Microsecond
 	at := fabricFaultAt + jitter
 	link := h.n.Net.LinkBetween("s1", "s2")
 	switch h.o.Scenario {
 	case FabricFlap:
 		// Short phases toward s1 (probe direction), long phases toward
 		// s2 (data + reverse probes); both seeded from the run seed.
-		upA, downA := 4+h.rng.Intn(8), 16+h.rng.Intn(16)
-		upB, downB := 40+h.rng.Intn(40), 160+h.rng.Intn(80)
-		seedA, seedB := h.rng.Next(), h.rng.Next()
+		upA, downA := 4+intn(h.rng, 8), 16+intn(h.rng, 16)
+		upB, downB := 40+intn(h.rng, 40), 160+intn(h.rng, 80)
+		seedA, seedB := h.rng.Uint64(), h.rng.Uint64()
 		h.n.Net.Sim.At(at, func() {
 			h.res.Tracef("inject flap on s1-s2 (toward s1 %d/%d, toward s2 %d/%d)",
 				upA, downA, upB, downB)

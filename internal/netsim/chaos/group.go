@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"p4auth/internal/controller"
+	"p4auth/internal/crypto"
 	"p4auth/internal/ha"
 	"p4auth/internal/obs"
 	"p4auth/internal/statestore"
@@ -165,7 +166,7 @@ func RunGroup(o GroupOptions) (*GroupResult, error) {
 	}
 	res := &GroupResult{Recorder: NewRecorder(fx.Sim), Replicas: o.Replicas, Switches: o.Switches, WarmAll: true}
 	h := &groupHarness{
-		kernel: kernel{&res.Recorder, fx, NewStream(o.Seed ^ 0x6E0C0DE5)},
+		kernel: kernel{&res.Recorder, fx, crypto.NewSeededRand(o.Seed ^ 0x6E0C0DE5)},
 		o:      o,
 		res:    res,
 		st:     statestore.NewFaultStore(statestore.NewMem(), fx.Sim, statestore.FaultConfig{Seed: o.Seed}),
@@ -230,8 +231,8 @@ func (h *groupHarness) newReplica(name string, rank uint64) (*ha.Replica, error)
 func (h *groupHarness) load(label string, c *controller.Controller) {
 	for _, n := range h.Names {
 		for k := 0; k < h.o.WritesPerSwitch; k++ {
-			idx := uint32(h.rng.Intn(latEntries - 2))
-			v := h.rng.Next() % 0xFFFF
+			idx := uint32(intn(h.rng, latEntries-2))
+			v := h.rng.Uint64() % 0xFFFF
 			if _, err := c.WriteRegister(n, "lat", idx, v); err != nil {
 				h.Violatef("%s: write %s lat[%d]: %v", label, n, idx, err)
 				return
@@ -366,7 +367,7 @@ func (h *groupHarness) storeOutage() *ha.Replica {
 		return nil
 	}
 	h.Sim.Advance(100 * time.Microsecond)
-	probe := h.Names[h.rng.Intn(len(h.Names))]
+	probe := h.Names[intn(h.rng, len(h.Names))]
 	if _, _, err := act.Controller().ReadRegister(probe, "lat", 0); err != nil {
 		h.Violatef("read during blip (inside grace) = %v, want served on cached grant", err)
 	} else {
@@ -552,8 +553,8 @@ func (h *groupHarness) aftermath(w *ha.Replica) {
 		if r == w {
 			continue
 		}
-		n := h.Names[h.rng.Intn(len(h.Names))]
-		idx := uint32(h.rng.Intn(latEntries - 2))
+		n := h.Names[intn(h.rng, len(h.Names))]
+		idx := uint32(intn(h.rng, latEntries-2))
 		before, _, rerr := w.Controller().ReadRegister(n, "lat", idx)
 		if rerr != nil {
 			h.Violatef("aftermath read %s lat[%d]: %v", n, idx, rerr)

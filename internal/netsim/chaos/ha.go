@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"p4auth/internal/controller"
+	"p4auth/internal/crypto"
 	"p4auth/internal/ha"
 	"p4auth/internal/obs"
 	"p4auth/internal/statestore"
@@ -154,7 +155,7 @@ func RunHA(o HAOptions) (*HAResult, error) {
 	}
 	res := &HAResult{Recorder: NewRecorder(fx.Sim), Switches: o.Switches, WarmAll: true}
 	h := &haHarness{
-		kernel: kernel{&res.Recorder, fx, NewStream(o.Seed ^ 0x4AC0FFEE)},
+		kernel: kernel{&res.Recorder, fx, crypto.NewSeededRand(o.Seed ^ 0x4AC0FFEE)},
 		o:      o,
 		res:    res,
 		st:     statestore.NewMem(),
@@ -205,8 +206,8 @@ func (h *haHarness) newReplica(name string, seed uint64) (*ha.Replica, error) {
 func (h *haHarness) load(label string) {
 	for _, n := range h.Names {
 		for k := 0; k < h.o.WritesPerSwitch; k++ {
-			idx := uint32(h.rng.Intn(latEntries - 2)) // keep the forgery + journal slots clear
-			v := h.rng.Next() % 0xFFFF
+			idx := uint32(intn(h.rng, latEntries-2)) // keep the forgery + journal slots clear
+			v := h.rng.Uint64() % 0xFFFF
 			if err := h.ss.Submit(n, controller.RegWrite{Register: "lat", Index: idx, Value: v}); err != nil {
 				h.Violatef("%s: submit %s lat[%d]: %v", label, n, idx, err)
 				return
@@ -274,7 +275,7 @@ func (h *haHarness) failover() error {
 	// failover in the shard queues and must land through the new active.
 	h.load("in-flight")
 
-	target := h.Names[h.rng.Intn(len(h.Names))]
+	target := h.Names[intn(h.rng, len(h.Names))]
 	faultAt := h.Sim.Now()
 
 	switch h.o.Scenario {
@@ -354,8 +355,8 @@ func (h *haHarness) aftermath() {
 	// In split-brain it is alive and fully fenced, the dangerous case.
 	deposed := 0
 	for i := 0; i < 3; i++ {
-		n := h.Names[h.rng.Intn(len(h.Names))]
-		idx := uint32(h.rng.Intn(latEntries - 2))
+		n := h.Names[intn(h.rng, len(h.Names))]
+		idx := uint32(intn(h.rng, latEntries-2))
 		if h.deposedWriteRefused("deposed write", h.a.Controller(), h.b.Controller(),
 			n, idx, h.shadow[n][idx], 0x666) {
 			deposed++

@@ -128,26 +128,11 @@ func (r *Recorder) AuditReconciled(label string, ob *obs.Observer) {
 	}
 }
 
-// Stream is the seeded choice stream of a run: splitmix64 — small,
-// seedable, and stable across Go versions, which math/rand's shuffling
-// is not guaranteed to be. Each harness salts the run seed with its own
-// constant.
-type Stream struct{ s uint64 }
-
-// NewStream returns the stream for a (salted) seed.
-func NewStream(seed uint64) Stream { return Stream{s: seed} }
-
-// Next returns the next 64 bits.
-func (r *Stream) Next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// Intn returns a value in [0, n).
-func (r *Stream) Intn(n int) int { return int(r.Next() % uint64(n)) }
+// intn returns a draw in [0, n) from a run's choice stream. The stream
+// is crypto.SeededRand (splitmix64: small, seedable, and stable across Go
+// versions, which math/rand's shuffling is not guaranteed to be); each
+// harness salts the run seed with its own constant.
+func intn(r *crypto.SeededRand, n int) int { return int(r.Uint64() % uint64(n)) }
 
 // latEntries sizes the "lat" register every fixture switch declares.
 // Loads keep to slots below latEntries-2: that slot is the harnesses'
@@ -245,7 +230,7 @@ func (f *Fixture) readFloors(n string) []uint64 {
 type kernel struct {
 	*Recorder
 	*Fixture
-	rng Stream
+	rng *crypto.SeededRand
 }
 
 // floorsMonotone requires that no replay floor on any switch sits below
@@ -343,7 +328,7 @@ func (k *kernel) forgeryBounces(label, n string) bool {
 		},
 		Reg: &core.RegPayload{RegID: ri.ID, Index: forgeryIndex, Value: 0xDEAD},
 	}
-	if err := m.Sign(dig, 0xBAD0_0BAD^k.rng.Next()); err != nil {
+	if err := m.Sign(dig, 0xBAD0_0BAD^k.rng.Uint64()); err != nil {
 		k.Violatef("%s: forgery sign: %v", label, err)
 		return false
 	}

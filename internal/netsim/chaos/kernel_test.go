@@ -7,6 +7,7 @@ import (
 
 	"p4auth/internal/controller"
 	"p4auth/internal/core"
+	"p4auth/internal/crypto"
 	"p4auth/internal/ha"
 	"p4auth/internal/obs"
 	"p4auth/internal/statestore"
@@ -84,7 +85,7 @@ func newBitten(t *testing.T) *bitten {
 	}
 	rec := NewRecorder(fx.Sim)
 	b := &bitten{
-		kernel: kernel{&rec, fx, NewStream(1)},
+		kernel: kernel{&rec, fx, crypto.NewSeededRand(1)},
 		st:     statestore.NewMem(),
 		ob:     obs.NewObserver(0),
 	}
