@@ -1,26 +1,33 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
-	"time"
 
-	"p4auth/internal/controller"
-	"p4auth/internal/ha"
 	"p4auth/internal/netsim/chaos"
-	"p4auth/internal/obs"
 	"p4auth/internal/statestore"
 )
 
+// haRuns are the failover reference runs: the lease-fenced pair (N=2)
+// through both of its failure modes, and a 3-replica group through a
+// store outage. Each is the pinned trace-golden run of the same name in
+// internal/netsim/chaos (group/n2-rolling-kill, group/n2-split-brain,
+// group/store-outage), so the output is byte-stable per commit.
+var haRuns = []chaos.GroupOptions{
+	{Seed: 5, Replicas: 2, Switches: 4, Scenario: chaos.GroupRollingKill},
+	{Seed: 5, Replicas: 2, Switches: 4, Scenario: chaos.GroupSplitBrain},
+	{Seed: 9, Replicas: 3, Switches: 4, Scenario: chaos.GroupStoreOutage},
+}
+
 // runHA implements the `ha` subcommand. With file arguments it decodes
 // persisted PALS lease records (point it at <store-dir>/ha/lease). With
-// no arguments it runs the deterministic failover reference: a seeded
-// active/standby pair over a small fleet walks through bootstrap,
-// standby fencing, active death, lease expiry, and warm promotion —
-// printing the lease record at each stage, the ha.* instruments, and
-// the failover/fenced-write audit trail.
+// no arguments it prints the failover reference runs of the group chaos
+// harness: the pair's active killed mid-rollover and its split-brain
+// lease lapse, then a store blip ridden out on the bounded-staleness
+// fence and an outage past it. Each run shows its event trace (fencing
+// refusals, the pre-expiry takeover refused, warm promotion, queued
+// writes landing through the winner) and its invariant summary.
 func runHA(paths []string, w io.Writer) error {
 	if len(paths) > 0 {
 		for _, p := range paths {
@@ -37,125 +44,27 @@ func runHA(paths []string, w io.Writer) error {
 		return nil
 	}
 
-	const (
-		fleet = 4
-		ttl   = 5 * time.Millisecond
-	)
-	fx, err := chaos.NewFixture(chaos.FleetNames(fleet)...)
-	if err != nil {
-		return err
-	}
-	sim, names := fx.Sim, fx.Names
-	st := statestore.NewMem()
-	ob := obs.NewObserver(0)
-	mk := func(replica string, seed uint64) (*ha.Replica, error) {
-		c, err := fx.NewController(seed)
+	for _, o := range haRuns {
+		res, err := chaos.RunGroup(o)
 		if err != nil {
-			return nil, err
-		}
-		return ha.NewReplica(ha.ReplicaConfig{
-			Name: replica, Store: st, Clock: sim, TTL: ttl,
-			Controller: c, Observer: ob,
-		})
-	}
-	a, err := mk("ctl-a", 0x0A11)
-	if err != nil {
-		return err
-	}
-	b, err := mk("ctl-b", 0x0B11)
-	if err != nil {
-		return err
-	}
-
-	fmt.Fprintf(w, "== failover reference run (%d switches, ttl %v) ==\n", fleet, ttl)
-	if _, err := a.Activate(ha.CauseBootstrap); err != nil {
-		return err
-	}
-	if _, err := a.Controller().InitAllKeys(); err != nil {
-		return err
-	}
-	if err := printLease(w, st, "bootstrap"); err != nil {
-		return err
-	}
-	for _, n := range names {
-		if _, err := a.Controller().WriteRegister(n, "lat", 1, 77); err != nil {
 			return err
 		}
-	}
-	tailed, err := b.TailOnce()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "[steady] active wrote %d switches, standby tailed %d records\n", fleet, tailed)
-	if _, err := b.Controller().WriteRegister(names[0], "lat", 2, 1); errors.Is(err, controller.ErrFenced) {
-		fmt.Fprintf(w, "[steady] standby write refused: %s\n", ha.FenceCause(err))
-	} else {
-		return fmt.Errorf("standby write = %v, want fence refusal", err)
-	}
-
-	a.Controller().Kill()
-	fmt.Fprintf(w, "[fault] active killed at t=%v\n", sim.Now())
-	if _, err := b.Activate(ha.CausePromoted); errors.Is(err, ha.ErrLeaseHeld) {
-		fmt.Fprintf(w, "[fault] pre-expiry takeover refused: lease held\n")
-	} else {
-		return fmt.Errorf("pre-expiry takeover = %v, want ErrLeaseHeld", err)
-	}
-	sim.Advance(ttl + time.Millisecond)
-	warm, _, err := b.Promote(ha.CausePromoted)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "[promote] standby active at t=%v, %d/%d switches warm\n", sim.Now(), warmCount(warm), fleet)
-	if err := printLease(w, st, "promote"); err != nil {
-		return err
-	}
-	if cause := ha.FenceCause(a.Fence()); cause != "" {
-		fmt.Fprintf(w, "[promote] deposed active fence cause: %s\n", cause)
-	}
-	v, _, err := b.Controller().ReadRegister(names[0], "lat", 1)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "[promote] state survived: %s lat[1]=%d\n", names[0], v)
-
-	fmt.Fprintln(w, "\n== ha metrics ==")
-	for _, name := range []string{
-		"ha.failovers", "ha.lease_acquire", "ha.lease_renew",
-		"ha.fenced_writes", "ha.fenced_persists", "ha.tail_records",
-	} {
-		fmt.Fprintf(w, "counter  %-24s %12d\n", name, ob.Metrics.Counter(name).Load())
-	}
-	fmt.Fprintln(w, "\n== failover audit trail ==")
-	for _, e := range ob.Audit.Events() {
-		if e.Type == obs.EvFailover || e.Type == obs.EvFencedWrite {
-			fmt.Fprintf(w, "#%d %s actor=%s cause=%s epoch=%d\n", e.ID, e.Type, e.Actor, e.Cause, e.Seq)
+		fmt.Fprintf(w, "== failover reference run: scenario %s, %d replicas, %d switches (seed %d) ==\n",
+			o.Scenario, res.Replicas, res.Switches, o.Seed)
+		for _, line := range res.Trace {
+			fmt.Fprintln(w, line)
 		}
+		fmt.Fprintf(w, "-- result: winner=%s epoch=%d chained=%d waitouts=%d failover=%v warm=%v\n",
+			res.Winner, res.Epoch, res.Chained, res.WaitOuts, res.FailoverTime, res.WarmAll)
+		fmt.Fprintf(w, "-- result: degraded_admits=%d fenced=%d landed=%d violations=%d\n",
+			res.DegradedAdmits, res.FencedAttempts, res.Landed, len(res.Violations))
+		for _, v := range res.Violations {
+			fmt.Fprintf(w, "VIOLATION: %s\n", v)
+		}
+		if len(res.Violations) > 0 {
+			return fmt.Errorf("failover scenario %s: %d invariant violations", o.Scenario, len(res.Violations))
+		}
+		fmt.Fprintln(w)
 	}
 	return nil
-}
-
-// printLease prints the lease record currently in the store, tagged with
-// the stage of the reference run.
-func printLease(w io.Writer, st statestore.Store, stage string) error {
-	raw, err := st.Load(statestore.LeaseKey)
-	if err != nil {
-		return err
-	}
-	l, err := statestore.DecodeLease(raw)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "[%s] %s\n", stage, l.Dump())
-	return nil
-}
-
-// warmCount counts the switches a promotion recovered warm.
-func warmCount(warm map[string]bool) int {
-	n := 0
-	for _, ok := range warm {
-		if ok {
-			n++
-		}
-	}
-	return n
 }

@@ -9,9 +9,12 @@ import (
 	"p4auth/internal/statestore"
 )
 
-// The ha subcommand's reference run must walk the whole failover story:
-// bootstrap grant, standby fenced out, pre-expiry takeover refused,
-// warm promotion at epoch 2, and a reconciled audit trail.
+// The ha subcommand's reference runs must walk the whole failover story
+// from the group chaos harness: for the pair, the standby fenced out, the
+// active killed mid-rollover, the pre-expiry takeover refused, warm
+// promotion at epoch 2 and queued writes landing through it, then the
+// alive deposed active refused on write and renew; for the 3-replica
+// group, a store blip served degraded and the fail-safe self-fence.
 func TestRunHAReference(t *testing.T) {
 	var sb strings.Builder
 	if err := runHA(nil, &sb); err != nil {
@@ -19,21 +22,28 @@ func TestRunHAReference(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
-		"lease holder=ctl-a epoch=1",
-		"standby write refused: never-active",
+		"scenario rolling-kill, 2 replicas",
+		"baseline: standby write refused by fence (never-active)",
+		"fault: active ctl-0 killed at packet 3",
 		"pre-expiry takeover refused: lease held",
-		"lease holder=ctl-b epoch=2",
-		"4/4 switches warm",
-		"deposed active fence cause: deposed",
-		"state survived: s00 lat[1]=77",
-		"counter  ha.failovers                        2",
-		"failover actor=ctl-a cause=bootstrap",
-		"failover actor=ctl-b cause=standby-promoted",
-		"fenced_write actor=ctl-b cause=never-active",
+		"ctl-1 serving at epoch 2",
+		"shard set rebound to ctl-1",
+		"post-failover: fleet state verified against shadow",
+		"scenario split-brain, 2 replicas",
+		"deposed ctl-0 write s02 lat[1] refused by fence",
+		"deposed renewal refused, stale grant dropped",
+		"scenario store-outage, 3 replicas",
+		"blip: read on s01 served on cached evidence",
+		"active self-fenced (degraded-grace-exhausted) with lease still unexpired",
+		"-- result: winner=ctl-1 epoch=2",
+		"violations=0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("ha output missing %q", want)
 		}
+	}
+	if strings.Contains(out, "VIOLATION") {
+		t.Error("ha reference runs reported violations")
 	}
 }
 

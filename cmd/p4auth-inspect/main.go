@@ -27,19 +27,15 @@
 //
 //	p4auth-inspect links
 //
-// And the HA controller pair: decode persisted PALS lease records, or
-// run the deterministic failover reference (bootstrap, standby fencing,
-// active death, lease expiry, warm promotion):
+// And the lease-fenced controller group: decode persisted PALS lease
+// records, or print the deterministic failover reference runs of the
+// group chaos harness — the active/standby pair's active killed
+// mid-rollover and its split-brain lease lapse, and a 3-replica group
+// riding out a store blip and fencing itself fail-safe in an outage —
+// with the event trace and the invariant summary of each:
 //
-//	p4auth-inspect ha                      # reference failover run
+//	p4auth-inspect ha                      # reference failover runs
 //	p4auth-inspect ha <store-dir>/ha/lease # decode a lease record
-//
-// And the N-replica controller group: a deterministic reference run of
-// rank-order election over a fault-injecting store — bootstrap, a store
-// blip ridden out on the bounded-staleness fence, and two chained
-// successions with the dead grants waited out in full:
-//
-//	p4auth-inspect group
 //
 // And the hierarchical control plane: deterministic chaos reference
 // runs of the per-pod shard groups and the global key broker under the
@@ -83,13 +79,6 @@ func main() {
 	}
 	if len(os.Args) > 1 && os.Args[1] == "hierarchy" {
 		if err := runHierarchy(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "group" {
-		if err := runGroup(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

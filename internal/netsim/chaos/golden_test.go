@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 )
 
 // Golden-trace regression gate: the chaos harnesses must keep producing
@@ -25,9 +24,9 @@ import (
 const goldenPath = "testdata/trace_goldens.txt"
 
 // goldenRun is one pinned harness invocation. The set spans every
-// scenario of all four harnesses, so every seeded code path through the
-// switch (C-DP writes, rollovers, DP-DP probes, HA failover load) and
-// every invariant sweep is covered.
+// scenario of all three harnesses, so every seeded code path through the
+// switch (C-DP writes, rollovers, DP-DP probes, sharded failover load)
+// and every invariant sweep is covered.
 type goldenRun struct {
 	name string
 	run  func() ([]string, error)
@@ -40,12 +39,12 @@ func goldenRuns() []goldenRun {
 		{"chaos/portinit-back-to-back", pinned(Run, Options{Seed: 7, Scenario: MidPortKeyInit, Victim: BackToBack, CrashAt: 3, WarmDevice: true})},
 		{"fabric/flap", pinned(RunFabric, FabricOptions{Seed: 11, Scenario: FabricFlap})},
 		{"fabric/skew", pinned(RunFabric, FabricOptions{Seed: 11, Scenario: FabricSkew})},
-		{"ha/kill-active", pinned(RunHA, HAOptions{Seed: 5, Switches: 4, Scenario: HAKill, TTL: 5 * time.Millisecond})},
-		{"group/rolling-kill", pinned(RunGroup, GroupOptions{Seed: 9, Replicas: 3, Switches: 4, Scenario: GroupRollingKill, TTL: 5 * time.Millisecond})},
+		{"group/n2-rolling-kill", pinned(RunGroup, GroupOptions{Seed: 5, Replicas: 2, Switches: 4, Scenario: GroupRollingKill})},
+		{"group/rolling-kill", pinned(RunGroup, GroupOptions{Seed: 9, Replicas: 3, Switches: 4, Scenario: GroupRollingKill})},
 		{"fabric/partition", pinned(RunFabric, FabricOptions{Seed: 11, Scenario: FabricPartition})},
-		{"ha/split-brain", pinned(RunHA, HAOptions{Seed: 5, Switches: 4, Scenario: HASplitBrain, TTL: 5 * time.Millisecond})},
-		{"group/store-outage", pinned(RunGroup, GroupOptions{Seed: 9, Replicas: 3, Switches: 4, Scenario: GroupStoreOutage, TTL: 5 * time.Millisecond})},
-		{"group/acquire-race", pinned(RunGroup, GroupOptions{Seed: 9, Replicas: 3, Switches: 4, Scenario: GroupAcquireRace, TTL: 5 * time.Millisecond})},
+		{"group/n2-split-brain", pinned(RunGroup, GroupOptions{Seed: 5, Replicas: 2, Switches: 4, Scenario: GroupSplitBrain})},
+		{"group/store-outage", pinned(RunGroup, GroupOptions{Seed: 9, Replicas: 3, Switches: 4, Scenario: GroupStoreOutage})},
+		{"group/acquire-race", pinned(RunGroup, GroupOptions{Seed: 9, Replicas: 3, Switches: 4, Scenario: GroupAcquireRace})},
 	}
 	// The TestChaosDeterminism grid (seed 42, CrashAt 2, warm); its
 	// rollover/controller cell is chaos/rollover-controller above.

@@ -1,26 +1,22 @@
 package chaos
 
-// Group chaos: seeded N-replica controller-group runs (internal/ha.Group)
-// against a fault-injecting store. Where RunHA exercises the 2-replica
-// pair through one failover, RunGroup exercises the ranked group through
-// the failure modes that only exist past N=2:
-//
-//   - rolling-kill: the active dies; the rank-1 successor dies
-//     mid-promotion (and at N=5 so do ranks 2 and 3); each successor
-//     takes over from tailed state at the next epoch — chained
-//     succession with the chain depth recorded and audited;
-//   - store-outage: the active's store goes dark mid-tenure. A blip
-//     shorter than the bounded-staleness grace is ridden out on cached
-//     evidence (degraded admission, observable); an outage past the
-//     grace fences the active fail-safe BEFORE its lease even expires,
-//     and a successor is elected once the store returns;
-//   - acquire-race: multiple standbys race one election over the CAS
-//     record; exactly one wins, every loser sees a held lease or a lost
-//     swap, and the group resolves to the winner as incumbent.
+// Group chaos: seeded controller-group runs (internal/ha.Group: 2..8
+// ranked replicas over one CAS lease record; N=2 is the active/standby
+// pair) against a fault-injecting store. The fleet is driven through
+// per-switch shard queues (controller.ShardSet), rebound to the serving
+// replica at every succession. The scenarios are the GroupScenario
+// constants below.
 //
 // The kernel invariants (kernel.go) are swept at baseline, after every
-// succession and at the end; specific to this harness are the expected
-// winner, epoch, chain depth and wait-out count of each scenario.
+// succession and at the end. On top of them, every scenario requires:
+//
+//   - no successor acquires while the incumbent's grant is unexpired
+//     (one epoch, one writer), and the winner serves warm within the
+//     failover budget;
+//   - writes queued before the fault land through the winner;
+//   - the epoch and ha.failovers both equal 1 + successions (aborted
+//     ones included), and the first active ends fenced as deposed;
+//   - fencing refused something, and writes landed.
 //
 // Single-threaded and scripted, like every harness in this package:
 // concurrency is modeled through pre-op store hooks on the virtual
@@ -42,15 +38,23 @@ import (
 type GroupScenario string
 
 const (
-	// GroupRollingKill kills the active, then each successor
-	// mid-promotion, until the last rank survives: chained succession.
+	// GroupRollingKill kills the active at a control packet inside a
+	// local-key rollover, then each successor mid-promotion, until the
+	// last rank takes over from tailed state: chained succession. At N=2
+	// it is the pair's kill-active failover.
 	GroupRollingKill GroupScenario = "rolling-kill"
-	// GroupStoreOutage takes the shared store down mid-tenure: a short
-	// blip is survived on the bounded-staleness fence, a long outage
-	// fences the active fail-safe and a successor is elected after.
+	// GroupSplitBrain stalls the live active's renewals past the TTL (GC
+	// pause, partition): rank 1 promotes at a higher epoch while the
+	// deposed active keeps trying to write and renew.
+	GroupSplitBrain GroupScenario = "split-brain"
+	// GroupStoreOutage takes the shared store down mid-tenure: a blip
+	// shorter than the bounded-staleness grace is ridden out on cached
+	// evidence, an outage past it fences the active fail-safe before its
+	// lease expires, and a successor is elected once the store returns.
 	GroupStoreOutage GroupScenario = "store-outage"
-	// GroupAcquireRace races every standby over one vacant lease;
-	// exactly one may win.
+	// GroupAcquireRace races every standby over one vacant lease: exactly
+	// one wins, and the group resolves to it as incumbent. It needs at
+	// least 3 replicas.
 	GroupAcquireRace GroupScenario = "acquire-race"
 )
 
@@ -59,25 +63,12 @@ const (
 type GroupOptions struct {
 	// Seed drives every random choice.
 	Seed uint64
-	// Replicas is the group size (default 3, minimum 3, maximum 8).
+	// Replicas is the group size (default 3, 2..8; acquire-race needs 3).
 	Replicas int
 	// Switches is the fleet size (default 16, minimum 2).
 	Switches int
-	// WritesPerSwitch is the per-wave write load (default 3).
-	WritesPerSwitch int
-	// TTL is the lease validity window in virtual time (default 5ms).
-	TTL time.Duration
-	// FenceGrace is the bounded-staleness window (default TTL/4).
-	FenceGrace time.Duration
-	// MaxSkew is the assumed clock divergence (default TTL/16).
-	MaxSkew time.Duration
 	// Scenario is the failure mode.
 	Scenario GroupScenario
-	// FailoverBudget bounds, in virtual time, the span from the fault to
-	// the final winner serving. The default scales with group and fleet
-	// size: each dead incumbent costs one TTL wait-out plus warm-restart
-	// time linear in the fleet.
-	FailoverBudget time.Duration
 }
 
 // GroupResult is the outcome of one group chaos run.
@@ -99,19 +90,31 @@ type GroupResult struct {
 	DegradedAdmits uint64
 	// FencedAttempts counts refused sends+persists of fenced replicas.
 	FencedAttempts uint64
-	// Landed counts writes confirmed applied across the run.
+	// Landed counts shard writes confirmed applied across the run.
 	Landed int
 	// WarmAll reports whether the final promotion was warm everywhere.
 	WarmAll bool
 }
 
-// Group-run defaults.
+// Group-run defaults and fixed parameters.
 const (
 	groupDefaultReplicas = 3
 	groupMaxReplicas     = 8
 	groupDefaultSwitches = 16
-	groupDefaultWrites   = 3
-	groupDefaultTTL      = 5 * time.Millisecond
+	// groupWindow is the shard pipeline window.
+	groupWindow = 8
+	// groupWrites is the per-switch load of one write wave.
+	groupWrites = 3
+	// groupCrashAt is the 1-based control packet of the rolling-kill
+	// rollover at which the active dies.
+	groupCrashAt = 3
+	// groupTTL is the lease validity window; it bounds how long a dead
+	// active goes unnoticed.
+	groupTTL = 5 * time.Millisecond
+	// groupFenceGrace is the bounded-staleness window and groupMaxSkew
+	// the assumed clock divergence.
+	groupFenceGrace = groupTTL / 4
+	groupMaxSkew    = groupTTL / 16
 )
 
 type groupHarness struct {
@@ -123,48 +126,34 @@ type groupHarness struct {
 
 	grp  *ha.Group
 	reps []*ha.Replica
+	ss   *controller.ShardSet
 }
 
-// RunGroup executes one deterministic N-replica group chaos run.
+// RunGroup executes one deterministic controller-group chaos run.
 func RunGroup(o GroupOptions) (*GroupResult, error) {
+	minReplicas := 2
 	switch o.Scenario {
-	case GroupRollingKill, GroupStoreOutage, GroupAcquireRace:
+	case GroupRollingKill, GroupSplitBrain, GroupStoreOutage:
+	case GroupAcquireRace:
+		minReplicas = 3 // the rank-1 candidate races at least one standby
 	default:
 		return nil, fmt.Errorf("chaos: unknown group scenario %q", o.Scenario)
 	}
 	if o.Replicas == 0 {
 		o.Replicas = groupDefaultReplicas
 	}
-	if o.Replicas < 3 || o.Replicas > groupMaxReplicas {
-		return nil, fmt.Errorf("chaos: group run needs 3..%d replicas, got %d", groupMaxReplicas, o.Replicas)
-	}
 	if o.Switches == 0 {
 		o.Switches = groupDefaultSwitches
 	}
-	if o.Switches < 2 {
-		return nil, fmt.Errorf("chaos: group run needs >= 2 switches, got %d", o.Switches)
+	if o.Replicas < minReplicas || o.Replicas > groupMaxReplicas || o.Switches < 2 {
+		return nil, fmt.Errorf("chaos: %s run needs %d..%d replicas and >= 2 switches, got %d and %d",
+			o.Scenario, minReplicas, groupMaxReplicas, o.Replicas, o.Switches)
 	}
-	if o.WritesPerSwitch == 0 {
-		o.WritesPerSwitch = groupDefaultWrites
-	}
-	if o.TTL == 0 {
-		o.TTL = groupDefaultTTL
-	}
-	if o.FenceGrace == 0 {
-		o.FenceGrace = o.TTL / 4
-	}
-	if o.MaxSkew == 0 {
-		o.MaxSkew = o.TTL / 16
-	}
-	if o.FailoverBudget == 0 {
-		o.FailoverBudget = time.Duration(o.Replicas-1)*(o.TTL+2*time.Millisecond) +
-			time.Duration((o.Replicas-1)*o.Switches)*5*time.Millisecond
-	}
-	fx, err := NewFixture(FleetNames(o.Switches)...)
+	fx, err := NewFixture(fleetNames(o.Switches)...)
 	if err != nil {
 		return nil, err
 	}
-	res := &GroupResult{Recorder: NewRecorder(fx.Sim), Replicas: o.Replicas, Switches: o.Switches, WarmAll: true}
+	res := &GroupResult{Recorder: NewRecorder(fx.Sim), Replicas: o.Replicas, Switches: o.Switches}
 	h := &groupHarness{
 		kernel: kernel{&res.Recorder, fx, crypto.NewSeededRand(o.Seed ^ 0x6E0C0DE5)},
 		o:      o,
@@ -179,19 +168,22 @@ func RunGroup(o GroupOptions) (*GroupResult, error) {
 		}
 		h.reps = append(h.reps, r)
 	}
-	grp, err := ha.NewGroup(h.Sim, h.reps...)
-	if err != nil {
+	if h.grp, err = ha.NewGroup(h.Sim, h.reps...); err != nil {
 		return nil, err
 	}
-	h.grp = grp
 
 	if err := h.baseline(); err != nil {
 		return h.res, err
 	}
+	// Queue the next wave BEFORE the fault: these writes ride out the
+	// succession in the shard queues and must land through the winner.
+	h.load("in-flight")
 	var winner *ha.Replica
 	switch o.Scenario {
 	case GroupRollingKill:
 		winner = h.rollingKill()
+	case GroupSplitBrain:
+		winner = h.splitBrain()
 	case GroupStoreOutage:
 		winner = h.storeOutage()
 	case GroupAcquireRace:
@@ -217,32 +209,49 @@ func (h *groupHarness) newReplica(name string, rank uint64) (*ha.Replica, error)
 		Name:       name,
 		Store:      h.st,
 		Clock:      h.Sim,
-		TTL:        h.o.TTL,
+		TTL:        groupTTL,
 		Controller: c,
 		Observer:   h.ob,
-		FenceGrace: h.o.FenceGrace,
-		MaxSkew:    h.o.MaxSkew,
+		FenceGrace: groupFenceGrace,
+		MaxSkew:    groupMaxSkew,
 	})
 }
 
-// load lands one seeded write wave through the given controller,
-// tracking shadows and the landed count. Slots latEntries-2 (outage
-// probe) and latEntries-1 (forgery) stay clear.
-func (h *groupHarness) load(label string, c *controller.Controller) {
+// failoverBudget bounds, in virtual time, the fault to the final winner
+// serving: per rank that may take over, one TTL wait-out plus 2ms and a
+// warm restart of 5ms per switch (resync and floor-heal retries). At N=2
+// it is TTL + 2ms + 5ms per switch.
+func (h *groupHarness) failoverBudget() time.Duration {
+	succ := h.o.Replicas - 1
+	return time.Duration(succ)*(groupTTL+2*time.Millisecond) +
+		time.Duration(succ*len(h.Names))*5*time.Millisecond
+}
+
+// load queues one seeded write wave on every shard. Shadows are updated
+// at submit time; drain verifies them once the wave has landed. Slots
+// latEntries-2 (outage probe) and latEntries-1 (forgery) stay clear.
+func (h *groupHarness) load(label string) {
 	for _, n := range h.Names {
-		for k := 0; k < h.o.WritesPerSwitch; k++ {
+		for k := 0; k < groupWrites; k++ {
 			idx := uint32(intn(h.rng, latEntries-2))
 			v := h.rng.Uint64() % 0xFFFF
-			if _, err := c.WriteRegister(n, "lat", idx, v); err != nil {
-				h.Violatef("%s: write %s lat[%d]: %v", label, n, idx, err)
+			if err := h.ss.Submit(n, controller.RegWrite{Register: "lat", Index: idx, Value: v}); err != nil {
+				h.Violatef("%s: submit %s lat[%d]: %v", label, n, idx, err)
 				return
 			}
 			h.shadow[n][idx] = v
-			h.res.Landed++
 		}
 	}
-	h.Tracef("%s: %d writes landed across %d switches", label,
-		h.o.WritesPerSwitch*len(h.Names), len(h.Names))
+	h.Tracef("%s: %d writes queued across %d shards", label, groupWrites*len(h.Names), len(h.Names))
+}
+
+// drain flushes every shard queue through the bound controller and
+// verifies the fleet against the shadow through c.
+func (h *groupHarness) drain(label string, c *controller.Controller) {
+	if err := h.ss.DrainSequential(); err != nil {
+		h.Violatef("%s drain: %v", label, err)
+	}
+	h.shadowMatches(label, c)
 }
 
 // sampleActives asserts at most one replica passes its fence right now.
@@ -251,8 +260,19 @@ func (h *groupHarness) sampleActives(label string) {
 	h.Tracef("%s: %d replica(s) pass the fence%s", label, active, holders)
 }
 
-// baseline bootstraps rank 0, lands the first wave, lets every standby
-// tail, and probes the fence on a standby.
+// takeoverRefused asserts the fencing guarantee: while the incumbent's
+// grant is unexpired, rank 1 cannot acquire, whatever became of the
+// incumbent.
+func (h *groupHarness) takeoverRefused() {
+	if _, err := h.reps[1].Activate(ha.CausePromoted); !errors.Is(err, ha.ErrLeaseHeld) {
+		h.Violatef("takeover before lease expiry = %v, want ErrLeaseHeld", err)
+	} else {
+		h.Tracef("pre-expiry takeover refused: lease held")
+	}
+}
+
+// baseline bootstraps rank 0, shards the fleet, lands the first wave,
+// lets every standby tail, and probes the fence on a standby.
 func (h *groupHarness) baseline() error {
 	act, err := h.grp.Bootstrap()
 	if err != nil {
@@ -261,10 +281,14 @@ func (h *groupHarness) baseline() error {
 	if _, err := act.Controller().InitAllKeys(); err != nil {
 		return fmt.Errorf("chaos: baseline key init: %w", err)
 	}
-	h.Tracef("baseline: %d replicas ranked, %d switches, ttl=%v grace=%v skew=%v",
-		h.o.Replicas, len(h.Names), h.o.TTL, h.o.FenceGrace, h.o.MaxSkew)
+	if h.ss, err = act.Controller().NewShardSet(h.Names, groupWindow); err != nil {
+		return err
+	}
+	h.Tracef("baseline: %d replicas ranked, %d switches sharded, window=%d ttl=%v grace=%v skew=%v",
+		h.o.Replicas, len(h.Names), groupWindow, groupTTL, groupFenceGrace, groupMaxSkew)
 
-	h.load("baseline", act.Controller())
+	h.load("baseline")
+	h.drain("baseline", act.Controller())
 	tailed, err := h.grp.TailStandbys()
 	if err != nil {
 		return fmt.Errorf("chaos: standby tail: %w", err)
@@ -276,6 +300,8 @@ func (h *groupHarness) baseline() error {
 
 	if _, err := h.reps[1].Controller().WriteRegister(h.Names[0], "lat", 0, 1); !errors.Is(err, controller.ErrFenced) {
 		h.Violatef("fenced standby write = %v, want ErrFenced", err)
+	} else {
+		h.Tracef("baseline: standby write refused by fence (%s)", ha.FenceCause(err))
 	}
 	h.floorsMonotone("baseline")
 	h.forgerySweep("baseline", false)
@@ -283,21 +309,22 @@ func (h *groupHarness) baseline() error {
 	return nil
 }
 
-// rollingKill: kill the active, then each successor mid-promotion (via a
-// lease-CAS counting hook), leaving only the last rank to finish. The
-// chain depth, epochs, and wait-outs are all deterministic functions of
-// the group size.
+// rollingKill: kill the active at a control packet inside a local-key
+// rollover, then each successor mid-promotion (via a lease-CAS counting
+// hook), leaving only the last rank to finish. The chain depth, epochs,
+// and wait-outs are all deterministic functions of the group size.
 func (h *groupHarness) rollingKill() *ha.Replica {
+	act := h.reps[0]
+	target := h.Names[intn(h.rng, len(h.Names))]
 	faultAt := h.Sim.Now()
-	h.reps[0].Controller().Kill()
-	h.Tracef("fault: active %s killed", h.reps[0].Name())
-
-	// The fencing guarantee: no successor can acquire pre-expiry.
-	if _, err := h.reps[1].Activate(ha.CausePromoted); !errors.Is(err, ha.ErrLeaseHeld) {
-		h.Violatef("takeover before lease expiry = %v, want ErrLeaseHeld", err)
-	} else {
-		h.Tracef("pre-expiry takeover refused: lease held")
-	}
+	trig := armTrigger(act.Controller(), groupCrashAt, func(where string) {
+		h.Tracef("fault: active %s killed %s", act.Name(), where)
+		act.Controller().Kill()
+	}, target)
+	_, err := act.Controller().LocalKeyUpdate(target)
+	h.Tracef("armed rollover on %s: err=%v", target, err)
+	trig.ensure()
+	h.takeoverRefused()
 
 	// Each successor k dies at its first post-acquire renewal — lease CAS
 	// number 2k counting from the election start (odd CASes are acquires,
@@ -309,11 +336,9 @@ func (h *groupHarness) rollingKill() *ha.Replica {
 			return
 		}
 		cas++
-		if cas%2 == 0 {
-			if k := cas / 2; k <= midKills && !h.reps[k].Controller().Killed() {
-				h.reps[k].Controller().Kill()
-				h.Tracef("fault: successor %s killed mid-promotion (lease CAS %d)", h.reps[k].Name(), cas)
-			}
+		if k := cas / 2; cas%2 == 0 && k <= midKills && !h.reps[k].Controller().Killed() {
+			h.reps[k].Controller().Kill()
+			h.Tracef("fault: successor %s killed mid-promotion (lease CAS %d)", h.reps[k].Name(), cas)
 		}
 	})
 	el, err := h.grp.Elect(ha.CauseElected)
@@ -322,28 +347,44 @@ func (h *groupHarness) rollingKill() *ha.Replica {
 		h.Violatef("rolling-kill election: %v", err)
 		return nil
 	}
-	h.res.FailoverTime = h.Sim.Now() - faultAt
-	h.res.Chained = el.Chained
-
-	want := h.reps[h.o.Replicas-1]
-	if el.Winner != want {
+	if want := h.reps[h.o.Replicas-1]; el.Winner != want {
 		h.Violatef("rolling-kill winner = %s, want %s (last rank)", el.Winner.Name(), want.Name())
 	}
 	if el.Chained != midKills {
 		h.Violatef("chained promotions = %d, want %d", el.Chained, midKills)
 	}
-	// Epochs: bootstrap 1, then one per successor (aborted or not).
-	if got, wantE := el.Winner.Epoch(), uint64(h.o.Replicas); got != wantE {
-		h.Violatef("winner epoch = %d, want %d", got, wantE)
-	}
-	h.checkWarm(el.Winner, el.Warm)
-	h.Tracef("elected %s at epoch %d: chained=%d failover=%v (budget %v)",
-		el.Winner.Name(), el.Winner.Epoch(), el.Chained, h.res.FailoverTime, h.o.FailoverBudget)
 	if wo := h.ob.Metrics.Counter("ha.election_waitouts").Load(); wo < uint64(midKills+1) {
 		h.Violatef("wait-outs = %d, want >= %d (every dead grant waited out in full)", wo, midKills+1)
 	}
-	h.sampleActives("post-election")
-	return el.Winner
+	return h.served(el.Winner, el.Warm, el.Chained, faultAt)
+}
+
+// splitBrain: the active completes a rollover, then stalls — no
+// renewals until after the TTL, nothing killed. Rank 1 detects the lapse
+// and promotes on its own: Elect would re-elect the live rank 0 as
+// incumbent, and a standby watching only the record cannot tell a stall
+// from a death.
+func (h *groupHarness) splitBrain() *ha.Replica {
+	act, succ := h.reps[0], h.reps[1]
+	target := h.Names[intn(h.rng, len(h.Names))]
+	faultAt := h.Sim.Now()
+	if _, err := act.Controller().LocalKeyUpdate(target); err != nil {
+		h.Violatef("pre-stall rollover on %s: %v", target, err)
+	}
+	h.Tracef("fault: active %s stalls after rollover on %s (no renewals)", act.Name(), target)
+	h.takeoverRefused()
+
+	// Detection is lease expiry: advance the virtual clock past the TTL.
+	h.Sim.Advance(groupTTL + time.Millisecond)
+	if _, err := succ.TailOnce(); err != nil {
+		h.Violatef("pre-promotion tail: %v", err)
+	}
+	warm, _, err := succ.Promote(ha.CausePromoted)
+	if err != nil {
+		h.Violatef("split-brain promote: %v", err)
+		return nil
+	}
+	return h.served(succ, warm, 0, faultAt)
 }
 
 // storeOutage: a blip shorter than the grace is survived on cached
@@ -356,12 +397,13 @@ func (h *groupHarness) storeOutage() *ha.Replica {
 		h.Violatef("pre-blip renew: %v", err)
 		return nil
 	}
+	h.takeoverRefused()
 
 	// Phase 1: blip < grace. Signed reads keep flowing on the degraded
 	// fence (writes would need the journal, which IS the store — reads
 	// are the operation a store blip must not take down).
 	blipFrom := h.Sim.Now() + 50*time.Microsecond
-	blipTo := blipFrom + h.o.FenceGrace/2
+	blipTo := blipFrom + groupFenceGrace/2
 	if err := h.st.ScheduleOutage(blipFrom, blipTo); err != nil {
 		h.Violatef("blip schedule: %v", err)
 		return nil
@@ -384,14 +426,11 @@ func (h *groupHarness) storeOutage() *ha.Replica {
 		h.Violatef("active still degraded after the store recovered")
 	}
 	m := h.ob.Metrics
-	if a := m.Counter("ha.degraded_admits").Load(); a == 0 {
-		h.Violatef("blip produced no degraded admissions")
+	admits, exits := m.Counter("ha.degraded_admits").Load(), m.Counter("ha.degraded_exits").Load()
+	if admits == 0 || exits == 0 {
+		h.Violatef("blip produced %d degraded admissions and %d exits, want both > 0", admits, exits)
 	}
-	if x := m.Counter("ha.degraded_exits").Load(); x == 0 {
-		h.Violatef("blip recovery produced no degraded exit")
-	}
-	h.Tracef("blip survived: admits=%d exits=%d", m.Counter("ha.degraded_admits").Load(),
-		m.Counter("ha.degraded_exits").Load())
+	h.Tracef("blip survived: admits=%d exits=%d", admits, exits)
 
 	// Phase 2: outage > grace. The fence must exhaust and refuse BEFORE
 	// the lease itself expires — fail-safe, never fail-open.
@@ -401,7 +440,7 @@ func (h *groupHarness) storeOutage() *ha.Replica {
 	}
 	renewedAt := h.Sim.Now()
 	outFrom := h.Sim.Now() + 50*time.Microsecond
-	outTo := outFrom + h.o.TTL + 2*time.Millisecond
+	outTo := outFrom + groupTTL + 2*time.Millisecond
 	if err := h.st.ScheduleOutage(outFrom, outTo); err != nil {
 		h.Violatef("outage schedule: %v", err)
 		return nil
@@ -412,8 +451,8 @@ func (h *groupHarness) storeOutage() *ha.Replica {
 	if _, _, err := act.Controller().ReadRegister(probe, "lat", 0); err != nil {
 		h.Violatef("read inside outage grace = %v, want served on cached grant", err)
 	}
-	h.Sim.Advance(renewedAt + h.o.FenceGrace + 200*time.Microsecond - h.Sim.Now())
-	if h.Sim.Now() >= renewedAt+h.o.TTL {
+	h.Sim.Advance(renewedAt + groupFenceGrace + 200*time.Microsecond - h.Sim.Now())
+	if h.Sim.Now() >= renewedAt+groupTTL {
 		h.Violatef("harness bug: grace probe past lease expiry")
 	}
 	if _, _, err := act.Controller().ReadRegister(probe, "lat", 0); !errors.Is(err, controller.ErrFenced) {
@@ -439,26 +478,17 @@ func (h *groupHarness) storeOutage() *ha.Replica {
 		h.Violatef("post-outage election: %v", err)
 		return nil
 	}
-	h.res.FailoverTime = h.Sim.Now() - faultAt
-	h.res.Chained = el.Chained
 	if el.Winner != h.reps[1] || el.Chained != 0 {
 		h.Violatef("post-outage winner = %s chained %d, want %s chained 0",
 			el.Winner.Name(), el.Chained, h.reps[1].Name())
 	}
-	if got := el.Winner.Epoch(); got != 2 {
-		h.Violatef("post-outage epoch = %d, want 2", got)
-	}
-	h.checkWarm(el.Winner, el.Warm)
-	h.Tracef("elected %s at epoch %d after outage: failover=%v (budget %v)",
-		el.Winner.Name(), el.Winner.Epoch(), h.res.FailoverTime, h.o.FailoverBudget)
 	// The 0x666 probe slot must hold anything but the fenced value.
 	if v, _, err := el.Winner.Controller().ReadRegister(h.Names[0], "lat", latEntries-2); err != nil {
 		h.Violatef("outage probe read-back: %v", err)
 	} else if v == 0x666 {
 		h.Violatef("FENCED WRITE LANDED: outage probe slot = 0x666")
 	}
-	h.sampleActives("post-election")
-	return el.Winner
+	return h.served(el.Winner, el.Warm, el.Chained, faultAt)
 }
 
 // acquireRace: the lease falls vacant and every standby from rank 2 down
@@ -469,18 +499,19 @@ func (h *groupHarness) acquireRace() *ha.Replica {
 	faultAt := h.Sim.Now()
 	h.reps[0].Controller().Kill()
 	h.Tracef("fault: active %s killed", h.reps[0].Name())
+	h.takeoverRefused()
 
 	var winner *ha.Replica
 	var raceWarm map[string]bool
 	losers := 0
-	armed, inHook := false, false
+	armed := false
 	h.st.SetHook(func(op statestore.Op, key string) {
-		if inHook || armed || op != statestore.OpCAS || key != statestore.LeaseKey {
+		if armed || op != statestore.OpCAS || key != statestore.LeaseKey {
 			return
 		}
-		armed = true // fire once: on the rank-1 candidate's acquire CAS
-		inHook = true
-		defer func() { inHook = false }()
+		// Fire once, on the rank-1 candidate's acquire CAS; the racers'
+		// own CASes below re-enter the hook and pass through.
+		armed = true
 		for _, rv := range h.reps[2:] {
 			if _, err := rv.TailOnce(); err != nil {
 				h.Violatef("racer %s tail: %v", rv.Name(), err)
@@ -509,8 +540,6 @@ func (h *groupHarness) acquireRace() *ha.Replica {
 		h.Violatef("race election: %v", err)
 		return nil
 	}
-	h.res.FailoverTime = h.Sim.Now() - faultAt
-
 	if !armed {
 		h.Violatef("race hook never fired; the scenario exercised nothing")
 	}
@@ -527,48 +556,87 @@ func (h *groupHarness) acquireRace() *ha.Replica {
 		h.Violatef("election = winner %s incumbent %v, want incumbent %s",
 			el.Winner.Name(), el.Incumbent, winner.Name())
 	}
-	if got := winner.Epoch(); got != 2 {
-		h.Violatef("race winner epoch = %d, want 2", got)
-	}
 	if err := h.reps[1].Fence(); !errors.Is(err, controller.ErrFenced) {
 		h.Violatef("raced-out candidate %s passes the fence", h.reps[1].Name())
 	}
-	h.checkWarm(winner, raceWarm)
-	h.Tracef("race resolved: %s serving at epoch %d, %d loser(s), failover=%v",
-		winner.Name(), winner.Epoch(), losers, h.res.FailoverTime)
-	h.sampleActives("post-race")
-	return winner
+	h.Tracef("race resolved: %d loser(s)", losers)
+	return h.served(winner, raceWarm, 0, faultAt)
 }
 
-// checkWarm asserts the winner recovered every switch warm and inside the
-// failover budget.
-func (h *groupHarness) checkWarm(w *ha.Replica, warm map[string]bool) {
-	h.res.WarmAll = h.promotedWarm(w.Controller(), warm, h.res.FailoverTime, h.o.FailoverBudget) && h.res.WarmAll
+// served closes a succession: the winner serving within the failover
+// budget of faultAt, every switch recovered from tailed state (warm, with
+// zero K_seed uses), and at most one replica passing its fence.
+func (h *groupHarness) served(w *ha.Replica, warm map[string]bool, chained int, faultAt time.Duration) *ha.Replica {
+	h.res.FailoverTime = h.Sim.Now() - faultAt
+	h.res.Chained = chained
+	if h.res.FailoverTime > h.failoverBudget() {
+		h.Violatef("failover took %v, budget %v", h.res.FailoverTime, h.failoverBudget())
+	}
+	h.res.WarmAll = true
+	for _, n := range h.Names {
+		if !warm[n] {
+			h.res.WarmAll = false
+			h.Violatef("%s: promotion recovered cold (fell back to K_seed)", n)
+		}
+		if u := w.Controller().SeedUses(n); u != 0 {
+			h.Violatef("%s: promotion used K_seed %d times", n, u)
+		}
+	}
+	h.Tracef("%s serving at epoch %d: chained=%d failover=%v (budget %v)",
+		w.Name(), w.Epoch(), chained, h.res.FailoverTime, h.failoverBudget())
+	h.sampleActives("post-failover")
+	return w
 }
 
-// aftermath probes every non-winner for fencing, lands a final wave
-// through the winner, and verifies the fleet against the shadow.
+// aftermath hands the shard set to the winner and drains the in-flight
+// wave through it, retries rollovers under the new epoch, drives every
+// non-winner into the fence, and lands a final wave.
 func (h *groupHarness) aftermath(w *ha.Replica) {
+	h.ss.Rebind(w.Controller())
+	h.Tracef("shard set rebound to %s", w.Name())
+	h.drain("post-failover", w.Controller())
+
+	// The interrupted (or stalled-past) rollover retried through the
+	// winner must succeed: keys reconverge under the new epoch.
+	for _, n := range []string{h.Names[0], h.Names[len(h.Names)-1]} {
+		if _, err := w.Controller().LocalKeyUpdate(n); err != nil {
+			h.Violatef("post-failover rollover on %s: %v", n, err)
+		}
+	}
+	h.Tracef("post-failover rollovers ok")
+
+	// Every write a non-winner attempts is refused — by the fence where
+	// it is alive (split-brain's deposed active), as dead otherwise — and
+	// leaves the slot at its shadow, verified just above.
 	for _, r := range h.reps {
 		if r == w {
 			continue
 		}
 		n := h.Names[intn(h.rng, len(h.Names))]
 		idx := uint32(intn(h.rng, latEntries-2))
-		before, _, rerr := w.Controller().ReadRegister(n, "lat", idx)
-		if rerr != nil {
-			h.Violatef("aftermath read %s lat[%d]: %v", n, idx, rerr)
-			continue
-		}
-		h.deposedWriteRefused("deposed "+r.Name()+" write", r.Controller(), w.Controller(), n, idx, before, 0x777)
+		h.deposedWriteRefused("deposed "+r.Name()+" write", r.Controller(), w.Controller(),
+			n, idx, h.shadow[n][idx], 0x777)
 	}
-	h.load("final", w.Controller())
-	h.shadowMatches("final", w.Controller())
+	if cause := ha.FenceCause(h.reps[0].Fence()); cause != ha.CauseDeposed {
+		h.Violatef("first active fence cause = %q, want %q", cause, ha.CauseDeposed)
+	}
+	if h.o.Scenario == GroupSplitBrain {
+		// A renewal attempt must fail too — and once the replica has seen
+		// its own deposition, it drops the stale grant for good.
+		if err := h.reps[0].Renew(); !errors.Is(err, ha.ErrDeposed) && !errors.Is(err, ha.ErrNotActive) {
+			h.Violatef("deposed renew = %v, want ErrDeposed", err)
+		} else {
+			h.Tracef("deposed renewal refused, stale grant dropped")
+		}
+	}
+
+	h.load("final")
+	h.drain("final", w.Controller())
 	h.forgerySweep("final", false)
 }
 
 // finalChecks is the post-run invariant sweep: floors monotone, no
-// dangling intents, audit reconciled exactly.
+// dangling intents, audit reconciled exactly, one grant per succession.
 func (h *groupHarness) finalChecks(w *ha.Replica) {
 	h.floorsMonotone("final")
 	h.noDanglingIntents("final", w.Controller())
@@ -578,12 +646,26 @@ func (h *groupHarness) finalChecks(w *ha.Replica) {
 	if h.res.FencedAttempts == 0 {
 		h.Violatef("run produced no fencing refusals — the scenario did not bite")
 	}
+	// Bootstrap, then one grant per succession: the survivor's and one
+	// per successor that died mid-promotion.
+	grants := uint64(2 + h.res.Chained)
+	if got := w.Epoch(); got != grants {
+		h.Violatef("winner epoch = %d, want %d", got, grants)
+	}
+	if got := m.Counter("ha.failovers").Load(); got != grants {
+		h.Violatef("failovers = %d, want %d (bootstrap + successions)", got, grants)
+	}
+	tot, _ := h.ss.FleetTotals()
+	h.res.Landed = tot.Landed
+	if tot.Landed == 0 {
+		h.Violatef("no shard writes landed at all")
+	}
 
 	h.res.Winner = w.Name()
 	h.res.Epoch = w.Epoch()
 	h.res.WaitOuts = m.Counter("ha.election_waitouts").Load()
 	h.res.DegradedAdmits = m.Counter("ha.degraded_admits").Load()
-	h.Tracef("done: winner=%s epoch=%d chained=%d waitouts=%d degraded_admits=%d fenced=%d landed=%d violations=%d",
+	h.Tracef("done: winner=%s epoch=%d chained=%d waitouts=%d degraded_admits=%d fenced=%d landed=%d failed=%d violations=%d",
 		h.res.Winner, h.res.Epoch, h.res.Chained, h.res.WaitOuts,
-		h.res.DegradedAdmits, h.res.FencedAttempts, h.res.Landed, len(h.res.Violations))
+		h.res.DegradedAdmits, h.res.FencedAttempts, tot.Landed, tot.Failed, len(h.res.Violations))
 }

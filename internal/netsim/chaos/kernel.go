@@ -1,9 +1,9 @@
 package chaos
 
 // The chaos kernel: what every harness used to carry privately, written
-// once. Run, RunFabric, RunHA, RunGroup and hierarchy.RunChaos are fault
-// scripts over it: option defaults, the scenario, and the order in which
-// they call the checks below (DESIGN.md, "Chaos kernel").
+// once. Run, RunFabric, RunGroup and hierarchy.RunChaos are fault scripts
+// over it: option defaults, the scenario, and the order in which they
+// call the checks below (DESIGN.md, "Chaos kernel").
 //
 // The contract is bytes: the trace of a clean run is pinned by
 // testdata/trace_goldens.txt, so every check takes the caller's label
@@ -144,9 +144,9 @@ const latEntries = 8
 const forgeryIndex = latEntries - 1
 
 // Fixture is the fleet the control-plane harnesses and p4auth-inspect's
-// reference runs drive: switches with a "lat" register on one virtual
-// clock. Callers add their own adjacencies, store, observer and replica
-// wrapping.
+// metrics reference run drive: switches with a "lat" register on one
+// virtual clock. Callers add their own adjacencies, store, observer and
+// replica wrapping.
 type Fixture struct {
 	Sim   *netsim.Sim
 	Names []string
@@ -159,8 +159,8 @@ type Fixture struct {
 	floors map[string][]uint64
 }
 
-// FleetNames returns the n switch names s00, s01, ...
-func FleetNames(n int) []string {
+// fleetNames returns the n switch names s00, s01, ...
+func fleetNames(n int) []string {
 	names := make([]string, n)
 	for i := range names {
 		names[i] = fmt.Sprintf("s%02d", i)
@@ -361,37 +361,15 @@ func (k *kernel) forgerySweep(label string, perSwitch bool) {
 	}
 }
 
-// promotedWarm requires that a promotion recovered every switch from
-// tailed state (warm, with zero K_seed uses) and that the new active was
-// serving within budget of the fault. It reports the warm half.
-func (k *kernel) promotedWarm(c *controller.Controller, warm map[string]bool, took, budget time.Duration) bool {
-	if took > budget {
-		k.Violatef("failover took %v, budget %v", took, budget)
-	}
-	ok := true
-	for _, n := range k.Names {
-		if !warm[n] {
-			ok = false
-			k.Violatef("%s: promotion recovered cold (fell back to K_seed)", n)
-		}
-		if u := c.SeedUses(n); u != 0 {
-			k.Violatef("%s: promotion used K_seed %d times", n, u)
-		}
-	}
-	return ok
-}
-
 // deposedWriteRefused has a superseded controller attempt a write and
 // requires a refusal — by the fence, or with ErrKilled where the process
 // is dead — and the slot, read back through the serving controller, still
-// at before. who opens the trace line; the result reports a fence
-// refusal.
+// at before. who opens the trace line.
 func (k *kernel) deposedWriteRefused(who string, deposed, serving *controller.Controller,
-	n string, idx uint32, before, val uint64) (fenced bool) {
+	n string, idx uint32, before, val uint64) {
 	_, err := deposed.WriteRegister(n, "lat", idx, val)
 	switch {
 	case errors.Is(err, controller.ErrFenced):
-		fenced = true
 		k.Tracef("%s %s lat[%d] refused by fence", who, n, idx)
 	case errors.Is(err, controller.ErrKilled):
 		k.Tracef("%s %s lat[%d] refused (dead)", who, n, idx)
@@ -404,7 +382,6 @@ func (k *kernel) deposedWriteRefused(who string, deposed, serving *controller.Co
 	} else if got != before {
 		k.Violatef("STALE WRITE APPLIED: %s lat[%d] %d -> %d past the fence", n, idx, before, got)
 	}
-	return fenced
 }
 
 // trigger is the counting control tap that fires a fault exactly once:

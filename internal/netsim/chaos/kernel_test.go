@@ -20,7 +20,7 @@ func (r *Recorder) rec() *Recorder { return r }
 
 // result is any harness's *Result type.
 type result interface {
-	*Result | *FabricResult | *HAResult | *GroupResult
+	*Result | *FabricResult | *GroupResult
 	rec() *Recorder
 }
 
