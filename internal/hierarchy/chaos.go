@@ -55,11 +55,14 @@ type ChaosOptions struct {
 	Pods int
 	// Scenario is the failure mode.
 	Scenario ChaosScenario
-	// ReconvergeBudget bounds, in virtual time, the span from WAN heal
-	// (or election) to every cross link back on one committed key
-	// (default 250ms).
-	ReconvergeBudget time.Duration
 }
+
+// reconvergePerLink bounds, per cross link, the virtual time from WAN heal
+// (or election) to every cross link back on one committed key: one
+// first-try grant plus one first-try exchange RPC. Global-kill re-rolls
+// every link serially (6ms each at any pod count), so a fixed bound
+// fails past some size: 250ms held Pods=4's 12 links, not Pods=6's 45.
+const reconvergePerLink = grantTimeout + exchTimeout
 
 // ChaosResult is the outcome of one hierarchy chaos run.
 type ChaosResult struct {
@@ -88,6 +91,8 @@ type chaosHarness struct {
 	res *ChaosResult
 	rng *crypto.SeededRand
 	h   *Hierarchy
+	// budget is reconvergePerLink times the cross-link count.
+	budget time.Duration
 	// shadow mirrors every committed lat-register write per switch.
 	shadow map[string][]uint64
 }
@@ -107,9 +112,6 @@ func RunChaos(o ChaosOptions) (*ChaosResult, error) {
 	if o.Pods == 0 {
 		o.Pods = 4
 	}
-	if o.ReconvergeBudget == 0 {
-		o.ReconvergeBudget = 250 * time.Millisecond
-	}
 	h, err := Build(Config{Seed: o.Seed, Pods: o.Pods})
 	if err != nil {
 		return nil, err
@@ -121,6 +123,7 @@ func RunChaos(o ChaosOptions) (*ChaosResult, error) {
 		res:      res,
 		rng:      crypto.NewSeededRand(o.Seed ^ 0x1E12A1C41),
 		h:        h,
+		budget:   time.Duration(len(h.CrossLinks())) * reconvergePerLink,
 		shadow:   map[string][]uint64{},
 	}
 	for _, n := range h.SwitchNames() {
@@ -160,8 +163,7 @@ func (c *chaosHarness) baseline() error {
 // tracking shadows.
 func (c *chaosHarness) loadAllPods(label string) {
 	for _, p := range c.h.Pods {
-		act := p.active()
-		if act == nil {
+		if p.active() == nil {
 			c.Violatef("%s: pod %d has no active for load", label, p.ID)
 			continue
 		}
@@ -354,14 +356,14 @@ func (c *chaosHarness) wanPartition() {
 	if !c.converged() {
 		c.Violatef("heal: links still half-rolled after repair pass")
 	}
-	if c.res.ReconvergeTime > c.o.ReconvergeBudget {
-		c.Violatef("heal: re-convergence took %v, budget %v", c.res.ReconvergeTime, c.o.ReconvergeBudget)
+	if c.res.ReconvergeTime > c.budget {
+		c.Violatef("heal: re-convergence took %v, budget %v", c.res.ReconvergeTime, c.budget)
 	}
 	if victim.Degraded() {
 		c.Violatef("heal: victim still degraded after flush")
 	}
 	c.Tracef("heal: re-converged in %v (budget %v), %d deferred flushed",
-		c.res.ReconvergeTime, c.o.ReconvergeBudget, flushed)
+		c.res.ReconvergeTime, c.budget, flushed)
 	c.loadAllPods("aftermath")
 	c.sampleActives("aftermath")
 }
@@ -426,9 +428,9 @@ func (c *chaosHarness) globalKill() {
 		}
 	}
 	c.res.ReconvergeTime = c.h.Sim.Now() - electAt
-	if c.res.ReconvergeTime > c.o.ReconvergeBudget {
+	if c.res.ReconvergeTime > c.budget {
 		c.Violatef("post-election: re-convergence took %v, budget %v",
-			c.res.ReconvergeTime, c.o.ReconvergeBudget)
+			c.res.ReconvergeTime, c.budget)
 	}
 	c.res.FinalEpoch = newEpoch
 	c.checkConverged("post-election")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"p4auth/internal/netsim/chaos"
 )
@@ -44,6 +45,28 @@ func TestHierarchyChaos(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestHierarchyChaosPods8 runs both scenarios clean at Pods=8. Global
+// kill re-rolls all 112 cross links serially after the election (6ms
+// each, as at Pods=4), which a fixed 250ms budget cannot hold; the budget
+// scales with the cross-link count instead.
+func TestHierarchyChaosPods8(t *testing.T) {
+	for _, sc := range []ChaosScenario{ScenarioWANPartition, ScenarioGlobalKill} {
+		t.Run(string(sc), func(t *testing.T) {
+			res, err := RunChaos(ChaosOptions{Seed: 7, Pods: 8, Scenario: sc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range res.Violations {
+				t.Errorf("violation: %s", v)
+			}
+			if sc == ScenarioGlobalKill && res.ReconvergeTime <= 250*time.Millisecond {
+				t.Errorf("global-kill re-converged in %v; the serial re-roll of 112 links should exceed 250ms",
+					res.ReconvergeTime)
+			}
+		})
 	}
 }
 
