@@ -7,11 +7,12 @@
 # (internal/pisa) in which every data-plane check of the paper runs, the
 # lease and WAL codecs every fenced write and recovery replays from
 # (internal/statestore), the simulator whose fault taps every chaos
-# verdict is produced under (internal/netsim), and the switch software
+# verdict is produced under (internal/netsim), the switch software
 # stack at whose boundaries the paper's adversary sits
-# (internal/switchos). A drop below the floor means new code shipped
-# without tests in exactly the places where silent breakage is
-# unacceptable.
+# (internal/switchos), and the lease fence that keeps a deposed
+# controller off the wire and out of the store (internal/ha). A drop
+# below the floor means new code shipped without tests in exactly the
+# places where silent breakage is unacceptable.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -19,7 +20,7 @@ cd "$(dirname "$0")/.."
 FLOOR="${COVER_FLOOR:-85}"
 fail=0
 for pkg in ./internal/core/ ./internal/crypto/ ./internal/obs/ ./internal/fleet/ ./internal/pisa/ \
-    ./internal/statestore/ ./internal/netsim/ ./internal/switchos/; do
+    ./internal/statestore/ ./internal/netsim/ ./internal/switchos/ ./internal/ha/; do
     line=$(go test -cover "$pkg" | tail -1)
     echo "$line"
     pct=$(printf '%s\n' "$line" | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')
