@@ -25,16 +25,16 @@ s build go build ./...
 s vet go vet ./...
 s race go test -race ./...
 
-# The four seeded harnesses over the chaos kernel, fixed seeds: crash and
-# recovery of one controller (kills and switch crashes mid-rollover,
+# The three seeded harnesses over the chaos kernel, fixed seeds: crash
+# and recovery of one controller (kills and switch crashes mid-rollover,
 # mid-register-write, mid-port-key-init), the self-healing DP-DP fabric
-# (flaps, partitions, one-sided rollovers), the lease-fenced pair
-# (kill-active, split-brain) and the N-replica group (rolling kills,
-# store outages, acquisition races). Every run must pass every kernel
-# invariant and replay bit-identically; every scenario's trace is pinned
-# to testdata/trace_goldens.txt; and each invariant is shown to fail on
-# the breach it exists to catch.
-c chaos go test -race -count=1 -run 'Test(Chaos|Fabric|HA|Group)(Short|Determinism)|TestTraceGoldens|TestInvariantsBite' ./internal/netsim/chaos/
+# (flaps, partitions, one-sided rollovers), and one failover harness for
+# the lease-fenced controller group at N=2 (the active/standby pair), 3
+# and 5 (rolling kills, split-brain, store outages, acquisition races).
+# Every run must pass every kernel invariant and replay bit-identically;
+# every scenario's trace is pinned to testdata/trace_goldens.txt; and
+# each invariant is shown to fail on the breach it exists to catch.
+c chaos go test -race -count=1 -run 'Test(Chaos|Fabric|Group)(Short|Determinism)|TestTraceGoldens|TestInvariantsBite' ./internal/netsim/chaos/
 
 # The app x fault x protection survival matrix at k=4 with the default
 # seed: zero forged operations applied in every protected cell,
