@@ -12,10 +12,11 @@ import (
 // Fleet-scale control-plane benchmark: aggregate authenticated write
 // throughput of the sharded controller across a 64-switch fleet, plus
 // the failover time of the lease-fenced active/standby pair: the group
-// chaos harness at N=2 with the active killed mid-rollover. The single-switch serial and windowed
-// numbers (Fig. 19 and its pipelined variant) measure one lane; this
-// measures the whole highway — per-switch shard workers drain
-// concurrently, so fleet wall time is the slowest shard, not the sum.
+// chaos harness at N=2 with the active killed mid-rollover. The
+// single-switch serial and windowed numbers (Fig. 19 and its pipelined
+// variant) measure one lane; this measures the whole highway —
+// per-switch shard workers drain concurrently, so fleet wall time is the
+// slowest shard, not the sum.
 
 // The fleet's size, its per-shard in-flight window and the writes each
 // shard carries.

@@ -91,7 +91,7 @@ type chaosHarness struct {
 	res *ChaosResult
 	rng *crypto.SeededRand
 	h   *Hierarchy
-	// budget is reconvergePerLink times the cross-link count.
+	// budget bounds each re-convergence (see reconvergePerLink).
 	budget time.Duration
 	// shadow mirrors every committed lat-register write per switch.
 	shadow map[string][]uint64
