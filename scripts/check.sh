@@ -30,11 +30,12 @@ s race go test -race ./...
 # mid-register-write, mid-port-key-init), the self-healing DP-DP fabric
 # (flaps, partitions, one-sided rollovers), and one failover harness for
 # the lease-fenced controller group at N=2 (the active/standby pair), 3
-# and 5 (rolling kills, split-brain, store outages, acquisition races).
+# and 5 (rolling kills, split-brain, store outages, acquisition races);
+# its N=2 runs are the TestHA* tests, its N>=3 runs the TestGroup* ones.
 # Every run must pass every kernel invariant and replay bit-identically;
 # every scenario's trace is pinned to testdata/trace_goldens.txt; and
 # each invariant is shown to fail on the breach it exists to catch.
-c chaos go test -race -count=1 -run 'Test(Chaos|Fabric|Group)(Short|Determinism)|TestTraceGoldens|TestInvariantsBite' ./internal/netsim/chaos/
+c chaos go test -race -count=1 -run 'Test(Chaos|Fabric|HA|Group)(Short|Determinism)|TestTraceGoldens|TestInvariantsBite' ./internal/netsim/chaos/
 
 # The app x fault x protection survival matrix at k=4 with the default
 # seed: zero forged operations applied in every protected cell,
