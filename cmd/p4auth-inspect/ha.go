@@ -45,26 +45,35 @@ func runHA(paths []string, w io.Writer) error {
 	}
 
 	for _, o := range haRuns {
-		res, err := chaos.RunGroup(o)
-		if err != nil {
+		if err := printFailoverRun(w, o); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "== failover reference run: scenario %s, %d replicas, %d switches (seed %d) ==\n",
-			o.Scenario, res.Replicas, res.Switches, o.Seed)
-		for _, line := range res.Trace {
-			fmt.Fprintln(w, line)
-		}
-		fmt.Fprintf(w, "-- result: winner=%s epoch=%d chained=%d waitouts=%d failover=%v warm=%v\n",
-			res.Winner, res.Epoch, res.Chained, res.WaitOuts, res.FailoverTime, res.WarmAll)
-		fmt.Fprintf(w, "-- result: degraded_admits=%d fenced=%d landed=%d violations=%d\n",
-			res.DegradedAdmits, res.FencedAttempts, res.Landed, len(res.Violations))
-		for _, v := range res.Violations {
-			fmt.Fprintf(w, "VIOLATION: %s\n", v)
-		}
-		if len(res.Violations) > 0 {
-			return fmt.Errorf("failover scenario %s: %d invariant violations", o.Scenario, len(res.Violations))
-		}
-		fmt.Fprintln(w)
 	}
+	return nil
+}
+
+// printFailoverRun runs one reference run and prints its trace and
+// result, or an error naming the scenario if any invariant broke.
+func printFailoverRun(w io.Writer, o chaos.GroupOptions) error {
+	res, err := chaos.RunGroup(o)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "== failover reference run: scenario %s, %d replicas, %d switches (seed %d) ==\n",
+		o.Scenario, res.Replicas, res.Switches, o.Seed)
+	for _, line := range res.Trace {
+		fmt.Fprintln(w, line)
+	}
+	fmt.Fprintf(w, "-- result: winner=%s epoch=%d chained=%d waitouts=%d failover=%v warm=%v\n",
+		res.Winner, res.Epoch, res.Chained, res.WaitOuts, res.FailoverTime, res.WarmAll)
+	fmt.Fprintf(w, "-- result: degraded_admits=%d fenced=%d landed=%d violations=%d\n",
+		res.DegradedAdmits, res.FencedAttempts, res.Landed, len(res.Violations))
+	for _, v := range res.Violations {
+		fmt.Fprintf(w, "VIOLATION: %s\n", v)
+	}
+	if len(res.Violations) > 0 {
+		return fmt.Errorf("failover scenario %s: %d invariant violations", o.Scenario, len(res.Violations))
+	}
+	fmt.Fprintln(w)
 	return nil
 }
