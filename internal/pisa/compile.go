@@ -127,11 +127,27 @@ type stagePacker struct {
 	aluUsed   int
 	hashCalls int
 	hashBits  int
-	written   map[int32]bool // slots written in the current stage
+	marks     *stageMarks
+	stage     uint32 // this packer's current stage's stamp
 }
 
-func newStagePacker(p Profile) *stagePacker {
-	return &stagePacker{profile: p, stages: 1, written: make(map[int32]bool)}
+// stageMarks records which slots a stage wrote: slot s was written in the
+// stage stamped st iff at[s] == st. One set, indexed by value-file slot,
+// serves every packer of a Compile: each stage of each packer draws a
+// fresh stamp, so a nested block's writes never read as its enclosing
+// block's.
+type stageMarks struct {
+	at   []uint32
+	last uint32
+}
+
+func (m *stageMarks) fresh() uint32 {
+	m.last++
+	return m.last
+}
+
+func newStagePacker(p Profile, m *stageMarks) *stagePacker {
+	return &stagePacker{profile: p, stages: 1, marks: m, stage: m.fresh()}
 }
 
 func (sp *stagePacker) nextStage() {
@@ -139,14 +155,16 @@ func (sp *stagePacker) nextStage() {
 	sp.aluUsed = 0
 	sp.hashCalls = 0
 	sp.hashBits = 0
-	clear(sp.written)
+	sp.stage = sp.marks.fresh()
 }
+
+func (sp *stagePacker) write(dst int32) { sp.marks.at[dst] = sp.stage }
 
 // readsWritten reports whether any source was written earlier in the
 // current stage (parameters, constants and noRef never are).
 func (sp *stagePacker) readsWritten(srcs ...vref) bool {
 	for _, s := range srcs {
-		if sp.written[s] {
+		if s != noRef && sp.marks.at[s] == sp.stage {
 			return true
 		}
 	}
@@ -167,11 +185,11 @@ func (ra regAccess) merge(other regAccess) {
 
 // placeBlock packs a block into a fresh packer and returns the stages it
 // took and the registers it touched.
-func (c *Compiled) placeBlock(b span) (*stagePacker, regAccess) {
-	sp := newStagePacker(c.Profile)
+func (c *Compiled) placeBlock(b span, m *stageMarks) (int, regAccess) {
+	sp := newStagePacker(c.Profile, m)
 	regs := make(regAccess, len(c.Program.Registers))
 	c.placeOps(sp, b, regs)
-	return sp, regs
+	return sp.stages, regs
 }
 
 // placeOps packs a block of linked ops. regs accumulates register access
@@ -189,7 +207,7 @@ func (c *Compiled) placeOps(sp *stagePacker, b span, regs regAccess) {
 				sp.nextStage()
 			}
 			sp.aluUsed += cost
-			sp.written[op.dst] = true
+			sp.write(op.dst)
 		case OpHash:
 			bits := 0
 			conflict := false
@@ -213,7 +231,7 @@ func (c *Compiled) placeOps(sp *stagePacker, b span, regs regAccess) {
 			sp.hashBits += bits
 			c.Usage.HashCalls++
 			c.Usage.HashBits += bits
-			sp.written[op.dst] = true
+			sp.write(op.dst)
 		case OpRegRead, OpRegWrite, OpRegRMW:
 			regs[op.x]++
 			if sp.readsWritten(op.a, op.b) || sp.aluUsed+1 > sp.profile.ALUOpsPerStage {
@@ -221,7 +239,7 @@ func (c *Compiled) placeOps(sp *stagePacker, b span, regs regAccess) {
 			}
 			sp.aluUsed++
 			if OpKind(op.kind) != OpRegWrite {
-				sp.written[op.dst] = true
+				sp.write(op.dst)
 			}
 		case OpSetValid, OpSetInvalid:
 			if sp.aluUsed+1 > sp.profile.ALUOpsPerStage {
@@ -244,9 +262,9 @@ func (c *Compiled) placeOps(sp *stagePacker, b span, regs regAccess) {
 			// default) must fit.
 			deepest := 0
 			place := func(ai int32) {
-				inner, innerRegs := c.placeBlock(c.actions[ai])
-				if inner.stages-1 > deepest {
-					deepest = inner.stages - 1
+				inner, innerRegs := c.placeBlock(c.actions[ai], sp.marks)
+				if inner-1 > deepest {
+					deepest = inner - 1
 				}
 				regs.merge(innerRegs)
 			}
@@ -267,11 +285,10 @@ func (c *Compiled) placeOps(sp *stagePacker, b span, regs regAccess) {
 				then.end--
 				els.end = c.code[then.end].x // the jump over the else block
 			}
-			thenSP, thenRegs := c.placeBlock(then)
-			elseSP, elseRegs := c.placeBlock(els)
-			deeper := thenSP.stages
-			if elseSP.stages > deeper {
-				deeper = elseSP.stages
+			deeper, thenRegs := c.placeBlock(then, sp.marks)
+			elseStages, elseRegs := c.placeBlock(els, sp.marks)
+			if elseStages > deeper {
+				deeper = elseStages
 			}
 			for j := 0; j < deeper; j++ {
 				sp.nextStage()
@@ -359,14 +376,15 @@ func (c *Compiled) account() error {
 	}
 
 	// Stages (hash usage accumulates inside placeOps).
-	sp, regs := c.placeBlock(c.control)
-	egSP, egRegs := c.placeBlock(c.egress)
+	marks := &stageMarks{at: make([]uint32, int(c.constBase)+len(c.consts))}
+	stages, regs := c.placeBlock(c.control, marks)
+	egStages, egRegs := c.placeBlock(c.egress, marks)
 	if c.egress.end > c.egress.start {
-		if egSP.stages > c.Profile.Stages {
+		if egStages > c.Profile.Stages {
 			return fmt.Errorf("pisa: egress pipeline needs %d stages, target %s has %d (no egress recirculation)",
-				egSP.stages, c.Profile.Name, c.Profile.Stages)
+				egStages, c.Profile.Name, c.Profile.Stages)
 		}
-		c.Usage.EgressStages = egSP.stages
+		c.Usage.EgressStages = egStages
 	}
 	if c.Profile.StrictRegisterAccess {
 		name := func(r int) string { return c.Program.Registers[r].Name }
@@ -389,11 +407,11 @@ func (c *Compiled) account() error {
 		return fmt.Errorf("pisa: program needs %d hash bits, target %s has %d", c.Usage.HashBits, c.Profile.Name, c.Profile.HashBits)
 	}
 
-	c.Usage.Stages = sp.stages
-	c.Usage.Passes = (sp.stages + c.Profile.Stages - 1) / c.Profile.Stages
+	c.Usage.Stages = stages
+	c.Usage.Passes = (stages + c.Profile.Stages - 1) / c.Profile.Stages
 	if c.Usage.Passes > c.Profile.MaxPasses {
 		return fmt.Errorf("pisa: program needs %d stages = %d passes; target %s allows %d passes",
-			sp.stages, c.Usage.Passes, c.Profile.Name, c.Profile.MaxPasses)
+			stages, c.Usage.Passes, c.Profile.Name, c.Profile.MaxPasses)
 	}
 	return nil
 }
