@@ -1,15 +1,16 @@
 // Package deploy assembles ready-to-run P4Auth switches: a host program
 // (by default a minimal ptype-only shell plus caller-supplied registers),
-// the woven-in P4Auth data plane, compilation for a target profile, boot
-// seeding, register-map population, and the switch-software stack.
+// the woven-in P4Auth data plane, compilation for a target profile (once
+// per configuration), boot seeding, register-map population, and the
+// switch-software stack.
 package deploy
 
 import (
 	"fmt"
+	"strings"
 
 	"p4auth/internal/core"
 	"p4auth/internal/crypto"
-	"p4auth/internal/p4rt"
 	"p4auth/internal/pisa"
 	"p4auth/internal/switchos"
 )
@@ -41,7 +42,8 @@ type Switch struct {
 	Cfg  core.Config
 }
 
-// Build assembles the switch.
+// Build assembles the switch. Switches whose specs agree on every program
+// input (programKey) share one compilation (pisa.CompileOnce).
 func Build(spec SwitchSpec) (*Switch, error) {
 	if spec.Name == "" {
 		return nil, fmt.Errorf("deploy: switch needs a name")
@@ -65,18 +67,17 @@ func Build(spec SwitchSpec) (*Switch, error) {
 	}
 	cfg.Insecure = cfg.Insecure || spec.Insecure
 
-	prog := &pisa.Program{
-		Name:         spec.Name + "_prog",
-		Headers:      []*pisa.HeaderDef{core.PTypeHeader()},
-		Parser:       []pisa.ParserState{{Name: pisa.ParserStart, Extract: core.HdrPType}},
-		DeparseOrder: []string{core.HdrPType},
-		Registers:    spec.Registers,
-	}
 	exposed := make([]string, 0, len(spec.Registers))
+	var regs strings.Builder
 	for _, r := range spec.Registers {
 		exposed = append(exposed, r.Name)
+		fmt.Fprintf(&regs, "%q %d %d;", r.Name, r.Width, r.Entries)
 	}
-	if err := core.AddToProgram(prog, cfg, core.Integration{Exposed: exposed}); err != nil {
+	key := programKey{Name: spec.Name, Ports: spec.Ports, Config: cfg, Insecure: spec.Insecure, Registers: regs.String()}
+	compiled, err := pisa.CompileOnce(key, spec.Profile, func() (*pisa.Program, error) {
+		return program(spec.Name, spec.Registers, exposed, cfg)
+	})
+	if err != nil {
 		return nil, fmt.Errorf("deploy: %s: %w", spec.Name, err)
 	}
 
@@ -84,19 +85,44 @@ func Build(spec SwitchSpec) (*Switch, error) {
 	if seed == 0 {
 		seed = 0xDA7A_0000 ^ uint64(len(spec.Name))<<32 ^ uint64(spec.Ports)
 	}
-	sw, err := pisa.NewSwitch(prog, spec.Profile, pisa.WithRandom(crypto.NewSeededRand(seed)))
-	if err != nil {
-		return nil, fmt.Errorf("deploy: %s: %w", spec.Name, err)
-	}
+	sw := pisa.NewSwitchFromCompiled(compiled, pisa.WithRandom(crypto.NewSeededRand(seed)))
 	if err := core.Boot(sw, cfg); err != nil {
-		return nil, err
-	}
-	if err := core.InstallRegMap(sw, p4rt.InfoFromProgram(prog), exposed); err != nil {
 		return nil, err
 	}
 	costs := switchos.DefaultCosts()
 	if spec.Costs != nil {
 		costs = *spec.Costs
 	}
-	return &Switch{Host: switchos.NewHost(spec.Name, sw, costs), Cfg: cfg}, nil
+	host := switchos.NewHost(spec.Name, sw, costs)
+	if err := core.InstallRegMap(sw, host.Info, exposed); err != nil {
+		return nil, err
+	}
+	return &Switch{Host: host, Cfg: cfg}, nil
+}
+
+// programKey is every input of Build's program: RandSeed and Costs are
+// runtime state, and Registers holds the register definitions by value.
+type programKey struct {
+	Name      string
+	Ports     int
+	Config    core.Config
+	Insecure  bool
+	Registers string
+}
+
+// program is the switch's program: a ptype-only shell declaring copies of
+// regs, so that a caller editing its RegisterDef later cannot reach a
+// program other switches share, with P4Auth woven in.
+func program(name string, regs []*pisa.RegisterDef, exposed []string, cfg core.Config) (*pisa.Program, error) {
+	prog := &pisa.Program{
+		Name:         name + "_prog",
+		Headers:      []*pisa.HeaderDef{core.PTypeHeader()},
+		Parser:       []pisa.ParserState{{Name: pisa.ParserStart, Extract: core.HdrPType}},
+		DeparseOrder: []string{core.HdrPType},
+	}
+	for _, r := range regs {
+		def := *r
+		prog.Registers = append(prog.Registers, &def)
+	}
+	return prog, core.AddToProgram(prog, cfg, core.Integration{Exposed: exposed})
 }

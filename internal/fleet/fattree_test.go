@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"p4auth/internal/hula"
+	"p4auth/internal/pisa"
 )
 
 // wiringDump renders the fabric wiring canonically: every switch with
@@ -227,6 +229,44 @@ func TestFatTreeDeliversFleetWide(t *testing.T) {
 		}
 		if !bytes.Equal(topo.probes[e], want) {
 			t.Errorf("%s: origin probe is %x after the run, want %x", e, topo.probes[e], want)
+		}
+	}
+}
+
+// TestFatTreeSharesExactCompilations: a second fabric of the same config
+// reuses every switch's compilation, and each is deeply equal to a fresh
+// compile of a fresh hula.BuildProgram, for every role at k=4 and k=8,
+// secure and insecure.
+func TestFatTreeSharesExactCompilations(t *testing.T) {
+	for _, k := range []int{4, 8} {
+		for _, secure := range []bool{true, false} {
+			cfg := DefaultTopoConfig(k)
+			cfg.Secure = secure
+			first, err := BuildFatTree(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			second, err := BuildFatTree(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, sw := range first.Switches {
+				shared := sw.Host.SW.Compiled()
+				if second.Switches[name].Host.SW.Compiled() != shared {
+					t.Errorf("k=%d secure=%v %s: compiled again", k, secure, name)
+				}
+				prog, _, err := hula.BuildProgram(sw.Params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := pisa.Compile(prog, pisa.BMv2Profile())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(fresh, shared) {
+					t.Errorf("k=%d secure=%v %s: shared compilation differs from a fresh one", k, secure, name)
+				}
+			}
 		}
 	}
 }

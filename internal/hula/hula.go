@@ -202,7 +202,7 @@ func BuildProgram(p Params) (*pisa.Program, core.Config, error) {
 	prog.Control = buildIngress(p)
 	prog.EgressControl = buildEgress(p)
 
-	cfg := core.DefaultConfig(p.Ports, core.DigestHalfSipHash)
+	cfg := programConfig(p)
 	if p.Secure {
 		if err := core.AddToProgram(prog, cfg, core.Integration{
 			Exposed:       []string{RegBestUtil, RegBestHop, RegPortBlock},
@@ -212,10 +212,15 @@ func BuildProgram(p Params) (*pisa.Program, core.Config, error) {
 		}); err != nil {
 			return nil, cfg, err
 		}
-	} else {
-		cfg.Insecure = true
 	}
 	return prog, cfg, nil
+}
+
+// programConfig is the P4Auth configuration BuildProgram weaves in.
+func programConfig(p Params) core.Config {
+	cfg := core.DefaultConfig(p.Ports, core.DigestHalfSipHash)
+	cfg.Insecure = !p.Secure
+	return cfg
 }
 
 func m(f string) pisa.FieldRef { return pisa.F(pisa.MetaHeader, f) }
@@ -348,16 +353,18 @@ func buildEgress(p Params) []pisa.Op {
 }
 
 // NewSwitch builds and boots a HULA switch on the BMv2 profile (the
-// paper's target for the HULA experiments).
+// paper's target for the HULA experiments). Its program is compiled once
+// per process for each Params: Params is every input of BuildProgram.
 func NewSwitch(name string, p Params, randSeed uint64) (*Switch, error) {
-	prog, cfg, err := BuildProgram(p)
+	compiled, err := pisa.CompileOnce(p, pisa.BMv2Profile(), func() (*pisa.Program, error) {
+		prog, _, err := BuildProgram(p)
+		return prog, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	sw, err := pisa.NewSwitch(prog, pisa.BMv2Profile(), pisa.WithRandom(crypto.NewSeededRand(randSeed)))
-	if err != nil {
-		return nil, err
-	}
+	cfg := programConfig(p)
+	sw := pisa.NewSwitchFromCompiled(compiled, pisa.WithRandom(crypto.NewSeededRand(randSeed)))
 	host := switchos.NewHost(name, sw, switchos.DefaultCosts())
 	if p.Secure {
 		if err := core.Boot(sw, cfg); err != nil {

@@ -1,6 +1,9 @@
 package pisa
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Usage is the resource consumption of a compiled program, in absolute
 // units of the Profile's capacities.
@@ -39,7 +42,11 @@ func (u Usage) Percent(p Profile) UsagePercent {
 	}
 }
 
-// Compiled is a program linked and placed against a target profile.
+// Compiled is a program linked and placed against a target profile. A
+// Compiled and its Program are read-only once Compile returns: every
+// switch over it keeps its own runtime state (NewSwitchFromCompiled), so
+// any number of switches may share one, and CompileOnce shares one among
+// every switch built from the same configuration.
 type Compiled struct {
 	Program *Program
 	Profile Profile
@@ -101,6 +108,37 @@ func Compile(prog *Program, profile Profile) (*Compiled, error) {
 		return nil, err
 	}
 	return c, nil
+}
+
+// compiledOnce holds CompileOnce's compilations for the life of the
+// process, keyed by onceKey.
+var compiledOnce sync.Map
+
+type onceKey struct {
+	key     any
+	profile Profile
+}
+
+// CompileOnce compiles the program build returns for the profile once per
+// process: the first call for (key, profile) builds and compiles, and
+// every later call returns the same *Compiled. The key must cover every
+// input of build, so that a hit is exactly what a fresh build would give.
+// Errors are returned, never cached.
+func CompileOnce[K comparable](key K, profile Profile, build func() (*Program, error)) (*Compiled, error) {
+	k := onceKey{key, profile}
+	if c, ok := compiledOnce.Load(k); ok {
+		return c.(*Compiled), nil
+	}
+	prog, err := build()
+	if err != nil {
+		return nil, err
+	}
+	c, err := Compile(prog, profile)
+	if err != nil {
+		return nil, fmt.Errorf("pisa: compile %s for %s: %w", prog.Name, profile.Name, err)
+	}
+	shared, _ := compiledOnce.LoadOrStore(k, c)
+	return shared.(*Compiled), nil
 }
 
 func containerBits(width int) int {

@@ -178,7 +178,8 @@ func (c *Compiled) link() error {
 		states:  make(map[string]int32, len(prog.Parser)),
 		consts:  make(map[uint64]vref),
 	}
-	// Sized exactly: every switch holds its own linked form.
+	// Sized exactly: a compilation lives as long as the switches over it,
+	// or the process (CompileOnce).
 	c.headers = make([]lheader, 0, len(prog.Headers))
 	c.regMask = make([]uint64, 0, len(prog.Registers))
 	c.deparse = make([]int32, 0, len(prog.DeparseOrder))

@@ -1,8 +1,11 @@
 package pisa
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"p4auth/internal/crypto"
@@ -154,5 +157,75 @@ func TestSwitchesShareOneCompilation(t *testing.T) {
 		if g, w := fmt.Sprint(got[i]), fmt.Sprint(alone[i]); g != w {
 			t.Errorf("switch %d over a shared compilation:\n got %s\nwant %s", i, g, w)
 		}
+	}
+}
+
+// TestCompileOnceOneCompilation: eight goroutines asking for one new key
+// at once all get one *Compiled, a later call returns it without
+// building, and the profile is part of the key.
+func TestCompileOnceOneCompilation(t *testing.T) {
+	key := new(int) // no other call has used this key
+	var builds atomic.Int32
+	build := func() (*Program, error) {
+		builds.Add(1)
+		return testL3Program(), nil
+	}
+	var got [8]*Compiled
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			c, err := CompileOnce(key, BMv2Profile(), build)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = c
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, c := range got {
+		if c == nil || c != got[0] {
+			t.Fatalf("caller %d got %p, caller 0 got %p", i, c, got[0])
+		}
+	}
+	n := builds.Load()
+	if c, err := CompileOnce(key, BMv2Profile(), build); err != nil || c != got[0] {
+		t.Fatalf("later call: %p, %v; want %p", c, err, got[0])
+	}
+	if builds.Load() != n {
+		t.Error("a cache hit built the program again")
+	}
+	tof, err := CompileOnce(key, TofinoProfile(), build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tof == got[0] || tof.Profile.Name != "tofino" {
+		t.Error("a second profile shares the first profile's compilation")
+	}
+}
+
+// TestCompileOnceCachesNoError: a failed build or compile leaves the key
+// free, so a later good build for it compiles.
+func TestCompileOnceCachesNoError(t *testing.T) {
+	key := new(int)
+	boom := errors.New("boom")
+	if _, err := CompileOnce(key, BMv2Profile(), func() (*Program, error) { return nil, boom }); err != boom {
+		t.Fatalf("build error = %v, want %v", err, boom)
+	}
+	_, err := CompileOnce(key, BMv2Profile(), func() (*Program, error) {
+		bad := testL3Program()
+		bad.Registers[0].Width = 99
+		return bad, nil
+	})
+	if err == nil || !strings.HasPrefix(err.Error(), "pisa: compile test_l3 for bmv2: ") {
+		t.Fatalf("compile error = %v", err)
+	}
+	c, err := CompileOnce(key, BMv2Profile(), func() (*Program, error) { return testL3Program(), nil })
+	if err != nil || c == nil {
+		t.Fatalf("good build after failures: %p, %v", c, err)
 	}
 }

@@ -114,7 +114,9 @@ func NewSwitch(prog *Program, profile Profile, opts ...Option) (*Switch, error) 
 }
 
 // NewSwitchFromCompiled instantiates runtime state for an already-compiled
-// program (several switches can share one compilation).
+// program. Several switches can share one compilation: registers, tables,
+// multicast groups, counters, the random() source, the clock and the
+// execution-state pool are the switch's own.
 func NewSwitchFromCompiled(compiled *Compiled, opts ...Option) *Switch {
 	s := &Switch{
 		compiled:  compiled,
