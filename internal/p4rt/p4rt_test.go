@@ -2,6 +2,7 @@ package p4rt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -91,7 +92,9 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 		nil,
 		{1},
 		{99, 0, 0, 0, 0}, // unknown type
-		{byte(MsgRegisterWrite), 0, 0, 0, 3, 1, 2, 3}, // wrong body size
+		{byte(MsgRegisterWrite), 0, 0, 0, 3, 1, 2, 3},                  // wrong body size
+		{byte(MsgWriteResponse), 0, 0, 0, 1, 2},                        // flag neither 0 nor 1
+		{byte(MsgReadResponse), 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 7}, // likewise
 		func() []byte { // header/body length mismatch
 			b := (&Message{Type: MsgPacketOut, Payload: []byte{1, 2}}).Encode()
 			return b[:len(b)-1]
@@ -129,4 +132,63 @@ func TestDecodeDoesNotAliasInput(t *testing.T) {
 	if got.Payload[0] != 5 {
 		t.Error("decoded payload aliases the input frame")
 	}
+}
+
+// FuzzDecodeP4RT holds the stream framing to three properties: Decode
+// never panics, a frame it accepts re-encodes to the same bytes, and a
+// message of every type built from the input survives Encode then Decode.
+// The seeds are one frame per MsgType plus truncated and over-long ones.
+func FuzzDecodeP4RT(f *testing.F) {
+	for _, m := range []Message{
+		{Type: MsgRegisterWrite, RegID: 0x05000001, Index: 3, Value: 0xdeadbeefcafef00d},
+		{Type: MsgRegisterRead, RegID: 0x05000002, Index: 9},
+		{Type: MsgReadResponse, Value: 42, OK: true},
+		{Type: MsgWriteResponse, OK: true},
+		{Type: MsgPacketOut, Payload: []byte{1, 2, 3, 4}},
+		{Type: MsgPacketIn, Payload: []byte{5}},
+	} {
+		frame := m.Encode()
+		f.Add(frame)
+		f.Add(frame[:len(frame)-1])
+		f.Add(append(frame, 0))
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if m, err := Decode(data); err == nil {
+			if again := m.Encode(); !bytes.Equal(again, data) {
+				t.Fatalf("accepted frame %x re-encodes to %x", data, again)
+			}
+		}
+
+		// The input, padded, supplies every field; the type cycles
+		// through all six, and each keeps only the fields its frame carries.
+		var b [18]byte
+		copy(b[:], data)
+		m := Message{Type: MsgType(b[0]%6 + 1)}
+		switch m.Type {
+		case MsgRegisterWrite:
+			m.Value = binary.BigEndian.Uint64(b[9:17])
+			fallthrough
+		case MsgRegisterRead:
+			m.RegID = binary.BigEndian.Uint32(b[1:5])
+			m.Index = binary.BigEndian.Uint32(b[5:9])
+		case MsgReadResponse:
+			m.Value = binary.BigEndian.Uint64(b[9:17])
+			fallthrough
+		case MsgWriteResponse:
+			m.OK = b[17]&1 == 1
+		case MsgPacketOut, MsgPacketIn:
+			if len(data) > 1 {
+				m.Payload = data[1:]
+			}
+		}
+		got, err := Decode(m.Encode())
+		if err != nil {
+			t.Fatalf("%+v: %v", m, err)
+		}
+		if got.Type != m.Type || got.RegID != m.RegID || got.Index != m.Index ||
+			got.Value != m.Value || got.OK != m.OK || !bytes.Equal(got.Payload, m.Payload) {
+			t.Fatalf("sent %+v, got %+v", m, got)
+		}
+	})
 }

@@ -9,8 +9,10 @@
 # the codec edge cases (max-epoch grants, maximum-length holders, torn
 # and truncated records) alongside its corpus; FuzzDecodeBrokerFrame's
 # include one hierarchy broker frame of every type plus torn, truncated
-# and over-long-name frames. FuzzValidateKey is differential: the one-pass
-# key check must give the split-based reference's verdict and error text.
+# and over-long-name frames, and FuzzDecodeP4RT's one controller-stream
+# frame of every type plus truncated and over-long ones. FuzzValidateKey
+# is differential: the one-pass key check must give the split-based
+# reference's verdict and error text.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -26,6 +28,7 @@ for entry in \
     ./internal/statestore/:FuzzDecodeLease \
     ./internal/statestore/:FuzzValidateKey \
     ./internal/hierarchy/:FuzzDecodeBrokerFrame \
+    ./internal/p4rt/:FuzzDecodeP4RT \
     ./internal/pisa/:FuzzProcessP4Auth; do
     pkg="${entry%%:*}"
     target="${entry#*:}"
