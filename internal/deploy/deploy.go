@@ -1,8 +1,7 @@
 // Package deploy assembles ready-to-run P4Auth switches: a host program
 // (by default a minimal ptype-only shell plus caller-supplied registers),
-// the woven-in P4Auth data plane, compilation for a target profile (once
-// per configuration), boot seeding, register-map population, and the
-// switch-software stack.
+// the woven-in P4Auth data plane, compilation for a target profile, boot
+// seeding, register-map population, and the switch-software stack.
 package deploy
 
 import (

@@ -149,7 +149,6 @@ func Decode(data []byte) (*Message, error) {
 		return nil, fmt.Errorf("p4rt: frame too short (%d bytes)", len(data))
 	}
 	m := &Message{Type: MsgType(data[0])}
-	var err error
 	n := binary.BigEndian.Uint32(data[1:5])
 	body := data[headerLen:]
 	if uint32(len(body)) != n {
@@ -174,29 +173,21 @@ func Decode(data []byte) (*Message, error) {
 			return nil, fmt.Errorf("p4rt: read response body %d bytes, want 9", len(body))
 		}
 		m.Value = binary.BigEndian.Uint64(body[0:8])
-		if m.OK, err = flag(body[8]); err != nil {
-			return nil, err
-		}
+		m.OK = body[8] == 1
 	case MsgWriteResponse:
 		if len(body) != 1 {
 			return nil, fmt.Errorf("p4rt: write response body %d bytes, want 1", len(body))
 		}
-		if m.OK, err = flag(body[0]); err != nil {
-			return nil, err
-		}
+		m.OK = body[0] == 1
 	case MsgPacketOut, MsgPacketIn:
 		m.Payload = append([]byte(nil), body...)
 	default:
 		return nil, fmt.Errorf("p4rt: unknown message type %d", data[0])
 	}
-	return m, nil
-}
-
-// flag decodes a response's OK byte. Encode writes only 0 or 1, so any
-// other value is not a frame and would not re-encode to itself.
-func flag(b byte) (bool, error) {
-	if b > 1 {
-		return false, fmt.Errorf("p4rt: response flag %d, want 0 or 1", b)
+	// Encode writes a response flag as 0 or 1; any other byte would not
+	// re-encode to this frame.
+	if (m.Type == MsgReadResponse || m.Type == MsgWriteResponse) && body[len(body)-1] > 1 {
+		return nil, fmt.Errorf("p4rt: response flag %d, want 0 or 1", body[len(body)-1])
 	}
-	return b == 1, nil
+	return m, nil
 }
