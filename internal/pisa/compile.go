@@ -173,7 +173,9 @@ type stagePacker struct {
 // stage stamped st iff at[s] == st. One set, indexed by value-file slot,
 // serves every packer of a Compile: each stage of each packer draws a
 // fresh stamp, so a nested block's writes never read as its enclosing
-// block's.
+// block's. A nested write may overwrite an enclosing mark only harmlessly:
+// the enclosing packer places table actions at the start of a fresh stage
+// and starts a new stage after an If's branches.
 type stageMarks struct {
 	at   []uint32
 	last uint32
