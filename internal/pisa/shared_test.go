@@ -213,7 +213,7 @@ func TestCompileOnceOneCompilation(t *testing.T) {
 func TestCompileOnceCachesNoError(t *testing.T) {
 	key := new(int)
 	boom := errors.New("boom")
-	if _, err := CompileOnce(key, BMv2Profile(), func() (*Program, error) { return nil, boom }); err != boom {
+	if _, err := CompileOnce(key, BMv2Profile(), func() (*Program, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("build error = %v, want %v", err, boom)
 	}
 	_, err := CompileOnce(key, BMv2Profile(), func() (*Program, error) {
