@@ -44,9 +44,10 @@ func (u Usage) Percent(p Profile) UsagePercent {
 
 // Compiled is a program linked and placed against a target profile. A
 // Compiled and its Program are read-only once Compile returns: every
-// switch over it keeps its own runtime state (NewSwitchFromCompiled), so
-// any number of switches may share one, and CompileOnce shares one among
-// every switch built from the same configuration.
+// switch over it keeps its own args and runtime state
+// (NewSwitchFromCompiled), so any number of switches may share one, and
+// CompileOnce shares one among every switch built from the same
+// configuration.
 type Compiled struct {
 	Program *Program
 	Profile Profile
@@ -60,6 +61,7 @@ type Compiled struct {
 	slotWidth  []uint8 // PHV slot -> width in bits
 	metaBase   int32   // first intrinsic-metadata slot
 	paramBase  int32   // end of the PHV slots, start of the parameter window
+	argBase    int32   // start of the switch's Program.Args values
 	constBase  int32   // start of the constant tail
 	consts     []uint64
 	code       []lop
@@ -110,8 +112,9 @@ func Compile(prog *Program, profile Profile) (*Compiled, error) {
 	return c, nil
 }
 
-// compiledOnce holds CompileOnce's compilations for the life of the
-// process, keyed by onceKey.
+// compiledOnce holds CompileOnce's compilations, keyed by onceKey. It
+// has no eviction: every distinct configuration stays for the life of the
+// process, also after the last switch over it is gone.
 var compiledOnce sync.Map
 
 type onceKey struct {

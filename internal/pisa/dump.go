@@ -22,9 +22,15 @@ func Dump(p *Program) string {
 		}
 		fmt.Fprintf(&b, " }  // %d bytes\n", h.Bytes())
 	}
-	if len(p.Metadata) > 0 {
-		b.WriteString("metadata { ")
-		for i, f := range p.Metadata {
+	for _, block := range []struct {
+		name   string
+		fields []FieldDef
+	}{{"metadata", p.Metadata}, {"args", p.Args}} {
+		if len(block.fields) == 0 {
+			continue
+		}
+		fmt.Fprintf(&b, "%s { ", block.name)
+		for i, f := range block.fields {
 			if i > 0 {
 				b.WriteString("; ")
 			}

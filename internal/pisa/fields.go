@@ -73,6 +73,9 @@ func (r FieldRef) split() (header, field string, err error) {
 // standard intrinsic fields below always exist.
 const MetaHeader = "meta"
 
+// ArgHeader is the reserved pseudo-header exposing Program.Args.
+const ArgHeader = "arg"
+
 // Intrinsic metadata fields present in every program.
 const (
 	MetaIngressPort = "ingress_port" // port the packet arrived on

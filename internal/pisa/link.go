@@ -209,13 +209,14 @@ func (c *Compiled) link() error {
 		addSlot(MetaHeader, f)
 	}
 	c.paramBase = int32(len(c.slotWidth))
-	c.constBase = c.paramBase
+	c.argBase = c.paramBase
 	for i, a := range prog.Actions {
 		l.actions[a.Name] = int32(i)
-		if end := c.paramBase + int32(len(a.Params)); end > c.constBase {
-			c.constBase = end
+		if end := c.paramBase + int32(len(a.Params)); end > c.argBase {
+			c.argBase = end
 		}
 	}
+	c.constBase = c.argBase + int32(len(prog.Args))
 	for i, s := range prog.Parser {
 		l.states[s.Name] = int32(i)
 	}
@@ -337,6 +338,14 @@ func (l *linker) lookupRef(ref FieldRef, act *Action) (vref, int, error) {
 		}
 		return noRef, 0, fmt.Errorf("pisa: action %s has no parameter %q", act.Name, fld)
 	}
+	if hdr == ArgHeader {
+		for i, a := range l.c.Program.Args {
+			if a.Name == fld {
+				return l.c.argBase + int32(i), a.Width, nil
+			}
+		}
+		return noRef, 0, fmt.Errorf("pisa: program has no arg %q", fld)
+	}
 	s, ok := l.slots[ref]
 	if !ok {
 		return noRef, 0, fmt.Errorf("pisa: unknown field %s", ref)
@@ -402,7 +411,7 @@ func (l *linker) lowerOp(op *Op, act *Action, depth int) error {
 			out.dst, w, err = l.lookupRef(op.Dst, act)
 		}
 		if err == nil && out.dst >= c.paramBase {
-			fail("pisa: cannot write to action parameter %s", op.Dst)
+			fail("pisa: cannot write to action parameter or arg %s", op.Dst)
 		}
 		if err == nil && op.Kind == OpRotl && w > c.Profile.ALUWidth {
 			fail("pisa: rotate on %d-bit field exceeds %d-bit ALU", w, c.Profile.ALUWidth)

@@ -37,6 +37,12 @@ type Program struct {
 	Headers  []*HeaderDef
 	Metadata []FieldDef // user metadata, in addition to the intrinsics
 
+	// Args are per-switch constants, read as ArgHeader fields and never
+	// written. Each switch binds its own values (WithArg), so switches
+	// that differ only in their args share one compilation. An arg is
+	// accounted as a constant: it takes no PHV and no stage.
+	Args []FieldDef
+
 	Parser []ParserState
 
 	// DeparseOrder lists header names in wire order for emission. Valid
@@ -101,7 +107,7 @@ func (p *Program) validate() error {
 	if p.Name == "" {
 		return fmt.Errorf("pisa: program needs a name")
 	}
-	seenH := map[string]bool{MetaHeader: true, ParamHeader: true}
+	seenH := map[string]bool{MetaHeader: true, ParamHeader: true, ArgHeader: true}
 	for _, h := range p.Headers {
 		if err := h.validate(); err != nil {
 			return err
@@ -123,6 +129,16 @@ func (p *Program) validate() error {
 			return fmt.Errorf("pisa: duplicate or reserved metadata field %q", m.Name)
 		}
 		seenM[m.Name] = true
+	}
+	seenArg := make(map[string]bool)
+	for _, a := range p.Args {
+		if a.Width < 1 || a.Width > 64 {
+			return fmt.Errorf("pisa: arg %s: width %d out of range", a.Name, a.Width)
+		}
+		if seenArg[a.Name] {
+			return fmt.Errorf("pisa: duplicate arg %q", a.Name)
+		}
+		seenArg[a.Name] = true
 	}
 	seenA := make(map[string]bool)
 	for _, a := range p.Actions {

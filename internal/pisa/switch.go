@@ -77,6 +77,9 @@ type Switch struct {
 	// rng is the random source backing the P4 random() extern.
 	rng crypto.RandomSource
 
+	// args are this switch's values of Program.Args, cut to width.
+	args []uint64
+
 	crcIEEE   *crc32.Table
 	crcCast   *crc32.Table
 	keyedIEEE crypto.KeyedCRC32
@@ -103,6 +106,20 @@ func WithRandom(r crypto.RandomSource) Option {
 	return func(s *Switch) { s.rng = r }
 }
 
+// WithArg binds the switch's value of the program arg name (unbound args
+// read 0). Binding an arg the program does not declare panics.
+func WithArg(name string, v uint64) Option {
+	return func(s *Switch) {
+		for i, a := range s.compiled.Program.Args {
+			if a.Name == name {
+				s.args[i] = v & mask(a.Width)
+				return
+			}
+		}
+		panic(fmt.Sprintf("pisa: program %s has no arg %q", s.compiled.Program.Name, name))
+	}
+}
+
 // NewSwitch compiles the program for the profile and instantiates runtime
 // state.
 func NewSwitch(prog *Program, profile Profile, opts ...Option) (*Switch, error) {
@@ -114,12 +131,13 @@ func NewSwitch(prog *Program, profile Profile, opts ...Option) (*Switch, error) 
 }
 
 // NewSwitchFromCompiled instantiates runtime state for an already-compiled
-// program. Several switches can share one compilation: registers, tables,
-// multicast groups, counters, the random() source, the clock and the
-// execution-state pool are the switch's own.
+// program. Several switches can share one compilation: args, registers,
+// tables, multicast groups, counters, the random() source, the clock and
+// the execution-state pool are the switch's own.
 func NewSwitchFromCompiled(compiled *Compiled, opts ...Option) *Switch {
 	s := &Switch{
 		compiled:  compiled,
+		args:      make([]uint64, len(compiled.Program.Args)),
 		rng:       crypto.NewSeededRand(0x9a4aadd),
 		mcast:     make(map[uint64][]int),
 		crcIEEE:   crypto.IEEETable(),
@@ -139,6 +157,7 @@ func NewSwitchFromCompiled(compiled *Compiled, opts ...Option) *Switch {
 			vals:  make([]uint64, int(compiled.constBase)+len(compiled.consts)),
 			valid: make([]bool, len(compiled.headers)),
 		}
+		copy(st.vals[compiled.argBase:], s.args)
 		copy(st.vals[compiled.constBase:], compiled.consts)
 		return st
 	}
@@ -684,6 +703,6 @@ func (s *Switch) applyTable(st *execState, ti int32) {
 	// The parameter count was checked when the entry was installed (the
 	// default's when the program was compiled).
 	c := s.compiled
-	copy(st.vals[c.paramBase:c.constBase], params)
+	copy(st.vals[c.paramBase:c.argBase], params)
 	s.run(st, c.actions[action])
 }
