@@ -233,10 +233,11 @@ func TestFatTreeDeliversFleetWide(t *testing.T) {
 	}
 }
 
-// TestFatTreeSharesExactCompilations: a second fabric of the same config
-// reuses every switch's compilation, and each is deeply equal to a fresh
-// compile of a fresh hula.BuildProgram, for every role at k=4 and k=8,
-// secure and insecure.
+// TestFatTreeSharesExactCompilations: within one fabric the edges share
+// one compilation and the aggs and cores another (their Params differ only
+// in SwitchID), a second fabric of the same config reuses them, and each
+// is deeply equal to a fresh compile of a fresh hula.BuildProgram, for
+// every role at k=4 and k=8, secure and insecure.
 func TestFatTreeSharesExactCompilations(t *testing.T) {
 	for _, k := range []int{4, 8} {
 		for _, secure := range []bool{true, false} {
@@ -245,6 +246,13 @@ func TestFatTreeSharesExactCompilations(t *testing.T) {
 			first, err := BuildFatTree(cfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			roles := map[*pisa.Compiled]bool{}
+			for _, sw := range first.Switches {
+				roles[sw.Host.SW.Compiled()] = true
+			}
+			if len(roles) != 2 {
+				t.Errorf("k=%d secure=%v: %d switches over %d compilations, want 2", k, secure, len(first.Switches), len(roles))
 			}
 			second, err := BuildFatTree(cfg)
 			if err != nil {

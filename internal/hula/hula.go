@@ -67,7 +67,8 @@ const (
 // Params configures one HULA switch.
 type Params struct {
 	// SwitchID is this switch's ToR identifier (data with dst==SwitchID is
-	// delivered to HostPort).
+	// delivered to HostPort), 0..0xFFFF. It is the program's ArgSwitchID,
+	// bound per switch, so it is not an input of BuildProgram.
 	SwitchID int
 	// Ports is the number of network ports.
 	Ports int
@@ -118,13 +119,19 @@ type Switch struct {
 	Alerts int
 }
 
+// ArgSwitchID is the program arg a switch binds its SwitchID to
+// (pisa.WithArg).
+const ArgSwitchID = "switch_id"
+
 // BuildProgram constructs the HULA data plane (optionally with P4Auth).
+// p.SwitchID is not read: a switch binds it to ArgSwitchID.
 func BuildProgram(p Params) (*pisa.Program, core.Config, error) {
 	if p.FlowletSlots&(p.FlowletSlots-1) != 0 || p.FlowletSlots == 0 {
 		return nil, core.Config{}, fmt.Errorf("hula: FlowletSlots must be a power of two, got %d", p.FlowletSlots)
 	}
 	prog := &pisa.Program{
-		Name: fmt.Sprintf("hula_s%d", p.SwitchID),
+		Name: "hula",
+		Args: []pisa.FieldDef{{Name: ArgSwitchID, Width: 16}},
 		Headers: []*pisa.HeaderDef{
 			core.PTypeHeader(),
 			{Name: HdrProbe, Fields: []pisa.FieldDef{
@@ -296,7 +303,7 @@ func buildIngress(p Params) []pisa.Op {
 
 	// --- data path: flowlet routing along the best hop ---
 	dataOps := []pisa.Op{
-		pisa.If(pisa.Eq(pisa.R(data("dst")), pisa.C(uint64(p.SwitchID))),
+		pisa.If(pisa.Eq(pisa.R(data("dst")), pisa.R(pisa.F(pisa.ArgHeader, ArgSwitchID))),
 			[]pisa.Op{pisa.Forward(pisa.C(uint64(p.HostPort)))},
 			[]pisa.Op{
 				pisa.Hash(m("h_idx"), pisa.HashCRC32, pisa.R(data("flow"))),
@@ -354,17 +361,24 @@ func buildEgress(p Params) []pisa.Op {
 
 // NewSwitch builds and boots a HULA switch on the BMv2 profile (the
 // paper's target for the HULA experiments). Its program is compiled once
-// per process for each Params: Params is every input of BuildProgram.
+// per process for each Params but SwitchID, which is every input of
+// BuildProgram: switches of one role share one compilation.
 func NewSwitch(name string, p Params, randSeed uint64) (*Switch, error) {
-	compiled, err := pisa.CompileOnce(p, pisa.BMv2Profile(), func() (*pisa.Program, error) {
-		prog, _, err := BuildProgram(p)
+	if p.SwitchID < 0 || p.SwitchID > 0xFFFF {
+		return nil, fmt.Errorf("hula: SwitchID %d does not fit the 16-bit data dst", p.SwitchID)
+	}
+	key := p
+	key.SwitchID = 0
+	compiled, err := pisa.CompileOnce(key, pisa.BMv2Profile(), func() (*pisa.Program, error) {
+		prog, _, err := BuildProgram(key)
 		return prog, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	cfg := programConfig(p)
-	sw := pisa.NewSwitchFromCompiled(compiled, pisa.WithRandom(crypto.NewSeededRand(randSeed)))
+	sw := pisa.NewSwitchFromCompiled(compiled, pisa.WithRandom(crypto.NewSeededRand(randSeed)),
+		pisa.WithArg(ArgSwitchID, uint64(p.SwitchID)))
 	host := switchos.NewHost(name, sw, switchos.DefaultCosts())
 	if p.Secure {
 		if err := core.Boot(sw, cfg); err != nil {
