@@ -72,7 +72,7 @@ func Build(spec SwitchSpec) (*Switch, error) {
 		exposed = append(exposed, r.Name)
 		fmt.Fprintf(&regs, "%q %d %d;", r.Name, r.Width, r.Entries)
 	}
-	key := programKey{Name: spec.Name, Ports: spec.Ports, Config: cfg, Insecure: spec.Insecure, Registers: regs.String()}
+	key := programKey{Name: spec.Name, Config: cfg, Registers: regs.String()}
 	compiled, err := pisa.CompileOnce(key, spec.Profile, func() (*pisa.Program, error) {
 		return program(spec.Name, spec.Registers, exposed, cfg)
 	})
@@ -99,13 +99,12 @@ func Build(spec SwitchSpec) (*Switch, error) {
 	return &Switch{Host: host, Cfg: cfg}, nil
 }
 
-// programKey is every input of Build's program: RandSeed and Costs are
-// runtime state, and Registers holds the register definitions by value.
+// programKey is every input of program: Config is what the spec's Ports,
+// Digest, Config and Insecure derive, RandSeed and Costs are runtime
+// state, and Registers holds the register definitions by value.
 type programKey struct {
 	Name      string
-	Ports     int
 	Config    core.Config
-	Insecure  bool
 	Registers string
 }
 
