@@ -67,8 +67,8 @@ const (
 // Params configures one HULA switch.
 type Params struct {
 	// SwitchID is this switch's ToR identifier (data with dst==SwitchID is
-	// delivered to HostPort), 0..0xFFFF. It is the program's ArgSwitchID,
-	// bound per switch, so it is not an input of BuildProgram.
+	// delivered to HostPort). It is the program's ArgSwitchID, bound per
+	// switch, so it is not an input of BuildProgram.
 	SwitchID int
 	// Ports is the number of network ports.
 	Ports int
@@ -131,7 +131,7 @@ func BuildProgram(p Params) (*pisa.Program, core.Config, error) {
 	}
 	prog := &pisa.Program{
 		Name: "hula",
-		Args: []pisa.FieldDef{{Name: ArgSwitchID, Width: 16}},
+		Args: []pisa.FieldDef{{Name: ArgSwitchID, Width: 64}},
 		Headers: []*pisa.HeaderDef{
 			core.PTypeHeader(),
 			{Name: HdrProbe, Fields: []pisa.FieldDef{
@@ -364,9 +364,6 @@ func buildEgress(p Params) []pisa.Op {
 // per process for each Params but SwitchID, which is every input of
 // BuildProgram: switches of one role share one compilation.
 func NewSwitch(name string, p Params, randSeed uint64) (*Switch, error) {
-	if p.SwitchID < 0 || p.SwitchID > 0xFFFF {
-		return nil, fmt.Errorf("hula: SwitchID %d does not fit the 16-bit data dst", p.SwitchID)
-	}
 	key := p
 	key.SwitchID = 0
 	compiled, err := pisa.CompileOnce(key, pisa.BMv2Profile(), func() (*pisa.Program, error) {

@@ -42,12 +42,9 @@ func (u Usage) Percent(p Profile) UsagePercent {
 	}
 }
 
-// Compiled is a program linked and placed against a target profile. A
-// Compiled and its Program are read-only once Compile returns: every
-// switch over it keeps its own args and runtime state
-// (NewSwitchFromCompiled), so any number of switches may share one, and
-// CompileOnce shares one among every switch built from the same
-// configuration.
+// Compiled is a program linked and placed against a target profile. It
+// and its Program are read-only once Compile returns, so any number of
+// switches may share one (NewSwitchFromCompiled, CompileOnce).
 type Compiled struct {
 	Program *Program
 	Profile Profile
@@ -204,7 +201,7 @@ func (sp *stagePacker) nextStage() {
 func (sp *stagePacker) write(dst int32) { sp.marks.at[dst] = sp.stage }
 
 // readsWritten reports whether any source was written earlier in the
-// current stage (parameters, constants and noRef never are).
+// current stage (parameters, args, constants and noRef never are).
 func (sp *stagePacker) readsWritten(srcs ...vref) bool {
 	for _, s := range srcs {
 		if s != noRef && sp.marks.at[s] == sp.stage {
