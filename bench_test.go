@@ -2,8 +2,10 @@ package p4auth
 
 import (
 	"testing"
+	"time"
 
 	"p4auth/internal/crypto"
+	"p4auth/internal/hula"
 	"p4auth/internal/statestore"
 )
 
@@ -108,6 +110,42 @@ func BenchmarkLocalKeyRollover(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.LocalKeyUpdate("b2"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBringUpRollover times the set-up of the benchmark's
+// kmp_rollover fixture: a controller, two linked secure HULA switches
+// (IDs 1 and 2, two ports each) with their probe floods, and every local
+// and port key initialised. After the first iteration both programs are
+// compiled, so what it measures is the per-switch and per-controller
+// state a bring-up builds.
+func BenchmarkBringUpRollover(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c := NewController(crypto.NewSeededRand(1))
+		var sws [2]*hula.Switch
+		for j, name := range []string{"ka", "kb"} {
+			sw, err := hula.NewSwitch(name, hula.DefaultParams(j+1, 2), uint64(j)|1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := c.Register(name, sw.Host, sw.Cfg, 50*time.Microsecond); err != nil {
+				b.Fatal(err)
+			}
+			sws[j] = sw
+		}
+		if err := c.ConnectSwitches("ka", 2, "kb", 1, 5*time.Microsecond); err != nil {
+			b.Fatal(err)
+		}
+		if err := sws[1].SetProbeFlood(sws[1].Params.GeneratorPort, []int{1}); err != nil {
+			b.Fatal(err)
+		}
+		if err := sws[0].SetProbeFlood(2, nil); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := c.InitAllKeys(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -70,10 +70,11 @@ c fuzz-smoke ./scripts/fuzz_smoke.sh
 # bad-digest reject), one fabric hop between two linked secure HULA
 # switches (Sim.Step: delivery, verify, re-sign, Send), the dpdp_probes
 # loop as a go test benchmark (8 keyed ports, batches of 32: the one to
-# run with -cpuprofile), the three digesters and the set-up of a secure
-# k=4 fat tree, with allocs/op printed: a reintroduced per-packet name
+# run with -cpuprofile), the three digesters, the set-up of a secure k=4
+# fat tree and the bring-up of kmp_rollover's two-switch fixture, with
+# allocs/op printed: a reintroduced per-packet name
 # lookup or per-hop allocation shows here without the 15 s benchmark.
-c bench-smoke go test -bench='BenchmarkAuthenticatedWrite|BenchmarkDurableWrite|BenchmarkAuthenticatedRead|BenchmarkProcessP4Auth|BenchmarkFabricHop|BenchmarkSwitchProbeBatch32|BenchmarkDigesters|BenchmarkBuildFatTree' -benchtime=10x -run '^$' -short . ./internal/pisa/ ./internal/netsim/ ./internal/hula/ ./internal/crypto/ ./internal/fleet/
+c bench-smoke go test -bench='BenchmarkAuthenticatedWrite|BenchmarkDurableWrite|BenchmarkAuthenticatedRead|BenchmarkProcessP4Auth|BenchmarkFabricHop|BenchmarkSwitchProbeBatch32|BenchmarkDigesters|BenchmarkBuildFatTree|BenchmarkBringUpRollover' -benchtime=10x -run '^$' -short . ./internal/pisa/ ./internal/netsim/ ./internal/hula/ ./internal/crypto/ ./internal/fleet/
 EOF
 }
 
