@@ -148,9 +148,6 @@ func New(p Params, primary, backup uint64) (*System, error) {
 		return nil, err
 	}
 	host := switchos.NewHost(p.name(), sw, switchos.DefaultCosts())
-	if err := core.InstallRegMap(sw, host.Info, []string{RegPrimary, RegBackup, RegEvidence, RegFailed}); err != nil {
-		return nil, err
-	}
 	ctrl := controller.New(crypto.NewSeededRand(0xB118+p.Seed))
 	if err := ctrl.Register(p.name(), host, cfg, 0); err != nil {
 		return nil, err

@@ -48,9 +48,6 @@ func newEnv(t *testing.T, mutate func(*Config)) *testEnv {
 	if err := Boot(sw, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := InstallRegMap(sw, p4rt.InfoFromProgram(prog), []string{"lat", "split"}); err != nil {
-		t.Fatal(err)
-	}
 	dig, err := cfg.Digester()
 	if err != nil {
 		t.Fatal(err)

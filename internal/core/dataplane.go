@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"p4auth/internal/crypto"
 	"p4auth/internal/p4rt"
@@ -376,13 +377,29 @@ func ReadActionName(reg string) string { return "pa_read_" + reg }
 // WriteActionName names the generated per-register write action.
 func WriteActionName(reg string) string { return "pa_write_" + reg }
 
+// addRegMap declares the register-map table (§VII): a read and a write
+// action per exposed register, and as the table's const entries the
+// (register ID, read|write) pairs that select them, so the map is
+// compiled, never installed at run time. IDs are p4info's declaration
+// order, so every exposed register must be declared before AddToProgram.
+// The sequencing registers (replay floors and outbound counters) are
+// exposed so crash recovery can audit floors and re-pair DP-DP sequencing
+// on links whose ends rebooted. Every access still rides the
+// authenticated channel; exposure adds no capability an adversary without
+// K_local lacks.
 func addRegMap(prog *pisa.Program, exposed []string) error {
 	actions := []string{ActionRegMiss}
+	entries := make([]pisa.Entry, 0, 2*len(exposed))
 	prog.Actions = append(prog.Actions, &pisa.Action{
 		Name: ActionRegMiss,
 		Body: []pisa.Op{pisa.Set(mf(mMiss), pisa.C(1))},
 	})
 	for _, reg := range exposed {
+		i := slices.IndexFunc(prog.Registers, func(r *pisa.RegisterDef) bool { return r.Name == reg })
+		if i < 0 {
+			return fmt.Errorf("core: exposed register %q is not declared before AddToProgram", reg)
+		}
+		id := uint64(p4rt.RegisterID(i))
 		prog.Actions = append(prog.Actions,
 			&pisa.Action{Name: ReadActionName(reg), Body: []pisa.Op{
 				pisa.RegRead(pisa.F(HdrReg, "value"), reg, pisa.R(pisa.F(HdrReg, "index"))),
@@ -394,6 +411,10 @@ func addRegMap(prog *pisa.Program, exposed []string) error {
 			}},
 		)
 		actions = append(actions, ReadActionName(reg), WriteActionName(reg))
+		entries = append(entries,
+			pisa.Entry{Key: []pisa.KeyMatch{pisa.EKey(id), pisa.EKey(MsgReadReq)}, Action: ReadActionName(reg)},
+			pisa.Entry{Key: []pisa.KeyMatch{pisa.EKey(id), pisa.EKey(MsgWriteReq)}, Action: WriteActionName(reg)},
+		)
 	}
 	size := 2*len(exposed) + 2
 	prog.Tables = append(prog.Tables, &pisa.Table{
@@ -402,43 +423,11 @@ func addRegMap(prog *pisa.Program, exposed []string) error {
 			{Field: pisa.F(HdrReg, "regid"), Match: pisa.MatchExact},
 			{Field: pisa.F(HdrAuth, "msgType"), Match: pisa.MatchExact},
 		},
-		Size:    size,
-		Actions: actions,
-		Default: ActionRegMiss,
+		Size:         size,
+		Actions:      actions,
+		Default:      ActionRegMiss,
+		ConstEntries: entries,
 	})
-	return nil
-}
-
-// InstallRegMap populates the register-map table from p4info: two entries
-// per exposed register (read and write), as §VII describes. The alert
-// counter is always exposed so the controller can reset the DoS window
-// (§VIII) with an authenticated write, the ingress key-version counter so
-// the controller can resync key state after an interrupted rollover, and
-// the sequencing registers (replay floors and outbound counters) so
-// crash recovery can audit floors and re-pair DP-DP sequencing on links
-// whose ends rebooted. Every access still rides the authenticated
-// channel; exposure adds no capability an adversary without K_local
-// lacks.
-func InstallRegMap(sw *pisa.Switch, info *p4rt.P4Info, exposed []string) error {
-	exposed = append(append([]string(nil), exposed...), RegAlert, RegVer, RegSeq, RegSeqOut)
-	for _, reg := range exposed {
-		ri, err := info.RegisterByName(reg)
-		if err != nil {
-			return err
-		}
-		if err := sw.InsertEntry(TableRegMap, pisa.Entry{
-			Key:    []pisa.KeyMatch{pisa.EKey(uint64(ri.ID)), pisa.EKey(MsgReadReq)},
-			Action: ReadActionName(reg),
-		}); err != nil {
-			return err
-		}
-		if err := sw.InsertEntry(TableRegMap, pisa.Entry{
-			Key:    []pisa.KeyMatch{pisa.EKey(uint64(ri.ID)), pisa.EKey(MsgWriteReq)},
-			Action: WriteActionName(reg),
-		}); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

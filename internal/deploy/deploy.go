@@ -93,9 +93,6 @@ func Build(spec SwitchSpec) (*Switch, error) {
 		costs = *spec.Costs
 	}
 	host := switchos.NewHost(spec.Name, sw, costs)
-	if err := core.InstallRegMap(sw, host.Info, exposed); err != nil {
-		return nil, err
-	}
 	return &Switch{Host: host, Cfg: cfg}, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"p4auth/internal/core"
+	"p4auth/internal/p4rt"
 	"p4auth/internal/pisa"
 	"p4auth/internal/switchos"
 )
@@ -50,6 +51,7 @@ func TestBuildSharesExactCompilation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		p4rt.InfoOf(fresh) // the shared one's hosts built its p4info
 		if !reflect.DeepEqual(fresh, shared) {
 			t.Errorf("insecure=%v config=%v: shared compilation differs from a fresh one", spec.Insecure, spec.Config != nil)
 		}

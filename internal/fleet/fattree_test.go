@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"p4auth/internal/hula"
+	"p4auth/internal/p4rt"
 	"p4auth/internal/pisa"
 )
 
@@ -271,6 +272,7 @@ func TestFatTreeSharesExactCompilations(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				p4rt.InfoOf(fresh) // the shared one's hosts built its p4info
 				if !reflect.DeepEqual(fresh, shared) {
 					t.Errorf("k=%d secure=%v %s: shared compilation differs from a fresh one", k, secure, name)
 				}

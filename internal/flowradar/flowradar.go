@@ -196,9 +196,6 @@ func New(p Params) (*System, error) {
 		return nil, err
 	}
 	host := switchos.NewHost(p.name(), sw, switchos.DefaultCosts())
-	if err := core.InstallRegMap(sw, host.Info, []string{RegFlowXOR, RegFlowCnt, RegPktCnt}); err != nil {
-		return nil, err
-	}
 	ctrl := controller.New(crypto.NewSeededRand(0xF1B+p.Seed))
 	if err := ctrl.Register(p.name(), host, cfg, 0); err != nil {
 		return nil, err

@@ -211,6 +211,10 @@ func BuildProgram(p Params) (*pisa.Program, core.Config, error) {
 
 	cfg := programConfig(p)
 	if p.Secure {
+		// Expose the HULA state for authenticated C-DP reads (the paper's
+		// Table I visibility into best-path state) and the degraded-routing
+		// mask for supervisor writes; LinkTelemetry exposes the per-port
+		// feedback verdict counters the link supervisor polls.
 		if err := core.AddToProgram(prog, cfg, core.Integration{
 			Exposed:       []string{RegBestUtil, RegBestHop, RegPortBlock},
 			Aux:           []core.AuxPayload{{Header: HdrProbe, ParserState: "hula_probe_state"}},
@@ -379,14 +383,6 @@ func NewSwitch(name string, p Params, randSeed uint64) (*Switch, error) {
 	host := switchos.NewHost(name, sw, switchos.DefaultCosts())
 	if p.Secure {
 		if err := core.Boot(sw, cfg); err != nil {
-			return nil, err
-		}
-		// Expose the HULA state for authenticated C-DP reads (the paper's
-		// Table I visibility into best-path state), the degraded-routing
-		// mask for supervisor writes, and the per-port feedback verdict
-		// counters the link supervisor polls.
-		exposed := []string{RegBestUtil, RegBestHop, RegPortBlock, core.RegFbOK, core.RegFbBad}
-		if err := core.InstallRegMap(sw, host.Info, exposed); err != nil {
 			return nil, err
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"p4auth/internal/p4rt"
 	"p4auth/internal/pisa"
 )
 
@@ -39,6 +40,7 @@ func TestNewSwitchSharesExactCompilation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			p4rt.InfoOf(fresh) // the shared one's hosts built its p4info
 			if !reflect.DeepEqual(fresh, shared) {
 				t.Errorf("%+v: shared compilation differs from a fresh one", p)
 			}

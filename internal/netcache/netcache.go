@@ -188,10 +188,6 @@ func New(p Params) (*System, error) {
 		return nil, err
 	}
 	host := switchos.NewHost(p.name(), sw, switchos.DefaultCosts())
-	exposed := append(cms.RegisterNames(), RegHits, RegMisses, RegSlotHits)
-	if err := core.InstallRegMap(sw, host.Info, exposed); err != nil {
-		return nil, err
-	}
 	ctrl := controller.New(crypto.NewSeededRand(0x7ACF + p.Seed))
 	if err := ctrl.Register(p.name(), host, cfg, 0); err != nil {
 		return nil, err

@@ -168,9 +168,6 @@ func New(p Params) (*System, error) {
 		return nil, err
 	}
 	host := switchos.NewHost(p.name(), sw, switchos.DefaultCosts())
-	if err := core.InstallRegMap(sw, host.Info, []string{RegJitter, RegPackets, RegVerdict, RegBlocked}); err != nil {
-		return nil, err
-	}
 	ctrl := controller.New(crypto.NewSeededRand(0x93B+p.Seed))
 	if err := ctrl.Register(p.name(), host, cfg, 0); err != nil {
 		return nil, err

@@ -39,6 +39,17 @@ type P4Info struct {
 // with a resource-type byte.
 const registerIDBase = 0x05000000
 
+// RegisterID is the p4info ID of the register a program declares at
+// index i: IDs follow declaration order.
+func RegisterID(i int) uint32 { return registerIDBase + uint32(i) + 1 }
+
+// InfoOf returns the compilation's p4info. It is built once per
+// compilation and shared by every switch of it, so it lives exactly as
+// long as the compilation does; callers only read it.
+func InfoOf(c *pisa.Compiled) *P4Info {
+	return c.Catalog(func(p *pisa.Program) any { return InfoFromProgram(p) }).(*P4Info)
+}
+
 // InfoFromProgram builds p4info for a pisa program, assigning register IDs
 // deterministically in declaration order.
 func InfoFromProgram(prog *pisa.Program) *P4Info {
@@ -49,7 +60,7 @@ func InfoFromProgram(prog *pisa.Program) *P4Info {
 	}
 	for i, r := range prog.Registers {
 		info.Registers = append(info.Registers, RegisterInfo{
-			ID:      registerIDBase + uint32(i) + 1,
+			ID:      RegisterID(i),
 			Name:    r.Name,
 			Width:   r.Width,
 			Entries: r.Entries,

@@ -44,7 +44,8 @@ func (u Usage) Percent(p Profile) UsagePercent {
 
 // Compiled is a program linked and placed against a target profile. It
 // and its Program are read-only once Compile returns, so any number of
-// switches may share one (NewSwitchFromCompiled, CompileOnce).
+// switches may share one (NewSwitchFromCompiled, CompileOnce), with its
+// const table entries and its catalog.
 type Compiled struct {
 	Program *Program
 	Profile Profile
@@ -73,6 +74,19 @@ type Compiled struct {
 	startState int32
 	deparse    []int32 // header indexes in wire order
 	regMask    []uint64
+
+	// catalog is what Catalog builds, kept with the compilation.
+	catalogOnce sync.Once
+	catalog     any
+}
+
+// Catalog returns the compilation's control-plane catalog (p4rt's
+// p4info), which build derives from the program on the first call only:
+// every switch of the compilation shares one catalog, and it lives
+// exactly as long as the compilation. Its one builder is p4rt.InfoOf.
+func (c *Compiled) Catalog(build func(*Program) any) any {
+	c.catalogOnce.Do(func() { c.catalog = build(c.Program) })
+	return c.catalog
 }
 
 // nominal hash-input contribution of including the payload in a digest.

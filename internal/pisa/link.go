@@ -113,6 +113,9 @@ type ltable struct {
 	// defParams is the link-time copy of Table.DefaultParams: the run
 	// does not read the caller's Program.
 	defParams []uint64
+	// shared is the content of a table with Table.ConstEntries, which
+	// every switch of the compilation uses.
+	shared *tableState
 }
 
 // lheader locates a header's fields: they occupy consecutive slots in
@@ -253,6 +256,11 @@ func (c *Compiled) link() error {
 			lt.defParams = append([]uint64(nil), t.DefaultParams...)
 		}
 		c.tables = append(c.tables, lt)
+		if t.ConstEntries != nil {
+			if err := bindConst(t, &c.tables[len(c.tables)-1]); err != nil {
+				return err
+			}
+		}
 	}
 	for _, s := range prog.Parser {
 		ls := lstate{extract: -1, sel: -1, def: l.stateRef(s.Default), trans: span{start: int32(len(c.trans))}}

@@ -174,36 +174,31 @@ func (s *Switch) Compiled() *Compiled { return s.compiled }
 
 // InsertEntry installs a table entry.
 func (s *Switch) InsertEntry(table string, e Entry) error {
-	s.stateMu.Lock()
-	defer s.stateMu.Unlock()
-	ti, ok := s.compiled.tableIndex[table]
-	if !ok {
-		return fmt.Errorf("pisa: unknown table %q", table)
-	}
-	return s.tables[ti].insert(e)
+	return s.writeTable(table, func(ts *tableState) error { return ts.insert(e) })
 }
 
 // DeleteEntry removes the entry with the exact key from a table.
 func (s *Switch) DeleteEntry(table string, key []KeyMatch) error {
-	s.stateMu.Lock()
-	defer s.stateMu.Unlock()
-	ti, ok := s.compiled.tableIndex[table]
-	if !ok {
-		return fmt.Errorf("pisa: unknown table %q", table)
-	}
-	return s.tables[ti].remove(key)
+	return s.writeTable(table, func(ts *tableState) error { return ts.remove(key) })
 }
 
 // ClearTable removes all entries from a table.
 func (s *Switch) ClearTable(table string) error {
+	return s.writeTable(table, func(ts *tableState) error { ts.clear(); return nil })
+}
+
+// writeTable runs one driver write on a table, refusing a const one.
+func (s *Switch) writeTable(table string, write func(*tableState) error) error {
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
 	ti, ok := s.compiled.tableIndex[table]
 	if !ok {
 		return fmt.Errorf("pisa: unknown table %q", table)
 	}
-	s.tables[ti].clear()
-	return nil
+	if s.compiled.tables[ti].shared != nil {
+		return fmt.Errorf("pisa: table %s: %w", table, ErrConstTable)
+	}
+	return write(s.tables[ti])
 }
 
 // RegisterRead reads a register entry directly (the driver path).

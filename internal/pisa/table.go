@@ -1,6 +1,9 @@
 package pisa
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // MatchKind is a table match type.
 type MatchKind int
@@ -54,7 +57,15 @@ type Table struct {
 	// supplies its parameters.
 	Default       string
 	DefaultParams []uint64
+	// ConstEntries, when set, are the table's entries for the life of the
+	// program (P4's const entries): Compile resolves them once for every
+	// switch of the compilation, and the driver API refuses to change
+	// them, as P4Runtime refuses writes to a const table.
+	ConstEntries []Entry
 }
+
+// ErrConstTable is a driver write to a table with ConstEntries.
+var ErrConstTable = errors.New("const entries are read-only")
 
 // KeyMatch is one key component of a table entry.
 type KeyMatch struct {
@@ -100,8 +111,29 @@ type tableState struct {
 	scan []*boundEntry
 }
 
+// newTableState gives a switch the runtime content of table ti: an empty
+// index of its own, or the compilation's const entries, which every switch
+// of it shares.
 func newTableState(c *Compiled, ti int) *tableState {
+	if ts := c.tables[ti].shared; ts != nil {
+		return ts
+	}
 	return &tableState{def: c.Program.Tables[ti], lt: &c.tables[ti], exact: make(map[string]*boundEntry)}
+}
+
+// bindConst resolves a table's const entries, once per compilation.
+func bindConst(t *Table, lt *ltable) error {
+	ts := &tableState{def: t, lt: lt, exact: make(map[string]*boundEntry)}
+	for _, e := range t.ConstEntries {
+		if err := ts.insert(e); err != nil {
+			return err
+		}
+	}
+	if lt.exact && len(ts.exact) != len(t.ConstEntries) {
+		return fmt.Errorf("pisa: table %s: const entries repeat a key", t.Name)
+	}
+	lt.shared = ts
+	return nil
 }
 
 // appendKeyPart appends one key value, big-endian, to the exact-match map

@@ -183,9 +183,6 @@ func New(c Config) (*System, error) {
 		return nil, err
 	}
 	info := switchos.NewHost(c.name(), sw, switchos.DefaultCosts())
-	if err := core.InstallRegMap(sw, info.Info, []string{RegSplit, RegLatSum, RegLatCnt}); err != nil {
-		return nil, err
-	}
 
 	s := &System{
 		Net:    netsim.NewNetwork(),

@@ -173,10 +173,6 @@ func New(p Params) (*System, error) {
 		return nil, err
 	}
 	host := switchos.NewHost(p.name(), sw, switchos.DefaultCosts())
-	exposed := append(bloom.RegisterNames(), RegMigrating, RegPoolVer, RegOldServed, RegNewServed)
-	if err := core.InstallRegMap(sw, host.Info, exposed); err != nil {
-		return nil, err
-	}
 	ctrl := controller.New(crypto.NewSeededRand(0x511D+p.Seed))
 	if err := ctrl.Register(p.name(), host, cfg, 0); err != nil {
 		return nil, err

@@ -121,10 +121,6 @@ func NewHH(p HHParams) (*HHSystem, error) {
 		return nil, err
 	}
 	host := switchos.NewHost(p.name(), sw, switchos.DefaultCosts())
-	exposed := append(cms.RegisterNames(), RegWatch)
-	if err := core.InstallRegMap(sw, host.Info, exposed); err != nil {
-		return nil, err
-	}
 	ctrl := controller.New(crypto.NewSeededRand(0x440B + p.Seed))
 	if err := ctrl.Register(p.name(), host, cfg, 0); err != nil {
 		return nil, err

@@ -192,8 +192,10 @@ func (rc *responseCache) clear() {
 
 // Host is a complete switch: data plane plus software stack.
 type Host struct {
-	Name  string
-	SW    *pisa.Switch
+	Name string
+	SW   *pisa.Switch
+	// Info is the p4info of SW's compilation, shared with every other
+	// switch of it: read-only.
 	Info  *p4rt.P4Info
 	Costs Costs
 
@@ -236,7 +238,7 @@ func NewHost(name string, sw *pisa.Switch, costs Costs) *Host {
 	h := &Host{
 		Name:  name,
 		SW:    sw,
-		Info:  p4rt.InfoFromProgram(sw.Compiled().Program),
+		Info:  p4rt.InfoOf(sw.Compiled()),
 		Costs: costs,
 	}
 	h.SetResponseCache(DefaultResponseCacheSize)
