@@ -1,12 +1,14 @@
 package obs
 
 // Bounded ring-buffer audit log of structured security events. Append
-// copies a fixed-size Event into a pre-allocated slot under a mutex: no
-// allocation, no formatting. String fields must be constants or strings
-// that already exist (switch names, cause labels) — never built with fmt
-// on the hot path. When the ring wraps, the oldest events are overwritten
-// and counted as evicted, so readers can tell a complete log from a
-// truncated one.
+// copies a fixed-size Event into a ring slot under a mutex, with no
+// formatting. The ring grows with use, doubling up to its capacity, so a
+// log that records little holds little; once it is full, Append never
+// allocates. String fields must be constants or strings that already
+// exist (switch names, cause labels) — never built with fmt on the hot
+// path. When the full ring wraps, the oldest events are overwritten and
+// counted as evicted, so readers can tell a complete log from a truncated
+// one.
 
 import (
 	"fmt"
@@ -122,27 +124,39 @@ type Event struct {
 // DefaultAuditCap is the ring capacity used when none is given.
 const DefaultAuditCap = 4096
 
+// firstRing is the ring length an audit log's first event allocates.
+const firstRing = 16
+
 // AuditLog is a bounded ring of events.
 type AuditLog struct {
-	mu      sync.Mutex
-	ring    []Event // pre-allocated to capacity
-	next    uint64  // total events ever appended
-	evicted uint64  // events overwritten by ring wrap
+	mu sync.Mutex
+	// ring holds events in append order until it first fills; it doubles
+	// then, up to capacity, and wraps once it is that long.
+	ring     []Event
+	capacity int
+	next     uint64 // total events ever appended
+	evicted  uint64 // events overwritten by ring wrap
 }
 
 // NewAuditLog returns a ring holding the last n events (DefaultAuditCap
-// when n <= 0).
+// when n <= 0). It allocates nothing until the first event.
 func NewAuditLog(n int) *AuditLog {
 	if n <= 0 {
 		n = DefaultAuditCap
 	}
-	return &AuditLog{ring: make([]Event, n)}
+	return &AuditLog{capacity: n}
 }
 
-// Append records an event. Allocation-free: the event is copied into a
-// pre-allocated ring slot. Safe for concurrent use.
+// Append records an event, copying it into a ring slot. It allocates
+// only when the ring doubles, never once the ring has reached capacity.
+// Safe for concurrent use.
 func (l *AuditLog) Append(t EventType, actor, cause string, seq uint32, value uint64) {
 	l.mu.Lock()
+	if n := len(l.ring); l.next == uint64(n) && n < l.capacity {
+		ring := make([]Event, min(max(2*n, firstRing), l.capacity))
+		copy(ring, l.ring)
+		l.ring = ring
+	}
 	slot := &l.ring[l.next%uint64(len(l.ring))]
 	if l.next >= uint64(len(l.ring)) {
 		l.evicted++
@@ -186,7 +200,7 @@ func (l *AuditLog) Events() []Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := len(l.ring)
-	if l.next < uint64(n) {
+	if l.next <= uint64(n) {
 		out := make([]Event, l.next)
 		copy(out, l.ring[:l.next])
 		return out

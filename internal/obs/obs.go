@@ -274,7 +274,8 @@ type Observer struct {
 }
 
 // NewObserver returns an observer with a fresh registry and an audit ring
-// of the given capacity (DefaultAuditCap when n <= 0).
+// of the given capacity (DefaultAuditCap when n <= 0), which grows with
+// use up to it.
 func NewObserver(n int) *Observer {
 	return &Observer{Metrics: NewRegistry(), Audit: NewAuditLog(n)}
 }

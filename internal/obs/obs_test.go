@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math/bits"
 	"strings"
 	"sync"
 	"testing"
@@ -128,15 +129,24 @@ func TestAuditLogRing(t *testing.T) {
 
 func TestAuditLogDefaults(t *testing.T) {
 	l := NewAuditLog(0)
-	if got := len(l.ring); got != DefaultAuditCap {
-		t.Fatalf("default cap = %d, want %d", got, DefaultAuditCap)
-	}
 	l.Append(EvFloorBump, "s1", "warm-restart-lease", 0, 65536)
 	if l.Events()[0].Type.String() != "floor_bump" {
 		t.Fatal("event type name")
 	}
 	if EventType(200).String() != "unknown" {
 		t.Fatal("unknown event type name")
+	}
+	// The default capacity is DefaultAuditCap: the next append after it
+	// evicts exactly one event, the first.
+	for i := 1; i < DefaultAuditCap; i++ {
+		l.Append(EvWALSettle, "s1", "applied", uint32(i), 0)
+	}
+	if l.Evicted() != 0 || l.Len() != DefaultAuditCap {
+		t.Fatalf("at capacity: evicted %d, len %d, want 0 and %d", l.Evicted(), l.Len(), DefaultAuditCap)
+	}
+	l.Append(EvWALSettle, "s1", "applied", DefaultAuditCap, 0)
+	if ev := l.Events(); l.Evicted() != 1 || len(ev) != DefaultAuditCap || ev[0].ID != 2 {
+		t.Fatalf("one past capacity: evicted %d, len %d, oldest #%d, want 1, %d, #2", l.Evicted(), len(ev), ev[0].ID, DefaultAuditCap)
 	}
 }
 
@@ -180,6 +190,31 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 }
 
+// TestAuditLogGrowsWithUse: a fresh log holds no ring, the ring doubles
+// as events arrive up to the capacity, and retention, eviction counts and
+// order are those of a ring allocated at capacity.
+func TestAuditLogGrowsWithUse(t *testing.T) {
+	l := NewAuditLog(40)
+	if len(l.ring) != 0 || l.Len() != 0 || len(l.Events()) != 0 {
+		t.Fatalf("fresh log: ring %d, len %d", len(l.ring), l.Len())
+	}
+	for i := 1; i <= 100; i++ {
+		l.Append(EvWALSettle, "s1", "applied", uint32(i), uint64(i))
+		want := min(max(firstRing, 1<<bits.Len(uint(i-1))), 40)
+		if len(l.ring) != want {
+			t.Fatalf("after %d events: ring %d, want %d", i, len(l.ring), want)
+		}
+		if l.Len() != min(i, 40) || l.Evicted() != uint64(max(i-40, 0)) {
+			t.Fatalf("after %d events: len %d evicted %d", i, l.Len(), l.Evicted())
+		}
+		for j, e := range l.Events() {
+			if e.ID != uint64(max(i-40, 0)+j+1) {
+				t.Fatalf("after %d events: event %d is #%d", i, j, e.ID)
+			}
+		}
+	}
+}
+
 // TestUpdatePathAllocBudget pins the contract the hot paths rely on: once
 // instruments are resolved, Inc/Add/Set/Observe and AuditLog.Append do
 // not allocate.
@@ -193,7 +228,7 @@ func TestUpdatePathAllocBudget(t *testing.T) {
 	h := r.Histogram("hot")
 	l := NewAuditLog(64)
 	const actor, cause = "s1", "stale-seq"
-	for i := 0; i < 8; i++ { // warm up
+	for i := 0; i < 64; i++ { // warm up; fills the audit ring
 		c.Inc()
 		g.Set(uint64(i))
 		h.Observe(uint64(i))
