@@ -19,6 +19,8 @@ package obs
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -51,9 +53,10 @@ func (g *Gauge) Set(v uint64) { g.v.Store(v) }
 func (g *Gauge) Load() uint64 { return g.v.Load() }
 
 // HistBuckets is the number of power-of-two latency buckets. Bucket i
-// counts observations v with 2^(i-1) <= v < 2^i (bucket 0 counts v == 0
-// and v == 1); the last bucket absorbs everything larger. With 32 buckets
-// the range covers 1ns..~4s when observations are nanoseconds.
+// counts observations v with 2^i <= v < 2^(i+1) (bucket 0 also counts
+// v == 0); the last bucket absorbs everything from 2^(HistBuckets-1) up.
+// With 32 buckets the range covers 1ns..~2s when observations are
+// nanoseconds.
 const HistBuckets = 32
 
 // Histogram is a fixed-bucket power-of-two histogram. Observe is a single
@@ -64,17 +67,9 @@ type Histogram struct {
 	sum     atomic.Uint64
 }
 
-// bucketOf maps a value to its power-of-two bucket index.
+// bucketOf maps a value to its power-of-two bucket index, ⌊log2 v⌋.
 func bucketOf(v uint64) int {
-	b := 0
-	for v > 1 {
-		v >>= 1
-		b++
-	}
-	if b >= HistBuckets {
-		b = HistBuckets - 1
-	}
-	return b
+	return min(bits.Len64(v|1)-1, HistBuckets-1)
 }
 
 // Observe records one value. Allocation-free.
@@ -109,8 +104,10 @@ func (h *Histogram) Buckets() [HistBuckets]uint64 {
 }
 
 // Quantile returns an upper bound for the q-quantile (0 < q <= 1) from the
-// bucket histogram: the upper edge of the bucket holding the q*count-th
-// observation. Returns 0 when empty.
+// bucket histogram: the largest value the bucket holding the
+// q*count-th observation can hold, so that below the overflow bucket the
+// bound is under twice the true quantile. The overflow bucket has no such
+// value and reports math.MaxUint64. Returns 0 when empty.
 func (h *Histogram) Quantile(q float64) uint64 {
 	n := h.count.Load()
 	if n == 0 {
@@ -123,14 +120,11 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	var seen uint64
 	for i := range h.buckets {
 		seen += h.buckets[i].Load()
-		if seen >= rank {
-			if i == 0 {
-				return 1
-			}
-			return uint64(1) << uint(i)
+		if seen >= rank && i < HistBuckets-1 {
+			return uint64(1)<<(i+1) - 1
 		}
 	}
-	return uint64(1) << (HistBuckets - 1)
+	return math.MaxUint64
 }
 
 // Registry is a named collection of instruments. Lookup is get-or-create;

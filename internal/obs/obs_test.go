@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"math"
 	"math/bits"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -56,20 +59,47 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	if h.Mean() != float64(wantSum)/8 {
 		t.Fatalf("mean = %v", h.Mean())
 	}
-	// rank(0.5) = 4th of 8: cumulative hits 4 in bucket 1, upper edge 2.
-	if q := h.Quantile(0.5); q != 2 {
-		t.Fatalf("p50 = %d, want 2", q)
+	// rank(0.5) = 4th of 8, the 3: cumulative hits 4 in bucket 1 (2..3),
+	// whose largest value is 3.
+	if q := h.Quantile(0.5); q != 3 {
+		t.Fatalf("p50 = %d, want 3", q)
 	}
 	// rank(0.2) = 1st observation: bucket 0, reported as 1.
 	if q := h.Quantile(0.2); q != 1 {
 		t.Fatalf("p20 = %d, want 1", q)
 	}
-	if q := h.Quantile(1.0); q != 1<<(HistBuckets-1) {
-		t.Fatalf("p100 = %d", q)
+	// The 8th observation is in the overflow bucket, which bounds nothing.
+	if q := h.Quantile(1.0); q != math.MaxUint64 {
+		t.Fatalf("p100 = %d, want MaxUint64", q)
 	}
 	var empty Histogram
 	if empty.Quantile(0.99) != 0 || empty.Mean() != 0 {
 		t.Fatal("empty histogram must report zeros")
+	}
+}
+
+// TestHistogramQuantileBound: for seeded random sets below the overflow
+// bucket, the exact q-quantile (the rank-th smallest, rank as Quantile
+// takes it) is at most Quantile(q) and more than half of it.
+func TestHistogramQuantileBound(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var h Histogram
+		vals := make([]uint64, 1+rng.Intn(500))
+		for i := range vals {
+			// Log-uniform over [1, 2^31), so every bucket below the
+			// overflow one is drawn.
+			vals[i] = 1 + uint64(rng.Int63n(1<<rng.Intn(HistBuckets-1)))
+			h.Observe(vals[i])
+		}
+		slices.Sort(vals)
+		for _, q := range []float64{0.001, 0.1, 0.25, 0.5, 0.9, 0.99, 0.999, 1} {
+			rank := max(uint64(q*float64(len(vals))), 1)
+			exact, got := vals[rank-1], h.Quantile(q)
+			if got < exact || got >= 2*exact {
+				t.Fatalf("seed %d n=%d q=%v: Quantile %d, exact %d", seed, len(vals), q, got, exact)
+			}
+		}
 	}
 }
 
