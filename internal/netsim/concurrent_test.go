@@ -44,10 +44,6 @@ func TestConcurrentSend(t *testing.T) {
 					t.Errorf("txstats: %v", err)
 					return
 				}
-				if _, err := l.Utilization("a"); err != nil {
-					t.Errorf("utilization: %v", err)
-					return
-				}
 			}
 		}(w)
 	}

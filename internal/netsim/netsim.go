@@ -365,16 +365,11 @@ type linkEnd struct {
 	// this end's node: a packet departing inside [from,to) is delayed by
 	// an additional extra. Guarded by link.mu.
 	spikes []latencySpike
-	// utilization accounting (bytes entering the link from this end)
-	ewmaBps    float64
-	ewmaAt     time.Duration
+	// traffic accounting (bytes entering the link from this end)
 	totalBytes uint64
 	totalPkts  uint64
 	dropped    uint64
 }
-
-// utilHalfLife is the decay constant for link utilization estimates.
-const utilHalfLife = 10 * time.Millisecond
 
 // Network owns the simulator, nodes, and links.
 type Network struct {
@@ -586,7 +581,8 @@ func (n *Network) Send(node *Node, port int, data []byte, extraDelay time.Durati
 	}
 	depart := start + ser
 	end.busyUntil = depart
-	end.recordBytes(now, len(data))
+	end.totalBytes += uint64(len(data))
+	end.totalPkts++
 	dst := end.peer
 	// Latency spikes stretch this direction of the path for packets
 	// departing inside a spike window (WAN fault injection).
@@ -625,22 +621,6 @@ func (e *linkEnd) deliver(data []byte) {
 	}
 }
 
-func (e *linkEnd) recordBytes(now time.Duration, n int) {
-	e.totalBytes += uint64(n)
-	e.totalPkts++
-	// Exponentially decayed rate estimate.
-	if e.ewmaAt == 0 && e.ewmaBps == 0 {
-		e.ewmaAt = now
-	}
-	dt := now - e.ewmaAt
-	if dt > 0 {
-		e.ewmaBps *= math.Pow(0.5, float64(dt)/float64(utilHalfLife))
-		e.ewmaAt = now
-	}
-	// The ln2 factor makes the steady-state estimate equal the true rate.
-	e.ewmaBps += float64(n*8) * math.Ln2 / utilHalfLife.Seconds()
-}
-
 // TxStats reports bytes/packets transmitted from the named node onto this
 // link, and packets dropped by a tap in the opposite direction before
 // delivery to that node.
@@ -654,36 +634,6 @@ func (l *Link) TxStats(fromNode string) (bytes, packets uint64, err error) {
 		return l.b.totalBytes, l.b.totalPkts, nil
 	}
 	return 0, 0, fmt.Errorf("netsim: link does not touch node %q", fromNode)
-}
-
-// Utilization returns the decayed transmit rate from the named node as a
-// fraction of link bandwidth (0 when bandwidth is infinite).
-func (l *Link) Utilization(fromNode string) (float64, error) {
-	var e *linkEnd
-	switch fromNode {
-	case l.a.node.Name:
-		e = l.a
-	case l.b.node.Name:
-		e = l.b
-	default:
-		return 0, fmt.Errorf("netsim: link does not touch node %q", fromNode)
-	}
-	if l.Bandwidth <= 0 {
-		return 0, nil
-	}
-	now := l.net.Sim.Now()
-	// Apply decay up to now without recording traffic.
-	l.mu.Lock()
-	rate := e.ewmaBps
-	if dt := now - e.ewmaAt; dt > 0 {
-		rate *= math.Pow(0.5, float64(dt)/float64(utilHalfLife))
-	}
-	l.mu.Unlock()
-	u := rate / l.Bandwidth
-	if u > 1 {
-		u = 1
-	}
-	return u, nil
 }
 
 // LinkBetween returns the first link connecting the two named nodes, or
