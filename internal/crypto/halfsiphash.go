@@ -54,27 +54,29 @@ func (h HalfSipHash) SumBatch32(key uint64, datas [][]byte, out []uint32) {
 	}
 }
 
+// sipRound is one SipRound over the four state words.
+func sipRound(v0, v1, v2, v3 uint32) (uint32, uint32, uint32, uint32) {
+	v0 += v1
+	v1 = bits.RotateLeft32(v1, 5)
+	v1 ^= v0
+	v0 = bits.RotateLeft32(v0, 16)
+	v2 += v3
+	v3 = bits.RotateLeft32(v3, 8)
+	v3 ^= v2
+	v0 += v3
+	v3 = bits.RotateLeft32(v3, 7)
+	v3 ^= v0
+	v2 += v1
+	v1 = bits.RotateLeft32(v1, 13)
+	v1 ^= v2
+	v2 = bits.RotateLeft32(v2, 16)
+	return v0, v1, v2, v3
+}
+
 // sumFrom runs the compression and finalization over data starting from a
 // prepared key state.
 func (h HalfSipHash) sumFrom(st sipState, data []byte) uint32 {
 	v0, v1, v2, v3 := st.v0, st.v1, st.v2, st.v3
-
-	round := func() {
-		v0 += v1
-		v1 = bits.RotateLeft32(v1, 5)
-		v1 ^= v0
-		v0 = bits.RotateLeft32(v0, 16)
-		v2 += v3
-		v3 = bits.RotateLeft32(v3, 8)
-		v3 ^= v2
-		v0 += v3
-		v3 = bits.RotateLeft32(v3, 7)
-		v3 ^= v0
-		v2 += v1
-		v1 = bits.RotateLeft32(v1, 13)
-		v1 ^= v2
-		v2 = bits.RotateLeft32(v2, 16)
-	}
 
 	n := len(data)
 	// Whole 4-byte blocks, little-endian.
@@ -83,7 +85,7 @@ func (h HalfSipHash) sumFrom(st sipState, data []byte) uint32 {
 		m := uint32(data[i]) | uint32(data[i+1])<<8 | uint32(data[i+2])<<16 | uint32(data[i+3])<<24
 		v3 ^= m
 		for r := 0; r < h.CRounds; r++ {
-			round()
+			v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
 		}
 		v0 ^= m
 	}
@@ -103,13 +105,13 @@ func (h HalfSipHash) sumFrom(st sipState, data []byte) uint32 {
 	}
 	v3 ^= last
 	for r := 0; r < h.CRounds; r++ {
-		round()
+		v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
 	}
 	v0 ^= last
 
 	v2 ^= 0xff
 	for r := 0; r < h.DRounds; r++ {
-		round()
+		v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
 	}
 	return v1 ^ v3
 }
