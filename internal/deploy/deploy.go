@@ -72,9 +72,9 @@ func Build(spec SwitchSpec) (*Switch, error) {
 		exposed = append(exposed, r.Name)
 		fmt.Fprintf(&regs, "%q %d %d;", r.Name, r.Width, r.Entries)
 	}
-	key := programKey{Name: spec.Name, Config: cfg, Registers: regs.String()}
+	key := programKey{Config: cfg, Registers: regs.String()}
 	compiled, err := pisa.CompileOnce(key, spec.Profile, func() (*pisa.Program, error) {
-		return program(spec.Name, spec.Registers, exposed, cfg)
+		return program(spec.Registers, exposed, cfg)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("deploy: %s: %w", spec.Name, err)
@@ -97,20 +97,21 @@ func Build(spec SwitchSpec) (*Switch, error) {
 }
 
 // programKey is every input of program: Config is what the spec's Ports,
-// Digest, Config and Insecure derive, RandSeed and Costs are runtime
-// state, and Registers holds the register definitions by value.
+// Digest, Config and Insecure derive, and Registers holds the register
+// definitions by value. Name, RandSeed and Costs are per-switch state, so
+// switches that differ only in them share one compilation.
 type programKey struct {
-	Name      string
 	Config    core.Config
 	Registers string
 }
 
 // program is the switch's program: a ptype-only shell declaring copies of
 // regs, so that a caller editing its RegisterDef later cannot reach a
-// program other switches share, with P4Auth woven in.
-func program(name string, regs []*pisa.RegisterDef, exposed []string, cfg core.Config) (*pisa.Program, error) {
+// program other switches share, with P4Auth woven in. Like hula's, it is
+// named for what it is, not for a switch.
+func program(regs []*pisa.RegisterDef, exposed []string, cfg core.Config) (*pisa.Program, error) {
 	prog := &pisa.Program{
-		Name:         name + "_prog",
+		Name:         "p4auth_shell",
 		Headers:      []*pisa.HeaderDef{core.PTypeHeader()},
 		Parser:       []pisa.ParserState{{Name: pisa.ParserStart, Extract: core.HdrPType}},
 		DeparseOrder: []string{core.HdrPType},

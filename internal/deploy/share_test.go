@@ -43,7 +43,7 @@ func TestBuildSharesExactCompilation(t *testing.T) {
 		if b.Host.SW.Compiled() != shared {
 			t.Errorf("insecure=%v config=%v: two switches compiled twice", spec.Insecure, spec.Config != nil)
 		}
-		prog, err := program(spec.Name, regs(), []string{"bench_reg"}, a.Cfg)
+		prog, err := program(regs(), []string{"bench_reg"}, a.Cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,9 +59,10 @@ func TestBuildSharesExactCompilation(t *testing.T) {
 }
 
 // TestBuildKeyCoversProgramInputs: specs that differ only in one
-// register's Entries, or only in Name, get compilations of their own, and
-// a caller editing its RegisterDef after Build cannot reach the program
-// it shares.
+// register's Entries get compilations of their own, specs that differ
+// only in Name (the identical switches of a chaos or hierarchy fixture)
+// share one, and a caller editing its RegisterDef after Build cannot
+// reach the program it shares.
 func TestBuildKeyCoversProgramInputs(t *testing.T) {
 	spec := func(name string, entries int) SwitchSpec {
 		return SwitchSpec{Name: name, Ports: 4, Registers: []*pisa.RegisterDef{
@@ -82,8 +83,8 @@ func TestBuildKeyCoversProgramInputs(t *testing.T) {
 	if compiled(spec("key", 3)) == c {
 		t.Error("a spec differing only in one register's Entries shares the compilation")
 	}
-	if compiled(spec("key2", 2)) == c {
-		t.Error("a spec differing only in Name shares the compilation")
+	if compiled(spec("key2", 2)) != c {
+		t.Error("a spec differing only in Name compiled its own program")
 	}
 	base.Registers[1].Entries = 7
 	if got := compiled(spec("key", 2)); got != c || got.Program.Register("s").Entries != 2 {
