@@ -19,9 +19,6 @@ import (
 // nothing to insert) and allocates only its own state; a fresh controller
 // holds no audit ring until it records an event.
 func TestBringUpAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("alloc counts are not stable under -race")
-	}
 	first, err := hula.NewSwitch("a", hula.DefaultParams(1, 2), 1)
 	if err != nil {
 		t.Fatal(err)
