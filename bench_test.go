@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"p4auth/internal/controller"
 	"p4auth/internal/crypto"
 	"p4auth/internal/hula"
 	"p4auth/internal/statestore"
@@ -51,6 +52,30 @@ func BenchmarkAuthenticatedWrite(b *testing.B) {
 		if _, err := c.WriteRegister("b1", "r", uint32(i%64), uint64(i)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkWriteRegisterBatch32 is cdp_window32's operation as a go test
+// benchmark: one op is one WriteRegisterBatch of 32 writes at window 32,
+// so ns/op and allocs/op are per window, not per write.
+func BenchmarkWriteRegisterBatch32(b *testing.B) {
+	c := authenticatedBench(b)
+	writes := make([]controller.RegWrite, 32)
+	batch := func(i int) {
+		for j := range writes {
+			writes[j] = controller.RegWrite{Register: "r", Index: uint32((i*32 + j) % 64), Value: uint64(i<<8 | j)}
+		}
+		if _, err := c.WriteRegisterBatch("b1", 32, writes); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ { // warm the window scratch
+		batch(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch(i)
 	}
 }
 

@@ -116,7 +116,7 @@ type swHandle struct {
 	rxBufs []*core.MessageBuf
 	txMsg  core.Message
 	txReg  core.RegPayload
-	// Batch-verify scratch (runBatch): per-response digest inputs carved
+	// Batch-verify scratch (runBatchLocked): per-response digest inputs carved
 	// out of vfyBuf at the vfyOffs boundaries, per-response verdicts, and
 	// the per-key-version gather arrays handed to crypto.VerifyBatch.
 	vfyBuf    []byte
@@ -128,6 +128,13 @@ type swHandle struct {
 	gGot      []uint32
 	gOK       []bool
 	gIdx      []int
+	// Window scratch (runBatchLocked): the batch's entries, each keeping
+	// its wire bytes from earlier batches; the current window's entries,
+	// their wires, and the wires the out tap let through.
+	batch    []batchEntry
+	open     []*batchEntry
+	wires    [][]byte
+	sendable [][]byte
 }
 
 // controlTaps is one switch's pair of control-channel taps: out sees

@@ -8,6 +8,7 @@ import (
 	"p4auth/internal/core"
 	"p4auth/internal/crypto"
 	"p4auth/internal/obs"
+	"p4auth/internal/p4rt"
 )
 
 // Windowed authenticated transport (the pipelined C-DP path).
@@ -74,7 +75,9 @@ type BatchResult struct {
 // Err joins the per-entry failures (nil when the whole batch landed).
 func (br *BatchResult) Err() error { return errors.Join(br.Errs...) }
 
-// batchEntry is one in-flight operation of a windowed batch.
+// batchEntry is one operation of a windowed batch. Entries live in the
+// handle's window scratch: wire keeps its capacity across batches, so a
+// steady-state batch encodes into bytes an earlier batch grew.
 type batchEntry struct {
 	register string
 	regID    uint32
@@ -82,11 +85,12 @@ type batchEntry struct {
 	value    uint64
 	read     bool
 
-	seq     uint32
-	wire    []byte
-	signed  bool
-	resign  bool // replay floor passed seq; next send needs a fresh number
-	replays int
+	seq    uint32
+	wire   []byte
+	signed bool
+	resign bool // replay floor passed seq; next send needs a fresh number
+	// indexed: a response carrying seq settles this entry (see inFlight).
+	indexed bool
 	sends   int
 	done    bool
 	val     uint64
@@ -110,16 +114,15 @@ func (c *Controller) WriteRegisterBatch(sw string, window int, writes []RegWrite
 	if jerr != nil {
 		return BatchResult{}, fmt.Errorf("controller: journal batch intent: %w", jerr)
 	}
-	entries := make([]batchEntry, len(writes))
+	// The entries are the handle's window scratch: the settle reads them,
+	// so it runs before opMu is released.
+	h.opMu.Lock()
+	defer h.opMu.Unlock()
+	entries := h.batchScratch(len(writes))
 	for i, w := range writes {
-		entries[i] = batchEntry{register: w.Register, index: w.Index, value: w.Value}
-		if ri, rerr := h.info.RegisterByName(w.Register); rerr != nil {
-			entries[i].done, entries[i].err = true, rerr
-		} else {
-			entries[i].regID = ri.ID
-		}
+		entries[i].register, entries[i].index, entries[i].value = w.Register, w.Index, w.Value
 	}
-	br := c.runBatch(h, entries, window)
+	br := c.runBatchLocked(h, entries, window)
 	c.walSettleBatch(sw, j, entries)
 	return br, br.Err()
 }
@@ -132,34 +135,80 @@ func (c *Controller) ReadRegisterBatch(sw string, window int, reads []RegRead) (
 	if err != nil {
 		return BatchResult{}, err
 	}
-	entries := make([]batchEntry, len(reads))
+	h.opMu.Lock()
+	defer h.opMu.Unlock()
+	entries := h.batchScratch(len(reads))
 	for i, r := range reads {
-		entries[i] = batchEntry{register: r.Register, index: r.Index, read: true}
-		if ri, rerr := h.info.RegisterByName(r.Register); rerr != nil {
-			entries[i].done, entries[i].err = true, rerr
-		} else {
-			entries[i].regID = ri.ID
-		}
+		entries[i].register, entries[i].index, entries[i].read = r.Register, r.Index, true
 	}
-	br := c.runBatch(h, entries, window)
+	br := c.runBatchLocked(h, entries, window)
 	return br, br.Err()
 }
 
-// runBatch drives a windowed batch to completion under the handle's
-// operation lock: gather the oldest incomplete entries up to the window,
-// (re)sign what needs signing, put the window on the wire as one agent
-// I/O transaction, and match verified responses back by sequence number.
-func (c *Controller) runBatch(h *swHandle, entries []batchEntry, window int) BatchResult {
+// batchScratch returns n cleared entries of the handle's window scratch,
+// each keeping its wire buffer. Requires h.opMu.
+func (h *swHandle) batchScratch(n int) []batchEntry {
+	h.batch = grow(h.batch, n)
+	for i := range h.batch {
+		h.batch[i] = batchEntry{wire: h.batch[i].wire[:0]}
+	}
+	return h.batch
+}
+
+// resolveRegisters sets each entry's register ID, looking a name up once
+// per run of equal names; an unknown name fails its entries.
+func (h *swHandle) resolveRegisters(entries []batchEntry) {
+	var ri *p4rt.RegisterInfo
+	var err error
+	for i := range entries {
+		e := &entries[i]
+		if i == 0 || e.register != entries[i-1].register {
+			ri, err = h.info.RegisterByName(e.register)
+		}
+		if err != nil {
+			e.done, e.err = true, err
+		} else {
+			e.regID = ri.ID
+		}
+	}
+}
+
+// inFlight returns the entry a response carrying seq settles, or nil.
+// Every signed, unfinished entry is open (entries leave the window only by
+// finishing), so the window is the whole index. Responses mostly come back
+// in send order, so the search starts after the previous match.
+func inFlight(open []*batchEntry, seq uint32, hint *int) *batchEntry {
+	for k := range open {
+		i := (*hint + k) % len(open)
+		if e := open[i]; e.indexed && e.seq == seq {
+			*hint = i + 1
+			return e
+		}
+	}
+	return nil
+}
+
+// unindex stops matching responses carrying seq to any open entry.
+func unindex(open []*batchEntry, seq uint32) {
+	for _, e := range open {
+		if e.seq == seq {
+			e.indexed = false
+		}
+	}
+}
+
+// runBatchLocked drives a windowed batch to completion: gather the oldest
+// incomplete entries up to the window, (re)sign what needs signing, put
+// the window on the wire as one agent I/O transaction, and match verified
+// responses back by sequence number. Requires h.opMu; the window works in
+// the handle's scratch, so steady state allocates only the result.
+func (c *Controller) runBatchLocked(h *swHandle, entries []batchEntry, window int) BatchResult {
 	if window < 1 {
 		window = 1
 	}
 	pol := c.retryPolicy()
-	var br BatchResult
-	br.Errs = make([]error, len(entries))
-	br.Values = make([]uint64, len(entries))
-
-	h.opMu.Lock()
-	defer h.opMu.Unlock()
+	br := BatchResult{Errs: make([]error, len(entries)), Values: make([]uint64, len(entries))}
+	h.resolveRegisters(entries)
 
 	resilient := pol.MaxAttempts > 1
 	if resilient && c.quarantined(h.name) {
@@ -172,9 +221,6 @@ func (c *Controller) runBatch(h *swHandle, entries []batchEntry, window int) Bat
 		return c.finishBatch(h, &br, entries)
 	}
 
-	bySeq := make(map[uint32]*batchEntry, window)
-	wires := make([][]byte, 0, window)
-	open := make([]*batchEntry, 0, window)
 	timedOut := false
 	// floorSeen is the controller's lower bound on the switch's replay
 	// floor: the highest sequence number the switch has provably accepted
@@ -187,7 +233,7 @@ func (c *Controller) runBatch(h *swHandle, entries []batchEntry, window int) Bat
 	for {
 		// Gather the window: oldest incomplete entries in submission
 		// order, failing the ones whose retransmission budget is spent.
-		open = open[:0]
+		open := h.open[:0]
 		for i := range entries {
 			e := &entries[i]
 			if e.done {
@@ -204,6 +250,7 @@ func (c *Controller) runBatch(h *swHandle, entries []batchEntry, window int) Bat
 				open = append(open, e)
 			}
 		}
+		h.open = open
 		if len(open) == 0 {
 			break
 		}
@@ -225,25 +272,31 @@ func (c *Controller) runBatch(h *swHandle, entries []batchEntry, window int) Bat
 		// take their sequence numbers here, in send order, so numbers on
 		// the wire ascend and the replay floor stays behind every entry
 		// still awaiting first delivery.
-		wires = wires[:0]
+		wires := h.wires[:0]
 		for _, e := range open {
 			if !e.signed || e.resign {
 				if e.signed {
 					// Abandoning the stale number: the floor is past it,
 					// so no response for it can ever settle.
-					delete(bySeq, e.seq)
+					unindex(open, e.seq)
 					_ = h.seq.Settle(e.seq)
 				}
-				if serr := c.signBatchEntry(h, e); serr != nil {
+				if serr := h.signBatchEntry(e); serr != nil {
 					e.done, e.err = true, serr
 					continue
 				}
 				br.Lat += SignCost
-				bySeq[e.seq] = e
+				if e.seq == ^uint32(0) {
+					// A saturated counter repeats its number: the latest
+					// signer owns it.
+					unindex(open, e.seq)
+				}
+				e.indexed = true
 			}
 			wires = append(wires, e.wire)
 			e.sends++
 		}
+		h.wires = wires
 		if len(wires) == 0 {
 			continue
 		}
@@ -268,6 +321,7 @@ func (c *Controller) runBatch(h *swHandle, entries []batchEntry, window int) Bat
 		// pure bookkeeping. Alert/settle side effects stay in response
 		// order, identical to the per-response path.
 		c.verifyResponses(h, resp)
+		hint := 0
 		for i, r := range resp {
 			if !h.vfyMember[i] {
 				continue // unverifiable version: the entry just retries
@@ -277,8 +331,8 @@ func (c *Controller) runBatch(h *swHandle, entries []batchEntry, window int) Bat
 				continue
 			}
 			br.Lat += VerifyCost
-			e, ok := bySeq[r.SeqNum]
-			if !ok || e.done {
+			e := inFlight(open, r.SeqNum, &hint)
+			if e == nil {
 				continue // duplicate or stale (idempotency-cache replay)
 			}
 			if r.HdrType == core.HdrAlert {
@@ -291,7 +345,6 @@ func (c *Controller) runBatch(h *swHandle, entries []batchEntry, window int) Bat
 					// The floor moved past this entry: fresh number next
 					// round.
 					e.resign = true
-					e.replays++
 					if r.SeqNum > floorSeen {
 						// The rejection is not explained by anything we saw
 						// settle, so the switch's floor was restored ahead
@@ -307,7 +360,7 @@ func (c *Controller) runBatch(h *swHandle, entries []batchEntry, window int) Bat
 			if h.seq.Settle(r.SeqNum) != nil {
 				continue
 			}
-			delete(bySeq, r.SeqNum)
+			e.indexed = false
 			e.done = true
 			if r.SeqNum > floorSeen {
 				floorSeen = r.SeqNum
@@ -337,8 +390,8 @@ func (c *Controller) runBatch(h *swHandle, entries []batchEntry, window int) Bat
 		// landed and only the response was lost, re-driving the same
 		// absolute value is idempotent — the same convergence rule the
 		// crash-recovery read-back relies on.)
-		for _, e := range bySeq {
-			if !e.done && !e.resign && e.seq < floorSeen {
+		for _, e := range open {
+			if e.indexed && !e.done && !e.resign && e.seq < floorSeen {
 				e.resign = true
 			}
 		}
@@ -354,13 +407,13 @@ func (c *Controller) runBatch(h *swHandle, entries []batchEntry, window int) Bat
 	return c.finishBatch(h, &br, entries)
 }
 
-// growBools sizes a reusable bool scratch to n without allocating in
-// steady state.
-func growBools(b []bool, n int) []bool {
-	for cap(b) < n {
-		b = append(b[:cap(b)], false)
+// grow sizes a reusable scratch slice to n without allocating in steady
+// state; slots between the old length and the capacity keep their values.
+func grow[T any](s []T, n int) []T {
+	for cap(s) < n {
+		s = append(s[:cap(s)], *new(T))
 	}
-	return b[:n]
+	return s[:n]
 }
 
 // verifyResponses batch-verifies one wire round's responses, filling
@@ -371,9 +424,9 @@ func growBools(b []bool, n int) []bool {
 // kernel's key setup once. Requires h.opMu.
 func (c *Controller) verifyResponses(h *swHandle, resp []*core.Message) {
 	n := len(resp)
-	h.vfyOK = growBools(h.vfyOK, n)
-	h.vfyMember = growBools(h.vfyMember, n)
-	h.vfyDone = growBools(h.vfyDone, n)
+	h.vfyOK = grow(h.vfyOK, n)
+	h.vfyMember = grow(h.vfyMember, n)
+	h.vfyDone = grow(h.vfyDone, n)
 	h.vfyBuf = h.vfyBuf[:0]
 	h.vfyOffs = append(h.vfyOffs[:0], 0)
 	for i, r := range resp {
@@ -398,7 +451,7 @@ func (c *Controller) verifyResponses(h *swHandle, resp []*core.Message) {
 				h.vfyDone[j] = true
 			}
 		}
-		h.gOK = growBools(h.gOK, len(h.gIdx))
+		h.gOK = grow(h.gOK, len(h.gIdx))
 		crypto.VerifyBatch(h.dig, key, h.gDatas, h.gGot, h.gOK)
 		for k, j := range h.gIdx {
 			h.vfyOK[j] = h.gOK[k]
@@ -406,56 +459,51 @@ func (c *Controller) verifyResponses(h *swHandle, resp []*core.Message) {
 	}
 }
 
-// finishBatch folds per-entry outcomes into the result and accounts each
-// entry: failed writes get an audit event naming the cause, so the chaos
-// harness can demand an explanation for every dropped write.
+// finishBatch folds per-entry outcomes into the result and accounts the
+// batch: one counter add per outcome, and for each failed write an audit
+// event naming the cause, so the chaos harness can demand an explanation
+// for every dropped write.
 func (c *Controller) finishBatch(h *swHandle, br *BatchResult, entries []batchEntry) BatchResult {
 	k := c.obsv()
+	var readOK, writeOK, readErr uint64
 	for i := range entries {
 		e := &entries[i]
 		br.Errs[i] = e.err
 		br.Values[i] = e.val
 		switch {
 		case e.err == nil && e.read:
-			k.readOK.Inc()
+			readOK++
 		case e.err == nil:
-			k.writeOK.Inc()
+			writeOK++
 		case e.read:
-			br.Failed++
-			k.readErr.Inc()
+			readErr++
 		default:
-			br.Failed++
-			k.writeErr.Inc()
-			k.writeDropped.Inc()
 			k.audit(obs.EvWriteDropped, h.name, causeOf(e.err), e.seq, e.value)
 		}
 	}
+	writeErr := uint64(len(entries)) - readOK - writeOK - readErr
+	br.Failed = int(readErr + writeErr)
+	k.readOK.Add(readOK)
+	k.writeOK.Add(writeOK)
+	k.readErr.Add(readErr)
+	k.writeErr.Add(writeErr)
+	k.writeDropped.Add(writeErr)
 	return *br
 }
 
 // signBatchEntry signs (or re-signs) one entry into its own wire buffer,
 // reserving the sequence number at sign time. Requires h.opMu.
-func (c *Controller) signBatchEntry(h *swHandle, e *batchEntry) error {
-	key, ver, err := h.keys.Current(core.KeyIndexLocal)
+func (h *swHandle) signBatchEntry(e *batchEntry) error {
+	msgType, value := uint8(core.MsgWriteReq), e.value
+	if e.read {
+		msgType, value = core.MsgReadReq, 0
+	}
+	m, err := h.scratchRequest(msgType, e.regID, e.index, value)
 	if err != nil {
 		return err
 	}
-	seq := h.seq.Next()
-	msgType := uint8(core.MsgWriteReq)
-	value := e.value
-	if e.read {
-		msgType, value = core.MsgReadReq, 0
-	} else if h.cfg.Encrypt {
-		value = core.EncryptRequestValue(h.dig, key, seq, value)
-	}
-	reg := core.RegPayload{RegID: e.regID, Index: e.index, Value: value}
-	m := core.Message{
-		Header: core.Header{HdrType: core.HdrRegister, MsgType: msgType, SeqNum: seq, KeyVersion: ver},
-		Reg:    &reg,
-	}
-	m.SignBuf(h.dig, key, &h.digBuf)
 	e.wire = m.AppendEncode(e.wire[:0])
-	e.seq, e.signed, e.resign = seq, true, false
+	e.seq, e.signed, e.resign = m.SeqNum, true, false
 	return nil
 }
 
@@ -477,12 +525,13 @@ func (c *Controller) exchangeBatchBytesLocked(h *swHandle, wires [][]byte) (out 
 
 	sendable := wires
 	if outTap != nil {
-		sendable = sendable[:0:0]
+		sendable = h.sendable[:0]
 		for _, w := range wires {
 			if tw := outTap(w); tw != nil {
 				sendable = append(sendable, tw)
 			}
 		}
+		h.sendable = sendable
 	}
 	if len(sendable) == 0 {
 		// The whole window died on the controller->switch leg: silence,
@@ -526,62 +575,4 @@ func (c *Controller) exchangeBatchBytesLocked(h *swHandle, wires [][]byte) (out 
 	}
 	lat += relayLat
 	return h.rx, lat, nil
-}
-
-// Pipeline is the asynchronous façade over the windowed transport: a
-// per-switch writer that queues register writes and flushes a full
-// window at a time. Submit returns immediately unless it completes a
-// window (auto-flush); Flush drains the remainder. A Pipeline is NOT
-// safe for concurrent use — one goroutine owns it, matching the
-// one-writer-per-switch deployment model (the underlying batches still
-// interleave safely with KMP flows on the same switch via the handle's
-// operation lock).
-type Pipeline struct {
-	c      *Controller
-	sw     string
-	window int
-	queue  []RegWrite
-
-	// Totals accumulates the results of every flush so far.
-	Totals BatchResult
-}
-
-// NewPipeline returns a pipelined writer toward one switch with the
-// given in-flight window (clamped to >= 1).
-func (c *Controller) NewPipeline(sw string, window int) (*Pipeline, error) {
-	if _, err := c.handle(sw); err != nil {
-		return nil, err
-	}
-	if window < 1 {
-		window = 1
-	}
-	return &Pipeline{c: c, sw: sw, window: window}, nil
-}
-
-// Submit queues one write, flushing automatically when a full window has
-// accumulated. The returned error reports a flush failure; queued-only
-// submissions return nil.
-func (p *Pipeline) Submit(w RegWrite) error {
-	p.queue = append(p.queue, w)
-	if len(p.queue) >= p.window {
-		_, err := p.Flush()
-		return err
-	}
-	return nil
-}
-
-// Flush drives every queued write to completion and folds the batch into
-// Totals. A nil error means every entry settled.
-func (p *Pipeline) Flush() (BatchResult, error) {
-	if len(p.queue) == 0 {
-		return BatchResult{}, nil
-	}
-	br, err := p.c.WriteRegisterBatch(p.sw, p.window, p.queue)
-	p.queue = p.queue[:0]
-	p.Totals.Lat += br.Lat
-	p.Totals.Rounds += br.Rounds
-	p.Totals.Failed += br.Failed
-	p.Totals.Values = append(p.Totals.Values, br.Values...)
-	p.Totals.Errs = append(p.Totals.Errs, br.Errs...)
-	return br, err
 }

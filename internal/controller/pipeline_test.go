@@ -63,25 +63,26 @@ func TestReadRegisterBatch(t *testing.T) {
 	}
 }
 
-func TestPipelineSubmitAutoFlush(t *testing.T) {
+// TestWriteRegisterBatchPartialWindow: a batch that is not a multiple of
+// the window ends with a short window, and every entry lands.
+func TestWriteRegisterBatchPartialWindow(t *testing.T) {
 	c, s1, _ := twoSwitchFabric(t)
 	if _, err := c.LocalKeyInit("s1"); err != nil {
 		t.Fatal(err)
 	}
-	p, err := c.NewPipeline("s1", 3)
+	writes := make([]RegWrite, 7)
+	for i := range writes {
+		writes[i] = RegWrite{Register: "lat", Index: uint32(i % 8), Value: uint64(i)}
+	}
+	br, err := c.WriteRegisterBatch("s1", 3, writes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 7; i++ {
-		if err := p.Submit(RegWrite{Register: "lat", Index: uint32(i % 8), Value: uint64(i)}); err != nil {
-			t.Fatal(err)
-		}
+	if br.Failed != 0 || len(br.Errs) != 7 {
+		t.Fatalf("batch: %d failed of %d", br.Failed, len(br.Errs))
 	}
-	if _, err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if p.Totals.Failed != 0 || len(p.Totals.Errs) != 7 {
-		t.Fatalf("totals: %d failed of %d", p.Totals.Failed, len(p.Totals.Errs))
+	if br.Rounds != 3 {
+		t.Errorf("7 writes at window 3 took %d rounds, want 3", br.Rounds)
 	}
 	if v, _ := s1.Host.SW.RegisterRead("lat", 6); v != 6 {
 		t.Fatalf("lat[6] = %d, want 6", v)

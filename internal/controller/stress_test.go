@@ -224,6 +224,141 @@ func TestWriteRegisterAllocBudget(t *testing.T) {
 	}
 }
 
+// TestBatchAllocBudget gates the windowed path: once the handle's window
+// scratch is warm, a 32-entry batch allocates only the two result slices
+// it hands to the caller (BatchResult.Errs and Values), whether or not a
+// control tap sits on the channel.
+func TestBatchAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are not stable under -race")
+	}
+	const budget = 2
+	passThrough := func(d []byte) []byte { return d }
+	for _, tapped := range []bool{false, true} {
+		c, _, _ := twoSwitchFabric(t)
+		if _, err := c.LocalKeyInit("s1"); err != nil {
+			t.Fatal(err)
+		}
+		if tapped {
+			if err := c.SetControlTaps("s1", passThrough, passThrough); err != nil {
+				t.Fatal(err)
+			}
+		}
+		writes := make([]RegWrite, 32)
+		reads := make([]RegRead, 32)
+		i := uint64(0)
+		write := func() {
+			i++
+			for j := range writes {
+				writes[j] = RegWrite{Register: "lat", Index: uint32(j % 8), Value: i<<8 | uint64(j)}
+			}
+			if _, err := c.WriteRegisterBatch("s1", 32, writes); err != nil {
+				t.Fatal(err)
+			}
+		}
+		read := func() {
+			for j := range reads {
+				reads[j] = RegRead{Register: "lat", Index: uint32(j % 8)}
+			}
+			if _, err := c.ReadRegisterBatch("s1", 32, reads); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := 0; k < 8; k++ { // warm the window scratch and response cache
+			write()
+			read()
+		}
+		for _, op := range []struct {
+			name string
+			run  func()
+		}{{"WriteRegisterBatch", write}, {"ReadRegisterBatch", read}} {
+			if got := testing.AllocsPerRun(100, op.run); got > budget {
+				t.Errorf("%s at window 32 (tapped %v): %.1f allocs/op, budget %d", op.name, tapped, got, budget)
+			}
+		}
+	}
+}
+
+// TestConcurrentBatchesVsRollover runs two batch drivers on one switch,
+// each writing and reading back its own half of the register, while a
+// third goroutine rolls the local key over until they finish. The window scratch is the
+// handle's, shared by both drivers under opMu: every value must read back
+// as written, and with crash safety on no intent survives a live settle.
+func TestConcurrentBatchesVsRollover(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			c, _, _ := twoSwitchFabric(t)
+			if _, err := c.LocalKeyInit("s1"); err != nil {
+				t.Fatal(err)
+			}
+			if durable {
+				if err := c.EnableCrashSafety(statestore.NewMem()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const rounds = 200
+			var wg sync.WaitGroup
+			for d := 0; d < 2; d++ {
+				wg.Add(1)
+				go func(d int) {
+					defer wg.Done()
+					writes := make([]RegWrite, 12)
+					reads := make([]RegRead, len(writes))
+					for r := 0; r < rounds; r++ {
+						for j := range writes {
+							idx := uint32(4*d + j%4)
+							writes[j] = RegWrite{Register: "lat", Index: idx, Value: uint64(d<<20 | r<<4 | j%4)}
+							reads[j] = RegRead{Register: "lat", Index: idx}
+						}
+						if _, err := c.WriteRegisterBatch("s1", 8, writes); err != nil {
+							t.Errorf("driver %d round %d: write: %v", d, r, err)
+							return
+						}
+						br, err := c.ReadRegisterBatch("s1", 8, reads)
+						if err != nil {
+							t.Errorf("driver %d round %d: read: %v", d, r, err)
+							return
+						}
+						for j, v := range br.Values {
+							if want := uint64(d<<20 | r<<4 | j%4); v != want {
+								t.Errorf("driver %d round %d: lat[%d] = %#x, want %#x", d, r, reads[j].Index, v, want)
+								return
+							}
+						}
+					}
+				}(d)
+			}
+			// The rollovers run for as long as the drivers do.
+			var stop atomic.Bool
+			rolled := make(chan int)
+			go func() {
+				r := 0
+				for ; !stop.Load(); r++ {
+					if _, err := c.LocalKeyUpdate("s1"); err != nil {
+						t.Errorf("rollover %d: %v", r, err)
+						break
+					}
+				}
+				rolled <- r
+			}()
+			wg.Wait()
+			stop.Store(true)
+			if r := <-rolled; r < 2 {
+				t.Errorf("%d rollovers ran beside the drivers, want several", r)
+			}
+			if !durable {
+				return
+			}
+			// Every batch landed, so every settle deleted its record: an
+			// intent (or any record) left behind is a settle that lost
+			// its entries.
+			if entries, err := c.JournalEntries("s1"); err != nil || len(entries) != 0 {
+				t.Fatalf("%d journal entries left after live settles (err %v): %+v", len(entries), err, entries)
+			}
+		})
+	}
+}
+
 // journalLog is a store that checks each journal record as it is saved:
 // it must decode (a record encoded into a buffer another writer shares
 // would not) and its key must be new (ids are unique across switches).
