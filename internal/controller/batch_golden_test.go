@@ -34,6 +34,9 @@ type batchPhase struct {
 	out, in    func(seed uint64) netsim.Tap
 	raiseFloor bool
 	bogus      bool // one entry names a register the switch does not have
+	// saturate moves the sequence counter three numbers below the top of
+	// its space, where Next starts handing out one number repeatedly.
+	saturate bool
 }
 
 var batchPhases = []batchPhase{
@@ -46,6 +49,7 @@ var batchPhases = []batchPhase{
 	{name: "floor", raiseFloor: true},
 	{name: "blackhole", out: func(uint64) netsim.Tap { return netsim.LossTap(1, 0) }},
 	{name: "mixed", bogus: true},
+	{name: "saturated", saturate: true},
 }
 
 // batchGoldenSwitch builds the golden's switch: two registers of
@@ -214,6 +218,9 @@ func batchGoldenRun(t *testing.T, b *strings.Builder, seed uint64, window int, c
 		}
 		if err := c.SetControlTaps("s1", out, in); err != nil {
 			t.Fatal(err)
+		}
+		if ph.saturate {
+			h.seq.Resume(^uint32(0) - 3)
 		}
 		if ph.raiseFloor {
 			if err := sw.Host.SW.RegisterWrite(core.RegSeq, 0, uint64(h.seq.Peek())+100); err != nil {
