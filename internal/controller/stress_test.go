@@ -279,10 +279,10 @@ func TestBatchAllocBudget(t *testing.T) {
 	}
 }
 
-// TestConcurrentBatchesVsRollover runs two batch drivers on one switch,
+// TestConcurrentBatchesVsRollover runs two batch clients on one switch,
 // each writing and reading back its own half of the register, while a
 // third goroutine rolls the local key over until they finish. The window scratch is the
-// handle's, shared by both drivers under opMu: every value must read back
+// handle's, shared by both clients under opMu: every value must read back
 // as written, and with crash safety on no intent survives a live settle.
 func TestConcurrentBatchesVsRollover(t *testing.T) {
 	for _, durable := range []bool{false, true} {
@@ -311,24 +311,24 @@ func TestConcurrentBatchesVsRollover(t *testing.T) {
 							reads[j] = RegRead{Register: "lat", Index: idx}
 						}
 						if _, err := c.WriteRegisterBatch("s1", 8, writes); err != nil {
-							t.Errorf("driver %d round %d: write: %v", d, r, err)
+							t.Errorf("client %d round %d: write: %v", d, r, err)
 							return
 						}
 						br, err := c.ReadRegisterBatch("s1", 8, reads)
 						if err != nil {
-							t.Errorf("driver %d round %d: read: %v", d, r, err)
+							t.Errorf("client %d round %d: read: %v", d, r, err)
 							return
 						}
 						for j, v := range br.Values {
 							if want := uint64(d<<20 | r<<4 | j%4); v != want {
-								t.Errorf("driver %d round %d: lat[%d] = %#x, want %#x", d, r, reads[j].Index, v, want)
+								t.Errorf("client %d round %d: lat[%d] = %#x, want %#x", d, r, reads[j].Index, v, want)
 								return
 							}
 						}
 					}
 				}(d)
 			}
-			// The rollovers run for as long as the drivers do.
+			// The rollovers run for as long as the clients do.
 			var stop atomic.Bool
 			rolled := make(chan int)
 			go func() {
@@ -344,7 +344,7 @@ func TestConcurrentBatchesVsRollover(t *testing.T) {
 			wg.Wait()
 			stop.Store(true)
 			if r := <-rolled; r < 2 {
-				t.Errorf("%d rollovers ran beside the drivers, want several", r)
+				t.Errorf("%d rollovers ran beside the clients, want several", r)
 			}
 			if !durable {
 				return
