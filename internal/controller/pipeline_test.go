@@ -10,40 +10,57 @@ import (
 )
 
 func TestWriteRegisterBatchBasic(t *testing.T) {
-	for _, tc := range []struct {
-		n, window, rounds int
-		base              uint64
-	}{
-		{n: 8, window: 4, rounds: 2, base: 1000},
-		// Not a multiple of the window: the batch ends with a short window.
-		{n: 7, window: 3, rounds: 3},
-	} {
-		c, s1, _ := twoSwitchFabric(t)
-		if _, err := c.LocalKeyInit("s1"); err != nil {
-			t.Fatal(err)
+	c, s1, _ := twoSwitchFabric(t)
+	if _, err := c.LocalKeyInit("s1"); err != nil {
+		t.Fatal(err)
+	}
+	writes := make([]RegWrite, 8)
+	for i := range writes {
+		writes[i] = RegWrite{Register: "lat", Index: uint32(i), Value: uint64(1000 + i)}
+	}
+	br, err := c.WriteRegisterBatch("s1", 4, writes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if br.Failed != 0 {
+		t.Fatalf("failed entries: %d (%v)", br.Failed, br.Errs)
+	}
+	if br.Rounds != 2 {
+		t.Errorf("8 writes at window 4 took %d rounds, want 2", br.Rounds)
+	}
+	if br.Lat <= 0 {
+		t.Error("batch latency must be positive")
+	}
+	for i := range writes {
+		if v, _ := s1.Host.SW.RegisterRead("lat", i); v != uint64(1000+i) {
+			t.Fatalf("lat[%d] = %d, want %d", i, v, 1000+i)
 		}
-		writes := make([]RegWrite, tc.n)
-		for i := range writes {
-			writes[i] = RegWrite{Register: "lat", Index: uint32(i), Value: tc.base + uint64(i)}
-		}
-		br, err := c.WriteRegisterBatch("s1", tc.window, writes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if br.Failed != 0 || len(br.Errs) != tc.n {
-			t.Fatalf("%d writes at window %d: %d failed of %d (%v)", tc.n, tc.window, br.Failed, len(br.Errs), br.Errs)
-		}
-		if br.Rounds != tc.rounds {
-			t.Errorf("%d writes at window %d took %d rounds, want %d", tc.n, tc.window, br.Rounds, tc.rounds)
-		}
-		if br.Lat <= 0 {
-			t.Error("batch latency must be positive")
-		}
-		for i := range writes {
-			if v, _ := s1.Host.SW.RegisterRead("lat", i); v != tc.base+uint64(i) {
-				t.Fatalf("lat[%d] = %d, want %d", i, v, tc.base+uint64(i))
-			}
-		}
+	}
+}
+
+// TestPipelineSubmitAutoFlush: a batch that is not a multiple of the window
+// is sent window by window and ends with a short window; every entry lands.
+func TestPipelineSubmitAutoFlush(t *testing.T) {
+	c, s1, _ := twoSwitchFabric(t)
+	if _, err := c.LocalKeyInit("s1"); err != nil {
+		t.Fatal(err)
+	}
+	writes := make([]RegWrite, 7)
+	for i := range writes {
+		writes[i] = RegWrite{Register: "lat", Index: uint32(i % 8), Value: uint64(i)}
+	}
+	br, err := c.WriteRegisterBatch("s1", 3, writes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if br.Failed != 0 || len(br.Errs) != 7 {
+		t.Fatalf("batch: %d failed of %d (%v)", br.Failed, len(br.Errs), br.Errs)
+	}
+	if br.Rounds != 3 {
+		t.Errorf("7 writes at window 3 took %d rounds, want 3", br.Rounds)
+	}
+	if v, _ := s1.Host.SW.RegisterRead("lat", 6); v != 6 {
+		t.Fatalf("lat[6] = %d, want 6", v)
 	}
 }
 
