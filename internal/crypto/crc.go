@@ -1,6 +1,7 @@
 package crypto
 
 import (
+	"encoding/binary"
 	"hash/crc32"
 	"sync"
 )
@@ -61,15 +62,13 @@ func NewKeyedCRC32Castagnoli() KeyedCRC32 {
 }
 
 // Sum32 computes CRC32(key_le || data || key_le) under the configured
-// polynomial. The key envelope is folded in by updateKey rather than
-// crc32.Update: Update dispatches through an internal function pointer,
-// which forces a key buffer passed to it onto the heap — four such
-// allocations per authenticated exchange.
+// polynomial, in one slicing-by-8 pass over the tables keyFold builds.
+// It does not call crc32.Update: Update dispatches through an internal
+// function pointer, through which the data it is handed escapes to the
+// heap.
 func (k KeyedCRC32) Sum32(key uint64, data []byte) uint32 {
 	t := k.fold.tables(k.table)
-	c := updateKey(t, 0, key)
-	c = crc32.Update(c, k.table, data)
-	return updateKey(t, c, key)
+	return sumFrom(t, foldKey(t, ^uint32(0), key), key, data)
 }
 
 // SumBatch32 computes the keyed digest of each input under one key,
@@ -78,16 +77,36 @@ func (k KeyedCRC32) Sum32(key uint64, data []byte) uint32 {
 // out must have len(datas) entries.
 func (k KeyedCRC32) SumBatch32(key uint64, datas [][]byte, out []uint32) {
 	t := k.fold.tables(k.table)
-	pre := updateKey(t, 0, key)
+	pre := foldKey(t, ^uint32(0), key)
 	for i, d := range datas {
-		out[i] = updateKey(t, crc32.Update(pre, k.table, d), key)
+		out[i] = sumFrom(t, pre, key, d)
 	}
 }
 
-// updateKey advances crc over the key's 8 little-endian bytes in one
-// slicing-by-8 step, matching crc32.Update's result byte for byte.
-func updateKey(t *[8]crc32.Table, crc uint32, key uint64) uint32 {
-	lo, hi := ^crc^uint32(key), uint32(key>>32)
-	return ^(t[7][byte(lo)] ^ t[6][byte(lo>>8)] ^ t[5][byte(lo>>16)] ^ t[4][byte(lo>>24)] ^
-		t[3][byte(hi)] ^ t[2][byte(hi>>8)] ^ t[1][byte(hi>>16)] ^ t[0][byte(hi>>24)])
+// The functions below work on the CRC register between its initial and
+// final inversion, as crc32's own slicing-by-8 loop does.
+
+// sumFrom continues a register that has absorbed the leading key over
+// data, eight bytes per step and the tail byte by byte, then over the
+// trailing key, and returns the finished CRC.
+func sumFrom(t *[8]crc32.Table, crc uint32, key uint64, data []byte) uint32 {
+	for ; len(data) >= 8; data = data[8:] {
+		crc = step8(t, crc^binary.LittleEndian.Uint32(data), binary.LittleEndian.Uint32(data[4:]))
+	}
+	for _, b := range data {
+		crc = t[0][byte(crc)^b] ^ crc>>8
+	}
+	return ^foldKey(t, crc, key)
+}
+
+// foldKey advances the register over the key's 8 little-endian bytes.
+func foldKey(t *[8]crc32.Table, crc uint32, key uint64) uint32 {
+	return step8(t, crc^uint32(key), uint32(key>>32))
+}
+
+// step8 is one slicing-by-8 step: lo is the register with the block's
+// first four bytes (little-endian) folded in, hi the block's last four.
+func step8(t *[8]crc32.Table, lo, hi uint32) uint32 {
+	return t[7][byte(lo)] ^ t[6][byte(lo>>8)] ^ t[5][byte(lo>>16)] ^ t[4][byte(lo>>24)] ^
+		t[3][byte(hi)] ^ t[2][byte(hi>>8)] ^ t[1][byte(hi>>16)] ^ t[0][byte(hi>>24)]
 }

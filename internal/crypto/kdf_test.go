@@ -149,9 +149,9 @@ func TestKeyedCRC32KeyMatters(t *testing.T) {
 	}
 }
 
-// TestKeyedCRC32MatchesEnvelope holds the eight-bytes-per-step key fold,
-// in Sum32 and in SumBatch32, equal to its definition: crc32.Update over
-// key_le || data || key_le, for both polynomials, data lengths 0..96 and
+// TestKeyedCRC32MatchesEnvelope holds the slicing-by-8 pass, in Sum32 and
+// in SumBatch32, equal to its definition: crc32.Update over
+// key_le || data || key_le, for both polynomials, data lengths 0..199 and
 // random keys.
 func TestKeyedCRC32MatchesEnvelope(t *testing.T) {
 	r := NewSeededRand(0xC4C32)
@@ -171,7 +171,7 @@ func TestKeyedCRC32MatchesEnvelope(t *testing.T) {
 			case 1:
 				key = ^uint64(0)
 			}
-			datas := make([][]byte, 97)
+			datas := make([][]byte, 200)
 			want := make([]uint32, len(datas))
 			for n := range datas {
 				env := make([]byte, 8+n+8)
