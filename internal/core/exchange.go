@@ -22,8 +22,8 @@ type EAK struct {
 }
 
 // NewEAK starts an EAK exchange.
-func NewEAK(cfg Config, rng crypto.RandomSource) *EAK {
-	return &EAK{S1: uint32(rng.Uint64()), cfg: cfg}
+func NewEAK(cfg Config, rng crypto.RandomSource) EAK {
+	return EAK{S1: uint32(rng.Uint64()), cfg: cfg}
 }
 
 // Complete derives K_auth from the responder's salt half.
@@ -45,8 +45,8 @@ type ADHKD struct {
 }
 
 // NewADHKD starts an ADHKD exchange.
-func NewADHKD(cfg Config, rng crypto.RandomSource) *ADHKD {
-	return &ADHKD{R1: rng.Uint64(), S1: uint32(rng.Uint64()), cfg: cfg}
+func NewADHKD(cfg Config, rng crypto.RandomSource) ADHKD {
+	return ADHKD{R1: rng.Uint64(), S1: uint32(rng.Uint64()), cfg: cfg}
 }
 
 // PK1 is the initiator's public key.

@@ -1,6 +1,9 @@
 package crypto
 
-import "encoding/binary"
+import (
+	"bytes"
+	"encoding/binary"
+)
 
 // PRF32 is a 32-bit-output keyed pseudo-random function, the primitive the
 // KDF (Fig. 13) is built on. The paper's prototype uses CRC32 on Tofino and
@@ -50,18 +53,30 @@ const (
 	KDFLabelExpandHi  uint64 = 0x02
 )
 
-func (k KDF) prf() PRF32 {
-	if k.PRF == nil {
-		return NewHalfSipHash24()
+// sum32 runs the KDF's PRF over data. The PRFs of this package are
+// called on their concrete types, so data, a stack block of Derive's,
+// does not escape through the PRF32 interface; another PRF gets a heap
+// copy of it.
+func (k KDF) sum32(key uint64, data []byte) uint32 {
+	switch p := k.PRF.(type) {
+	case nil:
+		return NewHalfSipHash24().Sum32(key, data)
+	case HalfSipHashDigester:
+		return p.Sum32(key, data)
+	case CRC32Digester:
+		return p.Sum32(key, data)
+	case HalfSipHash:
+		return p.Sum32(key, data)
+	case KeyedCRC32:
+		return p.Sum32(key, data)
 	}
-	return k.PRF
+	return k.PRF.Sum32(key, bytes.Clone(data))
 }
 
 // Derive computes a 64-bit key from a 64-bit input secret and a 64-bit
 // public salt (Fig. 13): extract a pseudo-random key from (secret, salt),
 // then expand it for the configured number of rounds.
 func (k KDF) Derive(secret, salt uint64) uint64 {
-	prf := k.prf()
 	rounds := k.Rounds
 	if rounds < 1 {
 		rounds = 1
@@ -74,9 +89,9 @@ func (k KDF) Derive(secret, salt uint64) uint64 {
 	binary.BigEndian.PutUint64(buf[0:8], secret)
 	binary.BigEndian.PutUint64(buf[8:16], k.Personalization)
 	binary.BigEndian.PutUint64(buf[16:24], KDFLabelExtractLo)
-	lo := prf.Sum32(salt, buf[:])
+	lo := k.sum32(salt, buf[:])
 	binary.BigEndian.PutUint64(buf[16:24], KDFLabelExtractHi)
-	hi := prf.Sum32(salt, buf[:])
+	hi := k.sum32(salt, buf[:])
 	prk := uint64(hi)<<32 | uint64(lo)
 
 	// Expand: iterate the PRF keyed by the pseudo-random key, feeding the
@@ -86,9 +101,9 @@ func (k KDF) Derive(secret, salt uint64) uint64 {
 		binary.BigEndian.PutUint64(buf[0:8], out)
 		binary.BigEndian.PutUint64(buf[8:16], k.Personalization)
 		binary.BigEndian.PutUint64(buf[16:24], KDFLabelExpandLo)
-		lo = prf.Sum32(prk, buf[:])
+		lo = k.sum32(prk, buf[:])
 		binary.BigEndian.PutUint64(buf[16:24], KDFLabelExpandHi)
-		hi = prf.Sum32(prk, buf[:])
+		hi = k.sum32(prk, buf[:])
 		out = uint64(hi)<<32 | uint64(lo)
 	}
 	return out
