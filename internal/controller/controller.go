@@ -102,12 +102,13 @@ type swHandle struct {
 	// never mid-exchange. Lock order: opMu before c.mu; never two handles'
 	// opMu at once (multi-switch flows lock per leg).
 	opMu sync.Mutex
-	// Reusable buffers for the zero-allocation request path. txMsg/txReg
-	// hold the in-flight request; digBuf the digest input of the message
-	// being signed or verified; encBuf the request's wire bytes; io the
-	// switch's I/O result; rx/rxBufs the decoded PacketIns; walBuf the
-	// journal record of a durable write. All are valid only while opMu is
-	// held — cold paths copy responses out before releasing it.
+	// Reusable buffers for the zero-allocation request path. txMsg, with
+	// txReg or txKx, holds the in-flight request; digBuf the digest input
+	// of the message being signed or verified; encBuf the request's wire
+	// bytes; io the switch's I/O result; rx/rxBufs the decoded PacketIns;
+	// walBuf the journal record of a durable write. All are valid only
+	// while opMu is held — cold paths copy responses out before releasing
+	// it.
 	encBuf []byte
 	digBuf []byte
 	walBuf []byte
@@ -116,6 +117,12 @@ type swHandle struct {
 	rxBufs []*core.MessageBuf
 	txMsg  core.Message
 	txReg  core.RegPayload
+	txKx   core.KxPayload
+	// Relay scratch (relay): the DP-DP hop queue, one I/O result per hop,
+	// and the decode target of PacketIns raised on the way.
+	hops  []relayHop
+	hopIO []*switchos.IOResult
+	hopRx core.MessageBuf
 	// Batch-verify scratch (runBatchLocked): per-response digest inputs carved
 	// out of vfyBuf at the vfyOffs boundaries, per-response verdicts, and
 	// the per-key-version gather arrays handed to crypto.VerifyBatch.
@@ -437,23 +444,6 @@ func (c *Controller) links() [][2]portKey {
 	return out
 }
 
-// exchange sends one P4Auth message to a switch over the control channel
-// and returns decoded PacketIn responses plus the modeled latency of the
-// full round (link out + stack/pipeline + link back when a response
-// exists). One attempt; the retransmission engine lives in transact.
-// The responses are private copies, safe to hold after the call.
-func (c *Controller) exchange(h *swHandle, m *core.Message) ([]*core.Message, time.Duration, error) {
-	data, err := m.Encode()
-	if err != nil {
-		return nil, 0, err
-	}
-	h.opMu.Lock()
-	out, lat, _, _, err := c.exchangeBytesLocked(h, data)
-	out = cloneMessages(out)
-	h.opMu.Unlock()
-	return out, lat, err
-}
-
 // cloneMessages deep-copies decoded responses out of a handle's reusable
 // receive buffers, so callers that outlive the opMu critical section
 // never alias scratch the next exchange overwrites.
@@ -482,23 +472,24 @@ func cloneMessages(in []*core.Message) []*core.Message {
 
 // relay walks NetOut emissions across links, injecting them at the peer
 // switch, until no further network emissions result. PacketIns raised
-// along the way are surfaced as alerts/messages to the controller.
+// along the way are surfaced as alerts/messages to the controller. It
+// runs in the sending handle's scratch, under its opMu: the hop queue,
+// one I/O result per hop (a hop's emissions live in its result until the
+// queue reaches them), and the decode target for the PacketIns.
 func (c *Controller) relay(from *swHandle, ems []pisa.Emission) (time.Duration, error) {
+	if len(ems) == 0 {
+		return 0, nil
+	}
 	var total time.Duration
-	type hop struct {
-		sw *swHandle
-		em pisa.Emission
-	}
-	queue := make([]hop, 0, len(ems))
+	from.hops = from.hops[:0]
 	for _, em := range ems {
-		queue = append(queue, hop{sw: from, em: em})
+		from.hops = append(from.hops, relayHop{sw: from, em: em})
 	}
-	for steps := 0; len(queue) > 0; steps++ {
-		if steps > 64 {
+	for step := 0; step < len(from.hops); step++ {
+		if step > 64 {
 			return total, fmt.Errorf("controller: relay did not quiesce (loop?)")
 		}
-		h := queue[0]
-		queue = queue[1:]
+		h := from.hops[step]
 		c.mu.Lock()
 		peer, ok := c.adj[portKey{h.sw.name, h.em.Port}]
 		tap := c.linkTaps[portKey{h.sw.name, h.em.Port}]
@@ -515,22 +506,31 @@ func (c *Controller) relay(from *swHandle, ems []pisa.Emission) (time.Duration, 
 			continue // dropped in flight by a fault tap
 		}
 		total += peer.lat
-		res, err := dst.host.NetworkPacket(peer.port, data)
-		if err != nil {
+		if step == len(from.hopIO) {
+			from.hopIO = append(from.hopIO, new(switchos.IOResult))
+		}
+		res := from.hopIO[step]
+		if err := dst.host.NetworkPacketInto(peer.port, data, res); err != nil {
 			return total, err
 		}
 		total += res.Cost
 		for _, pin := range res.PacketIns {
 			c.wire.received(pin)
-			if r, err := core.DecodeMessage(pin); err == nil && r.HdrType == core.HdrAlert {
+			if r, err := from.hopRx.Decode(pin); err == nil && r.HdrType == core.HdrAlert {
 				c.noteAlert(dst.name, r.MsgType, r.SeqNum, CauseDPRelay)
 			}
 		}
 		for _, em := range res.NetOut {
-			queue = append(queue, hop{sw: dst, em: em})
+			from.hops = append(from.hops, relayHop{sw: dst, em: em})
 		}
 	}
 	return total, nil
+}
+
+// relayHop is one DP-DP emission waiting to cross its link.
+type relayHop struct {
+	sw *swHandle
+	em pisa.Emission
 }
 
 // signedMessage builds and signs a request under the switch's current

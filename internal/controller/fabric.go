@@ -211,7 +211,7 @@ func (c *Controller) RepairPortKey(a string, pa int, epoch uint64) (KMPResult, e
 		return nil
 	}
 
-	done := c.noteRollover(a, CausePortRepair, uint64(pa))
+	c.rolloverBegin(a, CausePortRepair, uint64(pa))
 	err = c.tryPortKeyInitFenced(ha, pa, hb, peer.port, &res, fence)
 	if err == nil {
 		c.mu.Lock()
@@ -221,6 +221,6 @@ func (c *Controller) RepairPortKey(a string, pa int, epoch uint64) (KMPResult, e
 		c.mu.Unlock()
 		err = errors.Join(c.autoPersist(a), c.autoPersist(peer.sw))
 	}
-	done(err)
+	c.rolloverEnd(a, CausePortRepair, uint64(pa), err)
 	return res, err
 }

@@ -16,8 +16,7 @@ import (
 func (c *Controller) LocalKeyInit(sw string) (KMPResult, error) {
 	var res KMPResult
 	var err error
-	done := c.noteRollover(sw, CauseLocalInit, 0)
-	defer func() { done(err) }()
+	c.rolloverBegin(sw, CauseLocalInit, 0)
 	if c.resilient() {
 		res, err = c.localKeyInitResilient(sw)
 	} else {
@@ -26,6 +25,7 @@ func (c *Controller) LocalKeyInit(sw string) (KMPResult, error) {
 	if err == nil {
 		err = c.autoPersist(sw)
 	}
+	c.rolloverEnd(sw, CauseLocalInit, 0, err)
 	return res, err
 }
 
@@ -39,32 +39,12 @@ func (c *Controller) localKeyInitLegacy(sw string) (KMPResult, error) {
 	// EAK: salts exchanged under K_seed.
 	c.countSeedUse(sw)
 	eak := core.NewEAK(h.cfg, c.rng)
-	req, err := h.signedMessage(core.HdrKeyExch, core.MsgEAKSalt1, nil, &core.KxPayload{Salt: eak.S1})
+	kx, err := c.kmpLeg(h, &res, kmpLeg{msgType: core.MsgEAKSalt1, kx: core.KxPayload{Salt: eak.S1},
+		cost: SignCost + VerifyCost, want: core.MsgEAKSalt2, what: "EAK"})
 	if err != nil {
 		return res, err
 	}
-	resp, lat, err := c.exchange(h, req)
-	if err != nil {
-		return res, err
-	}
-	res.RTT += lat + SignCost + VerifyCost
-	res.Messages += 2
-	if err := c.tally(&res, req, resp); err != nil {
-		return res, err
-	}
-	// Vet before looking at the type (here and in the exchanges below): a
-	// request altered inside the switch stack comes back as a verified
-	// alert, which must surface as ErrTampered with the alert recorded and
-	// the sequence number settled, not as an unexpected response type.
-	if len(resp) == 1 {
-		if err := c.checkResponse(h, req, resp[0]); err != nil {
-			return res, err
-		}
-	}
-	if len(resp) != 1 || resp[0].MsgType != core.MsgEAKSalt2 {
-		return res, fmt.Errorf("controller: %s: unexpected EAK response", sw)
-	}
-	kauth, err := eak.Complete(resp[0].Kx.Salt)
+	kauth, err := eak.Complete(kx.Salt)
 	if err != nil {
 		return res, err
 	}
@@ -88,8 +68,7 @@ func (c *Controller) localKeyInitLegacy(sw string) (KMPResult, error) {
 func (c *Controller) LocalKeyUpdate(sw string) (KMPResult, error) {
 	var res KMPResult
 	var err error
-	done := c.noteRollover(sw, CauseLocalUpdate, 0)
-	defer func() { done(err) }()
+	c.rolloverBegin(sw, CauseLocalUpdate, 0)
 	if c.resilient() {
 		res, err = c.localKeyUpdateResilient(sw)
 	} else {
@@ -98,6 +77,7 @@ func (c *Controller) LocalKeyUpdate(sw string) (KMPResult, error) {
 	if err == nil {
 		err = c.autoPersist(sw)
 	}
+	c.rolloverEnd(sw, CauseLocalUpdate, 0, err)
 	return res, err
 }
 
@@ -115,29 +95,12 @@ func (c *Controller) localKeyUpdateLegacy(sw string) (KMPResult, error) {
 func (c *Controller) localADHKD(h *swHandle) (KMPResult, error) {
 	var res KMPResult
 	adhkd := core.NewADHKD(h.cfg, c.rng)
-	req, err := h.signedMessage(core.HdrKeyExch, core.MsgADHKD1, nil,
-		&core.KxPayload{PK: adhkd.PK1(), Salt: adhkd.S1})
+	kx, err := c.kmpLeg(h, &res, kmpLeg{msgType: core.MsgADHKD1, kx: core.KxPayload{PK: adhkd.PK1(), Salt: adhkd.S1},
+		cost: SignCost + VerifyCost, want: core.MsgADHKD2, what: "ADHKD"})
 	if err != nil {
 		return res, err
 	}
-	resp, lat, err := c.exchange(h, req)
-	if err != nil {
-		return res, err
-	}
-	res.RTT += lat + SignCost + VerifyCost
-	res.Messages += 2
-	if err := c.tally(&res, req, resp); err != nil {
-		return res, err
-	}
-	if len(resp) == 1 {
-		if err := c.checkResponse(h, req, resp[0]); err != nil {
-			return res, err
-		}
-	}
-	if len(resp) != 1 || resp[0].MsgType != core.MsgADHKD2 {
-		return res, fmt.Errorf("controller: %s: unexpected ADHKD response", h.name)
-	}
-	klocal, err := adhkd.Complete(resp[0].Kx.PK, resp[0].Kx.Salt)
+	klocal, err := adhkd.Complete(kx.PK, kx.Salt)
 	if err != nil {
 		return res, err
 	}
@@ -155,8 +118,7 @@ func (c *Controller) localADHKD(h *swHandle) (KMPResult, error) {
 func (c *Controller) PortKeyInit(a string, pa int, b string, pb int) (KMPResult, error) {
 	var res KMPResult
 	var err error
-	done := c.noteRollover(a, CausePortInit, uint64(pa))
-	defer func() { done(err) }()
+	c.rolloverBegin(a, CausePortInit, uint64(pa))
 	if c.resilient() {
 		res, err = c.portKeyInitResilient(a, pa, b, pb)
 	} else {
@@ -165,6 +127,7 @@ func (c *Controller) PortKeyInit(a string, pa int, b string, pb int) (KMPResult,
 	if err == nil {
 		err = errors.Join(c.autoPersist(a), c.autoPersist(b))
 	}
+	c.rolloverEnd(a, CausePortInit, uint64(pa), err)
 	return res, err
 }
 
@@ -180,73 +143,21 @@ func (c *Controller) portKeyInitLegacy(a string, pa int, b string, pb int) (KMPR
 	var res KMPResult
 
 	// 1-2: portKeyInit to A; A answers with its ADHKD1 (initKeyExch).
-	req, err := ha.signedMessage(core.HdrKeyExch, core.MsgPortKeyInit, nil,
-		&core.KxPayload{Port: uint16(pa)})
+	kx1, err := c.kmpLeg(ha, &res, kmpLeg{msgType: core.MsgPortKeyInit, kx: core.KxPayload{Port: uint16(pa)},
+		want: core.MsgADHKD1, what: "portKeyInit"})
 	if err != nil {
 		return res, err
 	}
-	resp, lat, err := c.exchange(ha, req)
-	if err != nil {
-		return res, err
-	}
-	res.RTT += lat
-	res.Messages += 2
-	if err := c.tally(&res, req, resp); err != nil {
-		return res, err
-	}
-	if len(resp) == 1 {
-		if err := c.checkResponse(ha, req, resp[0]); err != nil {
-			return res, err
-		}
-	}
-	if len(resp) != 1 || resp[0].MsgType != core.MsgADHKD1 {
-		return res, fmt.Errorf("controller: %s: unexpected portKeyInit response", a)
-	}
-	pk1, s1 := resp[0].Kx.PK, resp[0].Kx.Salt
-
 	// 3-4: redirect ADHKD1 to B (tagged with B's port); B answers ADHKD2.
-	req, err = hb.signedMessage(core.HdrKeyExch, core.MsgADHKD1, nil,
-		&core.KxPayload{Port: uint16(pb), PK: pk1, Salt: s1})
+	kx2, err := c.kmpLeg(hb, &res, kmpLeg{msgType: core.MsgADHKD1, kx: core.KxPayload{Port: uint16(pb), PK: kx1.PK, Salt: kx1.Salt},
+		cost: SignCost + VerifyCost, want: core.MsgADHKD2, what: "redirected ADHKD"})
 	if err != nil {
 		return res, err
 	}
-	resp, lat, err = c.exchange(hb, req)
-	if err != nil {
-		return res, err
-	}
-	res.RTT += lat + SignCost + VerifyCost
-	res.Messages += 2
-	if err := c.tally(&res, req, resp); err != nil {
-		return res, err
-	}
-	if len(resp) == 1 {
-		if err := c.checkResponse(hb, req, resp[0]); err != nil {
-			return res, err
-		}
-	}
-	if len(resp) != 1 || resp[0].MsgType != core.MsgADHKD2 {
-		return res, fmt.Errorf("controller: %s: unexpected redirected ADHKD response", b)
-	}
-	pk2, s2 := resp[0].Kx.PK, resp[0].Kx.Salt
-
 	// 5: redirect ADHKD2 back to A, which installs the port key.
-	req, err = ha.signedMessage(core.HdrKeyExch, core.MsgADHKD2, nil,
-		&core.KxPayload{Port: uint16(pa), PK: pk2, Salt: s2})
-	if err != nil {
-		return res, err
-	}
-	_, lat, err = c.exchange(ha, req)
-	if err != nil {
-		return res, err
-	}
-	res.RTT += lat + SignCost
-	res.Messages++
-	if err := c.tally(&res, req, nil); err != nil {
-		return res, err
-	}
-	// The final leg has no response; the request settles implicitly.
-	_ = ha.seq.Settle(req.SeqNum)
-	return res, nil
+	_, err = c.kmpLeg(ha, &res, kmpLeg{msgType: core.MsgADHKD2, kx: core.KxPayload{Port: uint16(pa), PK: kx2.PK, Salt: kx2.Salt},
+		cost: SignCost})
+	return res, err
 }
 
 // PortKeyUpdate runs Fig. 14(d): one portKeyUpdate command to A; the
@@ -255,8 +166,7 @@ func (c *Controller) portKeyInitLegacy(a string, pa int, b string, pb int) (KMPR
 func (c *Controller) PortKeyUpdate(a string, pa int) (KMPResult, error) {
 	var res KMPResult
 	var err error
-	done := c.noteRollover(a, CausePortUpdate, uint64(pa))
-	defer func() { done(err) }()
+	c.rolloverBegin(a, CausePortUpdate, uint64(pa))
 	if c.resilient() {
 		res, err = c.portKeyUpdateResilient(a, pa)
 	} else {
@@ -265,6 +175,7 @@ func (c *Controller) PortKeyUpdate(a string, pa int) (KMPResult, error) {
 	if err == nil {
 		err = c.autoPersist(a)
 	}
+	c.rolloverEnd(a, CausePortUpdate, uint64(pa), err)
 	return res, err
 }
 
@@ -277,39 +188,76 @@ func (c *Controller) portKeyUpdateLegacy(a string, pa int) (KMPResult, error) {
 		return KMPResult{}, fmt.Errorf("controller: %s port %d has no registered peer", a, pa)
 	}
 	var res KMPResult
-	req, err := ha.signedMessage(core.HdrKeyExch, core.MsgPortKeyUpdate, nil,
-		&core.KxPayload{Port: uint16(pa)})
-	if err != nil {
-		return res, err
-	}
 	// The exchange's relay step carries the two DP-DP legs.
-	_, lat, err := c.exchange(ha, req)
-	if err != nil {
-		return res, err
-	}
-	_ = ha.seq.Settle(req.SeqNum)
-	res.RTT += lat + SignCost
-	res.Messages += 3
-	rb, _ := req.Encode()
-	// One C-DP command plus two DP-DP kx messages of the same wire size.
-	res.Bytes += 3 * len(rb)
-	return res, nil
+	_, err = c.kmpLeg(ha, &res, kmpLeg{msgType: core.MsgPortKeyUpdate, kx: core.KxPayload{Port: uint16(pa)},
+		cost: SignCost, relayed: 2})
+	return res, err
 }
 
-func (c *Controller) tally(res *KMPResult, req *core.Message, resp []*core.Message) error {
-	b, err := req.Encode()
+// kmpLeg is one single-shot C-DP exchange of a KMP flow: the request, what
+// it adds to the flow's modeled time, and the answer it waits for.
+type kmpLeg struct {
+	msgType uint8
+	kx      core.KxPayload
+	// cost is the controller's modeled digest work on top of the round
+	// trip.
+	cost time.Duration
+	// want is the response type, and what names it in the error a wrong
+	// answer draws. A fire-and-forget leg (want 0) is answered across the
+	// fabric, not to the controller; its request settles implicitly.
+	want uint8
+	what string
+	// relayed is how many DP-DP messages of the request's wire size a
+	// fire-and-forget leg sets off; the result counts them too.
+	relayed int
+}
+
+// kmpLeg runs one leg under a single hold of h.opMu, in the handle's
+// scratch the way the register path does: the request is signed into
+// txMsg/txKx and encoded into encBuf, the answer is vetted where it was
+// decoded, and its key-exchange payload is copied out before the lock is
+// released. The leg's messages, wire bytes and modeled time are added to
+// res once the exchange has run.
+func (c *Controller) kmpLeg(h *swHandle, res *KMPResult, l kmpLeg) (core.KxPayload, error) {
+	h.opMu.Lock()
+	defer h.opMu.Unlock()
+	key, ver, err := h.keys.Current(core.KeyIndexLocal)
 	if err != nil {
-		return err
+		return core.KxPayload{}, err
 	}
-	res.Bytes += len(b)
-	for _, r := range resp {
-		rb, err := r.Encode()
-		if err != nil {
-			return err
+	h.txKx = l.kx
+	h.txMsg = core.Message{
+		Header: core.Header{HdrType: core.HdrKeyExch, MsgType: l.msgType, SeqNum: h.seq.Next(), KeyVersion: ver},
+		Kx:     &h.txKx,
+	}
+	h.txMsg.SignBuf(h.dig, key, &h.digBuf)
+	h.encBuf = h.txMsg.AppendEncode(h.encBuf[:0])
+	resp, lat, sent, rcvd, err := c.exchangeBytesLocked(h, h.encBuf)
+	if err != nil {
+		return core.KxPayload{}, err
+	}
+	res.RTT += lat + l.cost
+	if l.want == 0 {
+		res.Messages += 1 + l.relayed
+		res.Bytes += (1 + l.relayed) * sent
+		_ = h.seq.Settle(h.txMsg.SeqNum)
+		return core.KxPayload{}, nil
+	}
+	res.Messages += 2
+	res.Bytes += sent + rcvd
+	// Vet before looking at the type: a request altered inside the switch
+	// stack comes back as a verified alert, which must surface as
+	// ErrTampered with the alert recorded and the sequence number settled,
+	// not as an unexpected response type.
+	if len(resp) == 1 {
+		if _, err := c.vetResponses(h, &h.txMsg, resp, true, &h.digBuf); err != nil {
+			return core.KxPayload{}, err
 		}
-		res.Bytes += len(rb)
 	}
-	return nil
+	if len(resp) != 1 || resp[0].MsgType != l.want || resp[0].Kx == nil {
+		return core.KxPayload{}, fmt.Errorf("controller: %s: unexpected %s response", h.name, l.what)
+	}
+	return *resp[0].Kx, nil
 }
 
 // InitAllKeys initializes local keys for every registered switch and port

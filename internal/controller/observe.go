@@ -185,22 +185,24 @@ func (c *Controller) noteFloorBump(h *swHandle, cause string, seq uint32) {
 	k.audit(obs.EvFloorBump, h.name, cause, seq, uint64(h.seq.Peek()))
 }
 
-// noteRollover wraps a KMP flow with begin/commit/rollback audit events.
-// Call as: defer c.noteRollover(sw, flow, port)(errp).
-func (c *Controller) noteRollover(sw, flow string, value uint64) func(err error) {
+// rolloverBegin and rolloverEnd bracket a KMP flow with its audit events:
+// begin, then commit when the flow returns nil or rollback, with the
+// failure's cause, when it does not.
+func (c *Controller) rolloverBegin(sw, flow string, value uint64) {
 	k := c.obsv()
 	k.rolloverBegin.Inc()
 	k.audit(obs.EvRolloverBegin, sw, flow, 0, value)
-	return func(err error) {
-		k := c.obsv()
-		if err == nil {
-			k.rolloverCommit.Inc()
-			k.audit(obs.EvRolloverCommit, sw, flow, 0, value)
-			return
-		}
-		k.rolloverRollback.Inc()
-		k.audit(obs.EvRolloverRollback, sw, causeOf(err), 0, value)
+}
+
+func (c *Controller) rolloverEnd(sw, flow string, value uint64, err error) {
+	k := c.obsv()
+	if err == nil {
+		k.rolloverCommit.Inc()
+		k.audit(obs.EvRolloverCommit, sw, flow, 0, value)
+		return
 	}
+	k.rolloverRollback.Inc()
+	k.audit(obs.EvRolloverRollback, sw, causeOf(err), 0, value)
 }
 
 // causeOf classifies a failure into a constant audit label.

@@ -141,52 +141,49 @@ func (c *Controller) regWriteLocked(h *swHandle, register string, index uint32, 
 // ReadRegisterInsecure is the DP-Reg-RW baseline read: same PacketOut
 // path, no digests (requires a switch built with Config.Insecure).
 func (c *Controller) ReadRegisterInsecure(sw, register string, index uint32) (uint64, time.Duration, error) {
-	h, err := c.handle(sw)
-	if err != nil {
-		return 0, 0, err
-	}
-	ri, err := h.info.RegisterByName(register)
-	if err != nil {
-		return 0, 0, err
-	}
-	req := &core.Message{
-		Header: core.Header{HdrType: core.HdrRegister, MsgType: core.MsgReadReq, SeqNum: h.seq.Next()},
-		Reg:    &core.RegPayload{RegID: ri.ID, Index: index},
-	}
-	resp, lat, err := c.exchange(h, req)
-	if err != nil {
-		return 0, lat, err
-	}
-	if len(resp) != 1 || resp[0].MsgType != core.MsgAck {
-		return 0, lat, fmt.Errorf("controller: %s: insecure read failed", sw)
-	}
-	_ = h.seq.Settle(resp[0].SeqNum)
-	return resp[0].Reg.Value, lat, nil
+	return c.insecureRequest(sw, core.MsgReadReq, register, index, 0)
 }
 
 // WriteRegisterInsecure is the DP-Reg-RW baseline write.
 func (c *Controller) WriteRegisterInsecure(sw, register string, index uint32, value uint64) (time.Duration, error) {
+	_, lat, err := c.insecureRequest(sw, core.MsgWriteReq, register, index, value)
+	return lat, err
+}
+
+// insecureRequest is one unsigned register request of the DP-Reg-RW
+// baseline, built, sent and answered in the handle's scratch under opMu
+// like a protected one, so the two differ only by the digests. It
+// returns the value the ack carries.
+func (c *Controller) insecureRequest(sw string, msgType uint8, register string, index uint32, value uint64) (uint64, time.Duration, error) {
 	h, err := c.handle(sw)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	ri, err := h.info.RegisterByName(register)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	req := &core.Message{
-		Header: core.Header{HdrType: core.HdrRegister, MsgType: core.MsgWriteReq, SeqNum: h.seq.Next()},
-		Reg:    &core.RegPayload{RegID: ri.ID, Index: index, Value: value},
+	h.opMu.Lock()
+	defer h.opMu.Unlock()
+	h.txReg = core.RegPayload{RegID: ri.ID, Index: index, Value: value}
+	h.txMsg = core.Message{
+		Header: core.Header{HdrType: core.HdrRegister, MsgType: msgType, SeqNum: h.seq.Next()},
+		Reg:    &h.txReg,
 	}
-	resp, lat, err := c.exchange(h, req)
+	h.encBuf = h.txMsg.AppendEncode(h.encBuf[:0])
+	resp, lat, _, _, err := c.exchangeBytesLocked(h, h.encBuf)
 	if err != nil {
-		return lat, err
+		return 0, lat, err
 	}
-	if len(resp) != 1 || resp[0].MsgType != core.MsgAck {
-		return lat, fmt.Errorf("controller: %s: insecure write failed", sw)
+	if len(resp) != 1 || resp[0].MsgType != core.MsgAck || resp[0].Reg == nil {
+		op := "read"
+		if msgType == core.MsgWriteReq {
+			op = "write"
+		}
+		return 0, lat, fmt.Errorf("controller: %s: insecure %s failed", sw, op)
 	}
 	_ = h.seq.Settle(resp[0].SeqNum)
-	return lat, nil
+	return resp[0].Reg.Value, lat, nil
 }
 
 // ReadRegisterAPI is the P4Runtime baseline read: the full API stack
