@@ -8,6 +8,7 @@ import (
 	"p4auth/internal/core"
 	"p4auth/internal/crypto"
 	"p4auth/internal/deploy"
+	"p4auth/internal/obs"
 	"p4auth/internal/pisa"
 	"p4auth/internal/switchos"
 )
@@ -342,18 +343,29 @@ func TestMitMOnWriteRequestDetectedByDataPlane(t *testing.T) {
 // inside the switch stack comes back as a verified alert. The
 // single-shot flows must report it the way the register path and the
 // resilient flows do: ErrTampered, the alert recorded, nothing left
-// outstanding.
+// outstanding, the rollover rolled back. The fire-and-forget legs (port
+// update, port init leg 5) are answered only by that alert.
 func TestSingleShotKMPTamperRaisesAlert(t *testing.T) {
 	for _, tc := range []struct {
 		name, victim string
+		msg          uint8 // the request type altered at the victim
+		portInit     bool  // establish the port key before tampering
 		run          func(c *Controller) error
 	}{
-		{"local update", "s1", func(c *Controller) error {
+		{"local update", "s1", core.MsgADHKD1, false, func(c *Controller) error {
 			_, err := c.LocalKeyUpdate("s1")
 			return err
 		}},
-		{"port init leg 3-4", "s2", func(c *Controller) error {
+		{"port init leg 3-4", "s2", core.MsgADHKD1, false, func(c *Controller) error {
 			_, err := c.PortKeyInit("s1", 1, "s2", 1)
+			return err
+		}},
+		{"port init leg 5", "s1", core.MsgADHKD2, false, func(c *Controller) error {
+			_, err := c.PortKeyInit("s1", 1, "s2", 1)
+			return err
+		}},
+		{"port update", "s1", core.MsgPortKeyUpdate, true, func(c *Controller) error {
+			_, err := c.PortKeyUpdate("s1", 1)
 			return err
 		}},
 	} {
@@ -364,11 +376,16 @@ func TestSingleShotKMPTamperRaisesAlert(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			if tc.portInit {
+				if _, err := c.PortKeyInit("s1", 1, "s2", 1); err != nil {
+					t.Fatal(err)
+				}
+			}
 			victim := map[string]*deploy.Switch{"s1": s1, "s2": s2}[tc.victim]
 			if err := victim.Host.Install(switchos.BoundarySDKDriver, &switchos.Hooks{
 				OnPacketOut: func(data []byte) []byte {
 					m, err := core.DecodeMessage(data)
-					if err != nil || m.Kx == nil {
+					if err != nil || m.Kx == nil || m.MsgType != tc.msg {
 						return data
 					}
 					m.Kx.Salt ^= 1
@@ -387,6 +404,10 @@ func TestSingleShotKMPTamperRaisesAlert(t *testing.T) {
 			}
 			if n, err := c.Outstanding(tc.victim); err != nil || n != 0 {
 				t.Errorf("Outstanding(%s) = %d, %v, want 0", tc.victim, n, err)
+			}
+			events := c.Observer().Audit.Events()
+			if last := events[len(events)-1]; last.Type != obs.EvRolloverRollback || last.Cause != CauseDigestRejected {
+				t.Errorf("last audit event = %s %s, want %s %s", last.Type, last.Cause, obs.EvRolloverRollback, CauseDigestRejected)
 			}
 		})
 	}

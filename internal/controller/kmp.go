@@ -237,18 +237,23 @@ func (c *Controller) kmpLeg(h *swHandle, res *KMPResult, l kmpLeg) (core.KxPaylo
 		return core.KxPayload{}, err
 	}
 	res.RTT += lat + l.cost
+	// A request altered inside the switch stack comes back as a verified
+	// alert, which must surface as ErrTampered with the alert recorded and
+	// the sequence number settled: vet whatever answered before looking
+	// at its type.
 	if l.want == 0 {
 		res.Messages += 1 + l.relayed
 		res.Bytes += (1 + l.relayed) * sent
+		if len(resp) > 0 {
+			if _, err := c.vetResponses(h, &h.txMsg, resp, true, &h.digBuf); err != nil {
+				return core.KxPayload{}, err
+			}
+		}
 		_ = h.seq.Settle(h.txMsg.SeqNum)
 		return core.KxPayload{}, nil
 	}
 	res.Messages += 2
 	res.Bytes += sent + rcvd
-	// Vet before looking at the type: a request altered inside the switch
-	// stack comes back as a verified alert, which must surface as
-	// ErrTampered with the alert recorded and the sequence number settled,
-	// not as an unexpected response type.
 	if len(resp) == 1 {
 		if _, err := c.vetResponses(h, &h.txMsg, resp, true, &h.digBuf); err != nil {
 			return core.KxPayload{}, err
