@@ -321,16 +321,19 @@ func TestRolloverAllocBudget(t *testing.T) {
 	}
 }
 
-// TestConcurrentBatchesVsRollover runs two batch clients on one switch,
-// each writing and reading back its own half of the register, while a
-// third goroutine rolls the local key over until they finish. The window scratch is the
-// handle's, shared by both clients under opMu: every value must read back
-// as written, and with crash safety on no intent survives a live settle.
+// TestConcurrentBatchesVsRollover runs two batch clients on each of two
+// linked switches, each writing and reading back its own half of the
+// register, while one goroutine rolls s1's local key over and another its
+// port key until they finish. The window scratch is the handle's, shared
+// by both of a switch's clients under opMu, and each port rollover relays
+// through the handle's relay scratch into s2 while s2's clients run: every
+// value must read back as written, and with crash safety on no intent
+// survives a live settle.
 func TestConcurrentBatchesVsRollover(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
 			c, _, _ := twoSwitchFabric(t)
-			if _, err := c.LocalKeyInit("s1"); err != nil {
+			if _, err := c.InitAllKeys(); err != nil {
 				t.Fatal(err)
 			}
 			if durable {
@@ -340,62 +343,76 @@ func TestConcurrentBatchesVsRollover(t *testing.T) {
 			}
 			const rounds = 200
 			var wg sync.WaitGroup
-			for d := 0; d < 2; d++ {
-				wg.Add(1)
-				go func(d int) {
-					defer wg.Done()
-					writes := make([]RegWrite, 12)
-					reads := make([]RegRead, len(writes))
-					for r := 0; r < rounds; r++ {
-						for j := range writes {
-							idx := uint32(4*d + j%4)
-							writes[j] = RegWrite{Register: "lat", Index: idx, Value: uint64(d<<20 | r<<4 | j%4)}
-							reads[j] = RegRead{Register: "lat", Index: idx}
-						}
-						if _, err := c.WriteRegisterBatch("s1", 8, writes); err != nil {
-							t.Errorf("client %d round %d: write: %v", d, r, err)
-							return
-						}
-						br, err := c.ReadRegisterBatch("s1", 8, reads)
-						if err != nil {
-							t.Errorf("client %d round %d: read: %v", d, r, err)
-							return
-						}
-						for j, v := range br.Values {
-							if want := uint64(d<<20 | r<<4 | j%4); v != want {
-								t.Errorf("client %d round %d: lat[%d] = %#x, want %#x", d, r, reads[j].Index, v, want)
+			for _, sw := range []string{"s1", "s2"} {
+				for d := 0; d < 2; d++ {
+					wg.Add(1)
+					go func(sw string, d int) {
+						defer wg.Done()
+						writes := make([]RegWrite, 12)
+						reads := make([]RegRead, len(writes))
+						for r := 0; r < rounds; r++ {
+							for j := range writes {
+								idx := uint32(4*d + j%4)
+								writes[j] = RegWrite{Register: "lat", Index: idx, Value: uint64(d<<20 | r<<4 | j%4)}
+								reads[j] = RegRead{Register: "lat", Index: idx}
+							}
+							if _, err := c.WriteRegisterBatch(sw, 8, writes); err != nil {
+								t.Errorf("%s client %d round %d: write: %v", sw, d, r, err)
 								return
 							}
+							br, err := c.ReadRegisterBatch(sw, 8, reads)
+							if err != nil {
+								t.Errorf("%s client %d round %d: read: %v", sw, d, r, err)
+								return
+							}
+							for j, v := range br.Values {
+								if want := uint64(d<<20 | r<<4 | j%4); v != want {
+									t.Errorf("%s client %d round %d: lat[%d] = %#x, want %#x", sw, d, r, reads[j].Index, v, want)
+									return
+								}
+							}
 						}
-					}
-				}(d)
+					}(sw, d)
+				}
 			}
 			// The rollovers run for as long as the clients do.
 			var stop atomic.Bool
-			rolled := make(chan int)
-			go func() {
-				r := 0
-				for ; !stop.Load(); r++ {
-					if _, err := c.LocalKeyUpdate("s1"); err != nil {
-						t.Errorf("rollover %d: %v", r, err)
-						break
+			var rollers sync.WaitGroup
+			for _, roll := range []struct {
+				name string
+				run  func() (KMPResult, error)
+			}{
+				{"local rollover", func() (KMPResult, error) { return c.LocalKeyUpdate("s1") }},
+				{"port rollover", func() (KMPResult, error) { return c.PortKeyUpdate("s1", 1) }},
+			} {
+				rollers.Add(1)
+				go func() {
+					defer rollers.Done()
+					r := 0
+					for ; !stop.Load(); r++ {
+						if _, err := roll.run(); err != nil {
+							t.Errorf("%s %d: %v", roll.name, r, err)
+							break
+						}
 					}
-				}
-				rolled <- r
-			}()
+					if r < 2 {
+						t.Errorf("%d %ss ran beside the clients, want several", r, roll.name)
+					}
+				}()
+			}
 			wg.Wait()
 			stop.Store(true)
-			if r := <-rolled; r < 2 {
-				t.Errorf("%d rollovers ran beside the clients, want several", r)
-			}
+			rollers.Wait()
 			if !durable {
 				return
 			}
 			// Every batch landed, so every settle deleted its record: an
 			// intent (or any record) left behind is a settle that lost
 			// its entries.
-			if entries, err := c.JournalEntries("s1"); err != nil || len(entries) != 0 {
-				t.Fatalf("%d journal entries left after live settles (err %v): %+v", len(entries), err, entries)
+			for _, sw := range []string{"s1", "s2"} {
+				if entries, err := c.JournalEntries(sw); err != nil || len(entries) != 0 {
+					t.Fatalf("%s: %d journal entries left after live settles (err %v): %+v", sw, len(entries), err, entries)
+				}
 			}
 		})
 	}
