@@ -10,7 +10,7 @@ import (
 	"p4auth/internal/statestore"
 )
 
-// Benchmarks of the authenticated C-DP path and the local-key rollover.
+// Benchmarks of the authenticated C-DP path and the key rollovers.
 // The paper's tables and figures are modeled reports, pinned by
 // internal/bench's TestReportGoldens and printed by
 // `go run ./cmd/p4auth-bench`.
@@ -135,6 +135,36 @@ func BenchmarkLocalKeyRollover(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.LocalKeyUpdate("b2"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPortKeyRollover times a single-shot port-key rollover between
+// two linked switches: one signed command to the first, whose data plane
+// then runs the ADHKD with its peer through the two DP-DP messages the
+// controller relays.
+func BenchmarkPortKeyRollover(b *testing.B) {
+	c := NewController(crypto.NewSeededRand(11))
+	for _, name := range []string{"p1", "p2"} {
+		sw, err := BuildSwitch(SwitchSpec{Name: name, Ports: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Register(name, sw.Host, sw.Cfg, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := c.ConnectSwitches("p1", 1, "p2", 1, 0); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := c.InitAllKeys(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.PortKeyUpdate("p1", 1); err != nil {
 			b.Fatal(err)
 		}
 	}

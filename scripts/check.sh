@@ -65,16 +65,17 @@ c cover ./scripts/cover.sh
 c fuzz-smoke ./scripts/fuzz_smoke.sh
 
 # The zero-allocation hot path through the real benchmark harness (an
-# authenticated write and the read that follows it in cdp_serial, and
-# cdp_window32's 32-write batch), the four pipeline paths under it (signed write, signed read, 8-port probe,
-# bad-digest reject), one fabric hop between two linked secure HULA
+# authenticated write and the read that follows it in cdp_serial,
+# cdp_window32's 32-write batch, and kmp_rollover's local and port key
+# rollovers), the four pipeline paths under it (signed write, signed
+# read, 8-port probe, bad-digest reject), one fabric hop between two linked secure HULA
 # switches (Sim.Step: delivery, verify, re-sign, Send), the dpdp_probes
 # loop as a go test benchmark (8 keyed ports, batches of 32: the one to
 # run with -cpuprofile), the three digesters, the set-up of a secure k=4
 # fat tree and the bring-up of kmp_rollover's two-switch fixture, with
 # allocs/op printed: a reintroduced per-packet name
 # lookup or per-hop allocation shows here without the 15 s benchmark.
-c bench-smoke go test -bench='BenchmarkAuthenticatedWrite|BenchmarkWriteRegisterBatch32|BenchmarkDurableWrite|BenchmarkAuthenticatedRead|BenchmarkProcessP4Auth|BenchmarkFabricHop|BenchmarkSwitchProbeBatch32|BenchmarkDigesters|BenchmarkBuildFatTree|BenchmarkBringUpRollover' -benchtime=10x -run '^$' -short . ./internal/pisa/ ./internal/netsim/ ./internal/hula/ ./internal/crypto/ ./internal/fleet/
+c bench-smoke go test -bench='BenchmarkAuthenticatedWrite|BenchmarkWriteRegisterBatch32|BenchmarkDurableWrite|BenchmarkAuthenticatedRead|BenchmarkLocalKeyRollover|BenchmarkPortKeyRollover|BenchmarkProcessP4Auth|BenchmarkFabricHop|BenchmarkSwitchProbeBatch32|BenchmarkDigesters|BenchmarkBuildFatTree|BenchmarkBringUpRollover' -benchtime=10x -run '^$' -short . ./internal/pisa/ ./internal/netsim/ ./internal/hula/ ./internal/crypto/ ./internal/fleet/
 EOF
 }
 
