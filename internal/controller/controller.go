@@ -575,10 +575,3 @@ func (h *swHandle) scratchRequest(msgType uint8, regID, index uint32, value uint
 	h.txMsg.SignBuf(h.dig, key, &h.digBuf)
 	return &h.txMsg, nil
 }
-
-// checkResponse authenticates a response and settles its sequence number
-// (the single-attempt/final form of vetResponses).
-func (c *Controller) checkResponse(h *swHandle, req *core.Message, r *core.Message) error {
-	_, err := c.vetResponses(h, req, []*core.Message{r}, true, nil)
-	return err
-}

@@ -245,7 +245,7 @@ func (c *Controller) kmpLeg(h *swHandle, res *KMPResult, l kmpLeg) (core.KxPaylo
 		res.Messages += 1 + l.relayed
 		res.Bytes += (1 + l.relayed) * sent
 		if len(resp) > 0 {
-			if _, err := c.vetResponses(h, &h.txMsg, resp, true, &h.digBuf); err != nil {
+			if _, err := c.vetResponses(h, &h.txMsg, resp, true); err != nil {
 				return core.KxPayload{}, err
 			}
 		}
@@ -255,7 +255,7 @@ func (c *Controller) kmpLeg(h *swHandle, res *KMPResult, l kmpLeg) (core.KxPaylo
 	res.Messages += 2
 	res.Bytes += sent + rcvd
 	if len(resp) == 1 {
-		if _, err := c.vetResponses(h, &h.txMsg, resp, true, &h.digBuf); err != nil {
+		if _, err := c.vetResponses(h, &h.txMsg, resp, true); err != nil {
 			return core.KxPayload{}, err
 		}
 	}

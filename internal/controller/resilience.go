@@ -387,8 +387,8 @@ var errDecode = errors.New("controller: undecodable PacketIn")
 // replay defence only advances on digest-valid messages, so a dropped or
 // corrupted attempt never consumes the sequence number.
 //
-// With MaxAttempts == 1 this is exactly the legacy exchange + checkResponse
-// sequence, byte for byte and alert for alert.
+// With MaxAttempts == 1 this is exactly a single-shot leg's exchange and
+// vet (kmpLeg), byte for byte and alert for alert.
 //
 // One recovery rule rides on top: a final, verified REPLAY alert means the
 // switch's replay floor is ahead of our sequence counter — the signature
@@ -460,7 +460,7 @@ func (c *Controller) transactOnceLocked(h *swHandle, req *core.Message, wantResp
 			// verified alert coming back means the request was mangled in
 			// flight — that attempt failed, so resend the clean bytes.
 			if len(resp) > 0 {
-				if _, verr := c.vetResponses(h, req, resp, final, &h.digBuf); verr != nil {
+				if _, verr := c.vetResponses(h, req, resp, final); verr != nil {
 					lastErr = verr
 					if !final {
 						continue
@@ -478,7 +478,7 @@ func (c *Controller) transactOnceLocked(h *swHandle, req *core.Message, wantResp
 			lastErr = &noResponse{sw: h.name, seq: req.SeqNum, attempt: attempt}
 			continue
 		}
-		ok, verr := c.vetResponses(h, req, resp, final, &h.digBuf)
+		ok, verr := c.vetResponses(h, req, resp, final)
 		if verr == nil {
 			x.resp = resp
 			if resilient {
@@ -507,22 +507,16 @@ func (c *Controller) transactOnceLocked(h *swHandle, req *core.Message, wantResp
 // returns retryable=true when a failure could be transient corruption (the
 // caller may resend the same bytes). On non-final retryable failures the
 // sequence number is left outstanding so the eventual good response can
-// settle it; final-attempt behaviour matches the legacy checkResponse
-// exactly. digBuf is the handle's digest scratch when the caller holds
-// h.opMu and nil otherwise, in which case core's pooled buffer serves.
-func (c *Controller) vetResponses(h *swHandle, req *core.Message, resp []*core.Message, final bool, digBuf *[]byte) (retryable bool, err error) {
+// settle it; a final attempt settles a verified alert too, as a
+// single-shot leg does. The caller holds h.opMu: the digest input is built
+// in the handle's scratch.
+func (c *Controller) vetResponses(h *swHandle, req *core.Message, resp []*core.Message, final bool) (retryable bool, err error) {
 	r := resp[0]
 	key, err := h.keys.At(core.KeyIndexLocal, r.KeyVersion)
 	if err != nil {
 		return true, fmt.Errorf("%w: unknown key version %d", ErrTampered, r.KeyVersion)
 	}
-	var verified bool
-	if digBuf != nil {
-		verified = r.VerifyBuf(h.dig, key, digBuf)
-	} else {
-		verified = r.Verify(h.dig, key)
-	}
-	if !verified {
+	if !r.VerifyBuf(h.dig, key, &h.digBuf) {
 		// Detection of misreported statistics (Fig. 9): the controller
 		// itself raises the alert when a response fails verification.
 		c.noteAlert(h.name, core.AlertBadDigest, r.SeqNum, CauseResponseDigest)
