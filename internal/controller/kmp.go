@@ -39,7 +39,7 @@ func (c *Controller) localKeyInitLegacy(sw string) (KMPResult, error) {
 	// EAK: salts exchanged under K_seed.
 	c.countSeedUse(sw)
 	eak := core.NewEAK(h.cfg, c.rng)
-	kx, err := c.kmpLeg(h, &res, kmpLeg{msgType: core.MsgEAKSalt1, kx: core.KxPayload{Salt: eak.S1},
+	kx, err := c.runLeg(h, &res, kmpLeg{msgType: core.MsgEAKSalt1, kx: core.KxPayload{Salt: eak.S1},
 		cost: SignCost + VerifyCost, want: core.MsgEAKSalt2, what: "EAK"})
 	if err != nil {
 		return res, err
@@ -95,7 +95,7 @@ func (c *Controller) localKeyUpdateLegacy(sw string) (KMPResult, error) {
 func (c *Controller) localADHKD(h *swHandle) (KMPResult, error) {
 	var res KMPResult
 	adhkd := core.NewADHKD(h.cfg, c.rng)
-	kx, err := c.kmpLeg(h, &res, kmpLeg{msgType: core.MsgADHKD1, kx: core.KxPayload{PK: adhkd.PK1(), Salt: adhkd.S1},
+	kx, err := c.runLeg(h, &res, kmpLeg{msgType: core.MsgADHKD1, kx: core.KxPayload{PK: adhkd.PK1(), Salt: adhkd.S1},
 		cost: SignCost + VerifyCost, want: core.MsgADHKD2, what: "ADHKD"})
 	if err != nil {
 		return res, err
@@ -143,19 +143,19 @@ func (c *Controller) portKeyInitLegacy(a string, pa int, b string, pb int) (KMPR
 	var res KMPResult
 
 	// 1-2: portKeyInit to A; A answers with its ADHKD1 (initKeyExch).
-	kx1, err := c.kmpLeg(ha, &res, kmpLeg{msgType: core.MsgPortKeyInit, kx: core.KxPayload{Port: uint16(pa)},
+	kx1, err := c.runLeg(ha, &res, kmpLeg{msgType: core.MsgPortKeyInit, kx: core.KxPayload{Port: uint16(pa)},
 		want: core.MsgADHKD1, what: "portKeyInit"})
 	if err != nil {
 		return res, err
 	}
 	// 3-4: redirect ADHKD1 to B (tagged with B's port); B answers ADHKD2.
-	kx2, err := c.kmpLeg(hb, &res, kmpLeg{msgType: core.MsgADHKD1, kx: core.KxPayload{Port: uint16(pb), PK: kx1.PK, Salt: kx1.Salt},
+	kx2, err := c.runLeg(hb, &res, kmpLeg{msgType: core.MsgADHKD1, kx: core.KxPayload{Port: uint16(pb), PK: kx1.PK, Salt: kx1.Salt},
 		cost: SignCost + VerifyCost, want: core.MsgADHKD2, what: "redirected ADHKD"})
 	if err != nil {
 		return res, err
 	}
 	// 5: redirect ADHKD2 back to A, which installs the port key.
-	_, err = c.kmpLeg(ha, &res, kmpLeg{msgType: core.MsgADHKD2, kx: core.KxPayload{Port: uint16(pa), PK: kx2.PK, Salt: kx2.Salt},
+	_, err = c.runLeg(ha, &res, kmpLeg{msgType: core.MsgADHKD2, kx: core.KxPayload{Port: uint16(pa), PK: kx2.PK, Salt: kx2.Salt},
 		cost: SignCost})
 	return res, err
 }
@@ -189,7 +189,7 @@ func (c *Controller) portKeyUpdateLegacy(a string, pa int) (KMPResult, error) {
 	}
 	var res KMPResult
 	// The exchange's relay step carries the two DP-DP legs.
-	_, err = c.kmpLeg(ha, &res, kmpLeg{msgType: core.MsgPortKeyUpdate, kx: core.KxPayload{Port: uint16(pa)},
+	_, err = c.runLeg(ha, &res, kmpLeg{msgType: core.MsgPortKeyUpdate, kx: core.KxPayload{Port: uint16(pa)},
 		cost: SignCost, relayed: 2})
 	return res, err
 }
@@ -212,13 +212,13 @@ type kmpLeg struct {
 	relayed int
 }
 
-// kmpLeg runs one leg under a single hold of h.opMu, in the handle's
+// runLeg runs one leg under a single hold of h.opMu, in the handle's
 // scratch the way the register path does: the request is signed into
 // txMsg/txKx and encoded into encBuf, the answer is vetted where it was
 // decoded, and its key-exchange payload is copied out before the lock is
 // released. The leg's messages, wire bytes and modeled time are added to
 // res once the exchange has run.
-func (c *Controller) kmpLeg(h *swHandle, res *KMPResult, l kmpLeg) (core.KxPayload, error) {
+func (c *Controller) runLeg(h *swHandle, res *KMPResult, l kmpLeg) (core.KxPayload, error) {
 	h.opMu.Lock()
 	defer h.opMu.Unlock()
 	key, ver, err := h.keys.Current(core.KeyIndexLocal)

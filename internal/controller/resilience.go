@@ -388,7 +388,7 @@ var errDecode = errors.New("controller: undecodable PacketIn")
 // corrupted attempt never consumes the sequence number.
 //
 // With MaxAttempts == 1 this is exactly a single-shot leg's exchange and
-// vet (kmpLeg), byte for byte and alert for alert.
+// vet (runLeg), byte for byte and alert for alert.
 //
 // One recovery rule rides on top: a final, verified REPLAY alert means the
 // switch's replay floor is ahead of our sequence counter — the signature
