@@ -15,7 +15,7 @@ func TestFormatStateKeySnapshotRoundTrip(t *testing.T) {
 		TakenNs: 42,
 		SeqNext: 17,
 		Slots: []core.SlotSnapshot{
-			{V0: 0xAAAA, V1: 0xBBBB, Current: 1, Set: true},
+			{V0: 0xAAAA, V1: 0xBBBB, Epoch: 1, Set: true},
 			{Pending: 0xCCCC, HasPending: true},
 		},
 	}

@@ -82,7 +82,7 @@ func (c *Controller) runLocalFlow(h *swHandle, res *KMPResult, step func() error
 
 // eakStep is one EAK exchange with transactional key activation.
 func (c *Controller) eakStep(h *swHandle, res *KMPResult) error {
-	_, oldVer, err := h.keys.Current(core.KeyIndexLocal)
+	oldEpoch, err := h.keys.Epoch(core.KeyIndexLocal)
 	if err != nil {
 		return err
 	}
@@ -105,12 +105,12 @@ func (c *Controller) eakStep(h *swHandle, res *KMPResult) error {
 	if err != nil {
 		return err
 	}
-	return c.commitLocalKey(h, res, oldVer, kauth)
+	return c.commitLocalKey(h, res, oldEpoch, kauth)
 }
 
 // adhkdStep is one local ADHKD exchange with transactional key activation.
 func (c *Controller) adhkdStep(h *swHandle, res *KMPResult) error {
-	_, oldVer, err := h.keys.Current(core.KeyIndexLocal)
+	oldEpoch, err := h.keys.Epoch(core.KeyIndexLocal)
 	if err != nil {
 		return err
 	}
@@ -133,7 +133,7 @@ func (c *Controller) adhkdStep(h *swHandle, res *KMPResult) error {
 	if err != nil {
 		return err
 	}
-	return c.commitLocalKey(h, res, oldVer, klocal)
+	return c.commitLocalKey(h, res, oldEpoch, klocal)
 }
 
 // commitLocalKey is the prepare/confirm/commit sequence of a local-slot
@@ -142,8 +142,10 @@ func (c *Controller) adhkdStep(h *swHandle, res *KMPResult) error {
 // under the OLD key precisely because the staged key is not yet active —
 // and only then does the controller flip versions. Any failure aborts the
 // staged key, leaving the controller on the last mutually-known version
-// for resyncLocal to work with.
-func (c *Controller) commitLocalKey(h *swHandle, res *KMPResult, oldVer uint8, key uint64) error {
+// for resyncLocal to work with. The key store counts installs in a 32-bit
+// epoch and pa_ver holds its low byte, so the switch's version is
+// compared mod 256 and the committed epoch in full.
+func (c *Controller) commitLocalKey(h *swHandle, res *KMPResult, oldEpoch uint32, key uint64) error {
 	if err := h.keys.Prepare(core.KeyIndexLocal, key); err != nil {
 		return err
 	}
@@ -154,17 +156,17 @@ func (c *Controller) commitLocalKey(h *swHandle, res *KMPResult, oldVer uint8, k
 		_ = h.keys.Abort(core.KeyIndexLocal)
 		return err
 	}
-	if uint8(swVer) != oldVer+1 {
+	if want := uint8(oldEpoch + 1); uint8(swVer) != want {
 		_ = h.keys.Abort(core.KeyIndexLocal)
 		return fmt.Errorf("%w: %s: install not confirmed (pa_ver=%d, want %d)",
-			ErrTampered, h.name, uint8(swVer), oldVer+1)
+			ErrTampered, h.name, uint8(swVer), want)
 	}
-	newVer, err := h.keys.Commit(core.KeyIndexLocal)
+	newEpoch, err := h.keys.Commit(core.KeyIndexLocal)
 	if err != nil {
 		return err
 	}
-	if newVer != oldVer+1 {
-		return fmt.Errorf("controller: %s: committed version %d, expected %d", h.name, newVer, oldVer+1)
+	if newEpoch != oldEpoch+1 {
+		return fmt.Errorf("controller: %s: committed epoch %d, expected %d", h.name, newEpoch, oldEpoch+1)
 	}
 	return nil
 }

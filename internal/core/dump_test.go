@@ -98,7 +98,7 @@ func TestOperatorDumps(t *testing.T) {
 	ks := &Snapshot{
 		TakenNs: 5,
 		Slots: []SlotSnapshot{
-			{V0: 0xA, Current: 1, Set: true},
+			{V0: 0xA, Epoch: 1, Set: true},
 			{Pending: 0xB, HasPending: true},
 		},
 		SeqNext: 100,

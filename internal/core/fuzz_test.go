@@ -130,7 +130,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	s := &Snapshot{
 		TakenNs: 123,
 		Slots: []SlotSnapshot{
-			{V0: 1, V1: 2, Current: 1, Set: true},
+			{V0: 1, V1: 2, Epoch: 1, Set: true},
 			{Pending: 9, HasPending: true},
 		},
 		SeqNext: 1000,

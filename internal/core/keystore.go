@@ -31,9 +31,13 @@ type KeyStore struct {
 }
 
 type keySlot struct {
-	v       [2]uint64
-	current uint8
-	set     bool
+	v [2]uint64
+	// epoch counts the installs since the slot was first established. Its
+	// low byte is the version tag on the wire and in pa_ver; only the
+	// tag's parity selects one of v. Counting past 255 here keeps Commit
+	// and Rollback meaningful once the tag wraps.
+	epoch uint32
+	set   bool
 	// Transactional rollover staging (prepare/commit/abort): a derived key
 	// awaiting confirmation that the peer activated its copy. A prepared
 	// key is invisible to Current/At until committed, so in-flight messages
@@ -87,7 +91,17 @@ func (ks *KeyStore) Current(idx int) (key uint64, version uint8, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	return s.v[s.current&1], s.current, nil
+	return s.v[s.epoch&1], uint8(s.epoch), nil
+}
+
+// Epoch returns a slot's install epoch: the number of installs since the
+// slot was established, whose low byte is the version tag Current returns.
+func (ks *KeyStore) Epoch(idx int) (uint32, error) {
+	s, err := ks.imageSlot(idx)
+	if err != nil {
+		return 0, err
+	}
+	return s.epoch, nil
 }
 
 // At returns the key stored under a specific version tag (for validating
@@ -101,9 +115,9 @@ func (ks *KeyStore) At(idx int, version uint8) (uint64, error) {
 }
 
 // Install stores a new key in the slot's inactive version and makes it
-// current, returning the new version tag. It discards any prepared key
-// (Install is the non-transactional path).
-func (ks *KeyStore) Install(idx int, key uint64) (uint8, error) {
+// current, returning the new epoch (the version tag is its low byte). It
+// discards any prepared key (Install is the non-transactional path).
+func (ks *KeyStore) Install(idx int, key uint64) (uint32, error) {
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
 	if err := ks.check(idx); err != nil {
@@ -116,13 +130,13 @@ func (ks *KeyStore) Install(idx int, key uint64) (uint8, error) {
 	return ver, nil
 }
 
-func (s *keySlot) install(key uint64) uint8 {
+func (s *keySlot) install(key uint64) uint32 {
 	if s.set {
-		s.current++
+		s.epoch++
 	}
-	s.v[s.current&1] = key
+	s.v[s.epoch&1] = key
 	s.set = true
-	return s.current
+	return s.epoch
 }
 
 // Prepare stages a freshly derived key for a slot without activating it:
@@ -141,9 +155,9 @@ func (ks *KeyStore) Prepare(idx int, key uint64) error {
 	return nil
 }
 
-// Commit activates the prepared key at version current+1 and returns the
-// new version tag. It fails if nothing is prepared.
-func (ks *KeyStore) Commit(idx int) (uint8, error) {
+// Commit activates the prepared key at epoch+1 and returns the new epoch.
+// It fails if nothing is prepared.
+func (ks *KeyStore) Commit(idx int) (uint32, error) {
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
 	if err := ks.check(idx); err != nil {

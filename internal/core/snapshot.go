@@ -29,7 +29,7 @@ import (
 const (
 	snapMagic   = 0x50414B53 // "PAKS": P4Auth Key Snapshot
 	devMagic    = 0x50414453 // "PADS": P4Auth Device Snapshot
-	snapVersion = 1
+	snapVersion = 2          // 2 carries each slot's epoch; 1 carried its 8-bit tag
 
 	// FloorLease is the sequence-number headroom applied when replay
 	// floors are restored from a snapshot. A snapshot is a lower bound on
@@ -50,8 +50,10 @@ const (
 // restart lands in the same prepare/commit state machine position the
 // crash interrupted.
 type SlotSnapshot struct {
-	V0, V1     uint64
-	Current    uint8
+	V0, V1 uint64
+	// Epoch is the slot's install epoch; its low byte is the version tag.
+	// A format-1 snapshot stored only the tag and decodes with Epoch = tag.
+	Epoch      uint32
 	Set        bool
 	Pending    uint64
 	HasPending bool
@@ -83,7 +85,7 @@ func (ks *KeyStore) Snapshot() *Snapshot {
 	for i, sl := range ks.slots {
 		s.Slots[i] = SlotSnapshot{
 			V0: sl.v[0], V1: sl.v[1],
-			Current: sl.current, Set: sl.set,
+			Epoch: sl.epoch, Set: sl.set,
 			Pending: sl.pending, HasPending: sl.hasPending,
 		}
 	}
@@ -104,8 +106,8 @@ func (ks *KeyStore) Restore(s *Snapshot) error {
 	}
 	for i, sl := range s.Slots {
 		ks.slots[i] = keySlot{
-			v:       [2]uint64{sl.V0, sl.V1},
-			current: sl.Current, set: sl.Set,
+			v:     [2]uint64{sl.V0, sl.V1},
+			epoch: sl.Epoch, set: sl.Set,
 			pending: sl.Pending, hasPending: sl.HasPending,
 		}
 	}
@@ -127,11 +129,11 @@ func (ks *KeyStore) Rollback(idx int) error {
 	if !s.set {
 		return fmt.Errorf("core: key slot %d not established", idx)
 	}
-	if s.current == 0 {
+	if s.epoch == 0 {
 		return fmt.Errorf("core: key slot %d has no previous version to roll back to", idx)
 	}
-	s.v[s.current&1] = 0
-	s.current--
+	s.v[s.epoch&1] = 0
+	s.epoch--
 	s.pending, s.hasPending = 0, false
 	ks.publish()
 	return nil
@@ -158,7 +160,7 @@ const (
 
 // Encode serializes the snapshot with a trailing CRC32.
 func (s *Snapshot) Encode() []byte {
-	b := make([]byte, 0, 16+len(s.Slots)*26+len(s.Floors)*4)
+	b := make([]byte, 0, 16+len(s.Slots)*29+len(s.Floors)*4)
 	b = binary.BigEndian.AppendUint32(b, snapMagic)
 	b = append(b, snapVersion)
 	b = binary.BigEndian.AppendUint64(b, s.TakenNs)
@@ -166,7 +168,7 @@ func (s *Snapshot) Encode() []byte {
 	for _, sl := range s.Slots {
 		b = binary.BigEndian.AppendUint64(b, sl.V0)
 		b = binary.BigEndian.AppendUint64(b, sl.V1)
-		b = append(b, sl.Current)
+		b = binary.BigEndian.AppendUint32(b, sl.Epoch)
 		var flags byte
 		if sl.Set {
 			flags |= slotFlagSet
@@ -187,7 +189,13 @@ func (s *Snapshot) Encode() []byte {
 
 // DecodeSnapshot parses and checksum-verifies an encoded Snapshot.
 func DecodeSnapshot(b []byte) (*Snapshot, error) {
-	body, err := checkCRC(b, snapMagic, snapVersion, "key snapshot")
+	// Format 1 differs only in each slot's 8-bit tag where format 2 has
+	// the 32-bit epoch.
+	format := byte(snapVersion)
+	if len(b) > 4 && b[4] == 1 {
+		format = 1
+	}
+	body, err := checkCRC(b, snapMagic, format, "key snapshot")
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +209,11 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 	for i := range s.Slots {
 		sl := &s.Slots[i]
 		sl.V0, sl.V1 = r.u64(), r.u64()
-		sl.Current = r.u8()
+		if format == 1 {
+			sl.Epoch = uint32(r.u8())
+		} else {
+			sl.Epoch = r.u32()
+		}
 		flags := r.u8()
 		sl.Set = flags&slotFlagSet != 0
 		sl.HasPending = flags&slotFlagPending != 0
@@ -234,7 +246,7 @@ func (s *Snapshot) Dump() string {
 		if i == KeyIndexLocal {
 			role = "local"
 		}
-		fmt.Fprintf(&b, "  slot %2d (%s): ver=%d set=%v v0=%#016x v1=%#016x", i, role, sl.Current, sl.Set, sl.V0, sl.V1)
+		fmt.Fprintf(&b, "  slot %2d (%s): ver=%d epoch=%d set=%v v0=%#016x v1=%#016x", i, role, uint8(sl.Epoch), sl.Epoch, sl.Set, sl.V0, sl.V1)
 		if sl.HasPending {
 			fmt.Fprintf(&b, " pending=%#016x", sl.Pending)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
@@ -299,5 +300,91 @@ func TestDeviceSnapshotFloorSaturates(t *testing.T) {
 	}
 	if v, _ := sw.RegisterRead(RegSeq, 3); v != 0xFFFF_FFFF {
 		t.Fatalf("floor near top must saturate at 2^32-1, got %#x", v)
+	}
+}
+
+// TestKeyStoreEpochWraps runs one slot past 256 installs: the version tag
+// wraps with pa_ver, but Commit keeps returning a nonzero epoch, and
+// Rollback steps back across the wrap to the key of tag 255.
+func TestKeyStoreEpochWraps(t *testing.T) {
+	ks := NewKeyStore(1, 0x5eed)
+	for i := uint32(1); i <= 256; i++ {
+		if err := ks.Prepare(KeyIndexLocal, 0xABCD0000|uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+		epoch, err := ks.Commit(KeyIndexLocal)
+		if err != nil || epoch != i {
+			t.Fatalf("commit %d: epoch %d, err %v", i, epoch, err)
+		}
+	}
+	key, tag, err := ks.Current(KeyIndexLocal)
+	if err != nil || key != 0xABCD0100 || tag != 0 {
+		t.Fatalf("after 256 commits: key %#x tag %d err %v, want 0xabcd0100 tag 0", key, tag, err)
+	}
+	if err := ks.Rollback(KeyIndexLocal); err != nil {
+		t.Fatalf("rollback across the wrap: %v", err)
+	}
+	key, tag, err = ks.Current(KeyIndexLocal)
+	if err != nil || key != 0xABCD00FF || tag != 255 {
+		t.Fatalf("after rollback: key %#x tag %d err %v, want 0xabcd00ff tag 255", key, tag, err)
+	}
+	if epoch, err := ks.Epoch(KeyIndexLocal); err != nil || epoch != 255 {
+		t.Fatalf("epoch after rollback = %d, %v; want 255", epoch, err)
+	}
+	// The epoch survives a snapshot round trip; the tag alone would not.
+	if epoch, err := ks.Install(KeyIndexLocal, 0x77); err != nil || epoch != 256 {
+		t.Fatalf("install after rollback: epoch %d, err %v", epoch, err)
+	}
+	dec, err := DecodeSnapshot(ks.Snapshot().Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks2 := NewKeyStore(1, 0)
+	if err := ks2.Restore(dec); err != nil {
+		t.Fatal(err)
+	}
+	if epoch, err := ks2.Epoch(KeyIndexLocal); err != nil || epoch != 256 {
+		t.Fatalf("restored epoch = %d, %v; want 256", epoch, err)
+	}
+	if err := ks2.Rollback(KeyIndexLocal); err != nil {
+		t.Fatalf("rollback after restore: %v", err)
+	}
+}
+
+// TestSnapshotDecodesFormat1: a snapshot written before slots carried
+// their epoch stored the 8-bit tag in its place and decodes with
+// epoch = tag.
+func TestSnapshotDecodesFormat1(t *testing.T) {
+	b := binary.BigEndian.AppendUint32(nil, snapMagic)
+	b = append(b, 1)
+	b = binary.BigEndian.AppendUint64(b, 99) // taken
+	b = binary.BigEndian.AppendUint32(b, 2)  // slots
+	for _, sl := range []struct {
+		v0, v1  uint64
+		tag     uint8
+		flags   byte
+		pending uint64
+	}{
+		{0xAAAA, 0xBBBB, 3, slotFlagSet, 0},
+		{0, 0, 0, slotFlagPending, 0xCCCC},
+	} {
+		b = binary.BigEndian.AppendUint64(b, sl.v0)
+		b = binary.BigEndian.AppendUint64(b, sl.v1)
+		b = append(b, sl.tag, sl.flags)
+		b = binary.BigEndian.AppendUint64(b, sl.pending)
+	}
+	b = binary.BigEndian.AppendUint32(b, 17) // seqNext
+	b = binary.BigEndian.AppendUint32(b, 0)  // floors
+	b = appendCRC(b)
+	got, err := DecodeSnapshot(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &Snapshot{TakenNs: 99, SeqNext: 17, Slots: []SlotSnapshot{
+		{V0: 0xAAAA, V1: 0xBBBB, Epoch: 3, Set: true},
+		{Pending: 0xCCCC, HasPending: true},
+	}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("format 1 decode:\n got %+v\nwant %+v", got, want)
 	}
 }
