@@ -3,6 +3,7 @@ package ha
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -208,5 +209,48 @@ func TestFenceCauseEveryCause(t *testing.T) {
 	}
 	if got := FenceCause(nil); got != "" {
 		t.Errorf("nil cause = %q, want none", got)
+	}
+}
+
+// TestFencedStoreGuardLost: a successor that acquires after the fence
+// admitted a write but before the write lands takes the write with it.
+// The write is refused, nothing reaches the store, and the refusal is
+// observed as a deposed fencing refusal, like the fence's own.
+func TestFencedStoreGuardLost(t *testing.T) {
+	raw := statestore.NewMem()
+	if err := raw.Save(statestore.LeaseKey, (&statestore.Lease{Holder: "ctl-b", Epoch: 2}).Encode()); err != nil {
+		t.Fatal(err)
+	}
+	var refused []string
+	fs := NewFencedStore(raw, func() error { return nil }, func(op, key string, err error) {
+		refused = append(refused, op+" "+key+" "+FenceCause(err))
+	})
+	fs.guarded = raw
+	fs.tenure = func() statestore.LeaseGuard {
+		return statestore.LeaseGuard{Key: statestore.LeaseKey, Holder: "ctl-a", Epoch: 1}
+	}
+	if err := fs.Save("wal/s00/1", []byte{1}); !errors.Is(err, controller.ErrFenced) {
+		t.Fatalf("save after the lease moved = %v, want ErrFenced", err)
+	}
+	if _, err := raw.Load("wal/s00/1"); !errors.Is(err, statestore.ErrNotFound) {
+		t.Fatalf("refused save reached the store: %v", err)
+	}
+	if err := raw.Save("wal/s00/2", []byte{2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Delete("wal/s00/2"); !errors.Is(err, controller.ErrFenced) {
+		t.Fatalf("delete after the lease moved = %v, want ErrFenced", err)
+	}
+	if want := []string{"save wal/s00/1 deposed", "delete wal/s00/2 deposed"}; !reflect.DeepEqual(refused, want) {
+		t.Fatalf("refusals = %q, want %q", refused, want)
+	}
+	if err := raw.Save(statestore.LeaseKey, (&statestore.Lease{Holder: "ctl-a", Epoch: 1}).Encode()); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Save("wal/s00/1", []byte{1}); err != nil {
+		t.Fatalf("save under our own lease: %v", err)
+	}
+	if err := fs.Delete("wal/s00/2"); err != nil {
+		t.Fatalf("delete under our own lease: %v", err)
 	}
 }

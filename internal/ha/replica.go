@@ -126,6 +126,12 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		r.met.fencedPersists.Inc()
 		r.ob.Audit.Append(obs.EvFencedWrite, r.name, FenceCause(ferr), 0, mgr.HeldEpoch())
 	})
+	if gw, ok := cfg.Store.(statestore.GuardedWriter); ok {
+		fenced.guarded = gw
+		fenced.tenure = func() statestore.LeaseGuard {
+			return statestore.LeaseGuard{Key: statestore.LeaseKey, Holder: cfg.Name, Epoch: mgr.HeldEpoch()}
+		}
+	}
 	mgr.SetDegradedObserver(func(ev DegradedEvent, detail string) {
 		switch ev {
 		case DegradedAdmit:

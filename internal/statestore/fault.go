@@ -251,6 +251,44 @@ func (f *FaultStore) Save(key string, value []byte) error {
 	return f.raw.Save(key, value)
 }
 
+// SaveGuarded implements GuardedWriter when the wrapped store does. It
+// passes the same gate as Save, so a guarded write meets the same
+// outages, errors and hook.
+func (f *FaultStore) SaveGuarded(g LeaseGuard, key string, value []byte) (bool, error) {
+	gw, err := f.guarded(OpSave, key)
+	if err != nil {
+		return false, err
+	}
+	return gw.SaveGuarded(g, key, value)
+}
+
+// DeleteGuarded implements GuardedWriter when the wrapped store does,
+// through Delete's gate.
+func (f *FaultStore) DeleteGuarded(g LeaseGuard, key string) (bool, error) {
+	gw, err := f.guarded(OpDelete, key)
+	if err != nil {
+		return false, err
+	}
+	return gw.DeleteGuarded(g, key)
+}
+
+// guarded runs a guarded write's gate and hook and returns the wrapped
+// store's GuardedWriter.
+func (f *FaultStore) guarded(op Op, key string) (GuardedWriter, error) {
+	gw, ok := f.raw.(GuardedWriter)
+	if !ok {
+		return nil, fmt.Errorf("statestore: wrapped store %T does not support guarded writes", f.raw)
+	}
+	hook, err := f.gate(op, key)
+	if err != nil {
+		return nil, err
+	}
+	if hook != nil {
+		hook(op, key)
+	}
+	return gw, nil
+}
+
 // Load implements Store, optionally answering with deterministic torn
 // garbage instead of the stored bytes.
 func (f *FaultStore) Load(key string) ([]byte, error) {

@@ -140,6 +140,96 @@ type Swapper interface {
 	CompareAndSwap(key string, prev, next []byte) (bool, error)
 }
 
+// LeaseGuard names one tenure of a lease: the record stored at Key must
+// still decode to Holder at Epoch for a guarded write to land.
+type LeaseGuard struct {
+	Key    string
+	Holder string
+	Epoch  uint64
+}
+
+// holds reports whether a stored lease record names the guard's tenure.
+// An absent or corrupt record names nobody's.
+func (g LeaseGuard) holds(raw []byte) bool {
+	l, err := DecodeLease(raw)
+	return err == nil && l.Holder == g.Holder && l.Epoch == g.Epoch
+}
+
+// GuardedWriter is the optional fenced-write extension of Store. A check
+// of the lease made before a plain Save leaves a gap in which a successor
+// can acquire; a guarded write checks the lease record and writes under
+// the lock CompareAndSwap takes, so an acquisition lands wholly before
+// the write (which is refused) or wholly after it (and then sees it).
+type GuardedWriter interface {
+	// SaveGuarded saves value under key only while g holds. A false
+	// return with nil error means the lease has changed hands.
+	SaveGuarded(g LeaseGuard, key string, value []byte) (bool, error)
+	// DeleteGuarded deletes key only while g holds, reporting the same.
+	DeleteGuarded(g LeaseGuard, key string) (bool, error)
+}
+
+// SaveGuarded implements GuardedWriter.
+func (s *Mem) SaveGuarded(g LeaseGuard, key string, value []byte) (bool, error) {
+	if err := ValidateKey(key); err != nil {
+		return false, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !g.holds(s.m[g.Key]) {
+		return false, nil
+	}
+	s.m[key] = append([]byte(nil), value...)
+	s.saves++
+	return true, nil
+}
+
+// DeleteGuarded implements GuardedWriter.
+func (s *Mem) DeleteGuarded(g LeaseGuard, key string) (bool, error) {
+	if err := ValidateKey(key); err != nil {
+		return false, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !g.holds(s.m[g.Key]) {
+		return false, nil
+	}
+	delete(s.m, key)
+	return true, nil
+}
+
+// SaveGuarded implements GuardedWriter: the lease read and the atomic
+// write run under the store mutex, as CompareAndSwap's do.
+func (s *File) SaveGuarded(g LeaseGuard, key string, value []byte) (bool, error) {
+	if err := ValidateKey(key); err != nil {
+		return false, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ok, err := s.guardLocked(g); !ok {
+		return false, err
+	}
+	return true, s.writeLocked(key, value)
+}
+
+// DeleteGuarded implements GuardedWriter.
+func (s *File) DeleteGuarded(g LeaseGuard, key string) (bool, error) {
+	if err := ValidateKey(key); err != nil {
+		return false, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ok, err := s.guardLocked(g); !ok {
+		return false, err
+	}
+	return true, s.deleteLocked(key)
+}
+
+// guardLocked reads the guard's lease record. Requires s.mu.
+func (s *File) guardLocked(g LeaseGuard) (bool, error) {
+	cur, err := s.readLocked(g.Key)
+	return err == nil && g.holds(cur), err
+}
+
 // CompareAndSwap implements Swapper.
 func (s *Mem) CompareAndSwap(key string, prev, next []byte) (bool, error) {
 	if err := ValidateKey(key); err != nil {

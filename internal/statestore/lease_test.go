@@ -2,6 +2,7 @@ package statestore
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -235,3 +236,88 @@ func TestTailer(t *testing.T) {
 		t.Fatalf("Seen = %d, want 2", tl.Seen())
 	}
 }
+
+// TestGuardedWrites holds every bundled store to the guarded-write
+// contract: a write lands only while the lease record names the guard's
+// holder and epoch, and is refused, leaving the key as it was, once the
+// record is absent, corrupt, or another tenure's.
+func TestGuardedWrites(t *testing.T) {
+	file, err := NewFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]interface {
+		Store
+		GuardedWriter
+	}{
+		"mem":    NewMem(),
+		"file":   file,
+		"fault":  NewFaultStore(NewMem(), nil, FaultConfig{Seed: 1}),
+		"prefix": MustPrefix(NewMem(), "pod0"),
+	} {
+		t.Run(name, func(t *testing.T) {
+			g := LeaseGuard{Key: LeaseKey, Holder: "ctl-a", Epoch: 3}
+			if ok, err := st.SaveGuarded(g, "wal/s00/1", []byte{1}); ok || err != nil {
+				t.Fatalf("save with no lease = (%v, %v), want refused", ok, err)
+			}
+			if err := st.Save(LeaseKey, []byte("garbage")); err != nil {
+				t.Fatal(err)
+			}
+			if ok, err := st.SaveGuarded(g, "wal/s00/1", []byte{1}); ok || err != nil {
+				t.Fatalf("save under a corrupt lease = (%v, %v), want refused", ok, err)
+			}
+			if err := st.Save(LeaseKey, (&Lease{Holder: "ctl-a", Epoch: 3, TTLNs: 10}).Encode()); err != nil {
+				t.Fatal(err)
+			}
+			if ok, err := st.SaveGuarded(g, "wal/s00/1", []byte{1}); !ok || err != nil {
+				t.Fatalf("save under our lease = (%v, %v)", ok, err)
+			}
+			for _, other := range []*Lease{{Holder: "ctl-b", Epoch: 3}, {Holder: "ctl-a", Epoch: 4}} {
+				if err := st.Save(LeaseKey, other.Encode()); err != nil {
+					t.Fatal(err)
+				}
+				if ok, err := st.SaveGuarded(g, "wal/s00/1", []byte{2}); ok || err != nil {
+					t.Fatalf("save under %s epoch %d = (%v, %v), want refused", other.Holder, other.Epoch, ok, err)
+				}
+				if ok, err := st.DeleteGuarded(g, "wal/s00/1"); ok || err != nil {
+					t.Fatalf("delete under %s epoch %d = (%v, %v), want refused", other.Holder, other.Epoch, ok, err)
+				}
+			}
+			if v, err := st.Load("wal/s00/1"); err != nil || !bytes.Equal(v, []byte{1}) {
+				t.Fatalf("refused writes moved the key: (%v, %v)", v, err)
+			}
+			if err := st.Save(LeaseKey, (&Lease{Holder: "ctl-a", Epoch: 3}).Encode()); err != nil {
+				t.Fatal(err)
+			}
+			if ok, err := st.DeleteGuarded(g, "wal/s00/1"); !ok || err != nil {
+				t.Fatalf("delete under our lease = (%v, %v)", ok, err)
+			}
+			if _, err := st.Load("wal/s00/1"); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("guarded delete left the key: %v", err)
+			}
+			if _, err := st.SaveGuarded(g, "bad key!", nil); err == nil {
+				t.Fatal("guarded save accepted an invalid key")
+			}
+		})
+	}
+}
+
+// TestGuardedWritesNeedSupport: the wrappers refuse a guarded write when
+// what they wrap cannot make one, rather than writing unguarded.
+func TestGuardedWritesNeedSupport(t *testing.T) {
+	g := LeaseGuard{Key: LeaseKey, Holder: "ctl-a", Epoch: 1}
+	for name, st := range map[string]GuardedWriter{
+		"fault":  NewFaultStore(plainStore{NewMem()}, nil, FaultConfig{}),
+		"prefix": MustPrefix(plainStore{NewMem()}, "pod0"),
+	} {
+		if _, err := st.SaveGuarded(g, "k", nil); err == nil {
+			t.Errorf("%s: guarded save over a plain store succeeded", name)
+		}
+		if _, err := st.DeleteGuarded(g, "k"); err == nil {
+			t.Errorf("%s: guarded delete over a plain store succeeded", name)
+		}
+	}
+}
+
+// plainStore hides every method of a store but Store's own.
+type plainStore struct{ Store }

@@ -100,3 +100,33 @@ func (p *PrefixStore) CompareAndSwap(key string, prev, next []byte) (bool, error
 	}
 	return p.swap.CompareAndSwap(p.prefix+key, prev, next)
 }
+
+// SaveGuarded implements GuardedWriter when the backing store does; the
+// guard's lease key is read inside the view, like every other key.
+func (p *PrefixStore) SaveGuarded(g LeaseGuard, key string, value []byte) (bool, error) {
+	gw, err := p.guarded(key)
+	if err != nil {
+		return false, err
+	}
+	g.Key = p.prefix + g.Key
+	return gw.SaveGuarded(g, p.prefix+key, value)
+}
+
+// DeleteGuarded implements GuardedWriter when the backing store does.
+func (p *PrefixStore) DeleteGuarded(g LeaseGuard, key string) (bool, error) {
+	gw, err := p.guarded(key)
+	if err != nil {
+		return false, err
+	}
+	g.Key = p.prefix + g.Key
+	return gw.DeleteGuarded(g, p.prefix+key)
+}
+
+// guarded validates key and returns the backing store's GuardedWriter.
+func (p *PrefixStore) guarded(key string) (GuardedWriter, error) {
+	gw, ok := p.raw.(GuardedWriter)
+	if !ok {
+		return nil, fmt.Errorf("statestore: backing store of prefix %q does not support guarded writes", p.prefix)
+	}
+	return gw, ValidateKey(key)
+}

@@ -252,6 +252,12 @@ func (s *File) Delete(key string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.deleteLocked(key)
+}
+
+// deleteLocked removes the key's file; an absent key is no error.
+// Requires s.mu.
+func (s *File) deleteLocked(key string) error {
 	err := os.Remove(s.path(key))
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("statestore: %w", err)
