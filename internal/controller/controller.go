@@ -103,7 +103,9 @@ type swHandle struct {
 	// opMu at once (multi-switch flows lock per leg).
 	opMu sync.Mutex
 	// Reusable buffers for the zero-allocation request path. txMsg, with
-	// txReg or txKx, holds the in-flight request; digBuf the digest input
+	// txReg, holds the in-flight register request and kxMsg, with txKx,
+	// the KMP leg being run (apart, so that a leg's confirming pa_ver read
+	// leaves its bytes for a resend); digBuf the digest input
 	// of the message being signed or verified; encBuf the request's wire
 	// bytes; io the switch's I/O result; rx/rxBufs the decoded PacketIns;
 	// walBuf the journal record of a durable write. All are valid only
@@ -117,6 +119,7 @@ type swHandle struct {
 	rxBufs []*core.MessageBuf
 	txMsg  core.Message
 	txReg  core.RegPayload
+	kxMsg  core.Message
 	txKx   core.KxPayload
 	// Relay scratch (relay): the DP-DP hop queue, one I/O result per hop,
 	// and the decode target of PacketIns raised on the way.
@@ -444,32 +447,6 @@ func (c *Controller) links() [][2]portKey {
 	return out
 }
 
-// cloneMessages deep-copies decoded responses out of a handle's reusable
-// receive buffers, so callers that outlive the opMu critical section
-// never alias scratch the next exchange overwrites.
-func cloneMessages(in []*core.Message) []*core.Message {
-	if in == nil {
-		return nil
-	}
-	out := make([]*core.Message, len(in))
-	for i, m := range in {
-		cm := *m
-		if m.Reg != nil {
-			reg := *m.Reg
-			cm.Reg = &reg
-		}
-		if m.Kx != nil {
-			kx := *m.Kx
-			cm.Kx = &kx
-		}
-		if len(m.Aux) > 0 {
-			cm.Aux = append([]byte(nil), m.Aux...)
-		}
-		out[i] = &cm
-	}
-	return out
-}
-
 // relay walks NetOut emissions across links, injecting them at the peer
 // switch, until no further network emissions result. PacketIns raised
 // along the way are surfaced as alerts/messages to the controller. It
@@ -531,24 +508,6 @@ func (c *Controller) relay(from *swHandle, ems []pisa.Emission) (time.Duration, 
 type relayHop struct {
 	sw *swHandle
 	em pisa.Emission
-}
-
-// signedMessage builds and signs a request under the switch's current
-// local key.
-func (h *swHandle) signedMessage(hdrType, msgType uint8, reg *core.RegPayload, kx *core.KxPayload) (*core.Message, error) {
-	key, ver, err := h.keys.Current(core.KeyIndexLocal)
-	if err != nil {
-		return nil, err
-	}
-	m := &core.Message{
-		Header: core.Header{HdrType: hdrType, MsgType: msgType, SeqNum: h.seq.Next(), KeyVersion: ver},
-		Reg:    reg,
-		Kx:     kx,
-	}
-	if err := m.Sign(h.dig, key); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 // scratchRequest builds and signs a register request in the handle's

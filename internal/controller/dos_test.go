@@ -101,23 +101,6 @@ func TestCheckDoSOnResponseSuppression(t *testing.T) {
 	}
 }
 
-func TestPeriodicRollover(t *testing.T) {
-	c, _, _ := twoSwitchFabric(t)
-	if _, err := c.InitAllKeys(); err != nil {
-		t.Fatal(err)
-	}
-	res, next, err := c.PeriodicRollover(0, 180*24*3600*1e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Messages != 2*2+3*1 {
-		t.Errorf("rollover messages = %d", res.Messages)
-	}
-	if next <= 0 {
-		t.Error("next rollover time not advanced")
-	}
-}
-
 func TestWriteAfterQuarantineOfPeerStillWorksOnFabric(t *testing.T) {
 	c, _, _ := twoSwitchFabric(t)
 	if _, err := c.InitAllKeys(); err != nil {

@@ -92,31 +92,15 @@ func (c *Controller) Links() [][2]LinkEnd {
 // when the counters agree). The separate error return reports transport
 // failures only.
 func (c *Controller) PortKeySkew(a string, pa int) (*KeySkewError, error) {
-	ha, err := c.handle(a)
+	r, err := c.linkRun(a, pa, true)
 	if err != nil {
 		return nil, err
 	}
-	peer, ok := c.peerOf(a, pa)
-	if !ok {
-		return nil, fmt.Errorf("controller: %s port %d has no registered peer", a, pa)
-	}
-	hb, err := c.handle(peer.sw)
-	if err != nil {
+	verA, verB, err := r.readVers()
+	if err != nil || verA == verB {
 		return nil, err
 	}
-	var res KMPResult
-	verA, err := c.readPortVer(ha, pa, &res)
-	if err != nil {
-		return nil, err
-	}
-	verB, err := c.readPortVer(hb, peer.port, &res)
-	if err != nil {
-		return nil, err
-	}
-	if verA == verB {
-		return nil, nil
-	}
-	return &KeySkewError{A: a, PA: pa, B: peer.sw, PB: peer.port, VerA: verA, VerB: verB}, nil
+	return r.skew(verA, verB), nil
 }
 
 // repairFence is the per-link epoch state behind RepairPortKey. latest is
@@ -167,20 +151,12 @@ func (c *Controller) NextRepairEpoch(a string, pa int) (uint64, error) {
 // epoch already committed. On success both ends hold a fresh shared port
 // key at equal version numbers.
 func (c *Controller) RepairPortKey(a string, pa int, epoch uint64) (KMPResult, error) {
-	var res KMPResult
-	ha, err := c.handle(a)
+	r, err := c.linkRun(a, pa, true)
 	if err != nil {
-		return res, err
+		return KMPResult{}, err
 	}
-	peer, ok := c.peerOf(a, pa)
-	if !ok {
-		return res, fmt.Errorf("controller: %s port %d has no registered peer", a, pa)
-	}
-	hb, err := c.handle(peer.sw)
-	if err != nil {
-		return res, err
-	}
-	lk := c.linkFenceKey(a, pa, peer.sw, peer.port)
+	b, pb := r.b.h.name, r.b.port
+	lk := c.linkFenceKey(a, pa, b, pb)
 
 	// Admit the epoch, or refuse before anything reaches the wire.
 	c.mu.Lock()
@@ -192,8 +168,8 @@ func (c *Controller) RepairPortKey(a string, pa int, epoch uint64) (KMPResult, e
 	if epoch <= f.committed || epoch < f.latest {
 		committed, latest := f.committed, f.latest
 		c.mu.Unlock()
-		return res, fmt.Errorf("%w: epoch %d on %s:%d<->%s:%d (committed %d, latest %d)",
-			ErrStaleEpoch, epoch, a, pa, peer.sw, peer.port, committed, latest)
+		return KMPResult{}, fmt.Errorf("%w: epoch %d on %s:%d<->%s:%d (committed %d, latest %d)",
+			ErrStaleEpoch, epoch, a, pa, b, pb, committed, latest)
 	}
 	f.latest = epoch
 	c.mu.Unlock()
@@ -201,7 +177,7 @@ func (c *Controller) RepairPortKey(a string, pa int, epoch uint64) (KMPResult, e
 	// Re-checked before every leg: a newer admission aborts this attempt
 	// mid-flight, so its remaining installs never land on top of the
 	// newer repair's key state.
-	fence := func() error {
+	r.fence = func() error {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		if epoch <= f.committed || epoch < f.latest {
@@ -212,15 +188,15 @@ func (c *Controller) RepairPortKey(a string, pa int, epoch uint64) (KMPResult, e
 	}
 
 	c.rolloverBegin(a, CausePortRepair, uint64(pa))
-	err = c.tryPortKeyInitFenced(ha, pa, hb, peer.port, &res, fence)
+	err = r.portInit()
 	if err == nil {
 		c.mu.Lock()
 		if epoch > f.committed {
 			f.committed = epoch
 		}
 		c.mu.Unlock()
-		err = errors.Join(c.autoPersist(a), c.autoPersist(peer.sw))
+		err = errors.Join(c.autoPersist(a), c.autoPersist(b))
 	}
 	c.rolloverEnd(a, CausePortRepair, uint64(pa), err)
-	return res, err
+	return r.res, err
 }

@@ -323,7 +323,7 @@ func (c *Controller) liveness(h *swHandle) error {
 // with its switch:
 //
 //   - liveness OK   → repair the switch-one-ahead case (it installed a
-//     key whose confirmation the crash ate) via resyncLocal's
+//     key whose confirmation the crash ate) via kmpRun.resync's
 //     authenticated version rollback;
 //   - ErrTampered   → key disagreement. Either the switch alerted
 //     BadDigest on our probe, or it answered under a key we cannot verify
@@ -338,8 +338,7 @@ func (c *Controller) revive(h *swHandle) error {
 	for tries := 0; ; tries++ {
 		err := c.liveness(h)
 		if err == nil {
-			var res KMPResult
-			return c.resyncLocal(h, &res)
+			return (&kmpRun{c: c, a: kmpEnd{h: h}}).resync()
 		}
 		if tries == 0 && errors.Is(err, ErrTampered) {
 			if rerr := h.keys.Rollback(core.KeyIndexLocal); rerr != nil {

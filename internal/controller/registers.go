@@ -69,12 +69,17 @@ func (c *Controller) WriteRegister(sw, register string, index uint32, value uint
 // handle's scratch under opMu and the response is consumed before the
 // lock is released (x.resp never escapes).
 func (c *Controller) regRead(h *swHandle, register string, index uint32) (uint64, xfer, error) {
+	h.opMu.Lock()
+	defer h.opMu.Unlock()
+	return c.regReadLocked(h, register, index)
+}
+
+// regReadLocked is regRead for a caller already holding h.opMu.
+func (c *Controller) regReadLocked(h *swHandle, register string, index uint32) (uint64, xfer, error) {
 	ri, err := h.info.RegisterByName(register)
 	if err != nil {
 		return 0, xfer{}, err
 	}
-	h.opMu.Lock()
-	defer h.opMu.Unlock()
 	req, err := h.scratchRequest(core.MsgReadReq, ri.ID, index, 0)
 	if err != nil {
 		return 0, xfer{}, err

@@ -292,9 +292,6 @@ func (c *Controller) ClearHealth(sw string) error {
 	return nil
 }
 
-// resilient reports whether the retransmission engine is enabled.
-func (c *Controller) resilient() bool { return c.cfg.Load().retry.MaxAttempts > 1 }
-
 func (c *Controller) retryPolicy() RetryPolicy { return c.cfg.Load().retry }
 
 // noteSuccess resets a switch's failure streak.
@@ -379,16 +376,21 @@ func (r *KMPResult) account(x xfer) {
 // corrupted response says nothing about whether the request landed.
 var errDecode = errors.New("controller: undecodable PacketIn")
 
-// transact runs one request through the retransmission engine: send, wait
-// for a verifiable response (when wantResp), and resend the *same bytes*
-// after a deterministic backoff otherwise. Resending identical bytes is
-// safe end to end: the switch agent's idempotency cache replays the cached
-// response for a duplicate whose response was lost, and the pipeline's
-// replay defence only advances on digest-valid messages, so a dropped or
-// corrupted attempt never consumes the sequence number.
+// transactLocked runs one request through the retransmission engine:
+// send, wait for a verifiable response (when wantResp), and resend the
+// *same bytes* after a deterministic backoff otherwise. Resending
+// identical bytes is safe end to end: the switch agent's idempotency cache
+// replays the cached response for a duplicate whose response was lost,
+// and the pipeline's replay defence only advances on digest-valid
+// messages, so a dropped or corrupted attempt never consumes the sequence
+// number. The caller holds h.opMu (the register path, the windowed batch
+// engine and the confirmed KMP legs all build their requests in the
+// handle's scratch); the returned responses alias its receive scratch and
+// are valid only until the lock is released.
 //
-// With MaxAttempts == 1 this is exactly a single-shot leg's exchange and
-// vet (runLeg), byte for byte and alert for alert.
+// With MaxAttempts == 1 it sends once, as a single-shot KMP leg does, but
+// counts what crossed the wire and applies the recovery rule below, which
+// a single-shot leg does not.
 //
 // One recovery rule rides on top: a final, verified REPLAY alert means the
 // switch's replay floor is ahead of our sequence counter — the signature
@@ -396,18 +398,6 @@ var errDecode = errors.New("controller: undecodable PacketIn")
 // controller resumed from a stale snapshot. The failed transaction stays
 // failed, but the counter is skipped past one FloorLease of headroom so
 // the caller's next attempt (with a fresh sequence number) can land.
-func (c *Controller) transact(h *swHandle, req *core.Message, wantResp bool) (xfer, error) {
-	h.opMu.Lock()
-	x, err := c.transactLocked(h, req, wantResp)
-	x.resp = cloneMessages(x.resp)
-	h.opMu.Unlock()
-	return x, err
-}
-
-// transactLocked is transact for callers already holding h.opMu (the
-// zero-allocation register path and the windowed batch engine). The
-// returned responses alias the handle's receive scratch and are valid
-// only until the lock is released.
 func (c *Controller) transactLocked(h *swHandle, req *core.Message, wantResp bool) (xfer, error) {
 	x, err := c.transactOnceLocked(h, req, wantResp)
 	if err != nil {

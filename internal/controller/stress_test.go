@@ -280,42 +280,47 @@ func TestBatchAllocBudget(t *testing.T) {
 	}
 }
 
-// TestRolloverAllocBudget gates the single-shot KMP legs on the handle's
-// scratch, under both digesters. Once warm, a local-key rollover
-// allocates only what the key store publishes when it installs the new
-// key, and a port-key rollover, whose key the controller never sees,
-// allocates nothing.
+// TestRolloverAllocBudget gates the KMP legs on the handle's scratch,
+// under both digesters, single-shot and under the resilient policy, whose
+// confirming reads run in the same scratch. Once warm, a local-key
+// rollover allocates only what the key store publishes when it installs
+// the new key, and a port-key rollover, whose key the controller never
+// sees, allocates nothing.
 func TestRolloverAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are not stable under -race")
 	}
-	for _, d := range kmpDigests {
-		c, _ := kmpFabric(t, 1, d.kind)
-		if _, err := c.InitAllKeys(); err != nil {
-			t.Fatal(err)
-		}
-		for _, op := range []struct {
-			name   string
-			budget float64
-			run    func() (KMPResult, error)
-		}{
-			{"LocalKeyUpdate", 2, func() (KMPResult, error) { return c.LocalKeyUpdate("s1") }},
-			{"PortKeyUpdate", 0, func() (KMPResult, error) { return c.PortKeyUpdate("s1", kmpLinkPort) }},
-		} {
-			// Warm the handle's scratch and fill every slot of the
-			// agent's reply cache.
-			for i := 0; i < switchos.DefaultResponseCacheSize+8; i++ {
-				if _, err := op.run(); err != nil {
-					t.Fatal(err)
-				}
+	for _, pol := range []RetryPolicy{DefaultRetryPolicy, ResilientRetryPolicy()} {
+		for _, d := range kmpDigests {
+			c, _ := kmpFabric(t, 1, d.kind)
+			c.SetRetryPolicy(pol)
+			if _, err := c.InitAllKeys(); err != nil {
+				t.Fatal(err)
 			}
-			got := testing.AllocsPerRun(100, func() {
-				if _, err := op.run(); err != nil {
-					t.Fatal(err)
+			for _, op := range []struct {
+				name   string
+				budget float64
+				run    func() (KMPResult, error)
+			}{
+				{"LocalKeyUpdate", 2, func() (KMPResult, error) { return c.LocalKeyUpdate("s1") }},
+				{"PortKeyUpdate", 0, func() (KMPResult, error) { return c.PortKeyUpdate("s1", kmpLinkPort) }},
+			} {
+				// Warm the handle's scratch and fill every slot of the
+				// agent's reply cache.
+				for i := 0; i < switchos.DefaultResponseCacheSize+8; i++ {
+					if _, err := op.run(); err != nil {
+						t.Fatal(err)
+					}
 				}
-			})
-			if got > op.budget {
-				t.Errorf("%s (%s): %.1f allocs/op, budget %.0f", op.name, d.name, got, op.budget)
+				got := testing.AllocsPerRun(100, func() {
+					if _, err := op.run(); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if got > op.budget {
+					t.Errorf("%s (%s, %d attempts): %.1f allocs/op, budget %.0f",
+						op.name, d.name, pol.MaxAttempts, got, op.budget)
+				}
 			}
 		}
 	}

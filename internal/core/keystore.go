@@ -21,9 +21,11 @@ import (
 // must see staged state (Pending, Snapshot) work on slots under mu. The
 // two accessors every signed message pays for, Current and At, take no
 // lock: they read the image, an immutable copy of slots that each mutator
-// republishes before it releases mu. A reader therefore sees a slot as it
-// was after some completed mutation, never half of one, and a prepared
-// key, which neither accessor reads, stays invisible until Commit.
+// of an established key republishes before it releases mu. A reader
+// therefore sees a slot as it was after some completed mutation, never
+// half of one. Prepare and Abort touch only the staged key, which no
+// image reader reads, so they publish nothing: a prepared key stays
+// invisible until Commit, and a confirmed rollover publishes once.
 type KeyStore struct {
 	mu    sync.Mutex
 	slots []keySlot
@@ -57,8 +59,8 @@ func NewKeyStore(ports int, seed uint64) *KeyStore {
 	return ks
 }
 
-// publish replaces the read image with a copy of slots. Every mutator
-// calls it under mu, after its last write to slots.
+// publish replaces the read image with a copy of slots. Every mutator of
+// an established key calls it under mu, after its last write to slots.
 func (ks *KeyStore) publish() {
 	img := append([]keySlot(nil), ks.slots...)
 	ks.image.Store(&img)
@@ -151,7 +153,6 @@ func (ks *KeyStore) Prepare(idx int, key uint64) error {
 	}
 	s := &ks.slots[idx]
 	s.pending, s.hasPending = key, true
-	ks.publish()
 	return nil
 }
 
@@ -184,7 +185,6 @@ func (ks *KeyStore) Abort(idx int) error {
 	}
 	s := &ks.slots[idx]
 	s.pending, s.hasPending = 0, false
-	ks.publish()
 	return nil
 }
 
