@@ -9,10 +9,12 @@
 # (internal/statestore), the simulator whose fault taps every chaos
 # verdict is produced under (internal/netsim), the switch software
 # stack at whose boundaries the paper's adversary sits
-# (internal/switchos), and the lease fence that keeps a deposed
-# controller off the wire and out of the store (internal/ha). A drop
-# below the floor means new code shipped without tests in exactly the
-# places where silent breakage is unacceptable.
+# (internal/switchos), the lease fence that keeps a deposed controller
+# off the wire and out of the store (internal/ha), and the controller
+# whose request path and key-management runner every authenticated
+# exchange goes through (internal/controller). A drop below the floor
+# means new code shipped without tests in exactly the places where
+# silent breakage is unacceptable.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -20,7 +22,8 @@ cd "$(dirname "$0")/.."
 FLOOR="${COVER_FLOOR:-85}"
 fail=0
 for pkg in ./internal/core/ ./internal/crypto/ ./internal/obs/ ./internal/fleet/ ./internal/pisa/ \
-    ./internal/statestore/ ./internal/netsim/ ./internal/switchos/ ./internal/ha/; do
+    ./internal/statestore/ ./internal/netsim/ ./internal/switchos/ ./internal/ha/ \
+    ./internal/controller/; do
     line=$(go test -cover "$pkg" | tail -1)
     echo "$line"
     pct=$(printf '%s\n' "$line" | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')
