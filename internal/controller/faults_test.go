@@ -3,6 +3,7 @@ package controller
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -302,6 +303,10 @@ func TestQuarantineOnBlackhole(t *testing.T) {
 	sent := c.Stats().MessagesSent
 	if _, _, err := c.ReadRegister("s1", "lat", 0); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("read while quarantined: err=%v, want ErrQuarantined", err)
+	}
+	// A confirmed rollover fails as fast, with no resync behind it.
+	if _, err := c.LocalKeyUpdate("s1"); !errors.Is(err, ErrQuarantined) || strings.Contains(err.Error(), "resync") {
+		t.Fatalf("rollover while quarantined: err=%v, want ErrQuarantined and no resync", err)
 	}
 	if c.Stats().MessagesSent != sent {
 		t.Error("quarantined operation still sent traffic")
