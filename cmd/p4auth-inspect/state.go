@@ -82,14 +82,9 @@ func formatState(cmd string, b []byte) (string, error) {
 		}
 		return ds.Dump(), nil
 	case "journal":
-		e, err := core.DecodeJournalEntry(b)
+		e, err := core.DecodeJournalBatch(b)
 		if err != nil {
-			// Not a single-write record; try the group-commit format.
-			be, berr := core.DecodeJournalBatch(b)
-			if berr != nil {
-				return "", err
-			}
-			return be.Dump() + "\n", nil
+			return "", err
 		}
 		return e.Dump() + "\n", nil
 	}

@@ -50,11 +50,10 @@ func TestFormatStateDeviceSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestFormatStateJournalRoundTrip(t *testing.T) {
-	e := core.JournalEntry{
-		ID: 0xBEEF, Switch: "s1", Register: "lat", Index: 3,
-		Value: 777, State: core.WriteIntent,
-	}
-	out, err := formatState("journal", e.Encode())
+	e := core.JournalBatch{ID: 0xBEEF, Switch: "s1", Writes: []core.BatchWrite{
+		{Register: "lat", Index: 3, Value: 777, State: core.WriteIntent},
+	}}
+	out, err := formatState("journal", e.AppendEncode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +86,10 @@ func TestRunStateOverFileStore(t *testing.T) {
 	if err := st.Save("ctl/s1", snap.Encode()); err != nil {
 		t.Fatal(err)
 	}
-	entry := core.JournalEntry{ID: 1, Switch: "s1", Register: "lat", Index: 0, Value: 9, State: core.WriteFailed}
-	if err := st.Save("wal/s1/0000000000000001", entry.Encode()); err != nil {
+	entry := core.JournalBatch{ID: 1, Switch: "s1", Writes: []core.BatchWrite{
+		{Register: "lat", Index: 0, Value: 9, State: core.WriteFailed},
+	}}
+	if err := st.Save("wal/s1/0000000000000001", entry.AppendEncode(nil)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -108,11 +108,12 @@ type swHandle struct {
 	// leaves its bytes for a resend); digBuf the digest input
 	// of the message being signed or verified; encBuf the request's wire
 	// bytes; io the switch's I/O result; rx/rxBufs the decoded PacketIns;
-	// walBuf the journal record of a durable write. All are valid only
-	// while opMu is held — cold paths copy responses out before releasing
-	// it.
+	// wal the journal record of a durable write call and walBuf its
+	// encoding. All are valid only while opMu is held — cold paths copy
+	// responses out before releasing it.
 	encBuf []byte
 	digBuf []byte
+	wal    core.JournalBatch
 	walBuf []byte
 	io     switchos.IOResult
 	rx     []*core.Message

@@ -20,8 +20,9 @@ import (
 //
 //   ctl/<switch>           — key snapshot (KeyStore image + next seqNum),
 //                            rewritten after every successful KMP flow
-//   wal/<switch>/<id hex>  — one journal entry per in-flight register
-//                            write, recorded before the wire send
+//   wal/<switch>/<id hex>  — one journal record per in-flight register
+//                            write call (a serial write or a batch),
+//                            recorded before the wire send
 //
 // After a crash (modeled by Kill), a fresh controller process attaches
 // the same store and runs RecoverAll: restore each switch's snapshot,
@@ -157,27 +158,31 @@ func (c *Controller) autoPersist(sw string) error {
 	return c.SaveSnapshot(sw)
 }
 
-// walBegin records a write intent before the wire send. Returns a zero
+// walBegin journals h.wal — the caller fills its Writes, each in
+// WriteIntent — as one record before the first wire send: one durable Save covers the writes
+// of the call, a serial write's one or a batch's window. Returns a zero
 // intent (and writes nothing) when journaling is off or the process is
-// dead. Requires h.opMu: the record is encoded into h.walBuf.
-func (c *Controller) walBegin(h *swHandle, register string, index uint32, value uint64) (walIntent, error) {
+// dead. Requires h.opMu: the record and its encoding are handle scratch.
+func (c *Controller) walBegin(h *swHandle) (walIntent, error) {
 	st := c.stateStore()
 	if st == nil || c.Killed() {
 		return walIntent{}, nil
 	}
 	id := c.walID.Add(1)
 	j := walIntent{id: id, key: walKey(h.name, id)}
-	e := core.JournalEntry{ID: id, Switch: h.name, Register: register, Index: index, Value: value, State: core.WriteIntent}
-	h.walBuf = e.AppendEncode(h.walBuf[:0])
+	h.wal.ID, h.wal.Switch = id, h.name
+	h.walBuf = h.wal.AppendEncode(h.walBuf[:0])
 	return j, st.Save(j.key, h.walBuf)
 }
 
-// walSettle resolves an intent: applied entries are deleted, definite
-// failures are rewritten as failed for the operator. A dead process
-// settles nothing — that is the whole point of the journal: only a crash
-// leaves an intent behind, so recovery knows exactly which writes are in
-// doubt. Requires h.opMu, as walBegin.
-func (c *Controller) walSettle(h *swHandle, j walIntent, applied bool, register string, index uint32, value uint64) {
+// walSettle resolves the record begun by walBegin, errs[i] being write
+// i's outcome: a fully-applied record is deleted; otherwise it is
+// rewritten with each write's final state, applied or failed, for the
+// operator. No WriteIntent survives a live settle, so recovery's
+// read-back only runs for genuine crashes — and a dead process settles
+// nothing, which is the whole point of the journal. Requires h.opMu, as
+// walBegin.
+func (c *Controller) walSettle(h *swHandle, j walIntent, errs ...error) {
 	if j.id == 0 {
 		return
 	}
@@ -185,85 +190,30 @@ func (c *Controller) walSettle(h *swHandle, j walIntent, applied bool, register 
 	if st == nil || c.Killed() {
 		return
 	}
+	failed := 0
+	for i, err := range errs {
+		h.wal.Writes[i].State = core.WriteApplied
+		if err != nil {
+			h.wal.Writes[i].State = core.WriteFailed
+			failed++
+		}
+	}
 	ko := c.obsv()
-	if applied {
+	ko.walApplied.Add(uint64(len(errs) - failed))
+	if failed == 0 {
 		_ = st.Delete(j.key)
-		ko.walApplied.Inc()
 		ko.audit(obs.EvWALSettle, h.name, CauseWALApplied, 0, j.id)
 		return
 	}
-	e := core.JournalEntry{ID: j.id, Switch: h.name, Register: register, Index: index, Value: value, State: core.WriteFailed}
-	h.walBuf = e.AppendEncode(h.walBuf[:0])
+	ko.walFailed.Add(uint64(failed))
+	h.walBuf = h.wal.AppendEncode(h.walBuf[:0])
 	_ = st.Save(j.key, h.walBuf)
-	ko.walFailed.Inc()
 	ko.audit(obs.EvWALSettle, h.name, CauseWALFailed, 0, j.id)
 }
 
-// walBeginBatch records one group-commit intent record covering a whole
-// pipelined window: a single durable Save before the first wire send.
-// Returns a zero intent (and writes nothing) when journaling is off or
-// the process is dead.
-func (c *Controller) walBeginBatch(sw string, writes []RegWrite) (walIntent, error) {
-	st := c.stateStore()
-	if st == nil || c.Killed() {
-		return walIntent{}, nil
-	}
-	id := c.walID.Add(1)
-	j := walIntent{id: id, key: walKey(sw, id)}
-	e := &core.JournalBatch{ID: id, Switch: sw, Writes: make([]core.BatchWrite, len(writes))}
-	for i, w := range writes {
-		e.Writes[i] = core.BatchWrite{Register: w.Register, Index: w.Index, Value: w.Value, State: core.WriteIntent}
-	}
-	return j, st.Save(j.key, e.Encode())
-}
-
-// walSettleBatch resolves a batch record after the windowed exchange:
-// fully-applied batches are deleted; otherwise the record is rewritten
-// with each entry's final state — no WriteIntent ever survives a live
-// settle, so recovery's read-back only runs for genuine crashes.
-func (c *Controller) walSettleBatch(sw string, j walIntent, entries []batchEntry) {
-	if j.id == 0 {
-		return
-	}
-	st := c.stateStore()
-	if st == nil || c.Killed() {
-		return
-	}
-	allOK := true
-	for i := range entries {
-		if entries[i].err != nil {
-			allOK = false
-			break
-		}
-	}
-	ko := c.obsv()
-	if allOK {
-		_ = st.Delete(j.key)
-		ko.walApplied.Add(uint64(len(entries)))
-		ko.audit(obs.EvWALSettle, sw, CauseWALApplied, 0, j.id)
-		return
-	}
-	e := &core.JournalBatch{ID: j.id, Switch: sw, Writes: make([]core.BatchWrite, len(entries))}
-	for i := range entries {
-		state := core.WriteApplied
-		if entries[i].err != nil {
-			state = core.WriteFailed
-			ko.walFailed.Inc()
-		} else {
-			ko.walApplied.Inc()
-		}
-		e.Writes[i] = core.BatchWrite{
-			Register: entries[i].register, Index: entries[i].index,
-			Value: entries[i].value, State: state,
-		}
-	}
-	_ = st.Save(j.key, e.Encode())
-	ko.audit(obs.EvWALSettle, sw, CauseWALFailed, 0, j.id)
-}
-
-// JournalEntries returns the decoded journal entries persisted for a
-// switch, in ID order, with batch records expanded into their per-write
-// entries. Undecodable (torn) records are skipped.
+// JournalEntries returns the journal entries persisted for a switch, in
+// ID order, each record expanded into its per-write entries. Undecodable
+// (torn) records are skipped.
 func (c *Controller) JournalEntries(sw string) ([]core.JournalEntry, error) {
 	st := c.stateStore()
 	if st == nil {
@@ -279,10 +229,8 @@ func (c *Controller) JournalEntries(sw string) ([]core.JournalEntry, error) {
 		if lerr != nil {
 			continue
 		}
-		if e, derr := core.DecodeJournalEntry(b); derr == nil {
-			out = append(out, *e)
-		} else if be, berr := core.DecodeJournalBatch(b); berr == nil {
-			out = append(out, be.Entries()...)
+		if e, derr := core.DecodeJournalBatch(b); derr == nil {
+			out = append(out, e.Entries()...)
 		}
 	}
 	return out, nil
@@ -434,12 +382,15 @@ func (c *Controller) healPortDirection(src, dst portKey) error {
 	return err
 }
 
-// replayJournal settles every surviving intent for a switch: read the
-// register back under the (recovered) authenticated channel — if the
-// value is there the write landed before the crash and the entry is
-// retired; otherwise the write is re-driven once, and marked failed if
-// even that does not land. Net effect: every journaled write is applied
-// exactly once or reported failed, never silently lost and never doubled.
+// replayJournal settles every surviving record for a switch, write by
+// write: each WriteIntent is read back under the (recovered)
+// authenticated channel — if the value is there the write landed before
+// the crash and is retired; otherwise it is re-driven once, and marked
+// failed if even that does not land. A fully-applied record is deleted,
+// one with failures rewritten with each write's final state. Net effect:
+// every journaled write is applied exactly once or reported failed, never
+// silently lost and never doubled. A torn record's writes cannot be
+// reconstructed: it is counted failed and left for the operator.
 func (c *Controller) replayJournal(h *swHandle) (applied, redriven, failed int, err error) {
 	st := c.stateStore()
 	if st == nil {
@@ -450,118 +401,52 @@ func (c *Controller) replayJournal(h *swHandle) (applied, redriven, failed int, 
 		return 0, 0, 0, kerr
 	}
 	var errs []error
+	ko := c.obsv()
 	for _, k := range keys {
 		b, lerr := st.Load(k)
 		if lerr != nil {
 			continue
 		}
-		e, derr := core.DecodeJournalEntry(b)
+		e, derr := core.DecodeJournalBatch(b)
 		if derr != nil {
-			if be, berr := core.DecodeJournalBatch(b); berr == nil {
-				a, r, f, berrs := c.replayJournalBatch(h, st, k, be)
-				applied += a
-				redriven += r
-				failed += f
-				if berrs != nil {
-					errs = append(errs, berrs)
-				}
-				continue
-			}
-			// Torn record: its write cannot be reconstructed. Leave it for
-			// the operator and report.
 			failed++
 			errs = append(errs, fmt.Errorf("%s: %w", k, derr))
 			continue
 		}
-		switch e.State {
-		case core.WriteApplied:
-			_ = st.Delete(k) // stray: normally deleted at settle time
-		case core.WriteFailed:
-			failed++ // kept for the operator
-		case core.WriteIntent:
-			ko := c.obsv()
-			got, _, rerr := c.regRead(h, e.Register, e.Index)
-			if rerr == nil && got == e.Value {
-				applied++
-				ko.walApplied.Inc()
-				ko.audit(obs.EvWALSettle, h.name, CauseWALRecovered, 0, e.ID)
-				_ = st.Delete(k)
-				continue
-			}
-			if _, werr := c.regWrite(h, e.Register, e.Index, e.Value); werr == nil {
-				redriven++
-				ko.walRedriven.Inc()
-				ko.audit(obs.EvWALSettle, h.name, CauseWALRedriven, 0, e.ID)
-				_ = st.Delete(k)
-				continue
-			} else {
-				errs = append(errs, fmt.Errorf("%s: re-drive: %w", k, werr))
-			}
-			failed++
-			ko.walFailed.Inc()
-			ko.audit(obs.EvWALSettle, h.name, CauseWALFailed, 0, e.ID)
-			e.State = core.WriteFailed
-			_ = st.Save(k, e.Encode())
-		}
-	}
-	return applied, redriven, failed, errors.Join(errs...)
-}
-
-// replayJournalBatch settles one surviving group-commit record with the
-// same per-entry discipline as single intents: each WriteIntent is
-// disambiguated by authenticated read-back, re-driven once if absent,
-// and marked failed otherwise. A fully-settled batch is deleted; a batch
-// with failures is rewritten with per-entry final states.
-func (c *Controller) replayJournalBatch(h *swHandle, st statestore.Store, k string, e *core.JournalBatch) (applied, redriven, failed int, err error) {
-	var errs []error
-	dirty := false
-	for i := range e.Writes {
-		w := &e.Writes[i]
-		switch w.State {
-		case core.WriteApplied:
-			// Settled before the crash (a live settle would have rewritten
-			// or deleted the record); nothing to do.
-		case core.WriteFailed:
-			failed++
-		case core.WriteIntent:
-			ko := c.obsv()
-			got, _, rerr := c.regRead(h, w.Register, w.Index)
-			if rerr == nil && got == w.Value {
-				applied++
-				ko.walApplied.Inc()
-				ko.audit(obs.EvWALSettle, h.name, CauseWALRecovered, 0, e.ID)
-				w.State = core.WriteApplied
+		settled, dirty := true, false
+		for i := range e.Writes {
+			w := &e.Writes[i]
+			switch w.State {
+			case core.WriteFailed:
+				failed++
+			case core.WriteIntent:
 				dirty = true
-				continue
+				got, _, rerr := c.regRead(h, w.Register, w.Index)
+				if rerr == nil && got == w.Value {
+					applied++
+					ko.walApplied.Inc()
+					ko.audit(obs.EvWALSettle, h.name, CauseWALRecovered, 0, e.ID)
+					w.State = core.WriteApplied
+				} else if _, werr := c.regWrite(h, w.Register, w.Index, w.Value); werr == nil {
+					redriven++
+					ko.walRedriven.Inc()
+					ko.audit(obs.EvWALSettle, h.name, CauseWALRedriven, 0, e.ID)
+					w.State = core.WriteApplied
+				} else {
+					errs = append(errs, fmt.Errorf("%s[%d]: re-drive: %w", k, i, werr))
+					failed++
+					ko.walFailed.Inc()
+					ko.audit(obs.EvWALSettle, h.name, CauseWALFailed, 0, e.ID)
+					w.State = core.WriteFailed
+				}
 			}
-			if _, werr := c.regWrite(h, w.Register, w.Index, w.Value); werr == nil {
-				redriven++
-				ko.walRedriven.Inc()
-				ko.audit(obs.EvWALSettle, h.name, CauseWALRedriven, 0, e.ID)
-				w.State = core.WriteApplied
-				dirty = true
-				continue
-			} else {
-				errs = append(errs, fmt.Errorf("%s[%d]: re-drive: %w", k, i, werr))
-			}
-			failed++
-			ko.walFailed.Inc()
-			ko.audit(obs.EvWALSettle, h.name, CauseWALFailed, 0, e.ID)
-			w.State = core.WriteFailed
-			dirty = true
+			settled = settled && w.State == core.WriteApplied
 		}
-	}
-	allSettled := true
-	for i := range e.Writes {
-		if e.Writes[i].State != core.WriteApplied {
-			allSettled = false
-			break
+		if settled {
+			_ = st.Delete(k)
+		} else if dirty {
+			_ = st.Save(k, e.AppendEncode(nil))
 		}
-	}
-	if allSettled {
-		_ = st.Delete(k)
-	} else if dirty {
-		_ = st.Save(k, e.Encode())
 	}
 	return applied, redriven, failed, errors.Join(errs...)
 }

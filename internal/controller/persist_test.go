@@ -1,7 +1,9 @@
 package controller
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"sync"
 	"testing"
 	"time"
@@ -246,6 +248,39 @@ func TestJournalAliveTimeoutMarksFailed(t *testing.T) {
 	entries, _ = c2.JournalEntries("s1")
 	if len(entries) != 1 || entries[0].State != core.WriteFailed {
 		t.Fatalf("failed entry lost: %v", entries)
+	}
+}
+
+// TestJournalRetiredFormatKeptAsUndecodable: a record in the retired
+// single-write layout ("PAWJ") reads like a torn record: recovery reports
+// it, leaves it in the store as it was for the operator and re-drives
+// nothing.
+func TestJournalRetiredFormatKeptAsUndecodable(t *testing.T) {
+	c, s1, s2, store := crashSafeFabric(t)
+	if _, err := c.LocalKeyInit("s1"); err != nil {
+		t.Fatal(err)
+	}
+	// id 1, intent, s1: lat[4] <- 0x99, then the CRC32 of all of it.
+	b := binary.BigEndian.AppendUint32(nil, 0x5041574A)
+	b = append(b, 1)
+	b = binary.BigEndian.AppendUint64(b, 1)
+	b = append(b, byte(core.WriteIntent), 0, 2, 's', '1', 0, 3, 'l', 'a', 't')
+	b = binary.BigEndian.AppendUint32(b, 4)
+	b = binary.BigEndian.AppendUint64(b, 0x99)
+	b = binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	key := walKey("s1", 1)
+	if err := store.Save(key, b); err != nil {
+		t.Fatal(err)
+	}
+	c2 := rebuildController(t, s1, s2, store, 1002)
+	if warm, err := c2.WarmRestart("s1"); !warm || err == nil {
+		t.Fatalf("WarmRestart: warm=%v err=%v, want warm and the record reported", warm, err)
+	}
+	if v, _ := s1.Host.SW.RegisterRead("lat", 4); v != 0 {
+		t.Fatalf("retired record re-driven: lat[4] = %#x", v)
+	}
+	if got, err := store.Load(key); err != nil || string(got) != string(b) {
+		t.Fatalf("retired record not kept as it was (err %v)", err)
 	}
 }
 

@@ -110,20 +110,22 @@ func (c *Controller) WriteRegisterBatch(sw string, window int, writes []RegWrite
 	if err != nil {
 		return BatchResult{}, err
 	}
-	j, jerr := c.walBeginBatch(sw, writes)
-	if jerr != nil {
-		return BatchResult{}, fmt.Errorf("controller: journal batch intent: %w", jerr)
-	}
-	// The entries are the handle's window scratch: the settle reads them,
-	// so it runs before opMu is released.
+	// The entries and the journal record are the handle's scratch, so
+	// intent, exchange and settle run under one hold of opMu.
 	h.opMu.Lock()
 	defer h.opMu.Unlock()
 	entries := h.batchScratch(len(writes))
+	h.wal.Writes = grow(h.wal.Writes, len(writes))
 	for i, w := range writes {
 		entries[i].register, entries[i].index, entries[i].value = w.Register, w.Index, w.Value
+		h.wal.Writes[i] = core.BatchWrite{Register: w.Register, Index: w.Index, Value: w.Value}
+	}
+	j, jerr := c.walBegin(h)
+	if jerr != nil {
+		return BatchResult{}, fmt.Errorf("controller: journal batch intent: %w", jerr)
 	}
 	br := c.runBatchLocked(h, entries, window)
-	c.walSettleBatch(sw, j, entries)
+	c.walSettle(h, j, br.Errs...)
 	return br, br.Err()
 }
 

@@ -29,7 +29,7 @@ func (c *Controller) ReadRegister(sw, register string, index uint32) (uint64, ti
 }
 
 // WriteRegister performs an authenticated register write. With crash
-// safety enabled the write is journaled: an intent entry lands in the
+// safety enabled the write is journaled: an intent record lands in the
 // store before the first wire send and is settled (deleted on success,
 // marked failed otherwise) before this returns — so the only way an
 // intent survives is a crash mid-write, exactly the case recovery must
@@ -39,16 +39,17 @@ func (c *Controller) WriteRegister(sw, register string, index uint32, value uint
 	if err != nil {
 		return 0, err
 	}
-	// The journal record is encoded in the handle's scratch, so intent,
-	// exchange and settle run under one hold of opMu.
+	// The journal record is the handle's scratch, a record of one write,
+	// so intent, exchange and settle run under one hold of opMu.
 	h.opMu.Lock()
-	j, jerr := c.walBegin(h, register, index, value)
+	h.wal.Writes = append(h.wal.Writes[:0], core.BatchWrite{Register: register, Index: index, Value: value})
+	j, jerr := c.walBegin(h)
 	if jerr != nil {
 		h.opMu.Unlock()
 		return 0, fmt.Errorf("controller: journal write intent: %w", jerr)
 	}
 	x, err := c.regWriteLocked(h, register, index, value)
-	c.walSettle(h, j, err == nil, register, index, value)
+	c.walSettle(h, j, err)
 	h.opMu.Unlock()
 	lat := x.lat + SignCost + VerifyCost
 	k := c.obsv()

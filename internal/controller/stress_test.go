@@ -452,7 +452,7 @@ type journalLog struct {
 func (l *journalLog) Save(key string, value []byte) error {
 	l.mu.Lock()
 	if strings.HasPrefix(key, "wal/") {
-		if _, err := core.DecodeJournalEntry(value); err != nil {
+		if _, err := core.DecodeJournalBatch(value); err != nil {
 			l.bad = append(l.bad, fmt.Sprintf("%s: %v", key, err))
 		}
 		if l.keys[key] {
@@ -535,6 +535,43 @@ func TestDurableWriteAllocs(t *testing.T) {
 	})
 	if got > budget {
 		t.Errorf("journaled WriteRegister: %.1f allocs/op, budget %d", got, budget)
+	}
+}
+
+// TestDurableBatchAllocs gates the journaled windowed write: a 32-write
+// batch at windows 1, 8 and 32 allocates the two result slices it hands
+// to the caller, the record's key and Mem.Save's copy of the record. The
+// record itself is handle scratch, encoded into a buffer it reuses.
+func TestDurableBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are not stable under -race")
+	}
+	const budget = 4
+	for _, window := range []int{1, 8, 32} {
+		c, _, _ := twoSwitchFabric(t)
+		if err := c.EnableCrashSafety(statestore.NewMem()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.LocalKeyInit("s1"); err != nil {
+			t.Fatal(err)
+		}
+		writes := make([]RegWrite, 32)
+		i := uint64(0)
+		write := func() {
+			i++
+			for j := range writes {
+				writes[j] = RegWrite{Register: "lat", Index: uint32(j % 8), Value: i<<8 | uint64(j)}
+			}
+			if _, err := c.WriteRegisterBatch("s1", window, writes); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := 0; k < 8; k++ { // warm scratch, journal buffer, response cache
+			write()
+		}
+		if got := testing.AllocsPerRun(100, write); got > budget {
+			t.Errorf("journaled WriteRegisterBatch at window %d: %.2f allocs/op, budget %d", window, got, budget)
+		}
 	}
 }
 

@@ -73,54 +73,39 @@ func FuzzMessageBufDecode(f *testing.F) {
 	})
 }
 
-// FuzzDecodeJournalEntry: the single-write WAL record (PAWJ).
-func FuzzDecodeJournalEntry(f *testing.F) {
-	e := &JournalEntry{ID: 42, Switch: "s1", Register: "lat", Index: 3, Value: 0xFFEE, State: WriteIntent}
-	f.Add(e.Encode())
-	f.Add((&JournalEntry{State: WriteFailed}).Encode())
-	f.Add([]byte{0x50, 0x41, 0x57, 0x4A, 1})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		e, err := DecodeJournalEntry(data)
-		if err != nil {
-			return
-		}
-		e2, err := DecodeJournalEntry(e.Encode())
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if !reflect.DeepEqual(e, e2) {
-			t.Fatalf("round trip changed entry:\n  %+v\n  %+v", e, e2)
-		}
-		// Appending into a used buffer leaves what was there and encodes
-		// the same record after it.
-		prefix := []byte("used")
-		if got := e.AppendEncode(prefix); string(got[:len(prefix)]) != "used" ||
-			!bytes.Equal(got[len(prefix):], e.Encode()) {
-			t.Fatalf("AppendEncode onto %q = %x, want the prefix then %x", prefix, got, e.Encode())
-		}
-	})
-}
-
-// FuzzDecodeJournalBatch: the group-commit WAL record (PAWB).
+// FuzzDecodeJournalBatch: the WAL record (PAWB), seeded with the
+// one-write record a serial write journals and a three-write batch.
 func FuzzDecodeJournalBatch(f *testing.F) {
 	b := &JournalBatch{ID: 7, Switch: "s2", Writes: []BatchWrite{
 		{Register: "lat", Index: 0, Value: 1, State: WriteIntent},
 		{Register: "lat", Index: 1, Value: 2, State: WriteApplied},
 		{Register: "q", Index: 9, Value: 0xDEAD, State: WriteFailed},
 	}}
-	f.Add(b.Encode())
-	f.Add((&JournalBatch{Switch: "x"}).Encode())
+	f.Add(b.AppendEncode(nil))
+	one := &JournalBatch{ID: 42, Switch: "s1", Writes: []BatchWrite{
+		{Register: "lat", Index: 3, Value: 0xFFEE, State: WriteIntent},
+	}}
+	f.Add(one.AppendEncode(nil))
+	f.Add((&JournalBatch{Switch: "x"}).AppendEncode(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := DecodeJournalBatch(data)
 		if err != nil {
 			return
 		}
-		e2, err := DecodeJournalBatch(e.Encode())
+		enc := e.AppendEncode(nil)
+		e2, err := DecodeJournalBatch(enc)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
 		if !reflect.DeepEqual(e, e2) {
 			t.Fatalf("round trip changed batch:\n  %+v\n  %+v", e, e2)
+		}
+		// Appending into a used buffer leaves what was there and encodes
+		// the same record after it.
+		prefix := []byte("used")
+		if got := e.AppendEncode(prefix); string(got[:len(prefix)]) != "used" ||
+			!bytes.Equal(got[len(prefix):], enc) {
+			t.Fatalf("AppendEncode onto %q = %x, want the prefix then %x", prefix, got, enc)
 		}
 	})
 }

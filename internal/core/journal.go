@@ -7,29 +7,31 @@ import (
 	"strings"
 )
 
-// Write-ahead journal entry codec. The controller records every
+// Write-ahead journal record codec. The controller records every
 // authenticated register write in a durable journal BEFORE putting it on
 // the wire, so a crash mid-write leaves evidence: on restart the recovery
 // protocol finds the intent, reads the register back under the restored
-// key, and either confirms the write landed or re-drives it. Entries use
-// the same magic/version/CRC armour as the snapshots — a torn journal
-// record is detected, not replayed.
-
+// key, and either confirms the write landed or re-drives it. A record
+// covers the writes of one call toward one switch — one for a serial
+// write, a window's worth for a batch — each with its own WriteState, so
+// recovery disambiguates every write independently. Records use the same
+// magic/version/CRC armour as the snapshots: a torn record is detected,
+// not replayed.
 const (
-	walMagic   = 0x5041574A // "PAWJ": P4Auth Write Journal
+	walMagic   = 0x50415742 // "PAWB": P4Auth Write Batch
 	walVersion = 1
 )
 
-// WriteState is a journal entry's position in the intent → applied/failed
-// lifecycle. Entries in WriteIntent only survive a crash: a live
-// controller settles every write to applied (deleted) or failed before
-// returning to its caller.
+// WriteState is a journaled write's position in the intent →
+// applied/failed lifecycle. Writes in WriteIntent only survive a crash: a
+// live controller settles every write to applied or failed (deleting the
+// record when all applied) before returning to its caller.
 type WriteState uint8
 
 const (
 	// WriteIntent: recorded before the wire send; outcome unknown.
 	WriteIntent WriteState = iota
-	// WriteApplied: confirmed on the switch (normally deleted instead).
+	// WriteApplied: confirmed on the switch.
 	WriteApplied
 	// WriteFailed: definitively not applied, kept for the operator.
 	WriteFailed
@@ -47,7 +49,8 @@ func (s WriteState) String() string {
 	return fmt.Sprintf("WriteState(%d)", int(s))
 }
 
-// JournalEntry is one journaled register write.
+// JournalEntry is one journaled register write, the per-write view of a
+// record (JournalBatch.Entries).
 type JournalEntry struct {
 	ID       uint64
 	Switch   string
@@ -55,50 +58,6 @@ type JournalEntry struct {
 	Index    uint32
 	Value    uint64
 	State    WriteState
-}
-
-// Encode serializes the entry with a trailing CRC32.
-func (e *JournalEntry) Encode() []byte {
-	return e.AppendEncode(make([]byte, 0, 48+len(e.Switch)+len(e.Register)))
-}
-
-// AppendEncode appends the entry's encoding to dst and returns the
-// extended slice, so a caller can encode into a buffer it reuses. The CRC
-// covers the appended record only.
-func (e *JournalEntry) AppendEncode(dst []byte) []byte {
-	start := len(dst)
-	b := binary.BigEndian.AppendUint32(dst, walMagic)
-	b = append(b, walVersion)
-	b = binary.BigEndian.AppendUint64(b, e.ID)
-	b = append(b, byte(e.State))
-	b = binary.BigEndian.AppendUint16(b, uint16(len(e.Switch)))
-	b = append(b, e.Switch...)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(e.Register)))
-	b = append(b, e.Register...)
-	b = binary.BigEndian.AppendUint32(b, e.Index)
-	b = binary.BigEndian.AppendUint64(b, e.Value)
-	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
-}
-
-// DecodeJournalEntry parses and checksum-verifies an encoded entry.
-func DecodeJournalEntry(b []byte) (*JournalEntry, error) {
-	body, err := checkCRC(b, walMagic, walVersion, "journal entry")
-	if err != nil {
-		return nil, err
-	}
-	r := reader{b: body}
-	e := &JournalEntry{ID: r.u64(), State: WriteState(r.u8())}
-	e.Switch = r.str()
-	e.Register = r.str()
-	e.Index = r.u32()
-	e.Value = r.u64()
-	if r.err != nil {
-		return nil, fmt.Errorf("core: truncated journal entry: %w", r.err)
-	}
-	if e.State > WriteFailed {
-		return nil, fmt.Errorf("core: journal entry has unknown state %d", uint8(e.State))
-	}
-	return e, nil
 }
 
 // Dump renders the entry for operators (p4auth-inspect journal).
@@ -109,15 +68,7 @@ func (e *JournalEntry) Dump() string {
 	return b.String()
 }
 
-// Batch (group-commit) journal records. The pipelined transport journals
-// one record per windowed batch instead of one per write: a single
-// durable Save covers the whole window's intents, and a single settle
-// rewrites (or deletes) it. Per-entry exactly-once-or-failed is
-// preserved — each write inside the record carries its own WriteState,
-// and recovery read-back disambiguates each intent independently.
-const walBatchMagic = 0x50415742 // "PAWB": P4Auth Write Batch
-
-// BatchWrite is one write inside a batch journal record.
+// BatchWrite is one write inside a journal record.
 type BatchWrite struct {
 	Register string
 	Index    uint32
@@ -125,7 +76,7 @@ type BatchWrite struct {
 	State    WriteState
 }
 
-// JournalBatch is one journaled window of register writes toward a
+// JournalBatch is one journal record: the writes of one call toward a
 // single switch, committed as one durable record.
 type JournalBatch struct {
 	ID     uint64
@@ -133,15 +84,12 @@ type JournalBatch struct {
 	Writes []BatchWrite
 }
 
-// Encode serializes the batch with the same magic/version/CRC armour as
-// single entries (distinct magic, so decoders can tell them apart).
-func (e *JournalBatch) Encode() []byte {
-	n := 32 + len(e.Switch)
-	for i := range e.Writes {
-		n += 15 + len(e.Writes[i].Register)
-	}
-	b := make([]byte, 0, n)
-	b = binary.BigEndian.AppendUint32(b, walBatchMagic)
+// AppendEncode appends the record's encoding, with a trailing CRC32, to
+// dst and returns the extended slice, so a caller can encode into a
+// buffer it reuses. The CRC covers the appended record only.
+func (e *JournalBatch) AppendEncode(dst []byte) []byte {
+	start := len(dst)
+	b := binary.BigEndian.AppendUint32(dst, walMagic)
 	b = append(b, walVersion)
 	b = binary.BigEndian.AppendUint64(b, e.ID)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(e.Switch)))
@@ -155,12 +103,12 @@ func (e *JournalBatch) Encode() []byte {
 		b = binary.BigEndian.AppendUint32(b, w.Index)
 		b = binary.BigEndian.AppendUint64(b, w.Value)
 	}
-	return appendCRC(b)
+	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
 }
 
-// DecodeJournalBatch parses and checksum-verifies an encoded batch.
+// DecodeJournalBatch parses and checksum-verifies an encoded record.
 func DecodeJournalBatch(b []byte) (*JournalBatch, error) {
-	body, err := checkCRC(b, walBatchMagic, walVersion, "journal batch")
+	body, err := checkCRC(b, walMagic, walVersion, "journal batch")
 	if err != nil {
 		return nil, err
 	}

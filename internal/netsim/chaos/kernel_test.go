@@ -154,8 +154,10 @@ func TestInvariantsBite(t *testing.T) {
 			b.shadowMatches("breach", b.c)
 		}},
 		{"noDanglingIntents", func(t *testing.T, b *bitten) {
-			e := &core.JournalEntry{ID: 0xFFFF, Switch: "s1", Register: "lat", Index: 1, Value: 5, State: core.WriteIntent}
-			if err := b.st.Save("wal/s1/000000000000ffff", e.Encode()); err != nil {
+			e := &core.JournalBatch{ID: 0xFFFF, Switch: "s1", Writes: []core.BatchWrite{
+				{Register: "lat", Index: 1, Value: 5, State: core.WriteIntent},
+			}}
+			if err := b.st.Save("wal/s1/000000000000ffff", e.AppendEncode(nil)); err != nil {
 				t.Fatal(err)
 			}
 			b.noDanglingIntents("breach", b.c)
