@@ -151,16 +151,24 @@ func TestReplicaResign(t *testing.T) {
 	}
 }
 
+// ourTenure is the tenure the FencedStore tests write under.
+func ourTenure() statestore.LeaseGuard {
+	return statestore.LeaseGuard{Key: statestore.LeaseKey, Holder: "ctl-a", Epoch: 1}
+}
+
 // TestFencedStoreDelete: a delete passes the fence only while it admits,
 // and each refusal is observed.
 func TestFencedStoreDelete(t *testing.T) {
 	raw := statestore.NewMem()
+	if err := raw.Save(statestore.LeaseKey, (&statestore.Lease{Holder: "ctl-a", Epoch: 1}).Encode()); err != nil {
+		t.Fatal(err)
+	}
 	if err := raw.Save("wal/s00/1", []byte{1}); err != nil {
 		t.Fatal(err)
 	}
 	var fenceErr error = &FenceError{Cause: CauseDeposed}
 	var refused []string
-	fs := NewFencedStore(raw, func() error { return fenceErr }, func(op, key string, err error) {
+	fs := NewFencedStore(raw, func() error { return fenceErr }, ourTenure, func(op, key string, err error) {
 		refused = append(refused, op+" "+key+" "+FenceCause(err))
 	})
 	if err := fs.Delete("wal/s00/1"); !errors.Is(err, controller.ErrFenced) {
@@ -222,13 +230,9 @@ func TestFencedStoreGuardLost(t *testing.T) {
 		t.Fatal(err)
 	}
 	var refused []string
-	fs := NewFencedStore(raw, func() error { return nil }, func(op, key string, err error) {
+	fs := NewFencedStore(raw, func() error { return nil }, ourTenure, func(op, key string, err error) {
 		refused = append(refused, op+" "+key+" "+FenceCause(err))
 	})
-	fs.guarded = raw
-	fs.tenure = func() statestore.LeaseGuard {
-		return statestore.LeaseGuard{Key: statestore.LeaseKey, Holder: "ctl-a", Epoch: 1}
-	}
 	if err := fs.Save("wal/s00/1", []byte{1}); !errors.Is(err, controller.ErrFenced) {
 		t.Fatalf("save after the lease moved = %v, want ErrFenced", err)
 	}

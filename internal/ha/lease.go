@@ -15,8 +15,7 @@ import (
 // no other coordination channel, which is the point: whatever survives
 // in the record IS the truth.
 type LeaseManager struct {
-	st    statestore.Store
-	swap  statestore.Swapper
+	st    statestore.LeaseStore
 	clock Clock
 	name  string
 	ttl   time.Duration
@@ -44,14 +43,12 @@ type LeaseManager struct {
 	degraded   bool
 }
 
-// NewLeaseManager returns a manager for the named replica. The store
-// must support compare-and-swap (both bundled backends do). The name
+// NewLeaseManager returns a manager for the named replica. The name
 // must fit the PALS codec's 16-bit holder length — validated here so
 // Encode's refusal is unreachable from this writer.
-func NewLeaseManager(st statestore.Store, clock Clock, name string, ttl time.Duration) (*LeaseManager, error) {
-	swap, ok := st.(statestore.Swapper)
-	if !ok {
-		return nil, fmt.Errorf("ha: store %T does not support CompareAndSwap", st)
+func NewLeaseManager(st statestore.LeaseStore, clock Clock, name string, ttl time.Duration) (*LeaseManager, error) {
+	if st == nil {
+		return nil, fmt.Errorf("ha: replica needs a store")
 	}
 	if name == "" {
 		return nil, fmt.Errorf("ha: replica needs a name")
@@ -63,7 +60,7 @@ func NewLeaseManager(st statestore.Store, clock Clock, name string, ttl time.Dur
 	if ttl <= 0 {
 		return nil, fmt.Errorf("ha: lease TTL must be positive")
 	}
-	return &LeaseManager{st: st, swap: swap, clock: clock, name: name, ttl: ttl}, nil
+	return &LeaseManager{st: st, clock: clock, name: name, ttl: ttl}, nil
 }
 
 // ConfigureStaleness enables bounded-staleness fencing: while the store
@@ -139,7 +136,7 @@ func (m *LeaseManager) Acquire() (*statestore.Lease, error) {
 		epoch = cur.Epoch + 1
 	}
 	next := &statestore.Lease{Holder: m.name, Epoch: epoch, GrantedNs: now, TTLNs: uint64(m.ttl)}
-	ok, err := m.swap.CompareAndSwap(statestore.LeaseKey, raw, next.Encode())
+	ok, err := m.st.CompareAndSwap(statestore.LeaseKey, raw, next.Encode())
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +172,7 @@ func (m *LeaseManager) Renew() (*statestore.Lease, error) {
 	}
 	now := uint64(m.clock.Now())
 	next := &statestore.Lease{Holder: m.name, Epoch: cur.Epoch, GrantedNs: now, TTLNs: uint64(m.ttl)}
-	ok, err := m.swap.CompareAndSwap(statestore.LeaseKey, raw, next.Encode())
+	ok, err := m.st.CompareAndSwap(statestore.LeaseKey, raw, next.Encode())
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +204,7 @@ func (m *LeaseManager) Resign() error {
 		return nil // already superseded; nothing to give up
 	}
 	next := &statestore.Lease{Holder: m.name, Epoch: cur.Epoch, GrantedNs: cur.GrantedNs, TTLNs: 0}
-	if _, err := m.swap.CompareAndSwap(statestore.LeaseKey, raw, next.Encode()); err != nil {
+	if _, err := m.st.CompareAndSwap(statestore.LeaseKey, raw, next.Encode()); err != nil {
 		return err
 	}
 	return nil

@@ -14,9 +14,8 @@ import (
 type ReplicaConfig struct {
 	// Name identifies the replica in the lease record and the audit log.
 	Name string
-	// Store is the shared durable store both replicas attach to. It must
-	// support compare-and-swap (statestore.Swapper).
-	Store statestore.Store
+	// Store is the shared durable store both replicas attach to.
+	Store statestore.LeaseStore
 	// Clock is the shared time base for lease grant/expiry decisions.
 	Clock Clock
 	// TTL is the lease validity window; the active must Renew within it.
@@ -122,16 +121,13 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		ctlTail: statestore.NewTailer(cfg.Store, "ctl/"),
 		walTail: statestore.NewTailer(cfg.Store, "wal/"),
 	}
-	fenced := NewFencedStore(cfg.Store, mgr.Fence, func(op, key string, ferr error) {
+	tenure := func() statestore.LeaseGuard {
+		return statestore.LeaseGuard{Key: statestore.LeaseKey, Holder: cfg.Name, Epoch: mgr.HeldEpoch()}
+	}
+	fenced := NewFencedStore(cfg.Store, mgr.Fence, tenure, func(op, key string, ferr error) {
 		r.met.fencedPersists.Inc()
 		r.ob.Audit.Append(obs.EvFencedWrite, r.name, FenceCause(ferr), 0, mgr.HeldEpoch())
 	})
-	if gw, ok := cfg.Store.(statestore.GuardedWriter); ok {
-		fenced.guarded = gw
-		fenced.tenure = func() statestore.LeaseGuard {
-			return statestore.LeaseGuard{Key: statestore.LeaseKey, Holder: cfg.Name, Epoch: mgr.HeldEpoch()}
-		}
-	}
 	mgr.SetDegradedObserver(func(ev DegradedEvent, detail string) {
 		switch ev {
 		case DegradedAdmit:

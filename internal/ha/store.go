@@ -17,46 +17,43 @@ import (
 // The lease record itself is managed through the raw store (the
 // LeaseManager writes it by CAS); a FencedStore never carries it.
 type FencedStore struct {
-	raw   statestore.Store
+	raw   statestore.LeaseStore
 	fence func() error
+	// tenure names the lease tenure the fence admits: each admitted
+	// mutation is a guarded write under it, so a successor's Acquire
+	// between the fence check and the write refuses the write instead of
+	// letting a deposed active's journal intent land after the successor
+	// has recovered.
+	tenure func() statestore.LeaseGuard
 	// onRefusal, when set, observes each refused mutation (metrics +
 	// audit hook; op is "save" or "delete").
 	onRefusal func(op, key string, err error)
-	// guarded and tenure, when set, make each admitted mutation a
-	// guarded write under the tenure the fence admitted: a successor's
-	// Acquire between the fence check and the write refuses the write
-	// instead of letting a deposed active's journal intent land after
-	// the successor has recovered.
-	guarded statestore.GuardedWriter
-	tenure  func() statestore.LeaseGuard
 }
 
-// NewFencedStore wraps raw; every Save/Delete consults fence first.
-func NewFencedStore(raw statestore.Store, fence func() error, onRefusal func(op, key string, err error)) *FencedStore {
-	return &FencedStore{raw: raw, fence: fence, onRefusal: onRefusal}
+// NewFencedStore wraps raw; every Save/Delete consults fence first and
+// then writes guarded by tenure.
+func NewFencedStore(raw statestore.LeaseStore, fence func() error, tenure func() statestore.LeaseGuard, onRefusal func(op, key string, err error)) *FencedStore {
+	return &FencedStore{raw: raw, fence: fence, tenure: tenure, onRefusal: onRefusal}
 }
 
 // Save implements Store, refusing when fenced.
 func (s *FencedStore) Save(key string, value []byte) error {
-	return s.mutate("save", "persist", key, func() error { return s.raw.Save(key, value) },
-		func(g statestore.LeaseGuard) (bool, error) { return s.guarded.SaveGuarded(g, key, value) })
+	return s.mutate("save", "persist", key,
+		func(g statestore.LeaseGuard) (bool, error) { return s.raw.SaveGuarded(g, key, value) })
 }
 
 // Delete implements Store, refusing when fenced.
 func (s *FencedStore) Delete(key string) error {
-	return s.mutate("delete", "delete", key, func() error { return s.raw.Delete(key) },
-		func(g statestore.LeaseGuard) (bool, error) { return s.guarded.DeleteGuarded(g, key) })
+	return s.mutate("delete", "delete", key,
+		func(g statestore.LeaseGuard) (bool, error) { return s.raw.DeleteGuarded(g, key) })
 }
 
-// mutate runs one mutation behind the fence, guarded when the store
-// carries a tenure. A guard lost to a successor's acquisition is refused,
-// observed and reported like a fence refusal.
-func (s *FencedStore) mutate(op, verb, key string, plain func() error, guarded func(statestore.LeaseGuard) (bool, error)) error {
+// mutate runs one guarded mutation behind the fence. A guard lost to a
+// successor's acquisition is refused, observed and reported like a fence
+// refusal.
+func (s *FencedStore) mutate(op, verb, key string, guarded func(statestore.LeaseGuard) (bool, error)) error {
 	err := s.fence()
 	if err == nil {
-		if s.tenure == nil {
-			return plain()
-		}
 		g := s.tenure()
 		ok, gerr := guarded(g)
 		if ok || gerr != nil {

@@ -32,9 +32,9 @@ type Config struct {
 	// WANDelay is the one-way pod<->global WAN latency (default 1ms).
 	WANDelay time.Duration
 	// Store, when non-nil, backs every tier's lease and WAL (the chaos
-	// harness passes a statestore.FaultStore). It must support
-	// compare-and-swap. Defaults to a fresh in-memory store.
-	Store statestore.Store
+	// harness passes a statestore.FaultStore). Defaults to a fresh
+	// in-memory store.
+	Store statestore.LeaseStore
 	// LatEntries sizes the per-switch "lat" demo register (default 8).
 	LatEntries int
 }
@@ -80,7 +80,7 @@ type Hierarchy struct {
 	// both tiers, so reconciliation can be exact.
 	Ob *obs.Observer
 	// Store is the shared backing store (prefixed per tier).
-	Store statestore.Store
+	Store statestore.LeaseStore
 	// Global is the broker tier.
 	Global *Global
 	// Pods are the local tiers, indexed by pod id.

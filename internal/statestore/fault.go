@@ -4,8 +4,8 @@ package statestore
 // first-class fault domain. Every other fault surface in the repo (link
 // taps, crash schedules, partitions) already injects deterministically
 // from a seed; the statestore was the one silent single point of failure
-// no harness could shake. FaultStore wraps any Store (and its Swapper,
-// when present) and injects, per operation:
+// no harness could shake. FaultStore wraps any LeaseStore and injects,
+// per operation:
 //
 //   - unavailability windows scheduled in virtual time (ErrUnavailable);
 //   - transient I/O errors, either probabilistic (seeded) or forced for
@@ -100,12 +100,11 @@ type outageWindow struct {
 	from, to time.Duration
 }
 
-// FaultStore implements Store (and Swapper, delegating to the wrapped
-// store's) with seeded fault injection. Safe for concurrent use; the
+// FaultStore implements LeaseStore, delegating to the wrapped store's,
+// with seeded fault injection. Safe for concurrent use; the
 // deterministic harnesses drive it single-threaded.
 type FaultStore struct {
-	raw   Store
-	swap  Swapper // nil when raw does not support CAS
+	raw   LeaseStore
 	clock FaultClock
 
 	mu       sync.Mutex
@@ -120,13 +119,10 @@ type FaultStore struct {
 
 // NewFaultStore wraps raw. The clock may be nil when no outage windows
 // or latency are used (purely forced/probabilistic injection).
-func NewFaultStore(raw Store, clock FaultClock, cfg FaultConfig) *FaultStore {
+func NewFaultStore(raw LeaseStore, clock FaultClock, cfg FaultConfig) *FaultStore {
 	f := &FaultStore{raw: raw, clock: clock, cfg: cfg, rngState: cfg.Seed ^ 0x9E3779B97F4A7C15}
 	if f.rngState == 0 {
 		f.rngState = 0x2545F4914F6CDD1D
-	}
-	if sw, ok := raw.(Swapper); ok {
-		f.swap = sw
 	}
 	f.stats.Ops = make(map[Op]int)
 	return f
@@ -239,65 +235,45 @@ func (f *FaultStore) gate(op Op, key string) (func(op Op, key string), error) {
 	return hook, nil
 }
 
+// pass runs gate and, when the operation may proceed, the hook.
+func (f *FaultStore) pass(op Op, key string) error {
+	hook, err := f.gate(op, key)
+	if hook != nil {
+		hook(op, key)
+	}
+	return err
+}
+
 // Save implements Store.
 func (f *FaultStore) Save(key string, value []byte) error {
-	hook, err := f.gate(OpSave, key)
-	if err != nil {
+	if err := f.pass(OpSave, key); err != nil {
 		return err
-	}
-	if hook != nil {
-		hook(OpSave, key)
 	}
 	return f.raw.Save(key, value)
 }
 
-// SaveGuarded implements GuardedWriter when the wrapped store does. It
-// passes the same gate as Save, so a guarded write meets the same
-// outages, errors and hook.
+// SaveGuarded implements LeaseStore. It passes the same gate as Save, so
+// a guarded write meets the same outages, errors and hook.
 func (f *FaultStore) SaveGuarded(g LeaseGuard, key string, value []byte) (bool, error) {
-	gw, err := f.guarded(OpSave, key)
-	if err != nil {
+	if err := f.pass(OpSave, key); err != nil {
 		return false, err
 	}
-	return gw.SaveGuarded(g, key, value)
+	return f.raw.SaveGuarded(g, key, value)
 }
 
-// DeleteGuarded implements GuardedWriter when the wrapped store does,
-// through Delete's gate.
+// DeleteGuarded implements LeaseStore, through Delete's gate.
 func (f *FaultStore) DeleteGuarded(g LeaseGuard, key string) (bool, error) {
-	gw, err := f.guarded(OpDelete, key)
-	if err != nil {
+	if err := f.pass(OpDelete, key); err != nil {
 		return false, err
 	}
-	return gw.DeleteGuarded(g, key)
-}
-
-// guarded runs a guarded write's gate and hook and returns the wrapped
-// store's GuardedWriter.
-func (f *FaultStore) guarded(op Op, key string) (GuardedWriter, error) {
-	gw, ok := f.raw.(GuardedWriter)
-	if !ok {
-		return nil, fmt.Errorf("statestore: wrapped store %T does not support guarded writes", f.raw)
-	}
-	hook, err := f.gate(op, key)
-	if err != nil {
-		return nil, err
-	}
-	if hook != nil {
-		hook(op, key)
-	}
-	return gw, nil
+	return f.raw.DeleteGuarded(g, key)
 }
 
 // Load implements Store, optionally answering with deterministic torn
 // garbage instead of the stored bytes.
 func (f *FaultStore) Load(key string) ([]byte, error) {
-	hook, err := f.gate(OpLoad, key)
-	if err != nil {
+	if err := f.pass(OpLoad, key); err != nil {
 		return nil, err
-	}
-	if hook != nil {
-		hook(OpLoad, key)
 	}
 	v, err := f.raw.Load(key)
 	if err != nil {
@@ -325,35 +301,24 @@ func (f *FaultStore) Load(key string) ([]byte, error) {
 
 // Delete implements Store.
 func (f *FaultStore) Delete(key string) error {
-	hook, err := f.gate(OpDelete, key)
-	if err != nil {
+	if err := f.pass(OpDelete, key); err != nil {
 		return err
-	}
-	if hook != nil {
-		hook(OpDelete, key)
 	}
 	return f.raw.Delete(key)
 }
 
 // Keys implements Store.
 func (f *FaultStore) Keys(prefix string) ([]string, error) {
-	hook, err := f.gate(OpKeys, prefix)
-	if err != nil {
+	if err := f.pass(OpKeys, prefix); err != nil {
 		return nil, err
-	}
-	if hook != nil {
-		hook(OpKeys, prefix)
 	}
 	return f.raw.Keys(prefix)
 }
 
-// CompareAndSwap implements Swapper when the wrapped store does. A
-// forced or rolled lost race reports (false, nil) without touching the
-// record — indistinguishable, by design, from losing for real.
+// CompareAndSwap implements LeaseStore. A forced or rolled lost race
+// reports (false, nil) without touching the record — indistinguishable,
+// by design, from losing for real.
 func (f *FaultStore) CompareAndSwap(key string, prev, next []byte) (bool, error) {
-	if f.swap == nil {
-		return false, fmt.Errorf("statestore: wrapped store %T does not support CompareAndSwap", f.raw)
-	}
 	hook, err := f.gate(OpCAS, key)
 	if err != nil {
 		return false, err
@@ -376,5 +341,5 @@ func (f *FaultStore) CompareAndSwap(key string, prev, next []byte) (bool, error)
 	if lose {
 		return false, nil
 	}
-	return f.swap.CompareAndSwap(key, prev, next)
+	return f.raw.CompareAndSwap(key, prev, next)
 }

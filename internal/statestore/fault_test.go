@@ -221,20 +221,6 @@ func TestFaultStoreLatencyAdvancesClock(t *testing.T) {
 	}
 }
 
-func TestFaultStoreCASWithoutSwapper(t *testing.T) {
-	// A raw store without CompareAndSwap: the wrapper must refuse, not
-	// silently pretend.
-	f := NewFaultStore(noSwapStore{NewMem()}, nil, FaultConfig{})
-	if _, err := f.CompareAndSwap("k", nil, nil); err == nil {
-		t.Fatal("CAS over a non-Swapper store succeeded")
-	}
-}
-
-// noSwapStore hides Mem's Swapper.
-type noSwapStore struct{ *Mem }
-
-func (noSwapStore) CompareAndSwap() {} // shadow with a different signature
-
 // TestTailerSurfacesLoadErrors is the regression for the bug where Poll
 // swallowed every Load error as "deleted mid-poll": a store brown-out
 // must surface to the caller, while a genuine mid-poll deletion still

@@ -129,16 +129,34 @@ func DecodeLease(b []byte) (*Lease, error) {
 	return l, nil
 }
 
-// Swapper is the optional conditional-write extension of Store, the
-// primitive lease acquisition is built on. Both bundled implementations
-// provide it.
-type Swapper interface {
+// LeaseStore is a Store with the two lease primitives: a conditional
+// write, which lease acquisition is built on, and guarded writes, which
+// fence a lease holder's own writes. A check of the lease made before a
+// plain Save leaves a gap in which a successor can acquire; a guarded
+// write checks the lease record and writes under the lock
+// CompareAndSwap takes, so an acquisition lands wholly before the write
+// (which is refused) or wholly after it (and then sees it). Mem, File,
+// FaultStore and PrefixStore implement it.
+type LeaseStore interface {
+	Store
 	// CompareAndSwap atomically replaces key's value with next if and
 	// only if the current value equals prev; prev == nil means the key
 	// must be absent. It reports whether the swap happened. A false
 	// return with nil error is a lost race, not a failure.
 	CompareAndSwap(key string, prev, next []byte) (bool, error)
+	// SaveGuarded saves value under key only while g holds. A false
+	// return with nil error means the lease has changed hands.
+	SaveGuarded(g LeaseGuard, key string, value []byte) (bool, error)
+	// DeleteGuarded deletes key only while g holds, reporting the same.
+	DeleteGuarded(g LeaseGuard, key string) (bool, error)
 }
+
+var (
+	_ LeaseStore = (*Mem)(nil)
+	_ LeaseStore = (*File)(nil)
+	_ LeaseStore = (*FaultStore)(nil)
+	_ LeaseStore = (*PrefixStore)(nil)
+)
 
 // LeaseGuard names one tenure of a lease: the record stored at Key must
 // still decode to Holder at Epoch for a guarded write to land.
@@ -155,20 +173,7 @@ func (g LeaseGuard) holds(raw []byte) bool {
 	return err == nil && l.Holder == g.Holder && l.Epoch == g.Epoch
 }
 
-// GuardedWriter is the optional fenced-write extension of Store. A check
-// of the lease made before a plain Save leaves a gap in which a successor
-// can acquire; a guarded write checks the lease record and writes under
-// the lock CompareAndSwap takes, so an acquisition lands wholly before
-// the write (which is refused) or wholly after it (and then sees it).
-type GuardedWriter interface {
-	// SaveGuarded saves value under key only while g holds. A false
-	// return with nil error means the lease has changed hands.
-	SaveGuarded(g LeaseGuard, key string, value []byte) (bool, error)
-	// DeleteGuarded deletes key only while g holds, reporting the same.
-	DeleteGuarded(g LeaseGuard, key string) (bool, error)
-}
-
-// SaveGuarded implements GuardedWriter.
+// SaveGuarded implements LeaseStore.
 func (s *Mem) SaveGuarded(g LeaseGuard, key string, value []byte) (bool, error) {
 	if err := ValidateKey(key); err != nil {
 		return false, err
@@ -183,7 +188,7 @@ func (s *Mem) SaveGuarded(g LeaseGuard, key string, value []byte) (bool, error) 
 	return true, nil
 }
 
-// DeleteGuarded implements GuardedWriter.
+// DeleteGuarded implements LeaseStore.
 func (s *Mem) DeleteGuarded(g LeaseGuard, key string) (bool, error) {
 	if err := ValidateKey(key); err != nil {
 		return false, err
@@ -197,7 +202,7 @@ func (s *Mem) DeleteGuarded(g LeaseGuard, key string) (bool, error) {
 	return true, nil
 }
 
-// SaveGuarded implements GuardedWriter: the lease read and the atomic
+// SaveGuarded implements LeaseStore: the lease read and the atomic
 // write run under the store mutex, as CompareAndSwap's do.
 func (s *File) SaveGuarded(g LeaseGuard, key string, value []byte) (bool, error) {
 	if err := ValidateKey(key); err != nil {
@@ -211,7 +216,7 @@ func (s *File) SaveGuarded(g LeaseGuard, key string, value []byte) (bool, error)
 	return true, s.writeLocked(key, value)
 }
 
-// DeleteGuarded implements GuardedWriter.
+// DeleteGuarded implements LeaseStore.
 func (s *File) DeleteGuarded(g LeaseGuard, key string) (bool, error) {
 	if err := ValidateKey(key); err != nil {
 		return false, err
@@ -230,7 +235,7 @@ func (s *File) guardLocked(g LeaseGuard) (bool, error) {
 	return err == nil && g.holds(cur), err
 }
 
-// CompareAndSwap implements Swapper.
+// CompareAndSwap implements LeaseStore.
 func (s *Mem) CompareAndSwap(key string, prev, next []byte) (bool, error) {
 	if err := ValidateKey(key); err != nil {
 		return false, err
@@ -250,7 +255,7 @@ func (s *Mem) CompareAndSwap(key string, prev, next []byte) (bool, error) {
 	return true, nil
 }
 
-// CompareAndSwap implements Swapper. The read-compare-rename sequence
+// CompareAndSwap implements LeaseStore. The read-compare-rename sequence
 // runs under the store mutex, so two replicas racing through the same
 // File store serialize here; the write itself keeps the atomic
 // temp+rename discipline of Save.

@@ -65,10 +65,7 @@ func TestLeaseExpiresSaturates(t *testing.T) {
 
 // casContract exercises the conditional-write semantics both backends
 // must share.
-func casContract(t *testing.T, s interface {
-	Store
-	Swapper
-}) {
+func casContract(t *testing.T, s LeaseStore) {
 	t.Helper()
 	a := (&Lease{Holder: "a", Epoch: 1}).Encode()
 	b := (&Lease{Holder: "b", Epoch: 2}).Encode()
@@ -116,20 +113,11 @@ func TestFileCompareAndSwap(t *testing.T) {
 // TestCASContention races goroutines through load-CAS-retry loops; every
 // increment must land exactly once.
 func TestCASContention(t *testing.T) {
-	for _, mk := range []func(t *testing.T) interface {
-		Store
-		Swapper
-	}{
-		func(t *testing.T) interface {
-			Store
-			Swapper
-		} {
+	for _, mk := range []func(t *testing.T) LeaseStore{
+		func(t *testing.T) LeaseStore {
 			return NewMem()
 		},
-		func(t *testing.T) interface {
-			Store
-			Swapper
-		} {
+		func(t *testing.T) LeaseStore {
 			s, err := NewFile(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
@@ -246,10 +234,7 @@ func TestGuardedWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, st := range map[string]interface {
-		Store
-		GuardedWriter
-	}{
+	for name, st := range map[string]LeaseStore{
 		"mem":    NewMem(),
 		"file":   file,
 		"fault":  NewFaultStore(NewMem(), nil, FaultConfig{Seed: 1}),
@@ -301,23 +286,3 @@ func TestGuardedWrites(t *testing.T) {
 		})
 	}
 }
-
-// TestGuardedWritesNeedSupport: the wrappers refuse a guarded write when
-// what they wrap cannot make one, rather than writing unguarded.
-func TestGuardedWritesNeedSupport(t *testing.T) {
-	g := LeaseGuard{Key: LeaseKey, Holder: "ctl-a", Epoch: 1}
-	for name, st := range map[string]GuardedWriter{
-		"fault":  NewFaultStore(plainStore{NewMem()}, nil, FaultConfig{}),
-		"prefix": MustPrefix(plainStore{NewMem()}, "pod0"),
-	} {
-		if _, err := st.SaveGuarded(g, "k", nil); err == nil {
-			t.Errorf("%s: guarded save over a plain store succeeded", name)
-		}
-		if _, err := st.DeleteGuarded(g, "k"); err == nil {
-			t.Errorf("%s: guarded delete over a plain store succeeded", name)
-		}
-	}
-}
-
-// plainStore hides every method of a store but Store's own.
-type plainStore struct{ Store }

@@ -14,41 +14,32 @@ import (
 // controller hierarchy gives every pod replica group and the global
 // broker tier an independent WAL/lease prefix inside one shared durable
 // store.
-//
-// If the backing store implements Swapper, the view does too, so a
+// Its conditional and guarded writes run inside the view too, so a
 // prefixed view can carry a PALS lease.
 type PrefixStore struct {
-	raw    Store
-	swap   Swapper // nil when raw does not support CAS
-	prefix string  // always ends in "/"
+	raw    LeaseStore
+	prefix string // always ends in "/"
 }
 
 // Prefix returns a view of raw rooted at the given prefix. The prefix
 // must be a valid key path (one or more [A-Za-z0-9._-] segments); a
 // trailing slash is optional.
-func Prefix(raw Store, prefix string) (*PrefixStore, error) {
+func Prefix(raw LeaseStore, prefix string) (*PrefixStore, error) {
 	trimmed := strings.TrimSuffix(prefix, "/")
 	if err := ValidateKey(trimmed); err != nil {
 		return nil, fmt.Errorf("statestore: invalid prefix %q: %v", prefix, err)
 	}
-	p := &PrefixStore{raw: raw, prefix: trimmed + "/"}
-	if sw, ok := raw.(Swapper); ok {
-		p.swap = sw
-	}
-	return p, nil
+	return &PrefixStore{raw: raw, prefix: trimmed + "/"}, nil
 }
 
 // MustPrefix is Prefix that panics on error, for topology builders.
-func MustPrefix(raw Store, prefix string) *PrefixStore {
+func MustPrefix(raw LeaseStore, prefix string) *PrefixStore {
 	p, err := Prefix(raw, prefix)
 	if err != nil {
 		panic(err)
 	}
 	return p
 }
-
-// Root returns the view's prefix, with the trailing slash.
-func (p *PrefixStore) Root() string { return p.prefix }
 
 // Save implements Store.
 func (p *PrefixStore) Save(key string, value []byte) error {
@@ -88,45 +79,29 @@ func (p *PrefixStore) Keys(prefix string) ([]string, error) {
 	return out, nil
 }
 
-// CompareAndSwap implements Swapper when the backing store does; on a
-// CAS-less backing store it reports an error rather than silently
-// losing atomicity.
+// CompareAndSwap implements LeaseStore.
 func (p *PrefixStore) CompareAndSwap(key string, prev, next []byte) (bool, error) {
-	if p.swap == nil {
-		return false, fmt.Errorf("statestore: backing store of prefix %q does not support CompareAndSwap", p.prefix)
-	}
 	if err := ValidateKey(key); err != nil {
 		return false, err
 	}
-	return p.swap.CompareAndSwap(p.prefix+key, prev, next)
+	return p.raw.CompareAndSwap(p.prefix+key, prev, next)
 }
 
-// SaveGuarded implements GuardedWriter when the backing store does; the
-// guard's lease key is read inside the view, like every other key.
+// SaveGuarded implements LeaseStore; the guard's lease key is read
+// inside the view, like every other key.
 func (p *PrefixStore) SaveGuarded(g LeaseGuard, key string, value []byte) (bool, error) {
-	gw, err := p.guarded(key)
-	if err != nil {
+	if err := ValidateKey(key); err != nil {
 		return false, err
 	}
 	g.Key = p.prefix + g.Key
-	return gw.SaveGuarded(g, p.prefix+key, value)
+	return p.raw.SaveGuarded(g, p.prefix+key, value)
 }
 
-// DeleteGuarded implements GuardedWriter when the backing store does.
+// DeleteGuarded implements LeaseStore.
 func (p *PrefixStore) DeleteGuarded(g LeaseGuard, key string) (bool, error) {
-	gw, err := p.guarded(key)
-	if err != nil {
+	if err := ValidateKey(key); err != nil {
 		return false, err
 	}
 	g.Key = p.prefix + g.Key
-	return gw.DeleteGuarded(g, p.prefix+key)
-}
-
-// guarded validates key and returns the backing store's GuardedWriter.
-func (p *PrefixStore) guarded(key string) (GuardedWriter, error) {
-	gw, ok := p.raw.(GuardedWriter)
-	if !ok {
-		return nil, fmt.Errorf("statestore: backing store of prefix %q does not support guarded writes", p.prefix)
-	}
-	return gw, ValidateKey(key)
+	return p.raw.DeleteGuarded(g, p.prefix+key)
 }

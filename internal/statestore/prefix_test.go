@@ -101,23 +101,6 @@ func TestPrefixCAS(t *testing.T) {
 	}
 }
 
-func TestPrefixCASUnsupported(t *testing.T) {
-	p := MustPrefix(casless{NewMem()}, "pod0")
-	if _, err := p.CompareAndSwap(LeaseKey, nil, []byte("x")); err == nil {
-		t.Fatalf("CAS over a CAS-less store must error, got nil")
-	}
-}
-
-// casless hides Mem's Swapper implementation.
-type casless struct{ s *Mem }
-
-func (c casless) Save(key string, value []byte) error { return c.s.Save(key, value) }
-func (c casless) Load(key string) ([]byte, error)     { return c.s.Load(key) }
-func (c casless) Delete(key string) error             { return c.s.Delete(key) }
-func (c casless) Keys(prefix string) ([]string, error) {
-	return c.s.Keys(prefix)
-}
-
 func TestPrefixValidation(t *testing.T) {
 	if _, err := Prefix(NewMem(), ""); err == nil {
 		t.Fatalf("empty prefix accepted")
