@@ -23,16 +23,7 @@ func runLinks(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sup, err := n.NewSupervisor(fabric.Config{
-		SuspectBad:        1,
-		QuarantineStrikes: 1,
-		SilenceWindows:    3,
-		CleanWindows:      2,
-		ProbationWindows:  2,
-		HoldDown:          2 * time.Millisecond,
-		RepairBackoff:     1 * time.Millisecond,
-		RepairBackoffMax:  4 * time.Millisecond,
-	})
+	sup, err := n.NewSupervisor(fabric.DefaultConfig())
 	if err != nil {
 		return err
 	}

@@ -236,20 +236,12 @@ func (c *Controller) JournalEntries(sw string) ([]core.JournalEntry, error) {
 	return out, nil
 }
 
-// Liveness proves the switch is up and the shared local key works: an
+// liveness proves the switch is up and the shared local key works: an
 // authenticated read of pa_ver[0]. Verified replay alerts are healed in
 // place — each one skips the sequence counter a FloorLease forward (the
 // switch answered under the shared key, so it is alive and the key is
 // good; only the counter lags its restored floor) — and the probe is
 // retried with a fresh sequence number. Any other failure is returned.
-func (c *Controller) Liveness(sw string) error {
-	h, err := c.handle(sw)
-	if err != nil {
-		return err
-	}
-	return c.liveness(h)
-}
-
 func (c *Controller) liveness(h *swHandle) error {
 	var err error
 	for round := 0; round < livenessRounds; round++ {

@@ -81,11 +81,6 @@ func (c *Controller) NewShardSet(switches []string, window int) (*ShardSet, erro
 	return ss, nil
 }
 
-// Shards returns the shard names, sorted.
-func (ss *ShardSet) Shards() []string {
-	return append([]string(nil), ss.order...)
-}
-
 func (ss *ShardSet) shardOf(sw string) (*shard, error) {
 	sh, ok := ss.shards[sw]
 	if !ok {
@@ -133,17 +128,6 @@ func (ss *ShardSet) Pending(sw string) int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return len(sh.queue)
-}
-
-// Totals returns a shard's lifetime totals.
-func (ss *ShardSet) Totals(sw string) (ShardTotals, error) {
-	sh, err := ss.shardOf(sw)
-	if err != nil {
-		return ShardTotals{}, err
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.totals, nil
 }
 
 // FleetTotals sums the per-shard totals and returns the fleet wall time:

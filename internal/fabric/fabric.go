@@ -173,18 +173,20 @@ type Config struct {
 	RepairBackoffMax time.Duration
 }
 
-// DefaultConfig returns thresholds tuned for the netsim probe cadence
-// (200µs probe period, ~1ms supervision windows).
+// DefaultConfig returns thresholds tuned for the netsim probe cadence:
+// millisecond windows against the 200µs probe period, quarantine on the
+// first strike, and a short hold-down so repair and probation cycles fit
+// a degraded window.
 func DefaultConfig() Config {
 	return Config{
 		SuspectBad:        1,
-		QuarantineStrikes: 2,
+		QuarantineStrikes: 1,
 		SilenceWindows:    3,
 		CleanWindows:      2,
-		ProbationWindows:  3,
+		ProbationWindows:  2,
 		HoldDown:          2 * time.Millisecond,
 		RepairBackoff:     1 * time.Millisecond,
-		RepairBackoffMax:  8 * time.Millisecond,
+		RepairBackoffMax:  4 * time.Millisecond,
 	}
 }
 

@@ -10,21 +10,6 @@ import (
 	"p4auth/internal/obs"
 )
 
-// supCfg is the supervision config used by the integration tests: 1ms
-// windows against the 200µs probe cadence.
-func supCfg() fabric.Config {
-	return fabric.Config{
-		SuspectBad:        1,
-		QuarantineStrikes: 1,
-		SilenceWindows:    3,
-		CleanWindows:      2,
-		ProbationWindows:  2,
-		HoldDown:          2 * time.Millisecond,
-		RepairBackoff:     1 * time.Millisecond,
-		RepairBackoffMax:  4 * time.Millisecond,
-	}
-}
-
 func auditCauses(o *obs.Observer) map[string]int {
 	causes := make(map[string]int)
 	for _, e := range o.Audit.ByType(obs.EvLinkState) {
@@ -46,7 +31,7 @@ func TestOneSidedRolloverSupervisedRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup, err := n.NewSupervisor(supCfg())
+	sup, err := n.NewSupervisor(fabric.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +145,7 @@ func TestFlappingLinkDegradedRoutingAndReinstatement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup, err := n.NewSupervisor(supCfg())
+	sup, err := n.NewSupervisor(fabric.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

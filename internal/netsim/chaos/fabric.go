@@ -92,22 +92,6 @@ type fabricHarness struct {
 	sup *fabric.Supervisor
 }
 
-// fabricSupCfg is the supervision config for chaos runs: millisecond
-// windows against the 200µs probe cadence, aggressive quarantine, short
-// hold-down so repair/probation cycles fit the degraded window.
-func fabricSupCfg() fabric.Config {
-	return fabric.Config{
-		SuspectBad:        1,
-		QuarantineStrikes: 1,
-		SilenceWindows:    3,
-		CleanWindows:      2,
-		ProbationWindows:  2,
-		HoldDown:          2 * time.Millisecond,
-		RepairBackoff:     1 * time.Millisecond,
-		RepairBackoffMax:  4 * time.Millisecond,
-	}
-}
-
 // RunFabric executes one deterministic fabric-chaos run.
 func RunFabric(o FabricOptions) (*FabricResult, error) {
 	switch o.Scenario {
@@ -119,7 +103,7 @@ func RunFabric(o FabricOptions) (*FabricResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sup, err := n.NewSupervisor(fabricSupCfg())
+	sup, err := n.NewSupervisor(fabric.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -397,9 +397,6 @@ func (n *Network) AddNode(name string, h Handler) *Node {
 // Node returns a registered node or nil.
 func (n *Network) Node(name string) *Node { return n.nodes[name] }
 
-// Nodes returns the number of registered nodes.
-func (n *Network) Nodes() int { return len(n.nodes) }
-
 // Connect links nodeA's portA with nodeB's portB.
 func (n *Network) Connect(nodeA string, portA int, nodeB string, portB int, delay time.Duration, bandwidthBps float64) (*Link, error) {
 	a, ok := n.nodes[nodeA]

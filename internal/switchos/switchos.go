@@ -569,15 +569,6 @@ func (h *Host) cacheWorthy(req []byte, pins [][]byte) bool {
 	return true
 }
 
-func anyAlert(pins [][]byte) bool {
-	for _, p := range pins {
-		if hdrType, _, ok := core.PeekControl(p); ok && hdrType == core.HdrAlert {
-			return true
-		}
-	}
-	return false
-}
-
 // cacheKey decides whether a PacketOut participates in the idempotency
 // cache: control-channel register and key-exchange requests do, keyed by
 // their seqNum; anything else (feedback, non-P4Auth bytes) bypasses it.
