@@ -68,12 +68,20 @@ func TestBringUpAllocs(t *testing.T) {
 		}
 	}
 
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	c := controller.New(crypto.NewSeededRand(1))
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<10 {
+	// TotalAlloc counts what every goroutine of the process allocates, so
+	// the bound holds the smallest of several readings, each taken after
+	// a collection.
+	got := ^uint64(0)
+	for i := 0; i < 5; i++ {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c := controller.New(crypto.NewSeededRand(1))
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(c)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	if got >= 8<<10 {
 		t.Errorf("a fresh controller allocates %d bytes, want under 8 KiB with its audit ring", got)
 	}
-	runtime.KeepAlive(c)
 }
