@@ -159,10 +159,11 @@ func (c *Controller) autoPersist(sw string) error {
 }
 
 // walBegin journals h.wal — the caller fills its Writes, each in
-// WriteIntent — as one record before the first wire send: one durable Save covers the writes
-// of the call, a serial write's one or a batch's window. Returns a zero
-// intent (and writes nothing) when journaling is off or the process is
-// dead. Requires h.opMu: the record and its encoding are handle scratch.
+// WriteIntent — as one record before the first wire send: one durable
+// Save covers the writes of the call, a serial write's one or a batch's.
+// Returns a zero intent (and writes nothing) when journaling is off or
+// the process is dead. Requires h.opMu: the record and its encoding are
+// handle scratch.
 func (c *Controller) walBegin(h *swHandle) (walIntent, error) {
 	st := c.stateStore()
 	if st == nil || c.Killed() {
