@@ -158,13 +158,12 @@ func (c *Controller) autoPersist(sw string) error {
 	return c.SaveSnapshot(sw)
 }
 
-// walBegin journals h.wal — the caller fills its Writes, each in
-// WriteIntent — as one record before the first wire send: one durable
-// Save covers the writes of the call, a serial write's one or a batch's.
-// Returns a zero intent (and writes nothing) when journaling is off or
-// the process is dead. Requires h.opMu: the record and its encoding are
-// handle scratch.
-func (c *Controller) walBegin(h *swHandle) (walIntent, error) {
+// walBegin journals writes as one intent record before the first wire
+// send: one durable Save covers the writes of the call, a serial write's
+// one or a batch's. Returns a zero intent (and writes nothing) when
+// journaling is off or the process is dead. Requires h.opMu: the record,
+// h.wal, and its encoding are handle scratch.
+func (c *Controller) walBegin(h *swHandle, writes []RegWrite) (walIntent, error) {
 	st := c.stateStore()
 	if st == nil || c.Killed() {
 		return walIntent{}, nil
@@ -172,6 +171,10 @@ func (c *Controller) walBegin(h *swHandle) (walIntent, error) {
 	id := c.walID.Add(1)
 	j := walIntent{id: id, key: walKey(h.name, id)}
 	h.wal.ID, h.wal.Switch = id, h.name
+	h.wal.Writes = h.wal.Writes[:0]
+	for _, w := range writes {
+		h.wal.Writes = append(h.wal.Writes, core.BatchWrite{Register: w.Register, Index: w.Index, Value: w.Value})
+	}
 	h.walBuf = h.wal.AppendEncode(h.walBuf[:0])
 	return j, st.Save(j.key, h.walBuf)
 }

@@ -115,12 +115,10 @@ func (c *Controller) WriteRegisterBatch(sw string, window int, writes []RegWrite
 	h.opMu.Lock()
 	defer h.opMu.Unlock()
 	entries := h.batchScratch(len(writes))
-	h.wal.Writes = grow(h.wal.Writes, len(writes))
 	for i, w := range writes {
 		entries[i].register, entries[i].index, entries[i].value = w.Register, w.Index, w.Value
-		h.wal.Writes[i] = core.BatchWrite{Register: w.Register, Index: w.Index, Value: w.Value}
 	}
-	j, jerr := c.walBegin(h)
+	j, jerr := c.walBegin(h, writes)
 	if jerr != nil {
 		return BatchResult{}, fmt.Errorf("controller: journal batch intent: %w", jerr)
 	}

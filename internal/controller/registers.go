@@ -39,11 +39,10 @@ func (c *Controller) WriteRegister(sw, register string, index uint32, value uint
 	if err != nil {
 		return 0, err
 	}
-	// The journal record is the handle's scratch, a record of one write,
-	// so intent, exchange and settle run under one hold of opMu.
+	// The journal record is the handle's scratch, so intent, exchange and
+	// settle run under one hold of opMu.
 	h.opMu.Lock()
-	h.wal.Writes = append(h.wal.Writes[:0], core.BatchWrite{Register: register, Index: index, Value: value})
-	j, jerr := c.walBegin(h)
+	j, jerr := c.walBegin(h, []RegWrite{{register, index, value}})
 	if jerr != nil {
 		h.opMu.Unlock()
 		return 0, fmt.Errorf("controller: journal write intent: %w", jerr)
