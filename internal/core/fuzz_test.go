@@ -74,7 +74,8 @@ func FuzzMessageBufDecode(f *testing.F) {
 }
 
 // FuzzDecodeJournalBatch: the WAL record (PAWB), seeded with the
-// one-write record a serial write journals and a three-write batch.
+// one-write records a serial write journals, a three-write batch, and a
+// bare header.
 func FuzzDecodeJournalBatch(f *testing.F) {
 	b := &JournalBatch{ID: 7, Switch: "s2", Writes: []BatchWrite{
 		{Register: "lat", Index: 0, Value: 1, State: WriteIntent},
@@ -87,6 +88,8 @@ func FuzzDecodeJournalBatch(f *testing.F) {
 	}}
 	f.Add(one.AppendEncode(nil))
 	f.Add((&JournalBatch{Switch: "x"}).AppendEncode(nil))
+	f.Add((&JournalBatch{Writes: []BatchWrite{{State: WriteFailed}}}).AppendEncode(nil))
+	f.Add([]byte{0x50, 0x41, 0x57, 0x42, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := DecodeJournalBatch(data)
 		if err != nil {
