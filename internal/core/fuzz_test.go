@@ -73,9 +73,42 @@ func FuzzMessageBufDecode(f *testing.F) {
 	})
 }
 
-// FuzzDecodeJournalBatch: the WAL record (PAWB), seeded with the
-// one-write records a serial write journals, a three-write batch, and a
-// bare header.
+// FuzzDecodeJournalEntry: the per-write view of a WAL record, seeded
+// with the one-write records a serial write journals and a bare header.
+// Every write of an accepted record expands to an entry carrying the
+// record's ID and switch, and the entries rebuild the same record.
+func FuzzDecodeJournalEntry(f *testing.F) {
+	one := &JournalBatch{ID: 42, Switch: "s1", Writes: []BatchWrite{
+		{Register: "lat", Index: 3, Value: 0xFFEE, State: WriteIntent},
+	}}
+	f.Add(one.AppendEncode(nil))
+	f.Add((&JournalBatch{Writes: []BatchWrite{{State: WriteFailed}}}).AppendEncode(nil))
+	f.Add([]byte{0x50, 0x41, 0x57, 0x42, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e, err := DecodeJournalBatch(data)
+		if err != nil {
+			return
+		}
+		entries := e.Entries()
+		if len(entries) != len(e.Writes) {
+			t.Fatalf("%d writes expand to %d entries", len(e.Writes), len(entries))
+		}
+		re := &JournalBatch{ID: e.ID, Switch: e.Switch, Writes: make([]BatchWrite, 0, len(entries))}
+		for _, en := range entries {
+			if en.ID != e.ID || en.Switch != e.Switch {
+				t.Fatalf("entry %+v does not carry record %016x on %q", en, e.ID, e.Switch)
+			}
+			re.Writes = append(re.Writes, BatchWrite{
+				Register: en.Register, Index: en.Index, Value: en.Value, State: en.State,
+			})
+		}
+		if got, want := re.AppendEncode(nil), e.AppendEncode(nil); !bytes.Equal(got, want) {
+			t.Fatalf("entries rebuild %x, want %x", got, want)
+		}
+	})
+}
+
+// FuzzDecodeJournalBatch: the WAL record (PAWB).
 func FuzzDecodeJournalBatch(f *testing.F) {
 	b := &JournalBatch{ID: 7, Switch: "s2", Writes: []BatchWrite{
 		{Register: "lat", Index: 0, Value: 1, State: WriteIntent},
@@ -83,13 +116,7 @@ func FuzzDecodeJournalBatch(f *testing.F) {
 		{Register: "q", Index: 9, Value: 0xDEAD, State: WriteFailed},
 	}}
 	f.Add(b.AppendEncode(nil))
-	one := &JournalBatch{ID: 42, Switch: "s1", Writes: []BatchWrite{
-		{Register: "lat", Index: 3, Value: 0xFFEE, State: WriteIntent},
-	}}
-	f.Add(one.AppendEncode(nil))
 	f.Add((&JournalBatch{Switch: "x"}).AppendEncode(nil))
-	f.Add((&JournalBatch{Writes: []BatchWrite{{State: WriteFailed}}}).AppendEncode(nil))
-	f.Add([]byte{0x50, 0x41, 0x57, 0x42, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := DecodeJournalBatch(data)
 		if err != nil {

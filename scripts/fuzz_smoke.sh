@@ -21,6 +21,7 @@ FUZZTIME="${FUZZTIME:-10s}"
 for entry in \
     ./internal/core/:FuzzDecodeMessage \
     ./internal/core/:FuzzMessageBufDecode \
+    ./internal/core/:FuzzDecodeJournalEntry \
     ./internal/core/:FuzzDecodeJournalBatch \
     ./internal/core/:FuzzDecodeSnapshot \
     ./internal/core/:FuzzDecodeDeviceSnapshot \
