@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"testing"
 
+	"p4auth/internal/attacker"
 	"p4auth/internal/core"
+	"p4auth/internal/deploy"
 	"p4auth/internal/switchos"
 )
 
@@ -178,5 +180,73 @@ func TestLostResponseDesyncAndRecovery(t *testing.T) {
 	}
 	if v, _ := s1.Host.SW.RegisterRead("lat", 0); v != 3 {
 		t.Fatalf("lat = %d", v)
+	}
+}
+
+// floodRequests is how many tampered requests TestAlertFlood drives: s1
+// takes three of every four, s2 the fourth.
+const floodRequests = 100_000
+
+// TestAlertFlood is the §VIII adversary at volume: an in-stack MitM on
+// both switches flips the value of every register write, so each one is
+// answered by an authenticated AlertBadDigest. The operator resets each
+// switch's data-plane alert window before it reaches the threshold, so
+// every tampered request draws its alert. The controller must count
+// every one, per switch, and keep counting them after it quarantines a
+// switch.
+func TestAlertFlood(t *testing.T) {
+	c, s1, s2 := twoSwitchFabric(t)
+	for _, sw := range []string{"s1", "s2"} {
+		if _, err := c.LocalKeyInit(sw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tamper := true
+	for _, dev := range []*deploy.Switch{s1, s2} {
+		mitm := &attacker.CtrlPlaneMitM{
+			RewriteMessage: func(m *core.Message, toDataPlane bool) bool {
+				if !tamper || !toDataPlane || m.Reg == nil {
+					return false
+				}
+				m.Reg.Value ^= 0x5A5A
+				return true
+			},
+		}
+		if err := dev.Host.Install(switchos.BoundaryAgentSDK, mitm.Hooks()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	window := int(s1.Cfg.AlertThreshold) / 2
+	sent := map[string]int{}
+	for i := 0; i < floodRequests; i++ {
+		sw := "s1"
+		if i%4 == 3 {
+			sw = "s2"
+		}
+		if _, err := c.WriteRegister(sw, "lat", uint32(i%8), uint64(i)); !errors.Is(err, ErrTampered) {
+			t.Fatalf("request %d to %s: err = %v, want ErrTampered", i, sw, err)
+		}
+		if sent[sw]++; sent[sw]%window == 0 {
+			tamper = false
+			if _, err := c.ResetAlertWindow(sw); err != nil {
+				t.Fatal(err)
+			}
+			tamper = true
+		}
+	}
+	if err := c.Quarantine("s2"); err != nil {
+		t.Fatal(err)
+	}
+	alerts := c.Alerts()
+	per := map[string]int{}
+	for _, a := range alerts {
+		if a.Reason != core.AlertBadDigest {
+			t.Fatalf("alert %+v, want AlertBadDigest", a)
+		}
+		per[a.Switch]++
+	}
+	if len(alerts) != floodRequests || per["s1"] != 3*floodRequests/4 || per["s2"] != floodRequests/4 {
+		t.Fatalf("%d alerts (s1 %d, s2 %d), want %d (s1 %d, s2 %d)",
+			len(alerts), per["s1"], per["s2"], floodRequests, 3*floodRequests/4, floodRequests/4)
 	}
 }
