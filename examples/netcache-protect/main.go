@@ -73,7 +73,7 @@ func run(secure, attacked bool) error {
 		return err
 	}
 	fmt.Printf("%-20s hit rate %5.1f%%  skipped epochs %d  alerts %d\n",
-		label, 100*rate, s.SkippedEpochs, len(s.Ctrl.Alerts()))
+		label, 100*rate, s.SkippedEpochs, s.Ctrl.AlertCount())
 	return nil
 }
 

@@ -71,7 +71,7 @@ func main() {
 	_, _, err = ctrl.ReadRegister("edge1", "path_latency", 3)
 	if errors.Is(err, controller.ErrTampered) {
 		fmt.Println("tampered read detected:", err)
-		fmt.Printf("alerts recorded: %d\n", len(ctrl.Alerts()))
+		fmt.Printf("alerts recorded: %d\n", ctrl.AlertCount())
 	} else {
 		log.Fatalf("expected tamper detection, got %v", err)
 	}

@@ -51,7 +51,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-26s path1 %5.1f%%  path2 %5.1f%%  split=%3d/256  tampered=%d  alerts=%d\n",
-			arm.label, 100*p1, 100*p2, s.Split, s.TamperedReads, len(s.Ctrl.Alerts()))
+			arm.label, 100*p1, 100*p2, s.Split, s.TamperedReads, s.Ctrl.AlertCount())
 	}
 	fmt.Println("\npath1 is the genuinely faster path (2 ms vs 6 ms); the adversary makes")
 	fmt.Println("it look slow. With P4Auth the controller keeps the converged split and alerts.")

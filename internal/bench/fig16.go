@@ -66,7 +66,7 @@ func Fig16() (*Report, error) {
 		rep.Rows = append(rep.Rows, []string{
 			a.label, pct(p1), pct(p2),
 			fmt.Sprintf("%d", s.TamperedReads),
-			fmt.Sprintf("%d", len(s.Ctrl.Alerts())),
+			fmt.Sprintf("%d", s.Ctrl.AlertCount()),
 		})
 	}
 	rep.Notes = append(rep.Notes,

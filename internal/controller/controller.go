@@ -201,11 +201,12 @@ type peerRef struct {
 //     once Kill has returned, no send is counted.
 //   - ailing is len(health), published under mu, so that the resilient
 //     engine asks for mu only while some switch has a failure on record.
+//   - alerts is the bounded alert ring and the exact alert counts, behind
+//     the log's own leaf lock (dos.go).
 //   - mu guards what is left, none of it on the happy path of a request:
-//     the alert list, the health records and their policy, the adjacency
-//     and link taps a relayed DP-DP leg looks up, the repair fences, the
-//     snapshot persist counter, the seed-use counts, and the copy-edit-store
-//     of cfg. The journal id is an atomic counter, so a journaled write
+//     the health records and their policy, the adjacency and link taps a
+//     relayed DP-DP leg looks up, the repair fences, the snapshot persist
+//     counter, the seed-use counts, and the copy-edit-store of cfg. The journal id is an atomic counter, so a journaled write
 //     takes no mu either.
 //
 // A fence runs without any controller lock and the Kill flag is read
@@ -216,10 +217,10 @@ type Controller struct {
 	cfg    atomic.Pointer[ctlConfig]
 	wire   wireStats
 	ailing atomic.Int32
+	alerts alertLog
 
 	mu        sync.Mutex
 	adj       map[portKey]peerRef
-	alerts    []Alert
 	healthPol HealthPolicy
 	health    map[string]*Health
 	linkTaps  map[portKey]netsim.Tap
@@ -311,6 +312,7 @@ func New(rng crypto.RandomSource) *Controller {
 		repairs:   make(map[portKey]*repairFence),
 		seedUses:  make(map[string]int),
 	}
+	c.alerts.ring = obs.NewRing[Alert](maxAlerts)
 	c.cfg.Store(&ctlConfig{retry: DefaultRetryPolicy, switches: map[string]*swHandle{}})
 	c.ob.Store(newCtlObs(obs.NewObserver(0)))
 	return c
@@ -364,13 +366,6 @@ func (c *Controller) ConnectSwitches(a string, pa int, b string, pb int, lat tim
 	c.adj[portKey{a, pa}] = peerRef{sw: b, port: pb, lat: lat}
 	c.adj[portKey{b, pb}] = peerRef{sw: a, port: pa, lat: lat}
 	return nil
-}
-
-// Alerts returns collected alerts. Safe during in-flight exchanges.
-func (c *Controller) Alerts() []Alert {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Alert(nil), c.alerts...)
 }
 
 // Stats returns traffic accounting. Safe during in-flight exchanges; the

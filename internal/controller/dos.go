@@ -3,10 +3,60 @@ package controller
 import (
 	"fmt"
 	"maps"
+	"sync"
 	"time"
 
 	"p4auth/internal/core"
+	"p4auth/internal/obs"
 )
+
+// maxAlerts bounds the alerts a controller retains for Alerts. An
+// adversary that keeps tampering keeps drawing alerts (§VIII), so keeping
+// every one would let it grow the controller's heap without limit; the
+// counts (AlertCount) stay exact past the bound.
+const maxAlerts = 1024
+
+// alertLog is the operator's record of alerts: the newest maxAlerts, and
+// exact counts of every alert ever noted, total and per switch. It has
+// its own lock, a leaf: noting an alert takes no controller lock.
+type alertLog struct {
+	mu       sync.Mutex
+	ring     obs.Ring[Alert]
+	bySwitch map[string]int
+}
+
+func (l *alertLog) note(a Alert) {
+	l.mu.Lock()
+	*l.ring.Push() = a
+	if l.bySwitch == nil {
+		l.bySwitch = make(map[string]int)
+	}
+	l.bySwitch[a.Switch]++
+	l.mu.Unlock()
+}
+
+// Alerts returns the retained alerts, the newest maxAlerts, oldest first.
+// Safe during in-flight exchanges.
+func (c *Controller) Alerts() []Alert {
+	c.alerts.mu.Lock()
+	defer c.alerts.mu.Unlock()
+	return c.alerts.ring.AppendTo(nil)
+}
+
+// AlertCount returns how many alerts the controller has noted since it
+// was created, retained by Alerts or not. Quarantine does not reset it.
+func (c *Controller) AlertCount() int {
+	c.alerts.mu.Lock()
+	defer c.alerts.mu.Unlock()
+	return int(c.alerts.ring.Total())
+}
+
+// SwitchAlertCount is AlertCount for the alerts from one switch.
+func (c *Controller) SwitchAlertCount(sw string) int {
+	c.alerts.mu.Lock()
+	defer c.alerts.mu.Unlock()
+	return c.alerts.bySwitch[sw]
+}
 
 // ResetAlertWindow zeroes a switch's data-plane alert counter with an
 // authenticated write, starting a fresh DoS-threshold window (§VIII: "set
@@ -38,15 +88,7 @@ func (c *Controller) CheckDoS(outstandingThreshold int) []DoSIndicator {
 		}
 		n := h.seq.Outstanding()
 		if n >= outstandingThreshold {
-			alerts := 0
-			c.mu.Lock()
-			for _, a := range c.alerts {
-				if a.Switch == name {
-					alerts++
-				}
-			}
-			c.mu.Unlock()
-			out = append(out, DoSIndicator{Switch: name, Outstanding: n, Alerts: alerts})
+			out = append(out, DoSIndicator{Switch: name, Outstanding: n, Alerts: c.SwitchAlertCount(name)})
 		}
 	}
 	return out

@@ -3,6 +3,7 @@ package controller
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"p4auth/internal/attacker"
@@ -193,7 +194,8 @@ const floodRequests = 100_000
 // switch's data-plane alert window before it reaches the threshold, so
 // every tampered request draws its alert. The controller must count
 // every one, per switch, and keep counting them after it quarantines a
-// switch.
+// switch, while it retains only the newest maxAlerts: its live heap may
+// not grow with the flood.
 func TestAlertFlood(t *testing.T) {
 	c, s1, s2 := twoSwitchFabric(t)
 	for _, sw := range []string{"s1", "s2"} {
@@ -218,7 +220,11 @@ func TestAlertFlood(t *testing.T) {
 	}
 	window := int(s1.Cfg.AlertThreshold) / 2
 	sent := map[string]int{}
+	var heapAt10k uint64
 	for i := 0; i < floodRequests; i++ {
+		if i == 10_000 {
+			heapAt10k = liveHeap()
+		}
 		sw := "s1"
 		if i%4 == 3 {
 			sw = "s2"
@@ -234,19 +240,41 @@ func TestAlertFlood(t *testing.T) {
 			tamper = true
 		}
 	}
+	if grown := int64(liveHeap()) - int64(heapAt10k); grown >= 64<<10 {
+		t.Errorf("live heap grew %d B from 10k to %d alerts, want under 64 KiB", grown, floodRequests)
+	}
 	if err := c.Quarantine("s2"); err != nil {
 		t.Fatal(err)
 	}
-	alerts := c.Alerts()
-	per := map[string]int{}
-	for _, a := range alerts {
-		if a.Reason != core.AlertBadDigest {
-			t.Fatalf("alert %+v, want AlertBadDigest", a)
-		}
-		per[a.Switch]++
-	}
-	if len(alerts) != floodRequests || per["s1"] != 3*floodRequests/4 || per["s2"] != floodRequests/4 {
+	if got, s1n, s2n := c.AlertCount(), c.SwitchAlertCount("s1"), c.SwitchAlertCount("s2"); got != floodRequests ||
+		s1n != 3*floodRequests/4 || s2n != floodRequests/4 {
 		t.Fatalf("%d alerts (s1 %d, s2 %d), want %d (s1 %d, s2 %d)",
-			len(alerts), per["s1"], per["s2"], floodRequests, 3*floodRequests/4, floodRequests/4)
+			got, s1n, s2n, floodRequests, 3*floodRequests/4, floodRequests/4)
 	}
+	alerts := c.Alerts()
+	if len(alerts) != maxAlerts {
+		t.Fatalf("%d alerts retained, want %d", len(alerts), maxAlerts)
+	}
+	// The window is the newest alerts, oldest first: s2 drew every fourth.
+	for j, a := range alerts {
+		wantSw := "s1"
+		if (floodRequests-maxAlerts+j)%4 == 3 {
+			wantSw = "s2"
+		}
+		if a.Reason != core.AlertBadDigest || a.Switch != wantSw {
+			t.Fatalf("retained alert %d = %+v, want AlertBadDigest from %s", j, a, wantSw)
+		}
+	}
+	if ind := c.CheckDoS(0); len(ind) != 1 || ind[0].Switch != "s1" || ind[0].Alerts != 3*floodRequests/4 {
+		t.Fatalf("CheckDoS = %+v, want s1 with %d alerts", ind, 3*floodRequests/4)
+	}
+}
+
+// liveHeap returns HeapAlloc after two forced collections.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

@@ -158,12 +158,10 @@ func (c *Controller) wireSwitchObs(h *swHandle, o *obs.Observer) {
 	h.host.SW.MirrorCounters(o.Metrics, "dp."+h.name+".")
 }
 
-// noteAlert records an alert in the operator list, the metrics, and the
-// audit log. Call WITHOUT c.mu held.
+// noteAlert records an alert in the operator's alert log, the metrics,
+// and the audit log.
 func (c *Controller) noteAlert(sw string, reason uint8, seq uint32, cause string) {
-	c.mu.Lock()
-	c.alerts = append(c.alerts, Alert{Switch: sw, Reason: reason, SeqNum: seq})
-	c.mu.Unlock()
+	c.alerts.note(Alert{Switch: sw, Reason: reason, SeqNum: seq})
 	k := c.obsv()
 	switch reason {
 	case core.AlertBadDigest:

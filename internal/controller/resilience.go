@@ -326,7 +326,6 @@ func (c *Controller) noteFailure(h *swHandle) {
 	case pol.QuarantineAfter > 0 && rec.Consecutive >= pol.QuarantineAfter:
 		if rec.State != Quarantined {
 			rec.State = Quarantined
-			c.alerts = append(c.alerts, Alert{Switch: h.name, Reason: core.AlertUnreachable})
 			entered = true
 		}
 	case pol.DegradeAfter > 0 && rec.Consecutive >= pol.DegradeAfter:
@@ -336,8 +335,8 @@ func (c *Controller) noteFailure(h *swHandle) {
 	}
 	c.mu.Unlock()
 	if entered {
+		c.noteAlert(h.name, core.AlertUnreachable, 0, "")
 		k := c.obsv()
-		k.alertUnreachable.Inc()
 		k.quarantineEnter.Inc()
 		k.audit(obs.EvQuarantineEnter, h.name, CauseConsecutiveFailures, 0, uint64(streak))
 	}

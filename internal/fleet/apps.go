@@ -59,7 +59,7 @@ func killAndRecover(old *controller.Controller, name string, host *switchos.Host
 			return nil, 0, fmt.Errorf("fleet: snapshot %s: %w", name, err)
 		}
 	}
-	oldAlerts := len(old.Alerts())
+	oldAlerts := old.AlertCount()
 	old.Kill()
 	c2 := controller.New(crypto.NewSeededRand(seed*0x9E3779B9 + 0xC0))
 	if protected {
@@ -147,7 +147,7 @@ func runNetcache(io instOpts) (instResult, error) {
 	if err != nil {
 		return instResult{}, err
 	}
-	res := instResult{score: rate, detected: s.SkippedEpochs + oldAlerts + len(s.Ctrl.Alerts()), ops: 4500}
+	res := instResult{score: rate, detected: s.SkippedEpochs + oldAlerts + s.Ctrl.AlertCount(), ops: 4500}
 	if io.attacked {
 		// Epochs that completed on deflated stats consumed forged data.
 		res.forged = s.Epochs - epochsBefore
@@ -207,7 +207,7 @@ func runFlowradar(io instOpts) (instResult, error) {
 	} else {
 		return instResult{}, err
 	}
-	res.detected = s.TamperedReads + oldAlerts + len(s.Ctrl.Alerts())
+	res.detected = s.TamperedReads + oldAlerts + s.Ctrl.AlertCount()
 	return res, nil
 }
 
@@ -250,7 +250,7 @@ func runBlink(io instOpts) (instResult, error) {
 	if err != nil {
 		return instResult{}, err
 	}
-	res := instResult{detected: s.TamperedWrites + oldAlerts + len(s.Ctrl.Alerts()), ops: blink.FailThreshold + 1}
+	res := instResult{detected: s.TamperedWrites + oldAlerts + s.Ctrl.AlertCount(), ops: blink.FailThreshold + 1}
 	if port == newBackupPort {
 		res.score = 1
 	}
@@ -317,7 +317,7 @@ func runNetwarden(io instOpts) (instResult, error) {
 	if err != nil {
 		return instResult{}, err
 	}
-	res := instResult{detected: s.TamperedOps + oldAlerts + len(s.Ctrl.Alerts()), ops: conns * 40}
+	res := instResult{detected: s.TamperedOps + oldAlerts + s.Ctrl.AlertCount(), ops: conns * 40}
 	correct := 0
 	for c := 0; c < conns; c++ {
 		v, err := s.Verdict(c)
@@ -390,7 +390,7 @@ func runSilkroad(io instOpts) (instResult, error) {
 	wrongFrac := float64(oldPool) / float64(oldPool+newPool)
 	res := instResult{
 		score:    1 - wrongFrac,
-		detected: s.TamperedWrites + oldAlerts + len(s.Ctrl.Alerts()),
+		detected: s.TamperedWrites + oldAlerts + s.Ctrl.AlertCount(),
 		ops:      140, // 20 pre-migration + 20 transit + 100 fresh connections
 	}
 	if io.attacked && wrongFrac > 0.5 {
@@ -439,7 +439,7 @@ func runRoutescout(io instOpts) (instResult, error) {
 	}
 	res := instResult{
 		score:    p1,
-		detected: s.TamperedReads + oldAlerts + len(s.Ctrl.Alerts()),
+		detected: s.TamperedReads + oldAlerts + s.Ctrl.AlertCount(),
 		ops:      uint64(len(pkts)),
 	}
 	if io.attacked && p2 > 0.60 {
@@ -508,7 +508,7 @@ func runSketch(io instOpts) (instResult, error) {
 	}
 	res := instResult{
 		score:    float64(kept) / float64(len(elephants)),
-		detected: s.SkippedEpochs + oldAlerts + len(s.Ctrl.Alerts()),
+		detected: s.SkippedEpochs + oldAlerts + s.Ctrl.AlertCount(),
 		ops:      2*60 + 40, // elephant + mouse packets
 	}
 	if io.attacked && s.Epochs > epochsBefore && kept < len(elephants) {

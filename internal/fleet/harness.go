@@ -297,7 +297,7 @@ func runFabricCell(fault string, protected bool, o Options) (Cell, string, error
 	if sent > 0 {
 		cell.Score = float64(cell.Delivered) / float64(sent)
 	}
-	cell.Detected = topo.TotalAlerts() + len(topo.Ctrl.Alerts())
+	cell.Detected = topo.TotalAlerts() + topo.Ctrl.AlertCount()
 	shares, err := topo.UplinkShares(victimEdge)
 	if err != nil {
 		return Cell{}, "", err
