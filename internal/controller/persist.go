@@ -216,14 +216,16 @@ func (c *Controller) walSettle(h *swHandle, j walIntent, errs ...error) {
 }
 
 // JournalEntries returns the journal entries persisted for a switch, in
-// ID order, each record expanded into its per-write entries. Undecodable
-// (torn) records are skipped.
+// ID order, each record expanded into its per-write entries. A record
+// that does not decode (torn), which recovery keeps and counts failed, is
+// one entry in state core.WriteTorn, with the ID its key names.
 func (c *Controller) JournalEntries(sw string) ([]core.JournalEntry, error) {
 	st := c.stateStore()
 	if st == nil {
 		return nil, errNoStore
 	}
-	keys, err := st.Keys("wal/" + sw + "/")
+	prefix := "wal/" + sw + "/"
+	keys, err := st.Keys(prefix)
 	if err != nil {
 		return nil, err
 	}
@@ -235,6 +237,10 @@ func (c *Controller) JournalEntries(sw string) ([]core.JournalEntry, error) {
 		}
 		if e, derr := core.DecodeJournalBatch(b); derr == nil {
 			out = append(out, e.Entries()...)
+		} else {
+			// walKey built k, so its suffix is the record's ID in hex.
+			id, _ := strconv.ParseUint(strings.TrimPrefix(k, prefix), 16, 64)
+			out = append(out, core.JournalEntry{ID: id, Switch: sw, State: core.WriteTorn})
 		}
 	}
 	return out, nil

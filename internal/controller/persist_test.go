@@ -282,6 +282,11 @@ func TestJournalRetiredFormatKeptAsUndecodable(t *testing.T) {
 	if got, err := store.Load(key); err != nil || string(got) != string(b) {
 		t.Fatalf("retired record not kept as it was (err %v)", err)
 	}
+	// The operator's view lists the record recovery keeps reporting.
+	entries, err := c2.JournalEntries("s1")
+	if err != nil || len(entries) != 1 || entries[0].ID != 1 || entries[0].State != core.WriteTorn {
+		t.Fatalf("JournalEntries = %+v, %v; want the record as one torn entry with ID 1", entries, err)
+	}
 }
 
 // TestSwitchWarmRebootBehindOneRollover: the switch warm-reboots from a

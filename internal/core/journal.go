@@ -35,6 +35,10 @@ const (
 	WriteApplied
 	// WriteFailed: definitively not applied, kept for the operator.
 	WriteFailed
+	// WriteTorn marks, in the operator's view only, a record that does
+	// not decode: recovery keeps it and counts it failed. It is never
+	// encoded, and a record that carries it does not decode.
+	WriteTorn
 )
 
 func (s WriteState) String() string {
@@ -45,6 +49,8 @@ func (s WriteState) String() string {
 		return "applied"
 	case WriteFailed:
 		return "failed"
+	case WriteTorn:
+		return "torn"
 	}
 	return fmt.Sprintf("WriteState(%d)", int(s))
 }
@@ -60,12 +66,13 @@ type JournalEntry struct {
 	State    WriteState
 }
 
-// Dump renders the entry for operators (p4auth-inspect journal).
+// Dump renders the entry for operators.
 func (e *JournalEntry) Dump() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "journal entry %016x  %-7s  %s: %s[%d] <- %#x",
+	if e.State == WriteTorn {
+		return fmt.Sprintf("journal entry %016x  %-7s  %s: record does not decode", e.ID, e.State, e.Switch)
+	}
+	return fmt.Sprintf("journal entry %016x  %-7s  %s: %s[%d] <- %#x",
 		e.ID, e.State, e.Switch, e.Register, e.Index, e.Value)
-	return b.String()
 }
 
 // BatchWrite is one write inside a journal record.
