@@ -505,8 +505,7 @@ func (c *Controller) PortKeyExchRemote(b string, pb int, pk1 uint64, s1 uint32, 
 	case int8(verB-ver) > 0:
 		err = &KeySkewError{A: "peer", PA: -1, B: b, PB: pb, VerA: ver, VerB: verB}
 	case verB != ver:
-		res, err = c.RealignPortSlot(b, pb, ver)
-		r.res.add(res)
+		err = r.realign(r.a, verB, ver)
 	}
 	var kx core.KxPayload
 	if err == nil {

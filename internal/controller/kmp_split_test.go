@@ -91,9 +91,24 @@ func TestPortKeyExchRemoteRealignsLaggingSlot(t *testing.T) {
 	}
 	// The split exchange must still converge: Remote sees ver=1 against
 	// its own slot at 0, realigns forward, and both end at 2.
-	want := runSplit(t, cA, cB)
-	if want != 2 {
-		t.Fatalf("post-exchange version = %d, want 2", want)
+	pk1, salt1, ver, _, err := cA.PortKeyExchOpen("s1", 1)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	pk2, salt2, res, err := cB.PortKeyExchRemote("s2", 1, pk1, salt1, ver)
+	if err != nil {
+		t.Fatalf("remote: %v", err)
+	}
+	// One pa_ver read, one realign leg, legs 3-4: a request and its
+	// answer each. The realign starts from the version already read.
+	if res.Messages != 6 {
+		t.Fatalf("remote with a lagging slot sent and received %d messages, want 6", res.Messages)
+	}
+	if _, err := cA.PortKeyExchClose("s1", 1, pk2, salt2, ver+1); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if ver+1 != 2 {
+		t.Fatalf("post-exchange version = %d, want 2", ver+1)
 	}
 	v1, _ := s1.Host.SW.RegisterRead(core.RegVer, 1)
 	v2, _ := s2.Host.SW.RegisterRead(core.RegVer, 1)
