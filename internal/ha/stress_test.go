@@ -138,9 +138,13 @@ func TestStressShardedFailover(t *testing.T) {
 		}(w)
 	}
 
-	// Mid-run: kill the active, wait out the lease, promote the standby,
-	// rebind the shard set. Workers keep hammering throughout.
-	time.Sleep(2 * time.Millisecond)
+	// Mid-run: once a write has landed, kill the active, wait out the
+	// lease, promote the standby, rebind the shard set. Workers keep
+	// hammering throughout. Under the deadline a run that lands nothing
+	// still fails below, on "no writes landed".
+	for deadline := time.Now().Add(10 * time.Second); landed.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(50 * time.Microsecond)
+	}
 	f.a.Controller().Kill()
 	clk.advance(ttl + time.Second)
 	warm, _, err := f.b.Promote(CausePromoted)
