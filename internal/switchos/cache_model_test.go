@@ -306,3 +306,153 @@ func TestClearCacheVsPacketOut(t *testing.T) {
 	}()
 	wg.Wait()
 }
+
+// fullRing is the reply ring allocated whole at its capacity, as it was
+// before it grew on use: the reference the growing ring must match hit
+// for hit.
+type fullRing struct{ entries []cachedExchange }
+
+func (r *fullRing) slot(seq uint32) *cachedExchange {
+	return &r.entries[seq%uint32(len(r.entries))]
+}
+
+func (r *fullRing) lookup(seq uint32, req []byte) ([][]byte, bool) {
+	e := r.slot(seq)
+	if !e.live || e.seq != seq || !bytes.Equal(e.req, req) {
+		return nil, false
+	}
+	return e.pins, true
+}
+
+func (r *fullRing) store(seq uint32, req []byte, pins [][]byte) {
+	e := r.slot(seq)
+	e.seq, e.live = seq, true
+	e.req = append([]byte(nil), req...)
+	e.pins = nil
+	for _, p := range pins {
+		e.pins = append(e.pins, append([]byte(nil), p...))
+	}
+}
+
+// TestGrowingCacheMatchesFullRing drives a host's reply cache, which
+// starts small and grows on use, and a ring allocated whole at the same
+// capacity with one random stream: monotone windows, jumps, numbers drawn
+// near earlier ones so that they share slots at some lengths, same-bytes
+// resends, other bytes under an answered number, re-answers, ClearCache,
+// and SetResponseCache to capacities that firstCacheSlots divides and
+// ones it does not. Every lookup answers the same.
+func TestGrowingCacheMatchesFullRing(t *testing.T) {
+	capacities := []int{DefaultResponseCacheSize, 16, 48, 64, 80, 96, 100, 256, 8, 1}
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h := &Host{}
+		var ref *fullRing
+		var capacity int
+		reset := func(c int) {
+			capacity = c
+			h.SetResponseCache(c)
+			ref = &fullRing{entries: make([]cachedExchange, c)}
+		}
+		reset(capacities[seed%int64(len(capacities))])
+		next := uint32(rng.Intn(1000))
+		hits, misses, grown := 0, 0, 0
+		for step := 0; step < 20000; step++ {
+			// Resets come often: a ring is small only until it has grown.
+			switch r := rng.Intn(200); {
+			case r == 0:
+				h.ClearCache()
+				for i := range ref.entries {
+					ref.entries[i].live = false
+				}
+				continue
+			case r == 1:
+				reset(capacities[rng.Intn(len(capacities))])
+				continue
+			case r < 4:
+				next += uint32(rng.Intn(1 << 16)) // a floor heal or a restart
+			}
+			var seq uint32
+			switch rng.Intn(5) {
+			case 0: // near an earlier number, a multiple of firstCacheSlots away
+				seq = next - uint32((1+rng.Intn(8))*firstCacheSlots) - uint32(rng.Intn(3))
+			case 1: // near one a multiple of the capacity away
+				seq = next - uint32((1+rng.Intn(2))*capacity) - uint32(rng.Intn(3))
+			case 2: // a resend inside the window
+				seq = next - uint32(rng.Intn(2*capacity+1))
+			default:
+				seq = next
+				next++
+			}
+			req := regWire(core.HdrRegister, core.MsgWriteReq, seq, uint64(rng.Intn(8)/7))
+			pins := [][]byte{regWire(core.HdrRegister, core.MsgAck, seq, uint64(rng.Intn(4)))}
+			rc := h.cache.Load()
+			want, wantHit := ref.lookup(seq, req)
+			got, gotHit := rc.lookup(seq, req)
+			if gotHit != wantHit || (gotHit && !equalPins(got, want)) {
+				t.Fatalf("seed %d step %d cap %d seq %d: growing ring hit=%v %x, full ring hit=%v %x",
+					seed, step, capacity, seq, gotHit, got, wantHit, want)
+			}
+			if gotHit {
+				hits++
+			} else {
+				misses++
+			}
+			if !gotHit || rng.Intn(8) == 0 { // remember, or re-answer: the latest answer wins
+				before := len(rc.entries)
+				rc.store(seq, req, pins)
+				ref.store(seq, req, pins)
+				if len(rc.entries) != before {
+					grown++
+				}
+			}
+			if n := len(rc.entries); n > capacity || capacity%n != 0 {
+				t.Fatalf("seed %d step %d: ring of %d slots at capacity %d", seed, step, n, capacity)
+			}
+		}
+		if hits == 0 || misses == 0 || grown == 0 {
+			t.Fatalf("seed %d: %d hits, %d misses, %d growths: the stream exercised too little", seed, hits, misses, grown)
+		}
+	}
+}
+
+// TestResponseCacheGrowsOnUse: the ring starts at firstCacheSlots where
+// that divides the capacity, doubles on the first store that would evict
+// a live entry for another number, and jumps to the whole capacity where
+// the double would not divide it.
+func TestResponseCacheGrowsOnUse(t *testing.T) {
+	ack := func(seq uint32) [][]byte { return [][]byte{regWire(core.HdrRegister, core.MsgAck, seq, 0)} }
+	for _, tc := range []struct {
+		capacity int
+		lens     []int // the lengths the ring takes, in order
+	}{
+		{DefaultResponseCacheSize, []int{16, 32, 64, 128}},
+		{48, []int{16, 48}},
+		{100, []int{100}},
+		{8, []int{8}},
+	} {
+		rc := newResponseCache(tc.capacity)
+		for seq := uint32(1); seq <= uint32(2*tc.capacity); seq++ {
+			rc.store(seq, regWire(core.HdrRegister, core.MsgWriteReq, seq, 0), ack(seq))
+			// Consecutive numbers: the ring grows once it holds as many
+			// live entries as slots.
+			want := tc.capacity
+			for _, n := range tc.lens {
+				if uint32(n) >= min(seq, uint32(tc.capacity)) {
+					want = n
+					break
+				}
+			}
+			if len(rc.entries) != want {
+				t.Fatalf("cap %d: %d slots after %d exchanges, want %d", tc.capacity, len(rc.entries), seq, want)
+			}
+		}
+	}
+	// Re-answering a remembered number is no eviction: nothing grows.
+	rc := newResponseCache(DefaultResponseCacheSize)
+	for i := 0; i < 3; i++ {
+		rc.store(5, regWire(core.HdrRegister, core.MsgWriteReq, 5, uint64(i)), ack(5))
+	}
+	if len(rc.entries) != firstCacheSlots {
+		t.Fatalf("%d slots after re-answers, want %d", len(rc.entries), firstCacheSlots)
+	}
+}

@@ -129,17 +129,50 @@ type cachedExchange struct {
 // remembered: a resend of the older one misses, re-enters the pipeline and
 // is answered by its replay defence, which costs the sender one round and
 // never a wrong answer, since a hit requires equal request bytes.
+//
+// The ring starts at firstCacheSlots and doubles, rehashing, on the first
+// store that would evict a live entry for another number, so a switch that
+// sees few exchanges holds few slots. Every length divides cap (a cap
+// firstCacheSlots does not divide is allocated whole at once): numbers
+// distinct modulo cap that share a slot force a doubling instead of an
+// eviction, and numbers equal modulo cap share a slot at every length, so
+// the ring remembers exactly what a ring of cap slots would.
 type responseCache struct {
-	mu      sync.Mutex
-	entries []cachedExchange // len == capacity
+	mu       sync.Mutex
+	entries  []cachedExchange // len divides capacity
+	capacity int
 }
 
+// firstCacheSlots is the length a response cache starts at.
+const firstCacheSlots = 16
+
 func newResponseCache(capacity int) *responseCache {
-	return &responseCache{entries: make([]cachedExchange, capacity)}
+	n := firstCacheSlots
+	if capacity%n != 0 {
+		n = capacity
+	}
+	return &responseCache{entries: make([]cachedExchange, n), capacity: capacity}
 }
 
 func (rc *responseCache) slot(seq uint32) *cachedExchange {
 	return &rc.entries[seq%uint32(len(rc.entries))]
+}
+
+// grow doubles the ring, or makes it capacity long where the double does
+// not divide capacity, and moves the live entries to their new slots; the
+// slots of evicted entries keep no buffers.
+func (rc *responseCache) grow() {
+	n := 2 * len(rc.entries)
+	if rc.capacity%n != 0 {
+		n = rc.capacity
+	}
+	entries := make([]cachedExchange, n)
+	for _, e := range rc.entries {
+		if e.live {
+			entries[e.seq%uint32(n)] = e
+		}
+	}
+	rc.entries = entries
 }
 
 // lookup returns the cached PacketIns for a byte-identical duplicate of a
@@ -168,6 +201,10 @@ func (rc *responseCache) store(seq uint32, req []byte, pins [][]byte) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	e := rc.slot(seq)
+	for e.live && e.seq != seq && len(rc.entries) < rc.capacity {
+		rc.grow()
+		e = rc.slot(seq)
+	}
 	e.seq, e.live = seq, true
 	e.req = append(e.req[:0], req...)
 	if cap(e.pins) < len(pins) {
