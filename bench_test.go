@@ -4,10 +4,13 @@ import (
 	"testing"
 	"time"
 
+	"p4auth/internal/attacker"
 	"p4auth/internal/controller"
+	"p4auth/internal/core"
 	"p4auth/internal/crypto"
 	"p4auth/internal/hula"
 	"p4auth/internal/statestore"
+	"p4auth/internal/switchos"
 )
 
 // Benchmarks of the authenticated C-DP path and the key rollovers.
@@ -18,7 +21,7 @@ import (
 // authenticatedBench builds one switch with a keyed controller and runs
 // enough writes to warm the handle scratch and the agent's response cache,
 // so the steady state (0 allocs/op) is what gets measured.
-func authenticatedBench(b *testing.B) *Controller {
+func authenticatedBench(b *testing.B) (*Controller, *Switch) {
 	sw, err := BuildSwitch(SwitchSpec{
 		Name:  "b1",
 		Ports: 4,
@@ -41,11 +44,11 @@ func authenticatedBench(b *testing.B) *Controller {
 			b.Fatal(err)
 		}
 	}
-	return c
+	return c, sw
 }
 
 func BenchmarkAuthenticatedWrite(b *testing.B) {
-	c := authenticatedBench(b)
+	c, _ := authenticatedBench(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -59,7 +62,7 @@ func BenchmarkAuthenticatedWrite(b *testing.B) {
 // benchmark: one op is one WriteRegisterBatch of 32 writes at window 32,
 // so ns/op and allocs/op are per window, not per write.
 func BenchmarkWriteRegisterBatch32(b *testing.B) {
-	c := authenticatedBench(b)
+	c, _ := authenticatedBench(b)
 	writes := make([]controller.RegWrite, 32)
 	batch := func(i int) {
 		for j := range writes {
@@ -83,7 +86,7 @@ func BenchmarkWriteRegisterBatch32(b *testing.B) {
 // journaled (EnableCrashSafety over an in-memory store): one intent saved
 // before the send and deleted after the ack, as in cdp_hostile.
 func BenchmarkDurableWrite(b *testing.B) {
-	c := authenticatedBench(b)
+	c, _ := authenticatedBench(b)
 	if err := c.EnableCrashSafety(statestore.NewMem()); err != nil {
 		b.Fatal(err)
 	}
@@ -96,10 +99,58 @@ func BenchmarkDurableWrite(b *testing.B) {
 	}
 }
 
+// BenchmarkHostileWrite is cdp_hostile's operation: a journaled write
+// under ResilientRetryPolicy while an in-stack adversary at the agent/SDK
+// boundary flips the value of every 4th request, so one write in four
+// draws an authenticated alert and is resent. The data-plane alert window
+// is reset every 128 writes, as the operator does (§VIII). It reports the
+// alerts the controller retains, which stay at the retention bound however
+// long the flood runs.
+func BenchmarkHostileWrite(b *testing.B) {
+	c, sw := authenticatedBench(b)
+	if err := c.EnableCrashSafety(statestore.NewMem()); err != nil {
+		b.Fatal(err)
+	}
+	c.SetRetryPolicy(controller.ResilientRetryPolicy())
+	seen := 0
+	mitm := &attacker.CtrlPlaneMitM{
+		RewriteMessage: func(m *core.Message, toDataPlane bool) bool {
+			if !toDataPlane || m.Reg == nil {
+				return false
+			}
+			if seen++; seen%4 != 0 {
+				return false
+			}
+			m.Reg.Value ^= 0x5A5A
+			return true
+		},
+	}
+	if err := sw.Host.Install(switchos.BoundaryAgentSDK, mitm.Hooks()); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.WriteRegister("b1", "r", uint32(i%64), uint64(i)); err != nil {
+			b.Fatal(err)
+		}
+		if i%128 == 127 {
+			if _, err := c.ResetAlertWindow("b1"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	if b.N >= 4 && c.AlertCount() == 0 {
+		b.Fatal("the adversary drew no alerts")
+	}
+	b.ReportMetric(float64(len(c.Alerts())), "alerts_retained")
+}
+
 // BenchmarkAuthenticatedRead is the other half of a cdp_serial operation:
 // the read of what BenchmarkAuthenticatedWrite wrote.
 func BenchmarkAuthenticatedRead(b *testing.B) {
-	c := authenticatedBench(b)
+	c, _ := authenticatedBench(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
