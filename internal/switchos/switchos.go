@@ -159,8 +159,9 @@ func (rc *responseCache) slot(seq uint32) *cachedExchange {
 }
 
 // grow doubles the ring, or makes it capacity long where the double does
-// not divide capacity, and moves the live entries to their new slots; the
-// slots of evicted entries keep no buffers.
+// not divide capacity, and moves the live entries to their new slots.
+// Entries that are not live (never stored, or cleared) are dropped with
+// their buffers.
 func (rc *responseCache) grow() {
 	n := 2 * len(rc.entries)
 	if rc.capacity%n != 0 {
