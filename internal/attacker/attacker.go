@@ -32,11 +32,17 @@ type CtrlPlaneMitM struct {
 	RewriteReadResult func(reg string, index uint32, value uint64) uint64
 	// RewriteMessage, when set, mutates decoded P4Auth messages crossing
 	// the stack in either direction (PacketOut down, PacketIn up);
-	// returning false leaves the message untouched.
+	// returning false leaves the message untouched. The message is valid
+	// only for the call.
 	RewriteMessage func(m *core.Message, toDataPlane bool) bool
 
 	Rewritten int // operations altered
 	Seen      int // operations observed
+
+	// buf is the decode target of every message the hooks inspect, under
+	// mu, so that looking does not allocate; RewriteMessage may not keep
+	// the message it is handed.
+	buf core.MessageBuf
 }
 
 // Hooks produces the interposition hooks to install on a switchos.Host
@@ -49,7 +55,7 @@ func (a *CtrlPlaneMitM) Hooks() *switchos.Hooks {
 		if a.RewriteMessage == nil {
 			return data
 		}
-		m, err := core.DecodeMessage(data)
+		m, err := a.buf.Decode(data)
 		if err != nil {
 			return data // not a P4Auth message; pass through
 		}
