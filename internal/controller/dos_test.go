@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 
 	"p4auth/internal/attacker"
@@ -277,4 +278,71 @@ func liveHeap() uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return ms.HeapAlloc
+}
+
+// TestAlertLogConcurrent: alerts noted from two switches' exchanges at
+// once, beside readers of the window and the counts, are all counted.
+func TestAlertLogConcurrent(t *testing.T) {
+	c, s1, s2 := twoSwitchFabric(t)
+	const perSwitch = 2000
+	var wg sync.WaitGroup
+	for _, sw := range []struct {
+		name string
+		dev  *deploy.Switch
+	}{{"s1", s1}, {"s2", s2}} {
+		if _, err := c.LocalKeyInit(sw.name); err != nil {
+			t.Fatal(err)
+		}
+		tamper := true // touched only by this switch's writer and its hooks
+		mitm := &attacker.CtrlPlaneMitM{
+			RewriteMessage: func(m *core.Message, toDataPlane bool) bool {
+				if !tamper || !toDataPlane || m.Reg == nil {
+					return false
+				}
+				m.Reg.Value ^= 1
+				return true
+			},
+		}
+		if err := sw.dev.Host.Install(switchos.BoundaryAgentSDK, mitm.Hooks()); err != nil {
+			t.Fatal(err)
+		}
+		window := int(sw.dev.Cfg.AlertThreshold) / 2
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; i <= perSwitch; i++ {
+				if _, err := c.WriteRegister(sw.name, "lat", 0, uint64(i)); !errors.Is(err, ErrTampered) {
+					t.Errorf("%s write %d: err = %v, want ErrTampered", sw.name, i, err)
+					return
+				}
+				if i%window == 0 {
+					tamper = false
+					if _, err := c.ResetAlertWindow(sw.name); err != nil {
+						t.Error(err)
+						return
+					}
+					tamper = true
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for polling := true; polling; {
+		select {
+		case <-done:
+			polling = false
+		default:
+		}
+		if n := len(c.Alerts()); n > maxAlerts {
+			t.Fatalf("%d alerts retained, over the bound %d", n, maxAlerts)
+		}
+		if per, total := c.SwitchAlertCount("s1")+c.SwitchAlertCount("s2"), c.AlertCount(); per > total {
+			t.Fatalf("per-switch counts %d exceed the total %d read after them", per, total)
+		}
+		c.CheckDoS(0)
+	}
+	if got, a, b := c.AlertCount(), c.SwitchAlertCount("s1"), c.SwitchAlertCount("s2"); got != 2*perSwitch || a != perSwitch || b != perSwitch {
+		t.Fatalf("AlertCount %d (s1 %d, s2 %d), want %d (%d each)", got, a, b, 2*perSwitch, perSwitch)
+	}
 }
