@@ -312,7 +312,6 @@ func New(rng crypto.RandomSource) *Controller {
 		repairs:   make(map[portKey]*repairFence),
 		seedUses:  make(map[string]int),
 	}
-	c.alerts.ring = obs.NewRing[Alert](maxAlerts)
 	c.cfg.Store(&ctlConfig{retry: DefaultRetryPolicy, switches: map[string]*swHandle{}})
 	c.ob.Store(newCtlObs(obs.NewObserver(0)))
 	return c

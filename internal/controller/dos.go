@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"p4auth/internal/core"
-	"p4auth/internal/obs"
 )
 
 // maxAlerts bounds the alerts a controller retains for Alerts. An
@@ -16,18 +15,32 @@ import (
 // counts (AlertCount) stay exact past the bound.
 const maxAlerts = 1024
 
+// firstAlerts is the ring length an alert log's first alert allocates.
+const firstAlerts = 16
+
 // alertLog is the operator's record of alerts: the newest maxAlerts, and
 // exact counts of every alert ever noted, total and per switch. It has
 // its own lock, a leaf: noting an alert takes no controller lock.
 type alertLog struct {
-	mu       sync.Mutex
-	ring     obs.Ring[Alert]
+	mu sync.Mutex
+	// ring holds alerts in arrival order until it first fills; it doubles
+	// then, from firstAlerts up to maxAlerts, and wraps once it is that
+	// long, as obs.AuditLog does, so a controller that sees no alerts
+	// holds none.
+	ring     []Alert
+	total    int
 	bySwitch map[string]int
 }
 
 func (l *alertLog) note(a Alert) {
 	l.mu.Lock()
-	*l.ring.Push() = a
+	if n := len(l.ring); l.total == n && n < maxAlerts {
+		ring := make([]Alert, min(max(2*n, firstAlerts), maxAlerts))
+		copy(ring, l.ring)
+		l.ring = ring
+	}
+	l.ring[l.total%len(l.ring)] = a
+	l.total++
 	if l.bySwitch == nil {
 		l.bySwitch = make(map[string]int)
 	}
@@ -38,9 +51,17 @@ func (l *alertLog) note(a Alert) {
 // Alerts returns the retained alerts, the newest maxAlerts, oldest first.
 // Safe during in-flight exchanges.
 func (c *Controller) Alerts() []Alert {
-	c.alerts.mu.Lock()
-	defer c.alerts.mu.Unlock()
-	return c.alerts.ring.AppendTo(nil)
+	l := &c.alerts
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.ring)
+	if l.total <= n {
+		return append([]Alert(nil), l.ring[:l.total]...)
+	}
+	start := l.total % n
+	out := make([]Alert, 0, n)
+	out = append(out, l.ring[start:]...)
+	return append(out, l.ring[:start]...)
 }
 
 // AlertCount returns how many alerts the controller has noted since it
@@ -48,7 +69,7 @@ func (c *Controller) Alerts() []Alert {
 func (c *Controller) AlertCount() int {
 	c.alerts.mu.Lock()
 	defer c.alerts.mu.Unlock()
-	return int(c.alerts.ring.Total())
+	return c.alerts.total
 }
 
 // SwitchAlertCount is AlertCount for the alerts from one switch.

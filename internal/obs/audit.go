@@ -124,62 +124,18 @@ type Event struct {
 // DefaultAuditCap is the ring capacity used when none is given.
 const DefaultAuditCap = 4096
 
-// firstRing is the length a Ring's first Push allocates.
+// firstRing is the ring length an audit log's first event allocates.
 const firstRing = 16
-
-// Ring holds the newest values pushed into it, up to its capacity. It
-// holds values in push order until it first fills; it doubles then, from
-// firstRing up to capacity, and wraps once it is that long, so a ring that
-// sees little use holds little. It allocates only when it doubles, never
-// once it has reached capacity. Not safe for concurrent use: its owner
-// serializes access.
-type Ring[T any] struct {
-	buf      []T
-	capacity int
-	total    uint64 // values ever pushed
-}
-
-// NewRing returns an empty ring holding at most n values (n > 0). It
-// allocates nothing until the first Push.
-func NewRing[T any](n int) Ring[T] {
-	return Ring[T]{capacity: n}
-}
-
-// Push returns the slot of the newest value, which the caller overwrites
-// whole: once the ring wraps, the slot still holds the value it evicts.
-func (r *Ring[T]) Push() *T {
-	if n := len(r.buf); r.total == uint64(n) && n < r.capacity {
-		buf := make([]T, min(max(2*n, firstRing), r.capacity))
-		copy(buf, r.buf)
-		r.buf = buf
-	}
-	slot := &r.buf[r.total%uint64(len(r.buf))]
-	r.total++
-	return slot
-}
-
-// Len returns the number of values retained.
-func (r *Ring[T]) Len() int {
-	return int(min(r.total, uint64(len(r.buf))))
-}
-
-// Total returns the number of values ever pushed.
-func (r *Ring[T]) Total() uint64 { return r.total }
-
-// AppendTo appends the retained values to dst, oldest first.
-func (r *Ring[T]) AppendTo(dst []T) []T {
-	n := uint64(len(r.buf))
-	if r.total <= n {
-		return append(dst, r.buf[:r.total]...)
-	}
-	start := r.total % n
-	return append(append(dst, r.buf[start:]...), r.buf[:start]...)
-}
 
 // AuditLog is a bounded ring of events.
 type AuditLog struct {
-	mu   sync.Mutex
-	ring Ring[Event]
+	mu sync.Mutex
+	// ring holds events in append order until it first fills; it doubles
+	// then, up to capacity, and wraps once it is that long.
+	ring     []Event
+	capacity int
+	next     uint64 // total events ever appended
+	evicted  uint64 // events overwritten by ring wrap
 }
 
 // NewAuditLog returns a ring holding the last n events (DefaultAuditCap
@@ -188,7 +144,7 @@ func NewAuditLog(n int) *AuditLog {
 	if n <= 0 {
 		n = DefaultAuditCap
 	}
-	return &AuditLog{ring: NewRing[Event](n)}
+	return &AuditLog{capacity: n}
 }
 
 // Append records an event, copying it into a ring slot. It allocates
@@ -196,8 +152,17 @@ func NewAuditLog(n int) *AuditLog {
 // Safe for concurrent use.
 func (l *AuditLog) Append(t EventType, actor, cause string, seq uint32, value uint64) {
 	l.mu.Lock()
-	slot := l.ring.Push()
-	slot.ID = l.ring.Total()
+	if n := len(l.ring); l.next == uint64(n) && n < l.capacity {
+		ring := make([]Event, min(max(2*n, firstRing), l.capacity))
+		copy(ring, l.ring)
+		l.ring = ring
+	}
+	slot := &l.ring[l.next%uint64(len(l.ring))]
+	if l.next >= uint64(len(l.ring)) {
+		l.evicted++
+	}
+	l.next++
+	slot.ID = l.next
 	slot.Type = t
 	slot.Actor = actor
 	slot.Cause = cause
@@ -210,28 +175,41 @@ func (l *AuditLog) Append(t EventType, actor, cause string, seq uint32, value ui
 func (l *AuditLog) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.ring.Len()
+	if l.next < uint64(len(l.ring)) {
+		return int(l.next)
+	}
+	return len(l.ring)
 }
 
 // Total returns the number of events ever appended.
 func (l *AuditLog) Total() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.ring.Total()
+	return l.next
 }
 
 // Evicted returns how many events were lost to ring wrap.
 func (l *AuditLog) Evicted() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.ring.Total() - uint64(l.ring.Len())
+	return l.evicted
 }
 
 // Events returns the retained events oldest-first. Cold path.
 func (l *AuditLog) Events() []Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.ring.AppendTo(make([]Event, 0, l.ring.Len()))
+	n := len(l.ring)
+	if l.next <= uint64(n) {
+		out := make([]Event, l.next)
+		copy(out, l.ring[:l.next])
+		return out
+	}
+	out := make([]Event, 0, n)
+	start := l.next % uint64(n)
+	out = append(out, l.ring[start:]...)
+	out = append(out, l.ring[:start]...)
+	return out
 }
 
 // ByType returns retained events of one type, oldest-first.

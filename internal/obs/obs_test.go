@@ -225,14 +225,14 @@ func TestConcurrentUpdates(t *testing.T) {
 // order are those of a ring allocated at capacity.
 func TestAuditLogGrowsWithUse(t *testing.T) {
 	l := NewAuditLog(40)
-	if len(l.ring.buf) != 0 || l.Len() != 0 || len(l.Events()) != 0 {
-		t.Fatalf("fresh log: ring %d, len %d", len(l.ring.buf), l.Len())
+	if len(l.ring) != 0 || l.Len() != 0 || len(l.Events()) != 0 {
+		t.Fatalf("fresh log: ring %d, len %d", len(l.ring), l.Len())
 	}
 	for i := 1; i <= 100; i++ {
 		l.Append(EvWALSettle, "s1", "applied", uint32(i), uint64(i))
 		want := min(max(firstRing, 1<<bits.Len(uint(i-1))), 40)
-		if len(l.ring.buf) != want {
-			t.Fatalf("after %d events: ring %d, want %d", i, len(l.ring.buf), want)
+		if len(l.ring) != want {
+			t.Fatalf("after %d events: ring %d, want %d", i, len(l.ring), want)
 		}
 		if l.Len() != min(i, 40) || l.Evicted() != uint64(max(i-40, 0)) {
 			t.Fatalf("after %d events: len %d evicted %d", i, l.Len(), l.Evicted())
