@@ -206,8 +206,9 @@ type peerRef struct {
 //   - mu guards what is left, none of it on the happy path of a request:
 //     the health records and their policy, the adjacency and link taps a
 //     relayed DP-DP leg looks up, the repair fences, the snapshot persist
-//     counter, the seed-use counts, and the copy-edit-store of cfg. The journal id is an atomic counter, so a journaled write
-//     takes no mu either.
+//     counter, the seed-use counts, and the copy-edit-store of cfg. The
+//     journal id is an atomic counter, so a journaled write takes no mu
+//     either.
 //
 // A fence runs without any controller lock and the Kill flag is read
 // again after it, so both still take effect on the next send.
