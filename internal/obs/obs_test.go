@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -275,5 +276,100 @@ func TestUpdatePathAllocBudget(t *testing.T) {
 	})
 	if got > 0 {
 		t.Errorf("update path: %.1f allocs/op, budget 0", got)
+	}
+}
+
+// auditModel is the reference the ring is checked against: every event
+// ever appended, in a plain slice, with the ring's retention and eviction
+// rules applied on read.
+type auditModel struct {
+	capacity int
+	all      []Event
+}
+
+func (m *auditModel) append(t EventType, actor, cause string, seq uint32, value uint64) {
+	m.all = append(m.all, Event{ID: uint64(len(m.all) + 1), Type: t, Actor: actor, Cause: cause, Seq: seq, Value: value})
+}
+
+func (m *auditModel) evicted() uint64 { return uint64(max(len(m.all)-m.capacity, 0)) }
+
+func (m *auditModel) events() []Event { return m.all[m.evicted():] }
+
+func (m *auditModel) byType(t EventType) []Event {
+	var out []Event
+	for _, e := range m.events() {
+		if e.Type == t {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+func (m *auditModel) dump() string {
+	var b strings.Builder
+	if ev := m.evicted(); ev > 0 {
+		fmt.Fprintf(&b, "… %d earlier events evicted\n", ev)
+	}
+	for _, e := range m.events() {
+		fmt.Fprintf(&b, "#%-6d %-18s actor=%-8s seq=%-10d value=%-12d cause=%s\n",
+			e.ID, e.Type, e.Actor, e.Seq, e.Value, e.Cause)
+	}
+	return b.String()
+}
+
+// TestAuditLogMatchesReference drives the ring and the plain-slice model
+// with the same random appends, across capacities that wrap before,
+// at and after the ring's growth steps and with 1 to 8 actor and 1 to 4
+// cause names ("" among them), and compares every reader after each
+// step. Names reach the log as fresh copies now and then, so the log may
+// rely on a name's value, never on its address.
+func TestAuditLogMatchesReference(t *testing.T) {
+	actorPool := []string{"s1", "s2", "", "s03", "pod1", "r0", "link:s1-s2", "global-0"}
+	causePool := []string{"", "applied", "stale-seq", "enter"}
+	types := []EventType{EvDigestMismatch, EvReplayRejected, EvWALSettle, EvLinkState, EvWANDegraded}
+	cases := []struct{ capacity, actors, causes int }{
+		{1, 1, 1}, {1, 8, 4},
+		{3, 1, 2}, {3, 8, 4},
+		{16, 3, 1}, {16, 8, 4},
+		{17, 2, 3}, {17, 8, 4},
+		{4096, 8, 4},
+	}
+	for ci, tc := range cases {
+		rng := rand.New(rand.NewSource(int64(ci + 1)))
+		l := NewAuditLog(tc.capacity)
+		m := &auditModel{capacity: tc.capacity}
+		steps := 3*tc.capacity + 5
+		for i := 1; i <= steps; i++ {
+			typ := types[rng.Intn(len(types))]
+			actor := actorPool[rng.Intn(tc.actors)]
+			cause := causePool[rng.Intn(tc.causes)]
+			seq, value := rng.Uint32(), rng.Uint64()
+			m.append(typ, actor, cause, seq, value)
+			if rng.Intn(4) == 0 {
+				actor, cause = strings.Clone(actor), strings.Clone(cause)
+			}
+			l.Append(typ, actor, cause, seq, value)
+
+			if l.Len() != len(m.events()) || l.Total() != uint64(len(m.all)) || l.Evicted() != m.evicted() {
+				t.Fatalf("cap %d step %d: len %d total %d evicted %d, want %d %d %d", tc.capacity, i,
+					l.Len(), l.Total(), l.Evicted(), len(m.events()), len(m.all), m.evicted())
+			}
+			// Every step of the small rings; around each growth and
+			// wrap of the large one, and every 499th step between.
+			if tc.capacity > 64 && i%499 != 0 && bits.OnesCount(uint(i-1)) > 1 && bits.OnesCount(uint(i)) > 1 && i != steps {
+				continue
+			}
+			if got, want := l.Events(), m.events(); !slices.Equal(got, want) {
+				t.Fatalf("cap %d step %d: Events differ\n got %v\nwant %v", tc.capacity, i, got, want)
+			}
+			for _, ty := range types {
+				if got, want := l.ByType(ty), m.byType(ty); !slices.Equal(got, want) {
+					t.Fatalf("cap %d step %d: ByType(%s) differ\n got %v\nwant %v", tc.capacity, i, ty, got, want)
+				}
+			}
+			if got, want := l.Dump(), m.dump(); got != want {
+				t.Fatalf("cap %d step %d: Dump differs\n got %q\nwant %q", tc.capacity, i, got, want)
+			}
+		}
 	}
 }
