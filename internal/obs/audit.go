@@ -197,19 +197,26 @@ func (l *AuditLog) Evicted() uint64 {
 
 // Events returns the retained events oldest-first. Cold path.
 func (l *AuditLog) Events() []Event {
+	events, _ := l.snapshot()
+	return events
+}
+
+// snapshot returns the retained events oldest-first and the eviction
+// count, both read under one hold of the lock.
+func (l *AuditLog) snapshot() ([]Event, uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := len(l.ring)
 	if l.next <= uint64(n) {
 		out := make([]Event, l.next)
 		copy(out, l.ring[:l.next])
-		return out
+		return out, l.evicted
 	}
 	out := make([]Event, 0, n)
 	start := l.next % uint64(n)
 	out = append(out, l.ring[start:]...)
 	out = append(out, l.ring[:start]...)
-	return out
+	return out, l.evicted
 }
 
 // ByType returns retained events of one type, oldest-first.
@@ -224,13 +231,15 @@ func (l *AuditLog) ByType(t EventType) []Event {
 	return out
 }
 
-// Dump renders the retained events as one line each, oldest-first.
+// Dump renders the retained events as one line each, oldest-first,
+// under a header counting the evicted ones; both describe one instant.
 func (l *AuditLog) Dump() string {
+	events, evicted := l.snapshot()
 	var b strings.Builder
-	if ev := l.Evicted(); ev > 0 {
-		fmt.Fprintf(&b, "… %d earlier events evicted\n", ev)
+	if evicted > 0 {
+		fmt.Fprintf(&b, "… %d earlier events evicted\n", evicted)
 	}
-	for _, e := range l.Events() {
+	for _, e := range events {
 		fmt.Fprintf(&b, "#%-6d %-18s actor=%-8s seq=%-10d value=%-12d cause=%s\n",
 			e.ID, e.Type, e.Actor, e.Seq, e.Value, e.Cause)
 	}

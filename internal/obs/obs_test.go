@@ -373,3 +373,44 @@ func TestAuditLogMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestAuditLogDumpOneInstant: Dump's eviction header and its listing
+// describe one instant, so beside a concurrent appender the first listed
+// event is always the one after the last evicted.
+func TestAuditLogDumpOneInstant(t *testing.T) {
+	l := NewAuditLog(4)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := uint32(0); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			l.Append(EvWALSettle, "s1", "applied", i, 0)
+		}
+	}()
+	defer func() { close(stop); wg.Wait() }()
+	for i := 0; i < 5000; i++ {
+		d := l.Dump()
+		var evicted, first uint64
+		switch {
+		case d == "":
+			continue
+		case strings.HasPrefix(d, "…"):
+			if _, err := fmt.Sscanf(d, "… %d earlier events evicted\n#%d", &evicted, &first); err != nil {
+				t.Fatalf("dump %d: %v\n%s", i, err, d)
+			}
+		default:
+			if _, err := fmt.Sscanf(d, "#%d", &first); err != nil {
+				t.Fatalf("dump %d: %v\n%s", i, err, d)
+			}
+		}
+		if first != evicted+1 {
+			t.Fatalf("dump %d: %d evicted but the first listed event is #%d\n%s", i, evicted, first, d)
+		}
+	}
+}
