@@ -414,3 +414,18 @@ func TestAuditLogDumpOneInstant(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkAuditAppend times Append on a full default-capacity ring
+// whose names are all known: three actors in turn and one cause.
+func BenchmarkAuditAppend(b *testing.B) {
+	l := NewAuditLog(0)
+	actors := [...]string{"s1", "s2", "s3"}
+	for i := 0; i < DefaultAuditCap; i++ {
+		l.Append(EvReplayRejected, actors[i%3], "stale-seq", uint32(i), 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Append(EvReplayRejected, actors[i%3], "stale-seq", uint32(i), uint64(i))
+	}
+}

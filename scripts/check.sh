@@ -80,7 +80,7 @@ c fuzz-smoke ./scripts/fuzz_smoke.sh
 # fat tree and the bring-up of kmp_rollover's two-switch fixture, with
 # allocs/op printed: a reintroduced per-packet name
 # lookup or per-hop allocation shows here without the 15 s benchmark.
-c bench-smoke go test -bench='BenchmarkAuthenticatedWrite|BenchmarkWriteRegisterBatch32|BenchmarkDurableWrite|BenchmarkHostileWrite|BenchmarkAuthenticatedRead|BenchmarkLocalKeyRollover|BenchmarkPortKeyRollover|BenchmarkProcessP4Auth|BenchmarkFabricHop|BenchmarkSwitchProbeBatch32|BenchmarkDigesters|BenchmarkBuildFatTree|BenchmarkBringUpRollover' -benchtime=10x -run '^$' -short . ./internal/pisa/ ./internal/netsim/ ./internal/hula/ ./internal/crypto/ ./internal/fleet/
+c bench-smoke go test -bench='BenchmarkAuthenticatedWrite|BenchmarkWriteRegisterBatch32|BenchmarkDurableWrite|BenchmarkHostileWrite|BenchmarkAuthenticatedRead|BenchmarkLocalKeyRollover|BenchmarkPortKeyRollover|BenchmarkProcessP4Auth|BenchmarkFabricHop|BenchmarkSwitchProbeBatch32|BenchmarkDigesters|BenchmarkBuildFatTree|BenchmarkBringUpRollover|BenchmarkAuditAppend' -benchtime=10x -run '^$' -short . ./internal/pisa/ ./internal/netsim/ ./internal/hula/ ./internal/crypto/ ./internal/fleet/ ./internal/obs/
 EOF
 }
 
