@@ -1,14 +1,18 @@
 package obs
 
 // Bounded ring-buffer audit log of structured security events. Append
-// copies a fixed-size Event into a ring slot under a mutex, with no
-// formatting. The ring grows with use, doubling up to its capacity, so a
-// log that records little holds little; once it is full, Append never
-// allocates. String fields must be constants or strings that already
-// exist (switch names, cause labels) — never built with fmt on the hot
-// path. When the full ring wraps, the oldest events are overwritten and
-// counted as evicted, so readers can tell a complete log from a truncated
-// one.
+// stores an event in a 24-byte ring slot under a mutex, with no
+// formatting. A slot holds no pointers: the event's ID follows from its
+// position in append order, and its actor and cause are indexes into the
+// log's name table, which keeps each distinct name once. So a full ring of
+// DefaultAuditCap events is 96 KiB the collector never scans. The ring
+// grows with use, doubling up to its capacity, so a log that records
+// little holds little. Once it is full, Append allocates only for a name
+// the log has not seen. Actor and cause must therefore come from a bounded
+// set: constants, or names that already exist (switches, replicas, pods,
+// links) — never built with fmt on the hot path. When the full ring
+// wraps, the oldest events are overwritten and counted as evicted, so
+// readers can tell a complete log from a truncated one.
 
 import (
 	"fmt"
@@ -110,8 +114,7 @@ func (t EventType) String() string {
 	return "unknown"
 }
 
-// Event is one audit record. All fields are fixed-size; Actor and Cause
-// are string headers pointing at pre-existing constants.
+// Event is one audit record as the log's readers see it.
 type Event struct {
 	ID    uint64    `json:"id"`    // monotone sequence number, 1-based
 	Type  EventType `json:"type"`  // what happened
@@ -127,15 +130,28 @@ const DefaultAuditCap = 4096
 // firstRing is the ring length an audit log's first event allocates.
 const firstRing = 16
 
+// slot is an Event as the ring stores it, without its ID and with its
+// actor and cause as name-table indexes.
+type slot struct {
+	value        uint64
+	seq          uint32
+	actor, cause uint32
+	typ          EventType
+}
+
 // AuditLog is a bounded ring of events.
 type AuditLog struct {
 	mu sync.Mutex
 	// ring holds events in append order until it first fills; it doubles
-	// then, up to capacity, and wraps once it is that long.
-	ring     []Event
+	// then, up to capacity, and wraps once it is that long. Event i
+	// (0-based, ID i+1) is always in ring[i%len(ring)].
+	ring     []slot
 	capacity int
 	next     uint64 // total events ever appended
-	evicted  uint64 // events overwritten by ring wrap
+	// names holds every actor and cause the log has seen, once each, and
+	// index maps each back to its position; names[0] is "".
+	names []string
+	index map[string]uint32
 }
 
 // NewAuditLog returns a ring holding the last n events (DefaultAuditCap
@@ -147,38 +163,54 @@ func NewAuditLog(n int) *AuditLog {
 	return &AuditLog{capacity: n}
 }
 
-// Append records an event, copying it into a ring slot. It allocates
-// only when the ring doubles, never once the ring has reached capacity.
+// Append records an event in a ring slot. It allocates only when the
+// ring doubles or on an actor or cause the log has not seen before.
 // Safe for concurrent use.
 func (l *AuditLog) Append(t EventType, actor, cause string, seq uint32, value uint64) {
 	l.mu.Lock()
 	if n := len(l.ring); l.next == uint64(n) && n < l.capacity {
-		ring := make([]Event, min(max(2*n, firstRing), l.capacity))
+		if n == 0 {
+			l.names, l.index = []string{""}, make(map[string]uint32)
+		}
+		ring := make([]slot, min(max(2*n, firstRing), l.capacity))
 		copy(ring, l.ring)
 		l.ring = ring
 	}
-	slot := &l.ring[l.next%uint64(len(l.ring))]
-	if l.next >= uint64(len(l.ring)) {
-		l.evicted++
-	}
+	// The previous event's names are tried before the map: a log's
+	// events mostly repeat their neighbour's actor and cause.
+	n := uint64(len(l.ring))
+	prev := l.ring[(l.next+n-1)%n]
+	l.ring[l.next%n] = slot{value: value, seq: seq, actor: l.intern(actor, prev.actor), cause: l.intern(cause, prev.cause), typ: t}
 	l.next++
-	slot.ID = l.next
-	slot.Type = t
-	slot.Actor = actor
-	slot.Cause = cause
-	slot.Seq = seq
-	slot.Value = value
 	l.mu.Unlock()
 }
+
+// intern returns name's index in the name table, adding it on first
+// sight; hint is an index to try first. Called with l.mu held.
+func (l *AuditLog) intern(name string, hint uint32) uint32 {
+	if l.names[hint] == name {
+		return hint
+	}
+	if name == "" {
+		return 0
+	}
+	if i, ok := l.index[name]; ok {
+		return i
+	}
+	i := uint32(len(l.names))
+	l.names = append(l.names, name)
+	l.index[name] = i
+	return i
+}
+
+// retained returns how many events the ring holds. Called with l.mu held.
+func (l *AuditLog) retained() uint64 { return min(l.next, uint64(len(l.ring))) }
 
 // Len returns the number of events currently retained.
 func (l *AuditLog) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.next < uint64(len(l.ring)) {
-		return int(l.next)
-	}
-	return len(l.ring)
+	return int(l.retained())
 }
 
 // Total returns the number of events ever appended.
@@ -192,7 +224,7 @@ func (l *AuditLog) Total() uint64 {
 func (l *AuditLog) Evicted() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.evicted
+	return l.next - l.retained()
 }
 
 // Events returns the retained events oldest-first. Cold path.
@@ -206,17 +238,13 @@ func (l *AuditLog) Events() []Event {
 func (l *AuditLog) snapshot() ([]Event, uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := len(l.ring)
-	if l.next <= uint64(n) {
-		out := make([]Event, l.next)
-		copy(out, l.ring[:l.next])
-		return out, l.evicted
+	evicted := l.next - l.retained()
+	out := make([]Event, 0, l.next-evicted)
+	for i := evicted; i < l.next; i++ {
+		s := &l.ring[i%uint64(len(l.ring))]
+		out = append(out, Event{ID: i + 1, Type: s.typ, Actor: l.names[s.actor], Cause: l.names[s.cause], Seq: s.seq, Value: s.value})
 	}
-	out := make([]Event, 0, n)
-	start := l.next % uint64(n)
-	out = append(out, l.ring[start:]...)
-	out = append(out, l.ring[:start]...)
-	return out, l.evicted
+	return out, evicted
 }
 
 // ByType returns retained events of one type, oldest-first.

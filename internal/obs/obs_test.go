@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -247,8 +248,10 @@ func TestAuditLogGrowsWithUse(t *testing.T) {
 }
 
 // TestUpdatePathAllocBudget pins the contract the hot paths rely on: once
-// instruments are resolved, Inc/Add/Set/Observe and AuditLog.Append do
-// not allocate.
+// instruments are resolved, Inc/Add/Set/Observe do not allocate, and
+// AuditLog.Append allocates only when its ring doubles or on an actor or
+// cause the log has not seen, so not at all once the ring is full and its
+// names are known.
 func TestUpdatePathAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are not stable under -race")
@@ -259,7 +262,7 @@ func TestUpdatePathAllocBudget(t *testing.T) {
 	h := r.Histogram("hot")
 	l := NewAuditLog(64)
 	const actor, cause = "s1", "stale-seq"
-	for i := 0; i < 64; i++ { // warm up; fills the audit ring
+	for i := 0; i < 64; i++ { // warm up; fills the audit ring, learns the names
 		c.Inc()
 		g.Set(uint64(i))
 		h.Observe(uint64(i))
@@ -277,6 +280,32 @@ func TestUpdatePathAllocBudget(t *testing.T) {
 	if got > 0 {
 		t.Errorf("update path: %.1f allocs/op, budget 0", got)
 	}
+}
+
+// TestAuditLogRetainedBytes bounds what a full default ring keeps alive:
+// 24-byte slots and one name table, not 64-byte events.
+func TestAuditLogRetainedBytes(t *testing.T) {
+	actors := [...]string{"s1", "s2", "s3", "s4", "pod1", "pod2", "r0", "r1"}
+	causes := [...]string{"applied", "failed", "stale-seq", "bad-digest"}
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	l := NewAuditLog(0)
+	fresh := heap()
+	for i := 0; i < 25*DefaultAuditCap; i++ {
+		l.Append(EvWALSettle, actors[i%len(actors)], causes[i%len(causes)], uint32(i), uint64(i))
+	}
+	if grown := heap() - fresh; grown >= 112<<10 {
+		t.Errorf("a full ring keeps %d KiB alive, want under 112 KiB", grown>>10)
+	}
+	if len(l.names) != 1+len(actors)+len(causes) {
+		t.Errorf("name table holds %d names, want %d", len(l.names), 1+len(actors)+len(causes))
+	}
+	runtime.KeepAlive(l)
 }
 
 // auditModel is the reference the ring is checked against: every event
