@@ -108,22 +108,35 @@ func (r *Recorder) AuditReconciled(label string, ob *obs.Observer) {
 		r.Violatef("%s: audit ring evicted %d events", label, n)
 		return
 	}
-	for _, row := range auditTable {
-		var counted, audited uint64
+	// One read of the ring: each event is checked for a cause once and
+	// counted in every row it matches.
+	audited := make([]uint64, len(auditTable))
+	for _, e := range ob.Audit.Events() {
+		listed := false
+		for i, row := range auditTable {
+			if row.event != e.Type {
+				continue
+			}
+			listed = true
+			if row.cause == "" || e.Cause == row.cause {
+				audited[i]++
+			}
+		}
+		if listed && e.Cause == "" {
+			r.Violatef("%s: audit event #%d (%s on %s) names no cause", label, e.ID, e.Type, e.Actor)
+		}
+	}
+	for i, row := range auditTable {
+		if row.counters == nil {
+			continue
+		}
+		var counted uint64
 		for _, name := range row.counters {
 			counted += ob.Metrics.Counter(name).Load()
 		}
-		for _, e := range ob.Audit.ByType(row.event) {
-			if e.Cause == "" {
-				r.Violatef("%s: audit event #%d (%s on %s) names no cause", label, e.ID, e.Type, e.Actor)
-			}
-			if row.cause == "" || e.Cause == row.cause {
-				audited++
-			}
-		}
-		if row.counters != nil && counted != audited {
+		if counted != audited[i] {
 			r.Violatef("%s: %s counted %d but %d %s audit events (cause %q) explain it",
-				label, strings.Join(row.counters, "+"), counted, audited, row.event, row.cause)
+				label, strings.Join(row.counters, "+"), counted, audited[i], row.event, row.cause)
 		}
 	}
 }

@@ -202,6 +202,11 @@ func TestInvariantsBite(t *testing.T) {
 			b.ob.Metrics.Counter("ctl.write_dropped").Inc()
 			b.AuditReconciled("breach", b.ob)
 		}},
+		{"AuditReconciledCause", func(t *testing.T, b *bitten) {
+			// An event that names no cause, of a type three rows share.
+			b.ob.Audit.Append(obs.EvWANDegraded, "pod1", "", 0, 0)
+			b.AuditReconciled("breach", b.ob)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
