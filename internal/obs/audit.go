@@ -170,7 +170,7 @@ func (l *AuditLog) Append(t EventType, actor, cause string, seq uint32, value ui
 	l.mu.Lock()
 	if n := len(l.ring); l.next == uint64(n) && n < l.capacity {
 		if n == 0 {
-			l.names, l.index = []string{""}, make(map[string]uint32)
+			l.names, l.index = []string{""}, map[string]uint32{"": 0}
 		}
 		ring := make([]slot, min(max(2*n, firstRing), l.capacity))
 		copy(ring, l.ring)
@@ -190,9 +190,6 @@ func (l *AuditLog) Append(t EventType, actor, cause string, seq uint32, value ui
 func (l *AuditLog) intern(name string, hint uint32) uint32 {
 	if l.names[hint] == name {
 		return hint
-	}
-	if name == "" {
-		return 0
 	}
 	if i, ok := l.index[name]; ok {
 		return i
