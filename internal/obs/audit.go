@@ -176,21 +176,14 @@ func (l *AuditLog) Append(t EventType, actor, cause string, seq uint32, value ui
 		copy(ring, l.ring)
 		l.ring = ring
 	}
-	// The previous event's names are tried before the map: a log's
-	// events mostly repeat their neighbour's actor and cause.
-	n := uint64(len(l.ring))
-	prev := l.ring[(l.next+n-1)%n]
-	l.ring[l.next%n] = slot{value: value, seq: seq, actor: l.intern(actor, prev.actor), cause: l.intern(cause, prev.cause), typ: t}
+	l.ring[l.next%uint64(len(l.ring))] = slot{value: value, seq: seq, actor: l.intern(actor), cause: l.intern(cause), typ: t}
 	l.next++
 	l.mu.Unlock()
 }
 
 // intern returns name's index in the name table, adding it on first
-// sight; hint is an index to try first. Called with l.mu held.
-func (l *AuditLog) intern(name string, hint uint32) uint32 {
-	if l.names[hint] == name {
-		return hint
-	}
+// sight. Called with l.mu held.
+func (l *AuditLog) intern(name string) uint32 {
 	if i, ok := l.index[name]; ok {
 		return i
 	}
