@@ -14,7 +14,6 @@
 package attacker
 
 import (
-	"encoding/binary"
 	"sync"
 
 	"p4auth/internal/core"
@@ -143,20 +142,6 @@ func (a *LinkMitM) Tap() netsim.Tap {
 		}
 		a.Rewritten++
 		return out
-	}
-}
-
-// ProbeUtilRewriter builds a LinkMitM rewrite that forges the utilization
-// field in HULA-style probes (HdrFeedback aux bodies). The utilization is
-// assumed to be the big-endian 32-bit field at byte offset utilOffset of
-// the aux body.
-func ProbeUtilRewriter(utilOffset int, forged uint32) func(*core.Message) bool {
-	return func(m *core.Message) bool {
-		if m.HdrType != core.HdrFeedback || len(m.Aux) < utilOffset+4 {
-			return false
-		}
-		binary.BigEndian.PutUint32(m.Aux[utilOffset:], forged)
-		return true
 	}
 }
 

@@ -109,28 +109,6 @@ func TestCtrlPlaneMitMReadResultRewrite(t *testing.T) {
 	}
 }
 
-func TestProbeUtilRewriter(t *testing.T) {
-	aux := []byte{0x00, 0x05, 0x00, 0x00, 0x01, 0x00} // dst=5, util=256
-	m := &core.Message{Header: core.Header{HdrType: core.HdrFeedback}, Aux: aux}
-	rw := ProbeUtilRewriter(2, 7)
-	if !rw(m) {
-		t.Fatal("rewriter should hit feedback messages")
-	}
-	if m.Aux[2] != 0 || m.Aux[3] != 0 || m.Aux[4] != 0 || m.Aux[5] != 7 {
-		t.Fatalf("util bytes = % x", m.Aux[2:6])
-	}
-	// Non-feedback untouched.
-	reg := &core.Message{Header: core.Header{HdrType: core.HdrRegister}, Reg: &core.RegPayload{}}
-	if rw(reg) {
-		t.Fatal("rewriter must skip register messages")
-	}
-	// Short aux untouched.
-	short := &core.Message{Header: core.Header{HdrType: core.HdrFeedback}, Aux: []byte{1, 2}}
-	if rw(short) {
-		t.Fatal("rewriter must skip short bodies")
-	}
-}
-
 func TestLinkMitMTapRewritesOnlyP4Auth(t *testing.T) {
 	mitm := &LinkMitM{
 		Rewrite: func(m *core.Message) bool {

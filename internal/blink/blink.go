@@ -36,8 +36,7 @@ const FailThreshold = 8
 
 // Params configures the system.
 type Params struct {
-	Prefixes int
-	Secure   bool
+	Secure bool
 	// Name identifies the switch at its controller; empty means the
 	// historical "edge". Fleet deployments run one instance per pod and
 	// need distinct names within a shared controller namespace.
@@ -55,8 +54,11 @@ func (p Params) name() string {
 	return p.Name
 }
 
-// DefaultParams tracks a small prefix table.
-func DefaultParams(secure bool) Params { return Params{Prefixes: 16, Secure: secure} }
+// prefixes is the size of the small prefix table a system tracks.
+const prefixes = 16
+
+// DefaultParams configures a system.
+func DefaultParams(secure bool) Params { return Params{Secure: secure} }
 
 // System is a running Blink deployment.
 type System struct {
@@ -93,10 +95,10 @@ func buildProgram(p Params) (*pisa.Program, core.Config, error) {
 			{Name: "bl_nh", Width: 16},
 		},
 		Registers: []*pisa.RegisterDef{
-			{Name: RegPrimary, Width: 16, Entries: p.Prefixes},
-			{Name: RegBackup, Width: 16, Entries: p.Prefixes},
-			{Name: RegEvidence, Width: 32, Entries: p.Prefixes},
-			{Name: RegFailed, Width: 8, Entries: p.Prefixes},
+			{Name: RegPrimary, Width: 16, Entries: prefixes},
+			{Name: RegBackup, Width: 16, Entries: prefixes},
+			{Name: RegEvidence, Width: 32, Entries: prefixes},
+			{Name: RegFailed, Width: 8, Entries: prefixes},
 		},
 	}
 	m := func(f string) pisa.FieldRef { return pisa.F(pisa.MetaHeader, f) }
@@ -148,7 +150,7 @@ func New(p Params, primary, backup uint64) (*System, error) {
 		return nil, err
 	}
 	host := switchos.NewHost(p.name(), sw, switchos.DefaultCosts())
-	ctrl := controller.New(crypto.NewSeededRand(0xB118+p.Seed))
+	ctrl := controller.New(crypto.NewSeededRand(0xB118 + p.Seed))
 	if err := ctrl.Register(p.name(), host, cfg, 0); err != nil {
 		return nil, err
 	}
@@ -158,7 +160,7 @@ func New(p Params, primary, backup uint64) (*System, error) {
 			return nil, err
 		}
 	}
-	for i := 0; i < p.Prefixes; i++ {
+	for i := 0; i < prefixes; i++ {
 		if err := s.WriteNexthop(RegPrimary, uint32(i), primary); err != nil {
 			return nil, err
 		}

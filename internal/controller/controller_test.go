@@ -84,7 +84,7 @@ func TestLocalKeyInitAndOperate(t *testing.T) {
 	if res.RTT <= 0 {
 		t.Error("RTT must be positive")
 	}
-	if !c.KeyEstablished("s1") {
+	if h, err := c.handle("s1"); err != nil || !h.keys.Established(core.KeyIndexLocal) {
 		t.Fatal("local key not established")
 	}
 	// Operations continue under the fresh key.

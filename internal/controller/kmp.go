@@ -590,10 +590,3 @@ func (c *Controller) allKeys(init bool) (total KMPResult, err error) {
 	}
 	return total, nil
 }
-
-// KeyEstablished reports whether the controller holds a current local key
-// for the switch.
-func (c *Controller) KeyEstablished(sw string) bool {
-	h, err := c.handle(sw)
-	return err == nil && h.keys.Established(core.KeyIndexLocal)
-}

@@ -481,7 +481,9 @@ func TestObservabilityRaces(t *testing.T) {
 			_ = c.Stats()
 			_ = c.Alerts()
 			_, _ = c.Outstanding("s1")
-			_ = c.KeyEstablished("s2")
+			if h, err := c.handle("s2"); err == nil {
+				_ = h.keys.Established(core.KeyIndexLocal)
+			}
 			_ = c.CheckDoS(1)
 			_ = c.SeedUses("s1")
 		}

@@ -17,7 +17,7 @@ import (
 // round trip, so the switch agent's PacketIOBase dispatch cost and the
 // management-link RTT bound throughput. The batch engine below keeps a
 // window of N signed requests in flight per switch: one agent I/O
-// transaction carries the whole window down (PacketOutBatch pays the
+// transaction carries the whole window down (PacketOutBatchInto pays the
 // dispatch once), responses complete out of order keyed by seqNum, and
 // unanswered entries retransmit under the same policy as transact.
 //

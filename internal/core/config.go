@@ -29,12 +29,8 @@ type Config struct {
 	// Personalization is the secret KDF constant standing in for the
 	// paper's "custom logic in the binary" (§VIII).
 	Personalization uint64
-	// DH holds the public modified-Diffie-Hellman parameters.
-	DH crypto.DHParams
 	// Digest selects the digest algorithm.
 	Digest DigestKind
-	// KDFRounds configures the KDF expansion (the prototype uses 1).
-	KDFRounds int
 	// AlertThreshold caps alerts sent to the controller per counting
 	// window (DoS mitigation, §VIII).
 	AlertThreshold uint64
@@ -52,6 +48,10 @@ type Config struct {
 	DigestWords int
 }
 
+// kdfRounds is the KDF expansion's round count, the prototype's. The
+// public modified-Diffie-Hellman parameters are crypto.DefaultDHParams.
+const kdfRounds = 1
+
 // DefaultConfig returns a deployable configuration for a switch with the
 // given port count, with digest algorithm matched to the target the
 // program will be compiled for (CRC32 for Tofino, HalfSipHash for BMv2).
@@ -60,9 +60,7 @@ func DefaultConfig(ports int, kind DigestKind) Config {
 		Ports:           ports,
 		Seed:            0x5eedc0ffee5eed00,
 		Personalization: 0x0b5c4e1709151e55, // placeholder; set per deployment
-		DH:              crypto.DefaultDHParams(),
 		Digest:          kind,
-		KDFRounds:       1,
 		AlertThreshold:  64,
 	}
 }
@@ -100,7 +98,7 @@ func (c Config) KDF() (crypto.KDF, error) {
 	if err != nil {
 		return crypto.KDF{}, err
 	}
-	return crypto.KDF{PRF: d, Rounds: c.KDFRounds, Personalization: c.Personalization}, nil
+	return crypto.KDF{PRF: d, Rounds: kdfRounds, Personalization: c.Personalization}, nil
 }
 
 func (c Config) validate() error {

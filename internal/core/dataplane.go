@@ -649,6 +649,7 @@ func buildKxDispatch(cfg Config, alg pisa.HashAlg) []pisa.Op {
 	hk := func(f string) pisa.FieldRef { return pisa.F(HdrKx, f) }
 	hi := func(f string) pisa.FieldRef { return pisa.F(HdrInt, f) }
 	msgType := pisa.F(HdrAuth, "msgType")
+	dh := crypto.DefaultDHParams()
 
 	// Common pa_int setup used by the responder branches.
 	intSetup := []pisa.Op{
@@ -675,10 +676,10 @@ func buildKxDispatch(cfg Config, alg pisa.HashAlg) []pisa.Op {
 		pisa.Random(mf(mR)), // R2
 		// K_pms = (PK1 AND R2) XOR P — before overwriting pk.
 		pisa.And(hi("newkey"), pisa.R(hk("pk")), pisa.R(mf(mR))),
-		pisa.Xor(hi("newkey"), pisa.R(hi("newkey")), pisa.C(cfg.DH.P)),
+		pisa.Xor(hi("newkey"), pisa.R(hi("newkey")), pisa.C(dh.P)),
 		// PK2 = (G AND R2) XOR (P AND R2).
-		pisa.And(mf(mT1), pisa.C(cfg.DH.G), pisa.R(mf(mR))),
-		pisa.And(mf(mT2), pisa.C(cfg.DH.P), pisa.R(mf(mR))),
+		pisa.And(mf(mT1), pisa.C(dh.G), pisa.R(mf(mR))),
+		pisa.And(mf(mT2), pisa.C(dh.P), pisa.R(mf(mR))),
 		pisa.Xor(hk("pk"), pisa.R(mf(mT1)), pisa.R(mf(mT2))),
 		pisa.Random(hk("salt")), // S2
 		pisa.Set(msgType, pisa.C(MsgADHKD2)),
@@ -701,7 +702,7 @@ func buildKxDispatch(cfg Config, alg pisa.HashAlg) []pisa.Op {
 			[]pisa.Op{
 				// K_pms = (PK2 AND R1) XOR P.
 				pisa.And(hi("newkey"), pisa.R(hk("pk")), pisa.R(mf(mR))),
-				pisa.Xor(hi("newkey"), pisa.R(hi("newkey")), pisa.C(cfg.DH.P)),
+				pisa.Xor(hi("newkey"), pisa.R(hi("newkey")), pisa.C(dh.P)),
 				pisa.Set(hk("phase"), pisa.C(PhaseInstall)),
 				pisa.Recirculate(),
 			},
@@ -717,8 +718,8 @@ func buildKxDispatch(cfg Config, alg pisa.HashAlg) []pisa.Op {
 		pisa.Random(mf(mLo)),
 		pisa.RegWrite(RegKxS, pisa.R(hk("port")), pisa.R(mf(mLo))),
 		pisa.Set(hk("salt"), pisa.R(mf(mLo))),
-		pisa.And(mf(mT1), pisa.C(cfg.DH.G), pisa.R(mf(mR))),
-		pisa.And(mf(mT2), pisa.C(cfg.DH.P), pisa.R(mf(mR))),
+		pisa.And(mf(mT1), pisa.C(dh.G), pisa.R(mf(mR))),
+		pisa.And(mf(mT2), pisa.C(dh.P), pisa.R(mf(mR))),
 		pisa.Xor(hk("pk"), pisa.R(mf(mT1)), pisa.R(mf(mT2))),
 		pisa.Set(msgType, pisa.C(MsgADHKD1)),
 	}
@@ -815,11 +816,7 @@ func buildPhases(cfg Config, alg pisa.HashAlg) []pisa.Op {
 		pisa.Or(mf(mPrk), pisa.R(mf(mPrk)), pisa.R(mf(mLo))),
 		pisa.Set(mf(mOut), pisa.R(mf(mPrk))),
 	)
-	rounds := cfg.KDFRounds
-	if rounds < 1 {
-		rounds = 1
-	}
-	for r := 0; r < rounds; r++ {
+	for r := 0; r < kdfRounds; r++ {
 		install = append(install,
 			pisa.KeyedHash(mf(mLo), alg, pisa.R(mf(mPrk)),
 				pisa.R(mf(mOut)), pisa.C(cfg.Personalization), pisa.C(crypto.KDFLabelExpandLo)),

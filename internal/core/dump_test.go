@@ -44,22 +44,6 @@ func TestPeekControl(t *testing.T) {
 	}
 }
 
-// TestDigestInput: the exported form must equal the append form the hot
-// path uses — they are the same bytes a switch hashes.
-func TestDigestInput(t *testing.T) {
-	m := &Message{
-		Header: Header{HdrType: HdrRegister, MsgType: MsgWriteReq, SeqNum: 9},
-		Reg:    &RegPayload{RegID: 1, Index: 2, Value: 3},
-	}
-	di, err := m.DigestInput()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(di) != string(m.AppendDigestInput(nil)) {
-		t.Fatal("DigestInput disagrees with AppendDigestInput")
-	}
-}
-
 // TestWriteStateString covers the journal state labels, including the
 // defensive rendering of a corrupt state byte.
 func TestWriteStateString(t *testing.T) {

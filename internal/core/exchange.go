@@ -50,7 +50,7 @@ func NewADHKD(cfg Config, rng crypto.RandomSource) ADHKD {
 }
 
 // PK1 is the initiator's public key.
-func (a *ADHKD) PK1() uint64 { return a.cfg.DH.PublicKey(a.R1) }
+func (a *ADHKD) PK1() uint64 { return crypto.DefaultDHParams().PublicKey(a.R1) }
 
 // Complete derives the master secret from the responder's public key and
 // salt half.
@@ -59,7 +59,7 @@ func (a *ADHKD) Complete(pk2 uint64, s2 uint32) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	pms := a.cfg.DH.SharedSecret(a.R1, pk2)
+	pms := crypto.DefaultDHParams().SharedSecret(a.R1, pk2)
 	return kdf.Derive(pms, SaltPair(a.S1, s2)), nil
 }
 
@@ -73,8 +73,8 @@ func RespondADHKD(cfg Config, rng crypto.RandomSource, pk1 uint64, s1 uint32) (p
 	}
 	r2 := rng.Uint64()
 	s2 = uint32(rng.Uint64())
-	pk2 = cfg.DH.PublicKey(r2)
-	pms := cfg.DH.SharedSecret(r2, pk1)
+	pk2 = crypto.DefaultDHParams().PublicKey(r2)
+	pms := crypto.DefaultDHParams().SharedSecret(r2, pk1)
 	return pk2, s2, kdf.Derive(pms, SaltPair(s1, s2)), nil
 }
 

@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"p4auth/internal/crypto"
 )
 
 // TestExchangeGoldenVectors pins the EAK (Fig. 11) and ADHKD (Fig. 12)
@@ -66,17 +68,18 @@ func TestExchangeGoldenVectors(t *testing.T) {
 			s2 := uint32(u64(line, fields[5]))
 			wantPK1, wantPK2 := u64(line, fields[6]), u64(line, fields[7])
 			want := u64(line, fields[8])
-			pk1, pk2 := cfg.DH.PublicKey(r1), cfg.DH.PublicKey(r2)
+			dh := crypto.DefaultDHParams()
+			pk1, pk2 := dh.PublicKey(r1), dh.PublicKey(r2)
 			if pk1 != wantPK1 || pk2 != wantPK2 {
 				t.Errorf("ADHKD kind=%d public keys (%016x, %016x), golden (%016x, %016x)",
 					kindInt, pk1, pk2, wantPK1, wantPK2)
 			}
-			got := kdf.Derive(cfg.DH.SharedSecret(r1, pk2), SaltPair(s1, s2))
+			got := kdf.Derive(dh.SharedSecret(r1, pk2), SaltPair(s1, s2))
 			if got != want {
 				t.Errorf("ADHKD kind=%d K_ms = %016x, golden %016x", kindInt, got, want)
 			}
 			// Both sides must land on the same master secret.
-			resp := kdf.Derive(cfg.DH.SharedSecret(r2, pk1), SaltPair(s1, s2))
+			resp := kdf.Derive(dh.SharedSecret(r2, pk1), SaltPair(s1, s2))
 			if resp != got {
 				t.Errorf("ADHKD kind=%d responder derived %016x, initiator %016x", kindInt, resp, got)
 			}

@@ -339,11 +339,6 @@ func (m *Message) AppendDigestInput(dst []byte) []byte {
 	return dst
 }
 
-// DigestInput returns the exact bytes the digest is computed over.
-func (m *Message) DigestInput() ([]byte, error) {
-	return m.AppendDigestInput(nil), nil
-}
-
 // digestScratch pools the sign/verify input buffer so the hot path does
 // not allocate per message.
 var digestScratch = sync.Pool{New: func() any {

@@ -27,8 +27,6 @@ type SwitchSpec struct {
 	// Registers are host registers to declare; all are exposed for
 	// authenticated C-DP access.
 	Registers []*pisa.RegisterDef
-	// Costs defaults to switchos.DefaultCosts when zero.
-	Costs *switchos.Costs
 	// RandSeed seeds the data plane's random() extern.
 	RandSeed uint64
 	// Config overrides the derived default config when non-nil.
@@ -88,17 +86,13 @@ func Build(spec SwitchSpec) (*Switch, error) {
 	if err := core.Boot(sw, cfg); err != nil {
 		return nil, err
 	}
-	costs := switchos.DefaultCosts()
-	if spec.Costs != nil {
-		costs = *spec.Costs
-	}
-	host := switchos.NewHost(spec.Name, sw, costs)
+	host := switchos.NewHost(spec.Name, sw, switchos.DefaultCosts())
 	return &Switch{Host: host, Cfg: cfg}, nil
 }
 
 // programKey is every input of program: Config is what the spec's Ports,
 // Digest, Config and Insecure derive, and Registers holds the register
-// definitions by value. Name, RandSeed and Costs are per-switch state, so
+// definitions by value. Name and RandSeed are per-switch state, so
 // switches that differ only in them share one compilation.
 type programKey struct {
 	Config    core.Config

@@ -7,14 +7,13 @@ import (
 	"p4auth/internal/core"
 	"p4auth/internal/p4rt"
 	"p4auth/internal/pisa"
-	"p4auth/internal/switchos"
 )
 
 // TestBuildSharesExactCompilation covers the specs the benchmark's
 // workloads build: the C-DP fixture of the cdp_* workloads and the layer
 // ladder, its unprotected twin, and the ladder's lifted-alert config. A
-// second Build with another RandSeed and Costs (runtime state, not
-// program inputs) shares the first's compilation, which is deeply equal to
+// second Build with another RandSeed (runtime state, not a program
+// input) shares the first's compilation, which is deeply equal to
 // a fresh compile of a fresh build.
 func TestBuildSharesExactCompilation(t *testing.T) {
 	regs := func() []*pisa.RegisterDef {
@@ -33,7 +32,6 @@ func TestBuildSharesExactCompilation(t *testing.T) {
 		}
 		other := spec
 		other.RandSeed = 99
-		other.Costs = &switchos.Costs{}
 		other.Registers = regs()
 		b, err := Build(other)
 		if err != nil {

@@ -89,7 +89,7 @@ func TestProbeFailoverGap(t *testing.T) {
 		sampleNs = 10 * time.Microsecond
 		failNs   = 2_000_000 // BuildFatTree's default FailTimeoutNs
 	)
-	agg, tor := AggName(0, 0), topo.TorID[EdgeName(1, 0)]
+	agg, tor := aggName(0, 0), topo.TorID[edgeName(1, 0)]
 	sw := topo.Switches[agg].Host.SW
 	read := func(reg string) uint64 {
 		v, err := sw.RegisterRead(reg, int(tor))

@@ -39,9 +39,8 @@ import (
 type TopoConfig struct {
 	// K is the fat-tree arity (even, >= 4). k=4 → 20 switches; k=8 → 80.
 	K int
-	// LinkDelay and LinkBandwidthBps apply to every fabric link.
-	LinkDelay        time.Duration
-	LinkBandwidthBps float64
+	// LinkDelay applies to every fabric link.
+	LinkDelay time.Duration
 	// FailTimeoutNs ages out best paths that stop being refreshed;
 	// zero defaults to 2 ms so failover lands inside a harness window.
 	FailTimeoutNs uint64
@@ -51,14 +50,16 @@ type TopoConfig struct {
 	Seed uint64
 }
 
+// linkBandwidthBps is the bandwidth of every fabric link.
+const linkBandwidthBps = 10e9
+
 // DefaultTopoConfig is a secure fabric of arity k.
 func DefaultTopoConfig(k int) TopoConfig {
 	return TopoConfig{
-		K:                k,
-		LinkDelay:        5 * time.Microsecond,
-		LinkBandwidthBps: 10e9,
-		Secure:           true,
-		Seed:             0xFA77,
+		K:         k,
+		LinkDelay: 5 * time.Microsecond,
+		Secure:    true,
+		Seed:      0xFA77,
 	}
 }
 
@@ -108,18 +109,6 @@ func edgeName(pod, i int) string { return fmt.Sprintf("e%d_%d", pod, i) }
 func aggName(pod, i int) string  { return fmt.Sprintf("a%d_%d", pod, i) }
 func coreName(c int) string      { return fmt.Sprintf("c%d", c) }
 func hostName(pod, i int) string { return fmt.Sprintf("h%d_%d", pod, i) }
-
-// EdgeName returns the name of edge i (0-based) in pod (0-based).
-func EdgeName(pod, i int) string { return edgeName(pod, i) }
-
-// AggName returns the name of agg i (0-based) in pod (0-based).
-func AggName(pod, i int) string { return aggName(pod, i) }
-
-// CoreName returns the name of core c (0-based).
-func CoreName(c int) string { return coreName(c) }
-
-// HostName returns the name of the host at edge i in pod.
-func HostName(pod, i int) string { return hostName(pod, i) }
 
 // BuildFatTree deploys the fabric: switches, hosts, links, probe flood
 // rules, controller registrations, and (when secure) the full per-link
@@ -211,7 +200,7 @@ func BuildFatTree(cfg TopoConfig) (*Topology, error) {
 	}
 
 	connect := func(a string, pa int, b string, pb int) error {
-		l, err := t.Net.Connect(a, pa, b, pb, cfg.LinkDelay, cfg.LinkBandwidthBps)
+		l, err := t.Net.Connect(a, pa, b, pb, cfg.LinkDelay, linkBandwidthBps)
 		if err != nil {
 			return err
 		}
@@ -478,15 +467,6 @@ func (t *Topology) TotalAlerts() int {
 	total := 0
 	for _, s := range t.Switches {
 		total += s.Alerts
-	}
-	return total
-}
-
-// DeliveredBytes sums host-delivered bytes fabric-wide.
-func (t *Topology) DeliveredBytes() uint64 {
-	var total uint64
-	for _, h := range t.Hosts {
-		total += h.Bytes
 	}
 	return total
 }

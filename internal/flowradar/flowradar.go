@@ -35,13 +35,8 @@ const filterName = "fr_seen"
 // Params configures the encoded flowset.
 type Params struct {
 	// Cells is the counting-table size (power of two).
-	Cells int
-	// CellHashes is how many cells each flow maps to.
-	CellHashes int
-	// FilterHashes/FilterBits size the test-and-set flow filter.
-	FilterHashes int
-	FilterBits   int
-	Secure       bool
+	Cells  int
+	Secure bool
 	// Name identifies the switch at its controller; empty means the
 	// historical "radar". Fleet deployments run one instance per pod and
 	// need distinct names within a shared controller namespace.
@@ -59,9 +54,18 @@ func (p Params) name() string {
 	return p.Name
 }
 
+const (
+	// cellHashes is how many cells each flow maps to.
+	cellHashes = 3
+	// filterHashes and filterBits size the test-and-set flow filter;
+	// filterBits is a power of two.
+	filterHashes = 3
+	filterBits   = 8192
+)
+
 // DefaultParams decodes a few hundred flows comfortably.
 func DefaultParams(secure bool) Params {
-	return Params{Cells: 1024, CellHashes: 3, FilterHashes: 3, FilterBits: 8192, Secure: secure}
+	return Params{Cells: 1024, Secure: secure}
 }
 
 // System is a running FlowRadar deployment.
@@ -87,8 +91,8 @@ func cellSeed(h int) uint64   { return 0xF10D_0000 + uint64(h)*0x9E37 }
 func filterSeed(h int) uint64 { return 0x5EEA_0000 + uint64(h)*0x61C9 }
 
 func buildProgram(p Params) (*pisa.Program, core.Config, error) {
-	if p.Cells&(p.Cells-1) != 0 || p.FilterBits&(p.FilterBits-1) != 0 {
-		return nil, core.Config{}, fmt.Errorf("flowradar: cells and filter bits must be powers of two")
+	if p.Cells&(p.Cells-1) != 0 {
+		return nil, core.Config{}, fmt.Errorf("flowradar: cells must be a power of two")
 	}
 	prog := &pisa.Program{
 		Name:    "flowradar",
@@ -106,9 +110,9 @@ func buildProgram(p Params) (*pisa.Program, core.Config, error) {
 
 	// Filter rows (test-and-set via RMW) and counting-table registers.
 	var meta []pisa.FieldDef
-	for h := 0; h < p.FilterHashes; h++ {
+	for h := 0; h < filterHashes; h++ {
 		prog.Registers = append(prog.Registers, &pisa.RegisterDef{
-			Name: fmt.Sprintf("%s_h%d", filterName, h), Width: 1, Entries: p.FilterBits,
+			Name: fmt.Sprintf("%s_h%d", filterName, h), Width: 1, Entries: filterBits,
 		})
 		meta = append(meta,
 			pisa.FieldDef{Name: fmt.Sprintf("fr_fidx%d", h), Width: 32},
@@ -123,7 +127,7 @@ func buildProgram(p Params) (*pisa.Program, core.Config, error) {
 			Name: reg.name, Width: reg.width, Entries: p.Cells,
 		})
 	}
-	for h := 0; h < p.CellHashes; h++ {
+	for h := 0; h < cellHashes; h++ {
 		meta = append(meta, pisa.FieldDef{Name: fmt.Sprintf("fr_cidx%d", h), Width: 32})
 	}
 	meta = append(meta, pisa.FieldDef{Name: "fr_new", Width: 8}, pisa.FieldDef{Name: "fr_scr", Width: 32})
@@ -133,11 +137,11 @@ func buildProgram(p Params) (*pisa.Program, core.Config, error) {
 	// Flow filter: test-and-set all rows in single accesses; the flow is
 	// new iff any row bit was previously clear.
 	ops = append(ops, pisa.Set(m("fr_new"), pisa.C(0)))
-	for h := 0; h < p.FilterHashes; h++ {
+	for h := 0; h < filterHashes; h++ {
 		idx := m(fmt.Sprintf("fr_fidx%d", h))
 		ops = append(ops,
 			pisa.KeyedHash(idx, pisa.HashCRC32, pisa.C(filterSeed(h)), flow),
-			pisa.And(idx, pisa.R(idx), pisa.C(uint64(p.FilterBits-1))),
+			pisa.And(idx, pisa.R(idx), pisa.C(uint64(filterBits-1))),
 			pisa.RegRMW(m(fmt.Sprintf("fr_fold%d", h)), fmt.Sprintf("%s_h%d", filterName, h),
 				pisa.R(idx), pisa.RMWWrite, pisa.C(1)),
 			pisa.If(pisa.Eq(pisa.R(m(fmt.Sprintf("fr_fold%d", h))), pisa.C(0)), []pisa.Op{
@@ -147,7 +151,7 @@ func buildProgram(p Params) (*pisa.Program, core.Config, error) {
 	}
 	// Counting table: cell indices, then per-cell updates. The paper's
 	// BMv2-style layout reads/writes each register once.
-	for h := 0; h < p.CellHashes; h++ {
+	for h := 0; h < cellHashes; h++ {
 		idx := m(fmt.Sprintf("fr_cidx%d", h))
 		ops = append(ops,
 			pisa.KeyedHash(idx, pisa.HashCRC32, pisa.C(cellSeed(h)), flow),
@@ -155,10 +159,10 @@ func buildProgram(p Params) (*pisa.Program, core.Config, error) {
 		)
 	}
 	// Flow-level fields update only for new flows. One register per cell
-	// array would be touched CellHashes times per packet, so each hash
+	// array would be touched cellHashes times per packet, so each hash
 	// position gets its own bank on hardware; the BMv2 target this runs on
 	// (as in the paper) permits the shared layout.
-	for h := 0; h < p.CellHashes; h++ {
+	for h := 0; h < cellHashes; h++ {
 		idx := pisa.R(m(fmt.Sprintf("fr_cidx%d", h)))
 		ops = append(ops,
 			pisa.If(pisa.Eq(pisa.R(m("fr_new")), pisa.C(1)), []pisa.Op{
@@ -196,7 +200,7 @@ func New(p Params) (*System, error) {
 		return nil, err
 	}
 	host := switchos.NewHost(p.name(), sw, switchos.DefaultCosts())
-	ctrl := controller.New(crypto.NewSeededRand(0xF1B+p.Seed))
+	ctrl := controller.New(crypto.NewSeededRand(0xF1B + p.Seed))
 	if err := ctrl.Register(p.name(), host, cfg, 0); err != nil {
 		return nil, err
 	}
@@ -221,9 +225,9 @@ func (s *System) Packet(flow uint32) error {
 }
 
 func (s *System) cellIndexes(flow uint32) []int {
-	out := make([]int, s.Params.CellHashes)
+	out := make([]int, cellHashes)
 	b := []byte{byte(flow >> 24), byte(flow >> 16), byte(flow >> 8), byte(flow)}
-	for h := 0; h < s.Params.CellHashes; h++ {
+	for h := 0; h < cellHashes; h++ {
 		out[h] = int(s.prf.Sum32(cellSeed(h), b)) & (s.Params.Cells - 1)
 	}
 	return out

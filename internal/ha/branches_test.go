@@ -111,46 +111,6 @@ func TestElectReturnsDegradedRecovery(t *testing.T) {
 	}
 }
 
-// TestReplicaResign: a planned handoff expires the tenure in place, so
-// the standby takes over at once, at the next epoch; resigning without a
-// tenure, or after being superseded, changes nothing.
-func TestReplicaResign(t *testing.T) {
-	f := newGroupFleet(t, 2, 2, 20*time.Millisecond)
-	f.bootstrapAndWrite(t)
-	a, b := f.grp.Replicas()[0], f.grp.Replicas()[1]
-	if err := b.Resign(); err != nil {
-		t.Fatalf("resign without a tenure = %v", err)
-	}
-	if err := a.Resign(); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Fence(); !errors.Is(err, controller.ErrFenced) {
-		t.Fatalf("resigned replica fence = %v, want refused", err)
-	}
-	l, err := b.Activate(CausePromoted)
-	if err != nil || l.Epoch != 2 {
-		t.Fatalf("takeover after resign = (%+v, %v), want epoch 2 with no wait", l, err)
-	}
-
-	// A replica superseded behind its back resigns without touching the
-	// new holder's record.
-	c := f.grp.Replicas()[0]
-	f.clk.d += 25 * time.Millisecond
-	if _, err := c.Activate(CausePromoted); err != nil {
-		t.Fatal(err)
-	}
-	f.clk.d += 25 * time.Millisecond
-	if _, err := b.Activate(CausePromoted); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Resign(); err != nil {
-		t.Fatalf("superseded resign = %v", err)
-	}
-	if err := b.Fence(); err != nil {
-		t.Fatalf("holder fenced after a superseded replica resigned: %v", err)
-	}
-}
-
 // ourTenure is the tenure the FencedStore tests write under.
 func ourTenure() statestore.LeaseGuard {
 	return statestore.LeaseGuard{Key: statestore.LeaseKey, Holder: "ctl-a", Epoch: 1}

@@ -36,19 +36,10 @@ import (
 
 // Clock provides the time base for grant and expiry decisions.
 // netsim.Sim satisfies it, so deterministic simulations drive leases
-// from virtual time; real deployments use SystemClock.
+// from virtual time.
 type Clock interface {
 	Now() time.Duration
 }
-
-// SystemClock is the wall-clock time base for real deployments.
-type SystemClock struct{ start time.Time }
-
-// NewSystemClock returns a Clock anchored at construction time.
-func NewSystemClock() *SystemClock { return &SystemClock{start: time.Now()} }
-
-// Now implements Clock.
-func (c *SystemClock) Now() time.Duration { return time.Since(c.start) }
 
 // ErrNotActive wraps controller.ErrFenced: the replica does not hold the
 // lease at its epoch, so sends and persists are refused.

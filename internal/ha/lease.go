@@ -186,30 +186,6 @@ func (m *LeaseManager) Renew() (*statestore.Lease, error) {
 	return next, nil
 }
 
-// Resign voluntarily ends the tenure by expiring the record in place
-// (TTL 0), letting a standby acquire without waiting out the window.
-func (m *LeaseManager) Resign() error {
-	m.mu.Lock()
-	held := m.held
-	m.held = nil
-	m.mu.Unlock()
-	if held == nil {
-		return nil
-	}
-	raw, cur, err := m.readRecord()
-	if err != nil {
-		return err
-	}
-	if cur == nil || cur.Holder != m.name || cur.Epoch != held.Epoch {
-		return nil // already superseded; nothing to give up
-	}
-	next := &statestore.Lease{Holder: m.name, Epoch: cur.Epoch, GrantedNs: cur.GrantedNs, TTLNs: 0}
-	if _, err := m.st.CompareAndSwap(statestore.LeaseKey, raw, next.Encode()); err != nil {
-		return err
-	}
-	return nil
-}
-
 // HeldEpoch returns the epoch of the replica's current tenure (0 when
 // not active).
 func (m *LeaseManager) HeldEpoch() uint64 {

@@ -201,9 +201,6 @@ func (r *Replica) Renew() error {
 	return nil
 }
 
-// Resign voluntarily expires the tenure (planned handoff).
-func (r *Replica) Resign() error { return r.mgr.Resign() }
-
 // Observer returns the replica's observer (shared across the group when
 // ReplicaConfig.Observer was set).
 func (r *Replica) Observer() *obs.Observer { return r.ob }

@@ -127,7 +127,7 @@ func RunChaos(o ChaosOptions) (*ChaosResult, error) {
 		shadow:   map[string][]uint64{},
 	}
 	for _, n := range h.SwitchNames() {
-		c.shadow[n] = make([]uint64, h.cfg.LatEntries)
+		c.shadow[n] = make([]uint64, latEntries)
 	}
 	if err := h.Bootstrap(); err != nil {
 		return nil, err
@@ -175,7 +175,7 @@ func (c *chaosHarness) loadAllPods(label string) {
 func (c *chaosHarness) loadPod(label string, p *Pod) {
 	n := 0
 	for _, sw := range p.active().Controller().SwitchNames() {
-		idx := uint32(c.rng.Uint64() % uint64(c.h.cfg.LatEntries-1))
+		idx := uint32(c.rng.Uint64() % uint64(latEntries-1))
 		v := c.rng.Uint64() % 0xFFFF
 		if _, err := p.active().Controller().WriteRegister(sw, "lat", idx, v); err != nil {
 			c.Violatef("%s: pod %d write %s lat[%d]: %v", label, p.ID, sw, idx, err)

@@ -98,7 +98,7 @@ func newGlobal(h *Hierarchy, podKeys []uint64) (*Global, error) {
 		mDupServed: h.Ob.Metrics.Counter("hier.dup_replies_served"),
 	}
 	var reps []*ha.Replica
-	for r := 0; r < h.cfg.GlobalReplicas; r++ {
+	for r := 0; r < globalReplicas; r++ {
 		c := controller.New(crypto.NewSeededRand(h.cfg.Seed*1000003 + 900007*uint64(r) + 577))
 		c.SetRetryPolicy(controller.ResilientRetryPolicy())
 		c.UseClock(h.Sim)
@@ -106,7 +106,7 @@ func newGlobal(h *Hierarchy, podKeys []uint64) (*Global, error) {
 			Name:       fmt.Sprintf("global-ctl%d", r),
 			Store:      st,
 			Clock:      h.Sim,
-			TTL:        h.cfg.TTL,
+			TTL:        leaseTTL,
 			Controller: c,
 			Observer:   h.Ob,
 		})

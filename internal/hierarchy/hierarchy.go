@@ -23,21 +23,21 @@ type Config struct {
 	// Pods is k: the pod count, and half of it the per-pod edge and agg
 	// counts (default 4; must be even, 2..8).
 	Pods int
-	// PodReplicas is the per-pod local controller group size (default 2).
-	PodReplicas int
-	// GlobalReplicas is the global broker group size (default 3).
-	GlobalReplicas int
-	// TTL is the lease validity window of every tier (default 5ms).
-	TTL time.Duration
-	// WANDelay is the one-way pod<->global WAN latency (default 1ms).
-	WANDelay time.Duration
-	// Store, when non-nil, backs every tier's lease and WAL (the chaos
-	// harness passes a statestore.FaultStore). Defaults to a fresh
-	// in-memory store.
-	Store statestore.LeaseStore
-	// LatEntries sizes the per-switch "lat" demo register (default 8).
-	LatEntries int
 }
+
+// The tier sizes and timings of every hierarchy.
+const (
+	// podReplicas is the per-pod local controller group size.
+	podReplicas = 2
+	// globalReplicas is the global broker group size.
+	globalReplicas = 3
+	// leaseTTL is the lease validity window of every tier.
+	leaseTTL = 5 * time.Millisecond
+	// wanDelay is the one-way pod<->global WAN latency.
+	wanDelay = time.Millisecond
+	// latEntries sizes the per-switch "lat" demo register.
+	latEntries = 8
+)
 
 // CrossLink is one inter-pod agg-core link: the agg end belongs to the
 // initiator pod, the core end to the owner pod, and only the broker may
@@ -105,36 +105,12 @@ func Build(cfg Config) (*Hierarchy, error) {
 	if cfg.Pods < 2 || cfg.Pods > 8 || cfg.Pods%2 != 0 {
 		return nil, fmt.Errorf("hierarchy: pods must be even in 2..8, got %d", cfg.Pods)
 	}
-	if cfg.PodReplicas == 0 {
-		cfg.PodReplicas = 2
-	}
-	if cfg.PodReplicas < 2 {
-		return nil, fmt.Errorf("hierarchy: pod groups need >= 2 replicas, got %d", cfg.PodReplicas)
-	}
-	if cfg.GlobalReplicas == 0 {
-		cfg.GlobalReplicas = 3
-	}
-	if cfg.GlobalReplicas < 2 {
-		return nil, fmt.Errorf("hierarchy: global group needs >= 2 replicas, got %d", cfg.GlobalReplicas)
-	}
-	if cfg.TTL == 0 {
-		cfg.TTL = 5 * time.Millisecond
-	}
-	if cfg.WANDelay == 0 {
-		cfg.WANDelay = time.Millisecond
-	}
-	if cfg.Store == nil {
-		cfg.Store = statestore.NewMem()
-	}
-	if cfg.LatEntries == 0 {
-		cfg.LatEntries = 8
-	}
 
 	h := &Hierarchy{
 		cfg:      cfg,
 		Net:      netsim.NewNetwork(),
 		Ob:       obs.NewObserver(0),
-		Store:    cfg.Store,
+		Store:    statestore.NewMem(),
 		switches: map[string]*deploy.Switch{},
 		byAgg:    map[string]*CrossLink{},
 	}
@@ -150,7 +126,7 @@ func Build(cfg Config) (*Hierarchy, error) {
 			Name:  name,
 			Ports: cfg.Pods + 2,
 			Registers: []*pisa.RegisterDef{
-				{Name: "lat", Width: 32, Entries: cfg.LatEntries},
+				{Name: "lat", Width: 32, Entries: latEntries},
 			},
 		})
 		if err != nil {
@@ -263,7 +239,7 @@ func Build(cfg Config) (*Hierarchy, error) {
 	// WAN star: wan-pod{p} port 1 <-> wan-global port p+1. Broker RPCs
 	// are the ONLY traffic here; C-DP runs on the intra-pod transports.
 	for p := 0; p < cfg.Pods; p++ {
-		h.Net.MustConnect(h.Pods[p].nodeName(), 1, g.nodeName(), p+1, cfg.WANDelay, 0)
+		h.Net.MustConnect(h.Pods[p].nodeName(), 1, g.nodeName(), p+1, wanDelay, 0)
 	}
 	return h, nil
 }
@@ -293,7 +269,7 @@ func (h *Hierarchy) Bootstrap() error {
 // renewing and its lease runs out — exactly the failure-detection bound
 // the election logic waits for.
 func (h *Hierarchy) armHeartbeat() {
-	h.Sim.After(h.cfg.TTL/heartbeatDivisor, func() {
+	h.Sim.After(leaseTTL/heartbeatDivisor, func() {
 		h.heartbeats++
 		renew := func(g *ha.Group) {
 			a := g.Active()

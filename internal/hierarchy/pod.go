@@ -110,7 +110,7 @@ func newPod(h *Hierarchy, id uint8, switches []string, key uint64) (*Pod, error)
 		mRelays:    h.Ob.Metrics.Counter("hier.relays_served"),
 	}
 	var reps []*ha.Replica
-	for r := 0; r < h.cfg.PodReplicas; r++ {
+	for r := 0; r < podReplicas; r++ {
 		c := controller.New(crypto.NewSeededRand(h.cfg.Seed*1000003 + 10007*uint64(id) + 7001*uint64(r) + 101))
 		c.SetRetryPolicy(controller.ResilientRetryPolicy())
 		c.UseClock(h.Sim)
@@ -124,7 +124,7 @@ func newPod(h *Hierarchy, id uint8, switches []string, key uint64) (*Pod, error)
 			Name:       fmt.Sprintf("%s-ctl%d", name, r),
 			Store:      st,
 			Clock:      h.Sim,
-			TTL:        h.cfg.TTL,
+			TTL:        leaseTTL,
 			Controller: c,
 			Observer:   h.Ob,
 		})

@@ -81,16 +81,19 @@ type Params struct {
 	MaxTors int
 	// FlowletSlots is the flowlet table size (power of two).
 	FlowletSlots int
-	// FlowletGapNs reassigns a flowlet after this idle gap.
-	FlowletGapNs uint64
 	// FailTimeoutNs ages out a best path that stops being refreshed.
 	FailTimeoutNs uint64
-	// DecayShiftDiv scales utilization decay: one halving per
-	// 2^DecayShiftDiv ns of idle time on the link.
-	DecayShiftDiv uint64
 	// Secure weaves P4Auth in; probes are then authenticated per hop.
 	Secure bool
 }
+
+const (
+	// flowletGapNs reassigns a flowlet after this idle gap (200 µs).
+	flowletGapNs = 200_000
+	// decayShiftDiv scales utilization decay: one halving per
+	// 2^decayShiftDiv ns of idle time on the link (~131 µs).
+	decayShiftDiv = 17
+)
 
 // DefaultParams returns a workable configuration.
 func DefaultParams(id, ports int) Params {
@@ -101,9 +104,7 @@ func DefaultParams(id, ports int) Params {
 		GeneratorPort: ports + 1,
 		MaxTors:       64,
 		FlowletSlots:  1024,
-		FlowletGapNs:  200_000,    // 200 µs
 		FailTimeoutNs: 10_000_000, // 10 ms
-		DecayShiftDiv: 17,         // ~131 µs per halving
 		Secure:        true,
 	}
 }
@@ -261,7 +262,7 @@ func buildIngress(p Params) []pisa.Op {
 			pisa.RegRead(m("h_last"), RegEgLast, pisa.R(m(pisa.MetaIngressPort))),
 			pisa.RegRead(m("h_util"), RegEgUtil, pisa.R(m(pisa.MetaIngressPort))),
 			pisa.Sub(m("h_delta"), now, pisa.R(m("h_last"))),
-			pisa.Shr(m("h_shift"), pisa.R(m("h_delta")), pisa.C(p.DecayShiftDiv)),
+			pisa.Shr(m("h_shift"), pisa.R(m("h_delta")), pisa.C(decayShiftDiv)),
 			pisa.If(pisa.Gt(pisa.R(m("h_shift")), pisa.C(31)), []pisa.Op{pisa.Set(m("h_shift"), pisa.C(31))}),
 			pisa.Shr(m("h_util"), pisa.R(m("h_util")), pisa.R(m("h_shift"))),
 			pisa.If(pisa.Lt(pisa.R(probe("util")), pisa.R(m("h_util"))), []pisa.Op{
@@ -324,7 +325,7 @@ func buildIngress(p Params) []pisa.Op {
 				pisa.RegRead(m("h_bh"), RegBestHop, pisa.R(data("dst"))),
 				pisa.Set(m("h_nh"), pisa.R(m("h_fh"))),
 				pisa.If(pisa.Eq(pisa.R(m("h_fh")), pisa.C(0)), []pisa.Op{pisa.Set(m("h_nh"), pisa.R(m("h_bh")))}),
-				pisa.If(pisa.Gt(pisa.R(m("h_gap")), pisa.C(p.FlowletGapNs)), []pisa.Op{pisa.Set(m("h_nh"), pisa.R(m("h_bh")))}),
+				pisa.If(pisa.Gt(pisa.R(m("h_gap")), pisa.C(flowletGapNs)), []pisa.Op{pisa.Set(m("h_nh"), pisa.R(m("h_bh")))}),
 				// Degraded routing, fail-open half: a flowlet pinned to a
 				// quarantined hop is re-steered to the best hop mid-flowlet
 				// (reachability wins for data; only feedback fails closed).
@@ -343,7 +344,7 @@ func buildEgress(p Params) []pisa.Op {
 	eg := pisa.R(m(pisa.MetaEgressPort))
 
 	clampShift := []pisa.Op{
-		pisa.Shr(m("h_shift"), pisa.R(m("h_delta")), pisa.C(p.DecayShiftDiv)),
+		pisa.Shr(m("h_shift"), pisa.R(m("h_delta")), pisa.C(decayShiftDiv)),
 		pisa.If(pisa.Gt(pisa.R(m("h_shift")), pisa.C(31)), []pisa.Op{pisa.Set(m("h_shift"), pisa.C(31))}),
 	}
 

@@ -45,10 +45,8 @@ const (
 
 // Params configures the cache.
 type Params struct {
-	CacheSlots int
-	CMSRows    int
-	CMSCols    int
-	Secure     bool
+	CMSRows int
+	Secure  bool
 	// Name identifies the switch at its controller; empty means the
 	// historical "cache". Fleet deployments run one instance per pod and
 	// need distinct names within a shared controller namespace.
@@ -66,9 +64,16 @@ func (p Params) name() string {
 	return p.Name
 }
 
+// The size of a small demonstration cache: cacheSlots cached keys, and
+// cmsCols columns per row of the popularity sketch.
+const (
+	cacheSlots = 8
+	cmsCols    = 512
+)
+
 // DefaultParams sizes a small demonstration cache.
 func DefaultParams(secure bool) Params {
-	return Params{CacheSlots: 8, CMSRows: 2, CMSCols: 512, Secure: secure}
+	return Params{CMSRows: 2, Secure: secure}
 }
 
 // System is a running NetCache deployment.
@@ -92,7 +97,7 @@ type System struct {
 }
 
 func buildProgram(p Params) (*pisa.Program, *sketch.CMS, core.Config, error) {
-	cms, err := sketch.NewCMS("nc_cms", p.CMSRows, p.CMSCols)
+	cms, err := sketch.NewCMS("nc_cms", p.CMSRows, cmsCols)
 	if err != nil {
 		return nil, nil, core.Config{}, err
 	}
@@ -134,13 +139,13 @@ func buildProgram(p Params) (*pisa.Program, *sketch.CMS, core.Config, error) {
 		Tables: []*pisa.Table{
 			{Name: TableCache,
 				Keys:    []pisa.TableKey{{Field: pisa.F("nq", "key"), Match: pisa.MatchExact}},
-				Size:    p.CacheSlots,
+				Size:    cacheSlots,
 				Actions: []string{ActionHit}},
 		},
 		Registers: []*pisa.RegisterDef{
 			{Name: RegHits, Width: 64, Entries: 1},
 			{Name: RegMisses, Width: 64, Entries: 1},
-			{Name: RegSlotHits, Width: 32, Entries: p.CacheSlots},
+			{Name: RegSlotHits, Width: 32, Entries: cacheSlots},
 		},
 	}
 	cms.AddToProgram(prog)
@@ -296,7 +301,7 @@ func (s *System) UpdateEpoch(candidates []uint32) error {
 		return err
 	}
 	s.cached = make(map[uint32]int)
-	for i := 0; i < len(scores) && i < s.Params.CacheSlots; i++ {
+	for i := 0; i < len(scores) && i < cacheSlots; i++ {
 		k := scores[i].key
 		if err := s.Host.SW.InsertEntry(TableCache, pisa.Entry{
 			Key:    []pisa.KeyMatch{pisa.EKey(uint64(k))},
@@ -308,7 +313,7 @@ func (s *System) UpdateEpoch(candidates []uint32) error {
 		s.cached[k] = i
 	}
 	// Reset the per-slot hit counters for the new window.
-	for i := 0; i < s.Params.CacheSlots; i++ {
+	for i := 0; i < cacheSlots; i++ {
 		if err := s.Host.SW.RegisterWrite(RegSlotHits, i, 0); err != nil {
 			return err
 		}

@@ -94,15 +94,6 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.sum.Load()) / float64(n)
 }
 
-// Buckets returns a copy of the bucket counts.
-func (h *Histogram) Buckets() [HistBuckets]uint64 {
-	var out [HistBuckets]uint64
-	for i := range h.buckets {
-		out[i] = h.buckets[i].Load()
-	}
-	return out
-}
-
 // Quantile returns an upper bound for the q-quantile (0 < q <= 1) from the
 // bucket histogram: the largest value the bucket holding the
 // q*count-th observation can hold, so that below the overflow bucket the

@@ -44,7 +44,10 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	for _, v := range []uint64{0, 1, 2, 3, 4, 7, 8, 1 << 40} {
 		h.Observe(v)
 	}
-	b := h.Buckets()
+	var b [HistBuckets]uint64
+	for i := range h.buckets {
+		b[i] = h.buckets[i].Load()
+	}
 	if b[0] != 2 || b[1] != 2 || b[2] != 2 || b[3] != 1 {
 		t.Fatalf("buckets = %v", b[:4])
 	}

@@ -192,17 +192,17 @@ func TestProcessBatchConcurrentMutation(t *testing.T) {
 				t.Errorf("register write: %v", err)
 				return
 			}
-			if err := par.InsertEntry("routes", Entry{
-				Key: []KeyMatch{PKey(0x0B000000, 8)}, Action: "set_nhop", Params: []uint64{7},
-			}); err != nil {
-				t.Errorf("insert: %v", err)
+			if err := par.ClearTable("routes"); err != nil {
+				t.Errorf("clear: %v", err)
 				return
 			}
 			_ = par.Counter("dropped")
 			_ = par.CounterSnapshot()
 			par.SetNow(uint64(i))
-			if err := par.DeleteEntry("routes", []KeyMatch{PKey(0x0B000000, 8)}); err != nil {
-				t.Errorf("delete: %v", err)
+			if err := par.InsertEntry("routes", Entry{
+				Key: []KeyMatch{PKey(0x0A000000, 8)}, Action: "set_nhop", Params: []uint64{7},
+			}); err != nil {
+				t.Errorf("insert: %v", err)
 				return
 			}
 		}

@@ -42,7 +42,6 @@ func TestConstEntries(t *testing.T) {
 		for _, table := range []string{"routes", "ports"} {
 			writes := map[string]error{
 				"insert": sw.InsertEntry(table, Entry{Key: []KeyMatch{EKey(1)}, Action: "drop_pkt"}),
-				"delete": sw.DeleteEntry(table, []KeyMatch{EKey(7)}),
 				"clear":  sw.ClearTable(table),
 			}
 			for op, err := range writes {

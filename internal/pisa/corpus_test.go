@@ -300,13 +300,13 @@ func (s *corpusSubject) draw(t *testing.T, r *corpusRNG, valid *[]pisa.Packet) (
 	case 4:
 		pkt = pisa.Packet{Data: grammarWalk(prog, r), Port: s.randomPort(r)}
 	case 5, 6: // tampered: one flipped bit
-		pkt = (*valid)[r.intn(len(*valid))].Clone()
+		pkt = clonePacket((*valid)[r.intn(len(*valid))])
 		bit := r.intn(len(pkt.Data) * 8)
 		pkt.Data[bit/8] ^= 1 << uint(bit%8)
 	case 7: // replayed verbatim
-		pkt = (*valid)[r.intn(len(*valid))].Clone()
+		pkt = clonePacket((*valid)[r.intn(len(*valid))])
 	case 8: // truncated
-		pkt = (*valid)[r.intn(len(*valid))].Clone()
+		pkt = clonePacket((*valid)[r.intn(len(*valid))])
 		pkt.Data = pkt.Data[:r.intn(len(pkt.Data))]
 	default:
 		pkt = pisa.Packet{Data: r.bytes(r.intn(48)), Port: s.randomPort(r)}

@@ -13,13 +13,6 @@ type Packet struct {
 	Port int
 }
 
-// Clone returns a deep copy of the packet.
-func (p Packet) Clone() Packet {
-	d := make([]byte, len(p.Data))
-	copy(d, p.Data)
-	return Packet{Data: d, Port: p.Port}
-}
-
 // packBits ORs the low `width` bits of v into buf starting at bit offset
 // off (MSB-first), returning the new offset. It moves whole bytes: a
 // partial first byte, full bytes, a partial last byte.

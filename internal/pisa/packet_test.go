@@ -100,15 +100,6 @@ func TestHeaderValidation(t *testing.T) {
 	}
 }
 
-func TestPacketClone(t *testing.T) {
-	p := Packet{Data: []byte{1, 2, 3}, Port: 4}
-	c := p.Clone()
-	c.Data[0] = 9
-	if p.Data[0] != 1 {
-		t.Error("clone shares backing array")
-	}
-}
-
 // packBitsRef and unpackBitsRef are the bit-at-a-time codec the byte-wise
 // one replaced, kept as the executable definition of MSB-first packing.
 func packBitsRef(buf []byte, off int, v uint64, width int) int {

@@ -177,11 +177,6 @@ func (s *Switch) InsertEntry(table string, e Entry) error {
 	return s.writeTable(table, func(ts *tableState) error { return ts.insert(e) })
 }
 
-// DeleteEntry removes the entry with the exact key from a table.
-func (s *Switch) DeleteEntry(table string, key []KeyMatch) error {
-	return s.writeTable(table, func(ts *tableState) error { return ts.remove(key) })
-}
-
 // ClearTable removes all entries from a table.
 func (s *Switch) ClearTable(table string) error {
 	return s.writeTable(table, func(ts *tableState) error { ts.clear(); return nil })

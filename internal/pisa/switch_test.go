@@ -680,42 +680,6 @@ func TestCompileEgressStagesAccounted(t *testing.T) {
 	}
 }
 
-func TestSwitchDeleteEntry(t *testing.T) {
-	sw := newTestSwitch(t, TofinoProfile())
-	// Exact-table delete.
-	if err := sw.DeleteEntry("ports", []KeyMatch{EKey(7)}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := sw.Process(Packet{Data: ethIPPacket(0x0A000001, 64), Port: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Emissions) != 0 {
-		t.Error("deleted exact entry still matched")
-	}
-	if err := sw.DeleteEntry("ports", []KeyMatch{EKey(7)}); err == nil {
-		t.Error("double delete should error")
-	}
-	// LPM delete.
-	if err := sw.DeleteEntry("routes", []KeyMatch{PKey(0x0A0A0000, 16)}); err != nil {
-		t.Fatal(err)
-	}
-	res, err = sw.Process(Packet{Data: ethIPPacket(0x0A0A0001, 64), Port: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Falls back to the /8 route -> nhop 7, whose port entry is deleted.
-	if len(res.Emissions) != 0 {
-		t.Errorf("emissions = %+v", res.Emissions)
-	}
-	if err := sw.DeleteEntry("nosuch", nil); err == nil {
-		t.Error("unknown table should error")
-	}
-	if err := sw.DeleteEntry("ports", []KeyMatch{EKey(1), EKey(2)}); err == nil {
-		t.Error("key arity should error")
-	}
-}
-
 func BenchmarkPipelineL3Forward(b *testing.B) {
 	prog := testL3Program()
 	sw, err := NewSwitch(prog, TofinoProfile())
@@ -788,9 +752,12 @@ func TestParamCountCheckedWhenBound(t *testing.T) {
 	if err := sw.InsertEntry("ports", Entry{Key: []KeyMatch{EKey(42)}, Action: "to_port"}); err == nil {
 		t.Error("InsertEntry with no params for a 1-param action was accepted")
 	}
-	// The rejected entries were not installed.
-	if err := sw.DeleteEntry("ports", []KeyMatch{EKey(42)}); err == nil {
-		t.Error("a rejected entry is in the table")
+	// The rejected entries were not installed: next hop 42 still drops.
+	if err := sw.InsertEntry("routes", Entry{Key: []KeyMatch{PKey(0x0B000000, 8)}, Action: "set_nhop", Params: []uint64{42}}); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := sw.Process(Packet{Data: ethIPPacket(0x0B000001, 64), Port: 1}); err != nil || len(res.Emissions) != 0 {
+		t.Errorf("a rejected entry is in the table: %+v, %v", res.Emissions, err)
 	}
 
 	prog := testL3Program()

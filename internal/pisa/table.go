@@ -250,37 +250,3 @@ func (ts *tableState) clear() {
 	ts.exact = make(map[string]*boundEntry)
 	ts.scan = nil
 }
-
-// keysEqual reports whether two entry keys are identical component-wise.
-func keysEqual(a, b []KeyMatch) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (ts *tableState) remove(key []KeyMatch) error {
-	if len(key) != len(ts.def.Keys) {
-		return fmt.Errorf("pisa: table %s: delete key has %d parts, want %d", ts.def.Name, len(key), len(ts.def.Keys))
-	}
-	if ts.lt.exact {
-		ks := exactKeyString(key)
-		if _, ok := ts.exact[ks]; !ok {
-			return fmt.Errorf("pisa: table %s: no entry for key", ts.def.Name)
-		}
-		delete(ts.exact, ks)
-		return nil
-	}
-	for i, e := range ts.scan {
-		if keysEqual(e.key, key) {
-			ts.scan = append(ts.scan[:i], ts.scan[i+1:]...)
-			return nil
-		}
-	}
-	return fmt.Errorf("pisa: table %s: no entry for key", ts.def.Name)
-}

@@ -80,12 +80,6 @@ type System struct {
 // Config for the experiment.
 type Config struct {
 	Mode Mode
-	// Path delays (path 2 slower by default).
-	Path1Delay, Path2Delay time.Duration
-	// EpochLen is the controller polling period.
-	EpochLen time.Duration
-	// InitialSplit is the starting share for path 1 (0..256).
-	InitialSplit uint64
 	// Name identifies the switch at its controller; empty means the
 	// historical "edge". Fleet deployments run one instance per pod and
 	// need distinct names.
@@ -103,15 +97,20 @@ func (c Config) name() string {
 	return c.Name
 }
 
-// DefaultConfig mirrors Fig. 2: path 1 is the better path.
+// The paths and polling of every deployment mirror Fig. 2: path 1 is
+// the better path.
+const (
+	path1Delay = 2 * time.Millisecond
+	path2Delay = 6 * time.Millisecond
+	// epochLen is the controller polling period.
+	epochLen = 50 * time.Millisecond
+	// initialSplit is the starting share for path 1 (0..256).
+	initialSplit = 128
+)
+
+// DefaultConfig returns the configuration of one deployment in mode.
 func DefaultConfig(mode Mode) Config {
-	return Config{
-		Mode:         mode,
-		Path1Delay:   2 * time.Millisecond,
-		Path2Delay:   6 * time.Millisecond,
-		EpochLen:     50 * time.Millisecond,
-		InitialSplit: 128,
-	}
+	return Config{Mode: mode}
 }
 
 func dataDef() *pisa.HeaderDef {
@@ -186,16 +185,16 @@ func New(c Config) (*System, error) {
 
 	s := &System{
 		Net:    netsim.NewNetwork(),
-		Ctrl:   controller.New(crypto.NewSeededRand(0x2005C1+c.Seed)),
+		Ctrl:   controller.New(crypto.NewSeededRand(0x2005C1 + c.Seed)),
 		Switch: &deploy.Switch{Host: info, Cfg: cfg},
 		Mode:   c.Mode,
 		name:   c.name(),
-		Split:  c.InitialSplit,
+		Split:  initialSplit,
 	}
 	if err := s.Ctrl.Register(c.name(), info, cfg, 100*time.Microsecond); err != nil {
 		return nil, err
 	}
-	if err := sw.RegisterWrite(RegSplit, 0, c.InitialSplit); err != nil {
+	if err := sw.RegisterWrite(RegSplit, 0, initialSplit); err != nil {
 		return nil, err
 	}
 
@@ -204,8 +203,8 @@ func New(c Config) (*System, error) {
 	s.Net.AddNode("sink", netsim.HandlerFunc(func(net *netsim.Network, _ *netsim.Node, _ int, data []byte) {
 		s.onDeliver(net, data)
 	}))
-	s.Net.MustConnect(c.name(), 1, "sink", 1, c.Path1Delay, 0)
-	s.Net.MustConnect(c.name(), 2, "sink", 2, c.Path2Delay, 0)
+	s.Net.MustConnect(c.name(), 1, "sink", 1, path1Delay, 0)
+	s.Net.MustConnect(c.name(), 2, "sink", 2, path2Delay, 0)
 	return s, nil
 }
 
@@ -347,13 +346,13 @@ func (s *System) Run(cfg Config, pkts []trace.Packet) (share1, share2 float64, e
 	}
 	var lastErr error
 	var tick func()
-	at := start + cfg.EpochLen
+	at := start + epochLen
 	tick = func() {
 		if err := s.epoch(); err != nil {
 			lastErr = err
 			return
 		}
-		at += cfg.EpochLen
+		at += epochLen
 		s.Net.Sim.At(at, tick)
 	}
 	s.Net.Sim.At(at, tick)

@@ -40,9 +40,7 @@ const (
 
 // Params configures the system.
 type Params struct {
-	BloomHashes int
-	BloomBits   int
-	Secure      bool
+	Secure bool
 	// Name identifies the switch at its controller; empty means the
 	// historical "lb". Fleet deployments run one instance per pod and
 	// need distinct names within a shared controller namespace.
@@ -60,9 +58,16 @@ func (p Params) name() string {
 	return p.Name
 }
 
-// DefaultParams sizes a demonstration balancer.
+// bloomHashes and bloomBits size the transit-table Bloom filter of a
+// demonstration balancer.
+const (
+	bloomHashes = 3
+	bloomBits   = 2048
+)
+
+// DefaultParams configures a demonstration balancer.
 func DefaultParams(secure bool) Params {
-	return Params{BloomHashes: 3, BloomBits: 2048, Secure: secure}
+	return Params{Secure: secure}
 }
 
 // System is a running SilkRoad deployment.
@@ -88,7 +93,7 @@ var connDef = &pisa.HeaderDef{Name: "conn", Fields: []pisa.FieldDef{
 }}
 
 func buildProgram(p Params) (*pisa.Program, *sketch.Bloom, core.Config, error) {
-	bloom, err := sketch.NewBloom("sr_transit", p.BloomHashes, p.BloomBits)
+	bloom, err := sketch.NewBloom("sr_transit", bloomHashes, bloomBits)
 	if err != nil {
 		return nil, nil, core.Config{}, err
 	}
@@ -173,7 +178,7 @@ func New(p Params) (*System, error) {
 		return nil, err
 	}
 	host := switchos.NewHost(p.name(), sw, switchos.DefaultCosts())
-	ctrl := controller.New(crypto.NewSeededRand(0x511D+p.Seed))
+	ctrl := controller.New(crypto.NewSeededRand(0x511D + p.Seed))
 	if err := ctrl.Register(p.name(), host, cfg, 0); err != nil {
 		return nil, err
 	}

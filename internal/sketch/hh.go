@@ -27,10 +27,7 @@ const RegWatch = "hh_watch"
 // HHParams configures the detector.
 type HHParams struct {
 	CMSRows int
-	CMSCols int
-	// WatchSlots is the watchlist capacity.
-	WatchSlots int
-	Secure     bool
+	Secure  bool
 	// Name identifies the switch at its controller; empty means "hh".
 	Name string
 	// Seed perturbs the switch and controller PRNGs; zero keeps the
@@ -38,9 +35,16 @@ type HHParams struct {
 	Seed uint64
 }
 
+// The size of a small demonstration detector: hhCMSCols columns per
+// sketch row, and hhWatchSlots watchlist entries.
+const (
+	hhCMSCols    = 512
+	hhWatchSlots = 8
+)
+
 // DefaultHHParams sizes a small demonstration detector.
 func DefaultHHParams(secure bool) HHParams {
-	return HHParams{CMSRows: 2, CMSCols: 512, WatchSlots: 8, Secure: secure}
+	return HHParams{CMSRows: 2, Secure: secure}
 }
 
 func (p HHParams) name() string {
@@ -75,7 +79,7 @@ var hhDef = &pisa.HeaderDef{Name: "hhp", Fields: []pisa.FieldDef{
 }}
 
 func buildHHProgram(p HHParams) (*pisa.Program, *CMS, core.Config, error) {
-	cms, err := NewCMS("hh_cms", p.CMSRows, p.CMSCols)
+	cms, err := NewCMS("hh_cms", p.CMSRows, hhCMSCols)
 	if err != nil {
 		return nil, nil, core.Config{}, err
 	}
@@ -90,7 +94,7 @@ func buildHHProgram(p HHParams) (*pisa.Program, *CMS, core.Config, error) {
 		},
 		DeparseOrder: []string{core.HdrPType, "hhp"},
 		Registers: []*pisa.RegisterDef{
-			{Name: RegWatch, Width: 32, Entries: p.WatchSlots},
+			{Name: RegWatch, Width: 32, Entries: hhWatchSlots},
 		},
 	}
 	cms.AddToProgram(prog)
@@ -132,7 +136,7 @@ func NewHH(p HHParams) (*HHSystem, error) {
 		Cfg:    cfg,
 		CMS:    cms,
 		Mirror: NewMirror(cms),
-		watch:  make([]uint32, p.WatchSlots),
+		watch:  make([]uint32, hhWatchSlots),
 	}
 	if p.Secure {
 		if _, err := ctrl.LocalKeyInit(p.name()); err != nil {
@@ -195,7 +199,7 @@ func (s *HHSystem) PromoteEpoch(candidates []uint32, threshold uint64) error {
 			heavy = append(heavy, f)
 		}
 	}
-	for i := 0; i < s.Params.WatchSlots; i++ {
+	for i := 0; i < hhWatchSlots; i++ {
 		var f uint32
 		if i < len(heavy) {
 			f = heavy[i]
@@ -211,8 +215,8 @@ func (s *HHSystem) PromoteEpoch(candidates []uint32, threshold uint64) error {
 
 // Watchlist returns the flows currently on the in-switch watchlist.
 func (s *HHSystem) Watchlist() ([]uint32, error) {
-	out := make([]uint32, 0, s.Params.WatchSlots)
-	for i := 0; i < s.Params.WatchSlots; i++ {
+	out := make([]uint32, 0, hhWatchSlots)
+	for i := 0; i < hhWatchSlots; i++ {
 		v, err := s.Host.SW.RegisterRead(RegWatch, i)
 		if err != nil {
 			return nil, err

@@ -86,20 +86,6 @@ func (c *CMS) UpdateOps(key pisa.Operand) []pisa.Op {
 	return ops
 }
 
-// QueryOps returns ops that read all rows for the key without updating,
-// leaving the estimate in MinMeta.
-func (c *CMS) QueryOps(key pisa.Operand) []pisa.Op {
-	ops := c.hashOps(key)
-	for r := 0; r < c.Rows; r++ {
-		cnt := pisa.F(pisa.MetaHeader, c.cntMeta(r))
-		ops = append(ops,
-			pisa.RegRead(cnt, c.rowReg(r), pisa.R(pisa.F(pisa.MetaHeader, c.idxMeta(r)))),
-		)
-	}
-	ops = append(ops, c.minOps()...)
-	return ops
-}
-
 func (c *CMS) minOps() []pisa.Op {
 	min := pisa.F(pisa.MetaHeader, c.MinMeta())
 	ops := []pisa.Op{pisa.Set(min, pisa.R(pisa.F(pisa.MetaHeader, c.cntMeta(0))))}

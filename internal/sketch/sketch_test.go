@@ -7,15 +7,14 @@ import (
 	"p4auth/internal/pisa"
 )
 
-// cmsProgram builds a test pipeline: packets carry a 32-bit key and an op
-// byte; op 0 updates the sketch, op 1 queries it. The estimate lands in a
+// cmsProgram builds a test pipeline: packets carry a 32-bit key, and
+// each one updates the sketch. The pre-increment estimate lands in a
 // result register.
 func cmsProgram(t *testing.T, c *CMS) *pisa.Switch {
 	t.Helper()
 	prog := &pisa.Program{
 		Name: "cms_test",
 		Headers: []*pisa.HeaderDef{{Name: "q", Fields: []pisa.FieldDef{
-			{Name: "op", Width: 8},
 			{Name: "key", Width: 32},
 		}}},
 		Parser:       []pisa.ParserState{{Name: pisa.ParserStart, Extract: "q"}},
@@ -24,11 +23,10 @@ func cmsProgram(t *testing.T, c *CMS) *pisa.Switch {
 	}
 	c.AddToProgram(prog)
 	key := pisa.R(pisa.F("q", "key"))
-	prog.Control = []pisa.Op{
-		pisa.If(pisa.Eq(pisa.R(pisa.F("q", "op")), pisa.C(0)), c.UpdateOps(key), c.QueryOps(key)),
+	prog.Control = append(c.UpdateOps(key),
 		pisa.RegWrite("result", pisa.C(0), pisa.R(pisa.F(pisa.MetaHeader, c.MinMeta()))),
 		pisa.Forward(pisa.C(1)),
-	}
+	)
 	sw, err := pisa.NewSwitch(prog, pisa.BMv2Profile())
 	if err != nil {
 		t.Fatal(err)
@@ -36,12 +34,10 @@ func cmsProgram(t *testing.T, c *CMS) *pisa.Switch {
 	return sw
 }
 
-func cmsPacket(t *testing.T, op uint8, key uint32) []byte {
+func cmsPacket(t *testing.T, key uint32) []byte {
 	t.Helper()
-	def := &pisa.HeaderDef{Name: "q", Fields: []pisa.FieldDef{
-		{Name: "op", Width: 8}, {Name: "key", Width: 32},
-	}}
-	b, err := pisa.PackHeader(def, []uint64{uint64(op), uint64(key)})
+	def := &pisa.HeaderDef{Name: "q", Fields: []pisa.FieldDef{{Name: "key", Width: 32}}}
+	b, err := pisa.PackHeader(def, []uint64{uint64(key)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,33 +52,31 @@ func TestCMSCountsInPipeline(t *testing.T) {
 	sw := cmsProgram(t, c)
 	mirror := NewMirror(c)
 
-	// Update key 42 five times, key 7 twice.
-	for i := 0; i < 5; i++ {
-		if _, err := sw.Process(pisa.Packet{Data: cmsPacket(t, 0, 42), Port: 1}); err != nil {
+	// Update key 7 twice, then key 42 five times.
+	for i := 0; i < 2; i++ {
+		if _, err := sw.Process(pisa.Packet{Data: cmsPacket(t, 7), Port: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 2; i++ {
-		if _, err := sw.Process(pisa.Packet{Data: cmsPacket(t, 0, 7), Port: 1}); err != nil {
+	for i := 0; i < 5; i++ {
+		if _, err := sw.Process(pisa.Packet{Data: cmsPacket(t, 42), Port: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// Pipeline query matches the mirror's driver-side estimate.
-	if _, err := sw.Process(pisa.Packet{Data: cmsPacket(t, 1, 42), Port: 1}); err != nil {
-		t.Fatal(err)
-	}
+	// Every row counts the last update once, so the pipeline's
+	// pre-increment estimate is one below the mirror's driver-side one.
 	q42, _ := sw.RegisterRead("result", 0)
 	m42, err := mirror.Estimate(sw, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q42 != m42 {
-		t.Fatalf("pipeline estimate %d != mirror %d", q42, m42)
+	if q42+1 != m42 {
+		t.Fatalf("pipeline estimate %d before the last update, mirror %d after it", q42, m42)
 	}
 	// CMS guarantees: estimate >= true count.
-	if q42 < 5 {
-		t.Fatalf("estimate %d below true count 5", q42)
+	if m42 < 5 {
+		t.Fatalf("estimate %d below true count 5", m42)
 	}
 	if m7, _ := mirror.Estimate(sw, 7); m7 < 2 {
 		t.Fatalf("estimate %d below true count 2", m7)
@@ -101,7 +95,7 @@ func TestCMSClearResets(t *testing.T) {
 	sw := cmsProgram(t, c)
 	mirror := NewMirror(c)
 	for i := 0; i < 10; i++ {
-		if _, err := sw.Process(pisa.Packet{Data: cmsPacket(t, 0, 1), Port: 1}); err != nil {
+		if _, err := sw.Process(pisa.Packet{Data: cmsPacket(t, 1), Port: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -124,7 +118,7 @@ func TestCMSOverestimatesNeverUnder(t *testing.T) {
 	f := func(key uint32, times uint8) bool {
 		n := uint64(times%4) + 1
 		for i := uint64(0); i < n; i++ {
-			if _, err := sw.Process(pisa.Packet{Data: cmsPacket(t, 0, key), Port: 1}); err != nil {
+			if _, err := sw.Process(pisa.Packet{Data: cmsPacket(t, key), Port: 1}); err != nil {
 				return false
 			}
 		}

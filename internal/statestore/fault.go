@@ -18,7 +18,7 @@ package statestore
 //   - virtual-clock latency charged against an advancing clock.
 //
 // A pre-operation Hook lets tests interleave work *inside* an operation
-// (e.g. a concurrent Acquire between a Resign's read and its CAS), which
+// (e.g. a concurrent Acquire between a Renew's read and its CAS), which
 // is how single-threaded deterministic harnesses model true races.
 //
 // All randomness comes from one xorshift stream seeded at construction:

@@ -238,7 +238,7 @@ func TestGuardedWrites(t *testing.T) {
 		"mem":    NewMem(),
 		"file":   file,
 		"fault":  NewFaultStore(NewMem(), nil, FaultConfig{Seed: 1}),
-		"prefix": MustPrefix(NewMem(), "pod0"),
+		"prefix": mustPrefix(t, NewMem(), "pod0"),
 	} {
 		t.Run(name, func(t *testing.T) {
 			g := LeaseGuard{Key: LeaseKey, Holder: "ctl-a", Epoch: 3}

@@ -32,15 +32,6 @@ func Prefix(raw LeaseStore, prefix string) (*PrefixStore, error) {
 	return &PrefixStore{raw: raw, prefix: trimmed + "/"}, nil
 }
 
-// MustPrefix is Prefix that panics on error, for topology builders.
-func MustPrefix(raw LeaseStore, prefix string) *PrefixStore {
-	p, err := Prefix(raw, prefix)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // Save implements Store.
 func (p *PrefixStore) Save(key string, value []byte) error {
 	if err := ValidateKey(key); err != nil {

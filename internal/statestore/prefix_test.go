@@ -7,10 +7,19 @@ import (
 	"testing"
 )
 
+func mustPrefix(t testing.TB, raw LeaseStore, prefix string) *PrefixStore {
+	t.Helper()
+	p, err := Prefix(raw, prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestPrefixIsolation(t *testing.T) {
 	raw := NewMem()
-	p0 := MustPrefix(raw, "pod0")
-	p1 := MustPrefix(raw, "pod1/")
+	p0 := mustPrefix(t, raw, "pod0")
+	p1 := mustPrefix(t, raw, "pod1/")
 
 	if err := p0.Save(LeaseKey, []byte("alpha")); err != nil {
 		t.Fatalf("p0 save: %v", err)
@@ -47,7 +56,7 @@ func TestPrefixIsolation(t *testing.T) {
 
 func TestPrefixKeysStripped(t *testing.T) {
 	raw := NewMem()
-	p := MustPrefix(raw, "global")
+	p := mustPrefix(t, raw, "global")
 	for _, k := range []string{"wal/0001", "wal/0002", "ctl/snap"} {
 		if err := p.Save(k, []byte(k)); err != nil {
 			t.Fatalf("save %s: %v", k, err)
@@ -75,8 +84,8 @@ func TestPrefixKeysStripped(t *testing.T) {
 
 func TestPrefixCAS(t *testing.T) {
 	raw := NewMem()
-	p0 := MustPrefix(raw, "pod0")
-	p1 := MustPrefix(raw, "pod1")
+	p0 := mustPrefix(t, raw, "pod0")
+	p1 := mustPrefix(t, raw, "pod1")
 
 	ok, err := p0.CompareAndSwap(LeaseKey, nil, []byte("l0"))
 	if err != nil || !ok {
@@ -108,7 +117,7 @@ func TestPrefixValidation(t *testing.T) {
 	if _, err := Prefix(NewMem(), "bad prefix"); err == nil {
 		t.Fatalf("invalid prefix accepted")
 	}
-	p := MustPrefix(NewMem(), "ok")
+	p := mustPrefix(t, NewMem(), "ok")
 	if err := p.Save("../escape", []byte("x")); err == nil {
 		t.Fatalf("path escape accepted")
 	}

@@ -12,21 +12,14 @@ import (
 // emission bytes flow upward into NetOut/PacketIns without the per-packet
 // arena copy a PacketOut window pays (see IOResult).
 
-// NetworkPacketBatch injects a batch of packets arriving on network ports
-// directly into the pipeline (no software stack on the way in). Arrival
-// order is preserved; the pipeline cost is the sum of the per-packet
-// costs. PacketIns that surface share one amortized agent dispatch, like
-// PacketOutBatch.
-func (h *Host) NetworkPacketBatch(pkts []pisa.Packet) (IOResult, error) {
-	var io IOResult
-	err := h.NetworkPacketBatchInto(pkts, &io)
-	return io, err
-}
-
-// NetworkPacketBatchInto is NetworkPacketBatch with a caller-owned,
-// reusable result. NetOut and PacketIns reference the pipeline's batch
-// buffers directly (no copy); they are valid until the next *Into call on
-// the same result.
+// NetworkPacketBatchInto injects a batch of packets arriving on network
+// ports directly into the pipeline (no software stack on the way in).
+// Arrival order is preserved; the pipeline cost is the sum of the
+// per-packet costs. PacketIns that surface share one amortized agent
+// dispatch, like PacketOutBatchInto. The result is caller-owned and
+// reusable: NetOut and PacketIns reference the pipeline's batch buffers
+// directly (no copy); they are valid until the next *Into call on the
+// same result.
 func (h *Host) NetworkPacketBatchInto(pkts []pisa.Packet, io *IOResult) error {
 	io.reset()
 	if h.down.Load() || len(pkts) == 0 {

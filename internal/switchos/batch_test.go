@@ -28,8 +28,8 @@ func TestNetworkPacketBatchMatchesPerPacket(t *testing.T) {
 	hLoop := newHost(t)
 	pkts := netBatch(16, 4)
 
-	bres, err := hBatch.NetworkPacketBatch(pkts)
-	if err != nil {
+	var bres IOResult
+	if err := hBatch.NetworkPacketBatchInto(pkts, &bres); err != nil {
 		t.Fatal(err)
 	}
 	var wantNetOut []pisa.Emission

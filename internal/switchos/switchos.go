@@ -324,16 +324,6 @@ func (h *Host) Install(b Boundary, hk *Hooks) error {
 	return nil
 }
 
-// Compromised reports whether any boundary has hooks installed.
-func (h *Host) Compromised() bool {
-	for _, hk := range h.hooks {
-		if hk != nil {
-			return true
-		}
-	}
-	return false
-}
-
 func (h *Host) regOpDown(op *RegOp) {
 	if hk := h.hooks[BoundaryAgentSDK]; hk != nil && hk.OnRegOp != nil {
 		hk.OnRegOp(op)
@@ -486,20 +476,13 @@ func (h *Host) PacketOutInto(data []byte, io *IOResult) error {
 	return h.packetOutOne(data, io, h.Costs.PacketIOBase, false)
 }
 
-// PacketOutBatch injects a window of PacketOuts as one agent I/O
+// PacketOutBatchInto injects a window of PacketOuts as one agent I/O
 // transaction: the agent's PacketIOBase dispatch cost is paid once for the
 // whole window on the way down and once for all PacketIns on the way back
 // (the driver batches the DMA), while per-packet byte, driver, PCIe and
 // pipeline costs still accrue per packet. This is the transport under the
-// controller's windowed pipeline.
-func (h *Host) PacketOutBatch(datas [][]byte) (IOResult, error) {
-	var io IOResult
-	err := h.PacketOutBatchInto(datas, &io)
-	return io, err
-}
-
-// PacketOutBatchInto is PacketOutBatch with a caller-owned, reusable
-// result. PacketIns from all packets of the window are concatenated in
+// controller's windowed pipeline. The result is caller-owned and
+// reusable. PacketIns from all packets of the window are concatenated in
 // send order; callers match responses to requests by seqNum, not
 // position. Each packet runs through packetOutOne, so a byte-identical
 // duplicate inside one window is served from the idempotency cache like

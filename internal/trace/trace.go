@@ -23,20 +23,24 @@ type Packet struct {
 	Size int
 }
 
+// The flow shape of every trace, a modest edge-link mix.
+const (
+	// meanFlowPackets is the mean flow length; sizes follow a bounded
+	// Pareto with shape paretoAlpha.
+	meanFlowPackets = 12
+	paretoAlpha     = 1.3
+	// maxFlowPackets truncates the tail.
+	maxFlowPackets = 1000
+	// packetBytes is the packet size.
+	packetBytes = 1000
+	// packetGapNs is the intra-flow pacing gap.
+	packetGapNs = 20_000
+)
+
 // Config parameterizes the generator.
 type Config struct {
 	// FlowsPerSecond is the Poisson flow arrival rate.
 	FlowsPerSecond float64
-	// MeanFlowPackets is the mean flow length; sizes follow a bounded
-	// Pareto with shape Alpha.
-	MeanFlowPackets int
-	Alpha           float64
-	// MaxFlowPackets truncates the tail.
-	MaxFlowPackets int
-	// PacketBytes is the packet size.
-	PacketBytes int
-	// PacketGapNs is the intra-flow pacing gap.
-	PacketGapNs uint64
 	// DurationNs is the trace length.
 	DurationNs uint64
 	// Seed drives the deterministic PRNG.
@@ -51,14 +55,9 @@ type Config struct {
 // DefaultConfig produces a modest edge-link mix.
 func DefaultConfig(durationNs uint64) Config {
 	return Config{
-		FlowsPerSecond:  2000,
-		MeanFlowPackets: 12,
-		Alpha:           1.3,
-		MaxFlowPackets:  1000,
-		PacketBytes:     1000,
-		PacketGapNs:     20_000,
-		DurationNs:      durationNs,
-		Seed:            0x7acef10,
+		FlowsPerSecond: 2000,
+		DurationNs:     durationNs,
+		Seed:           0x7acef10,
 	}
 }
 
@@ -76,16 +75,10 @@ func Generate(cfg Config) []Packet {
 		return -math.Log(u) / rate
 	}
 	paretoLen := func() int {
-		// Bounded Pareto with mean ~= MeanFlowPackets: x_m chosen from the
+		// Bounded Pareto with mean ~= meanFlowPackets: x_m chosen from the
 		// shape so that E[X] = x_m * alpha/(alpha-1) hits the target mean.
-		alpha := cfg.Alpha
-		if alpha <= 1.01 {
-			alpha = 1.01
-		}
-		xm := float64(cfg.MeanFlowPackets) * (alpha - 1) / alpha
-		if xm < 1 {
-			xm = 1
-		}
+		alpha := float64(paretoAlpha)
+		xm := float64(meanFlowPackets) * (alpha - 1) / alpha
 		u := uniform()
 		if u <= 0 {
 			u = 1e-12
@@ -94,8 +87,8 @@ func Generate(cfg Config) []Packet {
 		if n < 1 {
 			n = 1
 		}
-		if cfg.MaxFlowPackets > 0 && n > cfg.MaxFlowPackets {
-			n = cfg.MaxFlowPackets
+		if n > maxFlowPackets {
+			n = maxFlowPackets
 		}
 		return n
 	}
@@ -111,11 +104,11 @@ func Generate(cfg Config) []Packet {
 		}
 		n := paretoLen()
 		for i := 0; i < n; i++ {
-			at := uint64(tNs) + uint64(i)*cfg.PacketGapNs
+			at := uint64(tNs) + uint64(i)*packetGapNs
 			if at >= cfg.DurationNs {
 				break
 			}
-			out = append(out, Packet{AtNs: at, Flow: flow, Size: cfg.PacketBytes})
+			out = append(out, Packet{AtNs: at, Flow: flow, Size: packetBytes})
 		}
 		flow++
 	}

@@ -48,7 +48,7 @@ func TestGenerateOrderedAndBounded(t *testing.T) {
 		if p.AtNs >= cfg.DurationNs {
 			t.Fatalf("packet %d beyond duration", i)
 		}
-		if p.Size != cfg.PacketBytes {
+		if p.Size != packetBytes {
 			t.Fatalf("packet %d size %d", i, p.Size)
 		}
 	}
@@ -67,10 +67,10 @@ func TestGenerateHeavyTail(t *testing.T) {
 	if float64(st.MaxFlowPk) < 4*mean {
 		t.Errorf("max flow %d vs mean %.1f: tail not heavy", st.MaxFlowPk, mean)
 	}
-	if st.MaxFlowPk > cfg.MaxFlowPackets {
-		t.Errorf("flow length %d exceeds truncation %d", st.MaxFlowPk, cfg.MaxFlowPackets)
+	if st.MaxFlowPk > maxFlowPackets {
+		t.Errorf("flow length %d exceeds truncation %d", st.MaxFlowPk, maxFlowPackets)
 	}
-	if st.Bytes != uint64(st.Packets*cfg.PacketBytes) {
+	if st.Bytes != uint64(st.Packets*packetBytes) {
 		t.Error("byte accounting")
 	}
 }
