@@ -95,6 +95,11 @@ func main() {
 	words := flag.Int("words", 1, "digest width in 32-bit words")
 	dump := flag.String("dump", "", "print a program's pseudo-P4 and exit: p4auth-shell | hula+p4auth | hula-baseline")
 	flag.Parse()
+	if err := checkWords(*words); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	profiles := []pisa.Profile{pisa.TofinoProfile(), pisa.BMv2Profile()}
 	if *target != "" {
@@ -182,4 +187,12 @@ func main() {
 		}
 		fmt.Println()
 	}
+}
+
+// checkWords rejects a digest width of no words.
+func checkWords(words int) error {
+	if words < 1 {
+		return fmt.Errorf("-words %d: a digest has at least one word", words)
+	}
+	return nil
 }

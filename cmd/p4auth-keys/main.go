@@ -25,10 +25,26 @@ func main() {
 	m := flag.Int("m", 4, "switches")
 	n := flag.Int("n", 4, "links")
 	flag.Parse()
+	if err := checkFlags(*m, *n); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if err := run(*m, *n); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects switch and link counts that describe no fabric.
+func checkFlags(m, n int) error {
+	if m < 1 {
+		return fmt.Errorf("-m %d: a fabric needs at least one switch", m)
+	}
+	if n < 0 {
+		return fmt.Errorf("-n %d: a link count cannot be negative", n)
+	}
+	return nil
 }
 
 func run(m, n int) error {
