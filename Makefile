@@ -4,9 +4,10 @@
 
 GO ?= go
 
-# Every gate (build, vet, race, the chaos suites, stress, cover,
-# fuzz-smoke, bench-smoke) is one row of the table in scripts/check.sh;
-# `make <gate>` runs that row and `make check` runs them all.
+# Every gate (build, vet, race, the chaos suites, stress, flake, cover,
+# fuzz-smoke, bench-smoke, reach) is one row of the table in
+# scripts/check.sh; `make <gate>` runs that row and `make check` runs
+# them all.
 GATES := $(shell ./scripts/check.sh -l)
 
 .PHONY: check $(GATES) test bench

@@ -7,11 +7,12 @@
 #   scripts/check.sh GATE...  just the named gates, in the order given
 #   scripts/check.sh -l       list the gate names
 #
-# The serial prefix (build, vet, race) establishes a compiling,
-# race-clean tree; everything after it only re-runs subsets with fixed
-# seeds or fresh interleavings, so those gates share no state and run in
-# parallel. Each concurrent gate's output is line-prefixed with its name;
-# the script fails if any gate fails, after letting all of them finish.
+# The serial prefix (build, vet, race, reach) establishes a compiling,
+# race-clean tree and measures it while nothing else runs; everything
+# after it only re-runs subsets with fixed seeds or fresh interleavings,
+# so those gates share no state and run in parallel. Each concurrent
+# gate's output is line-prefixed with its name; the script fails if any
+# gate fails, after letting all of them finish.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -24,6 +25,15 @@ table() {
 s build go build ./...
 s vet go vet ./...
 s race go test -race ./...
+
+# Product reach: every cmd/ and examples/ main, every p4auth-inspect
+# reference run and one smoke round of each benchmark workload, built
+# with coverage; the share of linked statements none of them reaches
+# must stay at or below the ceiling in scripts/reach.sh, and every main
+# must be among the runs. It runs alone: a smoke round lasts 100 ms, and
+# on a loaded machine it runs too few operations to reach count-bound
+# paths (the controller's alert ring wraps after 1024 alerts).
+s reach ./scripts/reach.sh
 
 # The three seeded harnesses over the chaos kernel, fixed seeds: crash
 # and recovery of one controller (kills and switch crashes mid-rollover,
