@@ -72,8 +72,9 @@ done <"$tmp/runs"
 go tool covdata textfmt -i="$tmp/cov" -o="$tmp/cover.txt"
 
 # A block is listed once per binary that links it; it is reached if any
-# run counted it.
-awk -v ceiling="$CEILING" '
+# run counted it. The first awk sums each file's blocks, the second
+# prints the sorted rows and checks the total share.
+awk '
 NR == 1 { next }
 {
     stmts[$1] = $2
@@ -85,22 +86,19 @@ END {
         sub(/:[^:]*$/, "", f)
         total[f] += stmts[b]
         if (!(b in hit)) unreached[f] += stmts[b]
-        T += stmts[b]
-        if (!(b in hit)) U += stmts[b]
     }
-    n = 0
-    for (f in total) files[++n] = f
-    # insertion sort: awk has no portable sort
-    for (i = 2; i <= n; i++) {
-        v = files[i]
-        for (j = i - 1; j > 0 && files[j] > v; j--) files[j + 1] = files[j]
-        files[j + 1] = v
-    }
-    for (i = 1; i <= n; i++) printf "%6d / %-6d %s\n", unreached[files[i]], total[files[i]], files[i]
+    for (f in total) print unreached[f] + 0, total[f], f
+}' "$tmp/cover.txt" | LC_ALL=C sort -k3 | awk -v ceiling="$CEILING" '
+{
+    printf "%6d / %-6d %s\n", $1, $2, $3
+    U += $1
+    T += $2
+}
+END {
     share = 100 * U / T
     printf "total: %d / %d unreached (%.2f %%), ceiling %.2f %%\n", U, T, share, ceiling
     if (sprintf("%.2f", share) + 0 > ceiling + 0) {
         printf "reach.sh: unreached share %.2f %% is above the ceiling %.2f %%\n", share, ceiling
         exit 1
     }
-}' "$tmp/cover.txt"
+}'
