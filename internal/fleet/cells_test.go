@@ -1,0 +1,56 @@
+package fleet
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+const cellsGoldenPath = "testdata/cells_k4.golden"
+
+// TestStandaloneCellsGolden pins every standalone cell of the k=4 matrix
+// in full: the exact detection count, the load, the score at full
+// precision, and a hash of the cell's RunCell trace. matrix_k4.golden
+// rounds the score and prints detection as a bool, so a change in how
+// many alerts an adversary raises, or how many tampered operations an app
+// counts, shows here and nowhere else. Regenerate with GOLDEN_UPDATE=1
+// only after an intentional semantic change.
+func TestStandaloneCellsGolden(t *testing.T) {
+	o := DefaultOptions()
+	var b strings.Builder
+	fmt.Fprintf(&b, "# standalone cells, k=%d seed=%#x: exact Cell fields and sha256 of the RunCell trace\n", o.K, o.Seed)
+	for _, app := range Apps() {
+		if app == "hula" {
+			continue
+		}
+		for _, fault := range FaultsFor(app) {
+			for _, protected := range []bool{true, false} {
+				c, tr, err := RunCell(app, fault, protected, o)
+				if err != nil {
+					t.Fatalf("%s/%s/protected=%v: %v", app, fault, protected, err)
+				}
+				fmt.Fprintf(&b, "%s fault=%s protected=%v score=%s forged=%d detected=%d sent=%d delivered=%d survived=%v note=%q trace=%x\n",
+					c.App, c.Fault, c.Protected, strconv.FormatFloat(c.Score, 'g', -1, 64),
+					c.ForgedApplied, c.Detected, c.Sent, c.Delivered, c.Survived, c.Note,
+					sha256.Sum256([]byte(tr)))
+			}
+		}
+	}
+	got := b.String()
+	if os.Getenv("GOLDEN_UPDATE") != "" {
+		if err := os.WriteFile(cellsGoldenPath, []byte(got), 0o644); err != nil {
+			t.Fatalf("write golden: %v", err)
+		}
+		return
+	}
+	want, err := os.ReadFile(cellsGoldenPath)
+	if err != nil {
+		t.Fatalf("read golden (run with GOLDEN_UPDATE=1 to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("standalone cells diverged from %s:\ngot:\n%s", cellsGoldenPath, got)
+	}
+}
