@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 
+	"p4auth/internal/attacker"
 	"p4auth/internal/controller"
 	"p4auth/internal/core"
 	"p4auth/internal/crypto"
@@ -57,17 +58,16 @@ func main() {
 
 	// 4. Compromise the switch OS (the paper's LD_PRELOAD backdoor) and
 	//    watch P4Auth catch the manipulation.
-	_ = sw.Host.Install(switchos.BoundaryAgentSDK, &switchos.Hooks{
-		OnPacketIn: func(data []byte) []byte {
-			m, err := core.DecodeMessage(data)
-			if err != nil || m.Reg == nil {
-				return data
+	mitm := &attacker.CtrlPlaneMitM{
+		RewriteMessage: func(m *core.Message, toDataPlane bool) bool {
+			if toDataPlane || m.Reg == nil {
+				return false
 			}
 			m.Reg.Value = 1 // report a falsely low latency
-			out, _ := m.Encode()
-			return out
+			return true
 		},
-	})
+	}
+	_ = sw.Host.Install(switchos.BoundaryAgentSDK, mitm.Hooks())
 	_, _, err = ctrl.ReadRegister("edge1", "path_latency", 3)
 	if errors.Is(err, controller.ErrTampered) {
 		fmt.Println("tampered read detected:", err)

@@ -10,6 +10,7 @@ import (
 	"log"
 	"time"
 
+	"p4auth/internal/app"
 	"p4auth/internal/routescout"
 	"p4auth/internal/trace"
 )
@@ -23,19 +24,19 @@ func main() {
 
 	for _, arm := range []struct {
 		label  string
-		mode   routescout.Mode
+		mode   app.Mode
 		attack bool
 	}{
-		{"no adversary", routescout.ModeInsecure, false},
-		{"adversary, no protection", routescout.ModeInsecure, true},
-		{"adversary + P4Auth", routescout.ModeP4Auth, true},
+		{"no adversary", app.ModeInsecure, false},
+		{"adversary, no protection", app.ModeInsecure, true},
+		{"adversary + P4Auth", app.ModeP4Auth, true},
 	} {
 		cfg := routescout.DefaultConfig(arm.mode)
 		s, err := routescout.New(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if arm.mode == routescout.ModeP4Auth {
+		if arm.mode == app.ModeP4Auth {
 			if _, err := s.Ctrl.LocalKeyInit("edge"); err != nil {
 				log.Fatal(err)
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"p4auth/internal/app"
 	"p4auth/internal/routescout"
 	"p4auth/internal/trace"
 )
@@ -27,13 +28,13 @@ func Fig16() (*Report, error) {
 
 	type arm struct {
 		label  string
-		mode   routescout.Mode
+		mode   app.Mode
 		attack bool
 	}
 	arms := []arm{
-		{"no adversary", routescout.ModeInsecure, false},
-		{"with adversary", routescout.ModeInsecure, true},
-		{"adversary + P4Auth", routescout.ModeP4Auth, true},
+		{"no adversary", app.ModeInsecure, false},
+		{"with adversary", app.ModeInsecure, true},
+		{"adversary + P4Auth", app.ModeP4Auth, true},
 	}
 	rep := &Report{
 		ID:      "Fig 16",
@@ -46,7 +47,7 @@ func Fig16() (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		if a.mode == routescout.ModeP4Auth {
+		if a.mode == app.ModeP4Auth {
 			if _, err := s.Ctrl.LocalKeyInit("edge"); err != nil {
 				return nil, err
 			}

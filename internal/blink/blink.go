@@ -12,11 +12,10 @@ package blink
 import (
 	"errors"
 
+	"p4auth/internal/app"
 	"p4auth/internal/controller"
 	"p4auth/internal/core"
-	"p4auth/internal/crypto"
 	"p4auth/internal/pisa"
-	"p4auth/internal/switchos"
 )
 
 // PTypeData tags forwarded packets.
@@ -62,13 +61,8 @@ func DefaultParams(secure bool) Params { return Params{Secure: secure} }
 
 // System is a running Blink deployment.
 type System struct {
+	*app.App
 	Params Params
-	Host   *switchos.Host
-	Ctrl   *controller.Controller
-	// Cfg is the P4Auth core configuration the switch booted with;
-	// exported so a recovery path can re-Register the switch at a fresh
-	// controller after a controller kill.
-	Cfg core.Config
 
 	TamperedWrites int
 }
@@ -78,7 +72,7 @@ var pktDef = &pisa.HeaderDef{Name: "blp", Fields: []pisa.FieldDef{
 	{Name: "retrans", Width: 8},
 }}
 
-func buildProgram(p Params) (*pisa.Program, core.Config, error) {
+func buildProgram() *pisa.Program {
 	prog := &pisa.Program{
 		Name:    "blink",
 		Headers: []*pisa.HeaderDef{core.PTypeHeader(), pktDef},
@@ -125,38 +119,22 @@ func buildProgram(p Params) (*pisa.Program, core.Config, error) {
 		pisa.Forward(pisa.R(m("bl_nh"))),
 	}
 	prog.Control = []pisa.Op{pisa.If(pisa.Valid("blp"), ops)}
-
-	cfg := core.DefaultConfig(8, core.DigestCRC32)
-	cfg.Insecure = !p.Secure
-	exposed := []string{RegPrimary, RegBackup, RegEvidence, RegFailed}
-	if err := core.AddToProgram(prog, cfg, core.Integration{Exposed: exposed}); err != nil {
-		return nil, cfg, err
-	}
-	return prog, cfg, nil
+	return prog
 }
 
 // New deploys the system with every prefix's primary and backup next hop
 // written over C-DP.
 func New(p Params, primary, backup uint64) (*System, error) {
-	prog, cfg, err := buildProgram(p)
+	a, err := app.New(buildProgram(), app.Spec{
+		Name: p.name(), Mode: app.ModeOf(p.Secure), Profile: pisa.TofinoProfile(), Ports: 8,
+		Exposed: []string{RegPrimary, RegBackup, RegEvidence, RegFailed}, Seed: 0xB117 + p.Seed,
+	})
 	if err != nil {
 		return nil, err
 	}
-	sw, err := pisa.NewSwitch(prog, pisa.TofinoProfile(), pisa.WithRandom(crypto.NewSeededRand(0xB117+p.Seed)))
-	if err != nil {
-		return nil, err
-	}
-	if err := core.Boot(sw, cfg); err != nil {
-		return nil, err
-	}
-	host := switchos.NewHost(p.name(), sw, switchos.DefaultCosts())
-	ctrl := controller.New(crypto.NewSeededRand(0xB118 + p.Seed))
-	if err := ctrl.Register(p.name(), host, cfg, 0); err != nil {
-		return nil, err
-	}
-	s := &System{Params: p, Host: host, Ctrl: ctrl, Cfg: cfg}
+	s := &System{App: a, Params: p}
 	if p.Secure {
-		if _, err := ctrl.LocalKeyInit(p.name()); err != nil {
+		if _, err := a.Ctrl.LocalKeyInit(p.name()); err != nil {
 			return nil, err
 		}
 	}
@@ -175,12 +153,7 @@ func New(p Params, primary, backup uint64) (*System, error) {
 // adversary targets. On detection the controller retries through the
 // quarantined driver path.
 func (s *System) WriteNexthop(list string, prefix uint32, nexthop uint64) error {
-	var err error
-	if s.Params.Secure {
-		_, err = s.Ctrl.WriteRegister(s.Params.name(), list, prefix, nexthop)
-	} else {
-		_, err = s.Ctrl.WriteRegisterInsecure(s.Params.name(), list, prefix, nexthop)
-	}
+	err := s.Write(list, prefix, nexthop)
 	if err == nil {
 		return nil
 	}
@@ -216,26 +189,7 @@ func (s *System) Packet(prefix uint16, retrans bool) (int, error) {
 // InstallNexthopRewriter installs the paper's adversary: next-hop list
 // writes are redirected to the attacker's blackhole port.
 func (s *System) InstallNexthopRewriter(blackhole uint64) error {
-	ids := map[uint32]bool{}
-	for _, name := range []string{RegPrimary, RegBackup} {
-		ri, err := s.Host.Info.RegisterByName(name)
-		if err != nil {
-			return err
-		}
-		ids[ri.ID] = true
-	}
-	return s.Host.Install(switchos.BoundaryAgentSDK, &switchos.Hooks{
-		OnPacketOut: func(data []byte) []byte {
-			m, err := core.DecodeMessage(data)
-			if err != nil || m.Reg == nil || m.MsgType != core.MsgWriteReq || !ids[m.Reg.RegID] {
-				return data
-			}
-			m.Reg.Value = blackhole
-			out, eerr := m.Encode()
-			if eerr != nil {
-				return data
-			}
-			return out
-		},
+	return s.Rewrite(core.MsgWriteReq, []string{RegPrimary, RegBackup}, func(uint32, uint64) (uint64, bool) {
+		return blackhole, true
 	})
 }

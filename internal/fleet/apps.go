@@ -8,6 +8,7 @@ package fleet
 import (
 	"fmt"
 
+	"p4auth/internal/app"
 	"p4auth/internal/blink"
 	"p4auth/internal/controller"
 	"p4auth/internal/core"
@@ -402,11 +403,7 @@ func runSilkroad(io instOpts) (instResult, error) {
 // --- routescout ---
 
 func runRoutescout(io instOpts) (instResult, error) {
-	mode := routescout.ModeInsecure
-	if io.protected {
-		mode = routescout.ModeP4Auth
-	}
-	cfg := routescout.DefaultConfig(mode)
+	cfg := routescout.DefaultConfig(app.ModeOf(io.protected))
 	cfg.Name, cfg.Seed = io.name, io.seed
 	s, err := routescout.New(cfg)
 	if err != nil {
@@ -419,7 +416,7 @@ func runRoutescout(io instOpts) (instResult, error) {
 	}
 	oldAlerts := 0
 	if io.ctrlKill {
-		s.Ctrl, oldAlerts, err = killAndRecover(s.Ctrl, io.name, s.Switch.Host, s.Switch.Cfg, io.protected, io.seed)
+		s.Ctrl, oldAlerts, err = killAndRecover(s.Ctrl, io.name, s.Host, s.Cfg, io.protected, io.seed)
 		if err != nil {
 			return instResult{}, err
 		}

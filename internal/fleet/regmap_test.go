@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"p4auth/internal/app"
 	"p4auth/internal/blink"
 	"p4auth/internal/core"
 	"p4auth/internal/deploy"
@@ -158,11 +159,11 @@ func TestRegisterMapPerBuilder(t *testing.T) {
 			return built{s.Host, s.Cfg, []string{blink.RegPrimary, blink.RegBackup, blink.RegEvidence, blink.RegFailed}}, nil
 		}},
 		{"routescout", func() (built, error) {
-			s, err := routescout.New(routescout.DefaultConfig(routescout.ModeP4Auth))
+			s, err := routescout.New(routescout.DefaultConfig(app.ModeP4Auth))
 			if err != nil {
 				return built{}, err
 			}
-			return built{s.Switch.Host, s.Switch.Cfg, []string{routescout.RegSplit, routescout.RegLatSum, routescout.RegLatCnt}}, nil
+			return built{s.Host, s.Cfg, []string{routescout.RegSplit, routescout.RegLatSum, routescout.RegLatCnt}}, nil
 		}},
 	}
 	for _, b := range builders {

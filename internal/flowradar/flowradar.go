@@ -13,11 +13,11 @@ import (
 	"errors"
 	"fmt"
 
+	"p4auth/internal/app"
 	"p4auth/internal/controller"
 	"p4auth/internal/core"
 	"p4auth/internal/crypto"
 	"p4auth/internal/pisa"
-	"p4auth/internal/switchos"
 )
 
 // PTypeFlow tags measured packets.
@@ -70,13 +70,8 @@ func DefaultParams(secure bool) Params {
 
 // System is a running FlowRadar deployment.
 type System struct {
+	*app.App
 	Params Params
-	Host   *switchos.Host
-	Ctrl   *controller.Controller
-	// Cfg is the P4Auth core configuration the switch booted with;
-	// exported so a recovery path can re-Register the switch at a fresh
-	// controller after a controller kill.
-	Cfg core.Config
 
 	prf crypto.KeyedCRC32
 	// TamperedReads counts rejected export reads.
@@ -90,9 +85,9 @@ var flowDef = &pisa.HeaderDef{Name: "frf", Fields: []pisa.FieldDef{
 func cellSeed(h int) uint64   { return 0xF10D_0000 + uint64(h)*0x9E37 }
 func filterSeed(h int) uint64 { return 0x5EEA_0000 + uint64(h)*0x61C9 }
 
-func buildProgram(p Params) (*pisa.Program, core.Config, error) {
+func buildProgram(p Params) (*pisa.Program, error) {
 	if p.Cells&(p.Cells-1) != 0 {
-		return nil, core.Config{}, fmt.Errorf("flowradar: cells must be a power of two")
+		return nil, fmt.Errorf("flowradar: cells must be a power of two")
 	}
 	prog := &pisa.Program{
 		Name:    "flowradar",
@@ -174,39 +169,26 @@ func buildProgram(p Params) (*pisa.Program, core.Config, error) {
 	}
 	ops = append(ops, pisa.Forward(pisa.C(2)))
 	prog.Control = []pisa.Op{pisa.If(pisa.Valid("frf"), ops)}
-
-	cfg := core.DefaultConfig(4, core.DigestHalfSipHash)
-	cfg.Insecure = !p.Secure
-	if err := core.AddToProgram(prog, cfg, core.Integration{
-		Exposed: []string{RegFlowXOR, RegFlowCnt, RegPktCnt},
-	}); err != nil {
-		return nil, cfg, err
-	}
-	return prog, cfg, nil
+	return prog, nil
 }
 
 // New deploys the measurement switch (BMv2 profile: the shared cell
 // layout needs multiple accesses per register array).
 func New(p Params) (*System, error) {
-	prog, cfg, err := buildProgram(p)
+	prog, err := buildProgram(p)
 	if err != nil {
 		return nil, err
 	}
-	sw, err := pisa.NewSwitch(prog, pisa.BMv2Profile(), pisa.WithRandom(crypto.NewSeededRand(0xF1A+p.Seed)))
+	a, err := app.New(prog, app.Spec{
+		Name: p.name(), Mode: app.ModeOf(p.Secure), Profile: pisa.BMv2Profile(), Ports: 4,
+		Exposed: []string{RegFlowXOR, RegFlowCnt, RegPktCnt}, Seed: 0xF1A + p.Seed,
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := core.Boot(sw, cfg); err != nil {
-		return nil, err
-	}
-	host := switchos.NewHost(p.name(), sw, switchos.DefaultCosts())
-	ctrl := controller.New(crypto.NewSeededRand(0xF1B + p.Seed))
-	if err := ctrl.Register(p.name(), host, cfg, 0); err != nil {
-		return nil, err
-	}
-	s := &System{Params: p, Host: host, Ctrl: ctrl, Cfg: cfg, prf: crypto.NewKeyedCRC32()}
+	s := &System{App: a, Params: p, prf: crypto.NewKeyedCRC32()}
 	if p.Secure {
-		if _, err := ctrl.LocalKeyInit(p.name()); err != nil {
+		if _, err := a.Ctrl.LocalKeyInit(p.name()); err != nil {
 			return nil, err
 		}
 	}
@@ -243,24 +225,16 @@ type cell struct {
 // detection it returns ErrTampered wrapped.
 func (s *System) export() ([]cell, error) {
 	cells := make([]cell, s.Params.Cells)
-	read := func(name string, i uint32) (uint64, error) {
-		if s.Params.Secure {
-			v, _, err := s.Ctrl.ReadRegister(s.Params.name(), name, i)
-			return v, err
-		}
-		v, _, err := s.Ctrl.ReadRegisterInsecure(s.Params.name(), name, i)
-		return v, err
-	}
 	for i := 0; i < s.Params.Cells; i++ {
-		fx, err := read(RegFlowXOR, uint32(i))
+		fx, err := s.Read(RegFlowXOR, uint32(i))
 		if err != nil {
 			return nil, err
 		}
-		fc, err := read(RegFlowCnt, uint32(i))
+		fc, err := s.Read(RegFlowCnt, uint32(i))
 		if err != nil {
 			return nil, err
 		}
-		pc, err := read(RegPktCnt, uint32(i))
+		pc, err := s.Read(RegPktCnt, uint32(i))
 		if err != nil {
 			return nil, err
 		}
@@ -348,23 +322,7 @@ func residual(cells []cell) int {
 // InstallExportDeflater installs the paper's adversary: exported packet
 // counts are scaled down, hiding loss from the downstream analysis.
 func (s *System) InstallExportDeflater() error {
-	ri, err := s.Host.Info.RegisterByName(RegPktCnt)
-	if err != nil {
-		return err
-	}
-	id := ri.ID
-	return s.Host.Install(switchos.BoundaryAgentSDK, &switchos.Hooks{
-		OnPacketIn: func(data []byte) []byte {
-			m, err := core.DecodeMessage(data)
-			if err != nil || m.Reg == nil || m.MsgType != core.MsgAck || m.Reg.RegID != id {
-				return data
-			}
-			m.Reg.Value /= 2
-			out, eerr := m.Encode()
-			if eerr != nil {
-				return data
-			}
-			return out
-		},
+	return s.Rewrite(core.MsgAck, []string{RegPktCnt}, func(_ uint32, v uint64) (uint64, bool) {
+		return v / 2, true
 	})
 }

@@ -16,12 +16,11 @@ import (
 	"fmt"
 	"sort"
 
+	"p4auth/internal/app"
 	"p4auth/internal/controller"
 	"p4auth/internal/core"
-	"p4auth/internal/crypto"
 	"p4auth/internal/pisa"
 	"p4auth/internal/sketch"
-	"p4auth/internal/switchos"
 )
 
 // Packet-type tag for query packets.
@@ -78,13 +77,8 @@ func DefaultParams(secure bool) Params {
 
 // System is a running NetCache deployment.
 type System struct {
+	*app.App
 	Params Params
-	Host   *switchos.Host
-	Ctrl   *controller.Controller
-	// Cfg is the P4Auth core configuration the switch booted with;
-	// exported so a recovery path can re-Register the switch at a fresh
-	// controller after a controller kill.
-	Cfg    core.Config
 	CMS    *sketch.CMS
 	Mirror *sketch.Mirror
 
@@ -96,10 +90,10 @@ type System struct {
 	Epochs int
 }
 
-func buildProgram(p Params) (*pisa.Program, *sketch.CMS, core.Config, error) {
+func buildProgram(p Params) (*pisa.Program, *sketch.CMS, error) {
 	cms, err := sketch.NewCMS("nc_cms", p.CMSRows, cmsCols)
 	if err != nil {
-		return nil, nil, core.Config{}, err
+		return nil, nil, err
 	}
 	prog := &pisa.Program{
 		Name: "netcache",
@@ -169,45 +163,31 @@ func buildProgram(p Params) (*pisa.Program, *sketch.CMS, core.Config, error) {
 		),
 	}
 	prog.Control = []pisa.Op{pisa.If(pisa.Valid("nq"), queryOps)}
-
-	cfg := core.DefaultConfig(4, core.DigestCRC32)
-	cfg.Insecure = !p.Secure
-	exposed := append(cms.RegisterNames(), RegHits, RegMisses, RegSlotHits)
-	if err := core.AddToProgram(prog, cfg, core.Integration{Exposed: exposed}); err != nil {
-		return nil, nil, cfg, err
-	}
-	return prog, cms, cfg, nil
+	return prog, cms, nil
 }
 
 // New deploys the cache switch and its controller.
 func New(p Params) (*System, error) {
-	prog, cms, cfg, err := buildProgram(p)
+	prog, cms, err := buildProgram(p)
 	if err != nil {
 		return nil, err
 	}
-	sw, err := pisa.NewSwitch(prog, pisa.TofinoProfile(), pisa.WithRandom(crypto.NewSeededRand(0x7ACE+p.Seed)))
+	a, err := app.New(prog, app.Spec{
+		Name: p.name(), Mode: app.ModeOf(p.Secure), Profile: pisa.TofinoProfile(), Ports: 4,
+		Exposed: append(cms.RegisterNames(), RegHits, RegMisses, RegSlotHits), Seed: 0x7ACE + p.Seed,
+	})
 	if err != nil {
-		return nil, err
-	}
-	if err := core.Boot(sw, cfg); err != nil {
-		return nil, err
-	}
-	host := switchos.NewHost(p.name(), sw, switchos.DefaultCosts())
-	ctrl := controller.New(crypto.NewSeededRand(0x7ACF + p.Seed))
-	if err := ctrl.Register(p.name(), host, cfg, 0); err != nil {
 		return nil, err
 	}
 	s := &System{
+		App:    a,
 		Params: p,
-		Host:   host,
-		Ctrl:   ctrl,
-		Cfg:    cfg,
 		CMS:    cms,
 		Mirror: sketch.NewMirror(cms),
 		cached: make(map[uint32]int),
 	}
 	if p.Secure {
-		if _, err := ctrl.LocalKeyInit(p.name()); err != nil {
+		if _, err := a.Ctrl.LocalKeyInit(p.name()); err != nil {
 			return nil, err
 		}
 	}
@@ -238,22 +218,12 @@ func (s *System) Query(key uint32) (hit bool, err error) {
 	return false, nil
 }
 
-// readReg reads one register entry over the variant's C-DP path.
-func (s *System) readReg(name string, index uint32) (uint64, error) {
-	if s.Params.Secure {
-		v, _, err := s.Ctrl.ReadRegister(s.Params.name(), name, index)
-		return v, err
-	}
-	v, _, err := s.Ctrl.ReadRegisterInsecure(s.Params.name(), name, index)
-	return v, err
-}
-
 // readEstimate fetches a key's sketch estimate over authenticated C-DP
 // register reads (the report path the paper's adversary alters).
 func (s *System) readEstimate(key uint32) (uint64, error) {
 	min := ^uint64(0)
 	for r, idx := range s.Mirror.Indexes(key) {
-		v, err := s.readReg(fmt.Sprintf("%s_row%d", s.CMS.Name, r), uint32(idx))
+		v, err := s.Read(fmt.Sprintf("%s_row%d", s.CMS.Name, r), uint32(idx))
 		if err != nil {
 			return 0, err
 		}
@@ -280,7 +250,7 @@ func (s *System) UpdateEpoch(candidates []uint32) error {
 		if slot, ok := s.cached[k]; ok {
 			// Cached keys never miss; their demand lives in the per-slot
 			// hit counters (read over the same authenticated C-DP path).
-			est, err = s.readReg(RegSlotHits, uint32(slot))
+			est, err = s.Read(RegSlotHits, uint32(slot))
 		} else {
 			est, err = s.readEstimate(k)
 		}
@@ -355,29 +325,7 @@ func (s *System) ResetCounters() error {
 // that deflates reported sketch counters above `floor` so hot keys look
 // cold to the controller.
 func (s *System) InstallStatDeflater(floor uint64) error {
-	rowIDs := make(map[uint32]bool, s.CMS.Rows+1)
-	for _, name := range append(s.CMS.RegisterNames(), RegSlotHits) {
-		ri, err := s.Host.Info.RegisterByName(name)
-		if err != nil {
-			return err
-		}
-		rowIDs[ri.ID] = true
-	}
-	return s.Host.Install(switchos.BoundaryAgentSDK, &switchos.Hooks{
-		OnPacketIn: func(data []byte) []byte {
-			m, err := core.DecodeMessage(data)
-			if err != nil || m.Reg == nil || m.MsgType != core.MsgAck {
-				return data
-			}
-			if rowIDs[m.Reg.RegID] && m.Reg.Value > floor {
-				m.Reg.Value = 0 // hot keys read as never-queried
-				out, eerr := m.Encode()
-				if eerr != nil {
-					return data
-				}
-				return out
-			}
-			return data
-		},
+	return s.Rewrite(core.MsgAck, append(s.CMS.RegisterNames(), RegSlotHits), func(_ uint32, v uint64) (uint64, bool) {
+		return 0, v > floor // hot keys read as never-queried
 	})
 }

@@ -13,11 +13,10 @@ package netwarden
 import (
 	"errors"
 
+	"p4auth/internal/app"
 	"p4auth/internal/controller"
 	"p4auth/internal/core"
-	"p4auth/internal/crypto"
 	"p4auth/internal/pisa"
-	"p4auth/internal/switchos"
 )
 
 // PTypeFlow tags monitored connection packets.
@@ -65,13 +64,8 @@ func DefaultParams(secure bool) Params { return Params{Conns: 32, Secure: secure
 
 // System is a running NetWarden deployment.
 type System struct {
+	*app.App
 	Params Params
-	Host   *switchos.Host
-	Ctrl   *controller.Controller
-	// Cfg is the P4Auth core configuration the switch booted with;
-	// exported so a recovery path can re-Register the switch at a fresh
-	// controller after a controller kill.
-	Cfg core.Config
 
 	// TamperedOps counts C-DP operations the controller saw rejected.
 	TamperedOps int
@@ -81,7 +75,7 @@ var flowDef = &pisa.HeaderDef{Name: "nwf", Fields: []pisa.FieldDef{
 	{Name: "conn", Width: 16},
 }}
 
-func buildProgram(p Params) (*pisa.Program, core.Config, error) {
+func buildProgram(p Params) *pisa.Program {
 	prog := &pisa.Program{
 		Name:    "netwarden",
 		Headers: []*pisa.HeaderDef{core.PTypeHeader(), flowDef},
@@ -144,37 +138,21 @@ func buildProgram(p Params) (*pisa.Program, core.Config, error) {
 		),
 	}
 	prog.Control = []pisa.Op{pisa.If(pisa.Valid("nwf"), flowOps)}
-
-	cfg := core.DefaultConfig(4, core.DigestCRC32)
-	cfg.Insecure = !p.Secure
-	exposed := []string{RegJitter, RegPackets, RegVerdict, RegBlocked}
-	if err := core.AddToProgram(prog, cfg, core.Integration{Exposed: exposed}); err != nil {
-		return nil, cfg, err
-	}
-	return prog, cfg, nil
+	return prog
 }
 
 // New deploys the monitor.
 func New(p Params) (*System, error) {
-	prog, cfg, err := buildProgram(p)
+	a, err := app.New(buildProgram(p), app.Spec{
+		Name: p.name(), Mode: app.ModeOf(p.Secure), Profile: pisa.TofinoProfile(), Ports: 4,
+		Exposed: []string{RegJitter, RegPackets, RegVerdict, RegBlocked}, Seed: 0x93A + p.Seed,
+	})
 	if err != nil {
 		return nil, err
 	}
-	sw, err := pisa.NewSwitch(prog, pisa.TofinoProfile(), pisa.WithRandom(crypto.NewSeededRand(0x93A+p.Seed)))
-	if err != nil {
-		return nil, err
-	}
-	if err := core.Boot(sw, cfg); err != nil {
-		return nil, err
-	}
-	host := switchos.NewHost(p.name(), sw, switchos.DefaultCosts())
-	ctrl := controller.New(crypto.NewSeededRand(0x93B+p.Seed))
-	if err := ctrl.Register(p.name(), host, cfg, 0); err != nil {
-		return nil, err
-	}
-	s := &System{Params: p, Host: host, Ctrl: ctrl, Cfg: cfg}
+	s := &System{App: a, Params: p}
 	if p.Secure {
-		if _, err := ctrl.LocalKeyInit(p.name()); err != nil {
+		if _, err := a.Ctrl.LocalKeyInit(p.name()); err != nil {
 			return nil, err
 		}
 	}
@@ -197,30 +175,12 @@ func (s *System) Packet(conn uint16, atNs uint64) (bool, error) {
 	return len(res.NetOut) > 0, nil
 }
 
-func (s *System) read(name string, index uint32) (uint64, error) {
-	if s.Params.Secure {
-		v, _, err := s.Ctrl.ReadRegister(s.Params.name(), name, index)
-		return v, err
-	}
-	v, _, err := s.Ctrl.ReadRegisterInsecure(s.Params.name(), name, index)
-	return v, err
-}
-
-func (s *System) write(name string, index uint32, v uint64) error {
-	if s.Params.Secure {
-		_, err := s.Ctrl.WriteRegister(s.Params.name(), name, index, v)
-		return err
-	}
-	_, err := s.Ctrl.WriteRegisterInsecure(s.Params.name(), name, index, v)
-	return err
-}
-
 // Sweep runs one controller classification pass: connections with a mean
 // jitter below thresholdNs (too regular — a timing channel) are blocked.
 // Tampered reads fall back to the quarantined driver path, as in §VIII.
 func (s *System) Sweep(meanJitterThresholdNs uint64) error {
 	for c := 0; c < s.Params.Conns; c++ {
-		jitter, err := s.read(RegJitter, uint32(c))
+		jitter, err := s.Read(RegJitter, uint32(c))
 		if err != nil {
 			if !errors.Is(err, controller.ErrTampered) {
 				return err
@@ -230,7 +190,7 @@ func (s *System) Sweep(meanJitterThresholdNs uint64) error {
 				return err
 			}
 		}
-		pkts, err := s.read(RegPackets, uint32(c))
+		pkts, err := s.Read(RegPackets, uint32(c))
 		if err != nil {
 			if !errors.Is(err, controller.ErrTampered) {
 				return err
@@ -247,7 +207,7 @@ func (s *System) Sweep(meanJitterThresholdNs uint64) error {
 		if jitter/pkts < meanJitterThresholdNs {
 			verdict = 1
 		}
-		if err := s.write(RegVerdict, uint32(c), verdict); err != nil {
+		if err := s.Write(RegVerdict, uint32(c), verdict); err != nil {
 			if !errors.Is(err, controller.ErrTampered) {
 				return err
 			}
@@ -269,23 +229,7 @@ func (s *System) Verdict(conn int) (uint64, error) {
 // scores are inflated so too-regular (covert) connections look noisy and
 // classify as benign.
 func (s *System) InstallScoreInflater() error {
-	ri, err := s.Host.Info.RegisterByName(RegJitter)
-	if err != nil {
-		return err
-	}
-	id := ri.ID
-	return s.Host.Install(switchos.BoundaryAgentSDK, &switchos.Hooks{
-		OnPacketIn: func(data []byte) []byte {
-			m, err := core.DecodeMessage(data)
-			if err != nil || m.Reg == nil || m.MsgType != core.MsgAck || m.Reg.RegID != id {
-				return data
-			}
-			m.Reg.Value = m.Reg.Value*10 + 1_000_000
-			out, eerr := m.Encode()
-			if eerr != nil {
-				return data
-			}
-			return out
-		},
+	return s.Rewrite(core.MsgAck, []string{RegJitter}, func(_ uint32, v uint64) (uint64, bool) {
+		return v*10 + 1_000_000, true
 	})
 }

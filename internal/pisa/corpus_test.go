@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"p4auth/internal/app"
 	"p4auth/internal/blink"
 	"p4auth/internal/core"
 	"p4auth/internal/deploy"
@@ -156,9 +157,9 @@ func corpusSubjects(t *testing.T) []*corpusSubject {
 	hh, err := sketch.NewHH(sketch.DefaultHHParams(true))
 	must(err)
 	add("sketch-hh", hh.Host, hh.Cfg, 4)
-	rs, err := routescout.New(routescout.DefaultConfig(routescout.ModeP4Auth))
+	rs, err := routescout.New(routescout.DefaultConfig(app.ModeP4Auth))
 	must(err)
-	add("routescout", rs.Switch.Host, rs.Switch.Cfg, 4)
+	add("routescout", rs.Host, rs.Cfg, 4)
 	return out
 }
 

@@ -20,13 +20,12 @@ import (
 	"fmt"
 	"time"
 
+	"p4auth/internal/app"
 	"p4auth/internal/controller"
 	"p4auth/internal/core"
-	"p4auth/internal/crypto"
 	"p4auth/internal/deploy"
 	"p4auth/internal/netsim"
 	"p4auth/internal/pisa"
-	"p4auth/internal/switchos"
 	"p4auth/internal/trace"
 )
 
@@ -40,28 +39,12 @@ const (
 // Data-plane header.
 const HdrData = "rsdata"
 
-// Mode selects how the controller talks to the switch.
-type Mode int
-
-// Modes: the three variants of §IX-B.
-const (
-	// ModeP4Auth uses authenticated PacketOut register access.
-	ModeP4Auth Mode = iota + 1
-	// ModeInsecure uses unauthenticated PacketOut access (DP-Reg-RW).
-	ModeInsecure
-	// ModeAPI uses the P4Runtime API stack.
-	ModeAPI
-)
-
 // System is a running RouteScout deployment: one edge switch, two paths,
 // a sink, and the controller loop.
 type System struct {
-	Net    *netsim.Network
-	Ctrl   *controller.Controller
-	Switch *deploy.Switch
-	Mode   Mode
-	name   string
-	node   *deploy.SwitchNode
+	*app.App
+	Net  *netsim.Network
+	node *deploy.SwitchNode
 
 	// Split is the current split (0..256 for path 1).
 	Split uint64
@@ -79,7 +62,8 @@ type System struct {
 
 // Config for the experiment.
 type Config struct {
-	Mode Mode
+	// Mode is one of app's three modes; any other value fails New.
+	Mode app.Mode
 	// Name identifies the switch at its controller; empty means the
 	// historical "edge". Fleet deployments run one instance per pod and
 	// need distinct names.
@@ -109,7 +93,7 @@ const (
 )
 
 // DefaultConfig returns the configuration of one deployment in mode.
-func DefaultConfig(mode Mode) Config {
+func DefaultConfig(mode app.Mode) Config {
 	return Config{Mode: mode}
 }
 
@@ -122,9 +106,9 @@ func dataDef() *pisa.HeaderDef {
 }
 
 // buildProgram creates the RouteScout edge data plane: split-based path
-// selection plus the stat registers, with P4Auth woven in unless insecure.
-func buildProgram(insecure bool) (*pisa.Program, core.Config, error) {
-	prog := &pisa.Program{
+// selection plus the stat registers.
+func buildProgram() *pisa.Program {
+	return &pisa.Program{
 		Name:    "routescout",
 		Headers: []*pisa.HeaderDef{core.PTypeHeader(), dataDef()},
 		Parser: []pisa.ParserState{
@@ -160,45 +144,23 @@ func buildProgram(insecure bool) (*pisa.Program, core.Config, error) {
 			}),
 		},
 	}
-	cfg := core.DefaultConfig(4, core.DigestCRC32)
-	cfg.Insecure = insecure
-	err := core.AddToProgram(prog, cfg, core.Integration{
-		Exposed: []string{RegSplit, RegLatSum, RegLatCnt},
-	})
-	return prog, cfg, err
 }
 
 // New assembles the system.
 func New(c Config) (*System, error) {
-	prog, cfg, err := buildProgram(c.Mode == ModeInsecure)
+	a, err := app.New(buildProgram(), app.Spec{
+		Name: c.name(), Mode: c.Mode, Profile: pisa.TofinoProfile(), Ports: 4,
+		Exposed: []string{RegSplit, RegLatSum, RegLatCnt}, Seed: 0x2005C0 + c.Seed,
+		Latency: 100 * time.Microsecond,
+	})
 	if err != nil {
 		return nil, err
 	}
-	sw, err := pisa.NewSwitch(prog, pisa.TofinoProfile(), pisa.WithRandom(crypto.NewSeededRand(0x2005C0+c.Seed)))
-	if err != nil {
+	if err := a.Host.SW.RegisterWrite(RegSplit, 0, initialSplit); err != nil {
 		return nil, err
 	}
-	if err := core.Boot(sw, cfg); err != nil {
-		return nil, err
-	}
-	info := switchos.NewHost(c.name(), sw, switchos.DefaultCosts())
-
-	s := &System{
-		Net:    netsim.NewNetwork(),
-		Ctrl:   controller.New(crypto.NewSeededRand(0x2005C1 + c.Seed)),
-		Switch: &deploy.Switch{Host: info, Cfg: cfg},
-		Mode:   c.Mode,
-		name:   c.name(),
-		Split:  initialSplit,
-	}
-	if err := s.Ctrl.Register(c.name(), info, cfg, 100*time.Microsecond); err != nil {
-		return nil, err
-	}
-	if err := sw.RegisterWrite(RegSplit, 0, initialSplit); err != nil {
-		return nil, err
-	}
-
-	s.node = &deploy.SwitchNode{Host: info}
+	s := &System{App: a, Net: netsim.NewNetwork(), Split: initialSplit}
+	s.node = &deploy.SwitchNode{Host: a.Host}
 	s.Net.AddNode(c.name(), s.node)
 	s.Net.AddNode("sink", netsim.HandlerFunc(func(net *netsim.Network, _ *netsim.Node, _ int, data []byte) {
 		s.onDeliver(net, data)
@@ -235,44 +197,14 @@ func (s *System) onDeliver(net *netsim.Network, data []byte) {
 // data-plane registers (the in-chip estimation path; trusted).
 func (s *System) flushStats() error {
 	for p := 0; p < 2; p++ {
-		if err := s.Switch.Host.SW.RegisterWrite(RegLatSum, p, s.latSumUs[p]); err != nil {
+		if err := s.Host.SW.RegisterWrite(RegLatSum, p, s.latSumUs[p]); err != nil {
 			return err
 		}
-		if err := s.Switch.Host.SW.RegisterWrite(RegLatCnt, p, s.latCnt[p]); err != nil {
+		if err := s.Host.SW.RegisterWrite(RegLatCnt, p, s.latCnt[p]); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func (s *System) readReg(name string, index uint32) (uint64, error) {
-	switch s.Mode {
-	case ModeP4Auth:
-		v, _, err := s.Ctrl.ReadRegister(s.name, name, index)
-		return v, err
-	case ModeInsecure:
-		v, _, err := s.Ctrl.ReadRegisterInsecure(s.name, name, index)
-		return v, err
-	case ModeAPI:
-		v, _, err := s.Ctrl.ReadRegisterAPI(s.name, name, index)
-		return v, err
-	}
-	return 0, fmt.Errorf("routescout: unknown mode %d", int(s.Mode))
-}
-
-func (s *System) writeReg(name string, index uint32, v uint64) error {
-	switch s.Mode {
-	case ModeP4Auth:
-		_, err := s.Ctrl.WriteRegister(s.name, name, index, v)
-		return err
-	case ModeInsecure:
-		_, err := s.Ctrl.WriteRegisterInsecure(s.name, name, index, v)
-		return err
-	case ModeAPI:
-		_, err := s.Ctrl.WriteRegisterAPI(s.name, name, index, v)
-		return err
-	}
-	return fmt.Errorf("routescout: unknown mode %d", int(s.Mode))
 }
 
 // epoch runs one controller cycle: pull stats, recompute the split, push
@@ -284,7 +216,7 @@ func (s *System) epoch() error {
 	}
 	var avg [2]float64
 	for p := 0; p < 2; p++ {
-		sum, err := s.readReg(RegLatSum, uint32(p))
+		sum, err := s.Read(RegLatSum, uint32(p))
 		if err != nil {
 			if errors.Is(err, controller.ErrTampered) {
 				s.TamperedReads++
@@ -292,7 +224,7 @@ func (s *System) epoch() error {
 			}
 			return err
 		}
-		cnt, err := s.readReg(RegLatCnt, uint32(p))
+		cnt, err := s.Read(RegLatCnt, uint32(p))
 		if err != nil {
 			if errors.Is(err, controller.ErrTampered) {
 				s.TamperedReads++
@@ -312,7 +244,7 @@ func (s *System) epoch() error {
 		split = 256
 	}
 	s.Split = split
-	if err := s.writeReg(RegSplit, 0, split); err != nil {
+	if err := s.Write(RegSplit, 0, split); err != nil {
 		if errors.Is(err, controller.ErrTampered) {
 			s.TamperedReads++
 			return nil
@@ -326,7 +258,7 @@ func (s *System) epoch() error {
 // Run replays the trace for the duration with the controller polling each
 // epoch, returning the per-path byte shares (Fig. 16's metric).
 func (s *System) Run(cfg Config, pkts []trace.Packet) (share1, share2 float64, err error) {
-	node := s.Net.Node(s.name)
+	node := s.Net.Node(s.Name)
 	// Schedule relative to the current virtual time: a fresh system starts
 	// at zero (historical behaviour), while a resumed system — e.g. after a
 	// mid-run controller kill and recovery — replays the remaining trace
@@ -369,49 +301,11 @@ func (s *System) Run(cfg Config, pkts []trace.Packet) (share1, share2 float64, e
 }
 
 // InstallLatencyInflater installs the paper's Fig. 2 adversary: a
-// control-plane MitM that inflates path 1's reported latency sum in read
-// responses so the controller diverts traffic to path 2.
+// control-plane MitM that inflates path 1's reported latency sum
+// (register index 0) in read responses, over the API stack and in
+// PacketIns alike, so the controller diverts traffic to path 2.
 func (s *System) InstallLatencyInflater(factor uint64) error {
-	mitm := &CtrlMitM{Factor: factor, Host: s.Switch.Host}
-	return mitm.Install()
-}
-
-// CtrlMitM is the RouteScout-specific control-plane adversary.
-type CtrlMitM struct {
-	Factor uint64
-	Host   *switchos.Host
-}
-
-// Install places the interposition hook. It rewrites read responses for
-// the path-1 latency sum (register index 0).
-func (c *CtrlMitM) Install() error {
-	info := c.Host.Info
-	ri, err := info.RegisterByName(RegLatSum)
-	if err != nil {
-		return err
-	}
-	return c.Host.Install(switchos.BoundaryAgentSDK, &switchos.Hooks{
-		// API-stack reads.
-		OnRegResult: func(op *switchos.RegOp, value *uint64) {
-			if op.ID == ri.ID && op.Index == 0 {
-				*value *= c.Factor
-			}
-		},
-		// PacketIn (DP-Reg-RW / P4Auth) reads.
-		OnPacketIn: func(data []byte) []byte {
-			m, err := core.DecodeMessage(data)
-			if err != nil || m.Reg == nil || m.HdrType != core.HdrRegister {
-				return data
-			}
-			if m.Reg.RegID == ri.ID && m.Reg.Index == 0 && m.MsgType == core.MsgAck {
-				m.Reg.Value *= c.Factor
-				out, eerr := m.Encode()
-				if eerr != nil {
-					return data
-				}
-				return out
-			}
-			return data
-		},
+	return s.Rewrite(core.MsgAck, []string{RegLatSum}, func(index uint32, v uint64) (uint64, bool) {
+		return v * factor, index == 0
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"p4auth/internal/app"
 	"p4auth/internal/trace"
 )
 
@@ -14,14 +15,14 @@ func testTrace() []trace.Packet {
 	return trace.Generate(cfg)
 }
 
-func run(t *testing.T, mode Mode, attack bool) (*System, float64, float64) {
+func run(t *testing.T, mode app.Mode, attack bool) (*System, float64, float64) {
 	t.Helper()
 	cfg := DefaultConfig(mode)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mode == ModeP4Auth {
+	if mode == app.ModeP4Auth {
 		if _, err := s.Ctrl.LocalKeyInit("edge"); err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +43,7 @@ func TestCleanSplitFavorsFastPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("virtual-time run")
 	}
-	s, p1, p2 := run(t, ModeInsecure, false)
+	s, p1, p2 := run(t, app.ModeInsecure, false)
 	// Path 1 (2 ms) should end up carrying clearly more than path 2 (6 ms).
 	if p1 <= p2 {
 		t.Errorf("clean run: path1 %.2f <= path2 %.2f; fast path should win", p1, p2)
@@ -64,7 +65,7 @@ func TestAdversaryDivertsTrafficWithoutP4Auth(t *testing.T) {
 	// The MitM inflates path 1's reported latency 20x; the controller
 	// diverts most traffic to the genuinely slower path 2 (Fig. 16 center
 	// bars: ~70% on path 2).
-	s, _, p2 := run(t, ModeInsecure, true)
+	s, _, p2 := run(t, app.ModeInsecure, true)
 	if p2 < 0.60 {
 		t.Errorf("attacked baseline: path2 got %.1f%%, paper reports ~70%%", 100*p2)
 	}
@@ -77,7 +78,7 @@ func TestP4AuthPreservesSplitUnderAttack(t *testing.T) {
 	if testing.Short() {
 		t.Skip("virtual-time run")
 	}
-	s, p1, p2 := run(t, ModeP4Auth, true)
+	s, p1, p2 := run(t, app.ModeP4Auth, true)
 	// The controller detects every tampered read, refrains from changing
 	// the split, and keeps favoring the fast path via the initial 50/50
 	// then... the initial split stays at 128 (50/50) since every epoch is
@@ -101,7 +102,7 @@ func TestP4AuthCleanConverges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("virtual-time run")
 	}
-	s, p1, p2 := run(t, ModeP4Auth, false)
+	s, p1, p2 := run(t, app.ModeP4Auth, false)
 	if p1 <= p2 {
 		t.Errorf("P4Auth clean run: path1 %.2f <= path2 %.2f", p1, p2)
 	}
@@ -114,7 +115,7 @@ func TestAPIModeWorks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("virtual-time run")
 	}
-	s, p1, p2 := run(t, ModeAPI, false)
+	s, p1, p2 := run(t, app.ModeAPI, false)
 	if p1 <= p2 {
 		t.Errorf("API mode: path1 %.2f <= path2 %.2f", p1, p2)
 	}
@@ -127,8 +128,18 @@ func TestAPIModeVulnerable(t *testing.T) {
 	}
 	// TLS on the controller channel does not help below the agent: the
 	// API stack is interposed just the same (§I).
-	_, _, p2 := run(t, ModeAPI, true)
+	_, _, p2 := run(t, app.ModeAPI, true)
 	if p2 < 0.60 {
 		t.Errorf("attacked API baseline: path2 got %.1f%%", 100*p2)
+	}
+}
+
+// TestNewRejectsUnknownMode: a mode outside the three fails at
+// construction instead of at the first controller epoch.
+func TestNewRejectsUnknownMode(t *testing.T) {
+	for _, mode := range []app.Mode{0, app.ModeAPI + 1} {
+		if _, err := New(Config{Mode: mode}); err == nil {
+			t.Errorf("New accepted mode %d", mode)
+		}
 	}
 }

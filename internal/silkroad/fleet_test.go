@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"p4auth/internal/core"
-	"p4auth/internal/switchos"
 )
 
 // TestNamedSeededInstances deploys two balancers with distinct fleet
@@ -49,28 +48,8 @@ func TestTamperedBeginMigrationDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := map[uint32]bool{}
-	for _, name := range []string{RegMigrating, RegPoolVer} {
-		ri, err := s.Host.Info.RegisterByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[ri.ID] = true
-	}
-	err = s.Host.Install(switchos.BoundaryAgentSDK, &switchos.Hooks{
-		OnPacketOut: func(data []byte) []byte {
-			m, derr := core.DecodeMessage(data)
-			if derr != nil || m.Reg == nil || m.MsgType != core.MsgWriteReq {
-				return data
-			}
-			if ids[m.Reg.RegID] {
-				m.Reg.Value ^= 1
-				if out, eerr := m.Encode(); eerr == nil {
-					return out
-				}
-			}
-			return data
-		},
+	err = s.Rewrite(core.MsgWriteReq, []string{RegMigrating, RegPoolVer}, func(_ uint32, v uint64) (uint64, bool) {
+		return v ^ 1, true
 	})
 	if err != nil {
 		t.Fatal(err)

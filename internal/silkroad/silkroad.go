@@ -13,12 +13,11 @@ package silkroad
 import (
 	"errors"
 
+	"p4auth/internal/app"
 	"p4auth/internal/controller"
 	"p4auth/internal/core"
-	"p4auth/internal/crypto"
 	"p4auth/internal/pisa"
 	"p4auth/internal/sketch"
-	"p4auth/internal/switchos"
 )
 
 // PTypeConn tags connection packets.
@@ -72,13 +71,8 @@ func DefaultParams(secure bool) Params {
 
 // System is a running SilkRoad deployment.
 type System struct {
+	*app.App
 	Params Params
-	Host   *switchos.Host
-	Ctrl   *controller.Controller
-	// Cfg is the P4Auth core configuration the switch booted with;
-	// exported so a recovery path can re-Register the switch at a fresh
-	// controller after a controller kill.
-	Cfg    core.Config
 	Bloom  *sketch.Bloom
 	Mirror *sketch.BloomMirror
 
@@ -92,10 +86,10 @@ var connDef = &pisa.HeaderDef{Name: "conn", Fields: []pisa.FieldDef{
 	{Name: "dip_pool", Width: 8}, // stamped by the switch: pool that served it
 }}
 
-func buildProgram(p Params) (*pisa.Program, *sketch.Bloom, core.Config, error) {
+func buildProgram() (*pisa.Program, *sketch.Bloom, error) {
 	bloom, err := sketch.NewBloom("sr_transit", bloomHashes, bloomBits)
 	if err != nil {
-		return nil, nil, core.Config{}, err
+		return nil, nil, err
 	}
 	prog := &pisa.Program{
 		Name:    "silkroad",
@@ -154,37 +148,25 @@ func buildProgram(p Params) (*pisa.Program, *sketch.Bloom, core.Config, error) {
 		pisa.Forward(pisa.C(PoolPort)),
 	}
 	prog.Control = []pisa.Op{pisa.If(pisa.Valid("conn"), connOps)}
-
-	cfg := core.DefaultConfig(4, core.DigestCRC32)
-	cfg.Insecure = !p.Secure
-	exposed := append(bloom.RegisterNames(), RegMigrating, RegPoolVer, RegOldServed, RegNewServed)
-	if err := core.AddToProgram(prog, cfg, core.Integration{Exposed: exposed}); err != nil {
-		return nil, nil, cfg, err
-	}
-	return prog, bloom, cfg, nil
+	return prog, bloom, nil
 }
 
 // New deploys the balancer.
 func New(p Params) (*System, error) {
-	prog, bloom, cfg, err := buildProgram(p)
+	prog, bloom, err := buildProgram()
 	if err != nil {
 		return nil, err
 	}
-	sw, err := pisa.NewSwitch(prog, pisa.TofinoProfile(), pisa.WithRandom(crypto.NewSeededRand(0x511C+p.Seed)))
+	a, err := app.New(prog, app.Spec{
+		Name: p.name(), Mode: app.ModeOf(p.Secure), Profile: pisa.TofinoProfile(), Ports: 4,
+		Exposed: append(bloom.RegisterNames(), RegMigrating, RegPoolVer, RegOldServed, RegNewServed), Seed: 0x511C + p.Seed,
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := core.Boot(sw, cfg); err != nil {
-		return nil, err
-	}
-	host := switchos.NewHost(p.name(), sw, switchos.DefaultCosts())
-	ctrl := controller.New(crypto.NewSeededRand(0x511D + p.Seed))
-	if err := ctrl.Register(p.name(), host, cfg, 0); err != nil {
-		return nil, err
-	}
-	s := &System{Params: p, Host: host, Ctrl: ctrl, Cfg: cfg, Bloom: bloom, Mirror: sketch.NewBloomMirror(bloom)}
+	s := &System{App: a, Params: p, Bloom: bloom, Mirror: sketch.NewBloomMirror(bloom)}
 	if p.Secure {
-		if _, err := ctrl.LocalKeyInit(p.name()); err != nil {
+		if _, err := a.Ctrl.LocalKeyInit(p.name()); err != nil {
 			return nil, err
 		}
 	}
@@ -219,25 +201,15 @@ func (s *System) Packet(conn uint32, syn bool) (pool int, err error) {
 	return 0, errors.New("silkroad: packet not served")
 }
 
-func (s *System) write(name string, index uint32, v uint64) error {
-	var err error
-	if s.Params.Secure {
-		_, err = s.Ctrl.WriteRegister(s.Params.name(), name, index, v)
-	} else {
-		_, err = s.Ctrl.WriteRegisterInsecure(s.Params.name(), name, index, v)
-	}
-	return err
-}
-
 // BeginMigration opens the transition window and switches the pool
 // version (both over C-DP).
 func (s *System) BeginMigration() error {
-	if err := s.write(RegMigrating, 0, 1); err != nil && !errors.Is(err, controller.ErrTampered) {
+	if err := s.Write(RegMigrating, 0, 1); err != nil && !errors.Is(err, controller.ErrTampered) {
 		return err
 	} else if errors.Is(err, controller.ErrTampered) {
 		s.TamperedWrites++
 	}
-	if err := s.write(RegPoolVer, 0, 1); err != nil && !errors.Is(err, controller.ErrTampered) {
+	if err := s.Write(RegPoolVer, 0, 1); err != nil && !errors.Is(err, controller.ErrTampered) {
 		return err
 	} else if errors.Is(err, controller.ErrTampered) {
 		s.TamperedWrites++
@@ -254,7 +226,7 @@ func (s *System) FinishMigration() error {
 	// Clear the transit filter bits.
 	for _, name := range s.Bloom.RegisterNames() {
 		for i := 0; i < s.Bloom.Bits; i++ {
-			if err := s.write(name, uint32(i), 0); err != nil {
+			if err := s.Write(name, uint32(i), 0); err != nil {
 				if errors.Is(err, controller.ErrTampered) {
 					s.TamperedWrites++
 					tampered = true
@@ -268,7 +240,7 @@ func (s *System) FinishMigration() error {
 		}
 	}
 	if !tampered {
-		if err := s.write(RegMigrating, 0, 0); err != nil {
+		if err := s.Write(RegMigrating, 0, 0); err != nil {
 			if errors.Is(err, controller.ErrTampered) {
 				s.TamperedWrites++
 				tampered = true
@@ -309,29 +281,7 @@ func (s *System) ResetCounters() error {
 // would end the migration (clear transit bits, reset the migrating flag)
 // are rewritten so the data plane keeps the old pool live.
 func (s *System) InstallClearSuppressor() error {
-	ids := map[uint32]bool{}
-	for _, name := range append(s.Bloom.RegisterNames(), RegMigrating) {
-		ri, err := s.Host.Info.RegisterByName(name)
-		if err != nil {
-			return err
-		}
-		ids[ri.ID] = true
-	}
-	return s.Host.Install(switchos.BoundaryAgentSDK, &switchos.Hooks{
-		OnPacketOut: func(data []byte) []byte {
-			m, err := core.DecodeMessage(data)
-			if err != nil || m.Reg == nil || m.MsgType != core.MsgWriteReq {
-				return data
-			}
-			if ids[m.Reg.RegID] && m.Reg.Value == 0 {
-				m.Reg.Value = 1 // keep the transit state alive
-				out, eerr := m.Encode()
-				if eerr != nil {
-					return data
-				}
-				return out
-			}
-			return data
-		},
+	return s.Rewrite(core.MsgWriteReq, append(s.Bloom.RegisterNames(), RegMigrating), func(_ uint32, v uint64) (uint64, bool) {
+		return 1, v == 0 // keep the transit state alive
 	})
 }

@@ -11,11 +11,10 @@ import (
 	"errors"
 	"fmt"
 
+	"p4auth/internal/app"
 	"p4auth/internal/controller"
 	"p4auth/internal/core"
-	"p4auth/internal/crypto"
 	"p4auth/internal/pisa"
-	"p4auth/internal/switchos"
 )
 
 // PTypeHH tags counted packets.
@@ -56,13 +55,8 @@ func (p HHParams) name() string {
 
 // HHSystem is a running heavy-hitter deployment.
 type HHSystem struct {
+	*app.App
 	Params HHParams
-	Host   *switchos.Host
-	Ctrl   *controller.Controller
-	// Cfg is the P4Auth core configuration the switch booted with;
-	// exported so a recovery path can re-Register the switch at a fresh
-	// controller after a controller kill.
-	Cfg    core.Config
 	CMS    *CMS
 	Mirror *Mirror
 
@@ -78,10 +72,10 @@ var hhDef = &pisa.HeaderDef{Name: "hhp", Fields: []pisa.FieldDef{
 	{Name: "flow", Width: 32},
 }}
 
-func buildHHProgram(p HHParams) (*pisa.Program, *CMS, core.Config, error) {
+func buildHHProgram(p HHParams) (*pisa.Program, *CMS, error) {
 	cms, err := NewCMS("hh_cms", p.CMSRows, hhCMSCols)
 	if err != nil {
-		return nil, nil, core.Config{}, err
+		return nil, nil, err
 	}
 	prog := &pisa.Program{
 		Name:    "heavyhitter",
@@ -101,45 +95,31 @@ func buildHHProgram(p HHParams) (*pisa.Program, *CMS, core.Config, error) {
 	flow := pisa.R(pisa.F("hhp", "flow"))
 	ops := append(append([]pisa.Op{}, cms.UpdateOps(flow)...), pisa.Forward(pisa.C(2)))
 	prog.Control = []pisa.Op{pisa.If(pisa.Valid("hhp"), ops)}
-
-	cfg := core.DefaultConfig(4, core.DigestCRC32)
-	cfg.Insecure = !p.Secure
-	exposed := append(cms.RegisterNames(), RegWatch)
-	if err := core.AddToProgram(prog, cfg, core.Integration{Exposed: exposed}); err != nil {
-		return nil, nil, cfg, err
-	}
-	return prog, cms, cfg, nil
+	return prog, cms, nil
 }
 
 // NewHH deploys the detector switch and its controller.
 func NewHH(p HHParams) (*HHSystem, error) {
-	prog, cms, cfg, err := buildHHProgram(p)
+	prog, cms, err := buildHHProgram(p)
 	if err != nil {
 		return nil, err
 	}
-	sw, err := pisa.NewSwitch(prog, pisa.TofinoProfile(), pisa.WithRandom(crypto.NewSeededRand(0x440A+p.Seed)))
+	a, err := app.New(prog, app.Spec{
+		Name: p.name(), Mode: app.ModeOf(p.Secure), Profile: pisa.TofinoProfile(), Ports: 4,
+		Exposed: append(cms.RegisterNames(), RegWatch), Seed: 0x440A + p.Seed,
+	})
 	if err != nil {
-		return nil, err
-	}
-	if err := core.Boot(sw, cfg); err != nil {
-		return nil, err
-	}
-	host := switchos.NewHost(p.name(), sw, switchos.DefaultCosts())
-	ctrl := controller.New(crypto.NewSeededRand(0x440B + p.Seed))
-	if err := ctrl.Register(p.name(), host, cfg, 0); err != nil {
 		return nil, err
 	}
 	s := &HHSystem{
+		App:    a,
 		Params: p,
-		Host:   host,
-		Ctrl:   ctrl,
-		Cfg:    cfg,
 		CMS:    cms,
 		Mirror: NewMirror(cms),
 		watch:  make([]uint32, hhWatchSlots),
 	}
 	if p.Secure {
-		if _, err := ctrl.LocalKeyInit(p.name()); err != nil {
+		if _, err := a.Ctrl.LocalKeyInit(p.name()); err != nil {
 			return nil, err
 		}
 	}
@@ -162,14 +142,7 @@ func (s *HHSystem) Packet(flow uint32) error {
 func (s *HHSystem) readEstimate(flow uint32) (uint64, error) {
 	min := ^uint64(0)
 	for r, idx := range s.Mirror.Indexes(flow) {
-		name := fmt.Sprintf("%s_row%d", s.CMS.Name, r)
-		var v uint64
-		var err error
-		if s.Params.Secure {
-			v, _, err = s.Ctrl.ReadRegister(s.Params.name(), name, uint32(idx))
-		} else {
-			v, _, err = s.Ctrl.ReadRegisterInsecure(s.Params.name(), name, uint32(idx))
-		}
+		v, err := s.Read(fmt.Sprintf("%s_row%d", s.CMS.Name, r), uint32(idx))
 		if err != nil {
 			return 0, err
 		}
@@ -231,29 +204,7 @@ func (s *HHSystem) Watchlist() ([]uint32, error) {
 // InstallCountDeflater installs the Table I adversary: reported sketch
 // counters above floor read as zero, so elephants look like mice.
 func (s *HHSystem) InstallCountDeflater(floor uint64) error {
-	rowIDs := make(map[uint32]bool, s.CMS.Rows)
-	for _, name := range s.CMS.RegisterNames() {
-		ri, err := s.Host.Info.RegisterByName(name)
-		if err != nil {
-			return err
-		}
-		rowIDs[ri.ID] = true
-	}
-	return s.Host.Install(switchos.BoundaryAgentSDK, &switchos.Hooks{
-		OnPacketIn: func(data []byte) []byte {
-			m, err := core.DecodeMessage(data)
-			if err != nil || m.Reg == nil || m.MsgType != core.MsgAck {
-				return data
-			}
-			if rowIDs[m.Reg.RegID] && m.Reg.Value > floor {
-				m.Reg.Value = 0
-				out, eerr := m.Encode()
-				if eerr != nil {
-					return data
-				}
-				return out
-			}
-			return data
-		},
+	return s.Rewrite(core.MsgAck, s.CMS.RegisterNames(), func(_ uint32, v uint64) (uint64, bool) {
+		return 0, v > floor
 	})
 }
