@@ -45,6 +45,7 @@ func ModeOf(secure bool) Mode {
 type Spec struct {
 	// Name identifies the switch at its controller.
 	Name string
+	// Mode is the C-DP path; New rejects a value outside the three.
 	Mode Mode
 	// Profile is the target the program compiles for; it also picks the
 	// digest (HalfSipHash where externs are allowed, CRC32 elsewhere).

@@ -11,7 +11,6 @@ import (
 	"p4auth/internal/app"
 	"p4auth/internal/blink"
 	"p4auth/internal/controller"
-	"p4auth/internal/core"
 	"p4auth/internal/crypto"
 	"p4auth/internal/flowradar"
 	"p4auth/internal/netcache"
@@ -20,7 +19,6 @@ import (
 	"p4auth/internal/silkroad"
 	"p4auth/internal/sketch"
 	"p4auth/internal/statestore"
-	"p4auth/internal/switchos"
 	"p4auth/internal/trace"
 )
 
@@ -46,37 +44,37 @@ type instResult struct {
 // killAndRecover models a controller process death: snapshot key state
 // (protected mode), kill the old process, and bring up a fresh
 // controller over the same durable store, re-registering the switch and
-// running warm recovery. It returns the new controller plus the alert
-// count the dead controller had accumulated (its log survives the
-// process, as any external alert sink would).
-func killAndRecover(old *controller.Controller, name string, host *switchos.Host, cfg core.Config, protected bool, seed uint64) (*controller.Controller, int, error) {
+// running warm recovery. The fresh controller replaces a.Ctrl; the
+// result is the alert count the dead controller had accumulated (its log
+// survives the process, as any external alert sink would).
+func killAndRecover(a *app.App, protected bool, seed uint64) (int, error) {
 	var st *statestore.Mem
 	if protected {
 		st = statestore.NewMem()
-		if err := old.EnableCrashSafety(st); err != nil {
-			return nil, 0, fmt.Errorf("fleet: enable crash safety: %w", err)
+		if err := a.Ctrl.EnableCrashSafety(st); err != nil {
+			return 0, fmt.Errorf("fleet: enable crash safety: %w", err)
 		}
-		if err := old.SaveSnapshot(name); err != nil {
-			return nil, 0, fmt.Errorf("fleet: snapshot %s: %w", name, err)
+		if err := a.Ctrl.SaveSnapshot(a.Name); err != nil {
+			return 0, fmt.Errorf("fleet: snapshot %s: %w", a.Name, err)
 		}
 	}
-	oldAlerts := old.AlertCount()
-	old.Kill()
-	c2 := controller.New(crypto.NewSeededRand(seed*0x9E3779B9 + 0xC0))
+	oldAlerts := a.Ctrl.AlertCount()
+	a.Ctrl.Kill()
+	a.Ctrl = controller.New(crypto.NewSeededRand(seed*0x9E3779B9 + 0xC0))
 	if protected {
-		if err := c2.EnableCrashSafety(st); err != nil {
-			return nil, 0, err
+		if err := a.Ctrl.EnableCrashSafety(st); err != nil {
+			return 0, err
 		}
 	}
-	if err := c2.Register(name, host, cfg, 0); err != nil {
-		return nil, 0, fmt.Errorf("fleet: re-register %s: %w", name, err)
+	if err := a.Ctrl.Register(a.Name, a.Host, a.Cfg, 0); err != nil {
+		return 0, fmt.Errorf("fleet: re-register %s: %w", a.Name, err)
 	}
 	if protected {
-		if _, err := c2.RecoverAll(); err != nil {
-			return nil, 0, fmt.Errorf("fleet: recover %s: %w", name, err)
+		if _, err := a.Ctrl.RecoverAll(); err != nil {
+			return 0, fmt.Errorf("fleet: recover %s: %w", a.Name, err)
 		}
 	}
-	return c2, oldAlerts, nil
+	return oldAlerts, nil
 }
 
 // --- netcache ---
@@ -121,7 +119,7 @@ func runNetcache(io instOpts) (instResult, error) {
 	}
 	oldAlerts := 0
 	if io.ctrlKill {
-		s.Ctrl, oldAlerts, err = killAndRecover(s.Ctrl, io.name, s.Host, s.Cfg, io.protected, io.seed)
+		oldAlerts, err = killAndRecover(s.App, io.protected, io.seed)
 		if err != nil {
 			return instResult{}, err
 		}
@@ -179,7 +177,7 @@ func runFlowradar(io instOpts) (instResult, error) {
 	}
 	oldAlerts := 0
 	if io.ctrlKill {
-		s.Ctrl, oldAlerts, err = killAndRecover(s.Ctrl, io.name, s.Host, s.Cfg, io.protected, io.seed)
+		oldAlerts, err = killAndRecover(s.App, io.protected, io.seed)
 		if err != nil {
 			return instResult{}, err
 		}
@@ -229,7 +227,7 @@ func runBlink(io instOpts) (instResult, error) {
 	}
 	oldAlerts := 0
 	if io.ctrlKill {
-		s.Ctrl, oldAlerts, err = killAndRecover(s.Ctrl, io.name, s.Host, s.Cfg, io.protected, io.seed)
+		oldAlerts, err = killAndRecover(s.App, io.protected, io.seed)
 		if err != nil {
 			return instResult{}, err
 		}
@@ -301,7 +299,7 @@ func runNetwarden(io instOpts) (instResult, error) {
 	}
 	oldAlerts := 0
 	if io.ctrlKill {
-		s.Ctrl, oldAlerts, err = killAndRecover(s.Ctrl, io.name, s.Host, s.Cfg, io.protected, io.seed)
+		oldAlerts, err = killAndRecover(s.App, io.protected, io.seed)
 		if err != nil {
 			return instResult{}, err
 		}
@@ -355,7 +353,7 @@ func runSilkroad(io instOpts) (instResult, error) {
 	}
 	oldAlerts := 0
 	if io.ctrlKill {
-		s.Ctrl, oldAlerts, err = killAndRecover(s.Ctrl, io.name, s.Host, s.Cfg, io.protected, io.seed)
+		oldAlerts, err = killAndRecover(s.App, io.protected, io.seed)
 		if err != nil {
 			return instResult{}, err
 		}
@@ -416,7 +414,7 @@ func runRoutescout(io instOpts) (instResult, error) {
 	}
 	oldAlerts := 0
 	if io.ctrlKill {
-		s.Ctrl, oldAlerts, err = killAndRecover(s.Ctrl, io.name, s.Host, s.Cfg, io.protected, io.seed)
+		oldAlerts, err = killAndRecover(s.App, io.protected, io.seed)
 		if err != nil {
 			return instResult{}, err
 		}
@@ -475,7 +473,7 @@ func runSketch(io instOpts) (instResult, error) {
 	}
 	oldAlerts := 0
 	if io.ctrlKill {
-		s.Ctrl, oldAlerts, err = killAndRecover(s.Ctrl, io.name, s.Host, s.Cfg, io.protected, io.seed)
+		oldAlerts, err = killAndRecover(s.App, io.protected, io.seed)
 		if err != nil {
 			return instResult{}, err
 		}
