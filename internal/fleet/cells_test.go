@@ -11,21 +11,19 @@ import (
 
 const cellsGoldenPath = "testdata/cells_k4.golden"
 
-// TestStandaloneCellsGolden pins every standalone cell of the k=4 matrix
-// in full: the exact detection count, the load, the score at full
-// precision, and a hash of the cell's RunCell trace. matrix_k4.golden
-// rounds the score and prints detection as a bool, so a change in how
-// many alerts an adversary raises, or how many tampered operations an app
-// counts, shows here and nowhere else. Regenerate with GOLDEN_UPDATE=1
-// only after an intentional semantic change.
-func TestStandaloneCellsGolden(t *testing.T) {
+// TestCellsGolden pins every cell of the k=4 matrix in full, the 18
+// fabric cells and the 56 standalone ones: the exact detection count,
+// the load, the score at full precision, and a hash of the cell's RunCell
+// trace. matrix_k4.golden rounds the score and prints detection as a
+// bool, so a change in how many alerts an adversary raises, how many
+// tampered operations an app counts, or when a fabric fault is scheduled
+// shows here and nowhere else. Regenerate with GOLDEN_UPDATE=1 only after
+// an intentional semantic change.
+func TestCellsGolden(t *testing.T) {
 	o := DefaultOptions()
 	var b strings.Builder
-	fmt.Fprintf(&b, "# standalone cells, k=%d seed=%#x: exact Cell fields and sha256 of the RunCell trace\n", o.K, o.Seed)
+	fmt.Fprintf(&b, "# matrix cells, k=%d seed=%#x: exact Cell fields and sha256 of the RunCell trace\n", o.K, o.Seed)
 	for _, app := range Apps() {
-		if app == "hula" {
-			continue
-		}
 		for _, fault := range FaultsFor(app) {
 			for _, protected := range []bool{true, false} {
 				c, tr, err := RunCell(app, fault, protected, o)
@@ -51,6 +49,6 @@ func TestStandaloneCellsGolden(t *testing.T) {
 		t.Fatalf("read golden (run with GOLDEN_UPDATE=1 to create): %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("standalone cells diverged from %s:\ngot:\n%s", cellsGoldenPath, got)
+		t.Errorf("matrix cells diverged from %s:\ngot:\n%s", cellsGoldenPath, got)
 	}
 }
