@@ -22,62 +22,88 @@ import (
 	"p4auth/internal/trace"
 )
 
-// instOpts parameterizes one standalone instance run.
-type instOpts struct {
-	name      string
-	seed      uint64
-	protected bool
-	attacked  bool
-	ctrlKill  bool
+// standaloneApps maps each standalone app to its scenario and the mean
+// score across pods at or above which it survives.
+var standaloneApps = map[string]standaloneApp{
+	"netcache":   {0.40, runNetcache},
+	"flowradar":  {0.95, runFlowradar},
+	"blink":      {1.0, runBlink},
+	"netwarden":  {0.99, runNetwarden},
+	"silkroad":   {0.99, runSilkroad},
+	"routescout": {0.35, runRoutescout},
+	"sketch":     {1.0, runSketch},
 }
 
-// instResult is one instance's outcome.
-type instResult struct {
-	score    float64
-	forged   int
-	detected int
-	// ops counts the data-plane operations the scenario drove (queries,
-	// packets, connections) — the throughput denominator.
-	ops uint64
+type standaloneApp struct {
+	floor float64
+	// run drives one instance through the scenario and returns its
+	// pod's cell: score, forged, detected, and in Sent the operations
+	// (queries, packets, connections) it drove.
+	run func(*instance) (Cell, error)
 }
 
-// killAndRecover models a controller process death: snapshot key state
-// (protected mode), kill the old process, and bring up a fresh
-// controller over the same durable store, re-registering the switch and
-// running warm recovery. The fresh controller replaces a.Ctrl; the
-// result is the alert count the dead controller had accumulated (its log
-// survives the process, as any external alert sink would).
-func killAndRecover(a *app.App, protected bool, seed uint64) (int, error) {
-	var st *statestore.Mem
-	if protected {
-		st = statestore.NewMem()
-		if err := a.Ctrl.EnableCrashSafety(st); err != nil {
-			return 0, fmt.Errorf("fleet: enable crash safety: %w", err)
-		}
-		if err := a.Ctrl.SaveSnapshot(a.Name); err != nil {
-			return 0, fmt.Errorf("fleet: snapshot %s: %w", a.Name, err)
-		}
-	}
-	oldAlerts := a.Ctrl.AlertCount()
-	a.Ctrl.Kill()
-	a.Ctrl = controller.New(crypto.NewSeededRand(seed*0x9E3779B9 + 0xC0))
-	if protected {
-		if err := a.Ctrl.EnableCrashSafety(st); err != nil {
-			return 0, err
-		}
-	}
-	if err := a.Ctrl.Register(a.Name, a.Host, a.Cfg, 0); err != nil {
-		return 0, fmt.Errorf("fleet: re-register %s: %w", a.Name, err)
-	}
-	if protected {
-		if _, err := a.Ctrl.RecoverAll(); err != nil {
-			return 0, fmt.Errorf("fleet: recover %s: %w", a.Name, err)
-		}
-	}
-	return oldAlerts, nil
+// instance is one standalone app instance under one fault. Its scenario
+// drives the app up to the fault, calls fault, and drives it on.
+type instance struct {
+	name               string
+	seed               uint64
+	protected          bool
+	attacked, ctrlKill bool // the fault's steps
+	// Set by fault: the instance's app, and the alerts its killed
+	// controller had raised, which outlive it as in any alert sink.
+	app        *app.App
+	deadAlerts int
 }
 
-// --- netcache ---
+// fault is every standalone scenario's fault step. A controller kill
+// snapshots key state (protected mode), kills the controller and brings
+// up a fresh one in a.Ctrl over the same durable store, which
+// re-registers the switch and runs warm recovery. The attack then
+// installs the app's stack adversary.
+func (in *instance) fault(a *app.App, attack func() error) error {
+	in.app = a
+	if in.ctrlKill {
+		st := statestore.NewMem()
+		if in.protected {
+			if err := a.Ctrl.EnableCrashSafety(st); err != nil {
+				return fmt.Errorf("fleet: enable crash safety: %w", err)
+			}
+			if err := a.Ctrl.SaveSnapshot(a.Name); err != nil {
+				return fmt.Errorf("fleet: snapshot %s: %w", a.Name, err)
+			}
+		}
+		in.deadAlerts = a.Ctrl.AlertCount()
+		a.Ctrl.Kill()
+		a.Ctrl = controller.New(crypto.NewSeededRand(in.seed*0x9E3779B9 + 0xC0))
+		if in.protected {
+			if err := a.Ctrl.EnableCrashSafety(st); err != nil {
+				return err
+			}
+		}
+		if err := a.Ctrl.Register(a.Name, a.Host, a.Cfg, 0); err != nil {
+			return fmt.Errorf("fleet: re-register %s: %w", a.Name, err)
+		}
+		if in.protected {
+			if _, err := a.Ctrl.RecoverAll(); err != nil {
+				return fmt.Errorf("fleet: recover %s: %w", a.Name, err)
+			}
+		}
+	}
+	if in.attacked {
+		return attack()
+	}
+	return nil
+}
+
+// do runs a scenario's operations in order and stops at the first error.
+func do(ops ...func() error) error {
+	for _, op := range ops {
+		if err := op(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 const ncKeySpace = 64
 
@@ -104,64 +130,43 @@ func ncCandidates() []uint32 {
 	return out
 }
 
-func runNetcache(io instOpts) (instResult, error) {
-	p := netcache.DefaultParams(io.protected)
-	p.Name, p.Seed = io.name, io.seed
+func runNetcache(in *instance) (Cell, error) {
+	p := netcache.DefaultParams(in.protected)
+	p.Name, p.Seed = in.name, in.seed
 	s, err := netcache.New(p)
 	if err != nil {
-		return instResult{}, err
+		return Cell{}, err
 	}
-	if err := ncZipf(s, 1500); err != nil {
-		return instResult{}, err
+	zipf := func() error { return ncZipf(s, 1500) }
+	epoch := func() error { return s.UpdateEpoch(ncCandidates()) }
+	epochsBefore := 0
+	fault := func() error {
+		return in.fault(s.App, func() error {
+			epochsBefore = s.Epochs
+			return s.InstallStatDeflater(3)
+		})
 	}
-	if err := s.UpdateEpoch(ncCandidates()); err != nil {
-		return instResult{}, err
-	}
-	oldAlerts := 0
-	if io.ctrlKill {
-		oldAlerts, err = killAndRecover(s.App, io.protected, io.seed)
-		if err != nil {
-			return instResult{}, err
-		}
-	}
-	epochsBefore := s.Epochs
-	if io.attacked {
-		if err := s.InstallStatDeflater(3); err != nil {
-			return instResult{}, err
-		}
-	}
-	if err := ncZipf(s, 1500); err != nil {
-		return instResult{}, err
-	}
-	if err := s.UpdateEpoch(ncCandidates()); err != nil {
-		return instResult{}, err
-	}
-	if err := s.ResetCounters(); err != nil {
-		return instResult{}, err
-	}
-	if err := ncZipf(s, 1500); err != nil {
-		return instResult{}, err
+	if err := do(zipf, epoch, fault, zipf, epoch, s.ResetCounters, zipf); err != nil {
+		return Cell{}, err
 	}
 	rate, err := s.HitRate()
 	if err != nil {
-		return instResult{}, err
+		return Cell{}, err
 	}
-	res := instResult{score: rate, detected: s.SkippedEpochs + oldAlerts + s.Ctrl.AlertCount(), ops: 4500}
-	if io.attacked {
+	res := Cell{Score: rate, Detected: s.SkippedEpochs, Sent: 4500}
+	if in.attacked {
 		// Epochs that completed on deflated stats consumed forged data.
-		res.forged = s.Epochs - epochsBefore
+		res.ForgedApplied = s.Epochs - epochsBefore
 	}
 	return res, nil
 }
 
-// --- flowradar ---
-
-func runFlowradar(io instOpts) (instResult, error) {
-	p := flowradar.DefaultParams(io.protected)
-	p.Name, p.Seed = io.name, io.seed
+func runFlowradar(in *instance) (Cell, error) {
+	p := flowradar.DefaultParams(in.protected)
+	p.Name, p.Seed = in.name, in.seed
 	s, err := flowradar.New(p)
 	if err != nil {
-		return instResult{}, err
+		return Cell{}, err
 	}
 	truth := make(map[uint32]uint32, 150)
 	var ops uint64
@@ -171,24 +176,15 @@ func runFlowradar(io instOpts) (instResult, error) {
 		ops += uint64(pkts)
 		for i := uint32(0); i < pkts; i++ {
 			if err := s.Packet(f); err != nil {
-				return instResult{}, err
+				return Cell{}, err
 			}
 		}
 	}
-	oldAlerts := 0
-	if io.ctrlKill {
-		oldAlerts, err = killAndRecover(s.App, io.protected, io.seed)
-		if err != nil {
-			return instResult{}, err
-		}
-	}
-	if io.attacked {
-		if err := s.InstallExportDeflater(); err != nil {
-			return instResult{}, err
-		}
+	if err := in.fault(s.App, s.InstallExportDeflater); err != nil {
+		return Cell{}, err
 	}
 	decoded, err := s.Decode()
-	res := instResult{ops: ops}
+	res := Cell{Detected: s.TamperedReads, Sent: ops}
 	if err == nil {
 		right := 0
 		for f, want := range truth {
@@ -196,70 +192,51 @@ func runFlowradar(io instOpts) (instResult, error) {
 				right++
 			}
 		}
-		res.score = float64(right) / float64(len(truth))
-		if io.attacked {
-			res.forged = len(truth) - right
+		res.Score = float64(right) / float64(len(truth))
+		if in.attacked {
+			res.ForgedApplied = len(truth) - right
 		}
-	} else if io.attacked {
+	} else if in.attacked {
 		// Peel failed outright on forged cells: the analysis is poisoned.
-		res.forged = len(truth)
+		res.ForgedApplied = len(truth)
 	} else {
-		return instResult{}, err
+		return Cell{}, err
 	}
-	res.detected = s.TamperedReads + oldAlerts + s.Ctrl.AlertCount()
 	return res, nil
 }
 
-// --- blink ---
-
-func runBlink(io instOpts) (instResult, error) {
-	const (
-		primaryPort   = 2
-		backupPort    = 3
-		newBackupPort = 4
-		blackhole     = 9
-	)
-	p := blink.DefaultParams(io.protected)
-	p.Name, p.Seed = io.name, io.seed
+func runBlink(in *instance) (Cell, error) {
+	const primaryPort, backupPort, newBackupPort, blackhole = 2, 3, 4, 9
+	p := blink.DefaultParams(in.protected)
+	p.Name, p.Seed = in.name, in.seed
 	s, err := blink.New(p, primaryPort, backupPort)
 	if err != nil {
-		return instResult{}, err
+		return Cell{}, err
 	}
-	oldAlerts := 0
-	if io.ctrlKill {
-		oldAlerts, err = killAndRecover(s.App, io.protected, io.seed)
-		if err != nil {
-			return instResult{}, err
-		}
-	}
-	if io.attacked {
-		if err := s.InstallNexthopRewriter(blackhole); err != nil {
-			return instResult{}, err
-		}
+	if err := in.fault(s.App, func() error { return s.InstallNexthopRewriter(blackhole) }); err != nil {
+		return Cell{}, err
 	}
 	if err := s.WriteNexthop(blink.RegBackup, 5, newBackupPort); err != nil {
-		return instResult{}, err
+		return Cell{}, err
 	}
 	for i := 0; i < blink.FailThreshold; i++ {
 		if _, err := s.Packet(5, true); err != nil {
-			return instResult{}, err
+			return Cell{}, err
 		}
 	}
 	port, err := s.Packet(5, false)
 	if err != nil {
-		return instResult{}, err
+		return Cell{}, err
 	}
-	res := instResult{detected: s.TamperedWrites + oldAlerts + s.Ctrl.AlertCount(), ops: blink.FailThreshold + 1}
+	res := Cell{Detected: s.TamperedWrites, Sent: blink.FailThreshold + 1}
 	if port == newBackupPort {
-		res.score = 1
+		res.Score = 1
 	}
 	if port == blackhole {
-		res.forged = 1
+		res.ForgedApplied = 1
 	}
 	return res, nil
 }
-
-// --- netwarden ---
 
 func nwDrive(s *netwarden.System, conns, covert, packets int, startNs uint64) ([]int, error) {
 	forwarded := make([]int, conns)
@@ -284,212 +261,147 @@ func nwDrive(s *netwarden.System, conns, covert, packets int, startNs uint64) ([
 	return forwarded, nil
 }
 
-func runNetwarden(io instOpts) (instResult, error) {
-	const (
-		conns     = 16
-		covert    = 4
-		threshold = 100_000
-	)
-	s, err := netwarden.New(netwarden.Params{Conns: conns, Secure: io.protected, Name: io.name, Seed: io.seed})
+func runNetwarden(in *instance) (Cell, error) {
+	const conns, covert, threshold = 16, 4, 100_000 // four covert channels among 16
+	s, err := netwarden.New(netwarden.Params{Conns: conns, Secure: in.protected, Name: in.name, Seed: in.seed})
 	if err != nil {
-		return instResult{}, err
+		return Cell{}, err
 	}
 	if _, err := nwDrive(s, conns, covert, 30, 1_000_000); err != nil {
-		return instResult{}, err
+		return Cell{}, err
 	}
-	oldAlerts := 0
-	if io.ctrlKill {
-		oldAlerts, err = killAndRecover(s.App, io.protected, io.seed)
-		if err != nil {
-			return instResult{}, err
-		}
-	}
-	if io.attacked {
-		if err := s.InstallScoreInflater(); err != nil {
-			return instResult{}, err
-		}
+	if err := in.fault(s.App, s.InstallScoreInflater); err != nil {
+		return Cell{}, err
 	}
 	if err := s.Sweep(threshold); err != nil {
-		return instResult{}, err
+		return Cell{}, err
 	}
 	after, err := nwDrive(s, conns, covert, 10, 500_000_000)
 	if err != nil {
-		return instResult{}, err
+		return Cell{}, err
 	}
-	res := instResult{detected: s.TamperedOps + oldAlerts + s.Ctrl.AlertCount(), ops: conns * 40}
+	res := Cell{Detected: s.TamperedOps, Sent: conns * 40}
 	correct := 0
 	for c := 0; c < conns; c++ {
 		v, err := s.Verdict(c)
 		if err != nil {
-			return instResult{}, err
+			return Cell{}, err
 		}
 		if c < covert {
 			if v == 1 && after[c] == 0 {
 				correct++
-			} else if io.attacked {
-				res.forged++ // a covert channel evaded the sweep
+			} else if in.attacked {
+				res.ForgedApplied++ // a covert channel evaded the sweep
 			}
 		} else if v == 0 && after[c] > 0 {
 			correct++
 		}
 	}
-	res.score = float64(correct) / float64(conns)
+	res.Score = float64(correct) / float64(conns)
 	return res, nil
 }
 
-// --- silkroad ---
-
-func runSilkroad(io instOpts) (instResult, error) {
-	p := silkroad.DefaultParams(io.protected)
-	p.Name, p.Seed = io.name, io.seed
+func runSilkroad(in *instance) (Cell, error) {
+	p := silkroad.DefaultParams(in.protected)
+	p.Name, p.Seed = in.name, in.seed
 	s, err := silkroad.New(p)
 	if err != nil {
-		return instResult{}, err
+		return Cell{}, err
 	}
-	for c := uint32(1); c <= 20; c++ {
-		if _, err := s.Packet(c, true); err != nil {
-			return instResult{}, err
+	connect := func(from, to uint32) func() error {
+		return func() error {
+			for c := from; c < to; c++ {
+				if _, err := s.Packet(c, true); err != nil {
+					return err
+				}
+			}
+			return nil
 		}
 	}
-	oldAlerts := 0
-	if io.ctrlKill {
-		oldAlerts, err = killAndRecover(s.App, io.protected, io.seed)
-		if err != nil {
-			return instResult{}, err
-		}
-	}
-	if io.attacked {
-		if err := s.InstallClearSuppressor(); err != nil {
-			return instResult{}, err
-		}
-	}
-	if err := s.BeginMigration(); err != nil {
-		return instResult{}, err
-	}
-	for c := uint32(100); c < 120; c++ {
-		if _, err := s.Packet(c, true); err != nil {
-			return instResult{}, err
-		}
-	}
-	if err := s.FinishMigration(); err != nil {
-		return instResult{}, err
-	}
-	if err := s.ResetCounters(); err != nil {
-		return instResult{}, err
-	}
-	for c := uint32(200); c < 300; c++ {
-		if _, err := s.Packet(c, true); err != nil {
-			return instResult{}, err
-		}
+	fault := func() error { return in.fault(s.App, s.InstallClearSuppressor) }
+	if err := do(connect(1, 21), fault, s.BeginMigration, connect(100, 120), s.FinishMigration,
+		s.ResetCounters, connect(200, 300)); err != nil {
+		return Cell{}, err
 	}
 	oldPool, newPool, err := s.Served()
 	if err != nil {
-		return instResult{}, err
+		return Cell{}, err
 	}
 	wrongFrac := float64(oldPool) / float64(oldPool+newPool)
-	res := instResult{
-		score:    1 - wrongFrac,
-		detected: s.TamperedWrites + oldAlerts + s.Ctrl.AlertCount(),
-		ops:      140, // 20 pre-migration + 20 transit + 100 fresh connections
-	}
-	if io.attacked && wrongFrac > 0.5 {
-		res.forged = 1 // the suppressed clear pinned fresh traffic to the retired pool
+	// 20 pre-migration + 20 transit + 100 fresh connections.
+	res := Cell{Score: 1 - wrongFrac, Detected: s.TamperedWrites, Sent: 140}
+	if in.attacked && wrongFrac > 0.5 {
+		res.ForgedApplied = 1 // the suppressed clear pinned fresh traffic to the retired pool
 	}
 	return res, nil
 }
 
-// --- routescout ---
-
-func runRoutescout(io instOpts) (instResult, error) {
-	cfg := routescout.DefaultConfig(app.ModeOf(io.protected))
-	cfg.Name, cfg.Seed = io.name, io.seed
+func runRoutescout(in *instance) (Cell, error) {
+	cfg := routescout.DefaultConfig(app.ModeOf(in.protected))
+	cfg.Name, cfg.Seed = in.name, in.seed
 	s, err := routescout.New(cfg)
 	if err != nil {
-		return instResult{}, err
+		return Cell{}, err
 	}
-	if io.protected {
-		if _, err := s.Ctrl.LocalKeyInit(io.name); err != nil {
-			return instResult{}, err
+	if in.protected {
+		if _, err := s.Ctrl.LocalKeyInit(in.name); err != nil {
+			return Cell{}, err
 		}
 	}
-	oldAlerts := 0
-	if io.ctrlKill {
-		oldAlerts, err = killAndRecover(s.App, io.protected, io.seed)
-		if err != nil {
-			return instResult{}, err
-		}
-	}
-	if io.attacked {
-		if err := s.InstallLatencyInflater(20); err != nil {
-			return instResult{}, err
-		}
+	if err := in.fault(s.App, func() error { return s.InstallLatencyInflater(20) }); err != nil {
+		return Cell{}, err
 	}
 	tcfg := trace.DefaultConfig(uint64(800 * 1e6))
 	tcfg.FlowsPerSecond = 800
 	tcfg.Seed = 42
-	pkts := trace.NewStream(tcfg).Fork(io.seed).Generate()
+	pkts := trace.NewStream(tcfg).Fork(in.seed).Generate()
 	p1, p2, err := s.Run(cfg, pkts)
 	if err != nil {
-		return instResult{}, err
+		return Cell{}, err
 	}
-	res := instResult{
-		score:    p1,
-		detected: s.TamperedReads + oldAlerts + s.Ctrl.AlertCount(),
-		ops:      uint64(len(pkts)),
-	}
-	if io.attacked && p2 > 0.60 {
-		res.forged = 1 // the inflated latency diverted traffic to the slow path
+	res := Cell{Score: p1, Detected: s.TamperedReads, Sent: uint64(len(pkts))}
+	if in.attacked && p2 > 0.60 {
+		res.ForgedApplied = 1 // the inflated latency diverted traffic to the slow path
 	}
 	return res, nil
 }
 
-// --- sketch (heavy hitter) ---
-
-func runSketch(io instOpts) (instResult, error) {
-	hp := sketch.DefaultHHParams(io.protected)
+func runSketch(in *instance) (Cell, error) {
+	hp := sketch.DefaultHHParams(in.protected)
 	hp.CMSRows = 4
-	hp.Name, hp.Seed = io.name, io.seed
+	hp.Name, hp.Seed = in.name, in.seed
 	s, err := sketch.NewHH(hp)
 	if err != nil {
-		return instResult{}, err
+		return Cell{}, err
 	}
 	elephants := []uint32{101, 202}
 	cands := append([]uint32{}, elephants...)
 	for _, f := range elephants {
 		for i := 0; i < 60; i++ {
 			if err := s.Packet(f); err != nil {
-				return instResult{}, err
+				return Cell{}, err
 			}
 		}
 	}
 	for f := uint32(2000); f < 2040; f++ {
 		cands = append(cands, f)
 		if err := s.Packet(f); err != nil {
-			return instResult{}, err
+			return Cell{}, err
 		}
 	}
 	if err := s.PromoteEpoch(cands, 50); err != nil {
-		return instResult{}, err
-	}
-	oldAlerts := 0
-	if io.ctrlKill {
-		oldAlerts, err = killAndRecover(s.App, io.protected, io.seed)
-		if err != nil {
-			return instResult{}, err
-		}
+		return Cell{}, err
 	}
 	epochsBefore := s.Epochs
-	if io.attacked {
-		if err := s.InstallCountDeflater(10); err != nil {
-			return instResult{}, err
-		}
+	if err := in.fault(s.App, func() error { return s.InstallCountDeflater(10) }); err != nil {
+		return Cell{}, err
 	}
 	if err := s.PromoteEpoch(cands, 50); err != nil {
-		return instResult{}, err
+		return Cell{}, err
 	}
 	watch, err := s.Watchlist()
 	if err != nil {
-		return instResult{}, err
+		return Cell{}, err
 	}
 	on := map[uint32]bool{}
 	for _, f := range watch {
@@ -501,28 +413,10 @@ func runSketch(io instOpts) (instResult, error) {
 			kept++
 		}
 	}
-	res := instResult{
-		score:    float64(kept) / float64(len(elephants)),
-		detected: s.SkippedEpochs + oldAlerts + s.Ctrl.AlertCount(),
-		ops:      2*60 + 40, // elephant + mouse packets
-	}
-	if io.attacked && s.Epochs > epochsBefore && kept < len(elephants) {
-		res.forged = 1 // an epoch promoted on deflated counts and dropped elephants
+	// 2*60 elephant + 40 mouse packets.
+	res := Cell{Score: float64(kept) / float64(len(elephants)), Detected: s.SkippedEpochs, Sent: 2*60 + 40}
+	if in.attacked && s.Epochs > epochsBefore && kept < len(elephants) {
+		res.ForgedApplied = 1 // an epoch promoted on deflated counts and dropped elephants
 	}
 	return res, nil
-}
-
-// standaloneRunners maps app name to its per-instance driver and the
-// survival floor its score must meet.
-var standaloneRunners = map[string]struct {
-	run   func(instOpts) (instResult, error)
-	floor float64
-}{
-	"netcache":   {runNetcache, 0.40},
-	"flowradar":  {runFlowradar, 0.95},
-	"blink":      {runBlink, 1.0},
-	"netwarden":  {runNetwarden, 0.99},
-	"silkroad":   {runSilkroad, 0.99},
-	"routescout": {runRoutescout, 0.35},
-	"sketch":     {runSketch, 1.0},
 }

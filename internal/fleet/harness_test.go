@@ -47,11 +47,11 @@ func TestConformanceAttack(t *testing.T) {
 // reboot + ReviveSwitch) must succeed.
 func TestFabricFaultRecovery(t *testing.T) {
 	o := DefaultOptions()
-	for _, fault := range []string{
-		FaultFlap, FaultPartition, FaultCtrlKill, FaultSwCrash,
-		FaultWANPartition, FaultGlobalKill,
-	} {
-		fault := fault
+	for _, f := range faults {
+		if f.steps == 0 || f.steps&stepAttack != 0 {
+			continue // the clean and attacked runs are TestMatrixChaos's
+		}
+		fault := f.name
 		t.Run(fault, func(t *testing.T) {
 			cell, _, err := RunCell("hula", fault, true, o)
 			if err != nil {
@@ -60,8 +60,8 @@ func TestFabricFaultRecovery(t *testing.T) {
 			if !cell.Survived {
 				t.Errorf("fabric did not survive %s: score=%.2f note=%q", fault, cell.Score, cell.Note)
 			}
-			if cell.Score < fabricFloor(fault) {
-				t.Errorf("score %.3f below %s floor %.2f", cell.Score, fault, fabricFloor(fault))
+			if cell.Score < f.floor {
+				t.Errorf("score %.3f below %s floor %.2f", cell.Score, fault, f.floor)
 			}
 			if cell.Sent == 0 || cell.Delivered == 0 {
 				t.Errorf("no load flowed: sent=%d delivered=%d", cell.Sent, cell.Delivered)
