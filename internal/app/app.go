@@ -140,9 +140,10 @@ func (a *App) Write(reg string, index uint32, v uint64) error {
 // Rewrite installs the app's adversary at the agent-SDK boundary: a
 // CtrlPlaneMitM that hands f the index and value of every register
 // message of type msgType on one of regs. msgType is core.MsgWriteReq
-// (updates, caught on their way down) or core.MsgAck (reports, caught on
-// their way up, and so are read results on the API stack). f returns the
-// value to put in its place, or false to let the message pass.
+// (updates, caught on their way down, and so are writes on the API
+// stack) or core.MsgAck (reports, caught on their way up, and so are
+// read results on the API stack). f returns the value to put in its
+// place, or false to let the message pass.
 func (a *App) Rewrite(msgType uint8, regs []string, f func(index uint32, value uint64) (uint64, bool)) error {
 	ids := make(map[uint32]bool, len(regs))
 	names := make(map[string]bool, len(regs))
@@ -166,15 +167,20 @@ func (a *App) Rewrite(msgType uint8, regs []string, f func(index uint32, value u
 			return ok
 		},
 	}
-	if !down {
-		m.RewriteReadResult = func(reg string, index uint32, v uint64) uint64 {
-			if names[reg] {
-				if nv, ok := f(index, v); ok {
-					return nv
-				}
+	// On the API stack the request and the read result carry the
+	// register's name.
+	named := func(reg string, index uint32, v uint64) uint64 {
+		if names[reg] {
+			if nv, ok := f(index, v); ok {
+				return nv
 			}
-			return v
 		}
+		return v
+	}
+	if down {
+		m.RewriteRegWrite = named
+	} else {
+		m.RewriteReadResult = named
 	}
 	return a.Host.Install(switchos.BoundaryAgentSDK, m.Hooks())
 }

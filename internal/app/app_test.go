@@ -88,9 +88,9 @@ func TestReadWriteEveryMode(t *testing.T) {
 	}
 }
 
-// TestRewrite: an update adversary alters PacketOut writes to its
-// registers only, a report adversary reads of its registers only, on
-// both read paths; P4Auth catches both.
+// TestRewrite: an update adversary alters writes to its registers only,
+// a report adversary reads of its registers only, on the PacketOut and
+// the API paths; P4Auth catches both.
 func TestRewrite(t *testing.T) {
 	for _, mode := range []Mode{ModeInsecure, ModeAPI, ModeP4Auth} {
 		a := build(t, mode, pisa.TofinoProfile())
@@ -106,9 +106,6 @@ func TestRewrite(t *testing.T) {
 		}{{"r", 1, 105}, {"r", 0, 5}, {"s", 1, 5}} {
 			err := a.Write(w.reg, w.i, 5)
 			got, _ := a.Host.SW.RegisterRead(w.reg, int(w.i))
-			if mode == ModeAPI {
-				w.want = 5 // API writes carry no P4Auth message
-			}
 			if mode == ModeP4Auth && w.want != 5 {
 				if !errors.Is(err, controller.ErrTampered) || got != 0 {
 					t.Errorf("P4Auth: tampered write to %s[%d]: err %v, register %d", w.reg, w.i, err, got)

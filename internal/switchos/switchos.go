@@ -325,15 +325,26 @@ func (h *Host) Install(b Boundary, hk *Hooks) error {
 }
 
 func (h *Host) regOpDown(op *RegOp) {
+	// The name is resolved before the agent-level hooks, so that they see
+	// which register a request is for, and again after them, because the
+	// SDK resolves the ID it is handed: an agent-level ID rewrite
+	// redirects the request.
+	h.resolveReg(op)
 	if hk := h.hooks[BoundaryAgentSDK]; hk != nil && hk.OnRegOp != nil {
 		hk.OnRegOp(op)
-	}
-	// SDK: resolve ID to name.
-	if ri, err := h.Info.RegisterByID(op.ID); err == nil {
-		op.Name = ri.Name
+		h.resolveReg(op)
 	}
 	if hk := h.hooks[BoundarySDKDriver]; hk != nil && hk.OnRegOp != nil {
 		hk.OnRegOp(op)
+	}
+}
+
+// resolveReg sets op.Name from op.ID, or to "" if the ID names no
+// register.
+func (h *Host) resolveReg(op *RegOp) {
+	op.Name = ""
+	if ri, err := h.Info.RegisterByID(op.ID); err == nil {
+		op.Name = ri.Name
 	}
 }
 

@@ -128,6 +128,48 @@ func TestCompromisedStackRewritesReadResult(t *testing.T) {
 	}
 }
 
+// TestAgentHookSeesRegisterName: a hook at the agent-SDK boundary sees
+// the name of the register an API request is for, and an ID it rewrites
+// redirects the request (or fails it, if the ID names no register).
+func TestAgentHookSeesRegisterName(t *testing.T) {
+	prog := hostProgram()
+	prog.Registers = append(prog.Registers, &pisa.RegisterDef{Name: "path_backup", Width: 32, Entries: 4})
+	sw, err := pisa.NewSwitch(prog, pisa.TofinoProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHost("s1", sw, DefaultCosts())
+	latency, backup := regID(t, h, "path_latency"), regID(t, h, "path_backup")
+	var seen []string
+	redirect := backup
+	if err := h.Install(BoundaryAgentSDK, &Hooks{
+		OnRegOp: func(op *RegOp) {
+			seen = append(seen, op.Name)
+			op.ID = redirect
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.APIRegisterWrite(latency, 1, 42); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := h.APIRegisterRead(latency, 1); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 2 || seen[0] != "path_latency" || seen[1] != "path_latency" {
+		t.Errorf("agent hook saw names %q, want path_latency twice", seen)
+	}
+	lat, _ := h.SW.RegisterRead("path_latency", 1)
+	bak, _ := h.SW.RegisterRead("path_backup", 1)
+	if lat != 0 || bak != 42 {
+		t.Errorf("ID rewrite did not redirect the write: path_latency[1]=%d path_backup[1]=%d", lat, bak)
+	}
+	redirect = 0xdead
+	if _, err := h.APIRegisterWrite(latency, 1, 7); err == nil {
+		t.Error("a write rewritten to an unknown ID succeeded")
+	}
+}
+
 func TestHookRedirectionToAnotherRegisterIndex(t *testing.T) {
 	h := newHost(t)
 	id := regID(t, h, "path_latency")
