@@ -9,12 +9,13 @@ import (
 	"math"
 )
 
-// NewLossTap returns a tap that drops every packet whose deterministic
+// LossTap returns a tap that drops every packet whose deterministic
 // per-packet draw falls below rate (0 = never, 1 = always). The stream is
-// reproducible from the seed. The rate must be a real number in [0, 1].
-func NewLossTap(rate float64, seed uint64) (Tap, error) {
+// reproducible from the seed. It panics unless rate is a real number in
+// [0, 1].
+func LossTap(rate float64, seed uint64) Tap {
 	if math.IsNaN(rate) || rate < 0 || rate > 1 {
-		return nil, fmt.Errorf("netsim: loss rate %v outside [0,1]", rate)
+		panic(fmt.Errorf("netsim: loss rate %v outside [0,1]", rate))
 	}
 	state := seed
 	return func(data []byte) []byte {
@@ -24,26 +25,16 @@ func NewLossTap(rate float64, seed uint64) (Tap, error) {
 			return nil
 		}
 		return data
-	}, nil
-}
-
-// LossTap is NewLossTap for static configurations; it panics on an invalid
-// rate instead of returning an error.
-func LossTap(rate float64, seed uint64) Tap {
-	t, err := NewLossTap(rate, seed)
-	if err != nil {
-		panic(err)
 	}
-	return t
 }
 
-// NewCorruptTap returns a tap that flips one deterministic bit in every
-// Nth packet. The corrupted packet is a copy: the caller's buffer is never
-// mutated, so a sender retransmitting the same bytes is unaffected. The
-// period n must be >= 1 (1 corrupts every packet).
-func NewCorruptTap(n int, seed uint64) (Tap, error) {
+// CorruptTap returns a tap that flips one deterministic bit in every Nth
+// packet. The corrupted packet is a copy: the caller's buffer is never
+// mutated, so a sender retransmitting the same bytes is unaffected. It
+// panics unless the period n is >= 1 (1 corrupts every packet).
+func CorruptTap(n int, seed uint64) Tap {
 	if n < 1 {
-		return nil, fmt.Errorf("netsim: corruption period %d must be >= 1", n)
+		panic(fmt.Errorf("netsim: corruption period %d must be >= 1", n))
 	}
 	count := 0
 	state := seed
@@ -59,122 +50,54 @@ func NewCorruptTap(n int, seed uint64) (Tap, error) {
 		bit := byte(1) << ((state >> 8) % 8)
 		out[byteIdx] ^= bit
 		return out
-	}, nil
+	}
 }
 
-// CorruptTap is NewCorruptTap for static configurations, keeping the
-// historical behaviour of clamping n <= 1 to "corrupt every packet".
-func CorruptTap(n int, seed uint64) Tap {
-	if n < 1 {
-		n = 1
-	}
-	t, err := NewCorruptTap(n, seed)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// Reorderer reorders a packet stream with a deterministic three-slot
-// pattern: packet 3k+1 is held (a copy) and dropped from its slot,
-// packet 3k+2 passes through, and packet 3k+3 is replaced by the held
-// packet. Against a pipelined sender this delivers later window members
-// before earlier ones — the receiver's replay floor overtakes the held
-// packet's sequence number, so its eventual delivery (or retransmission)
-// draws a replay rejection and forces a re-sign with a fresh number.
-// That is precisely the out-of-order hazard the windowed transport must
-// absorb, produced without any randomness.
+// ReorderTap returns a tap that reorders a packet stream with a
+// deterministic three-slot pattern: packet 3k+1 is held (a copy) and
+// dropped from its slot, packet 3k+2 passes through, and packet 3k+3 is
+// replaced by the held packet. Against a pipelined sender this delivers
+// later window members before earlier ones — the receiver's replay floor
+// overtakes the held packet's sequence number, so its eventual delivery
+// (or retransmission) draws a replay rejection and forces a re-sign with
+// a fresh number. That is precisely the out-of-order hazard the windowed
+// transport must absorb, produced without any randomness.
 //
-// A Reorderer owns a held slot, so its lifetime matters: tear the tap
-// down with Close when its link goes away. A closed Reorderer drops the
-// held packet and passes everything through verbatim — without Close, a
-// tap that is re-invoked after link teardown would emit a packet from
-// the torn-down stream into the new one.
-type Reorderer struct {
-	period int
-	count  int
-	held   []byte
-	closed bool
-}
-
-// NewReorderer returns a Reorderer; the period must be >= 3 (3 reorders
-// every triple). Install it with Reorderer.Tap.
-func NewReorderer(period int) (*Reorderer, error) {
-	if period < 3 {
-		return nil, fmt.Errorf("netsim: reorder period %d must be >= 3", period)
-	}
-	return &Reorderer{period: period}, nil
-}
-
-// Tap is the Reorderer's link tap; the method value satisfies Tap.
-func (r *Reorderer) Tap(data []byte) []byte {
-	if r.closed {
-		return data
-	}
-	r.count++
-	switch r.count % r.period {
-	case 1:
-		r.held = append(r.held[:0], data...)
-		return nil // held back: its slot goes empty
-	case 0:
-		if r.held == nil {
+// The tap keeps its held packet across calls: a link that is torn down
+// and tapped again gets a new ReorderTap, or the old stream's held packet
+// surfaces in the new one.
+func ReorderTap() Tap {
+	count := 0
+	var held []byte
+	return func(data []byte) []byte {
+		count++
+		switch count % 3 {
+		case 1:
+			held = append(held[:0], data...)
+			return nil // held back: its slot goes empty
+		case 0:
+			if held == nil {
+				return data
+			}
+			out := held
+			held = nil
+			return out // delivered late, after its successors
+		default:
 			return data
 		}
-		out := r.held
-		r.held = nil
-		return out // delivered late, after its successors
-	default:
-		return data
 	}
 }
 
-// Close tears the reorderer down: the held slot (if any) is dropped, and
-// every later Tap call passes its packet through unchanged. It reports
-// whether a held packet was discarded, so a harness can account for the
-// loss (the sender sees it as one more unacknowledged request). Close is
-// idempotent.
-func (r *Reorderer) Close() (droppedHeld bool) {
-	droppedHeld = r.held != nil
-	r.held = nil
-	r.closed = true
-	return droppedHeld
-}
-
-// Holding reports whether a packet is currently displaced into the held
-// slot (always false once closed).
-func (r *Reorderer) Holding() bool { return r.held != nil }
-
-// NewReorderTap returns the tap of a new Reorderer. Use NewReorderer
-// directly when the tap may outlive its link — only the Reorderer handle
-// can Close the held slot.
-func NewReorderTap(period int) (Tap, error) {
-	r, err := NewReorderer(period)
-	if err != nil {
-		return nil, err
-	}
-	return r.Tap, nil
-}
-
-// ReorderTap is NewReorderTap with the minimum period of 3 (reorder every
-// triple); it panics on an invalid period instead of returning an error.
-func ReorderTap() Tap {
-	t, err := NewReorderTap(3)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// NewLinkFlapTap returns a tap emulating a flapping link: it passes a
+// LinkFlapTap returns a tap emulating a flapping link: it passes a
 // seeded, deterministic run of packets (1..maxUp), then drops a seeded
 // run (1..maxDown), and repeats with fresh draws — so consecutive flap
 // cycles differ but the whole schedule replays bit-for-bit from the
 // seed. Composable with loss/corrupt taps via ChainTaps; install the
-// same constructor arguments on both directions of a link (with
-// distinct seeds) to flap it symmetrically.
-func NewLinkFlapTap(maxUp, maxDown int, seed uint64) (Tap, error) {
+// same arguments on both directions of a link (with distinct seeds) to
+// flap it symmetrically. It panics unless both phase bounds are >= 1.
+func LinkFlapTap(maxUp, maxDown int, seed uint64) Tap {
 	if maxUp < 1 || maxDown < 1 {
-		return nil, fmt.Errorf("netsim: flap phases must be >= 1 packet (got up=%d down=%d)", maxUp, maxDown)
+		panic(fmt.Errorf("netsim: flap phases must be >= 1 packet (got up=%d down=%d)", maxUp, maxDown))
 	}
 	state := seed
 	draw := func(max int) int {
@@ -198,17 +121,7 @@ func NewLinkFlapTap(maxUp, maxDown int, seed uint64) (Tap, error) {
 			return data
 		}
 		return nil
-	}, nil
-}
-
-// LinkFlapTap is NewLinkFlapTap for static configurations; it panics on
-// invalid phase bounds instead of returning an error.
-func LinkFlapTap(maxUp, maxDown int, seed uint64) Tap {
-	t, err := NewLinkFlapTap(maxUp, maxDown, seed)
-	if err != nil {
-		panic(err)
 	}
-	return t
 }
 
 // ChainTaps composes taps left to right; a nil result short-circuits.

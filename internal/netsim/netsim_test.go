@@ -356,34 +356,24 @@ func TestCorruptTapDoesNotMutateCaller(t *testing.T) {
 }
 
 func TestFaultTapValidation(t *testing.T) {
-	bad := []float64{math.NaN(), -0.1, 1.1, math.Inf(1), math.Inf(-1)}
-	for _, rate := range bad {
-		if _, err := NewLossTap(rate, 1); err == nil {
-			t.Errorf("NewLossTap(%v) accepted an invalid rate", rate)
+	for _, rate := range []float64{math.NaN(), -0.1, 1.1, math.Inf(1), math.Inf(-1)} {
+		if !panics(func() { LossTap(rate, 1) }) {
+			t.Errorf("LossTap(%v) accepted an invalid rate", rate)
 		}
 	}
 	for _, rate := range []float64{0, 0.5, 1} {
-		if _, err := NewLossTap(rate, 1); err != nil {
-			t.Errorf("NewLossTap(%v): %v", rate, err)
+		if panics(func() { LossTap(rate, 1) }) {
+			t.Errorf("LossTap(%v) rejected a valid rate", rate)
 		}
 	}
 	for _, n := range []int{0, -1} {
-		if _, err := NewCorruptTap(n, 1); err == nil {
-			t.Errorf("NewCorruptTap(%d) accepted an invalid period", n)
+		if !panics(func() { CorruptTap(n, 1) }) {
+			t.Errorf("CorruptTap(%d) accepted an invalid period", n)
 		}
 	}
-	if _, err := NewCorruptTap(1, 1); err != nil {
-		t.Errorf("NewCorruptTap(1): %v", err)
+	if panics(func() { CorruptTap(1, 1) }) {
+		t.Error("CorruptTap(1) rejected a valid period")
 	}
-	// The panicking constructors reject invalid configs loudly.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("LossTap(NaN) did not panic")
-			}
-		}()
-		LossTap(math.NaN(), 1)
-	}()
 }
 
 func TestSimAdvance(t *testing.T) {
