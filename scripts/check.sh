@@ -50,8 +50,10 @@ c chaos go test -race -count=1 -run 'Test(Chaos|Fabric|HA|Group)(Short|Determini
 # The app x fault x protection survival matrix at k=4 with the default
 # seed: zero forged operations applied in every protected cell,
 # measurable corruption in every unprotected attacked cell, trace
-# bit-identical to the checked-in golden, determinism reruns.
-c matrix-chaos go test -race -count=1 -run 'TestMatrixChaos|TestMatrixDeterminism' ./internal/fleet/
+# bit-identical to the checked-in golden, every cell's exact fields and
+# RunCell trace hash pinned (testdata/cells_k4.golden), determinism
+# reruns.
+c matrix-chaos go test -race -count=1 -run 'TestMatrixChaos|TestMatrixDeterminism|TestCellsGolden' ./internal/fleet/
 
 # The two-tier control plane (per-pod shard groups + global key broker)
 # under forged/torn broker frames, WAN latency spikes, an asymmetric
