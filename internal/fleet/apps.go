@@ -139,7 +139,7 @@ func runNetcache(in *instance) (Cell, error) {
 	}
 	zipf := func() error { return ncZipf(s, 1500) }
 	epoch := func() error { return s.UpdateEpoch(ncCandidates()) }
-	epochsBefore := 0
+	epochsBefore := 0 // set by the attack, read only under it
 	fault := func() error {
 		return in.fault(s.App, func() error {
 			epochsBefore = s.Epochs

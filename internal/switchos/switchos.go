@@ -329,10 +329,10 @@ func (h *Host) regOpDown(op *RegOp) {
 	// which register a request is for, and again after them, because the
 	// SDK resolves the ID it is handed: an agent-level ID rewrite
 	// redirects the request.
-	h.resolveReg(op)
+	resolveReg(h.Info, op)
 	if hk := h.hooks[BoundaryAgentSDK]; hk != nil && hk.OnRegOp != nil {
 		hk.OnRegOp(op)
-		h.resolveReg(op)
+		resolveReg(h.Info, op)
 	}
 	if hk := h.hooks[BoundarySDKDriver]; hk != nil && hk.OnRegOp != nil {
 		hk.OnRegOp(op)
@@ -341,9 +341,9 @@ func (h *Host) regOpDown(op *RegOp) {
 
 // resolveReg sets op.Name from op.ID, or to "" if the ID names no
 // register.
-func (h *Host) resolveReg(op *RegOp) {
+func resolveReg(info *p4rt.P4Info, op *RegOp) {
 	op.Name = ""
-	if ri, err := h.Info.RegisterByID(op.ID); err == nil {
+	if ri, err := info.RegisterByID(op.ID); err == nil {
 		op.Name = ri.Name
 	}
 }
