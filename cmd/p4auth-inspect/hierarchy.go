@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"p4auth/internal/hierarchy"
+	"p4auth/internal/netsim/chaos"
 )
 
 // hierarchySeed fixes the reference run; the chaos harness is fully
@@ -22,10 +22,8 @@ const hierarchySeed = 7
 // (every pod refused, zero establishments), pods still serving, and a
 // fenced election at the next epoch restoring cross-pod rollovers.
 func runHierarchy(w io.Writer) error {
-	for _, sc := range []hierarchy.ChaosScenario{
-		hierarchy.ScenarioWANPartition, hierarchy.ScenarioGlobalKill,
-	} {
-		res, err := hierarchy.RunChaos(hierarchy.ChaosOptions{Seed: hierarchySeed, Scenario: sc})
+	for _, sc := range []chaos.HierarchyScenario{chaos.HierarchyWANPartition, chaos.HierarchyGlobalKill} {
+		res, err := chaos.RunHierarchy(chaos.HierarchyOptions{Seed: hierarchySeed, Scenario: sc})
 		if err != nil {
 			return err
 		}

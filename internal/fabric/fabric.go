@@ -11,22 +11,22 @@
 //
 // State machine (transition causes in parentheses):
 //
-//	            bad-digest-threshold /
-//	            feedback-silence
-//	  Healthy ───────────────────────▶ Suspect
-//	     ▲                               │  │
-//	     │ clean-windows                 │  │ bad-digest-persistent /
-//	     └───────────────────────────────┘  │ feedback-silence
-//	                                        ▼
-//	            key-skew (from any state) ▶ Quarantined ◀──────────┐
-//	                                        │                      │
-//	                                        │ hold-down-expired    │ repair-failed /
-//	                                        ▼                      │ repair-stale-epoch /
-//	                                    Recovering ────────────────┘ probation-failed
-//	                                        │
-//	                                        │ probation-passed
-//	                                        ▼
-//	                                     Healthy
+//	          bad-digest-threshold /
+//	          feedback-silence
+//	Healthy ───────────────────────▶ Suspect
+//	   ▲                               │  │
+//	   │ clean-windows                 │  │ bad-digest-persistent /
+//	   └───────────────────────────────┘  │ feedback-silence
+//	                                      ▼
+//	          key-skew (from any state) ▶ Quarantined ◀──────────┐
+//	                                      │                      │
+//	                                      │ hold-down-expired    │ repair-failed /
+//	                                      ▼                      │ repair-stale-epoch /
+//	                                  Recovering ────────────────┘ probation-failed
+//	                                      │
+//	                                      │ probation-passed
+//	                                      ▼
+//	                                   Healthy
 //
 // Entering Quarantined blocks the link (routing excludes it; fail-closed
 // for authentication) and draws a fresh repair epoch. After the hold-down

@@ -9,14 +9,15 @@ import (
 const matrixGoldenPath = "testdata/matrix_k4.golden"
 
 // TestMatrixChaos is the matrix-chaos gate: the full app × fault ×
-// protection matrix at k=4 with the default seed. Invariants checked on
-// every cell, then the canonical trace is compared bit-for-bit against
-// the checked-in golden (regenerate with GOLDEN_UPDATE=1 after an
-// intentional semantic change).
+// protection matrix at k=4 with the default seed, from the same pass as
+// TestCellsGolden. Invariants checked on every cell, then the canonical
+// trace is compared bit-for-bit against the checked-in golden
+// (regenerate with GOLDEN_UPDATE=1 after an intentional semantic change).
 func TestMatrixChaos(t *testing.T) {
-	m, err := RunMatrix(DefaultOptions())
-	if err != nil {
-		t.Fatalf("matrix: %v", err)
+	o := DefaultOptions()
+	m := &Matrix{K: o.K, Seed: o.Seed}
+	for _, c := range defaultMatrix(t) {
+		m.Cells = append(m.Cells, c.Cell)
 	}
 	survived, total := 0, len(m.Cells)
 	for _, c := range m.Cells {

@@ -1,47 +1,67 @@
-package hierarchy
+package hierarchy_test
+
+// The hierarchy's chaos runs, driven through chaos.RunHierarchy. This is
+// an external test package: the product package hierarchy does not
+// import the harness, its tests do.
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"p4auth/internal/netsim/chaos"
 )
 
+var scenarios = []chaos.HierarchyScenario{chaos.HierarchyWANPartition, chaos.HierarchyGlobalKill}
+
+// runClean executes one run and fails the test on a harness error or any
+// invariant violation, printing the trace for replay.
+func runClean(t *testing.T, o chaos.HierarchyOptions) *chaos.HierarchyResult {
+	t.Helper()
+	res, err := chaos.RunHierarchy(o)
+	if err != nil {
+		t.Fatalf("harness error: %v", err)
+	}
+	for _, v := range res.Violations {
+		t.Errorf("violation: %s", v)
+	}
+	if t.Failed() {
+		for _, line := range res.Trace {
+			t.Log(line)
+		}
+		t.FailNow()
+	}
+	return res
+}
+
 // TestHierarchyChaos is the hierarchy-chaos gate: both scenarios over
 // fixed seeds, zero invariant violations tolerated.
 func TestHierarchyChaos(t *testing.T) {
-	for _, sc := range []ChaosScenario{ScenarioWANPartition, ScenarioGlobalKill} {
+	for _, sc := range scenarios {
 		for _, seed := range []uint64{1, 7, 42} {
 			t.Run(fmt.Sprintf("%s/%d", sc, seed), func(t *testing.T) {
-				res, err := RunChaos(ChaosOptions{Seed: seed, Scenario: sc})
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				for _, v := range res.Violations {
-					t.Errorf("seed %d violation: %s", seed, v)
-				}
-				if t.Failed() {
-					for _, line := range res.Trace {
-						t.Log(line)
-					}
-				}
+				res := runClean(t, chaos.HierarchyOptions{Seed: seed, Scenario: sc})
 				if res.Establishes == 0 || res.Grants == 0 {
-					t.Fatalf("seed %d: run did no broker work: %+v", seed, res)
+					t.Fatalf("run did no broker work: %+v", res)
 				}
-				if sc == ScenarioWANPartition {
+				switch sc {
+				case chaos.HierarchyWANPartition:
 					if res.Deferred == 0 || res.Flushed == 0 {
-						t.Fatalf("seed %d: degraded window exercised nothing: deferred=%d flushed=%d",
-							seed, res.Deferred, res.Flushed)
+						t.Fatalf("degraded window exercised nothing: deferred=%d flushed=%d",
+							res.Deferred, res.Flushed)
 					}
 					if res.ForgedDropped == 0 || res.TornDropped == 0 {
-						t.Fatalf("seed %d: injection sweeps dropped nothing: forged=%d torn=%d",
-							seed, res.ForgedDropped, res.TornDropped)
+						t.Fatalf("injection sweeps dropped nothing: forged=%d torn=%d",
+							res.ForgedDropped, res.TornDropped)
 					}
-				}
-				if sc == ScenarioGlobalKill && res.Refusals == 0 {
-					t.Fatalf("seed %d: dark window refused nothing", seed)
+				case chaos.HierarchyGlobalKill:
+					if res.Refusals == 0 {
+						t.Fatal("dark window refused nothing")
+					}
 				}
 			})
 		}
@@ -53,16 +73,10 @@ func TestHierarchyChaos(t *testing.T) {
 // each, as at Pods=4), which a fixed 250ms budget cannot hold; the budget
 // scales with the cross-link count instead.
 func TestHierarchyChaosPods8(t *testing.T) {
-	for _, sc := range []ChaosScenario{ScenarioWANPartition, ScenarioGlobalKill} {
+	for _, sc := range scenarios {
 		t.Run(string(sc), func(t *testing.T) {
-			res, err := RunChaos(ChaosOptions{Seed: 7, Pods: 8, Scenario: sc})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, v := range res.Violations {
-				t.Errorf("violation: %s", v)
-			}
-			if sc == ScenarioGlobalKill && res.ReconvergeTime <= 250*time.Millisecond {
+			res := runClean(t, chaos.HierarchyOptions{Seed: 7, Pods: 8, Scenario: sc})
+			if sc == chaos.HierarchyGlobalKill && res.ReconvergeTime <= 250*time.Millisecond {
 				t.Errorf("global-kill re-converged in %v; the serial re-roll of 112 links should exceed 250ms",
 					res.ReconvergeTime)
 			}
@@ -70,17 +84,12 @@ func TestHierarchyChaosPods8(t *testing.T) {
 	}
 }
 
-// TestHierarchyDeterminism: equal options produce bit-identical traces.
+// TestHierarchyDeterminism: equal options produce bit-identical traces
+// within one process, so no state leaks from one run into the next.
 func TestHierarchyDeterminism(t *testing.T) {
-	for _, sc := range []ChaosScenario{ScenarioWANPartition, ScenarioGlobalKill} {
-		a, err := RunChaos(ChaosOptions{Seed: 99, Scenario: sc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := RunChaos(ChaosOptions{Seed: 99, Scenario: sc})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, sc := range scenarios {
+		a := runClean(t, chaos.HierarchyOptions{Seed: 99, Scenario: sc})
+		b := runClean(t, chaos.HierarchyOptions{Seed: 99, Scenario: sc})
 		if !reflect.DeepEqual(a.Trace, b.Trace) {
 			for i := range a.Trace {
 				if i >= len(b.Trace) || a.Trace[i] != b.Trace[i] {
@@ -90,36 +99,37 @@ func TestHierarchyDeterminism(t *testing.T) {
 			}
 			t.Fatalf("%s: trace lengths differ: %d vs %d", sc, len(a.Trace), len(b.Trace))
 		}
-		if !reflect.DeepEqual(a.Violations, b.Violations) || a.Establishes != b.Establishes {
+		if a.Establishes != b.Establishes {
 			t.Fatalf("%s: results diverge across identical runs", sc)
 		}
 	}
 }
 
-// TestHierarchyFailingTraceDeterministic: a run that fails must fail the
-// same way every time, or its trace is useless for debugging. Two
-// counters with no audit event behind them force two reconciliation
-// violations; their order is the kernel table's, on every run.
-func TestHierarchyFailingTraceDeterministic(t *testing.T) {
-	run := func() []string {
-		h, err := Build(Config{Seed: 3})
-		if err != nil {
-			t.Fatal(err)
+// TestHierarchyTraceGoldens checks the hierarchy rows of the chaos
+// package's one golden file, "hierarchy/<scenario> <sha256 of the trace
+// lines, each ended by \n>", from this package too: a change to the
+// hierarchy that moves its traces fails here. The chaos package's
+// TestTraceGoldens records the file (GOLDEN_UPDATE=1).
+func TestHierarchyTraceGoldens(t *testing.T) {
+	b, err := os.ReadFile("../netsim/chaos/testdata/trace_goldens.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(string(b), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && strings.HasPrefix(f[0], "hierarchy/") {
+			want[f[0]] = f[1]
 		}
-		res := &ChaosResult{Recorder: chaos.NewRecorder(h.Sim)}
-		c := &chaosHarness{Recorder: &res.Recorder, res: res, h: h, shadow: map[string][]uint64{}}
-		h.Ob.Metrics.Counter("hier.deferred_rollovers").Inc()
-		h.Ob.Metrics.Counter("hier.degraded_enters").Inc()
-		c.finalChecks()
-		return res.Trace
 	}
-	first := run()
-	if n := len(first); n != 3 {
-		t.Fatalf("want two VIOLATION lines and the summary, got %d lines: %q", n, first)
+	if len(want) != len(scenarios) {
+		t.Fatalf("golden file pins %d hierarchy traces, want %d", len(want), len(scenarios))
 	}
-	for i := 0; i < 8; i++ {
-		if again := run(); !reflect.DeepEqual(first, again) {
-			t.Fatalf("failing traces differ between identical runs:\n  %q\n  %q", first, again)
+	for _, sc := range scenarios {
+		res := runClean(t, chaos.HierarchyOptions{Seed: 99, Scenario: sc})
+		name := "hierarchy/" + string(sc)
+		got := fmt.Sprintf("%x", sha256.Sum256([]byte(strings.Join(res.Trace, "\n")+"\n")))
+		if got != want[name] {
+			t.Errorf("%s diverged from the pinned golden\n  pinned %s\n  got    %s", name, want[name], got)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package hierarchy
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"p4auth/internal/controller"
@@ -62,7 +63,6 @@ type grant struct {
 	epoch uint64
 	pod   uint8
 	label string
-	used  bool
 }
 
 // relay is one outstanding RelayReq to a link's owner pod.
@@ -215,7 +215,7 @@ func (g *Global) serveGrant(f *Frame) {
 		g.refuse(f.Pod, f.Seq, RefuseUnfenced, 0)
 		return
 	}
-	cl := g.h.byAgg[f.A+":"+itoa(int(f.PA))]
+	cl := g.h.byAgg[f.A+":"+strconv.Itoa(int(f.PA))]
 	if cl == nil || cl.Initiator != f.Pod || cl.B != f.B || cl.PB != int(f.PB) {
 		// Not a cross-pod link this pod initiates: refuse. Covers forged
 		// link claims that survive the digest (insider misuse).
@@ -257,7 +257,7 @@ func (g *Global) serveExch(f *Frame) {
 		g.refuse(f.Pod, f.Seq, RefuseEpoch, 0)
 		return
 	}
-	cl := g.h.byAgg[f.A+":"+itoa(int(f.PA))]
+	cl := g.h.byAgg[f.A+":"+strconv.Itoa(int(f.PA))]
 	if cl == nil || cl.Label != gr.label {
 		g.refuse(f.Pod, f.Seq, RefuseEpoch, 0)
 		return
@@ -319,21 +319,10 @@ func (g *Global) finishRelay(f *Frame) {
 		g.reply(rl.reqPod, &Frame{Type: TRefuse, Hint: f.Hint, Seq: rl.reqSeq, Ver: f.Ver})
 		return
 	}
-	if gr := g.grants[f.Grant]; gr != nil {
-		gr.used = true
-	}
 	g.served++
 	b := g.reply(rl.reqPod, &Frame{Type: TExchOK, Seq: rl.reqSeq, Epoch: f.Epoch,
 		Grant: f.Grant, PK: f.PK, Salt: f.Salt, Ver: f.Ver})
 	g.replyCache[k] = b
-}
-
-// itoa is a tiny allocation-light strconv.Itoa for small positive ints.
-func itoa(n int) string {
-	if n < 10 {
-		return string([]byte{byte('0' + n)})
-	}
-	return fmt.Sprintf("%d", n)
 }
 
 // compile-time guard: relay timers must outpace neither the client's

@@ -65,6 +65,11 @@ const (
 	backoffBase   = 2 * time.Millisecond
 )
 
+// ReconvergePerLink bounds, per cross link, the virtual time from a WAN
+// heal or an election to the link back on one committed key: one
+// first-try grant plus one first-try exchange RPC.
+const ReconvergePerLink = grantTimeout + exchTimeout
+
 // heartbeatEvery is the lease-renewal cadence relative to the TTL.
 const heartbeatDivisor = 2
 
@@ -239,7 +244,7 @@ func Build(cfg Config) (*Hierarchy, error) {
 	// WAN star: wan-pod{p} port 1 <-> wan-global port p+1. Broker RPCs
 	// are the ONLY traffic here; C-DP runs on the intra-pod transports.
 	for p := 0; p < cfg.Pods; p++ {
-		h.Net.MustConnect(h.Pods[p].nodeName(), 1, g.nodeName(), p+1, wanDelay, 0)
+		h.Net.MustConnect(h.Pods[p].NodeName(), 1, g.nodeName(), p+1, wanDelay, 0)
 	}
 	return h, nil
 }
@@ -358,5 +363,5 @@ func (h *Hierarchy) CrossLinkKeys(cl *CrossLink) (ka, kb uint64, err error) {
 // WANLink returns the netsim link between a pod's WAN node and the
 // global hub — the injection point for partitions and latency spikes.
 func (h *Hierarchy) WANLink(pod int) *netsim.Link {
-	return h.Net.LinkBetween(h.Pods[pod].nodeName(), h.Global.nodeName())
+	return h.Net.LinkBetween(h.Pods[pod].NodeName(), h.Global.nodeName())
 }

@@ -123,7 +123,7 @@ func TestHierarchyWANPartitionDegradesGracefully(t *testing.T) {
 	// Cut pod 0's WAN both ways. Intra-pod control writes must keep
 	// landing: the pod's own lease and switches do not cross the WAN.
 	h.WANLink(0).SetDown(true)
-	if _, err := pod.active().Controller().WriteRegister("e0_0", "lat", 1, 0xAB); err != nil {
+	if _, err := pod.Active().Controller().WriteRegister("e0_0", "lat", 1, 0xAB); err != nil {
 		t.Fatalf("intra-pod write during WAN loss: %v", err)
 	}
 	if v, _ := h.Switch("e0_0").Host.SW.RegisterRead("lat", 1); v != 0xAB {
@@ -444,7 +444,7 @@ func TestPodElectionKeepsServingCrossLinks(t *testing.T) {
 	if _, err := pod.Elect("pod-active-killed"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pod.active().Controller().WriteRegister("e0_1", "lat", 2, 0xCD); err != nil {
+	if _, err := pod.Active().Controller().WriteRegister("e0_1", "lat", 2, 0xCD); err != nil {
 		t.Fatalf("post-failover intra write: %v", err)
 	}
 	if err := pod.EstablishCross(cl); err != nil {

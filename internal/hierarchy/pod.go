@@ -138,11 +138,12 @@ func newPod(h *Hierarchy, id uint8, switches []string, key uint64) (*Pod, error)
 		return nil, err
 	}
 	p.Group = grp
-	p.node = h.Net.AddNode(p.nodeName(), netsim.HandlerFunc(p.handle))
+	p.node = h.Net.AddNode(p.NodeName(), netsim.HandlerFunc(p.handle))
 	return p, nil
 }
 
-func (p *Pod) nodeName() string { return fmt.Sprintf("wan-pod%d", p.ID) }
+// NodeName is the name of the pod's node on the WAN star.
+func (p *Pod) NodeName() string { return fmt.Sprintf("wan-pod%d", p.ID) }
 
 // Degraded reports whether the pod is currently in WAN-degraded mode.
 func (p *Pod) Degraded() bool { return p.degraded }
@@ -161,8 +162,8 @@ func (p *Pod) DeferredRollovers() []string {
 // value when never established).
 func (p *Pod) CrossState(label string) crossState { return p.cache[label] }
 
-// active returns the pod's serving replica, or nil.
-func (p *Pod) active() *ha.Replica {
+// Active returns the pod's serving replica, or nil.
+func (p *Pod) Active() *ha.Replica {
 	a := p.Group.Active()
 	if a == nil || a.Controller().Killed() || a.Fence() != nil {
 		return nil
@@ -215,7 +216,7 @@ func (p *Pod) serveRelay(f *Frame) {
 			_ = p.h.Net.Send(p.node, 1, b, 0)
 		}
 	}
-	act := p.active()
+	act := p.Active()
 	if act == nil {
 		refuse(RefuseNotActive, 0)
 		return
@@ -299,7 +300,7 @@ func (p *Pod) drive(deadline time.Duration, done func() bool) {
 // relayed by the global tier. No switch state moves before the fenced
 // grant is held.
 func (p *Pod) tryEstablish(cl *CrossLink) error {
-	act := p.active()
+	act := p.Active()
 	if act == nil {
 		return ErrNoActive
 	}
@@ -352,7 +353,7 @@ func (p *Pod) EstablishCross(cl *CrossLink) error {
 		var ref *RefusedError
 		switch {
 		case errors.As(err, &ref) && ref.Cause == RefuseSkew:
-			act := p.active()
+			act := p.Active()
 			if act == nil {
 				return ErrNoActive
 			}

@@ -1,9 +1,7 @@
 package chaos
 
 import (
-	"bufio"
 	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"os"
 	"sort"
@@ -13,55 +11,66 @@ import (
 
 // Golden-trace regression gate: the chaos harnesses must keep producing
 // *the same bytes* from commit to commit, not merely be internally
-// deterministic. TestChaosDeterminism and
-// friends catch run-to-run divergence; this test catches
-// commit-to-commit divergence by pinning a SHA-256 of each
-// representative trace in testdata/trace_goldens.txt.
+// deterministic. testdata/trace_goldens.txt pins a SHA-256 of each pinned
+// run's trace; a run that reproduces its hash has also replayed the bytes
+// of the run that recorded it. The Test*Determinism tests replay the
+// seed-42 rows twice in one process.
 //
 // Regenerate (only when a trace change is intended and reviewed) with:
 //
 //	GOLDEN_UPDATE=1 go test -run TestTraceGoldens ./internal/netsim/chaos/
 const goldenPath = "testdata/trace_goldens.txt"
 
-// goldenRun is one pinned harness invocation. The set spans every
-// scenario of all three harnesses, so every seeded code path through the
-// switch (C-DP writes, rollovers, DP-DP probes, sharded failover load)
-// and every invariant sweep is covered.
-type goldenRun struct {
+// pinnedRun is one pinned harness invocation.
+type pinnedRun struct {
 	name string
 	run  func() ([]string, error)
 }
 
-func goldenRuns() []goldenRun {
-	runs := []goldenRun{
-		{"chaos/rollover-controller", pinned(Run, Options{Seed: 42, Scenario: MidRollover, Victim: KillController, CrashAt: 2, WarmDevice: true})},
-		{"chaos/regwrite-switch-cold", pinned(Run, Options{Seed: 42, Scenario: MidRegisterWrite, Victim: CrashSwitch, CrashAt: 2, WarmDevice: false})},
-		{"chaos/portinit-back-to-back", pinned(Run, Options{Seed: 7, Scenario: MidPortKeyInit, Victim: BackToBack, CrashAt: 3, WarmDevice: true})},
-		{"fabric/flap", pinned(RunFabric, FabricOptions{Seed: 11, Scenario: FabricFlap})},
-		{"fabric/skew", pinned(RunFabric, FabricOptions{Seed: 11, Scenario: FabricSkew})},
-		{"group/n2-rolling-kill", pinned(RunGroup, GroupOptions{Seed: 5, Replicas: 2, Switches: 4, Scenario: GroupRollingKill})},
-		{"group/rolling-kill", pinned(RunGroup, GroupOptions{Seed: 9, Replicas: 3, Switches: 4, Scenario: GroupRollingKill})},
-		{"fabric/partition", pinned(RunFabric, FabricOptions{Seed: 11, Scenario: FabricPartition})},
-		{"group/n2-split-brain", pinned(RunGroup, GroupOptions{Seed: 5, Replicas: 2, Switches: 4, Scenario: GroupSplitBrain})},
-		{"group/store-outage", pinned(RunGroup, GroupOptions{Seed: 9, Replicas: 3, Switches: 4, Scenario: GroupStoreOutage})},
-		{"group/acquire-race", pinned(RunGroup, GroupOptions{Seed: 9, Replicas: 3, Switches: 4, Scenario: GroupAcquireRace})},
+// pinnedRuns spans every scenario of all four harnesses, so every seeded
+// code path through the switch (C-DP writes, rollovers, DP-DP probes,
+// sharded failover load, brokered cross-pod keys) and every invariant
+// sweep is covered.
+func pinnedRuns() []pinnedRun {
+	runs := []pinnedRun{
+		{"chaos/regwrite-switch-cold", pin(Run, Options{Seed: 42, Scenario: MidRegisterWrite, Victim: CrashSwitch, CrashAt: 2, WarmDevice: false})},
+		{"chaos/portinit-back-to-back", pin(Run, Options{Seed: 7, Scenario: MidPortKeyInit, Victim: BackToBack, CrashAt: 3, WarmDevice: true})},
+		{"group/n2-rolling-kill", pin(RunGroup, GroupOptions{Seed: 5, Replicas: 2, Switches: 4, Scenario: GroupRollingKill})},
+		{"group/n2-split-brain", pin(RunGroup, GroupOptions{Seed: 5, Replicas: 2, Switches: 4, Scenario: GroupSplitBrain})},
+		{"group/rolling-kill", pin(RunGroup, GroupOptions{Seed: 9, Replicas: 3, Switches: 4, Scenario: GroupRollingKill})},
+		{"group/store-outage", pin(RunGroup, GroupOptions{Seed: 9, Replicas: 3, Switches: 4, Scenario: GroupStoreOutage})},
+		{"group/acquire-race", pin(RunGroup, GroupOptions{Seed: 9, Replicas: 3, Switches: 4, Scenario: GroupAcquireRace})},
+		{"group/seed42/n2-rolling-kill", pin(RunGroup, GroupOptions{Seed: 42, Replicas: 2, Scenario: GroupRollingKill})},
+		{"group/seed42/n2-split-brain", pin(RunGroup, GroupOptions{Seed: 42, Replicas: 2, Scenario: GroupSplitBrain})},
 	}
-	// The TestChaosDeterminism grid (seed 42, CrashAt 2, warm); its
-	// rollover/controller cell is chaos/rollover-controller above.
-	for _, scenario := range []Scenario{MidRollover, MidRegisterWrite, MidPortKeyInit} {
-		for _, victim := range []Victim{KillController, CrashSwitch, BackToBack} {
-			if scenario == MidRollover && victim == KillController {
-				continue
+	for _, sc := range scenarios {
+		for _, v := range victims {
+			o := Options{Seed: 42, Scenario: sc.name, Victim: v.name, CrashAt: 2, WarmDevice: true}
+			name := fmt.Sprintf("chaos/seed42/%s-%s", sc.name, v.name)
+			if sc.name == MidRollover && v.name == KillController {
+				name = "chaos/rollover-controller"
 			}
-			o := Options{Seed: 42, Scenario: scenario, Victim: victim, CrashAt: 2, WarmDevice: true}
-			runs = append(runs, goldenRun{fmt.Sprintf("chaos/seed42/%s-%s", scenario, victim), pinned(Run, o)})
+			runs = append(runs, pinnedRun{name, pin(Run, o)})
 		}
+	}
+	for _, sc := range fabricScenarios {
+		runs = append(runs,
+			pinnedRun{"fabric/" + string(sc.name), pin(RunFabric, FabricOptions{Seed: 11, Scenario: sc.name})},
+			pinnedRun{"fabric/seed42/" + string(sc.name), pin(RunFabric, FabricOptions{Seed: 42, Scenario: sc.name})})
+	}
+	for _, sc := range groupScenarios {
+		runs = append(runs, pinnedRun{"group/seed42/n4-" + string(sc.name),
+			pin(RunGroup, GroupOptions{Seed: 42, Replicas: 4, Scenario: sc.name})})
+	}
+	for _, sc := range hierarchyScenarios {
+		runs = append(runs, pinnedRun{"hierarchy/" + string(sc.name),
+			pin(RunHierarchy, HierarchyOptions{Seed: 99, Scenario: sc.name})})
 	}
 	return runs
 }
 
-// pinned adapts one harness invocation to a goldenRun.
-func pinned[O any, R result](run func(O) (R, error), o O) func() ([]string, error) {
+// pin adapts one harness invocation to a pinnedRun.
+func pin[O any, R result](run func(O) (R, error), o O) func() ([]string, error) {
 	return func() ([]string, error) {
 		r, err := run(o)
 		if err != nil {
@@ -71,96 +80,74 @@ func pinned[O any, R result](run func(O) (R, error), o O) func() ([]string, erro
 	}
 }
 
+// traceHash is the SHA-256 of the trace lines, each ended by \n.
 func traceHash(trace []string) string {
-	h := sha256.New()
-	for _, line := range trace {
-		h.Write([]byte(line))
-		h.Write([]byte{'\n'})
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-func loadGoldens(t *testing.T) map[string]string {
-	t.Helper()
-	f, err := os.Open(goldenPath)
-	if err != nil {
-		t.Fatalf("open goldens (run with GOLDEN_UPDATE=1 to create): %v", err)
-	}
-	defer f.Close()
-	out := map[string]string{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			t.Fatalf("malformed golden line: %q", line)
-		}
-		out[fields[0]] = fields[1]
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(strings.Join(trace, "\n")+"\n")))
 }
 
 // TestTraceGoldens pins the chaos traces to their checked-in bytes: a
-// clean run of a pinned scenario must reproduce them forever.
+// clean run of a pinned scenario must reproduce them forever. Under
+// GOLDEN_UPDATE each run is executed twice, and a trace that does not
+// replay is not recorded.
 func TestTraceGoldens(t *testing.T) {
-	runs := goldenRuns()
-	got := make(map[string]string, len(runs))
-	for _, gr := range runs {
-		trace, err := gr.run()
+	update := os.Getenv("GOLDEN_UPDATE") != ""
+	want := map[string]string{}
+	if !update {
+		b, err := os.ReadFile(goldenPath)
 		if err != nil {
-			t.Fatalf("%s: %v", gr.name, err)
+			t.Fatalf("read goldens (run with GOLDEN_UPDATE=1 to create): %v", err)
 		}
-		for _, line := range trace {
-			if strings.Contains(line, "VIOLATION:") {
-				t.Errorf("%s: pinned run is not clean: %s", gr.name, line)
+		for _, line := range strings.Split(string(b), "\n") {
+			if f := strings.Fields(line); len(f) == 2 && !strings.HasPrefix(line, "#") {
+				want[f[0]] = f[1]
 			}
 		}
-		got[gr.name] = traceHash(trace)
 	}
-
-	if os.Getenv("GOLDEN_UPDATE") != "" {
-		names := make([]string, 0, len(got))
-		for n := range got {
-			names = append(names, n)
+	runs, got := pinnedRuns(), map[string]string{}
+	for _, pr := range runs {
+		t.Run(pr.name, func(t *testing.T) {
+			trace, err := pr.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, line := range trace {
+				if strings.Contains(line, "VIOLATION:") {
+					t.Errorf("pinned run is not clean: %s", line)
+				}
+			}
+			got[pr.name] = traceHash(trace)
+			if update {
+				if again, err := pr.run(); err != nil || traceHash(again) != got[pr.name] {
+					t.Errorf("trace does not replay (err %v)", err)
+				}
+			} else if want[pr.name] != got[pr.name] {
+				t.Errorf("trace diverged from pinned golden\n  pinned %q\n  got    %s", want[pr.name], got[pr.name])
+			}
+		})
+	}
+	if !update {
+		if len(want) != len(runs) {
+			t.Errorf("%s pins %d traces for %d runs", goldenPath, len(want), len(runs))
 		}
-		sort.Strings(names)
-		var b strings.Builder
-		b.WriteString("# SHA-256 of each pinned chaos trace (lines joined by \\n).\n")
-		b.WriteString("# A clean run of each pinned scenario must stay byte-identical.\n")
-		b.WriteString("# Regenerate (reviewed trace changes only): GOLDEN_UPDATE=1\n")
-		for _, n := range names {
-			fmt.Fprintf(&b, "%s %s\n", n, got[n])
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d goldens to %s", len(got), goldenPath)
 		return
 	}
-
-	want := loadGoldens(t)
-	for name, hash := range got {
-		pinned, ok := want[name]
-		if !ok {
-			t.Errorf("%s: no pinned golden (regenerate with GOLDEN_UPDATE=1)", name)
-			continue
-		}
-		if pinned != hash {
-			t.Errorf("%s: trace diverged from pinned golden\n  pinned %s\n  got    %s", name, pinned, hash)
-		}
+	if t.Failed() || len(got) != len(runs) {
+		t.Fatalf("GOLDEN_UPDATE recorded %d of %d pinned runs clean; nothing written", len(got), len(runs))
 	}
-	for name := range want {
-		if _, ok := got[name]; !ok {
-			t.Errorf("golden %s has no matching run", name)
-		}
+	sorted := make([]string, 0, len(got))
+	for n := range got {
+		sorted = append(sorted, n)
 	}
+	sort.Strings(sorted)
+	var b strings.Builder
+	b.WriteString("# SHA-256 of each pinned chaos trace (lines joined by \\n).\n")
+	b.WriteString("# A clean run of each pinned scenario must stay byte-identical.\n")
+	b.WriteString("# Regenerate (reviewed trace changes only): GOLDEN_UPDATE=1\n")
+	for _, n := range sorted {
+		fmt.Fprintf(&b, "%s %s\n", n, got[n])
+	}
+	if err := os.WriteFile(goldenPath, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %d goldens to %s", len(got), goldenPath)
 }

@@ -4,8 +4,8 @@ package chaos
 // ranked replicas over one CAS lease record; N=2 is the active/standby
 // pair) against a fault-injecting store. The fleet is driven through
 // per-switch shard queues (controller.ShardSet), rebound to the serving
-// replica at every succession. The scenarios are the GroupScenario
-// constants below.
+// replica at every succession. The scenarios are the rows of
+// groupScenarios.
 //
 // The kernel invariants (kernel.go) are swept at baseline, after every
 // succession and at the end. On top of them, every scenario requires:
@@ -53,8 +53,7 @@ const (
 	// lease expires, and a successor is elected once the store returns.
 	GroupStoreOutage GroupScenario = "store-outage"
 	// GroupAcquireRace races every standby over one vacant lease: exactly
-	// one wins, and the group resolves to it as incumbent. It needs at
-	// least 3 replicas.
+	// one wins, and the group resolves to it as incumbent.
 	GroupAcquireRace GroupScenario = "acquire-race"
 )
 
@@ -117,6 +116,21 @@ const (
 	groupMaxSkew    = groupTTL / 16
 )
 
+// groupScenarios is RunGroup's scenario table: each failure mode, the
+// fewest replicas it runs with, and its script, which returns the replica
+// serving after the succession (nil if none does).
+var groupScenarios = []struct {
+	name        GroupScenario
+	minReplicas int
+	script      func(h *groupHarness) *ha.Replica
+}{
+	{GroupRollingKill, 2, (*groupHarness).rollingKill},
+	{GroupSplitBrain, 2, (*groupHarness).splitBrain},
+	{GroupStoreOutage, 2, (*groupHarness).storeOutage},
+	// The rank-1 candidate races at least one standby.
+	{GroupAcquireRace, 3, (*groupHarness).acquireRace},
+}
+
 type groupHarness struct {
 	kernel
 	o   GroupOptions
@@ -131,12 +145,14 @@ type groupHarness struct {
 
 // RunGroup executes one deterministic controller-group chaos run.
 func RunGroup(o GroupOptions) (*GroupResult, error) {
-	minReplicas := 2
-	switch o.Scenario {
-	case GroupRollingKill, GroupSplitBrain, GroupStoreOutage:
-	case GroupAcquireRace:
-		minReplicas = 3 // the rank-1 candidate races at least one standby
-	default:
+	var script func(h *groupHarness) *ha.Replica
+	minReplicas := 0
+	for _, sc := range groupScenarios {
+		if sc.name == o.Scenario {
+			script, minReplicas = sc.script, sc.minReplicas
+		}
+	}
+	if script == nil {
 		return nil, fmt.Errorf("chaos: unknown group scenario %q", o.Scenario)
 	}
 	if o.Replicas == 0 {
@@ -149,7 +165,11 @@ func RunGroup(o GroupOptions) (*GroupResult, error) {
 		return nil, fmt.Errorf("chaos: %s run needs %d..%d replicas and >= 2 switches, got %d and %d",
 			o.Scenario, minReplicas, groupMaxReplicas, o.Replicas, o.Switches)
 	}
-	fx, err := NewFixture(fleetNames(o.Switches)...)
+	names := make([]string, o.Switches)
+	for i := range names {
+		names[i] = fmt.Sprintf("s%02d", i)
+	}
+	fx, err := NewFixture(names...)
 	if err != nil {
 		return nil, err
 	}
@@ -178,17 +198,7 @@ func RunGroup(o GroupOptions) (*GroupResult, error) {
 	// Queue the next wave BEFORE the fault: these writes ride out the
 	// succession in the shard queues and must land through the winner.
 	h.load("in-flight")
-	var winner *ha.Replica
-	switch o.Scenario {
-	case GroupRollingKill:
-		winner = h.rollingKill()
-	case GroupSplitBrain:
-		winner = h.splitBrain()
-	case GroupStoreOutage:
-		winner = h.storeOutage()
-	case GroupAcquireRace:
-		winner = h.acquireRace()
-	}
+	winner := script(h)
 	if winner == nil {
 		return h.res, fmt.Errorf("chaos: %s produced no serving replica (violations: %d)",
 			o.Scenario, len(h.res.Violations))

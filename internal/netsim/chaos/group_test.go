@@ -13,16 +13,27 @@ import (
 // writes applied, bounded failover, and an exactly reconciled audit
 // trail.
 func TestGroupShort(t *testing.T) {
-	for _, scenario := range []GroupScenario{GroupRollingKill, GroupSplitBrain, GroupStoreOutage, GroupAcquireRace} {
+	for _, sc := range groupScenarios {
 		for _, n := range []int{3, 5} {
 			for _, seed := range []uint64{0xA1, 0xB2} {
-				o := GroupOptions{Seed: seed, Scenario: scenario, Replicas: n}
-				t.Run(fmt.Sprintf("%s/n=%d/seed=%#x", scenario, n, seed), func(t *testing.T) {
+				o := GroupOptions{Seed: seed, Scenario: sc.name, Replicas: n}
+				t.Run(fmt.Sprintf("%s/n=%d/seed=%#x", sc.name, n, seed), func(t *testing.T) {
 					t.Parallel()
 					checkGroupRun(t, o)
 				})
 			}
 		}
+	}
+}
+
+// TestGroupDeterminism replays every scenario at N=4, seed 42 (the
+// group/seed42/n4 rows of the pinned-run table).
+func TestGroupDeterminism(t *testing.T) {
+	for _, sc := range groupScenarios {
+		t.Run(string(sc.name), func(t *testing.T) {
+			t.Parallel()
+			assertSameTrace(t, RunGroup, GroupOptions{Seed: 42, Scenario: sc.name, Replicas: 4})
+		})
 	}
 }
 
@@ -60,15 +71,45 @@ func checkGroupRun(t *testing.T, o GroupOptions) *GroupResult {
 	return res
 }
 
-// TestGroupDeterminism re-executes one run per scenario at N=4 and
-// requires bit-for-bit identical traces.
-func TestGroupDeterminism(t *testing.T) {
-	for _, scenario := range []GroupScenario{GroupRollingKill, GroupSplitBrain, GroupStoreOutage, GroupAcquireRace} {
-		scenario := scenario
-		t.Run(string(scenario), func(t *testing.T) {
+// pairScenarios are the group scenarios valid at N=2, named as the pair
+// knows them: a rolling kill of two replicas is the active killed
+// mid-rollover and one promotion.
+var pairScenarios = []struct {
+	name     string
+	scenario GroupScenario
+}{
+	{"kill-active", GroupRollingKill},
+	{"split-brain", GroupSplitBrain},
+	{"store-outage", GroupStoreOutage},
+}
+
+// TestHAShort is the fixed-seed pair subset of the chaos gate in
+// scripts/check.sh (make chaos): the group harness at N=2 against a
+// 64-switch sharded fleet, every scenario valid there, two seeds each.
+// Every run must promote the standby warm at epoch 2 within the failover
+// budget, with zero forged or stale-fenced writes applied and an exactly
+// reconciled audit trail.
+func TestHAShort(t *testing.T) {
+	for _, sc := range pairScenarios {
+		for _, seed := range []uint64{0xD1, 0xE2} {
+			o := GroupOptions{Seed: seed, Scenario: sc.scenario, Replicas: 2, Switches: 64}
+			t.Run(fmt.Sprintf("%s/seed=%#x", sc.name, seed), func(t *testing.T) {
+				t.Parallel()
+				if res := checkGroupRun(t, o); res.Switches < 64 {
+					t.Fatalf("fleet size %d, want >= 64", res.Switches)
+				}
+			})
+		}
+	}
+}
+
+// TestHADeterminism replays the pair's active kill and split-brain at
+// seed 42 (the group/seed42/n2 rows of the pinned-run table).
+func TestHADeterminism(t *testing.T) {
+	for _, sc := range pairScenarios[:2] {
+		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
-			o := GroupOptions{Seed: 42, Scenario: scenario, Replicas: 4}
-			assertSameTrace(t, RunGroup, o)
+			assertSameTrace(t, RunGroup, GroupOptions{Seed: 42, Scenario: sc.scenario, Replicas: 2})
 		})
 	}
 }

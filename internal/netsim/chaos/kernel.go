@@ -1,14 +1,16 @@
-package chaos
-
-// The chaos kernel: what every harness used to carry privately, written
-// once. Run, RunFabric, RunGroup and hierarchy.RunChaos are fault scripts
-// over it: option defaults, the scenario, and the order in which they
-// call the checks below (DESIGN.md, "Chaos kernel").
+// Package chaos holds the seeded fault-injection harnesses for the
+// P4Auth control and data planes, and the kernel they share (this file;
+// DESIGN.md, "Chaos kernel"). RunGroup and RunHierarchy serve the
+// product's reference runs and reports; Run and RunFabric, which only
+// tests call, live in test files. Each harness is a fault script over the
+// kernel: option defaults, one ordered scenario table that validation and
+// dispatch both read, and the order in which it calls the checks below.
 //
-// The contract is bytes: the trace of a clean run is pinned by
-// testdata/trace_goldens.txt, so every check takes the caller's label
-// and leaves the clean-run trace line to the call site where harnesses
+// The contract is bytes: every pinned run's trace is hashed in
+// testdata/trace_goldens.txt, so every check takes the caller's label and
+// leaves the clean-run trace line to the call site where harnesses
 // differ. The wording of a VIOLATION line is not pinned.
+package chaos
 
 import (
 	"errors"
@@ -158,8 +160,8 @@ const forgeryIndex = latEntries - 1
 
 // Fixture is the fleet the control-plane harnesses and p4auth-inspect's
 // metrics reference run drive: switches with a "lat" register on one
-// virtual clock. Callers add their own adjacencies, store, observer and
-// replica wrapping.
+// virtual clock, built here or, for RunHierarchy, wrapped. Callers add
+// their own adjacencies, store, observer and replica wrapping.
 type Fixture struct {
 	Sim   *netsim.Sim
 	Names []string
@@ -172,24 +174,9 @@ type Fixture struct {
 	floors map[string][]uint64
 }
 
-// fleetNames returns the n switch names s00, s01, ...
-func fleetNames(n int) []string {
-	names := make([]string, n)
-	for i := range names {
-		names[i] = fmt.Sprintf("s%02d", i)
-	}
-	return names
-}
-
 // NewFixture builds one 4-port switch per name on a fresh simulator.
 func NewFixture(names ...string) (*Fixture, error) {
-	f := &Fixture{
-		Sim:    netsim.NewSim(),
-		Names:  names,
-		sw:     map[string]*deploy.Switch{},
-		shadow: map[string][]uint64{},
-		floors: map[string][]uint64{},
-	}
+	sw := map[string]*deploy.Switch{}
 	for _, n := range names {
 		s, err := deploy.Build(deploy.SwitchSpec{
 			Name:  n,
@@ -201,10 +188,26 @@ func NewFixture(names ...string) (*Fixture, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.sw[n] = s
+		sw[n] = s
+	}
+	return wrapFixture(netsim.NewSim(), names, func(n string) *deploy.Switch { return sw[n] }), nil
+}
+
+// wrapFixture is the fixture over switches built elsewhere, each with a
+// "lat" register of latEntries slots, on sim's clock.
+func wrapFixture(sim *netsim.Sim, names []string, switchOf func(string) *deploy.Switch) *Fixture {
+	f := &Fixture{
+		Sim:    sim,
+		Names:  names,
+		sw:     map[string]*deploy.Switch{},
+		shadow: map[string][]uint64{},
+		floors: map[string][]uint64{},
+	}
+	for _, n := range names {
+		f.sw[n] = switchOf(n)
 		f.shadow[n] = make([]uint64, latEntries)
 	}
-	return f, nil
+	return f
 }
 
 // NewController returns a controller over the whole fixture: key

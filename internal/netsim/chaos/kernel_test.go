@@ -20,7 +20,7 @@ func (r *Recorder) rec() *Recorder { return r }
 
 // result is any harness's *Result type.
 type result interface {
-	*Result | *FabricResult | *GroupResult
+	*Result | *FabricResult | *GroupResult | *HierarchyResult
 	rec() *Recorder
 }
 
@@ -43,26 +43,34 @@ func runClean[O any, R result](t *testing.T, run func(O) (R, error), o O) R {
 	return res
 }
 
-// assertSameTrace executes the same run twice and requires bit-for-bit
-// identical traces: a schedule that cannot be replayed cannot be
-// debugged.
+// assertSameTrace executes the same run twice in one process and
+// requires bit-for-bit identical traces: a schedule that cannot be
+// replayed cannot be debugged, and a run must leave no state behind that
+// moves the next one. TestTraceGoldens pins the same runs across commits.
 func assertSameTrace[O any, R result](t *testing.T, run func(O) (R, error), o O) {
 	t.Helper()
-	var traces [2][]string
-	for i := range traces {
-		res, err := run(o)
-		if err != nil {
-			t.Fatal(err)
+	a, b := runClean(t, run, o).rec().Trace, runClean(t, run, o).rec().Trace
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			t.Fatalf("traces diverge at line %d:\n  run1: %s\n  run2: %s", i, a[i], b[i])
 		}
-		traces[i] = res.rec().Trace
 	}
-	a, b := traces[0], traces[1]
 	if len(a) != len(b) {
 		t.Fatalf("trace lengths differ: %d vs %d", len(a), len(b))
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("traces diverge at line %d:\n  run1: %s\n  run2: %s", i, a[i], b[i])
+}
+
+// TestRunRejectsUnknownOptions: a scenario or victim that no harness
+// table lists is an error, never a run of some other scenario.
+func TestRunRejectsUnknownOptions(t *testing.T) {
+	_, scenario := Run(Options{Scenario: "bogus", Victim: KillController, CrashAt: 2})
+	_, victim := Run(Options{Scenario: MidRollover, Victim: "bogus", CrashAt: 2})
+	_, fabric := RunFabric(FabricOptions{Scenario: "bogus"})
+	_, group := RunGroup(GroupOptions{Scenario: "bogus"})
+	_, hier := RunHierarchy(HierarchyOptions{Scenario: "bogus"})
+	for i, err := range []error{scenario, victim, fabric, group, hier} {
+		if err == nil {
+			t.Errorf("case %d (Run scenario, Run victim, fabric, group, hierarchy): ran without an error", i)
 		}
 	}
 }

@@ -24,6 +24,8 @@ table() {
     sed -e '/^#/d' -e '/^$/d' <<'EOF'
 s build go build ./...
 s vet go vet ./...
+# Every Go file gofmt-clean; the unformatted ones are listed.
+s gofmt ! gofmt -l . | grep .
 s race go test -race ./...
 
 # Product reach: every cmd/ and examples/ main, every p4auth-inspect
@@ -35,33 +37,39 @@ s race go test -race ./...
 # paths (the controller's alert ring wraps after 1024 alerts).
 s reach ./scripts/reach.sh
 
-# The three seeded harnesses over the chaos kernel, fixed seeds: crash
-# and recovery of one controller (kills and switch crashes mid-rollover,
+# Three seeded harnesses over the chaos kernel, fixed seeds: crash and
+# recovery of one controller (kills and switch crashes mid-rollover,
 # mid-register-write, mid-port-key-init), the self-healing DP-DP fabric
 # (flaps, partitions, one-sided rollovers), and one failover harness for
 # the lease-fenced controller group at N=2 (the active/standby pair), 3
 # and 5 (rolling kills, split-brain, store outages, acquisition races);
 # its N=2 runs are the TestHA* tests, its N>=3 runs the TestGroup* ones.
 # Every run must pass every kernel invariant and replay bit-identically;
-# every scenario's trace is pinned to testdata/trace_goldens.txt; and
-# each invariant is shown to fail on the breach it exists to catch.
-c chaos go test -race -count=1 -run 'Test(Chaos|Fabric|HA|Group)(Short|Determinism)|TestTraceGoldens|TestInvariantsBite' ./internal/netsim/chaos/
+# one table of pinned runs of all four harnesses, the hierarchy's
+# included, must reproduce the hashes in testdata/trace_goldens.txt; each
+# invariant is shown to fail on the breach it exists to catch; and an
+# unknown scenario or victim is an error.
+c chaos go test -race -count=1 -run 'Test(Chaos|Fabric|HA|Group)(Short|Determinism)|TestTraceGoldens|TestInvariantsBite|TestRunRejectsUnknownOptions' ./internal/netsim/chaos/
 
 # The app x fault x protection survival matrix at k=4 with the default
 # seed: zero forged operations applied in every protected cell,
 # measurable corruption in every unprotected attacked cell, trace
 # bit-identical to the checked-in golden, every cell's exact fields and
-# RunCell trace hash pinned (testdata/cells_k4.golden), determinism
-# reruns.
+# RunCell trace hash pinned (testdata/cells_k4.golden; one pass over
+# the cells feeds both checks), determinism reruns.
 c matrix-chaos go test -race -count=1 -run 'TestMatrixChaos|TestMatrixDeterminism|TestCellsGolden' ./internal/fleet/
 
 # The two-tier control plane (per-pod shard groups + global key broker)
 # under forged/torn broker frames, WAN latency spikes, an asymmetric
-# partition, and a global-tier kill + election: zero forged operations
-# applied, no cross-pod key without a fenced grant, graceful degradation
-# on cached keys, bounded re-convergence, bit-identical traces per seed
-# (clean or failing) and per commit (testdata/trace_goldens.txt).
-c hierarchy-chaos go test -race -count=1 -run 'TestHierarchyChaos|TestHierarchyDeterminism|TestHierarchyTraceGoldens|TestHierarchyFailingTraceDeterministic' ./internal/hierarchy/
+# partition, and a global-tier kill + election, at 4 and 8 pods: zero
+# forged operations applied, no cross-pod key without a fenced grant,
+# graceful degradation on cached keys, bounded re-convergence,
+# bit-identical traces per seed (clean or failing) and per commit (the
+# hierarchy rows of internal/netsim/chaos/testdata/trace_goldens.txt).
+# The runs go through chaos.RunHierarchy from hierarchy's external test
+# package; the failing-trace replay needs the harness's internals and
+# sits in the chaos package.
+c hierarchy-chaos go test -race -count=1 -run 'TestHierarchyChaos|TestHierarchyDeterminism|TestHierarchyTraceGoldens|TestHierarchyFailingTraceDeterministic' ./internal/hierarchy/ ./internal/netsim/chaos/
 
 # Concurrency stress with fresh interleavings: pipelined writers vs
 # concurrent rollovers under fault taps, the sharded-switch suite, the
