@@ -3,10 +3,8 @@ package main
 import (
 	"fmt"
 	"io"
-	"os"
 
 	"p4auth/internal/netsim/chaos"
-	"p4auth/internal/statestore"
 )
 
 // haRuns are the failover reference runs: the lease-fenced pair (N=2)
@@ -20,30 +18,14 @@ var haRuns = []chaos.GroupOptions{
 	{Seed: 9, Replicas: 3, Switches: 4, Scenario: chaos.GroupStoreOutage},
 }
 
-// runHA implements the `ha` subcommand. With file arguments it decodes
-// persisted PALS lease records (point it at <store-dir>/ha/lease). With
-// no arguments it prints the failover reference runs of the group chaos
-// harness: the pair's active killed mid-rollover and its split-brain
-// lease lapse, then a store blip ridden out on the bounded-staleness
-// fence and an outage past it. Each run shows its event trace (fencing
-// refusals, the pre-expiry takeover refused, warm promotion, queued
-// writes landing through the winner) and its invariant summary.
-func runHA(paths []string, w io.Writer) error {
-	if len(paths) > 0 {
-		for _, p := range paths {
-			b, err := os.ReadFile(p)
-			if err != nil {
-				return err
-			}
-			l, err := statestore.DecodeLease(b)
-			if err != nil {
-				return fmt.Errorf("%s: %w", p, err)
-			}
-			fmt.Fprintf(w, "== %s ==\n%s\n", p, l.Dump())
-		}
-		return nil
-	}
-
+// runHA implements the `ha` subcommand: the failover reference runs of
+// the group chaos harness — the pair's active killed mid-rollover and its
+// split-brain lease lapse, then a store blip ridden out on the
+// bounded-staleness fence and an outage past it. Each run shows its event
+// trace (fencing refusals, the pre-expiry takeover refused, warm
+// promotion, queued writes landing through the winner) and its invariant
+// summary.
+func runHA(w io.Writer) error {
 	for _, o := range haRuns {
 		if err := printFailoverRun(w, o); err != nil {
 			return err

@@ -1,12 +1,8 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"p4auth/internal/statestore"
 )
 
 // The ha subcommand's reference runs must walk the pair's failover story
@@ -16,7 +12,7 @@ import (
 // refused on write and renew.
 func TestRunHAReference(t *testing.T) {
 	var sb strings.Builder
-	if err := runHA(nil, &sb); err != nil {
+	if err := runHA(&sb); err != nil {
 		t.Fatalf("runHA: %v", err)
 	}
 	out := sb.String()
@@ -80,10 +76,10 @@ func TestRunGroupReference(t *testing.T) {
 // seeded and driven on a virtual clock.
 func TestRunHADeterministic(t *testing.T) {
 	var a, b strings.Builder
-	if err := runHA(nil, &a); err != nil {
+	if err := runHA(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := runHA(nil, &b); err != nil {
+	if err := runHA(&b); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
@@ -95,36 +91,10 @@ func TestRunHADeterministic(t *testing.T) {
 // the ha output: no state carries from the pair runs into it.
 func TestRunGroupDeterministic(t *testing.T) {
 	var all strings.Builder
-	if err := runHA(nil, &all); err != nil {
+	if err := runHA(&all); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasSuffix(all.String(), groupRuns(t)) {
 		t.Error("group reference run differs between a run of its own and the ha output")
-	}
-}
-
-// With a file argument the subcommand decodes a persisted PALS record
-// and rejects corrupt ones.
-func TestRunHADecodeFile(t *testing.T) {
-	dir := t.TempDir()
-	good := filepath.Join(dir, "lease")
-	l := &statestore.Lease{Holder: "ctl-x", Epoch: 7, GrantedNs: 100, TTLNs: 50}
-	if err := os.WriteFile(good, l.Encode(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := runHA([]string{good}, &sb); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !strings.Contains(sb.String(), "lease holder=ctl-x epoch=7") {
-		t.Errorf("decode output = %q", sb.String())
-	}
-
-	bad := filepath.Join(dir, "torn")
-	if err := os.WriteFile(bad, l.Encode()[:10], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := runHA([]string{bad}, &sb); err == nil {
-		t.Error("torn lease record decoded without error")
 	}
 }

@@ -7,47 +7,43 @@
 //	p4auth-inspect                    # all programs, Tofino + BMv2
 //	p4auth-inspect -target tofino
 //	p4auth-inspect -words 8           # digest-width override (ablation)
+//	p4auth-inspect -dump hula+p4auth  # one program's pseudo-P4
 //
-// It also decodes the crash-safety artifacts the controller and switches
-// persist (see PROTOCOL.md, "Crash recovery & persistence"):
-//
-//	p4auth-inspect snapshot <file-or-store-dir>...   # key/device snapshots
-//	p4auth-inspect journal  <file-or-store-dir>...   # write-ahead entries
-//
-// And the security-observability layer: a deterministic reference run
-// over a two-switch fabric that prints every exported metric and the
-// audit trail of security events:
+// Each subcommand prints one deterministic reference run and takes no
+// flag or argument. The security-observability layer: a run over a
+// two-switch fabric that prints every exported metric and the audit
+// trail of security events:
 //
 //	p4auth-inspect metrics
 //
-// And the self-healing fabric: a deterministic reference run over the
-// Fig. 3 HULA topology where a one-sided port-key rollover is injected
-// and the link supervisor detects, quarantines, repairs, and reinstates
-// the link — printing each link's health state and the transition trail:
+// The self-healing fabric: a run over the Fig. 3 HULA topology where a
+// one-sided port-key rollover is injected and the link supervisor
+// detects, quarantines, repairs, and reinstates the link — printing each
+// link's health state and the transition trail:
 //
 //	p4auth-inspect links
 //
-// And the lease-fenced controller group: decode persisted PALS lease
-// records, or print the deterministic failover reference runs of the
-// group chaos harness — the active/standby pair's active killed
-// mid-rollover and its split-brain lease lapse, and a 3-replica group
-// riding out a store blip and fencing itself fail-safe in an outage —
-// with the event trace and the invariant summary of each:
+// The lease-fenced controller group: the failover runs of the group
+// chaos harness — the active/standby pair's active killed mid-rollover
+// and its split-brain lease lapse, and a 3-replica group riding out a
+// store blip and fencing itself fail-safe in an outage — with the event
+// trace and the invariant summary of each:
 //
-//	p4auth-inspect ha                      # reference failover runs
-//	p4auth-inspect ha <store-dir>/ha/lease # decode a lease record
+//	p4auth-inspect ha
 //
-// And the hierarchical control plane: deterministic chaos reference
-// runs of the per-pod shard groups and the global key broker under the
-// WAN-partition and global-kill scenarios, printing the event trace and
-// the invariant summary of each:
+// The hierarchical control plane: chaos runs of the per-pod shard groups
+// and the global key broker under the WAN-partition and global-kill
+// scenarios, printing the event trace and the invariant summary of each:
 //
 //	p4auth-inspect hierarchy
+//
+// Any other argument is a usage error (exit status 2).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"p4auth/internal/core"
@@ -55,61 +51,82 @@ import (
 	"p4auth/internal/pisa"
 )
 
+// subcommands are the reference runs, by name.
+var subcommands = map[string]func(io.Writer) error{
+	"metrics":   runMetrics,
+	"links":     runLinks,
+	"ha":        runHA,
+	"hierarchy": runHierarchy,
+}
+
+// reportFlags are the resource report's options.
+type reportFlags struct {
+	target, dump string
+	words        int
+}
+
+// newFlags declares the report's flags on a set of its own.
+func newFlags(handling flag.ErrorHandling) (*flag.FlagSet, *reportFlags) {
+	fs := flag.NewFlagSet("p4auth-inspect", handling)
+	r := &reportFlags{}
+	fs.StringVar(&r.target, "target", "", "tofino | bmv2 (default: both)")
+	fs.IntVar(&r.words, "words", 1, "digest width in 32-bit words")
+	fs.StringVar(&r.dump, "dump", "", "print a program's pseudo-P4 and exit: p4auth-shell | hula+p4auth | hula-baseline")
+	fs.Usage = func() {
+		fmt.Fprintln(fs.Output(), "usage: p4auth-inspect [-target T] [-words N] [-dump PROGRAM]")
+		fmt.Fprintln(fs.Output(), "       p4auth-inspect metrics | links | ha | hierarchy")
+		fs.PrintDefaults()
+	}
+	return fs, r
+}
+
+// command checks a parsed command line and returns the subcommand it
+// names, or nil for the resource report. A subcommand stands alone: a
+// flag before it or an argument after it is an error, and so is a name
+// that is not a subcommand.
+func command(fs *flag.FlagSet, r *reportFlags) (func(io.Writer) error, error) {
+	args := fs.Args()
+	if len(args) == 0 {
+		return nil, checkWords(r.words)
+	}
+	run, ok := subcommands[args[0]]
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("unknown subcommand %q", args[0])
+	case len(args) > 1:
+		return nil, fmt.Errorf("%s takes no argument, got %q", args[0], args[1])
+	case fs.NFlag() > 0:
+		return nil, fmt.Errorf("%s takes no flag", args[0])
+	}
+	return run, nil
+}
+
 func main() {
-	if len(os.Args) > 1 && (os.Args[1] == "snapshot" || os.Args[1] == "journal") {
-		if err := runState(os.Args[1], os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "metrics" {
-		if err := runMetrics(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "links" {
-		if err := runLinks(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "hierarchy" {
-		if err := runHierarchy(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "ha" {
-		if err := runHA(os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	target := flag.String("target", "", "tofino | bmv2 (default: both)")
-	words := flag.Int("words", 1, "digest width in 32-bit words")
-	dump := flag.String("dump", "", "print a program's pseudo-P4 and exit: p4auth-shell | hula+p4auth | hula-baseline")
-	flag.Parse()
-	if err := checkWords(*words); err != nil {
+	fs, r := newFlags(flag.ExitOnError)
+	_ = fs.Parse(os.Args[1:]) // ExitOnError: a bad flag exits 2 here
+	run, err := command(fs, r)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		flag.Usage()
+		fs.Usage()
 		os.Exit(2)
+	}
+	if run != nil {
+		if err := run(os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		return
 	}
 
 	profiles := []pisa.Profile{pisa.TofinoProfile(), pisa.BMv2Profile()}
-	if *target != "" {
-		switch *target {
+	if r.target != "" {
+		switch r.target {
 		case "tofino":
 			profiles = profiles[:1]
 		case "bmv2":
 			profiles = profiles[1:]
 		default:
-			fmt.Fprintf(os.Stderr, "unknown target %q\n", *target)
+			fmt.Fprintf(os.Stderr, "unknown target %q\n", r.target)
 			os.Exit(2)
 		}
 	}
@@ -125,7 +142,7 @@ func main() {
 				kind = core.DigestHalfSipHash
 			}
 			cfg := core.DefaultConfig(16, kind)
-			cfg.DigestWords = *words
+			cfg.DigestWords = r.words
 			pr := &pisa.Program{
 				Name:         "p4auth_shell",
 				Headers:      []*pisa.HeaderDef{core.PTypeHeader()},
@@ -149,9 +166,9 @@ func main() {
 		}},
 	}
 
-	if *dump != "" {
+	if r.dump != "" {
 		for _, pg := range progs {
-			if pg.label != *dump {
+			if pg.label != r.dump {
 				continue
 			}
 			p, err := pg.build(profiles[len(profiles)-1])
@@ -162,7 +179,7 @@ func main() {
 			fmt.Print(pisa.Dump(p))
 			return
 		}
-		fmt.Fprintf(os.Stderr, "unknown program %q\n", *dump)
+		fmt.Fprintf(os.Stderr, "unknown program %q\n", r.dump)
 		os.Exit(2)
 	}
 

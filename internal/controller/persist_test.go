@@ -357,39 +357,6 @@ func TestSwitchColdRebootFallsBackToReseed(t *testing.T) {
 	}
 }
 
-// TestWarmRestartSurvivesFileStore runs the controller-crash recovery
-// through the file-backed store: what lands on disk is sufficient.
-func TestWarmRestartSurvivesFileStore(t *testing.T) {
-	c, s1, s2 := twoSwitchFabric(t)
-	c.SetRetryPolicy(ResilientRetryPolicy())
-	store, err := statestore.NewFile(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.EnableCrashSafety(store); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.InitAllKeys(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.WriteRegister("s1", "lat", 1, 123); err != nil {
-		t.Fatal(err)
-	}
-	c.Kill()
-
-	c2 := rebuildController(t, s1, s2, store, 555)
-	warm, err := c2.RecoverAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm["s1"] || !warm["s2"] {
-		t.Fatalf("expected warm restarts, got %v", warm)
-	}
-	if v, _, err := c2.ReadRegister("s1", "lat", 1); err != nil || v != 123 {
-		t.Fatalf("read through recovered channel: %d, %v", v, err)
-	}
-}
-
 // TestCorruptSnapshotDegradesToReseed: a torn controller snapshot must be
 // rejected by the codec and recovery must fall back to EAK, never restore
 // garbage keys.

@@ -57,9 +57,9 @@ func TestWriteStateString(t *testing.T) {
 	}
 }
 
-// TestOperatorDumps exercises the p4auth-inspect rendering paths: every
-// Dump must name the thing it renders and the load-bearing fields, so an
-// operator reading a post-mortem sees switches, registers, and states.
+// TestOperatorDumps: a journal entry's Dump (the chaos kernel prints it
+// for a dangling intent) must name the switch, the register and the
+// state, and a batch must expand into per-write entries with its ID.
 func TestOperatorDumps(t *testing.T) {
 	je := &JournalEntry{ID: 0xAB, Switch: "s1", Register: "lat", Index: 3, Value: 0xFF, State: WriteIntent}
 	if d := je.Dump(); !strings.Contains(d, "s1") || !strings.Contains(d, "lat[3]") || !strings.Contains(d, "intent") {
@@ -70,33 +70,9 @@ func TestOperatorDumps(t *testing.T) {
 		{Register: "lat", Index: 0, Value: 1, State: WriteApplied},
 		{Register: "q", Index: 2, Value: 3, State: WriteFailed},
 	}}
-	if d := jb.Dump(); !strings.Contains(d, "s2") || !strings.Contains(d, "(2 writes)") || !strings.Contains(d, "failed") {
-		t.Errorf("journal batch dump missing fields: %q", d)
-	}
 	ents := jb.Entries()
 	if len(ents) != 2 || ents[0].Switch != "s2" || ents[0].ID != 7 ||
 		ents[1].Register != "q" || ents[1].State != WriteFailed {
 		t.Errorf("batch entry expansion wrong: %+v", ents)
-	}
-
-	ks := &Snapshot{
-		TakenNs: 5,
-		Slots: []SlotSnapshot{
-			{V0: 0xA, Epoch: 1, Set: true},
-			{Pending: 0xB, HasPending: true},
-		},
-		SeqNext: 100,
-		Floors:  []uint32{1, 2},
-	}
-	if d := ks.Dump(); !strings.Contains(d, "seqNext=100") || !strings.Contains(d, "local") ||
-		!strings.Contains(d, "pending=") {
-		t.Errorf("key snapshot dump missing fields: %q", d)
-	}
-
-	ds := &DeviceSnapshot{TakenNs: 9, Regs: map[string][]uint64{
-		RegSeq: {0, 4, 0, 0}, "lat": {7},
-	}}
-	if d := ds.Dump(); !strings.Contains(d, RegSeq) || !strings.Contains(d, "nonzero=1") {
-		t.Errorf("device snapshot dump missing fields: %q", d)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"strings"
 )
 
 // Write-ahead journal record codec. The controller records every
@@ -153,17 +152,6 @@ func (e *JournalBatch) Entries() []JournalEntry {
 		}
 	}
 	return out
-}
-
-// Dump renders the batch for operators (p4auth-inspect journal).
-func (e *JournalBatch) Dump() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "journal batch %016x  %s  (%d writes)", e.ID, e.Switch, len(e.Writes))
-	for i := range e.Writes {
-		w := &e.Writes[i]
-		fmt.Fprintf(&b, "\n  %-7s  %s[%d] <- %#x", w.State, w.Register, w.Index, w.Value)
-	}
-	return b.String()
 }
 
 func (r *reader) u16() uint16 {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sort"
-	"strings"
 
 	"p4auth/internal/pisa"
 )
@@ -67,7 +66,7 @@ type SlotSnapshot struct {
 // as empty.
 type Snapshot struct {
 	// TakenNs is the (virtual or wall) time the snapshot was taken, in
-	// nanoseconds; informational, surfaced by p4auth-inspect.
+	// nanoseconds; informational.
 	TakenNs uint64
 	Slots   []SlotSnapshot
 	// SeqNext is the next sequence number the endpoint would issue.
@@ -237,35 +236,6 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// Dump renders the snapshot for operators (p4auth-inspect snapshot).
-func (s *Snapshot) Dump() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "key snapshot v%d  taken=%dns  seqNext=%d\n", snapVersion, s.TakenNs, s.SeqNext)
-	for i, sl := range s.Slots {
-		role := "port"
-		if i == KeyIndexLocal {
-			role = "local"
-		}
-		fmt.Fprintf(&b, "  slot %2d (%s): ver=%d epoch=%d set=%v v0=%#016x v1=%#016x", i, role, uint8(sl.Epoch), sl.Epoch, sl.Set, sl.V0, sl.V1)
-		if sl.HasPending {
-			fmt.Fprintf(&b, " pending=%#016x", sl.Pending)
-		}
-		b.WriteByte('\n')
-	}
-	if len(s.Floors) > 0 {
-		b.WriteString("  replay floors:")
-		for i, f := range s.Floors {
-			if i%2 == 0 {
-				fmt.Fprintf(&b, " [slot %d: reg=%d", i/2, f)
-			} else {
-				fmt.Fprintf(&b, " kx=%d]", f)
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // deviceRegisters lists the P4Auth state registers a DeviceSnapshot
 // covers, in canonical (encode) order.
 var deviceRegisters = []string{
@@ -403,42 +373,6 @@ func DecodeDeviceSnapshot(b []byte) (*DeviceSnapshot, error) {
 		return nil, fmt.Errorf("core: truncated device snapshot: %w", r.err)
 	}
 	return ds, nil
-}
-
-// Dump renders the device snapshot for operators (p4auth-inspect
-// snapshot).
-func (ds *DeviceSnapshot) Dump() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "device snapshot v%d  taken=%dns\n", snapVersion, ds.TakenNs)
-	names := make([]string, 0, len(ds.Regs))
-	for name := range ds.Regs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		vals := ds.Regs[name]
-		nz := 0
-		for _, v := range vals {
-			if v != 0 {
-				nz++
-			}
-		}
-		fmt.Fprintf(&b, "  %-14s entries=%d nonzero=%d", name, len(vals), nz)
-		shown := 0
-		for i, v := range vals {
-			if v == 0 {
-				continue
-			}
-			if shown == 8 {
-				b.WriteString(" ...")
-				break
-			}
-			fmt.Fprintf(&b, " [%d]=%#x", i, v)
-			shown++
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 // appendCRC appends the IEEE CRC32 of b to b.

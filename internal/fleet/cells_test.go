@@ -28,8 +28,9 @@ var matrix struct {
 }
 
 // defaultMatrix runs every cell of the k=4 matrix with the default
-// options once per test binary, in RunMatrix's order (RunMatrix itself
-// drops the traces), and returns the cells to every caller.
+// options once per test binary (each app, each of its faults, protected
+// then not), keeps each cell's trace hash, and returns the cells to
+// every caller.
 func defaultMatrix(t *testing.T) []matrixCell {
 	t.Helper()
 	matrix.once.Do(func() {

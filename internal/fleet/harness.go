@@ -50,23 +50,6 @@ func RunCell(app, fault string, protected bool, o Options) (Cell, string, error)
 	return Cell{}, "", fmt.Errorf("fleet: app %q does not run fault %q", app, fault)
 }
 
-// RunMatrix runs the full app × fault × protection matrix.
-func RunMatrix(o Options) (*Matrix, error) {
-	m := &Matrix{K: o.K, Seed: o.Seed}
-	for _, app := range Apps() {
-		for _, fault := range FaultsFor(app) {
-			for _, protected := range []bool{true, false} {
-				cell, _, err := RunCell(app, fault, protected, o)
-				if err != nil {
-					return nil, fmt.Errorf("fleet: %s/%s/protected=%v: %w", app, fault, protected, err)
-				}
-				m.Cells = append(m.Cells, cell)
-			}
-		}
-	}
-	return m, nil
-}
-
 // runStandaloneCell drives one pod-replicated standalone app: its cell
 // sums the pods' cells and averages their scores.
 func runStandaloneCell(app string, a standaloneApp, f fault, protected bool, o Options) (Cell, string, error) {

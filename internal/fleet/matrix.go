@@ -2,12 +2,6 @@
 // harness runs, and its output.
 package fleet
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
-
 // Fault names, the rows of the fault table below. The fabric app (hula)
 // runs all of them; standalone apps run the subset that applies to a
 // single-switch deployment.
@@ -122,25 +116,4 @@ type Cell struct {
 	Delivered uint64
 	Sent      uint64
 	Note      string
-}
-
-// Matrix is a full harness run.
-type Matrix struct {
-	K     int
-	Seed  uint64
-	Cells []Cell
-}
-
-// Trace renders the matrix as a canonical, deterministic string — one
-// line per cell in sorted order — for golden comparisons. Scores are
-// rounded to two decimals so the trace pins semantics, not float dust.
-func (m *Matrix) Trace() string {
-	lines := make([]string, 0, len(m.Cells))
-	for _, c := range m.Cells {
-		lines = append(lines, fmt.Sprintf(
-			"%s fault=%s protected=%v score=%.2f forged=%d detected=%t survived=%v",
-			c.App, c.Fault, c.Protected, c.Score, c.ForgedApplied, c.Detected > 0, c.Survived))
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n") + "\n"
 }

@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -14,13 +16,12 @@ const matrixGoldenPath = "testdata/matrix_k4.golden"
 // trace is compared bit-for-bit against the checked-in golden
 // (regenerate with GOLDEN_UPDATE=1 after an intentional semantic change).
 func TestMatrixChaos(t *testing.T) {
-	o := DefaultOptions()
-	m := &Matrix{K: o.K, Seed: o.Seed}
+	var cells []Cell
 	for _, c := range defaultMatrix(t) {
-		m.Cells = append(m.Cells, c.Cell)
+		cells = append(cells, c.Cell)
 	}
-	survived, total := 0, len(m.Cells)
-	for _, c := range m.Cells {
+	survived, total := 0, len(cells)
+	for _, c := range cells {
 		if c.Survived {
 			survived++
 		}
@@ -52,7 +53,7 @@ func TestMatrixChaos(t *testing.T) {
 		t.Errorf("implausible survival %d/%d", survived, total)
 	}
 
-	got := m.Trace()
+	got := matrixTrace(cells)
 	if os.Getenv("GOLDEN_UPDATE") != "" {
 		if err := os.WriteFile(matrixGoldenPath, []byte(got), 0o644); err != nil {
 			t.Fatalf("write golden: %v", err)
@@ -97,4 +98,20 @@ func TestMatrixDeterminism(t *testing.T) {
 			t.Errorf("%s: trace does not mention its fault:\n%s", tc.app, t1)
 		}
 	}
+}
+
+// matrixTrace renders the cells as a canonical, deterministic string —
+// one line per cell in sorted order — for golden comparisons. Scores are
+// rounded to two decimals so the trace pins semantics, not float dust.
+// TestTableIReadsTheMatrix (internal/bench) renders Table I's cells in
+// the same line format.
+func matrixTrace(cells []Cell) string {
+	lines := make([]string, 0, len(cells))
+	for _, c := range cells {
+		lines = append(lines, fmt.Sprintf(
+			"%s fault=%s protected=%v score=%.2f forged=%d detected=%t survived=%v",
+			c.App, c.Fault, c.Protected, c.Score, c.ForgedApplied, c.Detected > 0, c.Survived))
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n") + "\n"
 }

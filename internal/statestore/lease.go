@@ -66,12 +66,6 @@ func (l *Lease) ExpiresNs() uint64 {
 	return l.GrantedNs + l.TTLNs
 }
 
-// Dump renders the lease in the operator format used by p4auth-inspect.
-func (l *Lease) Dump() string {
-	return fmt.Sprintf("lease holder=%s epoch=%d granted=%dns ttl=%dns expires=%dns",
-		l.Holder, l.Epoch, l.GrantedNs, l.TTLNs, l.ExpiresNs())
-}
-
 // Encode renders the lease in the PALS format:
 //
 //	magic "PALS" | version | holder (len16+bytes) | epoch | grantedNs | ttlNs | CRC32
@@ -135,8 +129,11 @@ func DecodeLease(b []byte) (*Lease, error) {
 // plain Save leaves a gap in which a successor can acquire; a guarded
 // write checks the lease record and writes under the lock
 // CompareAndSwap takes, so an acquisition lands wholly before the write
-// (which is refused) or wholly after it (and then sees it). Mem, File,
-// FaultStore and PrefixStore implement it.
+// (which is refused) or wholly after it (and then sees it). These
+// operations must be linearizable across every client of the store, not
+// only within one handle: two replicas that open the same store each
+// through a handle of their own must still see one winner per
+// CompareAndSwap. Mem, FaultStore and PrefixStore implement it.
 type LeaseStore interface {
 	Store
 	// CompareAndSwap atomically replaces key's value with next if and
@@ -153,7 +150,6 @@ type LeaseStore interface {
 
 var (
 	_ LeaseStore = (*Mem)(nil)
-	_ LeaseStore = (*File)(nil)
 	_ LeaseStore = (*FaultStore)(nil)
 	_ LeaseStore = (*PrefixStore)(nil)
 )
@@ -202,39 +198,6 @@ func (s *Mem) DeleteGuarded(g LeaseGuard, key string) (bool, error) {
 	return true, nil
 }
 
-// SaveGuarded implements LeaseStore: the lease read and the atomic
-// write run under the store mutex, as CompareAndSwap's do.
-func (s *File) SaveGuarded(g LeaseGuard, key string, value []byte) (bool, error) {
-	if err := ValidateKey(key); err != nil {
-		return false, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ok, err := s.guardLocked(g); !ok {
-		return false, err
-	}
-	return true, s.writeLocked(key, value)
-}
-
-// DeleteGuarded implements LeaseStore.
-func (s *File) DeleteGuarded(g LeaseGuard, key string) (bool, error) {
-	if err := ValidateKey(key); err != nil {
-		return false, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ok, err := s.guardLocked(g); !ok {
-		return false, err
-	}
-	return true, s.deleteLocked(key)
-}
-
-// guardLocked reads the guard's lease record. Requires s.mu.
-func (s *File) guardLocked(g LeaseGuard) (bool, error) {
-	cur, err := s.readLocked(g.Key)
-	return err == nil && g.holds(cur), err
-}
-
 // CompareAndSwap implements LeaseStore.
 func (s *Mem) CompareAndSwap(key string, prev, next []byte) (bool, error) {
 	if err := ValidateKey(key); err != nil {
@@ -252,33 +215,6 @@ func (s *Mem) CompareAndSwap(key string, prev, next []byte) (bool, error) {
 	}
 	s.m[key] = append([]byte(nil), next...)
 	s.saves++
-	return true, nil
-}
-
-// CompareAndSwap implements LeaseStore. The read-compare-rename sequence
-// runs under the store mutex, so two replicas racing through the same
-// File store serialize here; the write itself keeps the atomic
-// temp+rename discipline of Save.
-func (s *File) CompareAndSwap(key string, prev, next []byte) (bool, error) {
-	if err := ValidateKey(key); err != nil {
-		return false, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur, err := s.readLocked(key)
-	if err != nil {
-		return false, err
-	}
-	if prev == nil {
-		if cur != nil {
-			return false, nil
-		}
-	} else if cur == nil || !bytes.Equal(cur, prev) {
-		return false, nil
-	}
-	if err := s.writeLocked(key, next); err != nil {
-		return false, err
-	}
 	return true, nil
 }
 

@@ -1,10 +1,7 @@
 package statestore
 
 import (
-	"bytes"
-	"errors"
 	"reflect"
-	"sync"
 	"testing"
 )
 
@@ -63,118 +60,6 @@ func TestLeaseExpiresSaturates(t *testing.T) {
 	}
 }
 
-// casContract exercises the conditional-write semantics both backends
-// must share.
-func casContract(t *testing.T, s LeaseStore) {
-	t.Helper()
-	a := (&Lease{Holder: "a", Epoch: 1}).Encode()
-	b := (&Lease{Holder: "b", Epoch: 2}).Encode()
-
-	// prev=nil on a present key must refuse.
-	if ok, err := s.CompareAndSwap("ha/lease", nil, a); err != nil || !ok {
-		t.Fatalf("create CAS = (%v, %v), want (true, nil)", ok, err)
-	}
-	if ok, err := s.CompareAndSwap("ha/lease", nil, b); err != nil || ok {
-		t.Fatalf("create CAS over existing key = (%v, %v), want (false, nil)", ok, err)
-	}
-	// Wrong prev must refuse without writing.
-	if ok, err := s.CompareAndSwap("ha/lease", b, b); err != nil || ok {
-		t.Fatalf("CAS with wrong prev = (%v, %v), want (false, nil)", ok, err)
-	}
-	if got, _ := s.Load("ha/lease"); !bytes.Equal(got, a) {
-		t.Fatal("failed CAS mutated the stored value")
-	}
-	// Matching prev swaps.
-	if ok, err := s.CompareAndSwap("ha/lease", a, b); err != nil || !ok {
-		t.Fatalf("CAS with matching prev = (%v, %v), want (true, nil)", ok, err)
-	}
-	if got, _ := s.Load("ha/lease"); !bytes.Equal(got, b) {
-		t.Fatal("successful CAS did not install the new value")
-	}
-	// Non-nil prev on an absent key must refuse.
-	if ok, err := s.CompareAndSwap("ha/other", a, b); err != nil || ok {
-		t.Fatalf("CAS on absent key = (%v, %v), want (false, nil)", ok, err)
-	}
-	if ok, err := s.CompareAndSwap("bad key!", nil, a); err == nil || ok {
-		t.Fatal("CAS accepted an invalid key")
-	}
-}
-
-func TestMemCompareAndSwap(t *testing.T) { casContract(t, NewMem()) }
-
-func TestFileCompareAndSwap(t *testing.T) {
-	s, err := NewFile(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	casContract(t, s)
-}
-
-// TestCASContention races goroutines through load-CAS-retry loops; every
-// increment must land exactly once.
-func TestCASContention(t *testing.T) {
-	for _, mk := range []func(t *testing.T) LeaseStore{
-		func(t *testing.T) LeaseStore {
-			return NewMem()
-		},
-		func(t *testing.T) LeaseStore {
-			s, err := NewFile(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		},
-	} {
-		s := mk(t)
-		const workers, rounds = 4, 50
-		if ok, err := s.CompareAndSwap(LeaseKey, nil, (&Lease{Epoch: 0}).Encode()); err != nil || !ok {
-			t.Fatal("seed CAS failed")
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < rounds; i++ {
-					for {
-						cur, err := s.Load(LeaseKey)
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						l, err := DecodeLease(cur)
-						if err != nil {
-							t.Errorf("torn read: %v", err)
-							return
-						}
-						next := (&Lease{Epoch: l.Epoch + 1}).Encode()
-						ok, err := s.CompareAndSwap(LeaseKey, cur, next)
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						if ok {
-							break
-						}
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		final, err := s.Load(LeaseKey)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, err := DecodeLease(final)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if l.Epoch != workers*rounds {
-			t.Fatalf("lost updates: epoch = %d, want %d", l.Epoch, workers*rounds)
-		}
-	}
-}
-
 func TestTailer(t *testing.T) {
 	s := NewMem()
 	must := func(err error) {
@@ -222,67 +107,5 @@ func TestTailer(t *testing.T) {
 	}
 	if tl.Seen() != 2 {
 		t.Fatalf("Seen = %d, want 2", tl.Seen())
-	}
-}
-
-// TestGuardedWrites holds every bundled store to the guarded-write
-// contract: a write lands only while the lease record names the guard's
-// holder and epoch, and is refused, leaving the key as it was, once the
-// record is absent, corrupt, or another tenure's.
-func TestGuardedWrites(t *testing.T) {
-	file, err := NewFile(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, st := range map[string]LeaseStore{
-		"mem":    NewMem(),
-		"file":   file,
-		"fault":  NewFaultStore(NewMem(), nil, FaultConfig{Seed: 1}),
-		"prefix": mustPrefix(t, NewMem(), "pod0"),
-	} {
-		t.Run(name, func(t *testing.T) {
-			g := LeaseGuard{Key: LeaseKey, Holder: "ctl-a", Epoch: 3}
-			if ok, err := st.SaveGuarded(g, "wal/s00/1", []byte{1}); ok || err != nil {
-				t.Fatalf("save with no lease = (%v, %v), want refused", ok, err)
-			}
-			if err := st.Save(LeaseKey, []byte("garbage")); err != nil {
-				t.Fatal(err)
-			}
-			if ok, err := st.SaveGuarded(g, "wal/s00/1", []byte{1}); ok || err != nil {
-				t.Fatalf("save under a corrupt lease = (%v, %v), want refused", ok, err)
-			}
-			if err := st.Save(LeaseKey, (&Lease{Holder: "ctl-a", Epoch: 3, TTLNs: 10}).Encode()); err != nil {
-				t.Fatal(err)
-			}
-			if ok, err := st.SaveGuarded(g, "wal/s00/1", []byte{1}); !ok || err != nil {
-				t.Fatalf("save under our lease = (%v, %v)", ok, err)
-			}
-			for _, other := range []*Lease{{Holder: "ctl-b", Epoch: 3}, {Holder: "ctl-a", Epoch: 4}} {
-				if err := st.Save(LeaseKey, other.Encode()); err != nil {
-					t.Fatal(err)
-				}
-				if ok, err := st.SaveGuarded(g, "wal/s00/1", []byte{2}); ok || err != nil {
-					t.Fatalf("save under %s epoch %d = (%v, %v), want refused", other.Holder, other.Epoch, ok, err)
-				}
-				if ok, err := st.DeleteGuarded(g, "wal/s00/1"); ok || err != nil {
-					t.Fatalf("delete under %s epoch %d = (%v, %v), want refused", other.Holder, other.Epoch, ok, err)
-				}
-			}
-			if v, err := st.Load("wal/s00/1"); err != nil || !bytes.Equal(v, []byte{1}) {
-				t.Fatalf("refused writes moved the key: (%v, %v)", v, err)
-			}
-			if err := st.Save(LeaseKey, (&Lease{Holder: "ctl-a", Epoch: 3}).Encode()); err != nil {
-				t.Fatal(err)
-			}
-			if ok, err := st.DeleteGuarded(g, "wal/s00/1"); !ok || err != nil {
-				t.Fatalf("delete under our lease = (%v, %v)", ok, err)
-			}
-			if _, err := st.Load("wal/s00/1"); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("guarded delete left the key: %v", err)
-			}
-			if _, err := st.SaveGuarded(g, "bad key!", nil); err == nil {
-				t.Fatal("guarded save accepted an invalid key")
-			}
-		})
 	}
 }

@@ -6,17 +6,18 @@
 // seed ships inside the switch binary).
 //
 // The interface is a flat, small key-value store with atomic whole-value
-// writes. Two implementations are provided: Mem (for simulations and
-// tests, including deterministic chaos schedules) and File (one file per
-// key under a directory, written atomically via rename, for real
-// deployments).
+// writes. The package provides one backing store, Mem, which the
+// simulations, the chaos harnesses and the tests use, and two wrappers
+// over any LeaseStore: PrefixStore (a namespace) and FaultStore (seeded
+// fault injection). A deployment that must survive a process restart
+// supplies its own Store or LeaseStore; PROTOCOL.md ("Crash recovery &
+// persistence") states the contract it must meet, and the package's
+// store contract tests are the check to run it through.
 package statestore
 
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -30,8 +31,10 @@ var ErrNotFound = errors.New("statestore: key not found")
 // Store is a durable key-value store. Save must be atomic per key: a
 // crash during Save leaves either the previous value or the new one,
 // never a torn write (the snapshot codecs carry checksums as a second
-// line of defence). Keys are slash-separated paths restricted to
-// [A-Za-z0-9._-] per segment, so they map onto filenames.
+// line of defence). A write is durable before it returns: a store that
+// renames a file into place also syncs the directory entry. Keys are
+// slash-separated paths restricted to [A-Za-z0-9._-] per segment, so
+// they map onto filenames.
 type Store interface {
 	// Save durably writes value under key, replacing any previous value.
 	// It must not keep value after it returns: callers reuse the buffer.
@@ -150,146 +153,4 @@ func (s *Mem) Saves() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.saves
-}
-
-// File is a directory-backed Store: each key maps to a file (slashes
-// become subdirectories). Writes go to a temporary file in the same
-// directory and are renamed into place, so a crash mid-write never
-// corrupts the previous value.
-type File struct {
-	dir string
-	mu  sync.Mutex
-}
-
-// NewFile returns a Store rooted at dir, creating it if needed.
-func NewFile(dir string) (*File, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("statestore: %w", err)
-	}
-	return &File{dir: dir}, nil
-}
-
-func (s *File) path(key string) string {
-	return filepath.Join(s.dir, filepath.FromSlash(key))
-}
-
-// Save implements Store.
-func (s *File) Save(key string, value []byte) error {
-	if err := ValidateKey(key); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.writeLocked(key, value)
-}
-
-// writeLocked performs the atomic temp+rename write. Requires s.mu.
-func (s *File) writeLocked(key string, value []byte) error {
-	p := s.path(key)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return fmt.Errorf("statestore: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(p), ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("statestore: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(value); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("statestore: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("statestore: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("statestore: %w", err)
-	}
-	if err := os.Rename(tmpName, p); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("statestore: %w", err)
-	}
-	return nil
-}
-
-// Load implements Store.
-func (s *File) Load(key string) ([]byte, error) {
-	if err := ValidateKey(key); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, err := s.readLocked(key)
-	if err != nil {
-		return nil, err
-	}
-	if b == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
-	}
-	return b, nil
-}
-
-// readLocked returns the key's bytes, nil for an absent key, and an
-// error only for real I/O failures. Requires s.mu.
-func (s *File) readLocked(key string) ([]byte, error) {
-	b, err := os.ReadFile(s.path(key))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("statestore: %w", err)
-	}
-	return b, nil
-}
-
-// Delete implements Store.
-func (s *File) Delete(key string) error {
-	if err := ValidateKey(key); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.deleteLocked(key)
-}
-
-// deleteLocked removes the key's file; an absent key is no error.
-// Requires s.mu.
-func (s *File) deleteLocked(key string) error {
-	err := os.Remove(s.path(key))
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("statestore: %w", err)
-	}
-	return nil
-}
-
-// Keys implements Store.
-func (s *File) Keys(prefix string) ([]string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []string
-	err := filepath.Walk(s.dir, func(p string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() {
-			return err
-		}
-		if strings.HasPrefix(filepath.Base(p), ".tmp-") {
-			return nil
-		}
-		rel, err := filepath.Rel(s.dir, p)
-		if err != nil {
-			return err
-		}
-		key := filepath.ToSlash(rel)
-		if strings.HasPrefix(key, prefix) {
-			out = append(out, key)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("statestore: %w", err)
-	}
-	sort.Strings(out)
-	return out, nil
 }

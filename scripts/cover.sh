@@ -13,9 +13,11 @@
 # off the wire and out of the store (internal/ha), the controller
 # whose request path and key-management runner every authenticated
 # exchange goes through (internal/controller), the adversary models the
-# paper's attacks are run with (internal/attacker), and the one scaffold
+# paper's attacks are run with (internal/attacker), the one scaffold
 # that builds every single-switch C-DP app, picks its C-DP path and
-# installs its stack adversary (internal/app). A drop below the floor
+# installs its stack adversary (internal/app), and the two-tier control
+# plane whose global broker grants every cross-pod key under a fenced
+# epoch (internal/hierarchy). A drop below the floor
 # means new code shipped without tests in exactly the places where
 # silent breakage is unacceptable.
 set -eu
@@ -26,7 +28,7 @@ FLOOR="${COVER_FLOOR:-85}"
 fail=0
 for pkg in ./internal/core/ ./internal/crypto/ ./internal/obs/ ./internal/fleet/ ./internal/pisa/ \
     ./internal/statestore/ ./internal/netsim/ ./internal/switchos/ ./internal/ha/ \
-    ./internal/controller/ ./internal/attacker/ ./internal/app/; do
+    ./internal/controller/ ./internal/attacker/ ./internal/app/ ./internal/hierarchy/; do
     line=$(go test -cover "$pkg" | tail -1)
     echo "$line"
     pct=$(printf '%s\n' "$line" | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')
