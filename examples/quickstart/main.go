@@ -30,7 +30,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("switch compiled:", sw.Host.SW.Compiled().Program.Name)
+	fmt.Println("switch compiled:", sw.Host.SW.Compiled().Name())
 
 	// 2. Attach a controller and run the key-management protocol: EAK
 	//    derives K_auth from the pre-shared seed, ADHKD derives K_local.

@@ -101,7 +101,7 @@ func (e *testEnv) signedReg(t *testing.T, msgType uint8, regID uint32, index uin
 
 func (e *testEnv) regID(t *testing.T, name string) uint32 {
 	t.Helper()
-	ri, err := p4rt.InfoFromProgram(e.sw.Compiled().Program).RegisterByName(name)
+	ri, err := p4rt.InfoOf(e.sw.Compiled()).RegisterByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}

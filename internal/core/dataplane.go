@@ -443,14 +443,14 @@ func Boot(sw *pisa.Switch, cfg Config) error {
 // response is lost and the exchange retried, the two sides' version
 // counters can drift until the tag bit no longer selects a shared key.
 func FactoryReset(sw *pisa.Switch, cfg Config) error {
-	prog := sw.Compiled().Program
+	info := p4rt.InfoOf(sw.Compiled())
 	for _, name := range []string{
 		RegKeysV0, RegKeysV1, RegVer, RegSeq, RegSeqOut, RegAlert,
 		RegKxR, RegKxS, RegEgKeysV0, RegEgKeysV1, RegEgVer, RegEgSeq,
 		RegFbOK, RegFbBad,
 	} {
-		def := prog.Register(name)
-		if def == nil {
+		def, err := info.RegisterByName(name)
+		if err != nil {
 			continue // insecure builds carry no key-exchange state
 		}
 		for i := 0; i < def.Entries; i++ {

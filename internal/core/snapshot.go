@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"sort"
 
+	"p4auth/internal/p4rt"
 	"p4auth/internal/pisa"
 )
 
@@ -255,11 +256,11 @@ type DeviceSnapshot struct {
 // plane. Registers the program does not declare (e.g. insecure builds)
 // are skipped.
 func SnapshotDevice(sw *pisa.Switch, takenNs uint64) (*DeviceSnapshot, error) {
-	prog := sw.Compiled().Program
+	info := p4rt.InfoOf(sw.Compiled())
 	ds := &DeviceSnapshot{TakenNs: takenNs, Regs: make(map[string][]uint64)}
 	for _, name := range deviceRegisters {
-		def := prog.Register(name)
-		if def == nil {
+		def, err := info.RegisterByName(name)
+		if err != nil {
 			continue
 		}
 		vals := make([]uint64, def.Entries)
@@ -282,14 +283,14 @@ func SnapshotDevice(sw *pisa.Switch, takenNs uint64) (*DeviceSnapshot, error) {
 // contract) is ever accepted again. All other registers are restored
 // verbatim.
 func RestoreDevice(sw *pisa.Switch, ds *DeviceSnapshot) error {
-	prog := sw.Compiled().Program
+	info := p4rt.InfoOf(sw.Compiled())
 	for _, name := range deviceRegisters {
 		vals, ok := ds.Regs[name]
 		if !ok {
 			continue
 		}
-		def := prog.Register(name)
-		if def == nil {
+		def, err := info.RegisterByName(name)
+		if err != nil {
 			return fmt.Errorf("core: snapshot register %s not in program", name)
 		}
 		if len(vals) != def.Entries {

@@ -6,6 +6,7 @@ package deploy
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"p4auth/internal/core"
@@ -99,20 +100,17 @@ type programKey struct {
 	Registers string
 }
 
-// program is the switch's program: a ptype-only shell declaring copies of
-// regs, so that a caller editing its RegisterDef later cannot reach a
-// program other switches share, with P4Auth woven in. Like hula's, it is
-// named for what it is, not for a switch.
+// program is the switch's program: a ptype-only shell declaring regs,
+// with P4Auth woven in. Like hula's, it is named for what it is, not for
+// a switch. The compilation copies the register definitions, and the
+// clipped slice makes AddToProgram's appends leave the caller's array.
 func program(regs []*pisa.RegisterDef, exposed []string, cfg core.Config) (*pisa.Program, error) {
 	prog := &pisa.Program{
 		Name:         "p4auth_shell",
 		Headers:      []*pisa.HeaderDef{core.PTypeHeader()},
 		Parser:       []pisa.ParserState{{Name: pisa.ParserStart, Extract: core.HdrPType}},
 		DeparseOrder: []string{core.HdrPType},
-	}
-	for _, r := range regs {
-		def := *r
-		prog.Registers = append(prog.Registers, &def)
+		Registers:    slices.Clip(regs),
 	}
 	return prog, core.AddToProgram(prog, cfg, core.Integration{Exposed: exposed})
 }

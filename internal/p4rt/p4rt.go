@@ -38,18 +38,18 @@ func RegisterID(i int) uint32 { return registerIDBase + uint32(i) + 1 }
 // compilation and shared by every switch of it, so it lives exactly as
 // long as the compilation does; callers only read it.
 func InfoOf(c *pisa.Compiled) *P4Info {
-	return c.Catalog(func(p *pisa.Program) any { return InfoFromProgram(p) }).(*P4Info)
+	return c.Catalog(func(c *pisa.Compiled) any { return newInfo(c.Name(), c.Registers()) }).(*P4Info)
 }
 
-// InfoFromProgram builds p4info for a pisa program, assigning register IDs
+// newInfo catalogs a program's registers, assigning register IDs
 // deterministically in declaration order.
-func InfoFromProgram(prog *pisa.Program) *P4Info {
+func newInfo(program string, regs []pisa.RegisterDef) *P4Info {
 	info := &P4Info{
-		Program: prog.Name,
+		Program: program,
 		byID:    make(map[uint32]*RegisterInfo),
 		byName:  make(map[string]*RegisterInfo),
 	}
-	for i, r := range prog.Registers {
+	for i, r := range regs {
 		info.Registers = append(info.Registers, RegisterInfo{
 			ID:      RegisterID(i),
 			Name:    r.Name,

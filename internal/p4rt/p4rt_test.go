@@ -6,19 +6,26 @@ import (
 	"p4auth/internal/pisa"
 )
 
-func testProgram() *pisa.Program {
-	return &pisa.Program{
+// testInfo is the p4info of a fresh compilation of a program that
+// declares three registers.
+func testInfo(t *testing.T) *P4Info {
+	t.Helper()
+	c, err := pisa.Compile(&pisa.Program{
 		Name: "p",
 		Registers: []*pisa.RegisterDef{
 			{Name: "lat_path1", Width: 32, Entries: 16},
 			{Name: "lat_path2", Width: 32, Entries: 16},
 			{Name: "keys", Width: 64, Entries: 33},
 		},
+	}, pisa.TofinoProfile())
+	if err != nil {
+		t.Fatal(err)
 	}
+	return InfoOf(c)
 }
 
-func TestInfoFromProgram(t *testing.T) {
-	info := InfoFromProgram(testProgram())
+func TestInfoOf(t *testing.T) {
+	info := testInfo(t)
 	if len(info.Registers) != 3 {
 		t.Fatalf("got %d registers", len(info.Registers))
 	}
@@ -45,8 +52,7 @@ func TestInfoFromProgram(t *testing.T) {
 }
 
 func TestInfoIDsDeterministic(t *testing.T) {
-	a := InfoFromProgram(testProgram())
-	b := InfoFromProgram(testProgram())
+	a, b := testInfo(t), testInfo(t)
 	for i := range a.Registers {
 		if a.Registers[i].ID != b.Registers[i].ID {
 			t.Fatal("register IDs are not deterministic")

@@ -2,6 +2,7 @@ package pisa
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -43,13 +44,26 @@ func (u Usage) Percent(p Profile) UsagePercent {
 }
 
 // Compiled is a program linked and placed against a target profile. It
-// and its Program are read-only once Compile returns, so any number of
-// switches may share one (NewSwitchFromCompiled, CompileOnce), with its
-// const table entries and its catalog.
+// keeps the linked form, the const table entries, the catalog and the
+// program's interface (name, args, registers, each table's driver
+// contract), all copied at Compile: the source Program stays the
+// caller's, and nothing here reaches it. A Compiled is read-only once
+// Compile returns, so any number of switches may share one
+// (NewSwitchFromCompiled, CompileOnce).
 type Compiled struct {
-	Program *Program
+	// headerNames maps a header index to its name, for parse errors. It
+	// leads because field offsets size the per-packet functions' code:
+	// placed beside headers it moves process and packFields off their
+	// 64-byte phase in the benchmark binary.
+	headerNames []string
+
 	Profile Profile
 	Usage   Usage
+
+	// The program's interface.
+	name      string
+	args      []FieldDef
+	registers []RegisterDef
 
 	// Name -> index, for the driver API and the linker.
 	tableIndex map[string]int
@@ -81,13 +95,20 @@ type Compiled struct {
 }
 
 // Catalog returns the compilation's control-plane catalog (p4rt's
-// p4info), which build derives from the program on the first call only:
-// every switch of the compilation shares one catalog, and it lives
+// p4info), which build derives from the compilation on the first call
+// only: every switch of the compilation shares one catalog, and it lives
 // exactly as long as the compilation. Its one builder is p4rt.InfoOf.
-func (c *Compiled) Catalog(build func(*Program) any) any {
-	c.catalogOnce.Do(func() { c.catalog = build(c.Program) })
+func (c *Compiled) Catalog(build func(*Compiled) any) any {
+	c.catalogOnce.Do(func() { c.catalog = build(c) })
 	return c.catalog
 }
+
+// Name returns the program's name.
+func (c *Compiled) Name() string { return c.name }
+
+// Registers returns a copy of the program's register definitions, in
+// declaration order (p4rt.InfoOf catalogs them).
+func (c *Compiled) Registers() []RegisterDef { return slices.Clone(c.registers) }
 
 // nominal hash-input contribution of including the payload in a digest.
 const payloadHashBits = 128
@@ -103,8 +124,10 @@ func Compile(prog *Program, profile Profile) (*Compiled, error) {
 		return nil, err
 	}
 	c := &Compiled{
-		Program:    prog,
 		Profile:    profile,
+		name:       prog.Name,
+		args:       slices.Clone(prog.Args),
+		registers:  make([]RegisterDef, len(prog.Registers)),
 		tableIndex: make(map[string]int, len(prog.Tables)),
 		regIndex:   make(map[string]int, len(prog.Registers)),
 	}
@@ -112,12 +135,13 @@ func Compile(prog *Program, profile Profile) (*Compiled, error) {
 		c.tableIndex[t.Name] = i
 	}
 	for i, r := range prog.Registers {
+		c.registers[i] = *r
 		c.regIndex[r.Name] = i
 	}
-	if err := c.link(); err != nil {
+	if err := c.link(prog); err != nil {
 		return nil, err
 	}
-	if err := c.account(); err != nil {
+	if err := c.account(prog); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -241,7 +265,7 @@ func (ra regAccess) merge(other regAccess) {
 // took and the registers it touched.
 func (c *Compiled) placeBlock(b span, m *stageMarks) (int, regAccess) {
 	sp := newStagePacker(c.Profile, m)
-	regs := make(regAccess, len(c.Program.Registers))
+	regs := make(regAccess, len(c.registers))
 	c.placeOps(sp, b, regs)
 	return sp.stages, regs
 }
@@ -362,7 +386,7 @@ func (lt *ltable) keyBits() int {
 	return bits
 }
 
-func (c *Compiled) account() error {
+func (c *Compiled) account(prog *Program) error {
 	// PHV.
 	for _, w := range c.slotWidth {
 		c.Usage.PHVBits += containerBits(int(w))
@@ -372,13 +396,13 @@ func (c *Compiled) account() error {
 	}
 
 	// Tables: SRAM or TCAM.
-	for ti, t := range c.Program.Tables {
+	for ti := range c.tables {
 		lt := &c.tables[ti]
 		keyBits := lt.keyBits()
 		actionDataBits := 0
 		for _, ai := range lt.actions {
 			bits := 0
-			for _, p := range c.Program.Actions[ai].Params {
+			for _, p := range prog.Actions[ai].Params {
 				bits += p.Width
 			}
 			if bits > actionDataBits {
@@ -387,13 +411,13 @@ func (c *Compiled) account() error {
 		}
 		if lt.exact {
 			entryBits := keyBits + actionDataBits + exactEntryOverheadBits
-			blocks := (t.Size*entryBits + SRAMBlockBits - 1) / SRAMBlockBits
+			blocks := (lt.size*entryBits + SRAMBlockBits - 1) / SRAMBlockBits
 			if blocks < 1 {
 				blocks = 1
 			}
 			c.Usage.SRAMBlocks += blocks
 		} else {
-			blocks := ((t.Size + TCAMBlockEntries - 1) / TCAMBlockEntries) *
+			blocks := ((lt.size + TCAMBlockEntries - 1) / TCAMBlockEntries) *
 				((keyBits + TCAMBlockKeyBits - 1) / TCAMBlockKeyBits)
 			if blocks < 1 {
 				blocks = 1
@@ -401,7 +425,7 @@ func (c *Compiled) account() error {
 			c.Usage.TCAMBlocks += blocks
 			// Action data for TCAM tables still lives in SRAM.
 			if actionDataBits > 0 {
-				blocks := (t.Size*actionDataBits + SRAMBlockBits - 1) / SRAMBlockBits
+				blocks := (lt.size*actionDataBits + SRAMBlockBits - 1) / SRAMBlockBits
 				if blocks < 1 {
 					blocks = 1
 				}
@@ -411,7 +435,7 @@ func (c *Compiled) account() error {
 	}
 
 	// Registers.
-	for _, r := range c.Program.Registers {
+	for _, r := range c.registers {
 		w := 32
 		if r.Width > 32 {
 			w = 64
@@ -441,7 +465,7 @@ func (c *Compiled) account() error {
 		c.Usage.EgressStages = egStages
 	}
 	if c.Profile.StrictRegisterAccess {
-		name := func(r int) string { return c.Program.Registers[r].Name }
+		name := func(r int) string { return c.registers[r].Name }
 		for r, n := range regs {
 			if n > 1 {
 				return fmt.Errorf("pisa: register %q accessed %d times per pass; target %s allows one", name(r), n, c.Profile.Name)

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"testing"
 
@@ -17,6 +16,7 @@ import (
 	"p4auth/internal/hula"
 	"p4auth/internal/netcache"
 	"p4auth/internal/netwarden"
+	"p4auth/internal/p4rt"
 	"p4auth/internal/pisa"
 	"p4auth/internal/routescout"
 	"p4auth/internal/silkroad"
@@ -205,64 +205,11 @@ func (s *corpusSubject) signedCtl(t *testing.T, r *corpusRNG) pisa.Packet {
 	return pisa.Packet{Data: m.AppendEncode(nil), Port: pisa.CPUPort}
 }
 
-// grammarWalk follows the program's parser from the start state, filling
-// each extracted header with random field values but steering select
-// fields onto declared transitions most of the time, so the packet
-// reaches the deep states instead of dying at the first select.
-func grammarWalk(prog *pisa.Program, r *corpusRNG) []byte {
-	states := make(map[string]*pisa.ParserState, len(prog.Parser))
-	for i := range prog.Parser {
-		states[prog.Parser[i].Name] = &prog.Parser[i]
-	}
-	fields := make(map[pisa.FieldRef]uint64)
-	var out []byte
-	name := pisa.ParserStart
-	for steps := 0; steps < 16; steps++ {
-		st := states[name]
-		if st == nil {
-			break
-		}
-		if st.Extract != "" {
-			def := prog.Header(st.Extract)
-			vals := make([]uint64, len(def.Fields))
-			for i, f := range def.Fields {
-				v := r.next()
-				if r.intn(2) == 0 {
-					v &= 0xf
-				}
-				if f.Width < 64 {
-					v &= 1<<uint(f.Width) - 1
-				}
-				ref := pisa.F(def.Name, f.Name)
-				if ref == st.Select && len(st.Transitions) > 0 && r.intn(8) != 0 {
-					keys := make([]uint64, 0, len(st.Transitions))
-					for k := range st.Transitions {
-						keys = append(keys, k)
-					}
-					sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-					v = keys[r.intn(len(keys))]
-				}
-				vals[i] = v
-				fields[ref] = v
-			}
-			b, err := pisa.PackHeader(def, vals)
-			if err != nil {
-				panic(err)
-			}
-			out = append(out, b...)
-		}
-		next := st.Default
-		if st.Select != "" {
-			if n, ok := st.Transitions[fields[st.Select]]; ok {
-				next = n
-			}
-		}
-		if next == "" {
-			break
-		}
-		name = next
-	}
-	return append(out, r.bytes(r.intn(24))...)
+// grammarWalk crafts a packet the subject's parser walks deep into:
+// random header fields with select fields steered onto declared
+// transitions (pisa.WalkParser), then a random payload.
+func grammarWalk(c *pisa.Compiled, r *corpusRNG) []byte {
+	return append(pisa.WalkParser(c, r.next, r.intn), r.bytes(r.intn(24))...)
 }
 
 func (s *corpusSubject) randomPort(r *corpusRNG) int {
@@ -281,7 +228,7 @@ func (s *corpusSubject) randomPort(r *corpusRNG) int {
 // truncate.
 func (s *corpusSubject) draw(t *testing.T, r *corpusRNG, valid *[]pisa.Packet) (pisa.Packet, int) {
 	t.Helper()
-	prog := s.host.SW.Compiled().Program
+	c := s.host.SW.Compiled()
 	var pkt pisa.Packet
 	kind := r.intn(10)
 	if kind >= 5 && len(*valid) == 0 {
@@ -296,10 +243,10 @@ func (s *corpusSubject) draw(t *testing.T, r *corpusRNG, valid *[]pisa.Packet) (
 			pkt = s.extra(r)
 			*valid = append(*valid, pkt)
 		} else {
-			pkt = pisa.Packet{Data: grammarWalk(prog, r), Port: s.randomPort(r)}
+			pkt = pisa.Packet{Data: grammarWalk(c, r), Port: s.randomPort(r)}
 		}
 	case 4:
-		pkt = pisa.Packet{Data: grammarWalk(prog, r), Port: s.randomPort(r)}
+		pkt = pisa.Packet{Data: grammarWalk(c, r), Port: s.randomPort(r)}
 	case 5, 6: // tampered: one flipped bit
 		pkt = clonePacket((*valid)[r.intn(len(*valid))])
 		bit := r.intn(len(pkt.Data) * 8)
@@ -329,7 +276,6 @@ func (s *corpusSubject) stream() corpusRNG {
 func (s *corpusSubject) run(t *testing.T) []string {
 	t.Helper()
 	sw := s.host.SW
-	prog := sw.Compiled().Program
 	r := s.stream()
 	h := sha256.New()
 	var lines []string
@@ -363,7 +309,7 @@ func (s *corpusSubject) run(t *testing.T) []string {
 			lines = append(lines, fmt.Sprintf("%s packets=%d digest=%x", s.name, i+1, h.Sum(nil)[:12]))
 		}
 	}
-	if answered == 0 && prog.Header(core.HdrAuth) != nil {
+	if answered == 0 && pisa.HasHeader(sw.Compiled(), core.HdrAuth) {
 		t.Errorf("%s: no signed register request was acknowledged; the corpus does not reach the verified path", s.name)
 	}
 
@@ -372,7 +318,7 @@ func (s *corpusSubject) run(t *testing.T) []string {
 		counters = append(counters, fmt.Sprintf("%s:%d", c.Name, c.Value))
 	}
 	rh := sha256.New()
-	for _, reg := range prog.Registers {
+	for _, reg := range p4rt.InfoOf(sw.Compiled()).Registers {
 		fmt.Fprintf(rh, "%s", reg.Name)
 		for i := 0; i < reg.Entries; i++ {
 			v, err := sw.RegisterRead(reg.Name, i)

@@ -22,7 +22,8 @@
 // Compiled program, and executed per packet by a Switch. Compile also
 // links: every name is resolved once into a flat, index-addressed form
 // (link.go), which is all that the per-packet path, stage placement and
-// resource accounting read. Packets are real
+// resource accounting read; a Compiled keeps no reference to its source
+// Program. Packets are real
 // byte strings: the pipeline parses them into the PHV with a programmable
 // parser state machine and deparses the PHV back to bytes on emission, so
 // a man-in-the-middle in the network sees — and can rewrite — exactly the

@@ -2,6 +2,7 @@ package pisa
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -107,7 +108,7 @@ type lkey struct {
 type ltable struct {
 	keys    []lkey
 	exact   bool    // every key is MatchExact: entries live in the hash index
-	actions []int32 // action indexes, parallel to Table.Actions
+	actions []int32 // action indexes, parallel to actionNames
 	nparams []int32 // parameter count of each, parallel to actions
 	def     int32   // default action index, -1 = none
 	// defParams is the link-time copy of Table.DefaultParams: the run
@@ -116,6 +117,12 @@ type ltable struct {
 	// shared is the content of a table with Table.ConstEntries, which
 	// every switch of the compilation uses.
 	shared *tableState
+
+	// The table's driver contract, copied from its Table: what an entry
+	// is checked against (its key count is len(keys)).
+	name        string
+	size        int
+	actionNames []string // parallel to actions
 }
 
 // lheader locates a header's fields: they occupy consecutive slots in
@@ -169,10 +176,9 @@ type linker struct {
 	consts  map[uint64]vref
 }
 
-// link lowers c.Program into the linked form, reporting every unresolved
-// name and ill-formed op.
-func (c *Compiled) link() error {
-	prog := c.Program
+// link lowers prog into the linked form, reporting every unresolved name
+// and ill-formed op.
+func (c *Compiled) link(prog *Program) error {
 	l := &linker{
 		c:       c,
 		slots:   make(map[FieldRef]int32),
@@ -184,6 +190,7 @@ func (c *Compiled) link() error {
 	// Sized exactly: a compilation lives as long as the switches over it,
 	// or the process (CompileOnce).
 	c.headers = make([]lheader, 0, len(prog.Headers))
+	c.headerNames = make([]string, 0, len(prog.Headers))
 	c.regMask = make([]uint64, 0, len(prog.Registers))
 	c.deparse = make([]int32, 0, len(prog.DeparseOrder))
 	c.tables = make([]ltable, 0, len(prog.Tables))
@@ -203,6 +210,7 @@ func (c *Compiled) link() error {
 			addSlot(h.Name, f)
 		}
 		c.headers = append(c.headers, lh)
+		c.headerNames = append(c.headerNames, h.Name)
 	}
 	c.metaBase = int32(len(c.slotWidth))
 	for _, f := range intrinsicMetadata() {
@@ -232,6 +240,7 @@ func (c *Compiled) link() error {
 
 	for _, t := range prog.Tables {
 		lt := ltable{
+			name: t.Name, size: t.Size, actionNames: slices.Clone(t.Actions),
 			exact: true, def: -1, keys: make([]lkey, 0, len(t.Keys)),
 			actions: make([]int32, 0, len(t.Actions)), nparams: make([]int32, 0, len(t.Actions)),
 		}
@@ -257,7 +266,7 @@ func (c *Compiled) link() error {
 		}
 		c.tables = append(c.tables, lt)
 		if t.ConstEntries != nil {
-			if err := bindConst(t, &c.tables[len(c.tables)-1]); err != nil {
+			if err := bindConst(t.ConstEntries, &c.tables[len(c.tables)-1]); err != nil {
 				return err
 			}
 		}
@@ -347,7 +356,7 @@ func (l *linker) lookupRef(ref FieldRef, act *Action) (vref, int, error) {
 		return noRef, 0, fmt.Errorf("pisa: action %s has no parameter %q", act.Name, fld)
 	}
 	if hdr == ArgHeader {
-		for i, a := range l.c.Program.Args {
+		for i, a := range l.c.args {
 			if a.Name == fld {
 				return l.c.argBase + int32(i), a.Width, nil
 			}

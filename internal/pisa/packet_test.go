@@ -198,21 +198,21 @@ func checkPlan(t *testing.T, name string, plan []move, widths []int, r *refRNG) 
 }
 
 // checkCompiledPlans runs checkPlan over every header of a compiled
-// program and every hash op's pack plan (the corpus test in the external
-// package reaches it through export_test.go).
+// program, at the widths of the header's PHV slots, and every hash op's
+// pack plan (the corpus test in the external package reaches it through
+// export_test.go).
 func checkCompiledPlans(t *testing.T, c *Compiled) {
 	t.Helper()
 	r := refRNG(0x13198a2e03707344)
-	for hi, def := range c.Program.Headers {
-		h := c.headers[hi]
-		widths := make([]int, len(def.Fields))
-		for i, f := range def.Fields {
-			widths[i] = f.Width
+	for hi, h := range c.headers {
+		widths := make([]int, h.n)
+		for i := range widths {
+			widths[i] = int(c.slotWidth[h.first+int32(i)])
 			if h.plan[i].src != h.first+int32(i) {
-				t.Fatalf("%s.%s: plan moves slot %d, want %d", def.Name, f.Name, h.plan[i].src, h.first+int32(i))
+				t.Fatalf("%s field %d: plan moves slot %d, want %d", c.headerNames[hi], i, h.plan[i].src, h.first+int32(i))
 			}
 		}
-		checkPlan(t, c.Program.Name+"."+def.Name, h.plan, widths, &r)
+		checkPlan(t, c.name+"."+c.headerNames[hi], h.plan, widths, &r)
 	}
 	for pc, op := range c.code {
 		if OpKind(op.kind) != OpHash {
@@ -225,7 +225,7 @@ func checkCompiledPlans(t *testing.T, c *Compiled) {
 		for i, m := range plan {
 			widths[i] = int(m.width)
 		}
-		checkPlan(t, fmt.Sprintf("%s hash at %d", c.Program.Name, pc), plan, widths, &r)
+		checkPlan(t, fmt.Sprintf("%s hash at %d", c.name, pc), plan, widths, &r)
 	}
 }
 

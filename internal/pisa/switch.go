@@ -110,13 +110,13 @@ func WithRandom(r crypto.RandomSource) Option {
 // read 0). Binding an arg the program does not declare panics.
 func WithArg(name string, v uint64) Option {
 	return func(s *Switch) {
-		for i, a := range s.compiled.Program.Args {
+		for i, a := range s.compiled.args {
 			if a.Name == name {
 				s.args[i] = v & mask(a.Width)
 				return
 			}
 		}
-		panic(fmt.Sprintf("pisa: program %s has no arg %q", s.compiled.Program.Name, name))
+		panic(fmt.Sprintf("pisa: program %s has no arg %q", s.compiled.name, name))
 	}
 }
 
@@ -137,7 +137,7 @@ func NewSwitch(prog *Program, profile Profile, opts ...Option) (*Switch, error) 
 func NewSwitchFromCompiled(compiled *Compiled, opts ...Option) *Switch {
 	s := &Switch{
 		compiled:  compiled,
-		args:      make([]uint64, len(compiled.Program.Args)),
+		args:      make([]uint64, len(compiled.args)),
 		rng:       crypto.NewSeededRand(0x9a4aadd),
 		mcast:     make(map[uint64][]int),
 		crcIEEE:   crypto.IEEETable(),
@@ -149,7 +149,7 @@ func NewSwitchFromCompiled(compiled *Compiled, opts ...Option) *Switch {
 	for ti := range compiled.tables {
 		s.tables = append(s.tables, newTableState(compiled, ti))
 	}
-	for _, r := range compiled.Program.Registers {
+	for _, r := range compiled.registers {
 		s.regs = append(s.regs, make([]atomic.Uint64, r.Entries))
 	}
 	s.execPool.New = func() any {
@@ -478,7 +478,7 @@ func (s *Switch) parse(st *execState, data []byte) error {
 		if state.extract >= 0 {
 			h := &c.headers[state.extract]
 			if len(rest) < int(h.bytes) {
-				return fmt.Errorf("pisa: header %s needs %d bytes, packet has %d", c.Program.Headers[state.extract].Name, h.bytes, len(rest))
+				return fmt.Errorf("pisa: header %s needs %d bytes, packet has %d", c.headerNames[state.extract], h.bytes, len(rest))
 			}
 			loadFields(h.plan, rest, st.vals)
 			st.valid[state.extract] = true

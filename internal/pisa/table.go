@@ -103,8 +103,7 @@ type boundEntry struct {
 
 // tableState is the runtime content of one table.
 type tableState struct {
-	def *Table
-	lt  *ltable
+	lt *ltable
 	// exact index: concatenated key values -> entry
 	exact map[string]*boundEntry
 	// ordered entries for ternary/lpm scan
@@ -118,19 +117,19 @@ func newTableState(c *Compiled, ti int) *tableState {
 	if ts := c.tables[ti].shared; ts != nil {
 		return ts
 	}
-	return &tableState{def: c.Program.Tables[ti], lt: &c.tables[ti], exact: make(map[string]*boundEntry)}
+	return &tableState{lt: &c.tables[ti], exact: make(map[string]*boundEntry)}
 }
 
 // bindConst resolves a table's const entries, once per compilation.
-func bindConst(t *Table, lt *ltable) error {
-	ts := &tableState{def: t, lt: lt, exact: make(map[string]*boundEntry)}
-	for _, e := range t.ConstEntries {
+func bindConst(entries []Entry, lt *ltable) error {
+	ts := &tableState{lt: lt, exact: make(map[string]*boundEntry)}
+	for _, e := range entries {
 		if err := ts.insert(e); err != nil {
 			return err
 		}
 	}
-	if lt.exact && len(ts.exact) != len(t.ConstEntries) {
-		return fmt.Errorf("pisa: table %s: const entries repeat a key", t.Name)
+	if lt.exact && len(ts.exact) != len(entries) {
+		return fmt.Errorf("pisa: table %s: const entries repeat a key", lt.name)
 	}
 	lt.shared = ts
 	return nil
@@ -153,13 +152,13 @@ func exactKeyString(key []KeyMatch) string {
 }
 
 func (ts *tableState) insert(e Entry) error {
-	if len(e.Key) != len(ts.def.Keys) {
-		return fmt.Errorf("pisa: table %s: entry has %d key parts, want %d", ts.def.Name, len(e.Key), len(ts.def.Keys))
+	if len(e.Key) != len(ts.lt.keys) {
+		return fmt.Errorf("pisa: table %s: entry has %d key parts, want %d", ts.lt.name, len(e.Key), len(ts.lt.keys))
 	}
 	ec := &boundEntry{priority: e.Priority, action: -1}
-	for i, a := range ts.def.Actions {
+	for i, a := range ts.lt.actionNames {
 		if a == e.Action {
-			if err := checkParamCount(ts.def.Name, a, len(e.Params), int(ts.lt.nparams[i])); err != nil {
+			if err := checkParamCount(ts.lt.name, a, len(e.Params), int(ts.lt.nparams[i])); err != nil {
 				return err
 			}
 			ec.action = ts.lt.actions[i]
@@ -167,10 +166,10 @@ func (ts *tableState) insert(e Entry) error {
 		}
 	}
 	if ec.action < 0 {
-		return fmt.Errorf("pisa: table %s: action %q not permitted", ts.def.Name, e.Action)
+		return fmt.Errorf("pisa: table %s: action %q not permitted", ts.lt.name, e.Action)
 	}
-	if ts.entryCount() >= ts.def.Size {
-		return fmt.Errorf("pisa: table %s: full (%d entries)", ts.def.Name, ts.def.Size)
+	if ts.entryCount() >= ts.lt.size {
+		return fmt.Errorf("pisa: table %s: full (%d entries)", ts.lt.name, ts.lt.size)
 	}
 	ec.key = append([]KeyMatch(nil), e.Key...)
 	ec.params = append([]uint64(nil), e.Params...)
