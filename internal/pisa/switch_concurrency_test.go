@@ -229,3 +229,112 @@ func TestSwitchConcurrentProcess(t *testing.T) {
 		t.Errorf("floor = %d, %v; want the maximum fed, %d", v, err, workers*perWorker)
 	}
 }
+
+// TestSwitchConcurrentNeighbourLanes holds narrow registers, whose
+// entries share a storage word, to per-entry linearizability: workers
+// apply RMWAdd each to its own entry of an 8-bit and a 16-bit register
+// while a driver-path poller writes other entries of the same words.
+// Every worker sees its entry's old values in order, every entry ends at
+// its exact count cut to the width, and the poller always reads back what
+// it wrote, so no update to a neighbour is lost.
+func TestSwitchConcurrentNeighbourLanes(t *testing.T) {
+	h := func(f string) FieldRef { return F("h", f) }
+	prog := &Program{
+		Name: "lanes",
+		Headers: []*HeaderDef{{Name: "h", Fields: []FieldDef{
+			{Name: "idx", Width: 8},
+			{Name: "old8", Width: 8},
+			{Name: "old16", Width: 16},
+		}}},
+		Parser:       []ParserState{{Name: ParserStart, Extract: "h"}},
+		DeparseOrder: []string{"h"},
+		Registers: []*RegisterDef{
+			{Name: "b8", Width: 8, Entries: 16},
+			{Name: "b16", Width: 16, Entries: 16},
+		},
+		Control: []Op{
+			RegRMW(h("old8"), "b8", R(h("idx")), RMWAdd, C(1)),
+			RegRMW(h("old16"), "b16", R(h("idx")), RMWAdd, C(1)),
+			Forward(C(1)),
+		},
+	}
+	sw, err := NewSwitch(prog, BMv2Profile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Workers own entries 0-2 and 4-6; the poller writes 3 and 7, which
+	// share a word with them at 8 and at 16 bits alike.
+	workerEntries := []int{0, 1, 2, 4, 5, 6}
+	pollerEntries := []int{3, 7}
+	// 300 adds wrap the 8-bit entries, whose carry must stay in the lane.
+	const perWorker = 300
+	var wg, pollers sync.WaitGroup
+	for _, idx := range workerEntries {
+		wg.Add(1)
+		go func(idx int) {
+			defer wg.Done()
+			var res Result
+			for i := 0; i < perWorker; i++ {
+				if err := sw.ProcessInto(Packet{Data: []byte{byte(idx), 0, 0, 0}, Port: 1}, &res); err != nil || len(res.Emissions) != 1 {
+					t.Errorf("entry %d: %d emissions, err %v", idx, len(res.Emissions), err)
+					return
+				}
+				out := res.Emissions[0].Data
+				if old8, old16 := int(out[1]), int(binary.BigEndian.Uint16(out[2:])); old8 != i&0xff || old16 != i {
+					t.Errorf("entry %d, add %d: old values %d (8-bit) and %d (16-bit), want %d and %d", idx, i, old8, old16, i&0xff, i)
+					return
+				}
+			}
+		}(idx)
+	}
+	stop := make(chan struct{})
+	last := make([]uint64, len(pollerEntries))
+	pollers.Add(1)
+	go func() {
+		defer pollers.Done()
+		for i := uint64(0); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for k, idx := range pollerEntries {
+				v := 0xabcd0000 + i*3 + uint64(k)
+				for _, reg := range []struct {
+					name string
+					mask uint64
+				}{{"b8", 0xff}, {"b16", 0xffff}} {
+					if err := sw.RegisterWrite(reg.name, idx, v); err != nil {
+						t.Errorf("write: %v", err)
+						return
+					}
+					if got, err := sw.RegisterRead(reg.name, idx); err != nil || got != v&reg.mask {
+						t.Errorf("%s[%d] reads %#x, %v right after writing %#x", reg.name, idx, got, err, v)
+						return
+					}
+				}
+				last[k] = v
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	pollers.Wait()
+
+	for _, idx := range workerEntries {
+		if v, err := sw.RegisterRead("b8", idx); err != nil || v != perWorker&0xff {
+			t.Errorf("b8[%d] = %d, %v; want %d", idx, v, err, perWorker&0xff)
+		}
+		if v, err := sw.RegisterRead("b16", idx); err != nil || v != perWorker {
+			t.Errorf("b16[%d] = %d, %v; want %d", idx, v, err, perWorker)
+		}
+	}
+	for k, idx := range pollerEntries {
+		if v, err := sw.RegisterRead("b8", idx); err != nil || v != last[k]&0xff {
+			t.Errorf("b8[%d] = %#x, %v; want the poller's last write cut to 8 bits, %#x", idx, v, err, last[k]&0xff)
+		}
+		if v, err := sw.RegisterRead("b16", idx); err != nil || v != last[k]&0xffff {
+			t.Errorf("b16[%d] = %#x, %v; want the poller's last write cut to 16 bits, %#x", idx, v, err, last[k]&0xffff)
+		}
+	}
+}

@@ -11,7 +11,9 @@
 # include one hierarchy broker frame of every type plus torn, truncated
 # and over-long-name frames. FuzzValidateKey is differential: the
 # one-pass key check must give the split-based reference's verdict and
-# error text.
+# error text. FuzzRegisterLanes is differential too: register ops by
+# packet and by the driver must leave every entry equal to a plain-slice
+# reference cut to the register's width.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -27,7 +29,8 @@ for entry in \
     ./internal/statestore/:FuzzDecodeLease \
     ./internal/statestore/:FuzzValidateKey \
     ./internal/hierarchy/:FuzzDecodeBrokerFrame \
-    ./internal/pisa/:FuzzProcessP4Auth; do
+    ./internal/pisa/:FuzzProcessP4Auth \
+    ./internal/pisa/:FuzzRegisterLanes; do
     pkg="${entry%%:*}"
     target="${entry#*:}"
     echo "-- $pkg $target ($FUZZTIME)"
