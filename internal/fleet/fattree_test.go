@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -275,5 +276,41 @@ func TestFatTreeSharesExactCompilations(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// fatTreeRetainedBound bounds what one fresh secure k=4 fabric keeps alive
+// once its two role programs are compiled: its 20 switches' register
+// banks, tables, key stores and stacks, and the links between them. It
+// measured 567.7 kB with a 64-bit word per register entry and 431.3 kB
+// with entries packed into lanes of their declared width; the bound sits
+// between, so the entries cannot widen again unnoticed.
+const fatTreeRetainedBound = 480_000
+
+// TestFatTreeRetainedBytes measures one fabric as the HeapAlloc delta
+// across its build, each side after two collections.
+func TestFatTreeRetainedBytes(t *testing.T) {
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	// The first fabric of the process compiles the role programs and
+	// leaves them in pisa.CompileOnce's cache.
+	if _, err := BuildFatTree(DefaultTopoConfig(4)); err != nil {
+		t.Fatal(err)
+	}
+	before := heap()
+	topo, err := BuildFatTree(DefaultTopoConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	retained := heap() - before
+	runtime.KeepAlive(topo)
+	t.Logf("one k=4 fabric retains %d bytes", retained)
+	if retained > fatTreeRetainedBound {
+		t.Errorf("one k=4 fabric retains %d bytes, bound %d", retained, fatTreeRetainedBound)
 	}
 }

@@ -87,7 +87,7 @@ type Compiled struct {
 	trans      []ltrans
 	startState int32
 	deparse    []int32 // header indexes in wire order
-	regMask    []uint64
+	regs       []lreg
 
 	// catalog is what Catalog builds, kept with the compilation.
 	catalogOnce sync.Once

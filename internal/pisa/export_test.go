@@ -56,3 +56,13 @@ func WalkParser(c *Compiled, next func() uint64, intn func(int) int) []byte {
 	}
 	return out
 }
+
+// BankWords returns how many storage words each register of the switch
+// holds, in declaration order.
+func BankWords(s *Switch) []int {
+	words := make([]int, len(s.regs))
+	for i, bank := range s.regs {
+		words[i] = len(bank)
+	}
+	return words
+}

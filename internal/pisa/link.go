@@ -2,8 +2,10 @@ package pisa
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 // The linked form is what Compile lowers a Program into, and the only
@@ -49,6 +51,28 @@ type lop struct {
 	dst   int32 // PHV slot; header index (set_valid, set_invalid, valid cond); table index (apply)
 	a, b  vref  // ALU and cond sources; register ops: a value, b index; hash: a key, b end of the pack plan
 	x     int32 // if: else start (block end without an else); jump: target; hash: pack plan start in hashIns; register ops: register
+}
+
+// lreg is a register's storage layout. Its entries are lanes of 64-bit
+// words, a lane being the smallest of 8, 16, 32 and 64 bits that holds the
+// register's width: entry i is lane i%lanes of word i/lanes.
+type lreg struct {
+	mask      uint64 // the register's width
+	entries   uint64
+	words     int32 // ceil(entries/lanes)
+	laneShift uint8 // log2 of the lane size in bits
+	wordShift uint8 // log2 of the lanes per word
+}
+
+// lane returns the word of bank that holds entry idx and the bit offset of
+// the entry's lane in it.
+func (r *lreg) lane(bank []atomic.Uint64, idx uint64) (*atomic.Uint64, uint) {
+	return &bank[idx>>r.wordShift], uint(idx&(1<<r.wordShift-1)) << r.laneShift
+}
+
+// put returns word with its lane at shift set to v cut to the width.
+func (r *lreg) put(word uint64, shift uint, v uint64) uint64 {
+	return word&^(r.mask<<shift) | (v&r.mask)<<shift
 }
 
 // widthMask[w] is mask(w), so cutting a result to its destination is one
@@ -191,7 +215,7 @@ func (c *Compiled) link(prog *Program) error {
 	// or the process (CompileOnce).
 	c.headers = make([]lheader, 0, len(prog.Headers))
 	c.headerNames = make([]string, 0, len(prog.Headers))
-	c.regMask = make([]uint64, 0, len(prog.Registers))
+	c.regs = make([]lreg, 0, len(prog.Registers))
 	c.deparse = make([]int32, 0, len(prog.DeparseOrder))
 	c.tables = make([]ltable, 0, len(prog.Tables))
 	c.states = make([]lstate, 0, len(prog.Parser))
@@ -232,7 +256,13 @@ func (c *Compiled) link(prog *Program) error {
 		l.states[s.Name] = int32(i)
 	}
 	for _, r := range prog.Registers {
-		c.regMask = append(c.regMask, mask(r.Width))
+		// log2 of the lane size: ceil(log2(Width)), at least 3 (a byte).
+		lane := max(3, bits.Len(uint(r.Width-1)))
+		lanes := 1 << (6 - lane)
+		c.regs = append(c.regs, lreg{
+			mask: mask(r.Width), entries: uint64(r.Entries), words: int32((r.Entries + lanes - 1) / lanes),
+			laneShift: uint8(lane), wordShift: uint8(6 - lane),
+		})
 	}
 	for _, name := range prog.DeparseOrder {
 		c.deparse = append(c.deparse, l.headers[name])

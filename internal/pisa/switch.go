@@ -47,11 +47,13 @@ type Result struct {
 //     batch in ProcessBatch) holds the read side from parse to deparse, the
 //     driver mutation API the write side, so a packet sees a table change
 //     entirely or not at all;
-//   - a register cell is an atomic word. Every register op of a program and
-//     RegisterRead/RegisterWrite is one load, one store or one
-//     compare-and-swap loop on its cell, so each is linearizable per cell:
-//     a read-modify-write (the replay-floor RMWMax) never loses an update
-//     and returns the value it replaced. Nothing orders two cells against
+//   - a register cell is a lane of an atomic word, the smallest of 8, 16,
+//     32 and 64 bits that holds the register's width. A register read
+//     (a program's or RegisterRead) is one load of the word; a write and
+//     every read-modify-write is a compare-and-swap loop on it, so each
+//     op is linearizable per cell, an update to a neighbouring lane is
+//     never lost, and a read-modify-write (the replay-floor RMWMax)
+//     returns the value it replaced. Nothing orders two cells against
 //     each other, as nothing did when each register had a lock;
 //   - diagnostic counters are atomics, and the random() source is
 //     concurrency-safe.
@@ -64,8 +66,8 @@ type Switch struct {
 	tables  []*tableState
 	mcast   map[uint64][]int
 
-	// regs[i][j] is entry j of register i, stored cut to the register's
-	// width.
+	// regs[i] holds register i's entries, cut to its width, as lanes of
+	// words (see lreg).
 	regs [][]atomic.Uint64
 
 	// counters are the diagnostic-counter cells, indexed by counter ID.
@@ -138,6 +140,7 @@ func NewSwitchFromCompiled(compiled *Compiled, opts ...Option) *Switch {
 	s := &Switch{
 		compiled:  compiled,
 		args:      make([]uint64, len(compiled.args)),
+		regs:      make([][]atomic.Uint64, len(compiled.regs)),
 		rng:       crypto.NewSeededRand(0x9a4aadd),
 		mcast:     make(map[uint64][]int),
 		crcIEEE:   crypto.IEEETable(),
@@ -149,8 +152,8 @@ func NewSwitchFromCompiled(compiled *Compiled, opts ...Option) *Switch {
 	for ti := range compiled.tables {
 		s.tables = append(s.tables, newTableState(compiled, ti))
 	}
-	for _, r := range compiled.registers {
-		s.regs = append(s.regs, make([]atomic.Uint64, r.Entries))
+	for i, r := range compiled.regs {
+		s.regs[i] = make([]atomic.Uint64, r.words)
 	}
 	s.execPool.New = func() any {
 		st := &execState{
@@ -202,10 +205,12 @@ func (s *Switch) RegisterRead(name string, index int) (uint64, error) {
 	if !ok {
 		return 0, fmt.Errorf("pisa: unknown register %q", name)
 	}
-	if index < 0 || index >= len(s.regs[ri]) {
-		return 0, fmt.Errorf("pisa: register %s index %d out of range [0,%d)", name, index, len(s.regs[ri]))
+	r := &s.compiled.regs[ri]
+	if index < 0 || uint64(index) >= r.entries {
+		return 0, fmt.Errorf("pisa: register %s index %d out of range [0,%d)", name, index, r.entries)
 	}
-	return s.regs[ri][index].Load(), nil
+	cell, shift := r.lane(s.regs[ri], uint64(index))
+	return cell.Load() >> shift & r.mask, nil
 }
 
 // RegisterWrite writes a register entry directly (the driver path).
@@ -214,11 +219,17 @@ func (s *Switch) RegisterWrite(name string, index int, v uint64) error {
 	if !ok {
 		return fmt.Errorf("pisa: unknown register %q", name)
 	}
-	if index < 0 || index >= len(s.regs[ri]) {
-		return fmt.Errorf("pisa: register %s index %d out of range [0,%d)", name, index, len(s.regs[ri]))
+	r := &s.compiled.regs[ri]
+	if index < 0 || uint64(index) >= r.entries {
+		return fmt.Errorf("pisa: register %s index %d out of range [0,%d)", name, index, r.entries)
 	}
-	s.regs[ri][index].Store(v & s.compiled.regMask[ri])
-	return nil
+	cell, shift := r.lane(s.regs[ri], uint64(index))
+	for {
+		word := cell.Load()
+		if cell.CompareAndSwap(word, r.put(word, shift, v)) {
+			return nil
+		}
+	}
 }
 
 // SetMulticastGroup configures the ports of a multicast group.
@@ -597,42 +608,41 @@ func (s *Switch) run(st *execState, b span) {
 	}
 }
 
-// execReg runs one register op on its cell: a load, a store, or for a
-// read-modify-write a compare-and-swap loop, the data plane's stateful ALU
-// being atomic per packet (the replay-floor RMWMax depends on it).
+// execReg runs one register op on its cell, a lane of a word: a read is a
+// load, a write or a read-modify-write a compare-and-swap loop on the word,
+// the data plane's stateful ALU being atomic per packet (the replay-floor
+// RMWMax depends on it).
 func (s *Switch) execReg(st *execState, op *lop) {
 	v := st.vals
-	bank := s.regs[op.x]
+	r := &s.compiled.regs[op.x]
 	idx := v[op.b]
-	if idx >= uint64(len(bank)) {
+	if idx >= r.entries {
 		s.bump(cntRegIndexWrap)
-		idx %= uint64(len(bank))
+		idx %= r.entries
 	}
-	cell := &bank[idx]
-	switch OpKind(op.kind) {
-	case OpRegRead:
-		v[op.dst] = cell.Load() & op.mask()
-	case OpRegWrite:
-		cell.Store(v[op.a] & s.compiled.regMask[op.x])
-	case OpRegRMW:
-		a := v[op.a]
-		for {
-			old := cell.Load()
-			var next uint64
-			switch RMWKind(op.sub) {
-			case RMWAdd:
-				next = old + a
-			case RMWWrite:
-				next = a
-			case RMWMax:
-				next = max(old, a)
-			case RMWXor:
-				next = old ^ a
-			}
-			if cell.CompareAndSwap(old, next&s.compiled.regMask[op.x]) {
+	cell, shift := r.lane(s.regs[op.x], idx)
+	if OpKind(op.kind) == OpRegRead {
+		v[op.dst] = cell.Load() >> shift & r.mask & op.mask()
+		return
+	}
+	a := v[op.a]
+	for {
+		word := cell.Load()
+		old := word >> shift & r.mask
+		next := a // RMWWrite, and OpRegWrite, whose sub is 0
+		switch RMWKind(op.sub) {
+		case RMWAdd:
+			next = old + a
+		case RMWMax:
+			next = max(old, a)
+		case RMWXor:
+			next = old ^ a
+		}
+		if cell.CompareAndSwap(word, r.put(word, shift, next)) {
+			if OpKind(op.kind) == OpRegRMW {
 				v[op.dst] = old & op.mask()
-				return
 			}
+			return
 		}
 	}
 }

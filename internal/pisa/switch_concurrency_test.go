@@ -268,6 +268,10 @@ func TestSwitchConcurrentNeighbourLanes(t *testing.T) {
 	pollerEntries := []int{3, 7}
 	// 300 adds wrap the 8-bit entries, whose carry must stay in the lane.
 	const perWorker = 300
+	regs := []struct {
+		name string
+		mask uint64
+	}{{"b8", 0xff}, {"b16", 0xffff}}
 	var wg, pollers sync.WaitGroup
 	for _, idx := range workerEntries {
 		wg.Add(1)
@@ -300,10 +304,7 @@ func TestSwitchConcurrentNeighbourLanes(t *testing.T) {
 			}
 			for k, idx := range pollerEntries {
 				v := 0xabcd0000 + i*3 + uint64(k)
-				for _, reg := range []struct {
-					name string
-					mask uint64
-				}{{"b8", 0xff}, {"b16", 0xffff}} {
+				for _, reg := range regs {
 					if err := sw.RegisterWrite(reg.name, idx, v); err != nil {
 						t.Errorf("write: %v", err)
 						return
@@ -321,20 +322,16 @@ func TestSwitchConcurrentNeighbourLanes(t *testing.T) {
 	close(stop)
 	pollers.Wait()
 
-	for _, idx := range workerEntries {
-		if v, err := sw.RegisterRead("b8", idx); err != nil || v != perWorker&0xff {
-			t.Errorf("b8[%d] = %d, %v; want %d", idx, v, err, perWorker&0xff)
+	for _, reg := range regs {
+		for _, idx := range workerEntries {
+			if v, err := sw.RegisterRead(reg.name, idx); err != nil || v != perWorker&reg.mask {
+				t.Errorf("%s[%d] = %d, %v; want %d", reg.name, idx, v, err, perWorker&reg.mask)
+			}
 		}
-		if v, err := sw.RegisterRead("b16", idx); err != nil || v != perWorker {
-			t.Errorf("b16[%d] = %d, %v; want %d", idx, v, err, perWorker)
-		}
-	}
-	for k, idx := range pollerEntries {
-		if v, err := sw.RegisterRead("b8", idx); err != nil || v != last[k]&0xff {
-			t.Errorf("b8[%d] = %#x, %v; want the poller's last write cut to 8 bits, %#x", idx, v, err, last[k]&0xff)
-		}
-		if v, err := sw.RegisterRead("b16", idx); err != nil || v != last[k]&0xffff {
-			t.Errorf("b16[%d] = %#x, %v; want the poller's last write cut to 16 bits, %#x", idx, v, err, last[k]&0xffff)
+		for k, idx := range pollerEntries {
+			if v, err := sw.RegisterRead(reg.name, idx); err != nil || v != last[k]&reg.mask {
+				t.Errorf("%s[%d] = %#x, %v; want the poller's last write cut to the width, %#x", reg.name, idx, v, err, last[k]&reg.mask)
+			}
 		}
 	}
 }
